@@ -1,51 +1,36 @@
 (* Benchmark driver. Three modes:
 
-     main [--quick] [SECTION...]     paper-reproduction sections (Bench.Sections)
-     main sweep [OPTIONS]            dimensional scenario sweep (Bench.Sweep)
-     main diff [OPTIONS]             regression gate vs a committed trajectory
+     main sweep [OPTIONS]        dimensional scenario sweep (Bench.Sweep)
+     main diff [OPTIONS]         regression gate vs a committed trajectory
+     main sections [--quick]     the paper area, paper vs measured
 
-   Sections print paper-vs-measured rows; the sweep emits one deterministic
-   BENCH_<area>.json per area; diff compares two sweep directories and exits
-   non-zero past the regression threshold. *)
+   The sweep emits one deterministic BENCH_<area>.json per area; diff
+   compares two sweep directories and exits non-zero past the regression
+   threshold; sections runs the paper area's rows and prints each metric
+   beside the paper's number. *)
 
 let usage () =
   prerr_endline
-    "usage: main [--quick] [SECTION...]\n\
-    \       main sweep [--quick] [--areas A,B] [--out-dir DIR]\n\
-    \       main diff --baseline DIR --fresh DIR [--threshold PCT]\n\n\
-     sections:";
-  List.iter (fun n -> Printf.eprintf "  %s\n" n) Bench.Sections.names;
+    "usage: main sweep [--quick] [--areas A,B] [--out-dir DIR]\n\
+    \       main diff --baseline DIR --fresh DIR [--threshold PCT]\n\
+    \       main sections [--quick]";
   Bench.Scenarios.register ();
   Printf.eprintf "\nsweep areas: %s\n"
     (String.concat ", " (Bench.Scenario.areas ()));
   2
 
 let run_sections args =
-  let quick = List.mem "--quick" args in
-  let args = List.filter (fun a -> a <> "--quick") args in
-  let unknown = ref false in
-  let chosen =
-    if args = [] then Bench.Sections.all
-    else
-      List.filter_map
-        (fun a ->
-          match Bench.Sections.find a with
-          | Some f -> Some (a, f)
-          | None ->
-            Printf.eprintf "unknown section %s (see --help)\n" a;
-            unknown := true;
-            None)
-        args
-  in
-  if !unknown then 2
-  else begin
-    Printf.printf
-      "Hive reproduction benchmarks (simulated FLASH, four 200-MHz \
-       processors)\n";
-    List.iter (fun (_, f) -> f ~quick) chosen;
-    Printf.printf "\nDone.\n";
+  match args with
+  | [] | [ "--quick" ] ->
+    Bench.Scenarios.register ();
+    let reports =
+      Bench.Sweep.run ~areas:[ "paper" ] ~quick:(args <> []) ~verbose:false ()
+    in
+    List.iter print_endline (Bench.Sweep.paper_lines reports);
     0
-  end
+  | a :: _ ->
+    Printf.eprintf "sections: unexpected argument %s\n" a;
+    2
 
 let run_sweep args =
   let quick = ref false in
@@ -127,4 +112,5 @@ let () =
   | "--help" :: _ | "-h" :: _ -> exit (usage ())
   | "sweep" :: rest -> exit (run_sweep rest)
   | "diff" :: rest -> exit (run_diff rest)
-  | rest -> exit (run_sections rest)
+  | "sections" :: rest -> exit (run_sections rest)
+  | _ -> exit (usage ())

@@ -158,8 +158,9 @@ let finish_observability sys ~trace_close ~(output : output) =
 (* ---- workload command ---- *)
 
 let run_workload name shape verbose output =
-  if verbose then Sim.Trace.set_level Sim.Trace.Info;
   let _eng, sys, ncells = boot_shape shape in
+  if verbose then
+    Sim.Event.attach sys.Hive.Types.events (Sim.Event.jsonl_sink stderr);
   let trace_close = attach_trace sys output.out_trace in
   let result, _ = setup_and_run sys name in
   Printf.printf "%s on %s (%d cell%s): %.3f s simulated%s\n"
@@ -183,8 +184,9 @@ let run_workload name shape verbose output =
 
 let run_server shape duration_ms rate zipf churn_pct deadline_ms kill_cell
     kill_at_ms seed verbose output =
-  if verbose then Sim.Trace.set_level Sim.Trace.Info;
   let _eng, sys, ncells = boot_shape shape in
+  if verbose then
+    Sim.Event.attach sys.Hive.Types.events (Sim.Event.jsonl_sink stderr);
   let trace_close = attach_trace sys output.out_trace in
   (match kill_cell with
   | Some c when c < 0 || c >= ncells ->
@@ -478,7 +480,12 @@ let run_fuzz seeds seed_base replay shrink_flag out demo_bug dup_bug
 (* ---- cmdliner terms ---- *)
 
 let verbose_arg =
-  Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print kernel counters.")
+  Arg.(
+    value & flag
+    & info [ "v"; "verbose" ]
+        ~doc:
+          "Print kernel counters and stream simulation events to stderr \
+           as JSONL.")
 
 let workload_name =
   Arg.(

@@ -1,11 +1,4 @@
-(* Shared plumbing for benchmark sections and sweep scenarios. *)
-
-let section_header title = Printf.printf "\n=== %s ===\n%!" title
-
-let row fmt = Printf.ksprintf (fun s -> Printf.printf "  %s\n%!" s) fmt
-
-let compare_row ~label ~paper ~measured ~unit_ =
-  row "%-46s paper %10s   measured %10s %s" label paper measured unit_
+(* Shared plumbing for the sweep scenarios. *)
 
 let boot ?(ncells = 4) ?(mcfg = Flash.Config.default) ?(wax = false) () =
   let eng = Sim.Engine.create () in
@@ -73,3 +66,25 @@ let make_warm_file sys ~npages =
   ignore
     (Hive.System.run_until_processes_done sys ~deadline:400_000_000_000L [ p ]);
   path
+
+(* Map [npages] of [path] into a fresh process on [cell] and touch each
+   page once; returns the per-touch simulated latency. *)
+let touch_pass sys ~cell ~path ~npages ~write =
+  let acc = Sim.Stats.summary ~keep_samples:true () in
+  let p =
+    Hive.Process.spawn sys sys.Hive.Types.cells.(cell) ~name:"pass"
+      (fun sys p ->
+        let fd = Hive.Syscall.openf sys p ~writable:write path in
+        let r = Hive.Syscall.mmap_file sys p ~fd ~npages ~writable:write in
+        for k = 0 to npages - 1 do
+          let t0 = Sim.Engine.time () in
+          Hive.Syscall.touch sys p ~vpage:(r.Hive.Types.start_page + k) ~write;
+          Sim.Stats.add_ns acc (Int64.sub (Sim.Engine.time ()) t0)
+        done)
+  in
+  let now = Sim.Engine.now sys.Hive.Types.eng in
+  ignore
+    (Hive.System.run_until_processes_done sys
+       ~deadline:(Int64.add now 400_000_000_000L)
+       [ p ]);
+  acc

@@ -1,14 +1,6 @@
-(** Shared plumbing for the benchmark sections and sweep scenarios:
-    booting a system, timing a simulation-thread body in virtual time,
-    the no-op RPC ops, and a warmed data-home file. *)
-
-val section_header : string -> unit
-
-(** Print one indented result line. *)
-val row : ('a, unit, string, unit) format4 -> 'a
-
-val compare_row :
-  label:string -> paper:string -> measured:string -> unit_:string -> unit
+(** Shared plumbing for the sweep scenarios: booting a system, timing a
+    simulation-thread body in virtual time, the no-op RPC ops, a warmed
+    data-home file and a timed page-touch pass over it. *)
 
 val boot :
   ?ncells:int ->
@@ -41,3 +33,14 @@ val avg_rpc_us :
 (** Create an [npages]-page file homed on cell 0 and warm its page cache
     there; returns the path. *)
 val make_warm_file : Hive.Types.system -> npages:int -> string
+
+(** Map [npages] pages of [path] into a new process on [cell] and touch
+    each once (writing if [write]); returns the per-touch simulated
+    latency in ns, samples kept. *)
+val touch_pass :
+  Hive.Types.system ->
+  cell:int ->
+  path:string ->
+  npages:int ->
+  write:bool ->
+  Sim.Stats.summary

@@ -41,10 +41,15 @@ let dims_label d =
 
 type direction = Lower_better | Higher_better | Info
 
-type metric = { m_name : string; m_value : float; m_dir : direction }
+type metric = {
+  m_name : string;
+  m_value : float;
+  m_dir : direction;
+  m_paper : float option;
+}
 
-let metric ?(dir = Lower_better) m_name m_value =
-  { m_name; m_value; m_dir = dir }
+let metric ?(dir = Lower_better) ?paper m_name m_value =
+  { m_name; m_value; m_dir = dir; m_paper = paper }
 
 type t = {
   sc_name : string;

@@ -40,9 +40,16 @@ type direction =
   | Higher_better
   | Info  (** context only: never flagged *)
 
-type metric = { m_name : string; m_value : float; m_dir : direction }
+(** [m_paper] is the value the paper reports for this measurement, if it
+    reports one; {!Sweep} writes it only when set and {!Diff} ignores it. *)
+type metric = {
+  m_name : string;
+  m_value : float;
+  m_dir : direction;
+  m_paper : float option;
+}
 
-val metric : ?dir:direction -> string -> float -> metric
+val metric : ?dir:direction -> ?paper:float -> string -> float -> metric
 
 type t = private {
   sc_name : string;

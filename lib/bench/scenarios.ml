@@ -125,24 +125,8 @@ let run_remote_read (dims : dims) =
   let eng, sys = boot_dims dims in
   let npages = dims.ws_pages in
   let path = Harness.make_warm_file sys ~npages in
-  let c1 = sys.Hive.Types.cells.(1) in
   let touch_pass () =
-    let acc = Sim.Stats.summary ~keep_samples:true () in
-    let p =
-      Hive.Process.spawn sys c1 ~name:"pass" (fun sys p ->
-          let fd = Hive.Syscall.openf sys p path in
-          let r = Hive.Syscall.mmap_file sys p ~fd ~npages ~writable:false in
-          for k = 0 to npages - 1 do
-            let t0 = Sim.Engine.time () in
-            Hive.Syscall.touch sys p ~vpage:(r.Hive.Types.start_page + k)
-              ~write:false;
-            Sim.Stats.add_ns acc (Int64.sub (Sim.Engine.time ()) t0)
-          done)
-    in
-    ignore
-      (Hive.System.run_until_processes_done sys
-         ~deadline:(Int64.add (Sim.Engine.now eng) 400_000_000_000L)
-         [ p ]);
+    let acc = Harness.touch_pass sys ~cell:1 ~path ~npages ~write:false in
     (* Drain the reaper so exit-time releases park their bindings. *)
     Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 100_000_000L) eng;
     acc
@@ -243,19 +227,29 @@ let declare_sharing () =
 
 (* ---------- area workloads ---------- *)
 
-let run_workload_point (dims : dims) =
-  let _eng, sys = boot_dims dims in
+let setup_workload sys = function
+  | "pmake" -> Workloads.Pmake.setup sys Workloads.Pmake.default
+  | "ocean" -> Workloads.Ocean.setup sys Workloads.Ocean.default
+  | "raytrace" -> ()
+  | other -> failwith ("unknown workload " ^ other)
+
+let run_workload sys name =
   let result, _ =
-    match dims.workload with
-    | "pmake" ->
-      Workloads.Pmake.setup sys Workloads.Pmake.default;
-      Workloads.Pmake.run sys
-    | "ocean" ->
-      Workloads.Ocean.setup sys Workloads.Ocean.default;
-      Workloads.Ocean.run sys
-    | "raytrace" -> Workloads.Raytrace.run sys
-    | other -> failwith ("unknown workload " ^ other)
+    match name with
+    | "pmake" -> Workloads.Pmake.run sys
+    | "ocean" -> Workloads.Ocean.run sys
+    | _ -> Workloads.Raytrace.run sys
   in
+  result
+
+(* Boot the grid point's machine and run its workload to completion. *)
+let run_workload_dims (dims : dims) =
+  let _eng, sys = boot_dims dims in
+  setup_workload sys dims.workload;
+  run_workload sys dims.workload
+
+let run_workload_point (dims : dims) =
+  let result = run_workload_dims dims in
   [
     metric "elapsed_ms"
       (Int64.to_float result.Workloads.Workload.elapsed_ns /. 1e6);
@@ -288,7 +282,7 @@ let declare_workloads () =
 (* ---------- area fuzz ---------- *)
 
 (* Deterministic profile of a fixed fuzz-seed batch. Wall-clock
-   throughput belongs to the sections report (never committed); every
+   throughput belongs to perfbench's fuzz-batch workload; every
    metric here is a pure function of the seeds, so the committed
    BENCH_fuzz.json is byte-stable and the diff gate catches behavioral
    drift in the DES hot paths — an engine change that alters verdicts,
@@ -827,7 +821,7 @@ let run_scale (dims : dims) =
     metric ~dir:Higher_better "reunified" (if reunified then 1. else 0.);
     metric ~dir:Higher_better "invariants_clean"
       (if invariants_clean then 1. else 0.);
-    metric ~dir:Higher_better "wax_incarnations"
+    metric ~dir:Info "wax_incarnations"
       (float_of_int (sysc "wax.incarnations"));
     metric ~dir:Info "free_spread_pct" spread_pct;
     metric ~dir:Info "swap_hints_acted"
@@ -863,6 +857,559 @@ let declare_scale () =
          ]
        run_scale)
 
+(* ---------- area paper ---------- *)
+
+(* The paper's measured results: the Section 4, 5.2 and 6
+   microbenchmarks, Tables 5.2, 7.2, 7.3 and 7.4, Wax and the design
+   ablations, one scenario each. A metric the paper reports carries the
+   paper's number as [~paper]; [bench/main.exe sections] prints the two
+   side by side, and the diff gate holds the measured side like any other
+   row. *)
+
+let paper_dims workload = { default_dims with workload; cells = 4; nodes = 4 }
+
+let us_of_ns ns = Int64.to_float ns /. 1e3
+
+(* Section 6: the null RPC carries no arguments; the "common request"
+   figure is the RPC component of a request with 64 bytes of arguments. *)
+let run_rpc_latency (dims : dims) =
+  let eng, sys = boot_dims dims in
+  Harness.register_bench_ops ();
+  let avg op arg_bytes = Harness.avg_rpc_us eng sys ~op ~arg_bytes ~n:1000 in
+  let null_us = avg Harness.noop_op 0 in
+  let arg64_us = avg Harness.noop_op 64 in
+  let queued_us = avg Harness.noop_queued_op 0 in
+  let snap = Hive.Metrics.capture sys in
+  let hist op =
+    let h = client_hist_exn snap op in
+    [
+      metric ~dir:Info (op ^ ".calls")
+        (float_of_int h.Hive.Metrics.Snapshot.count);
+      metric ~dir:Info (op ^ ".p50_us") (h.Hive.Metrics.Snapshot.p50_ns /. 1e3);
+      metric ~dir:Info (op ^ ".p95_us") (h.Hive.Metrics.Snapshot.p95_ns /. 1e3);
+      metric ~dir:Info (op ^ ".p99_us") (h.Hive.Metrics.Snapshot.p99_ns /. 1e3);
+    ]
+  in
+  [
+    metric ~paper:7.2 "null_rpc_us" null_us;
+    metric ~paper:9.6 "arg64_rpc_us" arg64_us;
+    metric ~paper:34. "queued_rpc_us" queued_us;
+  ]
+  @ hist "bench.noop" @ hist "bench.noop_queued"
+
+(* Section 4.1: a careful-reference read of a peer's clock word against
+   fetching the same data by RPC. *)
+let run_careful_ref (dims : dims) =
+  let eng, sys = boot_dims dims in
+  Harness.register_bench_ops ();
+  let c0 = sys.Hive.Types.cells.(0) in
+  let n = 1000 in
+  let total =
+    Harness.timed_in_thread eng (fun () ->
+        for _ = 1 to n do
+          match Hive.Clock.read_peer_clock sys c0 ~target:1 with
+          | Ok _ -> ()
+          | Error _ -> failwith "careful-ref: careful read failed"
+        done)
+  in
+  let careful_us = Int64.to_float total /. float_of_int n /. 1e3 in
+  let rpc_us = Harness.avg_rpc_us eng sys ~op:Harness.noop_op ~arg_bytes:0 ~n in
+  [
+    metric ~paper:1.16 "careful_read_us" careful_us;
+    metric ~paper:7.2 "rpc_read_us" rpc_us;
+    metric ~dir:Info ~paper:6. "speedup_x" (rpc_us /. careful_us);
+  ]
+
+(* Mean latency of 1024 read faults that hit the data home's page cache,
+   taken from cell 0 (the home) and from the last cell. *)
+let fault_latencies (dims : dims) =
+  let _eng, sys = boot_dims dims in
+  let npages = 1024 in
+  let path = Harness.make_warm_file sys ~npages in
+  let mean_us cell =
+    Sim.Stats.mean (Harness.touch_pass sys ~cell ~path ~npages ~write:false)
+    /. 1e3
+  in
+  let local_us = mean_us 0 in
+  let remote_us = mean_us (dims.cells - 1) in
+  (local_us, remote_us)
+
+(* Table 5.2. The client and data-home components are the calibrated
+   inputs; the totals are emergent. *)
+let run_pagefault_breakdown (dims : dims) =
+  let local_us, remote_us = fault_latencies dims in
+  let p = Hive.Params.default in
+  let client =
+    [
+      ("client_fs_us", p.Hive.Params.fault_client_fs_ns);
+      ("client_lock_us", p.Hive.Params.fault_client_lock_ns);
+      ("client_vm_us", p.Hive.Params.fault_client_vm_ns);
+      ("client_import_us", p.Hive.Params.fault_import_ns);
+    ]
+  in
+  let home =
+    [
+      ("home_vm_us", p.Hive.Params.fault_home_vm_ns);
+      ("home_export_us", p.Hive.Params.fault_export_ns);
+    ]
+  in
+  let parts ~paper total_name l =
+    let total = List.fold_left (fun acc (_, ns) -> Int64.add acc ns) 0L l in
+    List.map (fun (name, ns) -> metric ~dir:Info name (us_of_ns ns)) l
+    @ [ metric ~dir:Info ~paper total_name (us_of_ns total) ]
+  in
+  [
+    metric ~paper:6.9 "local_fault_us" local_us;
+    metric ~paper:50.7 "remote_fault_us" remote_us;
+  ]
+  @ parts ~paper:28.0 "client_total_us" client
+  @ parts ~paper:5.4 "home_total_us" home
+
+(* Section 5.2: page-cache faults taken during pmake and their cumulative
+   time, on one cell and on [dims.cells] cells. *)
+let run_pagefault_pmake (dims : dims) =
+  let run cells =
+    let _eng, sys = boot_dims { dims with cells } in
+    setup_workload sys "pmake";
+    let snapshot () =
+      Array.fold_left
+        (fun (f, r, ms) (c : Hive.Types.cell) ->
+          ( f + Sim.Stats.count c.Hive.Types.fault_in_cache_ns
+            + Sim.Stats.count c.Hive.Types.remote_fault_ns,
+            r + Sim.Stats.count c.Hive.Types.remote_fault_ns,
+            ms
+            +. (Sim.Stats.sum c.Hive.Types.fault_in_cache_ns /. 1e6)
+            +. (Sim.Stats.sum c.Hive.Types.remote_fault_ns /. 1e6) ))
+        (0, 0, 0.) sys.Hive.Types.cells
+    in
+    let f0, r0, ms0 = snapshot () in
+    ignore (run_workload sys "pmake");
+    let f1, r1, ms1 = snapshot () in
+    (float_of_int (f1 - f0), float_of_int (r1 - r0), ms1 -. ms0)
+  in
+  let faults_1, _, ms_1 = run 1 in
+  let faults, remote, ms = run dims.cells in
+  [
+    metric ~dir:Info ~paper:8935. "faults" faults;
+    metric ~paper:4946. "remote_faults" remote;
+    metric ~paper:117. "fault_ms_1cell" ms_1;
+    metric ~paper:455. "fault_ms" ms;
+    metric ~dir:Info "faults_1cell" faults_1;
+  ]
+
+(* Section 4.2: the firewall check's cost on remote write misses, the
+   workload run with the check on and off. *)
+let run_firewall_latency (dims : dims) =
+  let miss_ns firewall_enabled =
+    let mcfg =
+      {
+        (Flash.Config.with_nodes Flash.Config.default dims.nodes) with
+        Flash.Config.firewall_enabled;
+      }
+    in
+    let _eng, sys = Harness.boot ~ncells:dims.cells ~mcfg () in
+    setup_workload sys dims.workload;
+    ignore (run_workload sys dims.workload);
+    Flash.Memory.remote_write_miss_avg_ns
+      (Flash.Machine.memory sys.Hive.Types.machine)
+  in
+  let on = miss_ns true in
+  let off = miss_ns false in
+  [
+    metric
+      ~paper:(List.assoc dims.workload [ ("pmake", 6.3); ("ocean", 4.4) ])
+      "overhead_pct"
+      ((on -. off) /. off *. 100.);
+    metric ~dir:Info "miss_ns_firewall" on;
+    metric ~dir:Info "miss_ns_no_firewall" off;
+  ]
+
+(* Section 4.2: remotely writable pages per cell, sampled every 20 ms for
+   5 s of steady-state execution as in the paper. *)
+let run_firewall_pages (dims : dims) =
+  let eng, sys = boot_dims dims in
+  setup_workload sys dims.workload;
+  let samples =
+    Array.map (fun _ -> Sim.Stats.summary ()) sys.Hive.Types.cells
+  in
+  ignore
+    (Sim.Engine.spawn eng ~name:"sampler" (fun () ->
+         (* Skip startup. *)
+         Sim.Engine.delay 1_000_000_000L;
+         for _ = 1 to 250 do
+           Sim.Engine.delay 20_000_000L;
+           Array.iteri
+             (fun i c ->
+               if Hive.Types.cell_alive c then
+                 Sim.Stats.add samples.(i)
+                   (float_of_int
+                      (Hive.Wild_write.remotely_writable_pages sys c)))
+             sys.Hive.Types.cells
+         done));
+  ignore (run_workload sys dims.workload);
+  let avg =
+    Array.fold_left (fun acc s -> acc +. Sim.Stats.mean s) 0. samples
+    /. float_of_int (Array.length samples)
+  in
+  let peak =
+    Array.fold_left (fun acc s -> max acc (Sim.Stats.max_value s)) 0. samples
+  in
+  let avg_paper, peak_paper =
+    if dims.workload = "pmake" then (15., Some 42.) else (550., None)
+  in
+  [
+    metric ~paper:avg_paper "avg_writable_pages" avg;
+    metric ?paper:peak_paper "peak_writable_pages" peak;
+  ]
+
+(* Table 7.2: run time of the SMP-OS baseline ("IRIX mode") and the
+   slowdown of Hive on 1, 2 and 4 cells of the same four processors. *)
+let run_table_7_2 (dims : dims) =
+  let irix, slowdowns =
+    List.assoc dims.workload
+      [
+        ("ocean", (6.07, [ 1.; 1.; -1. ]));
+        ("raytrace", (4.35, [ 0.; 0.; 1. ]));
+        ("pmake", (5.77, [ 1.; 10.; 11. ]));
+      ]
+  in
+  let run cells smp = run_workload_dims { dims with cells; smp } in
+  let seconds (r : Workloads.Workload.result) =
+    Workloads.Workload.ns_to_s r.Workloads.Workload.elapsed_ns
+  in
+  let base = run 1 true in
+  let hive = List.map (fun cells -> (cells, run cells false)) [ 1; 2; 4 ] in
+  let all_completed =
+    List.for_all
+      (fun (r : Workloads.Workload.result) -> r.Workloads.Workload.completed)
+      (base :: List.map snd hive)
+  in
+  metric ~paper:irix "irix_s" (seconds base)
+  :: metric ~dir:Higher_better "completed" (if all_completed then 1. else 0.)
+  :: List.concat
+       (List.map2
+          (fun (cells, r) paper ->
+            [
+              metric (Printf.sprintf "cells%d_s" cells) (seconds r);
+              metric ~dir:Info ~paper
+                (Printf.sprintf "slowdown_%dcell_pct" cells)
+                ((seconds r -. seconds base) /. seconds base *. 100.);
+            ])
+          hive slowdowns)
+
+(* Table 7.3: local against remote kernel operations on a warm 4 MB file
+   homed on cell 0, timed from cell 0 and from cell 1. *)
+let run_table_7_3 (dims : dims) =
+  let psize = Flash.Config.default.Flash.Config.page_size in
+  let mb4 = 4 * 1024 * 1024 in
+  let npages = mb4 / psize in
+  let measure ~cell op =
+    let eng, sys = boot_dims dims in
+    let path = Harness.make_warm_file sys ~npages in
+    let out = ref 0L in
+    let p =
+      Hive.Process.spawn sys sys.Hive.Types.cells.(cell) ~name:"op"
+        (fun sys p ->
+          let t0 = Sim.Engine.time () in
+          op sys p path;
+          out := Int64.sub (Sim.Engine.time ()) t0)
+    in
+    ignore
+      (Hive.System.run_until_processes_done sys
+         ~deadline:(Int64.add (Sim.Engine.now eng) 600_000_000_000L)
+         [ p ]);
+    Int64.to_float !out
+  in
+  let read_4mb sys p path =
+    let fd = Hive.Syscall.openf sys p path in
+    ignore (Hive.Syscall.read sys p ~fd ~len:mb4);
+    Hive.Syscall.close sys p ~fd
+  in
+  let write_4mb sys p _path =
+    let fd = Hive.Syscall.creat sys p "/tmp/bench.out" in
+    ignore (Hive.Syscall.write sys p ~fd (Bytes.make mb4 'x'));
+    Hive.Syscall.close sys p ~fd
+  in
+  let open_file sys p path =
+    let fd = Hive.Syscall.openf sys p path in
+    Hive.Syscall.close sys p ~fd
+  in
+  let row name unit_ (local, remote) (p_local, p_remote, p_ratio) =
+    [
+      metric ~paper:p_local (Printf.sprintf "%s.local_%s" name unit_) local;
+      metric ~paper:p_remote (Printf.sprintf "%s.remote_%s" name unit_) remote;
+      metric ~dir:Info ~paper:p_ratio (name ^ ".ratio") (remote /. local);
+    ]
+  in
+  let timed op scale =
+    (measure ~cell:0 op /. scale, measure ~cell:1 op /. scale)
+  in
+  let read = timed read_4mb 1e6 in
+  let write = timed write_4mb 1e6 in
+  let opn = timed open_file 1e3 in
+  let fault = fault_latencies dims in
+  row "read_4mb" "ms" read (65.0, 76.2, 1.2)
+  @ row "write_4mb" "ms" write (83.7, 87.3, 1.1)
+  @ row "open" "us" opn (148., 580., 3.9)
+  @ row "page_fault" "us" fault (6.9, 50.7, 7.4)
+
+(* Table 7.4: the five fault-injection campaigns on four cells. The
+   [ws_pages] dimension divides each campaign's test count (1 = the full
+   69 tests). Containment is the gate; detection latencies sit beside the
+   paper's avg/max. *)
+let run_table_7_4 (dims : dims) =
+  let campaigns =
+    Faultinj.Campaign.
+      [
+        ("creation", node_failure_during_creation, 20, 16., 21.);
+        ("cow", node_failure_during_cow, 9, 10., 11.);
+        ("random", node_failure_random, 20, 21., 45.);
+        ("corrupt_map", corrupt_map_campaign, 8, 38., 65.);
+        ("corrupt_cow", corrupt_cow_campaign, 12, 401., 760.);
+      ]
+  in
+  let rows =
+    List.map
+      (fun (key, campaign, paper_tests, paper_avg, paper_max) ->
+        let r : Faultinj.Campaign.campaign_row =
+          campaign ~tests:(max 2 (paper_tests / dims.ws_pages))
+        in
+        let m ?dir ?paper name v = metric ?dir ?paper (key ^ "." ^ name) v in
+        ( r,
+          [
+            m ~dir:Info ~paper:(float_of_int paper_tests) "tests"
+              (float_of_int r.Faultinj.Campaign.tests);
+            m ~dir:Higher_better "contained"
+              (if r.Faultinj.Campaign.all_contained then 1. else 0.);
+            m ~paper:paper_avg "detect_avg_ms"
+              r.Faultinj.Campaign.avg_detect_ms;
+            m ~paper:paper_max "detect_max_ms"
+              r.Faultinj.Campaign.max_detect_ms;
+            m "recovery_avg_ms" r.Faultinj.Campaign.avg_recovery_ms;
+          ] ))
+      campaigns
+  in
+  let count f =
+    List.fold_left
+      (fun acc ((r : Faultinj.Campaign.campaign_row), _) ->
+        if f r then acc + r.Faultinj.Campaign.tests else acc)
+      0 rows
+  in
+  metric ~dir:Info ~paper:69. "tests" (float_of_int (count (fun _ -> true)))
+  :: metric ~dir:Higher_better ~paper:69. "contained_tests"
+       (float_of_int (count (fun r -> r.Faultinj.Campaign.all_contained)))
+  :: List.concat_map snd rows
+
+(* Table 3.4: Wax's placement hints after a pmake, the kernel's rejection
+   of a corrupt hint, and Wax restarting after a cell failure. *)
+let run_wax (dims : dims) =
+  let eng, sys = Harness.boot ~ncells:dims.cells ~wax:true () in
+  setup_workload sys "pmake";
+  ignore (run_workload sys "pmake");
+  Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 500_000_000L) eng;
+  let started = sys.Hive.Types.wax_incarnation in
+  let per_cell =
+    Array.to_list sys.Hive.Types.cells
+    |> List.concat_map (fun (c : Hive.Types.cell) ->
+           let name s = Printf.sprintf "cell%d.%s" c.Hive.Types.cell_id s in
+           List.mapi
+             (fun i target ->
+               metric ~dir:Info
+                 (name (Printf.sprintf "alloc_pref%d" i))
+                 (float_of_int target))
+             c.Hive.Types.alloc_preference
+           @ [
+               metric ~dir:Info (name "clock_hand_targets")
+                 (float_of_int (List.length c.Hive.Types.clock_hand_targets));
+               metric ~dir:Info (name "rejected_hints")
+                 (float_of_int
+                    (Sim.Stats.value c.Hive.Types.counters
+                       "wax.rejected_hints"));
+             ])
+  in
+  let accepted =
+    Hive.Wax.sanity_check_hint sys.Hive.Types.cells.(1) [ 0; 0; 99 ]
+  in
+  Hive.System.inject_node_failure sys 3;
+  let restarted =
+    Hive.System.run_until sys
+      ~deadline:(Int64.add (Sim.Engine.now eng) 2_000_000_000L)
+      (fun () -> sys.Hive.Types.wax_incarnation > started)
+  in
+  [
+    metric ~dir:Info "incarnations_started" (float_of_int started);
+    metric ~dir:Higher_better "corrupt_hint_rejected"
+      (if accepted then 0. else 1.);
+    metric ~dir:Higher_better "restarted_after_failure"
+      (if restarted then 1. else 0.);
+    metric ~dir:Info "incarnation_after_failure"
+      (float_of_int sys.Hive.Types.wax_incarnation);
+  ]
+  @ per_cell
+
+(* Preemptive discard on/off: a page that a dying cell's kernel scribbled
+   on through its write grant, read back after recovery. Without discard
+   the corrupt bytes survive and reach the application. *)
+let corrupt_data_visible ~discard =
+  let params =
+    { Hive.Params.default with enable_preemptive_discard = discard }
+  in
+  let eng = Sim.Engine.create () in
+  let sys = Hive.System.boot ~params ~ncells:2 ~wax:false eng in
+  let path = "/tmp/integrity.dat" in
+  let corrupted_seen = ref false in
+  let victim =
+    Hive.Process.spawn sys sys.Hive.Types.cells.(0) ~name:"victim"
+      (fun sys p ->
+        ignore (Hive.Syscall.creat sys p ~content:(Bytes.make 4096 'G') path);
+        Hive.Syscall.sync sys p;
+        (* Cell 1 obtains write access, then its kernel goes wild and
+           scribbles on the page before dying. *)
+        ignore
+          (Hive.Syscall.fork sys p ~on_cell:1 ~name:"writer" (fun sys c ->
+               let wfd = Hive.Syscall.openf sys c ~writable:true path in
+               ignore
+                 (Hive.Syscall.pwrite sys c ~fd:wfd ~pos:0
+                    (Bytes.of_string "G"));
+               (match Hive.Fs.find_local sys.Hive.Types.cells.(0) path with
+               | Some f -> (
+                 match Hashtbl.find_opt f.Hive.Types.cached_pages 0 with
+                 | Some pf -> (
+                   try
+                     Flash.Memory.poke_wild
+                       (Flash.Machine.memory sys.Hive.Types.machine)
+                       ~by:(Hive.Types.boss_proc sys.Hive.Types.cells.(1))
+                       (Flash.Addr.addr_of_pfn sys.Hive.Types.mcfg
+                          pf.Hive.Types.pfn)
+                       (Bytes.make 64 '\xBB')
+                   with Flash.Memory.Bus_error _ -> ())
+                 | None -> ())
+               | None -> ());
+               Hive.Syscall.compute sys c 10_000_000_000L));
+        Sim.Engine.delay 100_000_000L;
+        Hive.System.inject_node_failure sys
+          (Hive.Types.boss_proc sys.Hive.Types.cells.(1));
+        Sim.Engine.delay 500_000_000L;
+        (* Read through a fresh descriptor after recovery. *)
+        let fd = Hive.Syscall.openf sys p path in
+        let b = Hive.Syscall.pread sys p ~fd ~pos:0 ~len:64 in
+        if Bytes.exists (fun ch -> ch = '\xBB') b then corrupted_seen := true)
+  in
+  ignore
+    (Hive.System.run_until_processes_done sys ~deadline:30_000_000_000L
+       [ victim ]);
+  !corrupted_seen
+
+(* Design ablations: interrupt-level vs queued RPC, firewall storage per
+   granularity, clock-monitoring period vs detection latency, COW-node
+   walks by careful reference, and preemptive discard on/off. *)
+let run_ablations (dims : dims) =
+  let eng, sys = boot_dims dims in
+  Harness.register_bench_ops ();
+  let interrupt_us =
+    Harness.avg_rpc_us eng sys ~op:Harness.noop_op ~arg_bytes:0 ~n:500
+  in
+  let queued_us =
+    Harness.avg_rpc_us eng sys ~op:Harness.noop_queued_op ~arg_bytes:0 ~n:500
+  in
+  let pages = Flash.Config.total_pages Flash.Config.default in
+  let detect_ms tick_ms =
+    let params =
+      { Hive.Params.default with tick_ns = Int64.of_int (tick_ms * 1_000_000) }
+    in
+    let eng = Sim.Engine.create () in
+    let sys = Hive.System.boot ~params ~ncells:dims.cells ~wax:false eng in
+    Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 100_000_000L) eng;
+    let t0 = Sim.Engine.now eng in
+    Hive.System.inject_node_failure sys 1;
+    ignore
+      (Hive.System.run_until sys
+         ~deadline:(Int64.add t0 10_000_000_000L)
+         (fun () ->
+           (not sys.Hive.Types.recovery_in_progress)
+           && sys.Hive.Types.recovery_events <> []));
+    match Hive.System.detection_latency_ns sys ~t_fault:t0 with
+    | Some ns -> Int64.to_float ns /. 1e6
+    | None -> failwith "ablations: node failure never detected"
+  in
+  let detects =
+    List.map
+      (fun tick_ms ->
+        metric
+          (Printf.sprintf "detect_ms_tick%dms" tick_ms)
+          (detect_ms tick_ms))
+      [ 2; 10; 50 ]
+  in
+  let cow_walk_us =
+    let eng, sys = boot_dims dims in
+    let node = ref None in
+    ignore
+      (Sim.Engine.spawn eng (fun () ->
+           node :=
+             Some (Hive.Cow.create_root sys sys.Hive.Types.cells.(0) ())));
+    Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 1_000_000L) eng;
+    let node = Option.get !node in
+    let t =
+      Harness.timed_in_thread eng (fun () ->
+          for _ = 1 to 500 do
+            ignore (Hive.Cow.lookup sys sys.Hive.Types.cells.(1) node ~page:3)
+          done)
+    in
+    Int64.to_float t /. 500. /. 1e3
+  in
+  let visible_on = corrupt_data_visible ~discard:true in
+  let visible_off = corrupt_data_visible ~discard:false in
+  let flag b = if b then 1. else 0. in
+  [
+    metric ~paper:7.2 "interrupt_rpc_us" interrupt_us;
+    metric ~paper:34. "queued_rpc_us" queued_us;
+    metric ~dir:Info "queued_over_interrupt_x" (queued_us /. interrupt_us);
+    metric ~dir:Info "firewall_kb_bit_vector" (float_of_int (pages * 8 / 1024));
+    metric ~dir:Info "firewall_kb_single_bit" (float_of_int (pages / 8 / 1024));
+    metric ~dir:Info "firewall_kb_byte" (float_of_int (pages / 1024));
+  ]
+  @ detects
+  @ [
+      metric "cow_walk_us" cow_walk_us;
+      metric "corrupt_visible_discard_on" (flag visible_on);
+      metric ~dir:Info "corrupt_visible_discard_off" (flag visible_off);
+    ]
+
+let declare_paper () =
+  let one name ?doc ?quick dims run =
+    ignore (declare ~name ~area:"paper" ?doc ~dims ?quick run)
+  in
+  one "rpc-latency" ~doc:"Section 6: null, 64-byte and queued null RPC"
+    [ paper_dims "rpc" ] run_rpc_latency;
+  one "careful-ref" ~doc:"Section 4.1: careful-reference clock read vs RPC"
+    [ paper_dims "rpc" ] run_careful_ref;
+  one "pagefault-breakdown"
+    ~doc:"Table 5.2: local and remote page faults hitting a page cache"
+    [ paper_dims "read" ] run_pagefault_breakdown;
+  one "pagefault-pmake" ~doc:"Section 5.2: page-cache faults during pmake"
+    [ paper_dims "pmake" ] run_pagefault_pmake;
+  one "firewall-latency"
+    ~doc:"Section 4.2: firewall overhead on remote write misses"
+    [ paper_dims "pmake"; paper_dims "ocean" ] run_firewall_latency;
+  one "firewall-pages" ~doc:"Section 4.2: remotely writable pages per cell"
+    [ paper_dims "pmake"; paper_dims "ocean" ] run_firewall_pages;
+  one "table-7.2" ~doc:"Table 7.2: workload slowdown vs the SMP-OS baseline"
+    [ paper_dims "ocean"; paper_dims "raytrace"; paper_dims "pmake" ]
+    ~quick:[ paper_dims "pmake" ] run_table_7_2;
+  one "table-7.3"
+    ~doc:"Table 7.3: local vs remote kernel operations, 2 CPUs / 2 cells"
+    [ { (paper_dims "read") with cells = 2; nodes = 2 } ] run_table_7_3;
+  let campaigns ws = { (paper_dims "faultinj") with ws_pages = ws } in
+  one "table-7.4"
+    ~doc:
+      "Table 7.4: fault-injection campaigns (ws = test-count divisor, 1 = \
+       all 69 tests)"
+    [ campaigns 1; campaigns 5 ] ~quick:[ campaigns 5 ] run_table_7_4;
+  one "wax" ~doc:"Table 3.4: Wax hints, hint validation and restart"
+    [ paper_dims "pmake" ] run_wax;
+  one "ablations" ~doc:"design ablations called out in DESIGN.md"
+    [ paper_dims "rpc" ] run_ablations
+
 (* ---------- registration ---------- *)
 
 let registered = ref false
@@ -876,5 +1423,6 @@ let register () =
     declare_fuzz ();
     declare_resilience ();
     declare_traffic ();
-    declare_scale ()
+    declare_scale ();
+    declare_paper ()
   end

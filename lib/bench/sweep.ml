@@ -95,11 +95,15 @@ let row_to_json r =
           (List.map
              (fun (m : Scenario.metric) ->
                J.Obj
-                 [
-                   ("name", J.Str m.Scenario.m_name);
-                   ("value", J.Float m.Scenario.m_value);
-                   ("better", J.Str (direction_to_string m.Scenario.m_dir));
-                 ])
+                 ([
+                    ("name", J.Str m.Scenario.m_name);
+                    ("value", J.Float m.Scenario.m_value);
+                    ("better", J.Str (direction_to_string m.Scenario.m_dir));
+                  ]
+                 @
+                 match m.Scenario.m_paper with
+                 | Some p -> [ ("paper", J.Float p) ]
+                 | None -> []))
              r.r_metrics) );
     ]
 
@@ -159,9 +163,14 @@ let metric_of_json j =
   let* name = field "name" J.to_string_opt j in
   let* value = field "value" J.to_float_opt j in
   let* better = field "better" J.to_string_opt j in
+  let* paper =
+    match J.member "paper" j with
+    | None -> Ok None
+    | Some _ -> Result.map Option.some (field "paper" J.to_float_opt j)
+  in
   match direction_of_string better with
   | Some dir ->
-    Ok { Scenario.m_name = name; m_value = value; m_dir = dir }
+    Ok { Scenario.m_name = name; m_value = value; m_dir = dir; m_paper = paper }
   | None -> Error (Printf.sprintf "sweep: unknown direction %S" better)
 
 let row_of_json j =
@@ -222,3 +231,26 @@ let load_dir dir =
     |> map_result (fun f -> load_file (Filename.concat dir f))
     |> Result.map
          (List.sort (fun a b -> compare a.a_area b.a_area))
+
+(* ---------- paper-vs-measured rendering ---------- *)
+
+let paper_lines reports =
+  let num = Printf.sprintf "%.6g" in
+  List.concat_map
+    (fun rep ->
+      List.concat_map
+        (fun r ->
+          Printf.sprintf "=== %s [%s] ===" r.r_scenario
+            (Scenario.dims_label r.r_dims)
+          :: List.map
+               (fun (m : Scenario.metric) ->
+                 match m.Scenario.m_paper with
+                 | Some p ->
+                   Printf.sprintf "  %-36s paper %10s   measured %10s"
+                     m.Scenario.m_name (num p) (num m.Scenario.m_value)
+                 | None ->
+                   Printf.sprintf "  %-36s %16s   measured %10s"
+                     m.Scenario.m_name "" (num m.Scenario.m_value))
+               r.r_metrics)
+        rep.a_rows)
+    reports

@@ -23,6 +23,8 @@ val run :
   unit ->
   report list
 
+(** [report_to_json] writes a metric's [paper] key only when the metric
+    carries a paper reference. *)
 val report_to_json : report -> Sim.Json.t
 
 val report_of_json : Sim.Json.t -> (report, string) result
@@ -38,3 +40,7 @@ val load_file : string -> (report, string) result
 
 (** Load every [BENCH_*.json] in a directory, sorted by area. *)
 val load_dir : string -> (report list, string) result
+
+(** Paper-vs-measured rendering: one header line per row, then one line
+    per metric; a metric with a paper reference shows both values. *)
+val paper_lines : report list -> string list

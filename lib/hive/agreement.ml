@@ -139,9 +139,8 @@ let run (sys : Types.system) (accuser : Types.cell) ~suspect ~reason =
     sys.Types.recovery_participants <-
       List.filter (fun id -> id <> suspect) accuser.Types.live_set;
     Types.sys_bump sys "agreement.rounds";
-    Sim.Trace.info sys.Types.eng "agreement: cell %d accuses cell %d (%s)"
-      accuser.Types.cell_id suspect reason;
-    Types.note_phase sys ~cell:accuser.Types.cell_id "recovery.agreement";
+    Types.note_phase sys ~cell:accuser.Types.cell_id "recovery.agreement"
+      ?args:(Types.suspect_args sys ~suspect ~reason);
     Gate.close sys accuser;
     let voters =
       List.filter (fun id -> id <> suspect) accuser.Types.live_set

@@ -31,9 +31,10 @@ let handle_hint (sys : Types.system) (reporter : Types.cell) ~suspect ~reason =
       && observably_down sys suspect
     then begin
       Types.bump reporter "failure.hints_during_recovery";
-      Sim.Trace.info sys.Types.eng
-        "cell %d suspects cell %d during recovery (%s)"
-        reporter.Types.cell_id suspect reason;
+      Sim.Event.instant sys.Types.events ~cell:reporter.Types.cell_id
+        ~cat:Sim.Event.Recovery
+        ?args:(Types.suspect_args sys ~suspect ~reason)
+        "recovery.hint_during_recovery";
       Recovery.cell_died sys suspect
     end
   end
@@ -44,9 +45,8 @@ let handle_hint (sys : Types.system) (reporter : Types.cell) ~suspect ~reason =
   then begin
     reporter.Types.suspected <- suspect :: reporter.Types.suspected;
     Types.bump reporter "failure.hints";
-    Types.note_phase sys ~cell:reporter.Types.cell_id "recovery.hint";
-    Sim.Trace.info sys.Types.eng "cell %d suspects cell %d (%s)"
-      reporter.Types.cell_id suspect reason;
+    Types.note_phase sys ~cell:reporter.Types.cell_id "recovery.hint"
+      ?args:(Types.suspect_args sys ~suspect ~reason);
     (* Run agreement from a fresh kernel thread: hints fire from fault
        paths and interrupt handlers that must not block for milliseconds. *)
     let thr =

@@ -10,7 +10,11 @@ let panic (sys : Types.system) (c : Types.cell) reason =
   if c.Types.cstatus <> Types.Cell_down then begin
     c.Types.cstatus <- Types.Cell_down;
     Types.sys_bump sys "cell.panics";
-    Sim.Trace.info sys.Types.eng "cell %d PANIC: %s" c.Types.cell_id reason;
+    if Sim.Event.enabled sys.Types.events then
+      Sim.Event.instant sys.Types.events ~cell:c.Types.cell_id
+        ~cat:Sim.Event.Recovery
+        ~args:[ ("reason", Sim.Event.Str reason) ]
+        "cell.panic";
     (* Cut off remote access to our memory before anything else. *)
     List.iter
       (fun node -> Flash.Machine.cutoff_node sys.Types.machine node)

@@ -89,8 +89,15 @@ let start_thread (sys : Types.system) (c : Types.cell) (p : Types.process)
         | exception Types.Syscall_error e ->
           Types.bump c "proc.syscall_aborts";
           p.Types.exit_code <- Some 1;
-          Sim.Trace.debug eng "pid %d aborted: %s" p.Types.pid
-            (Types.errno_to_string e)
+          if Sim.Event.enabled sys.Types.events then
+            Sim.Event.instant sys.Types.events ~cell:c.Types.cell_id
+              ~cat:Sim.Event.Proc
+              ~args:
+                [
+                  ("pid", Sim.Event.Int p.Types.pid);
+                  ("errno", Sim.Event.Str (Types.errno_to_string e));
+                ]
+              "proc.abort"
         | exception Panic.Kernel_corruption _ ->
           (* The cell is panicking under us; the thread dies with it. *)
           ())

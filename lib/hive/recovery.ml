@@ -71,8 +71,8 @@ let recovery_sequence (sys : Types.system) (c : Types.cell) =
        ([Invariants.check_single_master]) sees every overlap window, even
        one that closes before the run quiesces. *)
     if is_master then Types.master_begin sys c.Types.cell_id;
-    let note phase =
-      if is_master then Types.note_phase sys ~cell:c.Types.cell_id phase
+    let note ?args phase =
+      if is_master then Types.note_phase sys ~cell:c.Types.cell_id ?args phase
     in
     let await n b =
       c.Types.recovery_barrier_joined <- (round_no, n);
@@ -111,9 +111,11 @@ let recovery_sequence (sys : Types.system) (c : Types.cell) =
           Vm.preemptive_discard sys c ~dead
         else 0
       in
-      note "recovery.discard";
-      Sim.Trace.info eng "cell %d recovery: discarded %d pages" c.Types.cell_id
-        discarded;
+      note "recovery.discard"
+        ?args:
+          (if Sim.Event.enabled sys.Types.events then
+             Some [ ("pages", Sim.Event.Int discarded) ]
+           else None);
       (* Kill processes that depended on resources of the failed cells. *)
       List.iter
         (fun (proc : Types.process) ->
@@ -333,11 +335,11 @@ let cell_died (sys : Types.system) id =
     sys.Types.recovery_dead <- id :: sys.Types.recovery_dead;
     sys.Types.recovery_round <- sys.Types.recovery_round + 1;
     Types.sys_bump sys "recovery.round_restarts";
-    Types.note_phase sys ~cell:id "recovery.restart";
-    Sim.Trace.info eng
-      "cell %d died during recovery round %d: restarting with enlarged dead \
-       set"
-      id sys.Types.recovery_round;
+    Types.note_phase sys ~cell:id "recovery.restart"
+      ?args:
+        (if Sim.Event.enabled sys.Types.events then
+           Some [ ("round", Sim.Event.Int sys.Types.recovery_round) ]
+         else None);
     (* Restart among the cells already in the round: a live cell outside
        the old participant set (e.g. on the far side of a partition) must
        not be counted into barriers it will never reach. *)

@@ -453,10 +453,18 @@ let hist_for (tbl : (string, Sim.Stats.histogram) Hashtbl.t) name =
 
 (* Record a recovery-phase marker: appended to the timeline (kept in order)
    and emitted on the event bus. *)
-let note_phase (sys : system) ?cell phase =
+let note_phase (sys : system) ?cell ?args phase =
   let t = Sim.Engine.now sys.eng in
   sys.recovery_timeline <- sys.recovery_timeline @ [ (phase, t) ];
-  Sim.Event.instant sys.events ?cell ~cat:Sim.Event.Recovery phase
+  Sim.Event.instant sys.events ?cell ?args ~cat:Sim.Event.Recovery phase
+
+(* Event args naming the suspect of a failure hint or agreement round,
+   built only when a sink is attached. *)
+let suspect_args (sys : system) ~suspect ~reason =
+  if Sim.Event.enabled sys.events then
+    Some
+      [ ("suspect", Sim.Event.Int suspect); ("reason", Sim.Event.Str reason) ]
+  else None
 
 (* Recovery-mastership latch: the split-brain oracle. [master_begin] is
    called the instant a cell assumes mastership of a recovery round; if

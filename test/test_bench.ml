@@ -73,6 +73,32 @@ let test_hit_rate_nan_guard () =
   | Ok snap' ->
     Alcotest.(check bool) "idle snapshot round-trips" true (snap = snap')
 
+let count_sub hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i acc =
+    if i + nn > nh then acc
+    else go (i + 1) (if String.sub hay i nn = needle then acc + 1 else acc)
+  in
+  go 0 0
+
+(* One row with a paper-referenced metric beside an unreferenced one. *)
+let with_paper =
+  {
+    Sweep.a_area = "t";
+    a_rows =
+      [
+        {
+          Sweep.r_scenario = "rpc";
+          r_dims = Scenario.default_dims;
+          r_metrics =
+            [
+              Scenario.metric ~paper:7.2 "null_rpc_us" 7.25;
+              Scenario.metric ~dir:Scenario.Info "calls" 2000.;
+            ];
+        };
+      ];
+  }
+
 (* The cheapest real grid row, used for the determinism and gate tests. *)
 let quick_rpc_reports () =
   Scenarios.register ();
@@ -93,12 +119,22 @@ let test_sweep_deterministic () =
     (List.exists (fun r -> r.Sweep.a_rows <> []) r1);
   Alcotest.(check string) "two sweeps are byte-identical" (render r1)
     (render r2);
-  (* And the report itself survives a JSON round trip. *)
+  (* And the report itself survives a JSON round trip, paper references
+     included. *)
   List.iter
     (fun r ->
       match Sweep.report_of_json (Sweep.report_to_json r) with
       | Error e -> Alcotest.failf "report round-trip failed: %s" e
       | Ok r' -> Alcotest.(check bool) "report equal" true (r = r'))
+    (with_paper :: r1);
+  let paper_keys r =
+    count_sub (Sim.Json.to_string (Sweep.report_to_json r)) "\"paper\""
+  in
+  Alcotest.(check int) "only the referenced metric writes a paper key" 1
+    (paper_keys with_paper);
+  List.iter
+    (fun r -> Alcotest.(check int) "no paper key without a reference" 0
+        (paper_keys r))
     r1
 
 let scale_lower_better factor (reports : Sweep.report list) =
@@ -213,6 +249,88 @@ let test_scenario_registry () =
         (Scenario.declare ~name:"null-rpc" ~area:"rpc"
            ~dims:[ Scenario.default_dims ] (fun _ -> [])))
 
+(* The sections renderer prints one paper-vs-measured line per
+   referenced metric, on a synthetic report and on a real paper row. *)
+let test_paper_lines () =
+  let referenced (rep : Sweep.report) =
+    List.concat_map
+      (fun (r : Sweep.row) ->
+        List.filter
+          (fun (m : Scenario.metric) -> m.Scenario.m_paper <> None)
+          r.Sweep.r_metrics)
+      rep.Sweep.a_rows
+    |> List.length
+  in
+  let paper_lines rep =
+    List.filter
+      (fun l -> count_sub l " paper " = 1)
+      (Sweep.paper_lines [ rep ])
+    |> List.length
+  in
+  Alcotest.(check int) "synthetic report" 1 (paper_lines with_paper);
+  Scenarios.register ();
+  let sc = Option.get (Scenario.find "rpc-latency") in
+  let dims = List.hd sc.Scenario.sc_dims in
+  let row =
+    { Sweep.r_scenario = "rpc-latency"; r_dims = dims;
+      r_metrics = sc.Scenario.sc_run dims }
+  in
+  let rep = { Sweep.a_area = "paper"; a_rows = [ row ] } in
+  Alcotest.(check bool) "rpc-latency carries paper references" true
+    (referenced rep >= 3);
+  Alcotest.(check int) "one line per referenced metric" (referenced rep)
+    (paper_lines rep);
+  let value name =
+    (List.find (fun (m : Scenario.metric) -> m.Scenario.m_name = name)
+       row.Sweep.r_metrics)
+      .Scenario.m_value
+  in
+  Alcotest.(check (float 0.05)) "0-byte null RPC is the paper's 7.2 us" 7.2
+    (value "null_rpc_us")
+
+(* The checks the sharing area's rows stand on: a second pass over a warm
+   remote file is served entirely by the import cache, pmake output is
+   byte-identical with the import cache on and off, and the cache cuts
+   sharing RPCs per remotely read page at least fivefold. *)
+let test_sharing_checks () =
+  let eng, sys = Harness.boot ~ncells:2 () in
+  let npages = 256 in
+  let path = Harness.make_warm_file sys ~npages in
+  let hits () =
+    Sim.Stats.value sys.Hive.Types.cells.(1).Hive.Types.counters
+      "share.cache_hits"
+  in
+  let pass () =
+    ignore (Harness.touch_pass sys ~cell:1 ~path ~npages ~write:false);
+    Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 100_000_000L) eng
+  in
+  pass ();
+  let h0 = hits () in
+  pass ();
+  Alcotest.(check int) "warm pass served from the import cache" npages
+    (hits () - h0);
+  Scenarios.register ();
+  let sc = Option.get (Scenario.find "pmake-sharing") in
+  (* The row runner fails unless pmake output is byte-identical. *)
+  let run import_cache =
+    let dims =
+      { Scenario.default_dims with workload = "pmake"; cells = 4; nodes = 4;
+        import_cache }
+    in
+    List.map
+      (fun (m : Scenario.metric) -> (m.Scenario.m_name, m.Scenario.m_value))
+      (sc.Scenario.sc_run dims)
+  in
+  let cached = run true and legacy = run false in
+  Alcotest.(check bool) "pmake hits the import cache" true
+    (List.assoc "hit_rate_pct" cached > 0.);
+  let fewer =
+    List.assoc "rpcs_per_page" legacy /. List.assoc "rpcs_per_page" cached
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf ">= 5x fewer sharing RPCs per page (got %.1fx)" fewer)
+    true (fewer >= 5.)
+
 let suite =
   [
     Alcotest.test_case "metrics snapshot JSON round-trips" `Quick
@@ -227,4 +345,7 @@ let suite =
       test_diff_orientation;
     Alcotest.test_case "scenario registry invariants" `Quick
       test_scenario_registry;
+    Alcotest.test_case "sections renderer shows paper references" `Quick
+      test_paper_lines;
+    Alcotest.test_case "import cache A/B checks" `Quick test_sharing_checks;
   ]
