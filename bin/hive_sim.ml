@@ -4,16 +4,15 @@
      hive_sim workload ocean --cells 1 --smp
      hive_sim fault node --cells 4 --node 2 --at-ms 300
      hive_sim fault corrupt-cow --cells 4 --victim 1
-     hive_sim sweep --areas sharing --quick
-     hive_sim sweep pmake --cells 2 *)
+     hive_sim fuzz --seeds 25 *)
 
 open Cmdliner
 
 (* ---- shared machine-shape and output terms ----
 
-   Every subcommand that boots a system (or filters sweep rows) takes the
-   same four shape flags; every subcommand that can emit observability
-   artifacts takes the same two output flags. *)
+   Every subcommand that boots a system takes the same four shape flags;
+   every subcommand that can emit observability artifacts takes the same
+   two output flags. *)
 
 type shape = {
   sh_cells : int option;
@@ -30,26 +29,20 @@ let shape_term =
       value
       & opt (some int) None
       & info [ "cells" ] ~docv:"N"
-          ~doc:
-            "Number of cells (default 4). In sweep mode: keep only grid \
-             rows with $(docv) cells.")
+          ~doc:"Number of cells (default 4).")
   in
   let nodes =
     Arg.(
       value
       & opt (some int) None
       & info [ "nodes" ] ~docv:"N"
-          ~doc:
-            "Number of nodes (default: the stock machine). In sweep mode: \
-             keep only grid rows with $(docv) nodes.")
+          ~doc:"Number of nodes (default: the stock machine).")
   in
   let smp =
     Arg.(
       value & flag
       & info [ "smp" ]
-          ~doc:
-            "Run the SMP-OS baseline (one kernel, firewall disabled). In \
-             sweep mode: keep only SMP-baseline rows.")
+          ~doc:"Run the SMP-OS baseline (one kernel, firewall disabled).")
   in
   let no_import_cache =
     Arg.(
@@ -58,8 +51,7 @@ let shape_term =
           ~doc:
             "Run with the legacy sharing protocol: no remote-page import \
              cache, no fault read-ahead, one share.release RPC per page. \
-             Useful as the A side of an A/B against the default protocol. \
-             In sweep mode: keep only legacy-protocol rows.")
+             Useful as the A side of an A/B against the default protocol.")
   in
   Term.(
     const (fun sh_cells sh_nodes sh_smp sh_no_import_cache ->
@@ -219,163 +211,66 @@ let run_server shape duration_ms rate zipf churn_pct deadline_ms kill_cell
   finish_observability sys ~trace_close ~output;
   if result.Workloads.Workload.completed then 0 else 1
 
-(* ---- sweep command: thin wrapper over the Bench.Sweep registry ---- *)
-
-let run_sweep workload shape areas quick out_dir =
-  Bench.Scenarios.register ();
-  let known = Bench.Scenario.areas () in
-  let bad =
-    match areas with
-    | None -> []
-    | Some l -> List.filter (fun a -> not (List.mem a known)) l
-  in
-  if bad <> [] then begin
-    Printf.eprintf "sweep: unknown area(s) %s (have: %s)\n"
-      (String.concat ", " bad)
-      (String.concat ", " known);
-    2
-  end
-  else begin
-    let dims_filter (d : Bench.Scenario.dims) =
-      (match workload with
-      | None -> true
-      | Some w -> d.Bench.Scenario.workload = w)
-      && (match shape.sh_cells with
-         | None -> true
-         | Some n -> d.Bench.Scenario.cells = n)
-      && (match shape.sh_nodes with
-         | None -> true
-         | Some n -> d.Bench.Scenario.nodes = n)
-      && ((not shape.sh_smp) || d.Bench.Scenario.smp)
-      && ((not shape.sh_no_import_cache)
-         || not d.Bench.Scenario.import_cache)
-    in
-    let reports = Bench.Sweep.run ?areas ~quick ~dims_filter () in
-    (match out_dir with
-    | None -> ()
-    | Some dir ->
-      let written = Bench.Sweep.write_dir ~dir reports in
-      List.iter (fun p -> Printf.printf "wrote %s\n" p) written);
-    if List.for_all (fun r -> r.Bench.Sweep.a_rows = []) reports then begin
-      Printf.eprintf "sweep: no grid rows matched the given filters\n";
-      1
-    end
-    else 0
-  end
-
-(* ---- fault command ---- *)
+(* ---- fault command: a front end over Faultinj.Campaign.run_test ---- *)
 
 let run_fault kind shape node victim at_ms cascade_node oracle link_from
     drop_pct dup_pct delay_pct dur_ms output =
-  let eng, sys, _ = boot_shape ~oracle ~wax:false shape in
+  let _eng, sys, _ = boot_shape ~oracle ~wax:false shape in
   let trace_close = attach_trace sys output.out_trace in
-  Workloads.Pmake.setup sys Workloads.Pmake.default;
-  let t_inject = ref 0L in
-  let rng = Sim.Prng.create 1 in
-  (* With --cascade-node, fail a second node while the first failure's
-     recovery round is in flight (between the two global barriers). *)
-  let inject_cascade () =
-    match cascade_node with
-    | None -> ()
-    | Some second ->
-      let past_barrier1 () =
-        sys.Hive.Types.recovery_round_active
-        && List.exists
-             (fun (phase, t) ->
-               phase = "recovery.barrier1" && Int64.compare t !t_inject >= 0)
-             sys.Hive.Types.recovery_timeline
-      in
-      let rec poll tries =
-        if tries > 0 && not (past_barrier1 ()) then begin
-          Sim.Engine.delay 100_000L;
-          poll (tries - 1)
-        end
-      in
-      poll 10_000;
-      Printf.printf "cascade: failing node %d mid-recovery\n" second;
-      Hive.System.inject_node_failure sys second
+  let at_ns = Int64.of_int (at_ms * 1_000_000) in
+  let mode = Hive.System.Random_address in
+  let fault =
+    match (kind, cascade_node) with
+    | `Node, None -> Faultinj.Campaign.Node_failure { node; at_ns }
+    | `Node, Some second_node ->
+      Faultinj.Campaign.Node_cascade { first_node = node; second_node; at_ns }
+    | `Corrupt_cow, _ ->
+      Faultinj.Campaign.Corrupt_cow { victim_cell = victim; at_ns; mode }
+    | `Corrupt_map, _ ->
+      Faultinj.Campaign.Corrupt_map { victim_cell = victim; at_ns; mode }
+    | `Link, _ ->
+      (* Degrade the interconnect into --node for --dur-ms: drops,
+         duplicates and delays per the given percentages. The kernels
+         must ride it out with retransmission and reply caching. *)
+      Faultinj.Campaign.Link_degrade
+        {
+          deg_from = link_from;
+          deg_to = node;
+          at_ns;
+          dur_ns = Int64.of_int (dur_ms * 1_000_000);
+          drop_pct;
+          dup_pct;
+          delay_pct;
+          max_delay_ns = 2_000_000L;
+          salt = 0x51EED5A17L;
+        }
   in
-  ignore
-    (Sim.Engine.spawn eng ~name:"injector" (fun () ->
-         Sim.Engine.delay (Int64.of_int (at_ms * 1_000_000));
-         t_inject := Sim.Engine.time ();
-         match kind with
-         | "node" ->
-           Hive.System.inject_node_failure sys node;
-           inject_cascade ()
-         | "corrupt-cow" | "corrupt-map" ->
-           let rec attempt tries =
-             if tries > 0 then begin
-               let injected =
-                 List.exists
-                   (fun (p : Hive.Types.process) ->
-                     p.Hive.Types.proc_cell = victim
-                     && Hive.System.corrupt_address_map sys p
-                          Hive.System.Random_address rng)
-                   sys.Hive.Types.cells.(victim).Hive.Types.processes
-               in
-               if not injected then begin
-                 Sim.Engine.delay 20_000_000L;
-                 attempt (tries - 1)
-               end
-               else t_inject := Sim.Engine.time ()
-             end
-           in
-           attempt 100
-         | "link" ->
-           (* Degrade the interconnect into --node for --dur-ms: drops,
-              duplicates and delays per the given percentages. The kernels
-              must ride it out with retransmission and reply caching. *)
-           ignore
-             (Faultinj.Campaign.inject sys rng
-                (Faultinj.Campaign.Link_degrade
-                   {
-                     deg_from = link_from;
-                     deg_to = node;
-                     at_ns = Sim.Engine.time ();
-                     dur_ns = Int64.of_int (dur_ms * 1_000_000);
-                     drop_pct;
-                     dup_pct;
-                     delay_pct;
-                     max_delay_ns = 2_000_000L;
-                     salt = 0x51EED5A17L;
-                   }))
-         | other -> failwith ("unknown fault kind: " ^ other)));
-  let result, _ = Workloads.Pmake.run sys in
-  Printf.printf "pmake with %s fault: %.3f s simulated, %s\n" kind
-    (Workloads.Workload.ns_to_s result.Workloads.Workload.elapsed_ns)
-    (if result.Workloads.Workload.completed then "driver completed"
-     else "driver died");
-  (match Hive.System.detection_latency_ns sys ~t_fault:!t_inject with
-  | Some ns ->
-    Printf.printf "detection latency: %.1f ms\n" (Int64.to_float ns /. 1e6)
+  let o =
+    Faultinj.Campaign.run_test ~sys ~workload:Faultinj.Campaign.Use_pmake fault
+  in
+  let ints l = String.concat "; " (List.map string_of_int l) in
+  Printf.printf "fault: %s -> cells [%s]\n" o.Faultinj.Campaign.fault_desc
+    (ints o.Faultinj.Campaign.injected_cells);
+  (match o.Faultinj.Campaign.detection_ms with
+  | Some ms -> Printf.printf "detection latency: %.1f ms\n" ms
   | None -> Printf.printf "no recovery round recorded\n");
-  (* Let the recovery master finish diagnostics and reintegration. *)
-  ignore
-    (Hive.System.run_until sys
-       ~deadline:(Int64.add (Sim.Engine.now eng) 2_000_000_000L)
-       (fun () -> not sys.Hive.Types.recovery_in_progress));
   let sys_count name = Sim.Stats.value sys.Hive.Types.sys_counters name in
   Printf.printf "recovery round restarts: %d\n"
     (sys_count "recovery.round_restarts");
   Printf.printf "cells reintegrated: %d\n" (sys_count "cell.reintegrations");
-  Printf.printf "live cells: [%s]\n"
-    (String.concat "; "
-       (List.map string_of_int (Hive.System.live_cells sys)));
-  if kind = "link" then begin
+  Printf.printf "contained: %b\n" o.Faultinj.Campaign.contained;
+  Printf.printf "live cells: [%s]\n" (ints o.Faultinj.Campaign.survivors);
+  if kind = `Link then begin
     let per name =
       Array.fold_left
         (fun acc (c : Hive.Types.cell) ->
           acc + Sim.Stats.value c.Hive.Types.counters name)
         0 sys.Hive.Types.cells
     in
-    let sips = Flash.Machine.sips sys.Hive.Types.machine in
+    let d = (Hive.Metrics.capture sys).Hive.Metrics.Snapshot.sips in
     Printf.printf
       "sips damage: %d dropped, %d duplicated, %d delayed (of %d sends)\n"
-      (Flash.Sips.drop_count sips)
-      (Flash.Sips.dup_count sips)
-      (Flash.Sips.delay_count sips)
-      (Flash.Sips.send_count sips);
+      d.drops d.dups d.delays d.sends;
     Printf.printf
       "rpc transport: %d retransmits, %d duplicates suppressed, %d stale \
        drops, %d late replies\n"
@@ -383,31 +278,21 @@ let run_fault kind shape node victim at_ms cascade_node oracle link_from
       (per "rpc.stale_reply_drops" + per "rpc.stale_request_drops")
       (per "rpc.late_replies")
   end;
-  let corrupt =
-    List.filter
-      (fun (_, v) -> v = Workloads.Workload.Corrupt)
-      (Workloads.Pmake.verify sys)
-  in
-  Printf.printf "corrupt outputs: %d (must be 0)\n" (List.length corrupt);
-  (* End-state structural check: containment means the survivors' kernel
-     state is consistent, not just that the build's outputs are. Give
-     in-flight batches a moment to drain so transient pins don't read as
-     leaks. *)
-  Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 1_000_000_000L) eng;
-  let violations = Hive.Invariants.check sys in
+  Printf.printf "check run: %s\n"
+    (if o.Faultinj.Campaign.check_passed then "completed" else "INCOMPLETE");
+  Printf.printf "corrupt outputs: %d (must be 0)\n"
+    (List.length o.Faultinj.Campaign.corrupt_outputs);
   List.iter
-    (fun viol ->
-      Printf.printf "invariant violation: %s\n" (Hive.Invariants.to_string viol))
-    violations;
+    (Printf.printf "invariant violation: %s\n")
+    o.Faultinj.Campaign.violations;
   Printf.printf "invariants: %s\n"
-    (if violations = [] then "clean" else "VIOLATED");
+    (if o.Faultinj.Campaign.violations = [] then "clean" else "VIOLATED");
   finish_observability sys ~trace_close ~output;
-  if corrupt = [] && violations = [] then 0 else 1
+  if Faultinj.Campaign.passed o then 0 else 1
 
 (* ---- fuzz command ---- *)
 
-let run_fuzz seeds seed_base replay shrink_flag out demo_bug dup_bug
-    split_brain jobs output =
+let run_fuzz seeds seed_base replay shrink_flag out plant jobs output =
   let out_chan = Option.map open_out out in
   let emit r =
     match out_chan with
@@ -427,15 +312,11 @@ let run_fuzz seeds seed_base replay shrink_flag out demo_bug dup_bug
          (unless this run already wrote one). *)
       if not traced then begin
         let trace = Printf.sprintf "fuzz-fail-0x%Lx.trace.json" seed in
-        ignore
-          (Faultinj.Fuzz.run_plan ~demo_bug ~dup_bug ~split_brain
-             ~trace_out:trace plan);
+        ignore (Faultinj.Fuzz.run_plan ?plant ~trace_out:trace plan);
         Printf.printf "  trace written to %s\n" trace
       end;
       if shrink_flag then begin
-        let p', r' =
-          Faultinj.Fuzz.shrink ~demo_bug ~dup_bug ~split_brain plan
-        in
+        let p', r' = Faultinj.Fuzz.shrink ?plant plan in
         Printf.printf "  shrunk to: %s\n" (Faultinj.Fuzz.describe_plan p');
         Printf.printf "  %s\n" (Faultinj.Fuzz.record_to_json r')
       end;
@@ -455,8 +336,8 @@ let run_fuzz seeds seed_base replay shrink_flag out demo_bug dup_bug
     match replay with
     | Some seed ->
       let r =
-        Faultinj.Fuzz.run_plan ~demo_bug ~dup_bug ~split_brain
-          ?trace_out:output.out_trace ?metrics_out:output.out_metrics
+        Faultinj.Fuzz.run_plan ?plant ?trace_out:output.out_trace
+          ?metrics_out:output.out_metrics
           (Faultinj.Fuzz.plan_of_seed seed)
       in
       report ~traced:(output.out_trace <> None) seed r
@@ -467,8 +348,7 @@ let run_fuzz seeds seed_base replay shrink_flag out demo_bug dup_bug
       in
       Faultinj.Campaign.run_parallel ~jobs ~seeds:seed_list
         ~run:(fun seed ->
-          Faultinj.Fuzz.run_plan ~demo_bug ~dup_bug ~split_brain
-            (Faultinj.Fuzz.plan_of_seed seed))
+          Faultinj.Fuzz.run_plan ?plant (Faultinj.Fuzz.plan_of_seed seed))
         ~on_record:(fun seed r ->
           if not (report ~traced:false seed r) then incr failures);
       Printf.printf "fuzz: %d seed(s), %d failure(s)\n" seeds !failures;
@@ -500,57 +380,14 @@ let workload_cmd =
       const run_workload $ workload_name $ shape_term $ verbose_arg
       $ output_term)
 
-let sweep_workload =
-  Arg.(
-    value
-    & pos 0 (some string) None
-    & info [] ~docv:"WORKLOAD"
-        ~doc:
-          "Optional workload filter: keep only grid rows of this workload \
-           (e.g. pmake, ocean, raytrace, rpc, read).")
-
-let areas_arg =
-  Arg.(
-    value
-    & opt (some (list string)) None
-    & info [ "areas" ] ~docv:"A,B"
-        ~doc:"Restrict the sweep to the named benchmark areas.")
-
-let quick_arg =
-  Arg.(
-    value & flag
-    & info [ "quick" ]
-        ~doc:
-          "Run each scenario's reduced grid (the subset CI exercises) \
-           instead of the full grid.")
-
-let out_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "out-dir" ] ~docv:"DIR"
-        ~doc:"Write one BENCH_<area>.json per area into $(docv).")
-
-let sweep_cmd =
-  Cmd.v
-    (Cmd.info "sweep"
-       ~doc:
-         "Run the registered benchmark scenarios across their dimension \
-          grids (workload x cells x nodes x working set x link degradation \
-          x import cache) and optionally emit the deterministic \
-          BENCH_<area>.json trajectory files.")
-    Term.(
-      const run_sweep $ sweep_workload $ shape_term $ areas_arg $ quick_arg
-      $ out_dir_arg)
-
 let fault_kind =
   Arg.(
     required
     & pos 0
         (some
            (enum
-              [ ("node", "node"); ("corrupt-cow", "corrupt-cow");
-                ("corrupt-map", "corrupt-map"); ("link", "link") ]))
+              [ ("node", `Node); ("corrupt-cow", `Corrupt_cow);
+                ("corrupt-map", `Corrupt_map); ("link", `Link) ]))
         None
     & info [] ~docv:"KIND" ~doc:"node, corrupt-cow, corrupt-map or link.")
 
@@ -659,33 +496,27 @@ let fuzz_out_arg =
     & info [ "out" ] ~docv:"FILE"
         ~doc:"Append one JSON record per seed to FILE (JSON Lines).")
 
-let demo_bug_arg =
+let plant_arg =
+  let plant p name doc = (Some p, Arg.info [ name ] ~doc) in
   Arg.(
-    value & flag
-    & info [ "demo-bug" ]
-        ~doc:
-          "(testing) Plant a deliberate containment bug — a firewall grant \
-           the kernel never recorded — to prove the checkers catch it.")
-
-let dup_bug_arg =
-  Arg.(
-    value & flag
-    & info [ "demo-dup-bug" ]
-        ~doc:
-          "(testing) Plant a deliberate transport bug — reply-cache \
-           suppression disabled under a duplication-heavy degradation \
-           window — to prove the at-most-once checker catches duplicate \
-           execution.")
-
-let split_brain_arg =
-  Arg.(
-    value & flag
-    & info [ "demo-split-brain" ]
-        ~doc:
-          "(testing) Plant a deliberate agreement bug — the quorum check \
-           disabled while cell 0 is severed from the rest of the machine \
-           — to prove the latched single-master oracle catches the \
-           resulting concurrent recovery masters.")
+    value
+    & vflag None
+        [
+          plant Faultinj.Fuzz.Unrecorded_grant "demo-bug"
+            "(testing) Plant a deliberate containment bug — a firewall \
+             grant the kernel never recorded — to prove the checkers catch \
+             it.";
+          plant Faultinj.Fuzz.Dup_execution "demo-dup-bug"
+            "(testing) Plant a deliberate transport bug — reply-cache \
+             suppression disabled under a duplication-heavy degradation \
+             window — to prove the at-most-once checker catches duplicate \
+             execution.";
+          plant Faultinj.Fuzz.Split_brain "demo-split-brain"
+            "(testing) Plant a deliberate agreement bug — the quorum check \
+             disabled while cell 0 is severed from the rest of the machine \
+             — to prove the latched single-master oracle catches the \
+             resulting concurrent recovery masters.";
+        ])
 
 let jobs_arg =
   Arg.(
@@ -770,13 +601,12 @@ let fuzz_cmd =
           --metrics-json capture that run's artifacts.")
     Term.(
       const run_fuzz $ seeds_arg $ seed_base_arg $ replay_arg $ shrink_arg
-      $ fuzz_out_arg $ demo_bug_arg $ dup_bug_arg $ split_brain_arg
-      $ jobs_arg $ output_term)
+      $ fuzz_out_arg $ plant_arg $ jobs_arg $ output_term)
 
 let main =
   Cmd.group
     (Cmd.info "hive_sim" ~version:"1.0"
        ~doc:"Simulated Hive multicellular OS on a FLASH machine model.")
-    [ workload_cmd; server_cmd; sweep_cmd; fault_cmd; fuzz_cmd ]
+    [ workload_cmd; server_cmd; fault_cmd; fuzz_cmd ]
 
 let () = exit (Cmd.eval' main)

@@ -1,7 +1,8 @@
 (* Fault-injection campaigns (Section 7.4).
 
-   Each test boots a four-cell system, runs a workload, injects one fault
-   (a fail-stop node failure or a kernel data corruption), and then:
+   Each test boots a four-cell system (or takes the caller's), runs a
+   workload, injects one fault (a fail-stop node failure or a kernel data
+   corruption), and then:
 
    - measures the latency until the last cell enters recovery;
    - checks that the fault's effects were contained: all other cells
@@ -10,7 +11,9 @@
      processes on all surviving cells);
    - compares all output files of the workload run and the check run
      against reference copies to detect data corruption (stale data after
-     a preemptive discard is data loss, not corruption).
+     a preemptive discard is data loss, not corruption);
+   - checks that no RPC call is orphaned and that every invariant holds
+     on every live cell but an undetected data-corruption victim.
 
    The workload/timing combinations follow Table 7.4: node failure during
    process creation (pmake), during copy-on-write search (raytrace), and
@@ -19,6 +22,7 @@
 
 type fault =
   | Node_failure of { node : int; at_ns : int64 }
+  | Node_cascade of { first_node : int; second_node : int; at_ns : int64 }
   | Corrupt_map of { victim_cell : int; at_ns : int64; mode : Hive.System.corruption_mode }
   | Corrupt_cow of { victim_cell : int; at_ns : int64; mode : Hive.System.corruption_mode }
   | Link_degrade of {
@@ -42,13 +46,14 @@ type fault =
 
 type outcome = {
   fault_desc : string;
-  injected_cell : int;
+  injected_cells : int list;
   contained : bool;
   detection_ms : float option;
   recovery_ms : float option;
   check_passed : bool;
   corrupt_outputs : string list;
   survivors : int list;
+  violations : string list;
 }
 
 type workload_kind = Use_pmake | Use_raytrace
@@ -99,28 +104,78 @@ let pick_cow_node (sys : Hive.Types.system) ~cell_id =
     c.Hive.Types.processes;
   (match (!forked, !roots) with Some l, _ -> Some l | None, r -> r)
 
+let cell_of_node sys n = (Hive.Types.cell_of_node sys n).Hive.Types.cell_id
+
+(* Sever every directed link between [cell]'s nodes and the rest of the
+   machine over [from_ns, until_ns). Intra-cell links stay up: the cell
+   keeps running on its own side of the blackout. [one_way] models
+   asymmetric reachability: only traffic into the cell is lost, so its
+   own sends still arrive while every reply (and probe) back to it
+   vanishes. *)
+let sever_cell (sys : Hive.Types.system) ~cell ~from_ns ~until_ns ~one_way =
+  let sips = Flash.Machine.sips sys.Hive.Types.machine in
+  let inside = sys.Hive.Types.cells.(cell).Hive.Types.cell_nodes in
+  let outside =
+    Array.to_list sys.Hive.Types.cells
+    |> List.concat_map (fun (c : Hive.Types.cell) ->
+           if c.Hive.Types.cell_id = cell then [] else c.Hive.Types.cell_nodes)
+  in
+  List.iter
+    (fun inner ->
+      List.iter
+        (fun outer ->
+          Flash.Sips.partition sips
+            { Flash.Sips.part_from = outer; part_to = inner;
+              part_from_ns = from_ns; part_until_ns = until_ns };
+          if not one_way then
+            Flash.Sips.partition sips
+              { Flash.Sips.part_from = inner; part_to = outer;
+                part_from_ns = from_ns; part_until_ns = until_ns })
+        outside)
+    inside
+
+(* Poll every 100 us, at most [tries] times, until a recovery round
+   entered at or after [since] is past barrier 1 (the window stays open
+   through barrier 2 and the master's diagnostics). *)
+let rec await_barrier1 (sys : Hive.Types.system) ~since tries =
+  let past_barrier1 =
+    sys.Hive.Types.recovery_round_active
+    && List.exists
+         (fun (phase, t) ->
+           phase = "recovery.barrier1" && Int64.compare t since >= 0)
+         sys.Hive.Types.recovery_timeline
+  in
+  if tries > 0 && not past_barrier1 then begin
+    Sim.Engine.delay 100_000L;
+    await_barrier1 sys ~since (tries - 1)
+  end
+
 let inject (sys : Hive.Types.system) rng fault =
+  let now = Sim.Engine.now sys.Hive.Types.eng in
   match fault with
   | Node_failure { node; _ } ->
     Hive.System.inject_node_failure sys node;
-    Some (Hive.Types.cell_of_node sys node).Hive.Types.cell_id
+    [ cell_of_node sys node ]
+  | Node_cascade { first_node; second_node; _ } ->
+    Hive.System.inject_node_failure sys first_node;
+    await_barrier1 sys ~since:now 10_000;
+    Hive.System.inject_node_failure sys second_node;
+    [ cell_of_node sys first_node; cell_of_node sys second_node ]
   | Corrupt_map { victim_cell; mode; _ } -> (
     match pick_victim_process sys ~cell_id:victim_cell with
-    | Some p ->
-      if Hive.System.corrupt_address_map sys p mode rng then Some victim_cell
-      else None
-    | None -> None)
+    | Some p when Hive.System.corrupt_address_map sys p mode rng ->
+      [ victim_cell ]
+    | _ -> [])
   | Corrupt_cow { victim_cell; mode; _ } -> (
     match pick_cow_node sys ~cell_id:victim_cell with
     | Some leaf ->
       Hive.System.corrupt_cow_parent sys sys.Hive.Types.cells.(victim_cell)
         leaf mode rng;
-      Some victim_cell
-    | None -> None)
+      [ victim_cell ]
+    | None -> [])
   | Link_degrade
       { deg_from; deg_to; dur_ns; drop_pct; dup_pct; delay_pct;
         max_delay_ns; salt; _ } ->
-    let now = Sim.Engine.now sys.Hive.Types.eng in
     Flash.Sips.degrade
       (Flash.Machine.sips sys.Hive.Types.machine)
       ~rng:(Sim.Prng.of_int64 salt)
@@ -129,45 +184,29 @@ let inject (sys : Hive.Types.system) rng fault =
         max_delay_ns };
     (* Reported as the destination cell when the window targets one link,
        cell 0 for a machine-wide window; nothing is corrupted either way. *)
-    Some
-      (if deg_to >= 0 then
-         (Hive.Types.cell_of_node sys deg_to).Hive.Types.cell_id
-       else 0)
+    [ (if deg_to >= 0 then cell_of_node sys deg_to else 0) ]
   | Partition { part_cell; dur_ns; one_way; _ } ->
-    (* Sever every directed link between the cell's nodes and the rest of
-       the machine. Intra-cell links stay up: the cell keeps running on
-       its own side of the blackout. [one_way] models asymmetric
-       reachability: only traffic into the cell is lost, so its own sends
-       still arrive while every reply (and probe) back to it vanishes. *)
-    let sips = Flash.Machine.sips sys.Hive.Types.machine in
-    let now = Sim.Engine.now sys.Hive.Types.eng in
-    let until = Int64.add now dur_ns in
-    let inside =
-      sys.Hive.Types.cells.(part_cell).Hive.Types.cell_nodes
-    in
-    let outside =
-      Array.to_list sys.Hive.Types.cells
-      |> List.concat_map (fun (c : Hive.Types.cell) ->
-             if c.Hive.Types.cell_id = part_cell then []
-             else c.Hive.Types.cell_nodes)
-    in
-    List.iter
-      (fun inner ->
-        List.iter
-          (fun outer ->
-            Flash.Sips.partition sips
-              { Flash.Sips.part_from = outer; part_to = inner;
-                part_from_ns = now; part_until_ns = until };
-            if not one_way then
-              Flash.Sips.partition sips
-                { Flash.Sips.part_from = inner; part_to = outer;
-                  part_from_ns = now; part_until_ns = until })
-          outside)
-      inside;
-    Some part_cell
+    sever_cell sys ~cell:part_cell ~from_ns:now
+      ~until_ns:(Int64.add now dur_ns) ~one_way;
+    [ part_cell ]
   | Cpu_dead_mem_alive { node; _ } ->
     Hive.System.inject_cpu_failure sys node;
-    Some (Hive.Types.cell_of_node sys node).Hive.Types.cell_id
+    [ cell_of_node sys node ]
+
+(* [inject], retried every 20 ms until a suitable victim exists
+   (corruption faults need a running process with an anonymous region),
+   at most [tries] times. Returns the time of the last attempt and the
+   cells it landed on. *)
+let inject_retrying sys rng ~tries fault =
+  let rec attempt n =
+    let t = Sim.Engine.time () in
+    match inject sys rng fault with
+    | [] when n > 1 ->
+      Sim.Engine.delay 20_000_000L;
+      attempt (n - 1)
+    | cells -> (t, cells)
+  in
+  attempt tries
 
 (* Whether the fault destroys or corrupts kernel state on the victim cell
    (so checkers must exempt it). Link degradation only perturbs message
@@ -176,12 +215,13 @@ let inject (sys : Hive.Types.system) rng fault =
    rebooted with zeroed memory at reintegration, so it is exempted like
    any other fail-stop victim. *)
 let corrupts_cell = function
-  | Node_failure _ | Corrupt_map _ | Corrupt_cow _ -> true
+  | Node_failure _ | Node_cascade _ | Corrupt_map _ | Corrupt_cow _ -> true
   | Link_degrade _ -> false
   | Partition _ | Cpu_dead_mem_alive _ -> true
 
 let fault_time = function
   | Node_failure { at_ns; _ } -> at_ns
+  | Node_cascade { at_ns; _ } -> at_ns
   | Corrupt_map { at_ns; _ } -> at_ns
   | Corrupt_cow { at_ns; _ } -> at_ns
   | Link_degrade { at_ns; _ } -> at_ns
@@ -190,6 +230,9 @@ let fault_time = function
 
 let describe = function
   | Node_failure { node; _ } -> Printf.sprintf "node %d fail-stop" node
+  | Node_cascade { first_node; second_node; _ } ->
+    Printf.sprintf "node %d fail-stop, then node %d mid-recovery" first_node
+      second_node
   | Corrupt_map { victim_cell; _ } ->
     Printf.sprintf "corrupt address map on cell %d" victim_cell
   | Corrupt_cow { victim_cell; _ } ->
@@ -209,61 +252,44 @@ let describe = function
   | Cpu_dead_mem_alive { node; _ } ->
     Printf.sprintf "node %d CPU dead, memory alive" node
 
-(* Run one fault-injection test. *)
-let run_test ?(seed = 1) ~workload fault =
+(* Run one fault-injection test on [sys] (by default a fresh four-cell
+   Wax boot, as in Table 7.4). *)
+let run_test ?(seed = 1) ?sys ~workload fault =
   let rng = Sim.Prng.create seed in
-  let eng = Sim.Engine.create () in
-  let sys = Hive.System.boot ~ncells:4 ~wax:true eng in
+  let sys =
+    match sys with
+    | Some sys -> sys
+    | None -> Hive.System.boot ~ncells:4 ~wax:true (Sim.Engine.create ())
+  in
+  let eng = sys.Hive.Types.eng in
   Workloads.Pmake.setup sys Workloads.Pmake.default;
-  (match workload with
-  | Use_pmake -> ()
-  | Use_raytrace -> ());
   (* Injection happens from a detached thread at the requested time. *)
-  let injected = ref None in
-  let t_inject = ref 0L in
+  let injection = ref (0L, []) in
   ignore
     (Sim.Engine.spawn eng ~name:"injector" (fun () ->
          Sim.Engine.delay (fault_time fault);
-         (* Retry until a suitable victim exists (e.g. a process with an
-            anonymous region for corruption faults). *)
-         let rec attempt tries =
-           if tries = 0 then ()
-           else
-             match inject sys rng fault with
-             | Some cell ->
-               t_inject := Sim.Engine.time ();
-               injected := Some cell
-             | None ->
-               Sim.Engine.delay 20_000_000L;
-               attempt (tries - 1)
-         in
-         attempt 200));
+         injection := inject_retrying sys rng ~tries:200 fault));
   (* Run the workload. *)
-  let result, _p =
-    match workload with
-    | Use_pmake -> Workloads.Pmake.run sys
-    | Use_raytrace ->
-      let r, p = Workloads.Raytrace.run sys in
-      (r, p)
-  in
-  ignore result;
+  (match workload with
+  | Use_pmake -> ignore (Workloads.Pmake.run sys)
+  | Use_raytrace -> ignore (Workloads.Raytrace.run sys));
   (* Let detection/recovery finish. *)
   ignore
     (Hive.System.run_until sys
        ~deadline:(Int64.add (Sim.Engine.now eng) 3_000_000_000L)
        (fun () ->
          (not sys.Hive.Types.recovery_in_progress)
-         && (sys.Hive.Types.recovery_events <> [] || !injected = None)));
-  let injected_cell = match !injected with Some c -> c | None -> -1 in
+         && (sys.Hive.Types.recovery_events <> [] || snd !injection = [])));
+  let t_inject, injected_cells = !injection in
   let detection_ms =
-    match Hive.System.detection_latency_ns sys ~t_fault:!t_inject with
-    | Some ns when !injected <> None -> Some (Int64.to_float ns /. 1e6)
+    match Hive.System.detection_latency_ns sys ~t_fault:t_inject with
+    | Some ns when injected_cells <> [] -> Some (Int64.to_float ns /. 1e6)
     | _ -> None
   in
   let recovery_ms =
     if
       sys.Hive.Types.recovery_events <> []
-      && Int64.compare sys.Hive.Types.recovery_complete_at !t_inject > 0
+      && Int64.compare sys.Hive.Types.recovery_complete_at t_inject > 0
     then
       let first_entry =
         List.fold_left
@@ -277,49 +303,68 @@ let run_test ?(seed = 1) ~workload fault =
     else None
   in
   let survivors = Hive.System.live_cells sys in
-  (* Containment: every cell except the injected one survived. *)
+  (* Containment: every cell survived except those the fault destroys or
+     corrupts. *)
+  let may_die = if corrupts_cell fault then injected_cells else [] in
   let contained =
     Array.for_all
       (fun (c : Hive.Types.cell) ->
-        c.Hive.Types.cell_id = injected_cell
-        || Hive.Types.cell_alive c)
+        List.mem c.Hive.Types.cell_id may_die || Hive.Types.cell_alive c)
       sys.Hive.Types.cells
   in
-  (* Correctness check: run pmake across the surviving cells and verify
-     its outputs against references. *)
-  let check_result, _ = Workloads.Pmake.run sys in
-  let verify = Workloads.Pmake.verify sys in
-  let corrupt_outputs =
+  let corrupt verify =
     List.filter_map
       (fun (path, v) ->
         if v = Workloads.Workload.Corrupt then Some path else None)
       verify
   in
-  (* Workload-specific outputs from the faulted run are also checked for
-     corruption (loss is acceptable). *)
-  let extra_corrupt =
-    match workload with
-    | Use_pmake -> []
-    | Use_raytrace ->
-      List.filter_map
-        (fun (path, v) ->
-          if v = Workloads.Workload.Corrupt then Some path else None)
-        (Workloads.Raytrace.verify sys)
+  (* The faulted run's outputs are checked for corruption (loss is
+     acceptable) before the check run rewrites pmake's. *)
+  let faulted_corrupt =
+    corrupt
+      (match workload with
+      | Use_pmake -> Workloads.Pmake.verify sys
+      | Use_raytrace -> Workloads.Raytrace.verify sys)
+  in
+  (* Correctness check: run pmake across the surviving cells and verify
+     its outputs against references. *)
+  let check_result, _ = Workloads.Pmake.run sys in
+  let corrupt_outputs = faulted_corrupt @ corrupt (Workloads.Pmake.verify sys) in
+  (* The fuzzer's end-of-run oracles: no RPC call orphaned past the full
+     retransmission schedule, and every invariant holding on every live
+     cell. Fail-stop victims reboot with zeroed memory and are checked in
+     full; a data-corruption victim may keep its damaged structures
+     undetected, which is the injected fault itself, so it is exempt. *)
+  let snapshot = Hive.Invariants.rpc_snapshot sys in
+  ignore
+    (Hive.System.run_until sys
+       ~deadline:(Int64.add (Sim.Engine.now eng) 2_000_000_000L)
+       (fun () -> false));
+  let exempt =
+    match fault with
+    | Corrupt_map _ | Corrupt_cow _ -> injected_cells
+    | _ -> []
+  in
+  let violations =
+    List.map Hive.Invariants.to_string
+      (Hive.Invariants.check_rpc_drained sys ~snapshot
+      @ Hive.Invariants.check ~exempt sys)
   in
   {
     fault_desc = describe fault;
-    injected_cell;
+    injected_cells;
     contained;
     detection_ms;
     recovery_ms;
     check_passed = check_result.Workloads.Workload.completed;
-    corrupt_outputs = corrupt_outputs @ extra_corrupt;
+    corrupt_outputs;
     survivors;
+    violations;
   }
 
 let passed o =
   o.contained && o.check_passed && o.corrupt_outputs = []
-  && o.injected_cell >= 0
+  && o.injected_cells <> [] && o.violations = []
 
 (* ---------- The Table 7.4 campaigns ---------- *)
 
@@ -351,10 +396,13 @@ let summarize label outcomes =
         (fun o ->
           if passed o then []
           else
-            [ Printf.sprintf "%s: contained=%b check=%b corrupt=[%s] injected=%d"
+            [ Printf.sprintf
+                "%s: contained=%b check=%b corrupt=[%s] injected=[%s] \
+                 violations=[%s]"
                 o.fault_desc o.contained o.check_passed
                 (String.concat ";" o.corrupt_outputs)
-                o.injected_cell ])
+                (String.concat ";" (List.map string_of_int o.injected_cells))
+                (String.concat "; " o.violations) ])
         outcomes;
   }
 
@@ -362,59 +410,55 @@ let modes =
   [| Hive.System.Random_address; Hive.System.Off_by_one_word;
      Hive.System.Self_pointer |]
 
+(* [tests] runs of [workload]; test i is seeded [seed + i] and injects
+   [fault i] on victim cell or node [1 + i mod 3]. *)
+let campaign label ~seed ~workload ~tests fault =
+  List.init tests (fun i ->
+      run_test ~seed:(seed + i) ~workload (fault i (1 + (i mod 3))))
+  |> summarize label
+
+let mode i = modes.(i mod Array.length modes)
+
 (* Node failure during process creation (pmake): inject early, while the
    driver is forking compile jobs. *)
-let node_failure_during_creation ~tests =
-  List.init tests (fun i ->
-      run_test ~seed:(100 + i) ~workload:Use_pmake
-        (Node_failure
-           { node = 1 + (i mod 3); at_ns = Int64.of_int (40_000_000 * (i + 2)) }))
-  |> summarize "node failure during process creation (pmake)"
+let node_failure_during_creation =
+  campaign "node failure during process creation (pmake)" ~seed:100
+    ~workload:Use_pmake (fun i node ->
+      Node_failure { node; at_ns = Int64.of_int (40_000_000 * (i + 2)) })
 
 (* Node failure during COW search (raytrace): inject while workers fault
    scene pages through the tree. *)
-let node_failure_during_cow ~tests =
-  List.init tests (fun i ->
-      run_test ~seed:(200 + i) ~workload:Use_raytrace
-        (Node_failure
-           { node = 1 + (i mod 3); at_ns = Int64.of_int (15_000_000 * (i + 1)) }))
-  |> summarize "node failure during copy-on-write search (raytrace)"
+let node_failure_during_cow =
+  campaign "node failure during copy-on-write search (raytrace)" ~seed:200
+    ~workload:Use_raytrace (fun i node ->
+      Node_failure { node; at_ns = Int64.of_int (15_000_000 * (i + 1)) })
 
 (* Node failure at a random time during pmake. *)
 let node_failure_random ~tests =
   let rng = Sim.Prng.create 42 in
-  List.init tests (fun i ->
+  campaign "node failure at random time (pmake)" ~seed:300 ~workload:Use_pmake
+    ~tests (fun _ node ->
       let at = 50_000_000 + Sim.Prng.int rng 4_000_000_000 in
-      run_test ~seed:(300 + i) ~workload:Use_pmake
-        (Node_failure { node = 1 + (i mod 3); at_ns = Int64.of_int at }))
-  |> summarize "node failure at random time (pmake)"
+      Node_failure { node; at_ns = Int64.of_int at })
 
 (* Corrupt pointer in a process address map (pmake). *)
-let corrupt_map_campaign ~tests =
-  List.init tests (fun i ->
-      run_test ~seed:(400 + i) ~workload:Use_pmake
-        (Corrupt_map
-           {
-             victim_cell = 1 + (i mod 3);
-             at_ns = Int64.of_int (120_000_000 * (i + 1));
-             mode = modes.(i mod Array.length modes);
-           }))
-  |> summarize "corrupt pointer in process address map (pmake)"
+let corrupt_map_campaign =
+  campaign "corrupt pointer in process address map (pmake)" ~seed:400
+    ~workload:Use_pmake (fun i victim_cell ->
+      Corrupt_map
+        { victim_cell; at_ns = Int64.of_int (120_000_000 * (i + 1));
+          mode = mode i })
 
 (* Corrupt pointer in the COW tree (raytrace): injected mid-run, so the
    corruption lies dormant until a later copy-on-write search trips it —
    which is why the paper's detection latencies for this campaign are an
    order of magnitude above the clock-monitoring bound. *)
-let corrupt_cow_campaign ~tests =
-  List.init tests (fun i ->
-      run_test ~seed:(500 + i) ~workload:Use_raytrace
-        (Corrupt_cow
-           {
-             victim_cell = 1 + (i mod 3);
-             at_ns = Int64.of_int (300_000_000 + (180_000_000 * i));
-             mode = modes.(i mod Array.length modes);
-           }))
-  |> summarize "corrupt pointer in copy-on-write tree (raytrace)"
+let corrupt_cow_campaign =
+  campaign "corrupt pointer in copy-on-write tree (raytrace)" ~seed:500
+    ~workload:Use_raytrace (fun i victim_cell ->
+      Corrupt_cow
+        { victim_cell; at_ns = Int64.of_int (300_000_000 + (180_000_000 * i));
+          mode = mode i })
 
 (* ---------- Parallel campaign driver ---------- *)
 
@@ -488,152 +532,3 @@ let run_parallel (type r) ~jobs ~(seeds : int64 array) ~(run : int64 -> r)
        raise e);
     List.iter Domain.join domains
   end
-
-(* ---------- Cascading (nested) failures ---------- *)
-
-type cascade_outcome = {
-  c_first_node : int;
-  c_second_node : int;
-  c_deadlocked : bool;  (* recovery never completed before the deadline *)
-  c_restarted : bool;   (* the round restarted with the enlarged dead set *)
-  c_contained : bool;   (* every non-victim cell survived the episode *)
-  c_reintegrated : bool;
-      (* both victims rebooted by the master and back in all live sets *)
-  c_check_passed : bool;  (* pmake across the restored system verifies *)
-  c_detection_ms : float option;
-}
-
-(* Kill a second node while the first failure's recovery round is in
-   flight (between barrier 1 and barrier 2): the acid test for the
-   abortable-barrier / round-restart machinery. The survivors must abort
-   the round, restart it with the enlarged dead set, finish, and the
-   recovery master must then repair and reintegrate both victims. *)
-let run_cascade_test ?(seed = 1) ~first_node ~second_node ~at_ns () =
-  ignore seed;
-  let eng = Sim.Engine.create () in
-  let sys = Hive.System.boot ~ncells:4 ~wax:true eng in
-  Workloads.Pmake.setup sys Workloads.Pmake.default;
-  let t_first = ref 0L in
-  ignore
-    (Sim.Engine.spawn eng ~name:"cascade-injector" (fun () ->
-         Sim.Engine.delay at_ns;
-         t_first := Sim.Engine.time ();
-         Hive.System.inject_node_failure sys first_node;
-         (* Poll until the round is past barrier 1 (the window stays open
-            through barrier 2 and the master's diagnostics), then fail the
-            second node mid-round. *)
-         let past_barrier1 () =
-           sys.Hive.Types.recovery_round_active
-           && List.exists
-                (fun (phase, t) ->
-                  phase = "recovery.barrier1"
-                  && Int64.compare t !t_first >= 0)
-                sys.Hive.Types.recovery_timeline
-         in
-         let rec poll tries =
-           if tries > 0 && not (past_barrier1 ()) then begin
-             Sim.Engine.delay 100_000L;
-             poll (tries - 1)
-           end
-         in
-         poll 10_000;
-         Hive.System.inject_node_failure sys second_node));
-  let result, _ = Workloads.Pmake.run sys in
-  ignore result;
-  let recovery_done =
-    Hive.System.run_until sys
-      ~deadline:(Int64.add (Sim.Engine.now eng) 5_000_000_000L)
-      (fun () ->
-        (not sys.Hive.Types.recovery_in_progress)
-        && sys.Hive.Types.recovery_events <> [])
-  in
-  let first_cell =
-    (Hive.Types.cell_of_node sys first_node).Hive.Types.cell_id
-  in
-  let second_cell =
-    (Hive.Types.cell_of_node sys second_node).Hive.Types.cell_id
-  in
-  let contained =
-    Array.for_all
-      (fun (c : Hive.Types.cell) ->
-        c.Hive.Types.cell_id = first_cell
-        || c.Hive.Types.cell_id = second_cell
-        || Hive.Types.cell_alive c)
-      sys.Hive.Types.cells
-  in
-  let both_back =
-    Hive.System.run_until sys
-      ~deadline:(Int64.add (Sim.Engine.now eng) 3_000_000_000L)
-      (fun () ->
-        Hive.Types.cell_alive sys.Hive.Types.cells.(first_cell)
-        && Hive.Types.cell_alive sys.Hive.Types.cells.(second_cell))
-  in
-  let reintegrated =
-    both_back
-    && Sim.Stats.value sys.Hive.Types.sys_counters "cell.reintegrations" >= 2
-    && Array.for_all
-         (fun (c : Hive.Types.cell) ->
-           (not (Hive.Types.cell_alive c))
-           || List.mem first_cell c.Hive.Types.live_set
-              && List.mem second_cell c.Hive.Types.live_set)
-         sys.Hive.Types.cells
-  in
-  let check_result, _ = Workloads.Pmake.run sys in
-  let verify_ok =
-    List.for_all
-      (fun (_, v) -> v <> Workloads.Workload.Corrupt)
-      (Workloads.Pmake.verify sys)
-  in
-  {
-    c_first_node = first_node;
-    c_second_node = second_node;
-    c_deadlocked = not recovery_done;
-    c_restarted =
-      Sim.Stats.value sys.Hive.Types.sys_counters "recovery.round_restarts"
-      >= 1;
-    c_contained = contained;
-    c_reintegrated = reintegrated;
-    c_check_passed = check_result.Workloads.Workload.completed && verify_ok;
-    c_detection_ms =
-      (match Hive.System.detection_latency_ns sys ~t_fault:!t_first with
-      | Some ns -> Some (Int64.to_float ns /. 1e6)
-      | None -> None);
-  }
-
-let cascade_passed o =
-  (not o.c_deadlocked) && o.c_restarted && o.c_contained && o.c_reintegrated
-  && o.c_check_passed
-
-let cascade_campaign ~tests =
-  let outcomes =
-    List.init tests (fun i ->
-        run_cascade_test ~seed:(600 + i)
-          ~first_node:(1 + (i mod 3))
-          ~second_node:(1 + ((i + 1) mod 3))
-          ~at_ns:(Int64.of_int (60_000_000 * (i + 1)))
-          ())
-  in
-  let det = List.filter_map (fun o -> o.c_detection_ms) outcomes in
-  let avg xs =
-    if xs = [] then 0.
-    else List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
-  in
-  {
-    label = "second node failure during recovery (pmake)";
-    tests = List.length outcomes;
-    all_contained = List.for_all cascade_passed outcomes;
-    avg_detect_ms = avg det;
-    max_detect_ms = List.fold_left max 0. det;
-    avg_recovery_ms = 0.;
-    failures =
-      List.concat_map
-        (fun o ->
-          if cascade_passed o then []
-          else
-            [ Printf.sprintf
-                "nodes %d+%d: deadlock=%b restarted=%b contained=%b \
-                 reintegrated=%b check=%b"
-                o.c_first_node o.c_second_node o.c_deadlocked o.c_restarted
-                o.c_contained o.c_reintegrated o.c_check_passed ])
-        outcomes;
-  }

@@ -1,7 +1,8 @@
 (** Fault-injection campaigns (Section 7.4).
 
-   Each test boots a four-cell system, runs a workload, injects one fault
-   (a fail-stop node failure or a kernel data corruption), and then:
+   Each test boots a four-cell system (or takes the caller's), runs a
+   workload, injects one fault (a fail-stop node failure or a kernel data
+   corruption), and then:
 
    - measures the latency until the last cell enters recovery;
    - checks that the fault's effects were contained: all other cells
@@ -10,7 +11,9 @@
      processes on all surviving cells);
    - compares all output files of the workload run and the check run
      against reference copies to detect data corruption (stale data after
-     a preemptive discard is data loss, not corruption).
+     a preemptive discard is data loss, not corruption);
+   - checks that no RPC call is orphaned and that every invariant holds
+     on every live cell but an undetected data-corruption victim.
 
    The workload/timing combinations follow Table 7.4: node failure during
    process creation (pmake), during copy-on-write search (raytrace), and
@@ -19,6 +22,10 @@
 
 type fault =
     Node_failure of { node : int; at_ns : int64; }
+  | Node_cascade of { first_node : int; second_node : int; at_ns : int64 }
+      (** fail [first_node] at [at_ns], then [second_node] once that
+          recovery round has passed barrier 1 (or after a simulated
+          second), forcing a round restart with the enlarged dead set *)
   | Corrupt_map of { victim_cell : int; at_ns : int64;
       mode : Hive.System.corruption_mode;
     }
@@ -45,22 +52,35 @@ type fault =
   | Cpu_dead_mem_alive of { node : int; at_ns : int64 }
 type outcome = {
   fault_desc : string;
-  injected_cell : int;
+  injected_cells : int list;  (** every cell the fault landed on; [] = none *)
   contained : bool;
   detection_ms : float option;
   recovery_ms : float option;
   check_passed : bool;
   corrupt_outputs : string list;
   survivors : int list;
+  violations : string list;  (** end-of-run invariant violations *)
 }
 type workload_kind = Use_pmake | Use_raytrace
-val pick_victim_process :
-  Hive.Types.system -> cell_id:int -> Hive.Types.process option
-val pick_cow_node :
+(** Sever every link between [cell]'s nodes and the rest of the machine
+    over [\[from_ns, until_ns)]; with [one_way] only inbound traffic is
+    lost. *)
+val sever_cell :
   Hive.Types.system ->
-  cell_id:Hive.Types.cell_id -> Hive.Types.cow_ref option
+  cell:Hive.Types.cell_id -> from_ns:int64 -> until_ns:int64 -> one_way:bool ->
+  unit
+
+(** Inject [fault] now, from a simulation thread, and return the cells it
+    landed on; [] means no suitable victim exists yet (retry later). A
+    [Node_cascade] blocks the calling thread until its second failure. *)
 val inject :
-  Hive.Types.system -> Sim.Prng.t -> fault -> Hive.Types.cell_id option
+  Hive.Types.system -> Sim.Prng.t -> fault -> Hive.Types.cell_id list
+
+(** [inject], retried every 20 ms (at most [tries] times) until a victim
+    exists; returns the time of the last attempt and the cells hit. *)
+val inject_retrying :
+  Hive.Types.system -> Sim.Prng.t -> tries:int -> fault ->
+  int64 * Hive.Types.cell_id list
 
 (** Whether the fault destroys/corrupts kernel state on the victim cell
     (so checkers must exempt it). Link degradation never does: every cell
@@ -71,7 +91,14 @@ val corrupts_cell : fault -> bool
 
 val fault_time : fault -> int64
 val describe : fault -> string
-val run_test : ?seed:int -> workload:workload_kind -> fault -> outcome
+
+(** One test as above, with [fault] injected [fault_time] after pmake
+    setup; [sys] defaults to a fresh four-cell Wax boot. *)
+val run_test :
+  ?seed:int -> ?sys:Hive.Types.system -> workload:workload_kind -> fault ->
+  outcome
+
+(** Contained, injected, check run complete and exact, no violations. *)
 val passed : outcome -> bool
 type campaign_row = {
   label : string;
@@ -82,7 +109,6 @@ type campaign_row = {
   avg_recovery_ms : float;
   failures : string list;
 }
-val summarize : string -> outcome list -> campaign_row
 val modes : Hive.System.corruption_mode array
 val node_failure_during_creation : tests:int -> campaign_row
 val node_failure_during_cow : tests:int -> campaign_row
@@ -106,29 +132,3 @@ val run_parallel :
   run:(int64 -> 'r) ->
   on_record:(int64 -> 'r -> unit) ->
   unit
-
-(** Cascading (nested) failures: a second node killed while the first
-    failure's recovery round is in flight, between the two global
-    barriers. Exercises the abortable-barrier / round-restart machinery
-    and the master's automatic reintegration of both victims. *)
-
-type cascade_outcome = {
-  c_first_node : int;
-  c_second_node : int;
-  c_deadlocked : bool;
-  c_restarted : bool;
-  c_contained : bool;
-  c_reintegrated : bool;
-  c_check_passed : bool;
-  c_detection_ms : float option;
-}
-
-val run_cascade_test :
-  ?seed:int ->
-  first_node:int -> second_node:int -> at_ns:int64 -> unit -> cascade_outcome
-
-(** No deadlock, the round restarted, the fault stayed contained, both
-    victims were reintegrated, and the post-episode pmake check passed. *)
-val cascade_passed : cascade_outcome -> bool
-
-val cascade_campaign : tests:int -> campaign_row

@@ -342,8 +342,9 @@ let check_cfg =
 
 let quiesce_deadline_ns = 10_000_000_000L
 
-let run_plan ?(demo_bug = false) ?(dup_bug = false) ?(split_brain = false)
-    ?trace_out ?metrics_out plan =
+type plant = Unrecorded_grant | Dup_execution | Split_brain
+
+let run_plan ?plant ?trace_out ?metrics_out plan =
   let eng = Sim.Engine.create () in
   let nodes = plan.ncells * plan.nodes_per_cell in
   let mcfg =
@@ -359,14 +360,12 @@ let run_plan ?(demo_bug = false) ?(dup_bug = false) ?(split_brain = false)
      check off, reverting to the historical "silence is a death vote"
      confirmation rule. *)
   let params =
-    let p =
-      if dup_bug then
-        { Hive.Params.default with Hive.Params.rpc_dup_suppression = false }
-      else Hive.Params.default
-    in
-    if split_brain then
-      { p with Hive.Params.agreement_quorum_check = false }
-    else p
+    match plant with
+    | Some Dup_execution ->
+      { Hive.Params.default with Hive.Params.rpc_dup_suppression = false }
+    | Some Split_brain ->
+      { Hive.Params.default with Hive.Params.agreement_quorum_check = false }
+    | Some Unrecorded_grant | None -> Hive.Params.default
   in
   let sys = Hive.System.boot ~mcfg ~params ~ncells:plan.ncells ~wax:true eng in
   let close_trace =
@@ -383,11 +382,12 @@ let run_plan ?(demo_bug = false) ?(dup_bug = false) ?(split_brain = false)
     Sim.Engine.set_jitter eng
       (Some (Sim.Prng.of_int64 (Int64.logxor plan.seed jitter_salt)));
   let inject_rng = Sim.Prng.of_int64 (Int64.logxor plan.seed inject_salt) in
-  (* Planted transport bug (part 2): arm a duplication-heavy machine-wide
-     window over the whole run. With the reply caches off (see boot
-     params), duplicated requests really execute twice, and the
-     at-most-once checker must say so. *)
-  if dup_bug then begin
+  (match plant with
+  | Some Dup_execution ->
+    (* Planted transport bug (part 2): arm a duplication-heavy
+       machine-wide window over the whole run. With the reply caches off
+       (see boot params), duplicated requests really execute twice, and
+       the at-most-once checker must say so. *)
     Flash.Sips.degrade
       (Flash.Machine.sips sys.Hive.Types.machine)
       ~rng:(Sim.Prng.of_int64 (Int64.logxor plan.seed dup_salt))
@@ -401,34 +401,16 @@ let run_plan ?(demo_bug = false) ?(dup_bug = false) ?(split_brain = false)
         delay_pct = 25;
         max_delay_ns = 2_000_000L;
       }
-  end;
-  (* Planted split-brain bug (part 2): sever cell 0 from the rest of the
-     machine mid-run and never heal. Under the historical confirmation
-     rule (see boot params) each side of the blackout confirms the other
-     dead and elects its own recovery master; the continuously-latched
-     single-master oracle must catch the overlap. *)
-  if split_brain then begin
-    let sips = Flash.Machine.sips sys.Hive.Types.machine in
-    let inside = sys.Hive.Types.cells.(0).Hive.Types.cell_nodes in
-    let outside =
-      Array.to_list sys.Hive.Types.cells
-      |> List.concat_map (fun (c : Hive.Types.cell) ->
-             if c.Hive.Types.cell_id = 0 then []
-             else c.Hive.Types.cell_nodes)
-    in
-    List.iter
-      (fun inner ->
-        List.iter
-          (fun outer ->
-            Flash.Sips.partition sips
-              { Flash.Sips.part_from = outer; part_to = inner;
-                part_from_ns = 400_000_000L; part_until_ns = Int64.max_int };
-            Flash.Sips.partition sips
-              { Flash.Sips.part_from = inner; part_to = outer;
-                part_from_ns = 400_000_000L; part_until_ns = Int64.max_int })
-          outside)
-      inside
-  end;
+  | Some Split_brain ->
+    (* Planted split-brain bug (part 2): sever cell 0 from the rest of
+       the machine mid-run and never heal. Under the historical
+       confirmation rule (see boot params) each side of the blackout
+       confirms the other dead and elects its own recovery master; the
+       continuously-latched single-master oracle must catch the
+       overlap. *)
+    Campaign.sever_cell sys ~cell:0 ~from_ns:400_000_000L
+      ~until_ns:Int64.max_int ~one_way:false
+  | Some Unrecorded_grant | None -> ());
   let cfg = cfg_of_plan plan in
   let injected = ref [] and exempt = ref [] in
   let violations = ref [] in
@@ -446,11 +428,11 @@ let run_plan ?(demo_bug = false) ?(dup_bug = false) ?(split_brain = false)
                 let now = Sim.Engine.time () in
                 if Int64.compare at now > 0 then
                   Sim.Engine.delay (Int64.sub at now);
-                (* Retry until a suitable victim exists (corruption faults
-                   need a process with an anonymous region). *)
-                let rec attempt tries =
-                  match Campaign.inject sys inject_rng f with
-                  | Some cell ->
+                let _, cells =
+                  Campaign.inject_retrying sys inject_rng ~tries:51 f
+                in
+                List.iter
+                  (fun cell ->
                     injected :=
                       Printf.sprintf "%s -> cell %d" (fault_desc f) cell
                       :: !injected;
@@ -459,14 +441,8 @@ let run_plan ?(demo_bug = false) ?(dup_bug = false) ?(split_brain = false)
                     if
                       Campaign.corrupts_cell f
                       && not (List.mem cell !exempt)
-                    then exempt := cell :: !exempt
-                  | None ->
-                    if tries > 0 then begin
-                      Sim.Engine.delay 20_000_000L;
-                      attempt (tries - 1)
-                    end
-                in
-                attempt 50)
+                    then exempt := cell :: !exempt)
+                  cells)
               plan.faults));
      let result = run_workload sys cfg in
      completed := result.Workloads.Workload.completed;
@@ -541,7 +517,7 @@ let run_plan ?(demo_bug = false) ?(dup_bug = false) ?(split_brain = false)
      (* The planted containment bug: a hardware grant the kernel never
         recorded, on a kernel-reserve page cell 0 never exports. The
         firewall/pfdat agreement checker must flag it. *)
-     if demo_bug && !exempt <> [] then begin
+     if plant = Some Unrecorded_grant && !exempt <> [] then begin
        let victim = sys.Hive.Types.cells.(List.hd !exempt) in
        let c0 = sys.Hive.Types.cells.(0) in
        let pfn = Flash.Addr.first_pfn_of_node mcfg c0.Hive.Types.boss_node + 2 in
@@ -570,30 +546,18 @@ let run_plan ?(demo_bug = false) ?(dup_bug = false) ?(split_brain = false)
 
 let failed r = r.r_violations <> []
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_strings xs =
-  String.concat "," (List.map (fun s -> "\"" ^ json_escape s ^ "\"") xs)
-
 let record_to_json r =
-  Printf.sprintf
-    {|{"seed":"0x%Lx","plan":"%s","injected":[%s],"completed":%b,"violations":[%s],"survivors":[%s],"sim_ns":%Ld,"events":%d}|}
-    r.r_seed (json_escape r.r_plan) (json_strings r.r_injected) r.r_completed
-    (json_strings r.r_violations)
-    (String.concat "," (List.map string_of_int r.r_survivors))
-    r.r_sim_ns r.r_events
+  let open Sim.Json in
+  let strs l = Arr (List.map (fun s -> Str s) l) in
+  let int n = Int (Int64.of_int n) in
+  to_string
+    (Obj
+       [ ("seed", Str (Printf.sprintf "0x%Lx" r.r_seed));
+         ("plan", Str r.r_plan); ("injected", strs r.r_injected);
+         ("completed", Bool r.r_completed);
+         ("violations", strs r.r_violations);
+         ("survivors", Arr (List.map int r.r_survivors));
+         ("sim_ns", Int r.r_sim_ns); ("events", int r.r_events) ])
 
 (* Shrinking: greedily apply the first simplification that still fails —
    dropping a fault, disabling jitter, rounding fault times to a coarse
@@ -607,6 +571,8 @@ let round_to grain at =
 let round_fault grain = function
   | Campaign.Node_failure f ->
     Campaign.Node_failure { f with at_ns = round_to grain f.at_ns }
+  | Campaign.Node_cascade f ->
+    Campaign.Node_cascade { f with at_ns = round_to grain f.at_ns }
   | Campaign.Corrupt_map f ->
     Campaign.Corrupt_map { f with at_ns = round_to grain f.at_ns }
   | Campaign.Corrupt_cow f ->
@@ -618,10 +584,9 @@ let round_fault grain = function
   | Campaign.Cpu_dead_mem_alive f ->
     Campaign.Cpu_dead_mem_alive { f with at_ns = round_to grain f.at_ns }
 
-let shrink ?(demo_bug = false) ?(dup_bug = false) ?(split_brain = false) plan
-    =
+let shrink ?plant plan =
   let fails p =
-    let r = run_plan ~demo_bug ~dup_bug ~split_brain p in
+    let r = run_plan ?plant p in
     if failed r then Some r else None
   in
   match fails plan with

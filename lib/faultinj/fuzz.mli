@@ -50,28 +50,27 @@ val plan_of_seed : int64 -> plan
 
 val describe_plan : plan -> string
 
-(** Run one plan to completion and check every invariant. [demo_bug]
-    plants a deliberate containment bug (a firewall grant the kernel
-    never recorded) when a node failure lands — used to prove the
-    checkers can catch one. [dup_bug] plants a transport bug instead:
-    reply-cache suppression is disabled while a duplication-heavy
-    machine-wide degradation window runs, so retransmitted requests
-    execute twice and the at-most-once checker must flag it.
-    [split_brain] plants an agreement bug: the quorum check is disabled
-    (silence counts as a death vote) while cell 0 is severed from the
-    rest of the machine, so both sides of the blackout confirm each
-    other dead and elect concurrent recovery masters — the latched
-    single-master oracle must flag the overlap.
-    [trace_out] writes a Chrome trace_event JSON file of the run;
-    [metrics_out] writes the end-of-run typed metrics snapshot as JSON. *)
+(** A deliberately planted bug, used to prove the checkers catch one. *)
+type plant =
+  | Unrecorded_grant
+      (** a firewall grant the kernel never recorded, planted once a
+          cell-destroying fault lands; the firewall checker must flag it *)
+  | Dup_execution
+      (** reply-cache suppression off while a duplication-heavy
+          machine-wide degradation window runs, so retransmitted requests
+          execute twice; the at-most-once checker must flag it *)
+  | Split_brain
+      (** the agreement quorum check off (silence counts as a death vote)
+          while cell 0 is severed from the rest of the machine, so both
+          sides elect concurrent recovery masters; the latched
+          single-master oracle must flag the overlap *)
+
+(** Run one plan to completion and check every invariant, optionally with
+    a [plant]ed bug. [trace_out] writes a Chrome trace_event JSON file of
+    the run; [metrics_out] writes the end-of-run typed metrics snapshot
+    as JSON. *)
 val run_plan :
-  ?demo_bug:bool ->
-  ?dup_bug:bool ->
-  ?split_brain:bool ->
-  ?trace_out:string ->
-  ?metrics_out:string ->
-  plan ->
-  record
+  ?plant:plant -> ?trace_out:string -> ?metrics_out:string -> plan -> record
 
 val failed : record -> bool
 
@@ -83,5 +82,4 @@ val record_to_json : record -> string
     coarser grains, and disable jitter, keeping each simplification only
     if the plan still fails. Returns the minimal plan and its record.
     Raises [Invalid_argument] if the plan does not fail to begin with. *)
-val shrink :
-  ?demo_bug:bool -> ?dup_bug:bool -> ?split_brain:bool -> plan -> plan * record
+val shrink : ?plant:plant -> plan -> plan * record

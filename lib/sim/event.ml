@@ -142,20 +142,6 @@ let ring_total r = r.rcount
 
 (* ---------- JSON helpers (shared by the file sinks) ---------- *)
 
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let json_value b = function
   | Int i -> Buffer.add_string b (string_of_int i)
   | I64 i -> Buffer.add_string b (Int64.to_string i)
@@ -165,7 +151,7 @@ let json_value b = function
     else Buffer.add_string b (Printf.sprintf "%g" f)
   | Str s ->
     Buffer.add_char b '"';
-    json_escape b s;
+    Json.escape_into b s;
     Buffer.add_char b '"'
   | Bool v -> Buffer.add_string b (if v then "true" else "false")
 
@@ -175,7 +161,7 @@ let json_args b args =
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_char b '"';
-      json_escape b k;
+      Json.escape_into b k;
       Buffer.add_string b "\":";
       json_value b v)
     args;
@@ -187,7 +173,7 @@ let json_args b args =
 let event_to_json e =
   let b = Buffer.create 160 in
   Buffer.add_string b "{\"name\":\"";
-  json_escape b e.name;
+  Json.escape_into b e.name;
   Buffer.add_string b "\",\"cat\":\"";
   Buffer.add_string b (category_to_string e.cat);
   Buffer.add_string b "\",\"ph\":\"";

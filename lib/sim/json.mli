@@ -25,6 +25,9 @@ val to_string : ?pretty:bool -> t -> string
     numbers that fit are [Int], everything else is [Float]. *)
 val of_string : string -> (t, string) result
 
+(** Append [s] to the buffer with JSON string escapes (no quotes). *)
+val escape_into : Buffer.t -> string -> unit
+
 (** A float representation that survives a print/parse round trip and is
     always valid JSON (never ["1."], ["nan"] or ["inf"]). *)
 val float_repr : float -> string

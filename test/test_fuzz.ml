@@ -56,31 +56,35 @@ let test_link_fault_seeds_clean () =
    (the bug needs no scheduled faults at all, only the planted window). *)
 let test_dup_bug_caught_and_shrunk () =
   let plan = Faultinj.Fuzz.plan_of_seed 28L in
-  let r = Faultinj.Fuzz.run_plan ~dup_bug:true plan in
+  let r = Faultinj.Fuzz.run_plan ~plant:Faultinj.Fuzz.Dup_execution plan in
   Alcotest.(check bool) "duplicate execution detected" true
     (Faultinj.Fuzz.failed r);
   Alcotest.(check bool) "at-most-once checker named it" true
     (List.exists
        (fun v -> contains v "rpc-at-most-once")
        r.Faultinj.Fuzz.r_violations);
-  let p', r' = Faultinj.Fuzz.shrink ~dup_bug:true plan in
+  let p', r' = Faultinj.Fuzz.shrink ~plant:Faultinj.Fuzz.Dup_execution plan in
   Alcotest.(check bool) "shrunk plan still fails" true (Faultinj.Fuzz.failed r');
   Alcotest.(check bool) "scheduled faults shrunk away" true
     (List.length p'.Faultinj.Fuzz.faults <= 1)
 
-(* Seed 4 derives a plan whose fault lands; with [demo_bug] the harness
-   then plants a firewall grant the kernel never recorded. The checkers
-   must catch it, and shrinking must converge to at most two faults while
-   still failing. *)
+(* Seed 4 derives a plan whose fault lands; with [Unrecorded_grant] the
+   harness then plants a firewall grant the kernel never recorded. The
+   checkers must catch it, and shrinking must converge to at most two
+   faults while still failing. *)
 let test_demo_bug_caught_and_shrunk () =
   let plan = Faultinj.Fuzz.plan_of_seed 4L in
-  let r = Faultinj.Fuzz.run_plan ~demo_bug:true plan in
+  let r =
+    Faultinj.Fuzz.run_plan ~plant:Faultinj.Fuzz.Unrecorded_grant plan
+  in
   Alcotest.(check bool) "planted bug detected" true (Faultinj.Fuzz.failed r);
   Alcotest.(check bool) "firewall checker named it" true
     (List.exists
        (fun v -> contains v "firewall")
        r.Faultinj.Fuzz.r_violations);
-  let p', r' = Faultinj.Fuzz.shrink ~demo_bug:true plan in
+  let p', r' =
+    Faultinj.Fuzz.shrink ~plant:Faultinj.Fuzz.Unrecorded_grant plan
+  in
   Alcotest.(check bool) "shrunk plan still fails" true
     (Faultinj.Fuzz.failed r');
   Alcotest.(check bool) "shrunk to <= 2 faults" true

@@ -544,7 +544,7 @@ let contains_single_master violations =
 
 let test_demo_split_brain_caught () =
   let plan = Faultinj.Fuzz.plan_of_seed 1L in
-  let r = Faultinj.Fuzz.run_plan ~split_brain:true plan in
+  let r = Faultinj.Fuzz.run_plan ~plant:Faultinj.Fuzz.Split_brain plan in
   Alcotest.(check bool) "planted split-brain detected" true
     (Faultinj.Fuzz.failed r);
   Alcotest.(check bool) "single-master oracle fired" true
@@ -552,7 +552,7 @@ let test_demo_split_brain_caught () =
 
 let test_demo_split_brain_shrinks () =
   let plan = Faultinj.Fuzz.plan_of_seed 1L in
-  let _plan', r' = Faultinj.Fuzz.shrink ~split_brain:true plan in
+  let _plan', r' = Faultinj.Fuzz.shrink ~plant:Faultinj.Fuzz.Split_brain plan in
   Alcotest.(check bool) "shrunk plan still fails" true
     (Faultinj.Fuzz.failed r');
   Alcotest.(check bool) "shrunk failure still names single-master" true

@@ -137,18 +137,34 @@ let test_campaign_cascade_contained () =
   (* Second node killed while the first failure's recovery round is in
      flight: no deadlock, the survivors finish the restarted round, the
      fault stays contained, and the master reintegrates both victims. *)
+  let sys = Hive.System.boot ~ncells:4 ~wax:true (Sim.Engine.create ()) in
   let o =
-    Faultinj.Campaign.run_cascade_test ~seed:21 ~first_node:2 ~second_node:1
-      ~at_ns:100_000_000L ()
+    Faultinj.Campaign.run_test ~seed:21 ~sys
+      ~workload:Faultinj.Campaign.Use_pmake
+      (Faultinj.Campaign.Node_cascade
+         { first_node = 2; second_node = 1; at_ns = 100_000_000L })
   in
-  Alcotest.(check bool) "no deadlock" false o.Faultinj.Campaign.c_deadlocked;
-  Alcotest.(check bool) "round restarted" true o.Faultinj.Campaign.c_restarted;
-  Alcotest.(check bool) "contained" true o.Faultinj.Campaign.c_contained;
+  let counter = Sim.Stats.value sys.Hive.Types.sys_counters in
+  Alcotest.(check bool) "no deadlock" true
+    (o.Faultinj.Campaign.recovery_ms <> None
+    && not sys.Hive.Types.recovery_in_progress);
+  Alcotest.(check bool) "round restarted" true
+    (counter "recovery.round_restarts" >= 1);
+  Alcotest.(check bool) "contained" true o.Faultinj.Campaign.contained;
+  Alcotest.(check (list int)) "both victims injected" [ 2; 1 ]
+    o.Faultinj.Campaign.injected_cells;
   Alcotest.(check bool) "both victims reintegrated" true
-    o.Faultinj.Campaign.c_reintegrated;
+    (counter "cell.reintegrations" >= 2
+    && Array.for_all
+         (fun (c : Hive.Types.cell) ->
+           Hive.Types.cell_alive c
+           && List.mem 1 c.Hive.Types.live_set
+           && List.mem 2 c.Hive.Types.live_set)
+         sys.Hive.Types.cells);
   Alcotest.(check bool) "check run passed" true
-    o.Faultinj.Campaign.c_check_passed;
-  Alcotest.(check bool) "passed overall" true (Faultinj.Campaign.cascade_passed o)
+    (o.Faultinj.Campaign.check_passed
+    && o.Faultinj.Campaign.corrupt_outputs = []);
+  Alcotest.(check bool) "passed overall" true (Faultinj.Campaign.passed o)
 
 let test_campaign_cow_corruption_contained () =
   let o =
@@ -162,7 +178,24 @@ let test_campaign_cow_corruption_contained () =
          })
   in
   Alcotest.(check bool) "passed" true (Faultinj.Campaign.passed o);
-  Alcotest.(check int) "victim identified" 1 o.Faultinj.Campaign.injected_cell
+  Alcotest.(check (list int)) "victim identified" [ 1 ]
+    o.Faultinj.Campaign.injected_cells
+
+(* The CLI's [fault corrupt-cow] configuration: a COW-tree corruption
+   during pmake rather than raytrace. *)
+let test_campaign_cow_corruption_pmake () =
+  let o =
+    Faultinj.Campaign.run_test ~workload:Faultinj.Campaign.Use_pmake
+      (Faultinj.Campaign.Corrupt_cow
+         {
+           victim_cell = 1;
+           at_ns = 300_000_000L;
+           mode = Hive.System.Random_address;
+         })
+  in
+  Alcotest.(check (list int)) "victim injected" [ 1 ]
+    o.Faultinj.Campaign.injected_cells;
+  Alcotest.(check bool) "passed" true (Faultinj.Campaign.passed o)
 
 let test_campaign_map_corruption_contained () =
   let o =
@@ -193,6 +226,8 @@ let suite =
       test_campaign_cascade_contained;
     Alcotest.test_case "campaign: COW corruption contained" `Slow
       test_campaign_cow_corruption_contained;
+    Alcotest.test_case "campaign: COW corruption during pmake" `Slow
+      test_campaign_cow_corruption_pmake;
     Alcotest.test_case "campaign: map corruption contained" `Slow
       test_campaign_map_corruption_contained;
   ]
