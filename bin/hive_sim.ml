@@ -58,11 +58,24 @@ let shape_term =
         { sh_cells; sh_nodes; sh_smp; sh_no_import_cache })
     $ cells $ nodes $ smp $ no_import_cache)
 
+(* An output file path, probed at parse time so that an unwritable path
+   fails before any simulation runs: cmdliner prints the error naming the
+   path and exits 124. The probe creates the file but does not truncate it. *)
+let out_file =
+  let parse path =
+    match open_out_gen [ Open_wronly; Open_creat ] 0o644 path with
+    | oc ->
+      close_out oc;
+      Ok path
+    | exception Sys_error msg -> Error (`Msg ("cannot write " ^ msg))
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
 let output_term =
   let trace =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some out_file) None
       & info [ "trace-out" ] ~docv:"FILE"
           ~doc:
             "Write a Chrome trace_event JSON file of the run (load it in \
@@ -71,7 +84,7 @@ let output_term =
   let metrics =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some out_file) None
       & info [ "metrics-json" ] ~docv:"FILE"
           ~doc:
             "Write the end-of-run typed metrics snapshot (per-op RPC \
@@ -95,9 +108,10 @@ let boot_shape ?(oracle = false) ?wax shape =
     else mcfg
   in
   let params =
-    if shape.sh_no_import_cache then
-      Hive.Params.legacy_sharing Hive.Params.default
-    else Hive.Params.default
+    {
+      Hive.Params.default with
+      enable_import_cache = not shape.sh_no_import_cache;
+    }
   in
   let sys =
     Hive.System.boot ~mcfg ~params ~ncells ~multicellular:(not shape.sh_smp)
@@ -124,12 +138,11 @@ let verify_of sys = function
   | _ -> []
 
 let print_counters sys =
-  let _all, per_cell = Hive.System.counters sys in
   List.iter
-    (fun (id, cs) ->
-      Printf.printf "  cell %d:\n" id;
-      List.iter (fun (k, v) -> Printf.printf "    %-28s %d\n" k v) cs)
-    per_cell
+    (fun (c : Hive.Metrics.Snapshot.cell) ->
+      Printf.printf "  cell %d:\n" c.id;
+      List.iter (fun (k, v) -> Printf.printf "    %-28s %d\n" k v) c.counters)
+    (Hive.Metrics.capture sys).Hive.Metrics.Snapshot.cells
 
 (* Attach a Chrome trace_event sink when --trace-out is given; returns the
    finalizer that terminates the JSON array. *)
@@ -261,12 +274,7 @@ let run_fault kind shape node victim at_ms cascade_node oracle link_from
   Printf.printf "contained: %b\n" o.Faultinj.Campaign.contained;
   Printf.printf "live cells: [%s]\n" (ints o.Faultinj.Campaign.survivors);
   if kind = `Link then begin
-    let per name =
-      Array.fold_left
-        (fun acc (c : Hive.Types.cell) ->
-          acc + Sim.Stats.value c.Hive.Types.counters name)
-        0 sys.Hive.Types.cells
-    in
+    let per = Hive.System.counter_total sys in
     let d = (Hive.Metrics.capture sys).Hive.Metrics.Snapshot.sips in
     Printf.printf
       "sips damage: %d dropped, %d duplicated, %d delayed (of %d sends)\n"
@@ -492,7 +500,7 @@ let shrink_arg =
 let fuzz_out_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some out_file) None
     & info [ "out" ] ~docv:"FILE"
         ~doc:"Append one JSON record per seed to FILE (JSON Lines).")
 

@@ -15,8 +15,7 @@ let boot_dims (dims : dims) =
     else mcfg
   in
   let params =
-    if dims.import_cache then Hive.Params.default
-    else Hive.Params.legacy_sharing Hive.Params.default
+    { Hive.Params.default with enable_import_cache = dims.import_cache }
   in
   let sys =
     Hive.System.boot ~mcfg ~params ~ncells:dims.cells
@@ -74,12 +73,7 @@ let run_rpc ~op ~opname (dims : dims) =
          done));
   let snap = Hive.Metrics.capture sys in
   let h = client_hist_exn snap opname in
-  let per name =
-    Array.fold_left
-      (fun acc (c : Hive.Types.cell) ->
-        acc + Sim.Stats.value c.Hive.Types.counters name)
-      0 sys.Hive.Types.cells
-  in
+  let per = Hive.System.counter_total sys in
   [
     metric "p50_ns" h.Hive.Metrics.Snapshot.p50_ns;
     metric "p95_ns" h.Hive.Metrics.Snapshot.p95_ns;
@@ -719,7 +713,7 @@ let declare_traffic () =
    the big rows stay fast), runs a pmake sized to the cell count, fail-stops
    the last cell mid-compile, and waits for automatic recovery plus
    reintegration to reunify the live set. Committed rows gate the scaling
-   behavior: boot and recovery must grow sub-quadratically in cells, RPCs
+   behavior: recovery must grow sub-quadratically in cells, RPCs
    per compile must stay flat, and the invariant checkers must come back
    clean on every shape. *)
 
@@ -732,7 +726,6 @@ let run_scale (dims : dims) =
     }
   in
   let sys = Hive.System.boot ~mcfg ~ncells:dims.cells ~wax:true eng in
-  let boot_ms = Int64.to_float sys.Hive.Types.last_boot_ns /. 1e6 in
   (* Let Wax publish stats and run a few policy passes before loading. *)
   Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 400_000_000L) eng;
   let pcfg =
@@ -791,12 +784,7 @@ let run_scale (dims : dims) =
         acc + h.Hive.Metrics.Snapshot.count)
       0 snap.Hive.Metrics.Snapshot.rpc_client
   in
-  let per name =
-    Array.fold_left
-      (fun acc (c : Hive.Types.cell) ->
-        acc + Sim.Stats.value c.Hive.Types.counters name)
-      0 sys.Hive.Types.cells
-  in
+  let per = Hive.System.counter_total sys in
   let sysc name = Sim.Stats.value sys.Hive.Types.sys_counters name in
   (* Wax balancing effect: relative spread of free frames across the live
      cells (stddev over mean). The hint loop steers allocation toward the
@@ -814,7 +802,6 @@ let run_scale (dims : dims) =
   let spread_pct = if mean > 0. then 100. *. sqrt var /. mean else 0. in
   let invariants_clean = Hive.Invariants.check sys = [] in
   [
-    metric "boot_ms" boot_ms;
     metric "recovery_ms" recovery_ms;
     metric "rpcs_per_compile"
       (float_of_int rpc_calls /. float_of_int pcfg.Workloads.Pmake.files);
@@ -842,7 +829,7 @@ let declare_scale () =
          "boot N cells over 2N nodes with Wax hints driving placement, run \
           a pmake sized to the machine, fail-stop one cell mid-build, and \
           reunify through recovery + reintegration (ws = pages per node); \
-          gates boot/recovery scaling and hint-validation health"
+          gates recovery scaling and hint-validation health"
        ~dims:
          [
            { base with cells = 4; nodes = 8 };
@@ -938,19 +925,18 @@ let fault_latencies (dims : dims) =
    inputs; the totals are emergent. *)
 let run_pagefault_breakdown (dims : dims) =
   let local_us, remote_us = fault_latencies dims in
-  let p = Hive.Params.default in
   let client =
     [
-      ("client_fs_us", p.Hive.Params.fault_client_fs_ns);
-      ("client_lock_us", p.Hive.Params.fault_client_lock_ns);
-      ("client_vm_us", p.Hive.Params.fault_client_vm_ns);
-      ("client_import_us", p.Hive.Params.fault_import_ns);
+      ("client_fs_us", Hive.Params.fault_client_fs_ns);
+      ("client_lock_us", Hive.Params.fault_client_lock_ns);
+      ("client_vm_us", Hive.Params.fault_client_vm_ns);
+      ("client_import_us", Hive.Params.fault_import_ns);
     ]
   in
   let home =
     [
-      ("home_vm_us", p.Hive.Params.fault_home_vm_ns);
-      ("home_export_us", p.Hive.Params.fault_export_ns);
+      ("home_vm_us", Hive.Params.fault_home_vm_ns);
+      ("home_export_us", Hive.Params.fault_export_ns);
     ]
   in
   let parts ~paper total_name l =

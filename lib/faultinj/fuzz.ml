@@ -359,14 +359,13 @@ let run_plan ?plant ?trace_out ?metrics_out plan =
      Planted split-brain bug (part 1): boot with the agreement quorum
      check off, reverting to the historical "silence is a death vote"
      confirmation rule. *)
-  let params =
+  let planted_bug =
     match plant with
-    | Some Dup_execution ->
-      { Hive.Params.default with Hive.Params.rpc_dup_suppression = false }
-    | Some Split_brain ->
-      { Hive.Params.default with Hive.Params.agreement_quorum_check = false }
-    | Some Unrecorded_grant | None -> Hive.Params.default
+    | Some Dup_execution -> Some Hive.Params.Reply_cache_off
+    | Some Split_brain -> Some Hive.Params.Quorum_check_off
+    | Some Unrecorded_grant | None -> None
   in
+  let params = { Hive.Params.default with planted_bug } in
   let sys = Hive.System.boot ~mcfg ~params ~ncells:plan.ncells ~wax:true eng in
   let close_trace =
     match trace_out with

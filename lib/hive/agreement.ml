@@ -84,7 +84,7 @@ let oracle_dead (sys : Types.system) suspect =
    (the Cpu_dead_mem_alive fault) — unless a partition armed between the
    two reads, which the clock re-read detects. *)
 let probe (sys : Types.system) (voter : Types.cell) suspect =
-  Sim.Engine.delay sys.Types.params.Params.agreement_vote_ns;
+  Sim.Engine.delay Params.agreement_vote_ns;
   if sys.Types.use_agreement_oracle then
     if oracle_dead sys suspect then V_dead else V_alive
   else begin
@@ -176,12 +176,14 @@ let run (sys : Types.system) (accuser : Types.cell) ~suspect ~reason =
             | Error (Careful_ref.Unreachable _) -> incr silent_unreachable
             | Ok _ | Error _ -> incr silent_dead))
       voters;
-    let p = sys.Types.params in
+    let quorum_check =
+      sys.Types.params.Params.planted_bug <> Some Params.Quorum_check_off
+    in
     let hard_dead =
       !silent_dead + (match !my_verdict with V_dead -> 1 | _ -> 0)
     in
     let confirmed =
-      quorum_confirms ~quorum_check:p.Params.agreement_quorum_check
+      quorum_confirms ~quorum_check
         {
           t_alive = !votes_alive;
           t_dead = !votes_dead;
@@ -195,7 +197,7 @@ let run (sys : Types.system) (accuser : Types.cell) ~suspect ~reason =
       Recovery.initiate ~by:accuser.Types.cell_id sys ~dead:[ suspect ]
     end
     else if
-      p.Params.agreement_quorum_check
+      quorum_check
       && !votes_alive = 0
       && (!votes_unreachable > 0 || !silent_unreachable > 0)
     then begin

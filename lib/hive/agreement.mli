@@ -10,8 +10,8 @@
 
    Interconnect partitions add a third observable beside "alive" and
    "dead": *unreachable* (a careful-section timeout, as opposed to a bus
-   error). Votes carry the tri-state verdict; with
-   [Params.agreement_quorum_check] set, confirmation needs zero "alive"
+   error). Votes carry the tri-state verdict; unless the
+   [Params.Quorum_check_off] bug is planted, confirmation needs zero "alive"
    votes, some evidence, and responses from a strict majority of the
    accuser's live set minus demonstrably-dead hardware. An accuser that
    cannot muster that quorum while peers are unreachable is on the

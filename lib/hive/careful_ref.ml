@@ -113,8 +113,7 @@ let partitioned (sys : Types.system) (reader : Types.cell) ~target =
   || not (Flash.Sips.reachable sips ~from_node:tb ~to_node:rb)
 
 let protect (sys : Types.system) (reader : Types.cell) ~target f =
-  let p = sys.Types.params in
-  Sim.Engine.delay p.Params.careful_on_ns;
+  Sim.Engine.delay Params.careful_on_ns;
   Types.bump reader "careful_ref.enter";
   let ctx = { sys; reader; target; hops = 0 } in
   let result =
@@ -124,7 +123,7 @@ let protect (sys : Types.system) (reader : Types.cell) ~target f =
       else f ctx
     with
     | v ->
-      Sim.Engine.delay p.Params.careful_check_ns;
+      Sim.Engine.delay Params.careful_check_ns;
       Ok v
     | exception Careful_abort r ->
       Types.bump reader "careful_ref.defended";
@@ -134,5 +133,5 @@ let protect (sys : Types.system) (reader : Types.cell) ~target f =
       Types.bump reader "careful_ref.defended";
       Error (Bus_fault addr)
   in
-  Sim.Engine.delay p.Params.careful_off_ns;
+  Sim.Engine.delay Params.careful_off_ns;
   result

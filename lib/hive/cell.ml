@@ -156,9 +156,6 @@ let boot (sys : Types.system) (c : Types.cell) =
         loop ())
   in
   c.Types.kernel_threads <- reaper :: c.Types.kernel_threads;
-  let now = Sim.Engine.now sys.Types.eng in
-  if Int64.compare now sys.Types.last_boot_ns > 0 then
-    sys.Types.last_boot_ns <- now;
   Types.bump c "cell.boots"
 
 (* Spawn a kernel thread whose uncaught exceptions panic this cell (a

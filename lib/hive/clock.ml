@@ -67,7 +67,7 @@ let start (sys : Types.system) (c : Types.cell) =
             let v = clock_value sys c in
             Flash.Memory.write_i64 eng mem ~by:(Types.boss_proc c)
               c.Types.clock_addr (Int64.add v 1L);
-            Sim.Engine.delay p.Params.clock_check_cost_ns;
+            Sim.Engine.delay Params.clock_check_cost_ns;
             (* Monitor our ring successor. *)
             (match monitored_peer c with
             | None -> ()
@@ -82,7 +82,7 @@ let start (sys : Types.system) (c : Types.cell) =
                 bus_errors := 0;
                 if v = !last_seen then begin
                   incr stalls;
-                  if !stalls >= p.Params.clock_stall_ticks then begin
+                  if !stalls >= Params.clock_stall_ticks then begin
                     stalls := 0;
                     hint sys c peer "clock: stopped incrementing"
                   end

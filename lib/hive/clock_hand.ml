@@ -46,7 +46,7 @@ let sweep (sys : Types.system) (c : Types.cell) =
      drop idle clean cached pages, then swap. *)
   if
     Page_alloc.under_pressure c
-      ~pct:sys.Types.params.Params.clock_hand_low_pct
+      ~pct:Params.clock_hand_low_pct
   then begin
     released := !released + Page_alloc.reclaim sys c ~want:32;
     released := !released + Swap.swap_out_idle sys c ~want:16

@@ -271,10 +271,9 @@ let check_gen (sys : Types.system) (c : Types.cell) vnode opened_gen =
 
 (* Open: returns the vnode plus the generation observed at open time. *)
 let open_file (sys : Types.system) (c : Types.cell) ~path =
-  let p = sys.Types.params in
   let home_id = home_of_path sys path in
   if home_id = c.Types.cell_id then begin
-    Sim.Engine.delay p.Params.open_local_ns;
+    Sim.Engine.delay Params.open_local_ns;
     match find_local c path with
     | Some f when not f.Types.unlinked ->
       Ok (Types.Local_vnode f, f.Types.generation)
@@ -283,7 +282,7 @@ let open_file (sys : Types.system) (c : Types.cell) ~path =
   else begin
     (* Remote open: path lookup RPC to the data home plus shadow vnode
        setup. *)
-    Sim.Engine.delay p.Params.open_remote_extra_ns;
+    Sim.Engine.delay Params.open_remote_extra_ns;
     match
       Rpc.call sys ~from:c ~target:home_id ~op:lookup_op (P_lookup { path })
     with
@@ -299,7 +298,7 @@ let open_file (sys : Types.system) (c : Types.cell) ~path =
 let create_file (sys : Types.system) (c : Types.cell) ~path ~content =
   let home_id = home_of_path sys path in
   if home_id = c.Types.cell_id then begin
-    Sim.Engine.delay sys.Types.params.Params.open_local_ns;
+    Sim.Engine.delay Params.open_local_ns;
     let f = create_local sys c ~path ~content in
     Ok (Types.Local_vnode f, f.Types.generation)
   end
@@ -322,7 +321,6 @@ let create_file (sys : Types.system) (c : Types.cell) ~path ~content =
    elsewhere). [opened_gen] enforces the generation check. *)
 let rec get_page (sys : Types.system) (c : Types.cell) vnode ~page ~writable
     ~opened_gen ~(usage : [ `Fault | `Syscall ]) =
-  let p = sys.Types.params in
   let fid = Types.vnode_fid vnode in
   let lid = { Types.tag = Types.File_obj fid; page } in
   match Pfdat.lookup c lid with
@@ -350,8 +348,8 @@ let rec get_page (sys : Types.system) (c : Types.cell) vnode ~page ~writable
     else begin
       Share.cache_hit c pf;
       (match usage with
-      | `Fault -> Sim.Engine.delay p.Params.fault_local_hit_ns
-      | `Syscall -> Sim.Engine.delay p.Params.read_write_page_overhead_ns);
+      | `Fault -> Sim.Engine.delay Params.fault_local_hit_ns
+      | `Syscall -> Sim.Engine.delay Params.read_write_page_overhead_ns);
       if writable then pf.Types.dirty <- true;
       Ok pf
     end
@@ -365,8 +363,8 @@ let rec get_page (sys : Types.system) (c : Types.cell) vnode ~page ~writable
       if f.Types.generation > opened_gen then Error Types.EIO
       else begin
         (match usage with
-        | `Fault -> Sim.Engine.delay p.Params.fault_local_hit_ns
-        | `Syscall -> Sim.Engine.delay p.Params.read_write_page_overhead_ns);
+        | `Fault -> Sim.Engine.delay Params.fault_local_hit_ns
+        | `Syscall -> Sim.Engine.delay Params.read_write_page_overhead_ns);
         let pf = page_in sys c f page in
         if writable then begin
           pf.Types.dirty <- true;
@@ -380,7 +378,7 @@ let rec get_page (sys : Types.system) (c : Types.cell) vnode ~page ~writable
          sequential fault streams grow an adaptive read-ahead window (a
          lone fault still locates one page, so sparse access patterns pay
          nothing extra). *)
-      Sim.Engine.delay p.Params.fault_client_fs_ns;
+      Sim.Engine.delay Params.fault_client_fs_ns;
       Types.bump c "fs.remote_locates";
       let npages =
         match usage with
@@ -397,7 +395,9 @@ let rec get_page (sys : Types.system) (c : Types.cell) vnode ~page ~writable
           if page = ra.Types.ra_last + 1 then
             ra.Types.ra_window <-
               min (ra.Types.ra_window * 2)
-                (max 1 p.Params.fault_readahead_max)
+                (if sys.Types.params.Params.enable_import_cache then
+                   Params.fault_readahead_max
+                 else 1)
           else ra.Types.ra_window <- 1;
           ra.Types.ra_window
       in
@@ -477,7 +477,6 @@ let read (sys : Types.system) (c : Types.cell) vnode ~opened_gen ~pos ~len =
 (* Write bytes at [pos], extending the file as needed. *)
 let write (sys : Types.system) (c : Types.cell) vnode ~opened_gen ~pos data =
   check_gen sys c vnode opened_gen;
-  let p = sys.Types.params in
   let psize = page_size sys in
   let len = Bytes.length data in
   let end_pos = ref 0 in
@@ -505,7 +504,7 @@ let write (sys : Types.system) (c : Types.cell) vnode ~opened_gen ~pos data =
           (match vnode with
           | Types.Local_vnode f ->
             if pos + chunk > f.Types.size then begin
-              Sim.Engine.delay p.Params.fs_block_alloc_ns;
+              Sim.Engine.delay Params.fs_block_alloc_ns;
               f.Types.size <- pos + chunk
             end
           | Types.Shadow_vnode _ -> ());
@@ -580,14 +579,14 @@ let registered = ref false
 let register_handlers () =
   if not !registered then begin
     registered := true;
-    Rpc.register lookup_op (fun sys cell ~src:_ arg ->
+    Rpc.register lookup_op (fun _sys cell ~src:_ arg ->
         match arg with
         | P_lookup { path } -> (
           match find_local cell path with
           | Some f when not f.Types.unlinked ->
             Types.Queued
               (fun () ->
-                Sim.Engine.delay sys.Types.params.Params.open_local_ns;
+                Sim.Engine.delay Params.open_local_ns;
                 Ok
                   (P_attrs
                      {
@@ -611,7 +610,7 @@ let register_handlers () =
         | P_create { path; content } ->
           Types.Queued
             (fun () ->
-              Sim.Engine.delay sys.Types.params.Params.open_local_ns;
+              Sim.Engine.delay Params.open_local_ns;
               let f = create_local sys cell ~path ~content in
               Ok
                 (P_created
@@ -668,7 +667,7 @@ let register_handlers () =
                      wanted
               in
               let serve () =
-                Sim.Engine.delay sys.Types.params.Params.fault_home_vm_ns;
+                Sim.Engine.delay Params.fault_home_vm_ns;
                 (* Page everything in first: the disk reads may block, and
                    a generation bump landing mid-batch must fail the whole
                    batch before any page is exported — never export a mix
@@ -696,7 +695,7 @@ let register_handlers () =
                              extends. *)
                           if writable && pg * psize >= f.Types.size then
                             Sim.Engine.delay
-                              sys.Types.params.Params.fs_block_alloc_ns;
+                              Params.fs_block_alloc_ns;
                           let pf = page_in sys cell f pg in
                           pf.Types.pins <- pf.Types.pins + 1;
                           pinned := pf :: !pinned;

@@ -355,16 +355,7 @@ let sharing_counters =
     "fs.release_errors" ]
 
 let sharing_totals (sys : Types.system) =
-  List.map
-    (fun name ->
-      let total =
-        Array.fold_left
-          (fun acc (c : Types.cell) ->
-            acc + Sim.Stats.value c.Types.counters name)
-          0 sys.Types.cells
-      in
-      (name, total))
-    sharing_counters
+  List.map (fun name -> (name, System.counter_total sys name)) sharing_counters
   |> List.sort compare
 
 (* The derived cache-hit rate: hits / (hits + locate RPCs) — the fraction

@@ -4,195 +4,147 @@
    (Table 5.2 and Section 6); end-to-end latencies, ratios and workload
    slowdowns are not hardcoded anywhere — they emerge from composing these
    components with the machine model, and the benches compare the emergent
-   numbers against the paper. *)
+   numbers against the paper. The costs and bounds are constants; only the
+   per-boot switches some caller actually varies live in [t]. *)
+
+(* A deliberately re-created historical bug, so the fuzzer's checkers can
+   demonstrate they would catch a regression. *)
+type planted_bug =
+  | Reply_cache_off
+      (* servers do not drop retransmits of already-executed calls *)
+  | Epoch_check_off
+      (* clients accept replies stamped with a previous incarnation *)
+  | Quorum_check_off
+      (* under a partition, an accuser whose reachable side is not a strict
+         majority of its live set confirms instead of standing down *)
 
 type t = {
-  (* Clock and failure detection *)
   tick_ns : int64;
-  clock_check_cost_ns : int64;
-  clock_stall_ticks : int;
-  rpc_timeout_ns : int64;
-  spin_timeout_ns : int64;
-  (* At-most-once RPC transport: retransmission bounds and backoff.
-     A per-attempt timeout of [rpc_timeout_ns] plus [rpc_max_retries]
-     retransmits with exponential backoff (base doubling up to the cap,
-     plus deterministic jitter) rides out transient link degradation; only
-     exhausting every attempt reports a failure hint. *)
-  rpc_max_retries : int;
-  rpc_backoff_base_ns : int64;
-  rpc_backoff_cap_ns : int64;
-  rpc_dup_suppression : bool;
-      (* servers drop retransmits of already-executed calls (false only in
-         fault-injection runs that model the historical transport bug) *)
-  rpc_epoch_check : bool;
-      (* clients drop replies stamped with a previous incarnation (false
-         only in runs proving the epoch invariant checker has teeth) *)
-  rpc_deadline_ns : int64;
-      (* default end-to-end budget for a call, spanning every retransmit
-         and backoff sleep; 0 = unlimited (the per-attempt schedule alone
-         bounds the call). Callers override per call with ?deadline_ns. *)
-  rpc_queue_bound : int;
-      (* admission control for ops declared [sheddable]: a sheddable
-         request arriving while the server's queued-service backlog is at
-         least this deep is refused with EBUSY instead of queued *)
-  (* Careful reference protocol *)
-  careful_on_ns : int64;
-  careful_off_ns : int64;
-  careful_check_ns : int64;
-  (* RPC engine *)
-  rpc_client_send_ns : int64;
-  rpc_client_recv_ns : int64;
-  rpc_server_dispatch_ns : int64;
-  rpc_server_reply_ns : int64;
-  rpc_stub_marshal_ns : int64;
-  rpc_alloc_free_ns : int64;
-  rpc_queue_handoff_ns : int64;
-  rpc_context_switch_ns : int64;
-  rpc_server_pool : int;
-  (* Virtual memory paths (Table 5.2 components) *)
-  fault_local_hit_ns : int64;
-  fault_client_fs_ns : int64;
-  fault_client_lock_ns : int64;
-  fault_client_vm_ns : int64;
-  fault_import_ns : int64;
-  fault_home_vm_ns : int64;
-  fault_export_ns : int64;
-  (* File system paths *)
-  open_local_ns : int64;
-  open_remote_extra_ns : int64;
-  read_write_page_overhead_ns : int64;
-  remote_read_bind_ns : int64;
-  fs_block_alloc_ns : int64;
-  (* Process management *)
-  fork_local_ns : int64;
-  fork_remote_extra_ns : int64;
-  exec_ns : int64;
-  exit_ns : int64;
-  context_switch_ns : int64;
-  (* Recovery *)
   enable_preemptive_discard : bool;
       (* ablation knob: turn off the wild-write defense's discard step *)
   auto_reintegrate : bool;
       (* recovery master reboots and reintegrates the failed cells once
          their hardware diagnostics pass (off = leave them down, as the
          paper's prototype did) *)
-  max_refault_retries : int;
-      (* bound on firewall-denied refault retries before a write gives up
-         with EFAULT (a persistent denial would otherwise livelock) *)
-  recovery_scan_page_ns : int64;
-  recovery_phase_ns : int64;
-  agreement_vote_ns : int64;
-  agreement_quorum_check : bool;
-      (* under a partition, an accuser whose reachable side is not a strict
-         majority of its live set must stand down instead of confirming
-         (false only in runs proving the single-master checker has teeth) *)
   enable_salvage : bool;
       (* when a cell's processors die but its memory stays readable
          (Cpu_dead_mem_alive), survivors copy generation-clean, wild-write-
          filtered imported pages into local frames instead of dropping the
          bindings (ablation knob for the salvage-vs-discard A/B) *)
-  salvage_copy_ns : int64; (* per-page remote-read-and-copy cost *)
-  (* Wax *)
-  wax_period_ns : int64;
-  wax_scan_cost_ns : int64;
-  wax_pressure_pct : int;
-      (* a cell is under memory pressure when its free frames drop below
-         this percentage of the frames it owns (floor of 8); replaces the
-         old fixed 32-frame threshold, which was meaningless for both
-         tiny test cells and 64-cell machines *)
-  wax_swap_want : int;
-      (* frames a swap hint asks a pressured cell to push to swap; the
-         cell's own thread validates the hint before acting *)
-  wax_pref_len : int;
-      (* length of the allocation-preference hint list (the k cells with
-         the most free memory, selected without sorting every cell) *)
-  clock_hand_low_pct : int;
-      (* clock-hand local-pressure watermark, as a percentage of owned
-         frames (floor of 8); was a fixed 64 frames *)
-  (* Remote-page import cache and batched sharing protocol *)
   enable_import_cache : bool;
       (* park released read-only imports in a per-cell cache instead of
-         freeing them, so re-access skips the locate RPC *)
+         freeing them, so re-access skips the locate RPC; read-ahead for
+         fault streams and vectored releases ride on the same switch, so
+         false selects the pre-cache sharing protocol (single-page fault
+         locates, one release RPC per page) for A/B comparison *)
   import_cache_pages : int; (* parked bindings per cell before eviction *)
-  fault_readahead_max : int;
-      (* cap on the adaptive read-ahead window for sequential fault
-         streams (1 = the old locate-one-page-per-fault behavior) *)
-  batch_releases : bool;
-      (* coalesce import releases into one vectored RPC per data home *)
+  planted_bug : planted_bug option; (* None outside fault-injection runs *)
+  rpc_server_pool : int;
+  rpc_queue_bound : int;
+      (* admission control for ops declared [sheddable]: a sheddable
+         request arriving while the server's queued-service backlog is at
+         least this deep is refused with EBUSY instead of queued *)
 }
 
 let default =
   {
     tick_ns = 10_000_000L;
-    clock_check_cost_ns = 230L;
-    clock_stall_ticks = 2;
-    rpc_timeout_ns = 200_000_000L;
-    spin_timeout_ns = 50_000L;
-    rpc_max_retries = 3;
-    rpc_backoff_base_ns = 20_000_000L;
-    rpc_backoff_cap_ns = 160_000_000L;
-    rpc_dup_suppression = true;
-    rpc_epoch_check = true;
-    rpc_deadline_ns = 0L;
-    rpc_queue_bound = 64;
-    careful_on_ns = 260L;
-    careful_off_ns = 200L;
-    careful_check_ns = 60L;
-    rpc_client_send_ns = 1_200L;
-    rpc_client_recv_ns = 1_150L;
-    rpc_server_dispatch_ns = 1_650L;
-    rpc_server_reply_ns = 1_200L;
-    rpc_stub_marshal_ns = 2_400L;
-    rpc_alloc_free_ns = 3_700L;
-    rpc_queue_handoff_ns = 13_000L;
-    rpc_context_switch_ns = 14_000L;
-    rpc_server_pool = 4;
-    fault_local_hit_ns = 6_900L;
-    fault_client_fs_ns = 9_000L;
-    fault_client_lock_ns = 5_500L;
-    fault_client_vm_ns = 8_700L;
-    fault_import_ns = 4_800L;
-    fault_home_vm_ns = 3_400L;
-    fault_export_ns = 2_000L;
-    open_local_ns = 148_000L;
-    open_remote_extra_ns = 380_000L;
-    read_write_page_overhead_ns = 16_000L;
-    remote_read_bind_ns = 3_500L;
-    fs_block_alloc_ns = 20_000L;
-    fork_local_ns = 700_000L;
-    fork_remote_extra_ns = 250_000L;
-    exec_ns = 900_000L;
-    exit_ns = 300_000L;
-    context_switch_ns = 10_000L;
     enable_preemptive_discard = true;
     auto_reintegrate = true;
-    max_refault_retries = 3;
-    recovery_scan_page_ns = 400L;
-    recovery_phase_ns = 14_000_000L;
-    agreement_vote_ns = 50_000L;
-    agreement_quorum_check = true;
     enable_salvage = true;
-    salvage_copy_ns = 9_000L;
-    wax_period_ns = 100_000_000L;
-    wax_scan_cost_ns = 50_000L;
-    wax_pressure_pct = 5;
-    wax_swap_want = 16;
-    wax_pref_len = 4;
-    clock_hand_low_pct = 1;
     enable_import_cache = true;
     import_cache_pages = 512;
-    fault_readahead_max = 8;
-    batch_releases = true;
+    planted_bug = None;
+    rpc_server_pool = 4;
+    rpc_queue_bound = 64;
   }
 
-(* The pre-cache sharing protocol: every release is an RPC, every fault
-   locates exactly one page, nothing is parked. Used for A/B comparison
-   (hive_sim --no-import-cache, bench sharing). *)
-let legacy_sharing p =
-  {
-    p with
-    enable_import_cache = false;
-    import_cache_pages = 0;
-    fault_readahead_max = 1;
-    batch_releases = false;
-  }
+(* Clock and failure detection *)
+let clock_check_cost_ns = 230L
+let clock_stall_ticks = 2
+let rpc_timeout_ns = 200_000_000L
+
+(* At-most-once RPC transport: retransmission bounds and backoff.
+   A per-attempt timeout of [rpc_timeout_ns] plus [rpc_max_retries]
+   retransmits with exponential backoff (base doubling up to the cap,
+   plus deterministic jitter) rides out transient link degradation; only
+   exhausting every attempt reports a failure hint. *)
+let rpc_max_retries = 3
+let rpc_backoff_base_ns = 20_000_000L
+let rpc_backoff_cap_ns = 160_000_000L
+
+(* default end-to-end budget for a call, spanning every retransmit and
+   backoff sleep; 0 = unlimited (the per-attempt schedule alone bounds the
+   call). Callers override per call with ?deadline_ns. *)
+let rpc_deadline_ns = 0L
+
+(* Careful reference protocol *)
+let careful_on_ns = 260L
+let careful_off_ns = 200L
+let careful_check_ns = 60L
+
+(* RPC engine *)
+let rpc_client_send_ns = 1_200L
+let rpc_client_recv_ns = 1_150L
+let rpc_server_dispatch_ns = 1_650L
+let rpc_server_reply_ns = 1_200L
+let rpc_stub_marshal_ns = 2_400L
+let rpc_alloc_free_ns = 3_700L
+let rpc_queue_handoff_ns = 13_000L
+let rpc_context_switch_ns = 14_000L
+
+(* Virtual memory paths (Table 5.2 components) *)
+let fault_local_hit_ns = 6_900L
+let fault_client_fs_ns = 9_000L
+let fault_client_lock_ns = 5_500L
+let fault_client_vm_ns = 8_700L
+let fault_import_ns = 4_800L
+let fault_home_vm_ns = 3_400L
+let fault_export_ns = 2_000L
+
+(* cap on the adaptive read-ahead window for sequential fault streams
+   (the pre-cache protocol locates one page per fault) *)
+let fault_readahead_max = 8
+
+(* File system paths *)
+let open_local_ns = 148_000L
+let open_remote_extra_ns = 380_000L
+let read_write_page_overhead_ns = 16_000L
+let fs_block_alloc_ns = 20_000L
+
+(* Process management *)
+let fork_local_ns = 700_000L
+let fork_remote_extra_ns = 250_000L
+let exec_ns = 900_000L
+
+(* Recovery *)
+
+(* bound on firewall-denied refault retries before a write gives up with
+   EFAULT (a persistent denial would otherwise livelock) *)
+let max_refault_retries = 3
+let recovery_scan_page_ns = 400L
+let recovery_phase_ns = 14_000_000L
+let agreement_vote_ns = 50_000L
+let salvage_copy_ns = 9_000L (* per-page remote-read-and-copy cost *)
+
+(* Wax *)
+let wax_period_ns = 100_000_000L
+let wax_scan_cost_ns = 50_000L
+
+(* a cell is under memory pressure when its free frames drop below this
+   percentage of the frames it owns (floor of 8); replaces the old fixed
+   32-frame threshold, which was meaningless for both tiny test cells and
+   64-cell machines *)
+let wax_pressure_pct = 5
+
+(* frames a swap hint asks a pressured cell to push to swap; the cell's
+   own thread validates the hint before acting *)
+let wax_swap_want = 16
+
+(* length of the allocation-preference hint list (the k cells with the
+   most free memory, selected without sorting every cell) *)
+let wax_pref_len = 4
+
+(* clock-hand local-pressure watermark, as a percentage of owned frames
+   (floor of 8); was a fixed 64 frames *)
+let clock_hand_low_pct = 1

@@ -176,8 +176,7 @@ let fork (sys : Types.system) (parent : Types.process) ?on_cell ~name body =
   let target =
     match on_cell with Some c -> c | None -> parent.Types.proc_cell
   in
-  let p = sys.Types.params in
-  Sim.Engine.delay p.Params.fork_local_ns;
+  Sim.Engine.delay Params.fork_local_ns;
   Types.bump here "proc.forks";
   if target = parent.Types.proc_cell then begin
     let regions = split_anon_regions sys parent here in
@@ -192,7 +191,7 @@ let fork (sys : Types.system) (parent : Types.process) ?on_cell ~name body =
     (* Remote fork: split leaves across the boundary, then RPC the child
        image to the target cell. *)
     Types.bump here "proc.remote_forks";
-    Sim.Engine.delay p.Params.fork_remote_extra_ns;
+    Sim.Engine.delay Params.fork_remote_extra_ns;
     let regions = split_anon_regions sys parent sys.Types.cells.(target) in
     match
       Rpc.call sys ~from:here ~target ~op:fork_op
@@ -220,7 +219,7 @@ let fork (sys : Types.system) (parent : Types.process) ?on_cell ~name body =
 let exec (sys : Types.system) (p : Types.process) ~path =
   let c = cell_of sys p in
   Gate.pass c;
-  Sim.Engine.delay sys.Types.params.Params.exec_ns;
+  Sim.Engine.delay Params.exec_ns;
   Types.bump c "proc.execs";
   match Fs.open_file sys c ~path with
   | Error e -> Error e
@@ -275,7 +274,7 @@ let migrate (sys : Types.system) (p : Types.process) ~to_cell =
     p.Types.assigned_node <-
       List.nth nodes (dest.Types.rr_cpu mod List.length nodes);
     (* State transfer cost: one RPC plus the process image copy. *)
-    Sim.Engine.delay sys.Types.params.Params.fork_remote_extra_ns;
+    Sim.Engine.delay Params.fork_remote_extra_ns;
     match
       Rpc.call sys ~from:here ~target:to_cell ~op:migrate_xfer_op
         Types.P_unit
@@ -306,7 +305,7 @@ let register_handlers () =
         | P_fork { parent_pid; name; body; regions; fds } ->
           Types.Queued
             (fun () ->
-              Sim.Engine.delay sys.Types.params.Params.fork_local_ns;
+              Sim.Engine.delay Params.fork_local_ns;
               let child =
                 install_child sys cell ~name ~regions ~fds ~parent_pid body
               in

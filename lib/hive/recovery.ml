@@ -98,7 +98,7 @@ let recovery_sequence (sys : Types.system) (c : Types.cell) =
     in
     (* Phase 1: TLB flush + removal of remote mappings and import bindings. *)
     Vm.flush_remote_bindings ~dead sys c;
-    Sim.Engine.delay p.Params.recovery_phase_ns;
+    Sim.Engine.delay Params.recovery_phase_ns;
     match await 1 b1 with
     | Sim.Barrier.Aborted -> restart ()
     | Sim.Barrier.Released -> (
@@ -130,7 +130,7 @@ let recovery_sequence (sys : Types.system) (c : Types.cell) =
             | None -> ()
           end)
         c.Types.processes;
-      Sim.Engine.delay p.Params.recovery_phase_ns;
+      Sim.Engine.delay Params.recovery_phase_ns;
       match await 2 b2 with
       | Sim.Barrier.Aborted -> restart ()
       | Sim.Barrier.Released ->
@@ -158,7 +158,7 @@ let recovery_sequence (sys : Types.system) (c : Types.cell) =
                 c.Types.live_set
             in
             if
-              p.Params.agreement_quorum_check
+              p.Params.planted_bug <> Some Params.Quorum_check_off
               && List.length reachable_live * 2 <= List.length c.Types.live_set
             then begin
               Types.sys_bump sys "recovery.master_standdown";

@@ -52,9 +52,9 @@ type Flash.Sips.message +=
     }
 
 (* The bugs the at-most-once machinery fixes can be deliberately
-   re-created per system — boot with [Params.rpc_dup_suppression] or
-   [Params.rpc_epoch_check] off — so the fuzzer's checkers can
-   demonstrate they would catch a regression. Keeping the knobs in the
+   re-created per system — boot with [Params.planted_bug] set to
+   [Reply_cache_off] or [Epoch_check_off] — so the fuzzer's checkers can
+   demonstrate they would catch a regression. Keeping the switch in the
    system's params (not global refs) means concurrent campaigns on other
    domains are unaffected. *)
 
@@ -121,12 +121,11 @@ let registered (op : Op.t) = Hashtbl.mem handlers op.Op.name
    stub execution, plus, beyond one cache line, buffer allocation and a
    copy through shared memory. *)
 let marshal_cost (sys : Types.system) bytes =
-  let p = sys.Types.params in
   if bytes <= 0 then 0L
-  else if bytes <= Flash.Sips.max_payload then p.Params.rpc_stub_marshal_ns
+  else if bytes <= Flash.Sips.max_payload then Params.rpc_stub_marshal_ns
   else
     Int64.add
-      (Int64.add p.Params.rpc_stub_marshal_ns p.Params.rpc_alloc_free_ns)
+      (Int64.add Params.rpc_stub_marshal_ns Params.rpc_alloc_free_ns)
       (Flash.Config.copy_cost sys.Types.mcfg bytes)
 
 let report_hint (sys : Types.system) (from : Types.cell) suspect reason =
@@ -149,8 +148,7 @@ let make_call_id (c : Types.cell) =
 (* Send the reply for a completed request back to the caller. *)
 let send_reply (sys : Types.system) (server : Types.cell) ~src_cell
     ~src_epoch ~call_id outcome =
-  let p = sys.Types.params in
-  Sim.Engine.delay p.Params.rpc_server_reply_ns;
+  Sim.Engine.delay Params.rpc_server_reply_ns;
   let client_cell = sys.Types.cells.(src_cell) in
   try
     Flash.Sips.send
@@ -215,7 +213,7 @@ let service_request (sys : Types.system) (server : Types.cell) env =
     Types.bump server "rpc.served";
     if attempt > 0 then Types.bump server "rpc.retransmits_seen";
     let cpu = Flash.Machine.cpu sys.Types.machine (Types.boss_proc server) in
-    Flash.Cpu.steal sys.Types.eng cpu p.Params.rpc_server_dispatch_ns;
+    Flash.Cpu.steal sys.Types.eng cpu Params.rpc_server_dispatch_ns;
     if arg_bytes > Flash.Sips.max_payload then
       Sim.Engine.delay (marshal_cost sys arg_bytes);
     (* Handler execution time per op: for immediate service that is the
@@ -246,7 +244,7 @@ let service_request (sys : Types.system) (server : Types.cell) env =
     else begin
       let cached =
         match session with
-        | Some s when sys.Types.params.Params.rpc_dup_suppression ->
+        | Some s when p.Params.planted_bug <> Some Params.Reply_cache_off ->
           Hashtbl.find_opt s.Types.rs_replies call_id
         | _ -> None
       in
@@ -325,9 +323,9 @@ let service_request (sys : Types.system) (server : Types.cell) env =
             (* Longer-latency request: hand off to the server process pool;
                the completion reply is sent from the server process. *)
             Types.bump server "rpc.queued";
-            Flash.Cpu.steal sys.Types.eng cpu p.Params.rpc_queue_handoff_ns;
+            Flash.Cpu.steal sys.Types.eng cpu Params.rpc_queue_handoff_ns;
             Sim.Mailbox.send sys.Types.eng server.Types.rpc_queue (fun () ->
-                Sim.Engine.delay p.Params.rpc_context_switch_ns;
+                Sim.Engine.delay Params.rpc_context_switch_ns;
                 if
                   Int64.compare deadline_ns 0L > 0
                   && Int64.compare (Sim.Engine.now sys.Types.eng) deadline_ns
@@ -360,7 +358,7 @@ let service_reply (sys : Types.system) (client : Types.cell) env =
   | M_reply { call_id; dst_epoch; outcome } ->
     if
       dst_epoch <> client.Types.incarnation
-      && sys.Types.params.Params.rpc_epoch_check
+      && sys.Types.params.Params.planted_bug <> Some Params.Epoch_check_off
     then
       Types.bump client "rpc.stale_reply_drops"
     else begin
@@ -430,13 +428,13 @@ let start_threads (sys : Types.system) (cell : Types.cell) =
 (* Exponential backoff before retransmission [n]: base doubled per attempt
    up to the cap, plus up to 50% deterministic jitter so retransmissions
    from different callers spread out. *)
-let backoff_ns (p : Params.t) rng n =
-  let shifted = Int64.shift_left p.Params.rpc_backoff_base_ns n in
+let backoff_ns rng n =
+  let shifted = Int64.shift_left Params.rpc_backoff_base_ns n in
   let b =
     if
-      Int64.compare shifted p.Params.rpc_backoff_cap_ns > 0
+      Int64.compare shifted Params.rpc_backoff_cap_ns > 0
       || Int64.compare shifted 0L <= 0
-    then p.Params.rpc_backoff_cap_ns
+    then Params.rpc_backoff_cap_ns
     else shifted
   in
   Int64.add b (Sim.Prng.int64 rng (Int64.max 1L (Int64.div b 2L)))
@@ -450,7 +448,6 @@ let backoff_ns (p : Params.t) rng n =
    overrides remain for variable-size payloads. *)
 let call (sys : Types.system) ~(from : Types.cell) ~target ~(op : Op.t)
     ?arg_bytes ?reply_bytes ?timeout_ns ?deadline_ns arg =
-  let p = sys.Types.params in
   let arg_bytes =
     match arg_bytes with Some b -> b | None -> op.Op.arg_bytes
   in
@@ -461,10 +458,10 @@ let call (sys : Types.system) ~(from : Types.cell) ~target ~(op : Op.t)
     match (timeout_ns, op.Op.timeout_ns) with
     | Some t, _ -> t
     | None, Some t -> t
-    | None, None -> p.Params.rpc_timeout_ns
+    | None, None -> Params.rpc_timeout_ns
   in
   let deadline_ns =
-    match deadline_ns with Some d -> d | None -> p.Params.rpc_deadline_ns
+    match deadline_ns with Some d -> d | None -> Params.rpc_deadline_ns
   in
   let eng = sys.Types.eng in
   let op_name = op.Op.name in
@@ -515,7 +512,7 @@ let call (sys : Types.system) ~(from : Types.cell) ~target ~(op : Op.t)
   if not (List.mem target from.Types.live_set) then
     finish (Error Types.EHOSTDOWN)
   else begin
-    Sim.Engine.delay p.Params.rpc_client_send_ns;
+    Sim.Engine.delay Params.rpc_client_send_ns;
     Sim.Engine.delay (marshal_cost sys arg_bytes);
     let call_id = make_call_id from in
     (* The epoch travels with the call, stamped once when the id is
@@ -537,7 +534,7 @@ let call (sys : Types.system) ~(from : Types.cell) ~target ~(op : Op.t)
       finish (Error err)
     in
     let succeed outcome =
-      Sim.Engine.delay p.Params.rpc_client_recv_ns;
+      Sim.Engine.delay Params.rpc_client_recv_ns;
       if reply_bytes > Flash.Sips.max_payload then
         Sim.Engine.delay (marshal_cost sys reply_bytes);
       finish outcome
@@ -597,14 +594,14 @@ let call (sys : Types.system) ~(from : Types.cell) ~target ~(op : Op.t)
           | Some outcome -> succeed outcome
           | None ->
             if budget_exhausted () then give_up_deadline ()
-            else if n >= p.Params.rpc_max_retries then begin
+            else if n >= Params.rpc_max_retries then begin
               Types.bump from "rpc.timeouts";
               give_up ~hint:"rpc: timeout" Types.EHOSTDOWN
             end
             else begin
               Types.bump from "rpc.retransmits";
               Sim.Engine.delay
-                (cap_to_budget (backoff_ns p from.Types.rpc_rng n));
+                (cap_to_budget (backoff_ns from.Types.rpc_rng n));
               attempt (n + 1)
             end
         end

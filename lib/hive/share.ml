@@ -116,7 +116,7 @@ let export (sys : Types.system) (home : Types.cell) (pf : Types.pfdat)
          ~clients:(List.filter (fun c -> c <> client) pf.Types.exported_to)
          ~lids:[ lid ]
      | Some _ | None -> ());
-  Sim.Engine.delay sys.Types.params.Params.fault_export_ns;
+  Sim.Engine.delay Params.fault_export_ns;
   Types.bump home "share.exports";
   page_event sys home "page.export" pf ~peer:client;
   if writable then Wild_write.grant_for_export sys home pf ~client
@@ -143,11 +143,10 @@ let clear_pending (client : Types.cell) (lid : Types.logical_id) =
   | Some _ -> Hashtbl.remove client.Types.pending_releases lid
   | None -> ()
 
-let await_no_pending (sys : Types.system) (client : Types.cell)
-    (lid : Types.logical_id) =
+let await_no_pending (client : Types.cell) (lid : Types.logical_id) =
   while Hashtbl.mem client.Types.pending_releases lid do
     Types.bump client "share.release_import_stalls";
-    Sim.Engine.delay sys.Types.params.Params.fault_import_ns
+    Sim.Engine.delay Params.fault_import_ns
   done
 
 (* Client-side mirror of the home's grant bookkeeping. Kept here (rather
@@ -180,8 +179,8 @@ let cache_hit (client : Types.cell) (pf : Types.pfdat) =
    separate fields within the pfdat. *)
 let import (sys : Types.system) (client : Types.cell) ~pfn ~data_home ~lid
     ~gen ~writable =
-  await_no_pending sys client lid;
-  Sim.Engine.delay sys.Types.params.Params.fault_import_ns;
+  await_no_pending client lid;
+  Sim.Engine.delay Params.fault_import_ns;
   Types.bump client "share.imports";
   match Pfdat.lookup client lid with
   | Some pf ->
@@ -327,7 +326,7 @@ let release_many (sys : Types.system) (client : Types.cell)
         | Some home, Some lid ->
           if cacheable sys client pf ~home ~lid then park sys client pf
           else if
-            (not sys.Types.params.Params.batch_releases)
+            (not sys.Types.params.Params.enable_import_cache)
             || pf.Types.loaned_to <> None
             || not (List.mem home client.Types.live_set)
           then begin

@@ -166,7 +166,6 @@ let boot ?(mcfg = Flash.Config.default) ?(params = Params.default)
          [cell_of_node] O(1) on the wild-write and fault paths. *)
       node_owner =
         Array.init mcfg.Flash.Config.nodes (fun n -> n / nodes_per_cell);
-      last_boot_ns = 0L;
       proc_table = Hashtbl.create 256;
       next_pid = 0;
       use_agreement_oracle = oracle;
@@ -411,11 +410,8 @@ let detection_latency_ns (sys : Types.system) ~t_fault =
     let latest = List.fold_left (fun acc (_, t) -> max acc t) 0L evs in
     Some (Int64.sub latest t_fault)
 
-let counters (sys : Types.system) =
-  let all = Sim.Stats.to_list sys.Types.sys_counters in
-  let per_cell =
-    Array.to_list sys.Types.cells
-    |> List.map (fun (c : Types.cell) ->
-           (c.Types.cell_id, Sim.Stats.to_list c.Types.counters))
-  in
-  (all, per_cell)
+(* A per-cell counter summed over every cell. *)
+let counter_total (sys : Types.system) name =
+  Array.fold_left
+    (fun acc (c : Types.cell) -> acc + Sim.Stats.value c.Types.counters name)
+    0 sys.Types.cells

@@ -43,6 +43,5 @@ val run_until_processes_done :
   ?step:int64 -> deadline:Int64.t -> Types.process list -> bool
 val live_cells : Types.system -> Types.cell_id list
 val detection_latency_ns : Types.system -> t_fault:int64 -> int64 option
-val counters :
-  Types.system ->
-  (string * int) list * (Types.cell_id * (string * int) list) list
+val counter_total : Types.system -> string -> int
+(** A per-cell counter summed over every cell. *)

@@ -321,9 +321,6 @@ type system = {
   node_owner : cell_id array;
       (* node -> owning cell, fixed at boot; O(1) [cell_of_node] instead
          of a scan over every cell's node list *)
-  mutable last_boot_ns : int64;
-      (* simulated time the slowest cell finished booting (the large-
-         machine boot-cost metric) *)
   proc_table : (pid, process) Hashtbl.t;
   mutable next_pid : int;
   mutable use_agreement_oracle : bool;

@@ -176,7 +176,6 @@ let fault (sys : Types.system) (p : Types.process) ~vpage ~write =
   let c = cell_of sys p in
   Gate.pass c;
   Types.bump c "vm.faults";
-  let par = sys.Types.params in
   match region_of p vpage with
   | None -> Error Types.EFAULT
   | Some r when write && not r.Types.reg_writable -> Error Types.EFAULT
@@ -210,8 +209,8 @@ let fault (sys : Types.system) (p : Types.process) ~vpage ~write =
       (* Client-side locking and VM path costs beyond the FS work
          (Table 5.2). *)
       if is_remote_miss then begin
-        Sim.Engine.delay par.Params.fault_client_lock_ns;
-        Sim.Engine.delay par.Params.fault_client_vm_ns
+        Sim.Engine.delay Params.fault_client_lock_ns;
+        Sim.Engine.delay Params.fault_client_vm_ns
       end;
       match
         Fs.get_page sys c vnode ~page ~writable:write
@@ -233,7 +232,7 @@ let fault (sys : Types.system) (p : Types.process) ~vpage ~write =
         Error Types.EFAULT
       | Cow.Not_present ->
         (* First touch: allocate at our leaf (zero-filled). *)
-        Sim.Engine.delay par.Params.fault_local_hit_ns;
+        Sim.Engine.delay Params.fault_local_hit_ns;
         let pf = anon_create sys c cref ~page in
         let node_id = Cow.node_id sys cref in
         let lid =
@@ -246,7 +245,7 @@ let fault (sys : Types.system) (p : Types.process) ~vpage ~write =
         if write && not (owner_local && owner_ref = cref) then begin
           (* Copy-on-write break: copy the ancestor's page into a fresh
              local frame recorded at our own leaf. *)
-          Sim.Engine.delay par.Params.fault_local_hit_ns;
+          Sim.Engine.delay Params.fault_local_hit_ns;
           match anon_get sys c owner_ref ~page ~writable:false with
           | Error e -> Error e
           | Ok src_pf ->
@@ -274,10 +273,10 @@ let fault (sys : Types.system) (p : Types.process) ~vpage ~write =
             finish lid dst ~remote:false
         end
         else begin
-          (if owner_local then Sim.Engine.delay par.Params.fault_local_hit_ns
+          (if owner_local then Sim.Engine.delay Params.fault_local_hit_ns
            else begin
-             Sim.Engine.delay par.Params.fault_client_lock_ns;
-             Sim.Engine.delay par.Params.fault_client_vm_ns
+             Sim.Engine.delay Params.fault_client_lock_ns;
+             Sim.Engine.delay Params.fault_client_vm_ns
            end);
           match anon_get sys c owner_ref ~page ~writable:write with
           | Error e -> Error e
@@ -310,7 +309,6 @@ let touch (sys : Types.system) (p : Types.process) ~vpage ~write =
 (* Read/write actual memory words through a virtual page, exercising the
    hardware firewall on the real frame. *)
 let write_word (sys : Types.system) (p : Types.process) ~vpage ~offset v =
-  let max_retries = sys.Types.params.Params.max_refault_retries in
   let rec go retries =
     match touch sys p ~vpage ~write:true with
     | Error e -> Error e
@@ -328,7 +326,7 @@ let write_word (sys : Types.system) (p : Types.process) ~vpage ~offset v =
            is a livelock inside a syscall. *)
         Hashtbl.remove p.Types.mappings vpage;
         Types.bump c "vm.refault_retries";
-        if retries >= max_retries then Error Types.EFAULT
+        if retries >= Params.max_refault_retries then Error Types.EFAULT
         else go (retries + 1)
       | exception Flash.Memory.Bus_error _ -> Error Types.EFAULT)
   in
@@ -415,7 +413,7 @@ let try_salvage (sys : Types.system) (c : Types.cell) (pf : Types.pfdat)
           None
         | Some pfn ->
           Types.remove_free c pfn;
-          Sim.Engine.delay par.Params.salvage_copy_ns;
+          Sim.Engine.delay Params.salvage_copy_ns;
           let data =
             Flash.Memory.peek (mem sys)
               (frame_addr sys hpf.Types.pfn)
@@ -496,7 +494,6 @@ let flush_remote_bindings ?(dead = []) (sys : Types.system) (c : Types.cell) =
    discard every local page writable by a failed cell, clear export
    records, reclaim loaned frames. Returns the number of discarded pages. *)
 let preemptive_discard (sys : Types.system) (c : Types.cell) ~dead =
-  let p = sys.Types.params in
   let fwall = Flash.Machine.firewall sys.Types.machine in
   let discarded = ref 0 in
   (* Find local frames writable by any dead cell's processors: one pass
@@ -516,7 +513,7 @@ let preemptive_discard (sys : Types.system) (c : Types.cell) ~dead =
   in
   List.iter
     (fun pfn ->
-      Sim.Engine.delay p.Params.recovery_scan_page_ns;
+      Sim.Engine.delay Params.recovery_scan_page_ns;
       (* Revoke all remote permission on this page. *)
       let node = Flash.Addr.node_of_pfn sys.Types.mcfg pfn in
       Flash.Firewall.revoke_all_remote fwall ~by:node ~pfn;
@@ -599,7 +596,7 @@ let register_handlers () =
                delay below cannot race a reclaim sweep that would drop
                the still-unreferenced frame. *)
             Share.export sys cell pf ~client:src ~writable;
-            Sim.Engine.delay sys.Types.params.Params.fault_home_vm_ns;
+            Sim.Engine.delay Params.fault_home_vm_ns;
             Types.Immediate (Ok (P_anon_page { pfn = pf.Types.pfn }))
           | None -> Types.Immediate (Error Types.ENOENT))
         | _ -> Types.Immediate (Error Types.EFAULT))

@@ -63,11 +63,10 @@ let act_on_swap_hint (sys : Types.system) (c : Types.cell) =
   let want = c.Types.swap_hint in
   if want <> 0 then begin
     c.Types.swap_hint <- 0;
-    let p = sys.Types.params in
     if
       want > 0
-      && want <= max p.Params.wax_swap_want (c.Types.total_frames / 8)
-      && Page_alloc.under_pressure c ~pct:p.Params.wax_pressure_pct
+      && want <= max Params.wax_swap_want (c.Types.total_frames / 8)
+      && Page_alloc.under_pressure c ~pct:Params.wax_pressure_pct
     then begin
       Types.bump c "wax.swap_hints_acted";
       ignore (Swap.swap_out_idle sys c ~want)
@@ -106,7 +105,6 @@ let top_k_free states k =
 (* The coordinator thread's policy pass: read every cell's published
    state (plain loads — a bus error kills Wax) and deposit hints. *)
 let policy_pass (sys : Types.system) (home : Types.cell) =
-  let p = sys.Types.params in
   let states =
     List.map
       (fun id ->
@@ -121,7 +119,7 @@ let policy_pass (sys : Types.system) (home : Types.cell) =
       home.Types.live_set
   in
   (* Page-allocator hint: the cells with the most free memory. *)
-  let pref = top_k_free states p.Params.wax_pref_len in
+  let pref = top_k_free states Params.wax_pref_len in
   (* Clock-hand / swap hint: cells under pressure relative to their own
      size (fewest free frames). *)
   let pressured =
@@ -129,7 +127,7 @@ let policy_pass (sys : Types.system) (home : Types.cell) =
       (fun (id, free) ->
         free
         < Page_alloc.low_water sys.Types.cells.(id)
-            ~pct:p.Params.wax_pressure_pct)
+            ~pct:Params.wax_pressure_pct)
       states
     |> List.map fst
   in
@@ -143,7 +141,7 @@ let policy_pass (sys : Types.system) (home : Types.cell) =
            idle anonymous pages to their swap partition. Deposit only —
            the pressured cell's own thread validates and executes. *)
         if List.mem id pressured then
-          c.Types.swap_hint <- p.Params.wax_swap_want
+          c.Types.swap_hint <- Params.wax_swap_want
       end)
     home.Types.live_set
 
@@ -169,12 +167,11 @@ let start (sys : Types.system) =
         Sim.Engine.spawn sys.Types.eng
           ~name:(Printf.sprintf "wax%d.cell%d" inc c.Types.cell_id)
           (fun () ->
-            let p = sys.Types.params in
             try
               while Types.cell_alive c do
-                Sim.Engine.delay p.Params.wax_period_ns;
+                Sim.Engine.delay Params.wax_period_ns;
                 Gate.pass c;
-                Sim.Engine.delay p.Params.wax_scan_cost_ns;
+                Sim.Engine.delay Params.wax_scan_cost_ns;
                 publish_local_state sys c;
                 if c.Types.cell_id = coordinator then policy_pass sys c;
                 (* Act on any swap hint deposited for *this* cell, with

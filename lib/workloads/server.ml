@@ -521,12 +521,7 @@ let run ?(cfg = default) (sys : Hive.Types.system) =
   in
   finalize st sys;
   let s = stats_of st in
-  let procs_total =
-    Array.fold_left
-      (fun acc (c : Hive.Types.cell) ->
-        acc + Sim.Stats.value c.Hive.Types.counters "server.churn_forks")
-      0 sys.Hive.Types.cells
-  in
+  let procs_total = Hive.System.counter_total sys "server.churn_forks" in
   ( {
       Workload.name = "server";
       elapsed_ns = Int64.sub (Sim.Engine.now eng) t0;

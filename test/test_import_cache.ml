@@ -296,6 +296,63 @@ let test_fault_readahead_batches_locates () =
       Alcotest.(check bool) "read-ahead pages counted" true
         (counter c1 "fs.readahead_pages" > 0))
 
+(* [enable_import_cache = false] alone selects the whole pre-cache
+   protocol: a sequential fault pass locates one page per fault, a re-read
+   after the bindings were dropped finds nothing parked, and every release
+   (including the writable ones a rewrite leaves at close) is its own
+   share.release RPC, never a vectored release_batch. With the default
+   params each of these checks fails. *)
+let test_cache_off_is_legacy_protocol () =
+  let params = { Hive.Params.default with enable_import_cache = false } in
+  with_sys ~params (fun eng sys ->
+      let npages = 16 in
+      let path = "/tmp/legacy.dat" in
+      let fault_pass =
+        in_proc sys ~on:1 ~name:"faults" (fun sys p ->
+            let fd =
+              Hive.Syscall.creat sys p
+                ~content:(Bytes.make (npages * Hive.Types.page_size sys) 'l')
+                path
+            in
+            let reg = Hive.Syscall.mmap_file sys p ~fd ~npages ~writable:false in
+            for k = 0 to npages - 1 do
+              Hive.Syscall.touch sys p
+                ~vpage:(reg.Hive.Types.start_page + k)
+                ~write:false
+            done;
+            Hive.Syscall.close sys p ~fd)
+      in
+      run_to_completion sys fault_pass;
+      let read_pass =
+        in_proc sys ~on:1 ~name:"reads" (fun sys p ->
+            let len = npages * Hive.Types.page_size sys in
+            let fd = Hive.Syscall.openf sys p path in
+            ignore (Hive.Syscall.pread sys p ~fd ~pos:0 ~len);
+            Hive.Syscall.close sys p ~fd;
+            let fd = Hive.Syscall.openf sys p ~writable:true path in
+            ignore (Hive.Syscall.pwrite sys p ~fd ~pos:0 (Bytes.make len 'm'));
+            Hive.Syscall.close sys p ~fd)
+      in
+      run_to_completion sys read_pass;
+      (* Let the reaper drain the fault pass's exit-time releases. *)
+      Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 1_000_000_000L) eng;
+      let total = Hive.System.counter_total sys in
+      let calls op =
+        match
+          Hive.Metrics.Snapshot.client_hist (Hive.Metrics.capture sys) op
+        with
+        | Some h -> h.Hive.Metrics.Snapshot.count
+        | None -> 0
+      in
+      Alcotest.(check int) "no fault read-ahead" 0 (total "fs.readahead_pages");
+      Alcotest.(check int) "no cache hits" 0 (total "share.cache_hits");
+      Alcotest.(check int) "no vectored releases" 0
+        (calls "share.release_batch");
+      Alcotest.(check bool) "pages were imported" true
+        (total "share.imports" >= 2 * npages);
+      Alcotest.(check int) "one release RPC per imported page"
+        (total "share.imports") (calls "share.release"))
+
 (* Everything above must leave the system consistent under the new
    import-cache invariant (and all the old ones). *)
 let test_invariants_hold_after_cache_traffic () =
@@ -343,6 +400,8 @@ let suite =
       `Quick test_gen_bump_mid_batch_fails_whole_batch;
     Alcotest.test_case "sequential faults batch their locates" `Quick
       test_fault_readahead_batches_locates;
+    Alcotest.test_case "cache off alone selects the legacy protocol" `Quick
+      test_cache_off_is_legacy_protocol;
     Alcotest.test_case "invariants hold after cache traffic" `Quick
       test_invariants_hold_after_cache_traffic;
   ]

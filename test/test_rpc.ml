@@ -131,7 +131,7 @@ let test_timeout_after_retries_exhausted () =
       | Error Hive.Types.EHOSTDOWN, _ ->
         let c0 = sys.Hive.Types.cells.(0) in
         Alcotest.(check int) "used every retransmission"
-          sys.Hive.Types.params.Hive.Params.rpc_max_retries
+          Hive.Params.rpc_max_retries
           (Sim.Stats.value c0.Hive.Types.counters "rpc.retransmits");
         Alcotest.(check int) "counted one timeout" 1
           (Sim.Stats.value c0.Hive.Types.counters "rpc.timeouts")
@@ -227,7 +227,11 @@ let test_reboot_drops_stale_reply () =
    it (this is how the fuzzer proves the checker has teeth). *)
 let test_epoch_checker_catches_disabled_check () =
   with_sys3
-    ~params:{ Hive.Params.default with Hive.Params.rpc_epoch_check = false }
+    ~params:
+      {
+        Hive.Params.default with
+        Hive.Params.planted_bug = Some Hive.Params.Epoch_check_off;
+      }
     (fun eng sys ->
       ignore
         (Sim.Engine.spawn eng (fun () ->

@@ -240,7 +240,7 @@ let test_write_word_refault_bounded () =
               Sim.Stats.value c1.Hive.Types.counters "vm.refault_retries"
             in
             let bound =
-              sys.Hive.Types.params.Hive.Params.max_refault_retries
+              Hive.Params.max_refault_retries
             in
             if retries <> bound + 1 then
               failwith
