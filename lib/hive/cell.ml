@@ -49,7 +49,7 @@ let make (mcfg : Flash.Config.t) ~id ~nodes : Types.cell =
     rpc_sessions = Hashtbl.create 8;
     rpc_queue = Sim.Mailbox.create ();
     release_queue = Sim.Mailbox.create ();
-    import_cache = [];
+    import_cache = Types.new_import_cache ();
     readahead = Hashtbl.create 16;
     pending_releases = Hashtbl.create 16;
     flush_epoch = 0;

@@ -410,8 +410,10 @@ let check_rpc_epochs (sys : Types.system) =
    binding was imported under — a binding surviving a home failure or a
    generation bump would serve stale data RPC-free, the exact hazard the
    invalidation rules exist to prevent. Both directions are checked:
-   every cache entry is a valid parked binding, and every pfdat marked
-   [cached] is actually in its cell's cache list. *)
+   every live cache entry is a valid parked binding, and every pfdat
+   marked [cached] has a live entry in its cell's cache. The cache's live
+   count must equal its number of live entries. Linear in the cache and
+   the pfdat table. *)
 let check_import_cache (sys : Types.system) ~cells =
   let bad = ref [] in
   let note x = bad := x :: !bad in
@@ -419,12 +421,21 @@ let check_import_cache (sys : Types.system) ~cells =
   List.iter
     (fun (c : Types.cell) ->
       let cap = sys.Types.params.Params.import_cache_pages in
-      if List.length c.Types.import_cache > cap then
+      let parked = Types.parked_bindings c in
+      let by_stamp = Hashtbl.create 64 in
+      List.iter
+        (fun (pf : Types.pfdat) ->
+          Hashtbl.replace by_stamp pf.Types.park_stamp pf)
+        parked;
+      let n = Hashtbl.length by_stamp in
+      if n > cap then
         note
           (v "import-cache" "cell %d: %d parked bindings exceed capacity %d"
-             c.Types.cell_id
-             (List.length c.Types.import_cache)
-             cap);
+             c.Types.cell_id n cap);
+      if c.Types.import_cache.Types.live <> n then
+        note
+          (v "import-cache" "cell %d: live count %d but %d live entries"
+             c.Types.cell_id c.Types.import_cache.Types.live n);
       List.iter
         (fun (pf : Types.pfdat) ->
           let where =
@@ -484,10 +495,15 @@ let check_import_cache (sys : Types.system) ~cells =
             note
               (v "import-cache" "%s: parked binding lacks import identity"
                  where))
-        c.Types.import_cache;
-      (* Reverse direction: a cached flag outside the cache list. *)
+        parked;
+      (* Reverse direction: a cached flag without a live cache entry. *)
       Pfdat.iter_pages c (fun pf ->
-          if pf.Types.cached && not (List.memq pf c.Types.import_cache) then
+          let listed =
+            match Hashtbl.find_opt by_stamp pf.Types.park_stamp with
+            | Some q -> q == pf
+            | None -> false
+          in
+          if pf.Types.cached && not listed then
             note
               (v "import-cache"
                  "cell %d pfn %d: marked cached but absent from the cache \

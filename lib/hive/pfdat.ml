@@ -22,6 +22,7 @@ let make ~pfn ~table_cell : Types.pfdat =
     borrowed_from = None;
     extended = false;
     cached = false;
+    park_stamp = 0;
     import_gen = 0;
     salvaged_from = None;
   }
@@ -56,10 +57,7 @@ let alloc_extended (c : Types.cell) ~pfn =
 let free_extended (c : Types.cell) (pf : Types.pfdat) =
   (* A parked binding being torn down (recovery flush, invalidation,
      writable rebind) must leave the import cache with it. *)
-  if pf.Types.cached then begin
-    pf.Types.cached <- false;
-    c.Types.import_cache <- List.filter (fun q -> q != pf) c.Types.import_cache
-  end;
+  if pf.Types.cached then Types.unpark_binding c pf;
   remove c pf;
   pf.Types.imported_from <- None;
   Hashtbl.remove c.Types.frames pf.Types.pfn

@@ -164,9 +164,7 @@ let note_writable (client : Types.cell) (pf : Types.pfdat) ~writable =
 (* Client side: pull a parked binding back into active use. *)
 let cache_hit (client : Types.cell) (pf : Types.pfdat) =
   if pf.Types.cached then begin
-    pf.Types.cached <- false;
-    client.Types.import_cache <-
-      List.filter (fun q -> q != pf) client.Types.import_cache;
+    Types.unpark_binding client pf;
     Types.bump client "share.cache_hits"
   end
 
@@ -261,38 +259,25 @@ let cacheable (sys : Types.system) (client : Types.cell) (pf : Types.pfdat)
      | Types.Anon_obj _ -> false)
   && List.mem home client.Types.live_set
 
-(* Park a released binding (MRU-first), evicting past capacity. An
-   evicted binding takes the legacy path: free + release RPC. *)
+(* Park a released binding, evicting the least recently parked one past
+   capacity. An evicted binding takes the legacy path: free + release
+   RPC. *)
 let park (sys : Types.system) (client : Types.cell) (pf : Types.pfdat) =
-  pf.Types.cached <- true;
-  client.Types.import_cache <- pf :: client.Types.import_cache;
+  Types.park_binding client pf;
   Types.bump client "share.cache_insertions";
   let cap = sys.Types.params.Params.import_cache_pages in
-  (* Parks happen one page at a time, so the cache is almost never over
-     capacity: probe allocation-free for an overflow before paying for a
-     list rebuild. *)
-  let rec nth_tail n l =
-    if n <= 0 then l else match l with [] -> [] | _ :: tl -> nth_tail (n - 1) tl
-  in
-  if nth_tail cap client.Types.import_cache <> [] then begin
-    let rec split n = function
-      | [] -> ([], [])
-      | l when n <= 0 -> ([], l)
-      | x :: tl ->
-        let keep, drop = split (n - 1) tl in
-        (x :: keep, drop)
-    in
-    let keep, drop = split cap client.Types.import_cache in
-    client.Types.import_cache <- keep;
-    List.iter
-      (fun (q : Types.pfdat) ->
-        q.Types.cached <- false;
+  let rec evict () =
+    if client.Types.import_cache.Types.live > cap then
+      match Types.evict_oldest client with
+      | None -> ()
+      | Some q ->
         Types.bump client "share.cache_evictions";
-        match (q.Types.imported_from, q.Types.lid) with
+        (match (q.Types.imported_from, q.Types.lid) with
         | Some home, Some lid -> ignore (release_now sys client q ~home ~lid)
-        | _ -> Pfdat.free_extended client q)
-      drop
-  end
+        | _ -> Pfdat.free_extended client q);
+        evict ()
+  in
+  evict ()
 
 (* Client side: drop an imported page binding. Parks it when cacheable;
    otherwise frees it and notifies the data home. Never raises — a lost

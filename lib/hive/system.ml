@@ -86,7 +86,7 @@ let reintegrate (sys : Types.system) cell_id =
   c.Types.swap_hint <- 0;
   Hashtbl.reset c.Types.salvaged_by_home;
   c.Types.reserved_loans <- [];
-  c.Types.import_cache <- [];
+  Types.reset_import_cache c;
   Hashtbl.reset c.Types.readahead;
   Hashtbl.reset c.Types.pending_releases;
   Hashtbl.iter

@@ -77,6 +77,9 @@ type pfdat = {
   mutable cached : bool;
       (* client side: a released read-only import parked in the cell's
          import cache for RPC-free re-access *)
+  mutable park_stamp : int;
+      (* stamp of this binding's live entry in the import cache's FIFO;
+         0 when it has none *)
   mutable import_gen : generation;
       (* file generation the data home reported when this binding was
          imported; a parked binding is only valid while the home's
@@ -85,6 +88,18 @@ type pfdat = {
       (* client side: a local copy of a clean page rescued from a dead
          cell whose memory outlived its processors; dropped when that
          home reintegrates *)
+}
+
+(* A cell's import cache: parked bindings in park order, oldest first.
+   An entry [(stamp, pf)] is live while [pf.park_stamp = stamp]. A hit or
+   a free only zeroes the stamp and decrements [live]; the dead entry is
+   skipped when eviction reaches it, or swept once dead entries outnumber
+   live ones by more than 32. Park, hit, free and evict are O(1),
+   amortized. *)
+type import_cache = {
+  parked : (int * pfdat) Queue.t;
+  mutable live : int;
+  mutable next_stamp : int;
 }
 
 (* A file homed on some cell. [disk_block] is its start block on the data
@@ -258,9 +273,9 @@ type cell = {
   rpc_queue : (unit -> unit) Sim.Mailbox.t; (* queued-service requests *)
   release_queue : pfdat Sim.Mailbox.t;
       (* imports released by exiting processes, drained by a kernel thread *)
-  mutable import_cache : pfdat list;
-      (* released read-only imports parked for RPC-free re-access, most
-         recently used first; bounded by Params.import_cache_pages *)
+  import_cache : import_cache;
+      (* released read-only imports parked for RPC-free re-access;
+         bounded by Params.import_cache_pages *)
   readahead : (fid, ra_stream) Hashtbl.t;
       (* per-file sequential fault streams (remote files only) *)
   pending_releases : (logical_id, int) Hashtbl.t;
@@ -425,6 +440,62 @@ let remove_free (c : cell) pfn =
 let set_free (c : cell) pfns =
   c.free_frames <- pfns;
   c.free_frame_count <- List.length pfns
+
+(* Import-cache bookkeeping; the policy (what is parked, and what an
+   eviction releases) lives in [Share]. *)
+
+let new_import_cache () = { parked = Queue.create (); live = 0; next_stamp = 0 }
+
+let is_live_entry (stamp, (pf : pfdat)) = pf.park_stamp = stamp
+
+let sweep_dead_entries ic =
+  let live = Queue.create () in
+  Queue.iter (fun e -> if is_live_entry e then Queue.push e live) ic.parked;
+  Queue.clear ic.parked;
+  Queue.transfer live ic.parked
+
+let park_binding (c : cell) (pf : pfdat) =
+  let ic = c.import_cache in
+  ic.next_stamp <- ic.next_stamp + 1;
+  pf.cached <- true;
+  pf.park_stamp <- ic.next_stamp;
+  Queue.push (ic.next_stamp, pf) ic.parked;
+  ic.live <- ic.live + 1;
+  if Queue.length ic.parked > (2 * ic.live) + 32 then sweep_dead_entries ic
+
+(* Clears [cached]; a binding with a live entry also leaves the count. *)
+let unpark_binding (c : cell) (pf : pfdat) =
+  pf.cached <- false;
+  if pf.park_stamp <> 0 then begin
+    pf.park_stamp <- 0;
+    c.import_cache.live <- c.import_cache.live - 1
+  end
+
+(* Unpark and return the least recently parked live binding, if any. *)
+let rec evict_oldest (c : cell) =
+  match Queue.take_opt c.import_cache.parked with
+  | None -> None
+  | Some ((_, pf) as e) ->
+    if is_live_entry e then begin
+      unpark_binding c pf;
+      Some pf
+    end
+    else evict_oldest c
+
+(* Forget every entry (recovery flush, reboot) without touching the
+   bindings' [cached] flags. *)
+let reset_import_cache (c : cell) =
+  let ic = c.import_cache in
+  Queue.iter (fun ((_, pf) as e) -> if is_live_entry e then pf.park_stamp <- 0)
+    ic.parked;
+  Queue.clear ic.parked;
+  ic.live <- 0
+
+(* Live parked bindings, most recently parked first. *)
+let parked_bindings (c : cell) =
+  Queue.fold
+    (fun acc ((_, pf) as e) -> if is_live_entry e then pf :: acc else acc)
+    [] c.import_cache.parked
 
 let cell sys id = sys.cells.(id)
 

@@ -486,8 +486,8 @@ let flush_remote_bindings ?(dead = []) (sys : Types.system) (c : Types.cell) =
   (* No parked binding may survive recovery: a data home may be dead or
      about to bump generations, and the post-recovery world re-locates
      everything from scratch. drop_import already unparked each binding;
-     this also resets the cache list and the read-ahead detectors. *)
-  c.Types.import_cache <- [];
+     this also resets the cache's FIFO and the read-ahead detectors. *)
+  Types.reset_import_cache c;
   Hashtbl.reset c.Types.readahead
 
 (* Post-barrier-1 VM cleanup: revoke grants to dead cells, preemptively

@@ -23,6 +23,8 @@ and thread = {
   mutable timers : event list;
   mutable on_exit : (unit -> unit) list;
   mutable site : string;
+  wake : unit -> unit;
+  running : thread option;
 }
 
 and t = {
@@ -38,15 +40,20 @@ and t = {
   mutable cancelled_pending : int;
       (* cancelled, unpopped entries still sitting in the event heap *)
   owner : int; (* id of the domain that created the engine *)
+  mutable until : int64;
+      (* bound of the running [run ~until]; [Int64.max_int] when none *)
+  mutable inline_depth : int;
+      (* wake-ups currently continued inline, nested on the run loop's
+         stack (see the [E_delay] handler) *)
 }
 
 type timer = event
 
 type _ Effect.t +=
   | E_now : int64 Effect.t
-  | E_self : thread Effect.t
   | E_delay : int64 -> unit Effect.t
-  | E_suspend : (thread -> unit) -> unit Effect.t
+  | E_suspend : string * (thread -> unit) -> unit Effect.t
+  | E_at_exit : (unit -> unit) -> unit Effect.t
 
 let create () =
   let eng =
@@ -60,7 +67,9 @@ let create () =
       threads = Hashtbl.create 64;
       jitter = None;
       cancelled_pending = 0;
-      owner = (Domain.self () :> int) }
+      owner = (Domain.self () :> int);
+      until = Int64.max_int;
+      inline_depth = 0 }
   in
   eng.crash_handler <-
     (fun thr e ->
@@ -78,6 +87,11 @@ let now eng = eng.now
    from outside any simulation thread (boot code, sinks). *)
 let current_tid eng =
   match eng.current with Some t -> t.tid | None -> 0
+
+let current eng =
+  match eng.current with
+  | Some t -> t
+  | None -> invalid_arg "Engine.current: not inside a simulation thread"
 
 let set_crash_handler eng f = eng.crash_handler <- f
 
@@ -162,7 +176,7 @@ let try_resume eng thr =
     schedule eng ~after:0L (fun () ->
         let open Effect.Deep in
         let prev = eng.current in
-        eng.current <- Some thr;
+        eng.current <- thr.running;
         (if thr.dead then discontinue k Killed else continue k ());
         eng.current <- prev);
     true
@@ -192,6 +206,12 @@ let finish eng thr =
   List.iter (fun f -> f ()) (List.rev thr.on_exit);
   thr.on_exit <- []
 
+(* Each inline wake-up continues the thread from inside its own effect
+   handler, so a run of them nests handler frames on the run loop's stack
+   until the thread really blocks. Past this depth the wake-up takes the
+   queue, which unwinds the nest; the bound only caps stack use. *)
+let max_inline_depth = 128
+
 let exec eng thr body =
   let open Effect.Deep in
   match_with
@@ -206,56 +226,89 @@ let exec eng thr body =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
           | E_now -> Some (fun (k : (a, unit) continuation) -> continue k eng.now)
-          | E_self -> Some (fun (k : (a, unit) continuation) -> continue k thr)
           | E_delay d ->
             Some
               (fun (k : (a, unit) continuation) ->
+                (* [yield] is a zero delay and keeps the thread's site. *)
+                if Int64.compare d 0L > 0 then thr.site <- "delay";
                 if thr.dead then discontinue k Killed
                 else begin
-                  thr.cont <- Some k;
-                  (* Fast path: the wakeup timer continues the thread
-                     directly instead of bouncing through a second
-                     resume event, halving event-queue traffic on the
-                     delay/compute path (the hottest in the simulator).
-                     If a competing waker (kill, mailbox send) claims
-                     the continuation first, it also cancels this
-                     timer, so the direct continue can never race: a
-                     fired timer finding [cont = Some] owns it. *)
-                  let tm =
-                    timer eng ~after:d (fun () ->
-                        match thr.cont with
-                        | None -> ()
-                        | Some k ->
-                          thr.cont <- None;
-                          thr.timers <- [];
-                          let prev = eng.current in
-                          eng.current <- Some thr;
-                          (if thr.dead then discontinue k Killed
-                           else continue k ());
-                          eng.current <- prev)
-                  in
-                  thr.timers <- tm :: thr.timers
+                  let t = Int64.add eng.now d in
+                  (* an overflowing sum clamps to now, as in [schedule_at] *)
+                  let t = if Int64.compare t eng.now < 0 then eng.now else t in
+                  if
+                    (match eng.jitter with None -> true | Some _ -> false)
+                    && eng.inline_depth < max_inline_depth
+                    && Int64.compare t eng.until <= 0
+                    && (Heap.is_empty eng.events
+                       || Heap.key_of_time t < Heap.top_key eng.events)
+                  then begin
+                    (* The wake-up would be the very next event popped, and
+                       nothing runs between this handler returning and that
+                       pop: advance the clock and continue the thread here,
+                       skipping the queue round trip. The sequence number
+                       is still consumed, so every later event keeps the
+                       number (and tie-break) it would have had. Exact only
+                       when sequence numbers are unique; jitter makes them
+                       collide, and then the heap layout decides ties. *)
+                    eng.seq <- eng.seq + 1;
+                    eng.now <- t;
+                    eng.inline_depth <- eng.inline_depth + 1;
+                    continue k ();
+                    eng.inline_depth <- eng.inline_depth - 1
+                  end
+                  else begin
+                    thr.cont <- Some k;
+                    (* The wakeup timer continues the thread directly
+                       (see [wake] in [spawn]). If a competing waker (kill,
+                       mailbox send) claims the continuation first, it
+                       also cancels this timer. *)
+                    thr.timers <- schedule_at eng t thr.wake :: thr.timers
+                  end
                 end)
-          | E_suspend register ->
+          | E_suspend (site, register) ->
             Some
               (fun (k : (a, unit) continuation) ->
+                thr.site <- site;
                 if thr.dead then discontinue k Killed
                 else begin
                   thr.cont <- Some k;
                   register thr
                 end)
+          | E_at_exit f ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                thr.on_exit <- f :: thr.on_exit;
+                continue k ())
           | _ -> None) }
 
 let spawn ?(name = "thread") ?(at = None) eng body =
   eng.next_tid <- eng.next_tid + 1;
-  let thr =
+  (* The delay wake-up and the [Some thr] the engine installs as current
+     are built once here rather than on every delay. A fired wake-up that
+     finds [cont = Some k] owns the continuation: any competing waker
+     would have taken it and cancelled the timer first. *)
+  let rec thr =
     { tid = eng.next_tid;
       name;
       dead = false;
       cont = None;
       timers = [];
       on_exit = [];
-      site = "spawned" }
+      site = "spawned";
+      wake =
+        (fun () ->
+          match thr.cont with
+          | None -> ()
+          | Some k ->
+            thr.cont <- None;
+            thr.timers <- [];
+            let prev = eng.current in
+            eng.current <- thr.running;
+            (if thr.dead then Effect.Deep.discontinue k Killed
+             else Effect.Deep.continue k ());
+            eng.current <- prev);
+      running = Some thr }
   in
   eng.live <- eng.live + 1;
   Hashtbl.replace eng.threads thr.tid thr;
@@ -265,7 +318,7 @@ let spawn ?(name = "thread") ?(at = None) eng body =
       finish eng thr
     else begin
       let prev = eng.current in
-      eng.current <- Some thr;
+      eng.current <- thr.running;
       exec eng thr body;
       eng.current <- prev
     end
@@ -277,54 +330,48 @@ let spawn ?(name = "thread") ?(at = None) eng body =
 
 let spawn_at eng ~at ?name body = spawn ?name ~at:(Some at) eng body
 
-let self () = Effect.perform E_self
-
 let time () = Effect.perform E_now
 
-let delay ns =
-  if Int64.compare ns 0L > 0 then begin
-    (self ()).site <- "delay";
-    Effect.perform (E_delay ns)
-  end
+let delay ns = if Int64.compare ns 0L > 0 then Effect.perform (E_delay ns)
 
 let yield () = Effect.perform (E_delay 0L)
 
 let suspend ?(site = "suspend") register =
-  (self ()).site <- site;
-  Effect.perform (E_suspend register)
+  Effect.perform (E_suspend (site, register))
 
-let at_exit_thread f =
-  let thr = self () in
-  thr.on_exit <- f :: thr.on_exit
+let at_exit_thread f = Effect.perform (E_at_exit f)
 
 let run ?until eng =
   assert_owner eng "run";
-  let continue_run () =
-    match Heap.peek eng.events with
-    | None -> false
-    | Some e ->
-      if e.Heap.payload.cancelled then begin
-        ignore (Heap.pop eng.events);
-        e.Heap.payload.retired <- true;
+  let u = Option.value until ~default:Int64.max_int in
+  let outer = eng.until in
+  eng.until <- u;
+  eng.inline_depth <- 0;
+  let h = eng.events in
+  let rec loop () =
+    if not (Heap.is_empty h) then begin
+      let e = Heap.top h in
+      if e.cancelled then begin
+        Heap.drop_top h;
+        e.retired <- true;
         eng.cancelled_pending <- eng.cancelled_pending - 1;
-        true
+        loop ()
       end
       else begin
-        match until with
-        | Some u when Int64.compare e.Heap.time u > 0 ->
-          eng.now <- u;
-          false
-        | _ ->
-          ignore (Heap.pop eng.events);
-          e.Heap.payload.retired <- true;
-          eng.now <- e.Heap.time;
-          e.Heap.payload.act ();
-          true
+        let time = Heap.top_time h in
+        if Int64.compare time u > 0 then eng.now <- u
+        else begin
+          Heap.drop_top h;
+          e.retired <- true;
+          eng.now <- time;
+          e.act ();
+          loop ()
+        end
       end
+    end
   in
-  while continue_run () do
-    ()
-  done
+  loop ();
+  eng.until <- outer
 
 let run_until_quiescent eng = run eng
 
@@ -335,9 +382,7 @@ let pending_events eng = Heap.length eng.events
 (* Virtual time of the earliest pending event (cancelled entries
    included — they still bound how far the clock can silently advance). *)
 let next_event_time eng =
-  match Heap.peek eng.events with
-  | None -> None
-  | Some e -> Some e.Heap.time
+  if Heap.is_empty eng.events then None else Some (Heap.top_time eng.events)
 
 let queue_capacity eng = Heap.capacity eng.events
 

@@ -38,6 +38,9 @@ type thread = {
   mutable site : string;
       (** Label of the last blocking point ("barrier.await", "rpc.call",
           ...); the Deadlock message quotes it for triage. *)
+  wake : unit -> unit;  (** Engine-internal: the delay wake-up. *)
+  running : thread option;
+      (** Engine-internal: [Some] of this thread, built once. *)
 }
 
 type t
@@ -51,6 +54,10 @@ val now : t -> int64
     from outside any simulation thread. *)
 val current_tid : t -> int
 
+(** The thread the engine is currently executing. Raises
+    [Invalid_argument] outside any simulation thread. *)
+val current : t -> thread
+
 (** Replace the handler invoked when a thread raises an uncaught exception.
     The default re-raises, aborting the simulation loudly. *)
 val set_crash_handler : t -> (thread -> exn -> unit) -> unit
@@ -59,7 +66,11 @@ val set_crash_handler : t -> (thread -> exn -> unit) -> unit
     sequence number of newly scheduled events is perturbed with bits from
     the generator, so logically-concurrent events (same virtual time) may
     interleave differently across seeds while each seed stays exactly
-    replayable. Events at different virtual times are never reordered. *)
+    replayable. Events at different virtual times are never reordered.
+    Perturbed numbers can collide; colliding events pop in an order fixed
+    by the event heap's layout (see {!Heap}), still a function of the
+    seed. While jitter is set, {!delay} wake-ups always go through the
+    queue. *)
 val set_jitter : t -> Prng.t option -> unit
 
 (** Schedule a callback at an absolute virtual time (clamped to now). *)
@@ -101,11 +112,14 @@ val spawn_at : t -> at:int64 -> ?name:string -> (unit -> unit) -> thread
 
 (** {2 Thread-context operations (must be called from inside a thread)} *)
 
-val self : unit -> thread
-
 val time : unit -> int64
 
-(** Block for a number of virtual nanoseconds. *)
+(** Block for a number of virtual nanoseconds. Without jitter, a wake-up
+    that would be the next event popped (earlier than every queued event
+    and within the running {!run}'s [until]) skips the queue: the clock
+    advances and the thread continues at once. It still consumes a
+    sequence number, so {!events_scheduled} and every later tie-break are
+    as if it had been queued. *)
 val delay : int64 -> unit
 
 val yield : unit -> unit

@@ -1,112 +1,171 @@
-type 'a entry = { time : int64; seq : int; payload : 'a }
+(* Entry [i] of the heap is three ints of [keys]: [keys.(3i)] is its time
+   as a key (see [key_of_time]), [keys.(3i+1)] its sequence number and
+   [keys.(3i+2)] the slot of [vals] holding its payload. Payloads never
+   move while the heap is sifted; only ints do, so a sift neither chases
+   pointers nor pays the write barrier, and a node's four children sit in
+   one or two cache lines. Free slots of [vals] are stacked in [free]. *)
+type 'a t = {
+  mutable keys : int array;
+  mutable vals : 'a array;
+  mutable free : int array;
+  mutable nfree : int;
+  mutable size : int;
+}
 
-type 'a t = { mutable data : 'a entry array; mutable size : int }
+(* [t - 2^62] maps [0, 2^63) onto OCaml's [int] range, preserving order:
+   every simulated time (including the [Int64.max_int] of a partition
+   that never heals) has an exact key. *)
+let offset = 0x4000_0000_0000_0000L
 
-let create () = { data = [||]; size = 0 }
+let key_of_time t = Int64.to_int (Int64.sub t offset)
+
+let time_of_key k = Int64.add (Int64.of_int k) offset
+
+let create () = { keys = [||]; vals = [||]; free = [||]; nfree = 0; size = 0 }
 
 let length h = h.size
 
-let capacity h = Array.length h.data
+let capacity h = Array.length h.vals
 
 let is_empty h = h.size = 0
 
-let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+(* Move to [ncap] slots: the live entries take slots [0, size) in heap
+   order and the rest are free. [filler] pads the payload array. *)
+let resize h ncap filler =
+  let keys = Array.make (3 * ncap) 0 and vals = Array.make ncap filler in
+  for i = 0 to h.size - 1 do
+    keys.(3 * i) <- h.keys.(3 * i);
+    keys.((3 * i) + 1) <- h.keys.((3 * i) + 1);
+    keys.((3 * i) + 2) <- i;
+    vals.(i) <- h.vals.(h.keys.((3 * i) + 2))
+  done;
+  h.keys <- keys;
+  h.vals <- vals;
+  h.free <- Array.init ncap (fun j -> ncap - 1 - j);
+  h.nfree <- ncap - h.size
 
-let grow h =
-  let cap = Array.length h.data in
-  if h.size >= cap then begin
-    let ncap = max 16 (2 * cap) in
-    let nd = Array.make ncap h.data.(0) in
-    Array.blit h.data 0 nd 0 h.size;
-    h.data <- nd
-  end
-
-(* Drop the backing array down to a small multiple of the live size so a
+(* Drop the backing arrays down to a small multiple of the live size so a
    long-lived engine does not pin the peak of its largest campaign. Only
-   worth doing when the array is mostly slack; keeps at least 16 slots. *)
+   worth doing when the arrays are mostly slack; keeps at least 16 slots. *)
 let shrink h =
-  let cap = Array.length h.data in
-  if cap > 64 && h.size * 4 < cap then begin
-    let ncap = max 16 (2 * h.size) in
-    let nd = Array.make ncap h.data.(0) in
-    Array.blit h.data 0 nd 0 h.size;
-    h.data <- nd
-  end
-
-let swap h i j =
-  let tmp = h.data.(i) in
-  h.data.(i) <- h.data.(j);
-  h.data.(j) <- tmp
+  let cap = Array.length h.vals in
+  if cap > 64 && h.size * 4 < cap then resize h (max 16 (2 * h.size)) h.vals.(0)
 
 (* 4-ary layout: children of [i] are [4i+1 .. 4i+4]. Half the depth of a
    binary heap, and the four children share cache lines, which matters on
-   the pop path (the hottest loop in the engine). Pop order is a pure
-   function of the [(time, seq)] total order, so arity is invisible to
-   clients. *)
-let rec sift_up h i =
-  if i > 0 then begin
-    let p = (i - 1) / 4 in
-    if before h.data.(i) h.data.(p) then begin
-      swap h i p;
-      sift_up h p
-    end
+   the pop path (the hottest loop in the engine). Both sifts carry the
+   moving entry [(t, s, slot)] in a hole instead of swapping it level by
+   level; the layout they leave is the one repeated swaps would. *)
+let rec sift_up (keys : int array) i (t : int) (s : int) slot =
+  let p = (i - 1) / 4 in
+  let pt = Array.unsafe_get keys (3 * p) in
+  if i > 0 && (t < pt || (t = pt && s < Array.unsafe_get keys ((3 * p) + 1)))
+  then begin
+    Array.unsafe_set keys (3 * i) pt;
+    Array.unsafe_set keys ((3 * i) + 1) (Array.unsafe_get keys ((3 * p) + 1));
+    Array.unsafe_set keys ((3 * i) + 2) (Array.unsafe_get keys ((3 * p) + 2));
+    sift_up keys p t s slot
+  end
+  else begin
+    Array.unsafe_set keys (3 * i) t;
+    Array.unsafe_set keys ((3 * i) + 1) s;
+    Array.unsafe_set keys ((3 * i) + 2) slot
   end
 
-let rec sift_down h i =
+(* The entry moves below the first of its children that is strictly
+   smallest, if that child is strictly before it. With equal keys this
+   tie rule decides the layout, and the layout decides which of the equal
+   entries pops first, so it must not change (see [heap.mli]). *)
+let rec sift_down (keys : int array) size i (t : int) (s : int) slot =
   let first = (4 * i) + 1 in
-  if first < h.size then begin
-    let last = min (first + 3) (h.size - 1) in
-    let m = ref i in
-    for c = first to last do
-      if before h.data.(c) h.data.(!m) then m := c
-    done;
-    if !m <> i then begin
-      swap h i !m;
-      sift_down h !m
-    end
+  let m = ref i and mt = ref t and ms = ref s in
+  if first < size then begin
+    m := first;
+    mt := Array.unsafe_get keys (3 * first);
+    ms := Array.unsafe_get keys ((3 * first) + 1);
+    let last = if first + 3 < size then first + 3 else size - 1 in
+    for c = first + 1 to last do
+      let ct = Array.unsafe_get keys (3 * c) in
+      if ct < !mt || (ct = !mt && Array.unsafe_get keys ((3 * c) + 1) < !ms)
+      then begin
+        m := c;
+        mt := ct;
+        ms := Array.unsafe_get keys ((3 * c) + 1)
+      end
+    done
+  end;
+  if !m <> i && (!mt < t || (!mt = t && !ms < s)) then begin
+    Array.unsafe_set keys (3 * i) !mt;
+    Array.unsafe_set keys ((3 * i) + 1) !ms;
+    Array.unsafe_set keys ((3 * i) + 2) (Array.unsafe_get keys ((3 * !m) + 2));
+    sift_down keys size !m t s slot
+  end
+  else begin
+    Array.unsafe_set keys (3 * i) t;
+    Array.unsafe_set keys ((3 * i) + 1) s;
+    Array.unsafe_set keys ((3 * i) + 2) slot
   end
 
 let push h ~time ~seq payload =
-  let e = { time; seq; payload } in
-  if h.size = 0 && Array.length h.data = 0 then h.data <- Array.make 16 e;
-  grow h;
-  h.data.(h.size) <- e;
-  h.size <- h.size + 1;
-  sift_up h (h.size - 1)
+  let cap = Array.length h.vals in
+  if h.size >= cap then resize h (max 16 (2 * cap)) payload;
+  h.nfree <- h.nfree - 1;
+  let slot = h.free.(h.nfree) in
+  h.vals.(slot) <- payload;
+  let i = h.size in
+  h.size <- i + 1;
+  sift_up h.keys i (key_of_time time) seq slot
 
-let peek h = if h.size = 0 then None else Some h.data.(0)
+let check_nonempty h op = if h.size = 0 then invalid_arg ("Heap." ^ op)
 
-let pop h =
-  if h.size = 0 then None
-  else begin
-    let top = h.data.(0) in
-    h.size <- h.size - 1;
-    if h.size > 0 then begin
-      h.data.(0) <- h.data.(h.size);
-      sift_down h 0
-    end;
-    shrink h;
-    Some top
-  end
+let top h =
+  check_nonempty h "top";
+  h.vals.(h.keys.(2))
+
+let top_key h =
+  check_nonempty h "top_key";
+  h.keys.(0)
+
+let top_time h = time_of_key (top_key h)
+
+let drop_top h =
+  check_nonempty h "drop_top";
+  let keys = h.keys in
+  h.free.(h.nfree) <- keys.(2);
+  h.nfree <- h.nfree + 1;
+  let n = h.size - 1 in
+  h.size <- n;
+  if n > 0 then
+    sift_down keys n 0 keys.(3 * n) keys.((3 * n) + 1) keys.((3 * n) + 2);
+  shrink h
 
 (* Keep only the entries whose payload satisfies [keep] (called exactly
-   once per entry, so it may carry side effects such as marking the
-   dropped entries dead), then rebuild the heap invariant bottom-up:
-   O(n), versus O(n log n) for popping the survivors one by one. Pop
-   order is unaffected — the heap pops strictly by [(time, seq)]
-   and seq values are unique. *)
+   once per entry, in heap order, so it may carry side effects such as
+   marking the dropped entries dead), then rebuild the heap invariant
+   bottom-up: O(n), versus O(n log n) for popping the survivors one by
+   one. *)
 let filter h keep =
+  let keys = h.keys in
   let k = ref 0 in
   for i = 0 to h.size - 1 do
-    let e = h.data.(i) in
-    if keep e.payload then begin
-      h.data.(!k) <- e;
-      incr k
+    let slot = keys.((3 * i) + 2) in
+    if keep h.vals.(slot) then begin
+      let j = !k in
+      keys.(3 * j) <- keys.(3 * i);
+      keys.((3 * j) + 1) <- keys.((3 * i) + 1);
+      keys.((3 * j) + 2) <- slot;
+      k := j + 1
+    end
+    else begin
+      h.free.(h.nfree) <- slot;
+      h.nfree <- h.nfree + 1
     end
   done;
   h.size <- !k;
   (* Heapify bottom-up from the last internal node. *)
-  for i = (h.size - 2) / 4 downto 0 do
-    sift_down h i
-  done;
+  if h.size > 1 then
+    for i = (h.size - 2) / 4 downto 0 do
+      sift_down keys h.size i keys.(3 * i) keys.((3 * i) + 1)
+        keys.((3 * i) + 2)
+    done;
   shrink h

@@ -1,9 +1,18 @@
 (** Min-heap (4-ary, for cache locality on the pop path) keyed by
-    [(time, seq)], used as the simulation event queue. Ties on [time] are
-    broken by insertion sequence number, which makes event delivery
-    deterministic. *)
+    [(time, seq)], used as the simulation event queue. The keys sit in
+    one flat [int] array and the payloads in a parallel array, so reading
+    the top's payload or {!top_key} allocates nothing.
 
-type 'a entry = { time : int64; seq : int; payload : 'a }
+    Ordering contract. The top is always an entry with the smallest
+    [(time, seq)] key, so an entry never pops after one with a strictly
+    greater key. When all live keys are distinct (the engine without
+    jitter: sequence numbers are unique), pop order is therefore a pure
+    function of the keys. Keys may repeat (the engine's jittered
+    sequence numbers collide); entries with equal keys pop in an order
+    fixed by the heap's layout, which is in turn a deterministic function
+    of the sequence of {!push}, {!drop_top} and {!filter} calls. That
+    layout, including the tie rule of the sift-down and the grow/shrink
+    policy, must stay as it is: changing it reorders jittered runs. *)
 
 type 'a t
 
@@ -11,29 +20,42 @@ val create : unit -> 'a t
 
 val length : 'a t -> int
 
-(** Slots in the backing array (>= {!length}); exposed so tests and the
+(** Slots in the backing arrays (>= {!length}); exposed so tests and the
     engine can assert that compaction and shrinking actually release
     memory. *)
 val capacity : 'a t -> int
 
 val is_empty : 'a t -> bool
 
-(** [push h ~time ~seq payload] inserts an entry. [seq] must be unique and
-    monotonically increasing for same-time determinism. *)
+(** [push h ~time ~seq payload] inserts an entry. [time] must lie in
+    [\[0, Int64.max_int\]]. *)
 val push : 'a t -> time:int64 -> seq:int -> 'a -> unit
 
-(** Smallest entry without removing it. *)
-val peek : 'a t -> 'a entry option
+(** {2 The smallest entry}
 
-(** Remove and return the smallest entry. Shrinks the backing array when
-    it is mostly slack, so draining a large campaign releases its peak. *)
-val pop : 'a t -> 'a entry option
+    Each raises [Invalid_argument] on an empty heap. *)
+
+val top : 'a t -> 'a
+
+val top_time : 'a t -> int64
+
+(** [top_time] as an order-preserving [int] key (see {!key_of_time}), for
+    comparisons that must not allocate. *)
+val top_key : 'a t -> int
+
+(** Remove the smallest entry. Shrinks the backing arrays when they are
+    mostly slack, so draining a large campaign releases its peak. *)
+val drop_top : 'a t -> unit
 
 (** [filter h keep] removes every entry whose payload fails [keep] and
     restores the heap invariant in O(n). [keep] is called exactly once
-    per entry (in unspecified order), so it may carry side effects such
-    as marking the dropped entries. Pop order of the survivors is
-    unchanged: the heap pops strictly by [(time, seq)] and sequence
-    numbers are unique. Used by the engine to reclaim cancelled timers
-    without waiting for their deadlines to drain through {!pop}. *)
+    per entry, in heap order, so it may carry side effects such as
+    marking the dropped entries. The survivors keep the ordering contract
+    above; survivors with distinct keys pop in the same order as before.
+    Used by the engine to reclaim cancelled timers without waiting for
+    their deadlines to drain through {!drop_top}. *)
 val filter : 'a t -> ('a -> bool) -> unit
+
+(** [key_of_time t] is [t - 2^62]: an exact, order-preserving map of
+    [\[0, 2^63)] onto [int]. *)
+val key_of_time : int64 -> int

@@ -34,7 +34,7 @@ let read ?timeout eng v =
     | Some _ as r -> r
     | None ->
       (* Timed out: drop our waiter record so a later fill skips it. *)
-      let me = Engine.self () in
+      let me = Engine.current eng in
       v.waiters <- List.filter (fun w -> w.thread != me) v.waiters;
       None)
 

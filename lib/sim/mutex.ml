@@ -8,7 +8,7 @@ let create () = { holder = None; waiters = [] }
 let is_locked m = m.holder <> None
 
 let lock eng m =
-  let me = Engine.self () in
+  let me = Engine.current eng in
   (match m.holder with
   | Some h when h == me -> invalid_arg "Mutex.lock: not reentrant"
   | _ -> ());
@@ -18,17 +18,9 @@ let lock eng m =
     | Some _ ->
       Engine.suspend ~site:"mutex.lock" (fun thr ->
           m.waiters <- m.waiters @ [ thr ]);
-      ignore eng;
       wait ()
   in
   wait ()
-
-let try_lock m =
-  match m.holder with
-  | None ->
-    m.holder <- Some (Engine.self ());
-    true
-  | Some _ -> false
 
 let unlock eng m =
   (match m.holder with

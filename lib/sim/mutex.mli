@@ -8,8 +8,6 @@ val is_locked : t -> bool
 
 val lock : Engine.t -> t -> unit
 
-val try_lock : t -> bool
-
 val unlock : Engine.t -> t -> unit
 
 (** [with_lock eng m f] runs [f] holding [m]; the lock is released even if

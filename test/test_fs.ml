@@ -263,10 +263,10 @@ let test_close_releases_imports () =
               (fun _ (pf : Hive.Types.pfdat) ->
                 if pf.Hive.Types.imported_from <> None then begin
                   assert pf.Hive.Types.cached;
-                  assert (List.memq pf c1.Hive.Types.import_cache)
+                  assert (List.memq pf (Hive.Types.parked_bindings c1))
                 end)
               c1.Hive.Types.page_hash;
-            assert (List.length c1.Hive.Types.import_cache = imported_before);
+            assert (List.length (Hive.Types.parked_bindings c1) = imported_before);
             (* Re-reading after close+reopen is served from the parked
                bindings: cache hits, no new locate RPCs. *)
             let locates_before =

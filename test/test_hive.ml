@@ -389,6 +389,37 @@ let test_borrow_frames () =
       finish sys [ p ];
       Alcotest.(check int) "borrow/return ok" 0 (exit_code p))
 
+(* [System.run_until] observes the predicate at the step boundaries that
+   cover the next queued event. A thread's delays that stay inside a
+   window run inline without touching the queue; the one that crosses a
+   boundary is queued, so [next_event_time] still sees it. The
+   observation points and event count are pinned to those of the
+   always-queued engine. *)
+let test_run_until_observation_points () =
+  with_sys (fun eng sys ->
+      let t0 = Sim.Engine.now eng in
+      let steps = ref 0 in
+      ignore
+        (Sim.Engine.spawn eng ~name:"stepper" (fun () ->
+             for _ = 1 to 9 do
+               Sim.Engine.delay 370_000L;
+               incr steps
+             done));
+      let seen = ref [] in
+      let ok =
+        Hive.System.run_until sys ~step:1_000_000L
+          ~deadline:(Int64.add t0 50_000_000L) (fun () ->
+            seen := (Int64.sub (Sim.Engine.now eng) t0, !steps) :: !seen;
+            !steps = 9)
+      in
+      Alcotest.(check bool) "predicate held" true ok;
+      Alcotest.(check (list (pair int64 int)))
+        "observation points"
+        [ (0L, 0); (1_000_000L, 2); (2_000_000L, 5); (3_000_000L, 8);
+          (4_000_000L, 9) ]
+        (List.rev !seen);
+      Alcotest.(check int) "events" 38 (Sim.Engine.events_scheduled eng))
+
 let suite =
   [
     Alcotest.test_case "boot" `Quick test_boot;
@@ -416,4 +447,6 @@ let suite =
     Alcotest.test_case "careful ref defends remote corruption" `Quick
       test_careful_ref_defends_remote_corruption;
     Alcotest.test_case "physical-level borrow/return" `Quick test_borrow_frames;
+    Alcotest.test_case "run_until observation points" `Quick
+      test_run_until_observation_points;
   ]

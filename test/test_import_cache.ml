@@ -85,7 +85,7 @@ let test_writable_export_invalidates_parked () =
           Hive.Share.release sys c1 imp;
           Alcotest.(check bool) "binding parked" true
             (imp.Hive.Types.cached
-            && List.memq imp c1.Hive.Types.import_cache);
+            && List.memq imp (Hive.Types.parked_bindings c1));
           Alcotest.(check int) "insertion counted" 1
             (counter c1 "share.cache_insertions");
           (* Cell 2 wants the page writable: cell 1's parked copy must go. *)
@@ -94,7 +94,7 @@ let test_writable_export_invalidates_parked () =
             (Hive.Pfdat.lookup c1 lid = None);
           Alcotest.(check (list int)) "cache emptied" []
             (List.map (fun (p : Hive.Types.pfdat) -> p.Hive.Types.pfn)
-               c1.Hive.Types.import_cache);
+               (Hive.Types.parked_bindings c1));
           Alcotest.(check int) "invalidation counted" 1
             (counter c1 "share.cache_invalidations");
           Alcotest.(check bool) "export record retired at the home" true
@@ -119,7 +119,7 @@ let test_cache_eviction_at_capacity () =
           in
           List.iter (fun imp -> Hive.Share.release sys c1 imp) imports;
           Alcotest.(check int) "cache bounded at capacity" 2
-            (List.length c1.Hive.Types.import_cache);
+            (List.length (Hive.Types.parked_bindings c1));
           Alcotest.(check int) "eviction counted" 1
             (counter c1 "share.cache_evictions");
           let oldest = List.nth imports 0 in
@@ -139,7 +139,7 @@ let test_recovery_flush_drops_parked () =
           Alcotest.(check bool) "binding parked" true imp.Hive.Types.cached;
           Hive.Vm.flush_remote_bindings sys c1;
           Alcotest.(check int) "import cache flushed" 0
-            (List.length c1.Hive.Types.import_cache);
+            (List.length (Hive.Types.parked_bindings c1));
           Alcotest.(check bool) "binding gone" true
             (Hive.Pfdat.lookup c1 lid = None)))
 
@@ -380,6 +380,88 @@ let test_invariants_hold_after_cache_traffic () =
            (fun v -> v.Hive.Invariants.inv ^ ": " ^ v.Hive.Invariants.detail)
            (Hive.Invariants.check sys)))
 
+(* Eviction drops the least recently *parked* live binding: a hit takes
+   a binding out of the cache, and parking it again makes it the newest,
+   so the binding parked second is the one evicted. *)
+let test_eviction_order_after_hit_and_repark () =
+  let params = { Hive.Params.default with Hive.Params.import_cache_pages = 2 } in
+  with_sys ~params (fun _eng sys ->
+      in_thread sys (fun () ->
+          let c1 = sys.Hive.Types.cells.(1) in
+          let imp page =
+            snd (share_page sys ~lid:(file_lid ~ino:906 page) ~client:1
+                   ~writable:false)
+          in
+          let a = imp 0 and b = imp 1 and c = imp 2 in
+          Hive.Share.release sys c1 a;
+          Hive.Share.release sys c1 b;
+          Hive.Share.cache_hit c1 a;
+          Hive.Share.release sys c1 a;
+          Alcotest.(check (list int)) "most recently parked first"
+            [ a.Hive.Types.pfn; b.Hive.Types.pfn ]
+            (List.map (fun (p : Hive.Types.pfdat) -> p.Hive.Types.pfn)
+               (Hive.Types.parked_bindings c1));
+          Hive.Share.release sys c1 c;
+          Alcotest.(check bool) "b evicted and released" true
+            ((not b.Hive.Types.cached) && b.Hive.Types.imported_from = None);
+          Alcotest.(check bool) "a and c still parked" true
+            (a.Hive.Types.cached && c.Hive.Types.cached);
+          Alcotest.(check int) "live count" 2
+            c1.Hive.Types.import_cache.Hive.Types.live))
+
+(* The import-cache checker sees the cache's own bookkeeping drift, not
+   just bad bindings: a wrong live count, a live entry whose binding is
+   not marked cached, and a cached binding without a live entry. *)
+let test_import_cache_checker_sees_drift () =
+  with_sys (fun _eng sys ->
+      let c1 = sys.Hive.Types.cells.(1) in
+      let parked = ref [] in
+      in_thread sys (fun () ->
+          parked :=
+            List.map
+              (fun page ->
+                let _pf, imp =
+                  share_page sys ~lid:(file_lid ~ino:907 page) ~client:1
+                    ~writable:false
+                in
+                Hive.Share.release sys c1 imp;
+                imp)
+              [ 0; 1; 2 ];
+          (* a hit and a re-park leave a dead entry behind *)
+          Hive.Share.cache_hit c1 (List.hd !parked);
+          Hive.Share.release sys c1 (List.hd !parked));
+      let details () =
+        List.map
+          (fun v -> v.Hive.Invariants.detail)
+          (Hive.Invariants.check_import_cache sys ~cells:[ c1 ])
+      in
+      let mentions needle =
+        List.exists
+          (fun d ->
+            let n = String.length needle in
+            let rec go i =
+              i + n <= String.length d && (String.sub d i n = needle || go (i + 1))
+            in
+            go 0)
+          (details ())
+      in
+      Alcotest.(check (list string)) "clean" [] (details ());
+      let ic = c1.Hive.Types.import_cache in
+      ic.Hive.Types.live <- ic.Hive.Types.live + 1;
+      Alcotest.(check bool) "live count drift" true (mentions "live count 4");
+      ic.Hive.Types.live <- ic.Hive.Types.live - 1;
+      let pf = List.nth !parked 1 in
+      pf.Hive.Types.cached <- false;
+      Alcotest.(check bool) "entry not marked cached" true
+        (mentions "in cache list but not marked cached");
+      pf.Hive.Types.cached <- true;
+      let stamp = pf.Hive.Types.park_stamp in
+      pf.Hive.Types.park_stamp <- 0;
+      Alcotest.(check bool) "cached without an entry" true
+        (mentions "marked cached but absent");
+      pf.Hive.Types.park_stamp <- stamp;
+      Alcotest.(check (list string)) "clean again" [] (details ()))
+
 let suite =
   [
     Alcotest.test_case "writable anon import carries the firewall grant"
@@ -404,4 +486,8 @@ let suite =
       test_cache_off_is_legacy_protocol;
     Alcotest.test_case "invariants hold after cache traffic" `Quick
       test_invariants_hold_after_cache_traffic;
+    Alcotest.test_case "eviction order after a hit and a re-park" `Quick
+      test_eviction_order_after_hit_and_repark;
+    Alcotest.test_case "import-cache checker sees bookkeeping drift" `Quick
+      test_import_cache_checker_sees_drift;
   ]

@@ -88,6 +88,106 @@ let test_run_until () =
   Sim.Engine.run eng;
   Alcotest.(check int) "completes later" 100 !count
 
+(* A delay whose wake-up would be the next event runs inline (no queue
+   round trip) only within the running [run ~until]: a wake time past the
+   bound must stop the clock at the bound, exactly as a queued wake-up
+   would, and a wake time equal to the bound still runs. *)
+let test_delay_past_until_stops_at_until () =
+  let eng = Sim.Engine.create () in
+  let seen = ref [] in
+  ignore
+    (Sim.Engine.spawn eng (fun () ->
+         List.iter
+           (fun d ->
+             Sim.Engine.delay d;
+             seen := Sim.Engine.time () :: !seen)
+           [ 100L; 400L; 1000L ]));
+  Sim.Engine.run ~until:500L eng;
+  Alcotest.(check (list int64)) "wake at the bound runs" [ 500L; 100L ] !seen;
+  check_i64 "clock at the bound" 500L (Sim.Engine.now eng);
+  Sim.Engine.run ~until:1499L eng;
+  Alcotest.(check int) "wake past the bound waits" 2 (List.length !seen);
+  check_i64 "clock clamped again" 1499L (Sim.Engine.now eng);
+  Alcotest.(check (option int64)) "wake-up still queued" (Some 1500L)
+    (Sim.Engine.next_event_time eng);
+  Sim.Engine.run eng;
+  Alcotest.(check (list int64)) "then completes" [ 1500L; 500L; 100L ] !seen
+
+(* Inline wake-ups consume a sequence number like queued ones, so
+   [events_scheduled] and every later same-time tie-break are unchanged:
+   at t=50 the wake-up scheduled first (b's, at t=25) runs first. *)
+let test_inline_wakeups_keep_tie_breaks () =
+  let eng = Sim.Engine.create () in
+  let order = ref [] in
+  let note name = order := (name, Sim.Engine.time ()) :: !order in
+  ignore
+    (Sim.Engine.spawn eng ~name:"a" (fun () ->
+         for _ = 1 to 5 do
+           Sim.Engine.delay 10L;
+           note "a"
+         done));
+  ignore
+    (Sim.Engine.spawn eng ~name:"b" (fun () ->
+         for _ = 1 to 2 do
+           Sim.Engine.delay 25L;
+           note "b"
+         done));
+  Sim.Engine.run eng;
+  Alcotest.(check (list (pair string int64)))
+    "interleaving"
+    [ ("a", 10L); ("a", 20L); ("b", 25L); ("a", 30L); ("a", 40L); ("b", 50L);
+      ("a", 50L) ]
+    (List.rev !order);
+  (* two spawns + seven delays *)
+  Alcotest.(check int) "every wake-up counted" 9
+    (Sim.Engine.events_scheduled eng);
+  let lone = Sim.Engine.create () in
+  ignore
+    (Sim.Engine.spawn lone (fun () ->
+         for _ = 1 to 1000 do
+           Sim.Engine.delay 3L
+         done));
+  Sim.Engine.run lone;
+  check_i64 "a lone thread's delays all elapse" 3000L (Sim.Engine.now lone);
+  Alcotest.(check int) "a lone thread's wake-ups counted" 1001
+    (Sim.Engine.events_scheduled lone)
+
+(* A killed thread gets [Killed] from [delay], whether it was killed while
+   parked in a delay or before it calls one. *)
+let test_killed_thread_delay_raises () =
+  let eng = Sim.Engine.create () in
+  let log = ref [] in
+  let note s = log := (s, Sim.Engine.time ()) :: !log in
+  let victim =
+    Sim.Engine.spawn eng ~name:"victim" (fun () ->
+        try
+          Sim.Engine.delay 1000L;
+          note "victim woke"
+        with Sim.Engine.Killed ->
+          note "victim killed";
+          raise Sim.Engine.Killed)
+  in
+  ignore
+    (Sim.Engine.spawn eng ~name:"suicide" (fun () ->
+         Sim.Engine.delay 5L;
+         Sim.Engine.kill eng (Sim.Engine.current eng);
+         try
+           Sim.Engine.delay 1L;
+           note "suicide woke"
+         with Sim.Engine.Killed ->
+           note "suicide killed";
+           raise Sim.Engine.Killed));
+  ignore
+    (Sim.Engine.spawn eng ~name:"killer" (fun () ->
+         Sim.Engine.delay 10L;
+         Sim.Engine.kill eng victim));
+  Sim.Engine.run eng;
+  Alcotest.(check (list (pair string int64)))
+    "both unwound from delay"
+    [ ("suicide killed", 5L); ("victim killed", 10L) ]
+    (List.rev !log);
+  Alcotest.(check int) "no live threads" 0 (Sim.Engine.live_threads eng)
+
 let test_crash_handler () =
   let eng = Sim.Engine.create () in
   let got = ref "" in
@@ -350,6 +450,18 @@ let test_condvar () =
   Sim.Engine.run eng;
   Alcotest.(check bool) "condition observed" true !observed
 
+(* Pop every entry, oldest key first: [(time, payload)] pairs. *)
+let drain_heap h =
+  let rec go acc =
+    if Sim.Heap.is_empty h then List.rev acc
+    else begin
+      let e = (Sim.Heap.top_time h, Sim.Heap.top h) in
+      Sim.Heap.drop_top h;
+      go (e :: acc)
+    end
+  in
+  go []
+
 let qcheck_heap_ordered =
   QCheck.Test.make ~name:"heap pops in (time, seq) order" ~count:200
     QCheck.(list (int_bound 1000))
@@ -358,17 +470,12 @@ let qcheck_heap_ordered =
       List.iteri
         (fun i t -> Sim.Heap.push h ~time:(Int64.of_int t) ~seq:i i)
         times;
-      let rec drain prev acc =
-        match Sim.Heap.pop h with
-        | None -> List.rev acc
-        | Some e ->
-          let key = (e.Sim.Heap.time, e.Sim.Heap.seq) in
-          if compare key prev < 0 then raise Exit;
-          drain key (e.Sim.Heap.payload :: acc)
-      in
-      match drain (-1L, -1) [] with
-      | popped -> List.length popped = List.length times
-      | exception Exit -> false)
+      (* payload [i] was pushed with [seq = i] *)
+      let popped = drain_heap h in
+      let times = Array.of_list times in
+      List.length popped = Array.length times
+      && List.for_all (fun (t, i) -> t = Int64.of_int times.(i)) popped
+      && List.sort compare popped = popped)
 
 let qcheck_heap_filter_preserves_order =
   QCheck.Test.make
@@ -386,12 +493,166 @@ let qcheck_heap_filter_preserves_order =
           entries
         |> List.sort compare |> List.map snd
       in
-      let rec drain acc =
-        match Sim.Heap.pop h with
-        | None -> List.rev acc
-        | Some e -> drain (e.Sim.Heap.payload :: acc)
+      List.map snd (drain_heap h) = expected)
+
+(* The entry-record heap the flat heap replaced, kept verbatim as a model.
+   Equal keys pop in an order fixed by the layout, and jittered engine
+   runs depend on that order, so the flat heap must go through the same
+   layouts: same 4-ary sifts and tie rule, same grow/shrink policy, same
+   [filter] heapify. *)
+module Model_heap = struct
+  type 'a entry = { time : int64; seq : int; payload : 'a }
+
+  type 'a t = { mutable data : 'a entry array; mutable size : int }
+
+  let create () = { data = [||]; size = 0 }
+
+  let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+
+  let grow h =
+    let cap = Array.length h.data in
+    if h.size >= cap then begin
+      let ncap = max 16 (2 * cap) in
+      let nd = Array.make ncap h.data.(0) in
+      Array.blit h.data 0 nd 0 h.size;
+      h.data <- nd
+    end
+
+  let shrink h =
+    let cap = Array.length h.data in
+    if cap > 64 && h.size * 4 < cap then begin
+      let ncap = max 16 (2 * h.size) in
+      let nd = Array.make ncap h.data.(0) in
+      Array.blit h.data 0 nd 0 h.size;
+      h.data <- nd
+    end
+
+  let swap h i j =
+    let tmp = h.data.(i) in
+    h.data.(i) <- h.data.(j);
+    h.data.(j) <- tmp
+
+  let rec sift_up h i =
+    if i > 0 then begin
+      let p = (i - 1) / 4 in
+      if before h.data.(i) h.data.(p) then begin
+        swap h i p;
+        sift_up h p
+      end
+    end
+
+  let rec sift_down h i =
+    let first = (4 * i) + 1 in
+    if first < h.size then begin
+      let last = min (first + 3) (h.size - 1) in
+      let m = ref i in
+      for c = first to last do
+        if before h.data.(c) h.data.(!m) then m := c
+      done;
+      if !m <> i then begin
+        swap h i !m;
+        sift_down h !m
+      end
+    end
+
+  let push h ~time ~seq payload =
+    let e = { time; seq; payload } in
+    if h.size = 0 && Array.length h.data = 0 then h.data <- Array.make 16 e;
+    grow h;
+    h.data.(h.size) <- e;
+    h.size <- h.size + 1;
+    sift_up h (h.size - 1)
+
+  let pop h =
+    if h.size = 0 then None
+    else begin
+      let top = h.data.(0) in
+      h.size <- h.size - 1;
+      if h.size > 0 then begin
+        h.data.(0) <- h.data.(h.size);
+        sift_down h 0
+      end;
+      shrink h;
+      Some top
+    end
+
+  let filter h keep =
+    let k = ref 0 in
+    for i = 0 to h.size - 1 do
+      let e = h.data.(i) in
+      if keep e.payload then begin
+        h.data.(!k) <- e;
+        incr k
+      end
+    done;
+    h.size <- !k;
+    for i = (h.size - 2) / 4 downto 0 do
+      sift_down h i
+    done;
+    shrink h
+end
+
+type heap_op = Push of int * int | Pop | Filter of int
+
+(* Keys are drawn from a tiny space (8 times x 4 seqs) so that equal
+   [(time, seq)] keys are common, as with jittered sequence numbers. *)
+let heap_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (6, map2 (fun t s -> Push (t, s)) (int_bound 7) (int_bound 3));
+        (3, return Pop);
+        (1, map (fun m -> Filter m) (int_range 2 5)) ])
+
+let show_heap_op = function
+  | Push (t, s) -> Printf.sprintf "push(%d,%d)" t s
+  | Pop -> "pop"
+  | Filter m -> Printf.sprintf "filter(mod %d)" m
+
+let qcheck_heap_matches_model =
+  QCheck.Test.make
+    ~name:"heap pops equal keys in the entry-record heap's order"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat " " (List.map show_heap_op ops))
+       QCheck.Gen.(list_size (int_range 0 400) heap_op_gen))
+    (fun ops ->
+      let h = Sim.Heap.create () and m = Model_heap.create () in
+      let next = ref 0 in
+      let same = ref true in
+      let pop_both () =
+        match Model_heap.pop m with
+        | None -> if not (Sim.Heap.is_empty h) then same := false
+        | Some e ->
+          if Sim.Heap.is_empty h then same := false
+          else begin
+            (* payloads are unique ids, so equal ids mean equal order *)
+            if
+              Sim.Heap.top_time h <> e.Model_heap.time
+              || Sim.Heap.top h <> e.Model_heap.payload
+            then same := false;
+            Sim.Heap.drop_top h
+          end
       in
-      drain [] = expected)
+      List.iter
+        (fun op ->
+          (match op with
+          | Push (t, s) ->
+            let id = !next in
+            incr next;
+            let time = Int64.of_int (t * 1000) in
+            Sim.Heap.push h ~time ~seq:s id;
+            Model_heap.push m ~time ~seq:s id
+          | Pop -> pop_both ()
+          | Filter md ->
+            Sim.Heap.filter h (fun id -> id mod md <> 0);
+            Model_heap.filter m (fun id -> id mod md <> 0));
+          if Sim.Heap.capacity h <> Array.length m.Model_heap.data then
+            same := false)
+        ops;
+      while m.Model_heap.size > 0 || not (Sim.Heap.is_empty h) do
+        pop_both ()
+      done;
+      !same)
 
 (* Draining a large heap must release its peak allocation: a long-lived
    engine should not pin the backing array of its largest campaign. *)
@@ -403,7 +664,7 @@ let test_heap_pop_releases_peak () =
   let peak = Sim.Heap.capacity h in
   Alcotest.(check bool) "backing array grew" true (peak >= 4096);
   for _ = 1 to 4080 do
-    ignore (Sim.Heap.pop h)
+    Sim.Heap.drop_top h
   done;
   Alcotest.(check int) "survivors remain" 16 (Sim.Heap.length h);
   Alcotest.(check bool) "peak released" true (Sim.Heap.capacity h < peak / 4)
@@ -503,6 +764,66 @@ let test_deadlock_names_blocked_threads () =
         "ivar.read";
       ]
 
+(* The handlers record the site: a thread whose delay timer is cancelled
+   from outside is reported as blocked at "delay", beside a thread
+   blocked at a named suspend site. *)
+let test_deadlock_names_delay_site () =
+  let eng = Sim.Engine.create () in
+  let mb = Sim.Mailbox.create () in
+  let sleeper =
+    Sim.Engine.spawn eng ~name:"sleeper" (fun () -> Sim.Engine.delay 1000L)
+  in
+  ignore
+    (Sim.Engine.spawn eng ~name:"reader" (fun () ->
+         Sim.Engine.delay 20L;
+         ignore (Sim.Mailbox.receive eng mb)));
+  ignore
+    (Sim.Engine.spawn eng ~name:"saboteur" (fun () ->
+         Sim.Engine.delay 10L;
+         List.iter Sim.Engine.cancel sleeper.Sim.Engine.timers));
+  Sim.Engine.run eng;
+  match Sim.Engine.check_deadlock eng with
+  | () -> Alcotest.fail "deadlock not reported"
+  | exception Sim.Engine.Deadlock msg ->
+    List.iter
+      (fun needle ->
+        Alcotest.(check bool)
+          (Printf.sprintf "message mentions %S" needle)
+          true (contains msg needle))
+      [ "2 thread"; "\"sleeper\" blocked at delay";
+        "\"reader\" blocked at mailbox.receive" ]
+
+(* With jitter, colliding sequence numbers make pop order depend on the
+   heap's layout, so the engine must keep the event queue's exact history
+   (no inline wake-ups). The trace of this jittered run is pinned: the
+   digest is the one the entry-record heap and always-queued delays
+   produced. Inlining wake-ups here, or changing the heap's tie rule,
+   changes it. *)
+let test_jittered_engine_order_pinned () =
+  let eng = Sim.Engine.create () in
+  Sim.Engine.set_jitter eng (Some (Sim.Prng.of_int64 0xeL));
+  let trace = Buffer.create 4096 in
+  let note tag =
+    Buffer.add_string trace
+      (Printf.sprintf "%s@%Ld;" tag (Sim.Engine.now eng))
+  in
+  for i = 0 to 3 do
+    let rng = Sim.Prng.of_int64 (Int64.of_int (100 + i)) in
+    ignore
+      (Sim.Engine.spawn eng ~name:(string_of_int i) (fun () ->
+           for _ = 1 to 200 do
+             Sim.Engine.delay (Int64.of_int (100 * (1 + Sim.Prng.int rng 8)));
+             note (string_of_int i);
+             if Sim.Prng.int rng 4 = 0 then
+               Sim.Engine.schedule eng ~after:100L (fun () ->
+                   note ("t" ^ string_of_int i))
+           done))
+  done;
+  Sim.Engine.run eng;
+  Alcotest.(check int) "events" 1016 (Sim.Engine.events_scheduled eng);
+  Alcotest.(check string) "trace digest" "36c96090ddd0bbc41056989f8122d8a6"
+    (Digest.to_hex (Digest.string (Buffer.contents trace)))
+
 let test_no_deadlock_when_all_exit () =
   let eng = Sim.Engine.create () in
   ignore (Sim.Engine.spawn eng ~name:"a" (fun () -> Sim.Engine.delay 5L));
@@ -518,6 +839,12 @@ let suite =
     Alcotest.test_case "kill unwinds with cleanup" `Quick test_kill_unwinds;
     Alcotest.test_case "kill before start" `Quick test_kill_before_start;
     Alcotest.test_case "run ~until pauses and resumes" `Quick test_run_until;
+    Alcotest.test_case "delay past until stops at until" `Quick
+      test_delay_past_until_stops_at_until;
+    Alcotest.test_case "inline wake-ups keep tie-breaks" `Quick
+      test_inline_wakeups_keep_tie_breaks;
+    Alcotest.test_case "killed thread's delay raises Killed" `Quick
+      test_killed_thread_delay_raises;
     Alcotest.test_case "crash handler invoked" `Quick test_crash_handler;
     Alcotest.test_case "timer cancel" `Quick test_timer_cancel;
     Alcotest.test_case "ivar fill/read" `Quick test_ivar_basic;
@@ -543,6 +870,10 @@ let suite =
     Alcotest.test_case "condvar signal" `Quick test_condvar;
     Alcotest.test_case "deadlock report names blocked threads" `Quick
       test_deadlock_names_blocked_threads;
+    Alcotest.test_case "deadlock report names the delay site" `Quick
+      test_deadlock_names_delay_site;
+    Alcotest.test_case "jittered engine order pinned" `Quick
+      test_jittered_engine_order_pinned;
     Alcotest.test_case "no deadlock when all threads exit" `Quick
       test_no_deadlock_when_all_exit;
     Alcotest.test_case "heap pop releases peak capacity" `Quick
@@ -553,6 +884,7 @@ let suite =
       test_foreign_domain_rejected;
     QCheck_alcotest.to_alcotest qcheck_heap_ordered;
     QCheck_alcotest.to_alcotest qcheck_heap_filter_preserves_order;
+    QCheck_alcotest.to_alcotest qcheck_heap_matches_model;
     QCheck_alcotest.to_alcotest qcheck_prng_bounds;
     QCheck_alcotest.to_alcotest qcheck_mailbox_preserves_messages;
   ]
