@@ -121,22 +121,6 @@ let boot_shape ?(oracle = false) ?wax shape =
   in
   (eng, sys, ncells)
 
-let setup_and_run sys = function
-  | "pmake" ->
-    Workloads.Pmake.setup sys Workloads.Pmake.default;
-    Workloads.Pmake.run sys
-  | "ocean" ->
-    Workloads.Ocean.setup sys Workloads.Ocean.default;
-    Workloads.Ocean.run sys
-  | "raytrace" -> Workloads.Raytrace.run sys
-  | other -> failwith ("unknown workload: " ^ other)
-
-let verify_of sys = function
-  | "pmake" -> Workloads.Pmake.verify sys
-  | "ocean" -> Workloads.Ocean.verify sys
-  | "raytrace" -> Workloads.Raytrace.verify sys
-  | _ -> []
-
 let print_counters sys =
   List.iter
     (fun (c : Hive.Metrics.Snapshot.cell) ->
@@ -167,7 +151,9 @@ let run_workload name shape verbose output =
   if verbose then
     Sim.Event.attach sys.Hive.Types.events (Sim.Event.jsonl_sink stderr);
   let trace_close = attach_trace sys output.out_trace in
-  let result, _ = setup_and_run sys name in
+  let spec = Workloads.Spec.of_name name in
+  Workloads.Spec.setup sys spec;
+  let result = Workloads.Spec.run sys spec in
   Printf.printf "%s on %s (%d cell%s): %.3f s simulated%s\n"
     result.Workloads.Workload.name
     (if shape.sh_smp then "SMP-OS baseline" else "Hive")
@@ -180,7 +166,7 @@ let run_workload name shape verbose output =
       if v <> Workloads.Workload.Match then
         Printf.printf "  output %s: %s\n" path
           (Workloads.Workload.verify_outcome_to_string v))
-    (verify_of sys name);
+    (Workloads.Spec.verify sys spec);
   if verbose then print_counters sys;
   finish_observability sys ~trace_close ~output;
   0
@@ -230,17 +216,16 @@ let run_fault kind shape node victim at_ms cascade_node oracle link_from
     drop_pct dup_pct delay_pct dur_ms output =
   let _eng, sys, _ = boot_shape ~oracle ~wax:false shape in
   let trace_close = attach_trace sys output.out_trace in
-  let at_ns = Int64.of_int (at_ms * 1_000_000) in
   let mode = Hive.System.Random_address in
-  let fault =
+  let fault_kind =
     match (kind, cascade_node) with
-    | `Node, None -> Faultinj.Campaign.Node_failure { node; at_ns }
+    | `Node, None -> Faultinj.Campaign.Node_failure { node }
     | `Node, Some second_node ->
-      Faultinj.Campaign.Node_cascade { first_node = node; second_node; at_ns }
+      Faultinj.Campaign.Node_cascade { first_node = node; second_node }
     | `Corrupt_cow, _ ->
-      Faultinj.Campaign.Corrupt_cow { victim_cell = victim; at_ns; mode }
+      Faultinj.Campaign.Corrupt_cow { victim_cell = victim; mode }
     | `Corrupt_map, _ ->
-      Faultinj.Campaign.Corrupt_map { victim_cell = victim; at_ns; mode }
+      Faultinj.Campaign.Corrupt_map { victim_cell = victim; mode }
     | `Link, _ ->
       (* Degrade the interconnect into --node for --dur-ms: drops,
          duplicates and delays per the given percentages. The kernels
@@ -249,7 +234,6 @@ let run_fault kind shape node victim at_ms cascade_node oracle link_from
         {
           deg_from = link_from;
           deg_to = node;
-          at_ns;
           dur_ns = Int64.of_int (dur_ms * 1_000_000);
           drop_pct;
           dup_pct;
@@ -259,7 +243,10 @@ let run_fault kind shape node victim at_ms cascade_node oracle link_from
         }
   in
   let o =
-    Faultinj.Campaign.run_test ~sys ~workload:Faultinj.Campaign.Use_pmake fault
+    Faultinj.Campaign.run_test ~sys
+      ~workload:(Workloads.Spec.of_name "pmake")
+      { Faultinj.Campaign.at_ns = Int64.of_int (at_ms * 1_000_000);
+        kind = fault_kind }
   in
   let ints l = String.concat "; " (List.map string_of_int l) in
   Printf.printf "fault: %s -> cells [%s]\n" o.Faultinj.Campaign.fault_desc
@@ -445,7 +432,10 @@ let victim_arg =
 let at_ms_arg =
   Arg.(
     value & opt int 300
-    & info [ "at-ms" ] ~docv:"MS" ~doc:"Injection time in milliseconds.")
+    & info [ "at-ms" ] ~docv:"MS"
+        ~doc:
+          "Injection time in milliseconds, counted from the end of the \
+           workload's setup (not from boot).")
 
 let cascade_node_arg =
   Arg.(

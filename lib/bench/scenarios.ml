@@ -5,6 +5,7 @@
    and the CI diff gate stand on. *)
 
 open Scenario
+module Spec = Workloads.Spec
 
 (* Boot a system for one grid point. *)
 let boot_dims (dims : dims) =
@@ -221,26 +222,12 @@ let declare_sharing () =
 
 (* ---------- area workloads ---------- *)
 
-let setup_workload sys = function
-  | "pmake" -> Workloads.Pmake.setup sys Workloads.Pmake.default
-  | "ocean" -> Workloads.Ocean.setup sys Workloads.Ocean.default
-  | "raytrace" -> ()
-  | other -> failwith ("unknown workload " ^ other)
-
-let run_workload sys name =
-  let result, _ =
-    match name with
-    | "pmake" -> Workloads.Pmake.run sys
-    | "ocean" -> Workloads.Ocean.run sys
-    | _ -> Workloads.Raytrace.run sys
-  in
-  result
-
 (* Boot the grid point's machine and run its workload to completion. *)
 let run_workload_dims (dims : dims) =
   let _eng, sys = boot_dims dims in
-  setup_workload sys dims.workload;
-  run_workload sys dims.workload
+  let w = Spec.of_name dims.workload in
+  Spec.setup sys w;
+  Spec.run sys w
 
 let run_workload_point (dims : dims) =
   let result = run_workload_dims dims in
@@ -372,22 +359,6 @@ let raise_hint sys ~by ~suspect =
     f sys.Hive.Types.cells.(by) ~suspect ~reason:"bench fault injection"
   | None -> failwith "resilience: no hint handler installed"
 
-(* Sever every link into and out of [cell] for [window_ns] starting now;
-   the heal is a deterministic scheduled event. *)
-let sever_cell sys ~cell ~window_ns =
-  let sips = Flash.Machine.sips sys.Hive.Types.machine in
-  let t0 = Sim.Engine.now sys.Hive.Types.eng in
-  let until_ns = Int64.add t0 window_ns in
-  List.iter
-    (fun n ->
-      Flash.Sips.partition sips
-        { Flash.Sips.part_from = -1; part_to = n; part_from_ns = t0;
-          part_until_ns = until_ns };
-      Flash.Sips.partition sips
-        { Flash.Sips.part_from = n; part_to = -1; part_from_ns = t0;
-          part_until_ns = until_ns })
-    sys.Hive.Types.cells.(cell).Hive.Types.cell_nodes
-
 (* Black out one cell for link_ms, let agreement excise it, and measure
    the path back to a single unified live set after the deterministic
    heal: the victim is still running behind the blackout, so reclamation
@@ -399,9 +370,9 @@ let run_partition_heal (dims : dims) =
   Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) settle_ns) eng;
   let victim = dims.cells - 1 in
   let t0 = Sim.Engine.now eng in
-  let window_ns = Int64.of_int (dims.link_ms * 1_000_000) in
-  let heal_ns = Int64.add t0 window_ns in
-  sever_cell sys ~cell:victim ~window_ns;
+  let heal_ns = Int64.add t0 (Int64.of_int (dims.link_ms * 1_000_000)) in
+  Faultinj.Campaign.sever_cell sys ~cell:victim ~from_ns:t0 ~until_ns:heal_ns
+    ~one_way:false;
   raise_hint sys ~by:0 ~suspect:victim;
   let unified () =
     Array.for_all
@@ -742,7 +713,6 @@ let run_scale (dims : dims) =
      brings it back while the surviving compiles keep going. *)
   let victim = dims.cells - 1 in
   let t_fault = ref 0L in
-  let t_reunified = ref 0L in
   let unified () =
     (not sys.Hive.Types.recovery_in_progress)
     && Array.for_all
@@ -757,25 +727,23 @@ let run_scale (dims : dims) =
          t_fault := Sim.Engine.now eng;
          Hive.System.inject_node_failure sys
            (List.hd sys.Hive.Types.cells.(victim).Hive.Types.cell_nodes)));
-  (* The build usually outlives reintegration, so sample the first moment
-     the machine is whole again rather than crediting the build tail to
-     recovery. *)
-  ignore
-    (Sim.Engine.spawn eng ~name:"scale-watch" (fun () ->
-         while Int64.compare !t_fault 0L = 0 || not (unified ()) do
-           Sim.Engine.delay 10_000_000L
-         done;
-         t_reunified := Sim.Engine.now eng));
   let result, _ = Workloads.Pmake.run ~cfg:pcfg sys in
   let reunified =
     Hive.System.run_until sys
       ~deadline:(Int64.add (Sim.Engine.now eng) 30_000_000_000L)
       unified
   in
+  (* Recovery ends at the first reintegration on the kernel's recovery
+     timeline, not at the end of the build, which usually outlives it. *)
   let recovery_ms =
-    if reunified && Int64.compare !t_reunified !t_fault > 0 then
-      Int64.to_float (Int64.sub !t_reunified !t_fault) /. 1e6
-    else 0.
+    match
+      List.find_opt
+        (fun (phase, t) ->
+          phase = "recovery.reintegrate" && Int64.compare t !t_fault >= 0)
+        sys.Hive.Types.recovery_timeline
+    with
+    | Some (_, t) when reunified -> Int64.to_float (Int64.sub t !t_fault) /. 1e6
+    | _ -> 0.
   in
   let snap = Hive.Metrics.capture sys in
   let rpc_calls =
@@ -956,7 +924,8 @@ let run_pagefault_breakdown (dims : dims) =
 let run_pagefault_pmake (dims : dims) =
   let run cells =
     let _eng, sys = boot_dims { dims with cells } in
-    setup_workload sys "pmake";
+    let pmake = Spec.of_name "pmake" in
+    Spec.setup sys pmake;
     let snapshot () =
       Array.fold_left
         (fun (f, r, ms) (c : Hive.Types.cell) ->
@@ -969,7 +938,7 @@ let run_pagefault_pmake (dims : dims) =
         (0, 0, 0.) sys.Hive.Types.cells
     in
     let f0, r0, ms0 = snapshot () in
-    ignore (run_workload sys "pmake");
+    ignore (Spec.run sys pmake);
     let f1, r1, ms1 = snapshot () in
     (float_of_int (f1 - f0), float_of_int (r1 - r0), ms1 -. ms0)
   in
@@ -994,8 +963,9 @@ let run_firewall_latency (dims : dims) =
       }
     in
     let _eng, sys = Harness.boot ~ncells:dims.cells ~mcfg () in
-    setup_workload sys dims.workload;
-    ignore (run_workload sys dims.workload);
+    let w = Spec.of_name dims.workload in
+    Spec.setup sys w;
+    ignore (Spec.run sys w);
     Flash.Memory.remote_write_miss_avg_ns
       (Flash.Machine.memory sys.Hive.Types.machine)
   in
@@ -1014,7 +984,8 @@ let run_firewall_latency (dims : dims) =
    5 s of steady-state execution as in the paper. *)
 let run_firewall_pages (dims : dims) =
   let eng, sys = boot_dims dims in
-  setup_workload sys dims.workload;
+  let w = Spec.of_name dims.workload in
+  Spec.setup sys w;
   let samples =
     Array.map (fun _ -> Sim.Stats.summary ()) sys.Hive.Types.cells
   in
@@ -1032,7 +1003,7 @@ let run_firewall_pages (dims : dims) =
                       (Hive.Wild_write.remotely_writable_pages sys c)))
              sys.Hive.Types.cells
          done));
-  ignore (run_workload sys dims.workload);
+  ignore (Spec.run sys w);
   let avg =
     Array.fold_left (fun acc s -> acc +. Sim.Stats.mean s) 0. samples
     /. float_of_int (Array.length samples)
@@ -1190,8 +1161,9 @@ let run_table_7_4 (dims : dims) =
    of a corrupt hint, and Wax restarting after a cell failure. *)
 let run_wax (dims : dims) =
   let eng, sys = Harness.boot ~ncells:dims.cells ~wax:true () in
-  setup_workload sys "pmake";
-  ignore (run_workload sys "pmake");
+  let pmake = Spec.of_name "pmake" in
+  Spec.setup sys pmake;
+  ignore (Spec.run sys pmake);
   Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 500_000_000L) eng;
   let started = sys.Hive.Types.wax_incarnation in
   let per_cell =

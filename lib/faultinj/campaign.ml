@@ -1,34 +1,14 @@
-(* Fault-injection campaigns (Section 7.4).
+(* Fault-injection campaigns (Section 7.4). campaign.mli documents the
+   steps of a test and the shared end-of-run oracle. *)
 
-   Each test boots a four-cell system (or takes the caller's), runs a
-   workload, injects one fault (a fail-stop node failure or a kernel data
-   corruption), and then:
-
-   - measures the latency until the last cell enters recovery;
-   - checks that the fault's effects were contained: all other cells
-     survive;
-   - runs the pmake workload as a system correctness check (it forks
-     processes on all surviving cells);
-   - compares all output files of the workload run and the check run
-     against reference copies to detect data corruption (stale data after
-     a preemptive discard is data loss, not corruption);
-   - checks that no RPC call is orphaned and that every invariant holds
-     on every live cell but an undetected data-corruption victim.
-
-   The workload/timing combinations follow Table 7.4: node failure during
-   process creation (pmake), during copy-on-write search (raytrace), and
-   at random times (pmake); corrupt pointer in a process address map
-   (pmake) and in the copy-on-write tree (raytrace). *)
-
-type fault =
-  | Node_failure of { node : int; at_ns : int64 }
-  | Node_cascade of { first_node : int; second_node : int; at_ns : int64 }
-  | Corrupt_map of { victim_cell : int; at_ns : int64; mode : Hive.System.corruption_mode }
-  | Corrupt_cow of { victim_cell : int; at_ns : int64; mode : Hive.System.corruption_mode }
+type kind =
+  | Node_failure of { node : int }
+  | Node_cascade of { first_node : int; second_node : int }
+  | Corrupt_map of { victim_cell : int; mode : Hive.System.corruption_mode }
+  | Corrupt_cow of { victim_cell : int; mode : Hive.System.corruption_mode }
   | Link_degrade of {
       deg_from : int; (* source proc, -1 = any *)
       deg_to : int; (* destination node, -1 = any *)
-      at_ns : int64;
       dur_ns : int64;
       drop_pct : int;
       dup_pct : int;
@@ -38,11 +18,14 @@ type fault =
     }
   | Partition of {
       part_cell : int; (* cell severed from the rest of the machine *)
-      at_ns : int64;
-      dur_ns : int64; (* heals deterministically at at_ns + dur_ns *)
+      dur_ns : int64; (* heals deterministically dur_ns after injection *)
       one_way : bool; (* true: only traffic INTO the cell is lost *)
     }
-  | Cpu_dead_mem_alive of { node : int; at_ns : int64 }
+  | Cpu_dead_mem_alive of { node : int }
+
+(* [at_ns] counts from boot in [Fuzz.run_plan] and from the end of
+   workload setup in [run_test]. *)
+type fault = { at_ns : int64; kind : kind }
 
 type outcome = {
   fault_desc : string;
@@ -55,8 +38,6 @@ type outcome = {
   survivors : int list;
   violations : string list;
 }
-
-type workload_kind = Use_pmake | Use_raytrace
 
 let pick_victim_process (sys : Hive.Types.system) ~cell_id =
   let c = sys.Hive.Types.cells.(cell_id) in
@@ -150,23 +131,23 @@ let rec await_barrier1 (sys : Hive.Types.system) ~since tries =
     await_barrier1 sys ~since (tries - 1)
   end
 
-let inject (sys : Hive.Types.system) rng fault =
+let inject_once (sys : Hive.Types.system) rng fault =
   let now = Sim.Engine.now sys.Hive.Types.eng in
-  match fault with
-  | Node_failure { node; _ } ->
+  match fault.kind with
+  | Node_failure { node } ->
     Hive.System.inject_node_failure sys node;
     [ cell_of_node sys node ]
-  | Node_cascade { first_node; second_node; _ } ->
+  | Node_cascade { first_node; second_node } ->
     Hive.System.inject_node_failure sys first_node;
     await_barrier1 sys ~since:now 10_000;
     Hive.System.inject_node_failure sys second_node;
     [ cell_of_node sys first_node; cell_of_node sys second_node ]
-  | Corrupt_map { victim_cell; mode; _ } -> (
+  | Corrupt_map { victim_cell; mode } -> (
     match pick_victim_process sys ~cell_id:victim_cell with
     | Some p when Hive.System.corrupt_address_map sys p mode rng ->
       [ victim_cell ]
     | _ -> [])
-  | Corrupt_cow { victim_cell; mode; _ } -> (
+  | Corrupt_cow { victim_cell; mode } -> (
     match pick_cow_node sys ~cell_id:victim_cell with
     | Some leaf ->
       Hive.System.corrupt_cow_parent sys sys.Hive.Types.cells.(victim_cell)
@@ -175,7 +156,7 @@ let inject (sys : Hive.Types.system) rng fault =
     | None -> [])
   | Link_degrade
       { deg_from; deg_to; dur_ns; drop_pct; dup_pct; delay_pct;
-        max_delay_ns; salt; _ } ->
+        max_delay_ns; salt } ->
     Flash.Sips.degrade
       (Flash.Machine.sips sys.Hive.Types.machine)
       ~rng:(Sim.Prng.of_int64 salt)
@@ -185,22 +166,20 @@ let inject (sys : Hive.Types.system) rng fault =
     (* Reported as the destination cell when the window targets one link,
        cell 0 for a machine-wide window; nothing is corrupted either way. *)
     [ (if deg_to >= 0 then cell_of_node sys deg_to else 0) ]
-  | Partition { part_cell; dur_ns; one_way; _ } ->
+  | Partition { part_cell; dur_ns; one_way } ->
     sever_cell sys ~cell:part_cell ~from_ns:now
       ~until_ns:(Int64.add now dur_ns) ~one_way;
     [ part_cell ]
-  | Cpu_dead_mem_alive { node; _ } ->
+  | Cpu_dead_mem_alive { node } ->
     Hive.System.inject_cpu_failure sys node;
     [ cell_of_node sys node ]
 
-(* [inject], retried every 20 ms until a suitable victim exists
-   (corruption faults need a running process with an anonymous region),
-   at most [tries] times. Returns the time of the last attempt and the
-   cells it landed on. *)
-let inject_retrying sys rng ~tries fault =
+(* Corruption faults need a running process with an anonymous region,
+   so retry every 20 ms until a victim exists, at most [tries] times. *)
+let inject sys rng ~tries fault =
   let rec attempt n =
     let t = Sim.Engine.time () in
-    match inject sys rng fault with
+    match inject_once sys rng fault with
     | [] when n > 1 ->
       Sim.Engine.delay 20_000_000L;
       attempt (n - 1)
@@ -208,29 +187,19 @@ let inject_retrying sys rng ~tries fault =
   in
   attempt tries
 
-(* Whether the fault destroys or corrupts kernel state on the victim cell
-   (so checkers must exempt it). Link degradation only perturbs message
-   delivery: every cell must come out fully coherent, so it is never
-   exempted. A partitioned minority cell stands down (self-panics) and is
-   rebooted with zeroed memory at reintegration, so it is exempted like
-   any other fail-stop victim. *)
-let corrupts_cell = function
+(* A partitioned minority cell stands down (self-panics), so it counts;
+   link degradation only perturbs message delivery. Exemption from the
+   invariant sweep is the narrower rule of [exempt_cells]. *)
+let corrupts_cell f =
+  match f.kind with
   | Node_failure _ | Node_cascade _ | Corrupt_map _ | Corrupt_cow _ -> true
   | Link_degrade _ -> false
   | Partition _ | Cpu_dead_mem_alive _ -> true
 
-let fault_time = function
-  | Node_failure { at_ns; _ } -> at_ns
-  | Node_cascade { at_ns; _ } -> at_ns
-  | Corrupt_map { at_ns; _ } -> at_ns
-  | Corrupt_cow { at_ns; _ } -> at_ns
-  | Link_degrade { at_ns; _ } -> at_ns
-  | Partition { at_ns; _ } -> at_ns
-  | Cpu_dead_mem_alive { at_ns; _ } -> at_ns
-
-let describe = function
-  | Node_failure { node; _ } -> Printf.sprintf "node %d fail-stop" node
-  | Node_cascade { first_node; second_node; _ } ->
+let describe f =
+  match f.kind with
+  | Node_failure { node } -> Printf.sprintf "node %d fail-stop" node
+  | Node_cascade { first_node; second_node } ->
     Printf.sprintf "node %d fail-stop, then node %d mid-recovery" first_node
       second_node
   | Corrupt_map { victim_cell; _ } ->
@@ -245,12 +214,38 @@ let describe = function
       (if deg_to = -1 then "*" else string_of_int deg_to)
       (Int64.div dur_ns 1_000_000L)
       drop_pct dup_pct delay_pct
-  | Partition { part_cell; dur_ns; one_way; _ } ->
+  | Partition { part_cell; dur_ns; one_way } ->
     Printf.sprintf "partition cell %d for %Ld ms (%s)" part_cell
       (Int64.div dur_ns 1_000_000L)
       (if one_way then "inbound only" else "both ways")
-  | Cpu_dead_mem_alive { node; _ } ->
+  | Cpu_dead_mem_alive { node } ->
     Printf.sprintf "node %d CPU dead, memory alive" node
+
+(* A data-corruption victim may keep its damaged structures undetected,
+   which is the injected fault itself. Every other victim is rebooted
+   with zeroed memory at reintegration and checked in full. *)
+let exempt_cells landed =
+  List.concat_map
+    (fun (f, cells) ->
+      match f.kind with Corrupt_map _ | Corrupt_cow _ -> cells | _ -> [])
+    landed
+
+(* Two seconds outlast the full retransmission schedule: a worst-case
+   call burns every retry, (1 + rpc_max_retries) timeouts plus the
+   backoff gaps. *)
+let end_of_run_check ?(before_sweep = ignore) sys ~landed =
+  let snapshot = Hive.Invariants.rpc_snapshot sys in
+  ignore
+    (Hive.System.run_until sys
+       ~deadline:(Int64.add (Sim.Engine.now sys.Hive.Types.eng) 2_000_000_000L)
+       (fun () -> false));
+  let drained = Hive.Invariants.check_rpc_drained sys ~snapshot in
+  before_sweep ();
+  drained @ Hive.Invariants.check ~exempt:(exempt_cells landed) sys
+
+(* The check run: the default pmake across the surviving cells, whose
+   outputs must be exact. *)
+let check_workload = Workloads.Spec.of_name "pmake"
 
 (* Run one fault-injection test on [sys] (by default a fresh four-cell
    Wax boot, as in Table 7.4). *)
@@ -262,17 +257,17 @@ let run_test ?(seed = 1) ?sys ~workload fault =
     | None -> Hive.System.boot ~ncells:4 ~wax:true (Sim.Engine.create ())
   in
   let eng = sys.Hive.Types.eng in
-  Workloads.Pmake.setup sys Workloads.Pmake.default;
+  (* The check run reuses the inputs set up here, so a test that runs the
+     check workload itself sets them up only once. *)
+  Workloads.Spec.setup sys check_workload;
+  if workload <> check_workload then Workloads.Spec.setup sys workload;
   (* Injection happens from a detached thread at the requested time. *)
   let injection = ref (0L, []) in
   ignore
     (Sim.Engine.spawn eng ~name:"injector" (fun () ->
-         Sim.Engine.delay (fault_time fault);
-         injection := inject_retrying sys rng ~tries:200 fault));
-  (* Run the workload. *)
-  (match workload with
-  | Use_pmake -> ignore (Workloads.Pmake.run sys)
-  | Use_raytrace -> ignore (Workloads.Raytrace.run sys));
+         Sim.Engine.delay fault.at_ns;
+         injection := inject sys rng ~tries:200 fault));
+  ignore (Workloads.Spec.run sys workload);
   (* Let detection/recovery finish. *)
   ignore
     (Hive.System.run_until sys
@@ -320,35 +315,14 @@ let run_test ?(seed = 1) ?sys ~workload fault =
   in
   (* The faulted run's outputs are checked for corruption (loss is
      acceptable) before the check run rewrites pmake's. *)
-  let faulted_corrupt =
-    corrupt
-      (match workload with
-      | Use_pmake -> Workloads.Pmake.verify sys
-      | Use_raytrace -> Workloads.Raytrace.verify sys)
-  in
-  (* Correctness check: run pmake across the surviving cells and verify
-     its outputs against references. *)
-  let check_result, _ = Workloads.Pmake.run sys in
-  let corrupt_outputs = faulted_corrupt @ corrupt (Workloads.Pmake.verify sys) in
-  (* The fuzzer's end-of-run oracles: no RPC call orphaned past the full
-     retransmission schedule, and every invariant holding on every live
-     cell. Fail-stop victims reboot with zeroed memory and are checked in
-     full; a data-corruption victim may keep its damaged structures
-     undetected, which is the injected fault itself, so it is exempt. *)
-  let snapshot = Hive.Invariants.rpc_snapshot sys in
-  ignore
-    (Hive.System.run_until sys
-       ~deadline:(Int64.add (Sim.Engine.now eng) 2_000_000_000L)
-       (fun () -> false));
-  let exempt =
-    match fault with
-    | Corrupt_map _ | Corrupt_cow _ -> injected_cells
-    | _ -> []
+  let faulted_corrupt = corrupt (Workloads.Spec.verify sys workload) in
+  let check_result = Workloads.Spec.run sys check_workload in
+  let corrupt_outputs =
+    faulted_corrupt @ corrupt (Workloads.Spec.verify sys check_workload)
   in
   let violations =
     List.map Hive.Invariants.to_string
-      (Hive.Invariants.check_rpc_drained sys ~snapshot
-      @ Hive.Invariants.check ~exempt sys)
+      (end_of_run_check sys ~landed:[ (fault, injected_cells) ])
   in
   {
     fault_desc = describe fault;
@@ -413,6 +387,7 @@ let modes =
 (* [tests] runs of [workload]; test i is seeded [seed + i] and injects
    [fault i] on victim cell or node [1 + i mod 3]. *)
 let campaign label ~seed ~workload ~tests fault =
+  let workload = Workloads.Spec.of_name workload in
   List.init tests (fun i ->
       run_test ~seed:(seed + i) ~workload (fault i (1 + (i mod 3))))
   |> summarize label
@@ -423,31 +398,32 @@ let mode i = modes.(i mod Array.length modes)
    driver is forking compile jobs. *)
 let node_failure_during_creation =
   campaign "node failure during process creation (pmake)" ~seed:100
-    ~workload:Use_pmake (fun i node ->
-      Node_failure { node; at_ns = Int64.of_int (40_000_000 * (i + 2)) })
+    ~workload:"pmake" (fun i node ->
+      { at_ns = Int64.of_int (40_000_000 * (i + 2));
+        kind = Node_failure { node } })
 
 (* Node failure during COW search (raytrace): inject while workers fault
    scene pages through the tree. *)
 let node_failure_during_cow =
   campaign "node failure during copy-on-write search (raytrace)" ~seed:200
-    ~workload:Use_raytrace (fun i node ->
-      Node_failure { node; at_ns = Int64.of_int (15_000_000 * (i + 1)) })
+    ~workload:"raytrace" (fun i node ->
+      { at_ns = Int64.of_int (15_000_000 * (i + 1));
+        kind = Node_failure { node } })
 
 (* Node failure at a random time during pmake. *)
 let node_failure_random ~tests =
   let rng = Sim.Prng.create 42 in
-  campaign "node failure at random time (pmake)" ~seed:300 ~workload:Use_pmake
+  campaign "node failure at random time (pmake)" ~seed:300 ~workload:"pmake"
     ~tests (fun _ node ->
       let at = 50_000_000 + Sim.Prng.int rng 4_000_000_000 in
-      Node_failure { node; at_ns = Int64.of_int at })
+      { at_ns = Int64.of_int at; kind = Node_failure { node } })
 
 (* Corrupt pointer in a process address map (pmake). *)
 let corrupt_map_campaign =
   campaign "corrupt pointer in process address map (pmake)" ~seed:400
-    ~workload:Use_pmake (fun i victim_cell ->
-      Corrupt_map
-        { victim_cell; at_ns = Int64.of_int (120_000_000 * (i + 1));
-          mode = mode i })
+    ~workload:"pmake" (fun i victim_cell ->
+      { at_ns = Int64.of_int (120_000_000 * (i + 1));
+        kind = Corrupt_map { victim_cell; mode = mode i } })
 
 (* Corrupt pointer in the COW tree (raytrace): injected mid-run, so the
    corruption lies dormant until a later copy-on-write search trips it —
@@ -455,10 +431,9 @@ let corrupt_map_campaign =
    order of magnitude above the clock-monitoring bound. *)
 let corrupt_cow_campaign =
   campaign "corrupt pointer in copy-on-write tree (raytrace)" ~seed:500
-    ~workload:Use_raytrace (fun i victim_cell ->
-      Corrupt_cow
-        { victim_cell; at_ns = Int64.of_int (300_000_000 + (180_000_000 * i));
-          mode = mode i })
+    ~workload:"raytrace" (fun i victim_cell ->
+      { at_ns = Int64.of_int (300_000_000 + (180_000_000 * i));
+        kind = Corrupt_cow { victim_cell; mode = mode i } })
 
 (* ---------- Parallel campaign driver ---------- *)
 

@@ -13,29 +13,25 @@
      against reference copies to detect data corruption (stale data after
      a preemptive discard is data loss, not corruption);
    - checks that no RPC call is orphaned and that every invariant holds
-     on every live cell but an undetected data-corruption victim.
+     on every live cell but an undetected data-corruption victim
+     ({!end_of_run_check}, which {!Fuzz.run_plan} shares).
 
    The workload/timing combinations follow Table 7.4: node failure during
    process creation (pmake), during copy-on-write search (raytrace), and
    at random times (pmake); corrupt pointer in a process address map
    (pmake) and in the copy-on-write tree (raytrace). *)
 
-type fault =
-    Node_failure of { node : int; at_ns : int64; }
-  | Node_cascade of { first_node : int; second_node : int; at_ns : int64 }
-      (** fail [first_node] at [at_ns], then [second_node] once that
-          recovery round has passed barrier 1 (or after a simulated
+type kind =
+  | Node_failure of { node : int }
+  | Node_cascade of { first_node : int; second_node : int }
+      (** fail [first_node] at the fault's time, then [second_node] once
+          that recovery round has passed barrier 1 (or after a simulated
           second), forcing a round restart with the enlarged dead set *)
-  | Corrupt_map of { victim_cell : int; at_ns : int64;
-      mode : Hive.System.corruption_mode;
-    }
-  | Corrupt_cow of { victim_cell : int; at_ns : int64;
-      mode : Hive.System.corruption_mode;
-    }
+  | Corrupt_map of { victim_cell : int; mode : Hive.System.corruption_mode }
+  | Corrupt_cow of { victim_cell : int; mode : Hive.System.corruption_mode }
   | Link_degrade of {
       deg_from : int; (* source proc, -1 = any *)
       deg_to : int; (* destination node, -1 = any *)
-      at_ns : int64;
       dur_ns : int64;
       drop_pct : int;
       dup_pct : int;
@@ -45,11 +41,22 @@ type fault =
     }
   | Partition of {
       part_cell : int; (* cell severed from the rest of the machine *)
-      at_ns : int64;
-      dur_ns : int64; (* heals deterministically at at_ns + dur_ns *)
+      dur_ns : int64; (* heals deterministically [dur_ns] after injection *)
       one_way : bool; (* true: only traffic INTO the cell is lost *)
     }
-  | Cpu_dead_mem_alive of { node : int; at_ns : int64 }
+  | Cpu_dead_mem_alive of { node : int }
+
+type fault = {
+  at_ns : int64;
+      (** Injection time. {!run_test} counts it from the end of workload
+          setup; Table 7.4's default pmake setup ends at 2,953 ms.
+          {!Fuzz.run_plan} counts it from boot, so a fault drawn before
+          setup ends waits for it: in fuzz shapes pmake setup ends at
+          1,113 ms on average and ocean setup at 824 ms, so 222 of the
+          465 faults in seeds 1-200 land together at the end of setup. *)
+  kind : kind;
+}
+
 type outcome = {
   fault_desc : string;
   injected_cells : int list;  (** every cell the fault landed on; [] = none *)
@@ -61,7 +68,7 @@ type outcome = {
   survivors : int list;
   violations : string list;  (** end-of-run invariant violations *)
 }
-type workload_kind = Use_pmake | Use_raytrace
+
 (** Sever every link between [cell]'s nodes and the rest of the machine
     over [\[from_ns, until_ns)]; with [one_way] only inbound traffic is
     lost. *)
@@ -70,32 +77,49 @@ val sever_cell :
   cell:Hive.Types.cell_id -> from_ns:int64 -> until_ns:int64 -> one_way:bool ->
   unit
 
-(** Inject [fault] now, from a simulation thread, and return the cells it
-    landed on; [] means no suitable victim exists yet (retry later). A
-    [Node_cascade] blocks the calling thread until its second failure. *)
+(** Inject [fault] now, from a simulation thread, retrying every 20 ms
+    (at most [tries] times) while no suitable victim exists. Returns the
+    time of the last attempt and the cells the fault landed on ([] =
+    none). A [Node_cascade] blocks the calling thread until its second
+    failure. *)
 val inject :
-  Hive.Types.system -> Sim.Prng.t -> fault -> Hive.Types.cell_id list
-
-(** [inject], retried every 20 ms (at most [tries] times) until a victim
-    exists; returns the time of the last attempt and the cells hit. *)
-val inject_retrying :
   Hive.Types.system -> Sim.Prng.t -> tries:int -> fault ->
   int64 * Hive.Types.cell_id list
 
-(** Whether the fault destroys/corrupts kernel state on the victim cell
-    (so checkers must exempt it). Link degradation never does: every cell
-    must come out of it fully coherent. A partitioned minority cell
-    stands down and is rebooted with zeroed memory at reintegration, so
-    it counts. *)
+(** Whether the fault destroys or corrupts kernel state on the victim
+    cell, so the victim may die without breaking containment. Link
+    degradation never does: every cell must come out of it fully
+    coherent. A partitioned minority cell stands down, so it counts.
+    {!Fuzz.plan_of_seed} counts these faults against the majority side's
+    quorum. *)
 val corrupts_cell : fault -> bool
 
-val fault_time : fault -> int64
 val describe : fault -> string
 
-(** One test as above, with [fault] injected [fault_time] after pmake
-    setup; [sys] defaults to a fresh four-cell Wax boot. *)
+(** The cells the end-of-run invariant sweep exempts, given each fault
+    that landed and the cells it landed on: only the victims of
+    [Corrupt_map] and [Corrupt_cow], whose damaged structures may stay
+    undetected. Fail-stop, cascade, partition and CPU-dead victims reboot
+    with zeroed memory at reintegration and are checked in full. *)
+val exempt_cells :
+  (fault * Hive.Types.cell_id list) list -> Hive.Types.cell_id list
+
+(** The end-of-run oracle of both {!run_test} and {!Fuzz.run_plan}:
+    snapshot the outstanding RPC calls, run two simulated seconds (past
+    the full retransmission schedule) and report every call still
+    orphaned, then run [before_sweep] and sweep every invariant on every
+    cell but [exempt_cells landed]. *)
+val end_of_run_check :
+  ?before_sweep:(unit -> unit) -> Hive.Types.system ->
+  landed:(fault * Hive.Types.cell_id list) list ->
+  Hive.Invariants.violation list
+
+(** One test as above on [sys] (default: a fresh four-cell Wax boot):
+    set up the default pmake (the check run's inputs) and [workload],
+    inject [fault] [at_ns] after that setup, run [workload], then run
+    the check and {!end_of_run_check}. *)
 val run_test :
-  ?seed:int -> ?sys:Hive.Types.system -> workload:workload_kind -> fault ->
+  ?seed:int -> ?sys:Hive.Types.system -> workload:Workloads.Spec.t -> fault ->
   outcome
 
 (** Contained, injected, check run complete and exact, no violations. *)

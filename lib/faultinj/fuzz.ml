@@ -60,9 +60,12 @@ let workload_name = function
   | Ocean -> "ocean"
   | Raytrace -> "raytrace"
 
-let fault_desc f =
+let fault_desc (f : Campaign.fault) =
   Printf.sprintf "%s @ %Ldms" (Campaign.describe f)
-    (Int64.div (Campaign.fault_time f) 1_000_000L)
+    (Int64.div f.at_ns 1_000_000L)
+
+let by_time (a : Campaign.fault) (b : Campaign.fault) =
+  Int64.compare a.at_ns b.at_ns
 
 let plan_of_seed seed =
   let rng = Sim.Prng.of_int64 seed in
@@ -89,25 +92,20 @@ let plan_of_seed seed =
           Int64.add prev_at (ms (2 + Sim.Prng.int rng 28))
         else ms (30 + Sim.Prng.int rng 1170)
       in
-      let f =
+      let kind =
         match Sim.Prng.int rng 4 with
         | 0 | 1 ->
           let vc = victim () in
           let node = (vc * nodes_per_cell) + Sim.Prng.int rng nodes_per_cell in
-          Campaign.Node_failure { node; at_ns = at }
-        | 2 ->
-          Campaign.Corrupt_map
-            { victim_cell = victim (); at_ns = at; mode = mode () }
-        | _ ->
-          Campaign.Corrupt_cow
-            { victim_cell = victim (); at_ns = at; mode = mode () }
+          Campaign.Node_failure { node }
+        | 2 -> Campaign.Corrupt_map { victim_cell = victim (); mode = mode () }
+        | _ -> Campaign.Corrupt_cow { victim_cell = victim (); mode = mode () }
       in
-      gen (i + 1) at (f :: acc)
+      gen (i + 1) at ({ Campaign.at_ns = at; kind } :: acc)
   in
   let faults =
     gen 0 0L []
-    |> List.stable_sort (fun a b ->
-           Int64.compare (Campaign.fault_time a) (Campaign.fault_time b))
+    |> List.stable_sort by_time
   in
   (* Link-degradation windows come from their own salted stream, appended
      after every draw above, so pre-existing seeds keep their exact
@@ -118,7 +116,7 @@ let plan_of_seed seed =
   let lrng = Sim.Prng.of_int64 (Int64.logxor seed link_salt) in
   let nlinks = [| 0; 0; 0; 1; 1; 2 |].(Sim.Prng.int lrng 6) in
   let last_main =
-    List.fold_left (fun acc f -> max acc (Campaign.fault_time f)) 0L faults
+    List.fold_left (fun acc (f : Campaign.fault) -> max acc f.at_ns) 0L faults
   in
   let gen_link _ =
     let at =
@@ -134,23 +132,26 @@ let plan_of_seed seed =
         Sim.Prng.int lrng (ncells * nodes_per_cell)
       else -1
     in
-    Campaign.Link_degrade
-      {
-        deg_from;
-        deg_to;
-        at_ns = at;
-        dur_ns = ms (50 + Sim.Prng.int lrng 350);
-        drop_pct = Sim.Prng.int lrng 61;
-        dup_pct = Sim.Prng.int lrng 41;
-        delay_pct = Sim.Prng.int lrng 51;
-        max_delay_ns = Int64.of_int (200_000 + Sim.Prng.int lrng 1_800_000);
-        salt = Sim.Prng.next lrng;
-      }
+    {
+      Campaign.at_ns = at;
+      kind =
+        Link_degrade
+          {
+            deg_from;
+            deg_to;
+            dur_ns = ms (50 + Sim.Prng.int lrng 350);
+            drop_pct = Sim.Prng.int lrng 61;
+            dup_pct = Sim.Prng.int lrng 41;
+            delay_pct = Sim.Prng.int lrng 51;
+            max_delay_ns =
+              Int64.of_int (200_000 + Sim.Prng.int lrng 1_800_000);
+            salt = Sim.Prng.next lrng;
+          };
+    }
   in
   let faults =
     faults @ List.init nlinks gen_link
-    |> List.stable_sort (fun a b ->
-           Int64.compare (Campaign.fault_time a) (Campaign.fault_time b))
+    |> List.stable_sort by_time
   in
   (* CPU-death and partition faults come from two more salted streams,
      appended after the link stream for the same reason: pre-existing
@@ -166,11 +167,10 @@ let plan_of_seed seed =
   let ncpu = [| 0; 0; 0; 0; 1 |].(Sim.Prng.int crng 5) in
   let gen_cpu _ =
     let vc = 1 + Sim.Prng.int crng (ncells - 1) in
-    Campaign.Cpu_dead_mem_alive
-      {
-        node = (vc * nodes_per_cell) + Sim.Prng.int crng nodes_per_cell;
-        at_ns = ms (30 + Sim.Prng.int crng 1170);
-      }
+    (* This draw order keeps every seed's plan. *)
+    let at_ns = ms (30 + Sim.Prng.int crng 1170) in
+    let node = (vc * nodes_per_cell) + Sim.Prng.int crng nodes_per_cell in
+    { Campaign.at_ns; kind = Cpu_dead_mem_alive { node } }
   in
   let cpu_faults = List.init ncpu gen_cpu in
   let killers =
@@ -184,18 +184,16 @@ let plan_of_seed seed =
     else 0
   in
   let gen_part _ =
-    Campaign.Partition
-      {
-        part_cell = 1 + Sim.Prng.int prng (ncells - 1);
-        at_ns = ms (60 + Sim.Prng.int prng 900);
-        dur_ns = ms (120 + Sim.Prng.int prng 280);
-        one_way = Sim.Prng.int prng 3 = 0;
-      }
+    (* This draw order keeps every seed's plan. *)
+    let one_way = Sim.Prng.int prng 3 = 0 in
+    let dur_ns = ms (120 + Sim.Prng.int prng 280) in
+    let at_ns = ms (60 + Sim.Prng.int prng 900) in
+    let part_cell = 1 + Sim.Prng.int prng (ncells - 1) in
+    { Campaign.at_ns; kind = Partition { part_cell; dur_ns; one_way } }
   in
   let faults =
     faults @ cpu_faults @ List.init nparts gen_part
-    |> List.stable_sort (fun a b ->
-           Int64.compare (Campaign.fault_time a) (Campaign.fault_time b))
+    |> List.stable_sort by_time
   in
   (* Interactive traffic from its own salted stream, appended after every
      draw above: a quarter of the seeds run the server workload (under
@@ -234,12 +232,6 @@ let describe_plan p =
    the plan's fixed shape only, so shrinking a plan never changes the
    workload. *)
 
-type wcfg =
-  | Cfg_pmake of Workloads.Pmake.cfg
-  | Cfg_ocean of Workloads.Ocean.cfg
-  | Cfg_raytrace of Workloads.Raytrace.cfg
-  | Cfg_server of Workloads.Server.cfg
-
 let cfg_of_plan p =
   let rng = Sim.Prng.of_int64 (Int64.logxor p.seed cfg_salt) in
   let r n = Sim.Prng.int rng n in
@@ -248,7 +240,7 @@ let cfg_of_plan p =
     (* Scaled down like the batch configs: ~1.2 s of traffic so the
        plan's 30ms..1.2s fault schedule lands mid-stream. Faults come
        from the plan's injector, not from the workload's own knob. *)
-    Cfg_server
+    Workloads.Spec.Server
       {
         Workloads.Server.default with
         Workloads.Server.duration_ms = 1_200;
@@ -263,7 +255,7 @@ let cfg_of_plan p =
   | None -> (
     match p.workload with
   | Pmake ->
-    Cfg_pmake
+    Workloads.Spec.Pmake
       {
         Workloads.Pmake.files = 3 + r 4;
         jobs = 2 + r 2;
@@ -280,7 +272,7 @@ let cfg_of_plan p =
         link_ns = ms 80;
       }
   | Ocean ->
-    Cfg_ocean
+    Workloads.Spec.Ocean
       {
         Workloads.Ocean.workers = p.ncells;
         chunk_pages = 40 + r 41;
@@ -290,7 +282,7 @@ let cfg_of_plan p =
         init_compute_ns = ms 100;
       }
     | Raytrace ->
-      Cfg_raytrace
+      Workloads.Spec.Raytrace
         {
           Workloads.Raytrace.workers = 2 + r 3;
           scene_pages = 32 + r 33;
@@ -299,46 +291,25 @@ let cfg_of_plan p =
           build_ns = ms 100;
         })
 
-let setup_workload sys = function
-  | Cfg_pmake c -> Workloads.Pmake.setup sys c
-  | Cfg_ocean c -> Workloads.Ocean.setup sys c
-  | Cfg_raytrace _ -> ()  (* the driver builds the scene itself *)
-  | Cfg_server _ -> ()  (* run creates its own /srv tree *)
-
-let run_workload sys = function
-  | Cfg_pmake c -> fst (Workloads.Pmake.run ~cfg:c sys)
-  | Cfg_ocean c -> fst (Workloads.Ocean.run ~cfg:c sys)
-  | Cfg_raytrace c -> fst (Workloads.Raytrace.run ~cfg:c sys)
-  | Cfg_server c -> fst (Workloads.Server.run ~cfg:c sys)
-
-let verify_workload sys = function
-  | Cfg_pmake c -> Workloads.Pmake.verify ~cfg:c sys
-  | Cfg_ocean c -> Workloads.Ocean.verify ~cfg:c sys
-  | Cfg_raytrace c -> Workloads.Raytrace.verify ~cfg:c sys
-  | Cfg_server _ ->
-    (* Reads have no output files; correctness on a clean run is the
-       driver completing with zero traffic-thread errors, which
-       [run] already folds into [completed]. *)
-    []
-
 (* Post-episode correctness check (Section 7.4's "check run"): a tiny
    pmake across the surviving cells whose outputs must be exact. *)
-let check_cfg =
-  {
-    Workloads.Pmake.files = 2;
-    jobs = 2;
-    src_bytes = 8_192;
-    hdr_bytes = 16_384;
-    cc_bytes = 32_768;
-    intermediate_bytes = 8_192;
-    obj_bytes = 4_096;
-    anon_pages = 16;
-    include_searches = 12;
-    cpp_ns = ms 20;
-    cc1_ns = ms 50;
-    as_ns = ms 20;
-    link_ns = ms 30;
-  }
+let check_workload =
+  Workloads.Spec.Pmake
+    {
+      Workloads.Pmake.files = 2;
+      jobs = 2;
+      src_bytes = 8_192;
+      hdr_bytes = 16_384;
+      cc_bytes = 32_768;
+      intermediate_bytes = 8_192;
+      obj_bytes = 4_096;
+      anon_pages = 16;
+      include_searches = 12;
+      cpp_ns = ms 20;
+      cc1_ns = ms 50;
+      as_ns = ms 20;
+      link_ns = ms 30;
+    }
 
 let quiesce_deadline_ns = 10_000_000_000L
 
@@ -410,46 +381,43 @@ let run_plan ?plant ?trace_out ?metrics_out plan =
     Campaign.sever_cell sys ~cell:0 ~from_ns:400_000_000L
       ~until_ns:Int64.max_int ~one_way:false
   | Some Unrecorded_grant | None -> ());
-  let cfg = cfg_of_plan plan in
-  let injected = ref [] and exempt = ref [] in
+  let workload = cfg_of_plan plan in
+  (* Every fault the injector has tried, with the cells it landed on,
+     and every cell a cell-destroying fault first landed on; both newest
+     first. *)
+  let landed = ref [] and destroyed = ref [] in
   let violations = ref [] in
   let vio inv detail =
     violations := Printf.sprintf "%s: %s" inv detail :: !violations
   in
   let completed = ref false in
   (try
-     setup_workload sys cfg;
+     Workloads.Spec.setup sys workload;
      ignore
        (Sim.Engine.spawn eng ~name:"fuzz.injector" (fun () ->
             List.iter
-              (fun f ->
-                let at = Campaign.fault_time f in
+              (fun (f : Campaign.fault) ->
                 let now = Sim.Engine.time () in
-                if Int64.compare at now > 0 then
-                  Sim.Engine.delay (Int64.sub at now);
+                if Int64.compare f.at_ns now > 0 then
+                  Sim.Engine.delay (Int64.sub f.at_ns now);
                 let _, cells =
-                  Campaign.inject_retrying sys inject_rng ~tries:51 f
+                  Campaign.inject sys inject_rng ~tries:51 f
                 in
-                List.iter
-                  (fun cell ->
-                    injected :=
-                      Printf.sprintf "%s -> cell %d" (fault_desc f) cell
-                      :: !injected;
-                    (* Link degradation leaves every kernel coherent, so
-                       its "victim" cell stays subject to full checking. *)
-                    if
-                      Campaign.corrupts_cell f
-                      && not (List.mem cell !exempt)
-                    then exempt := cell :: !exempt)
-                  cells)
+                landed := (f, cells) :: !landed;
+                if Campaign.corrupts_cell f then
+                  List.iter
+                    (fun cell ->
+                      if not (List.mem cell !destroyed) then
+                        destroyed := cell :: !destroyed)
+                    cells)
               plan.faults));
-     let result = run_workload sys cfg in
+     let result = Workloads.Spec.run sys workload in
      completed := result.Workloads.Workload.completed;
      (* Let every scheduled fault — and the injector's retry window —
         land before judging the end state. *)
      let last_fault =
        List.fold_left
-         (fun acc f -> max acc (Campaign.fault_time f))
+         (fun acc (f : Campaign.fault) -> max acc f.at_ns)
          0L plan.faults
      in
      let horizon = Int64.add last_fault 1_200_000_000L in
@@ -474,7 +442,7 @@ let run_plan ?plant ?trace_out ?metrics_out plan =
         outputs through perfectly legitimate writes — so exactness of the
         faulted run's outputs proves nothing about the OS; the binding
         oracle there is the post-recovery check run below. *)
-     let clean = !injected = [] in
+     let clean = List.for_all (fun (_, cells) -> cells = []) !landed in
      if clean then
        List.iter
          (fun (path, v) ->
@@ -482,12 +450,12 @@ let run_plan ?plant ?trace_out ?metrics_out plan =
              vio "workload-output"
                (Printf.sprintf "%s: %s on a fault-free run" path
                   (Workloads.Workload.verify_outcome_to_string v)))
-         (verify_workload sys cfg);
+         (Workloads.Spec.verify sys workload);
      if clean && not !completed then
        vio "workload-output" "driver did not complete on a fault-free run";
      if not clean then begin
-       Workloads.Pmake.setup sys check_cfg;
-       let cres = fst (Workloads.Pmake.run ~cfg:check_cfg sys) in
+       Workloads.Spec.setup sys check_workload;
+       let cres = Workloads.Spec.run sys check_workload in
        (* A corruption planted earlier may only trip a panic here, when
           the check run touches the damaged structure. *)
        wait_quiesce "check-run";
@@ -499,34 +467,29 @@ let run_plan ?plant ?trace_out ?metrics_out plan =
              vio "check-run"
                (Printf.sprintf "%s: %s" path
                   (Workloads.Workload.verify_outcome_to_string v)))
-         (Workloads.Pmake.verify ~cfg:check_cfg sys)
+         (Workloads.Spec.verify sys check_workload)
      end;
-     (* RPC no-orphan: snapshot outstanding calls, advance past the full
-        retransmission schedule (a worst-case call burns every retry:
-        (1 + rpc_max_retries) timeouts plus the backoff gaps), and demand
-        every one of them completed. *)
-     let snap = Hive.Invariants.rpc_snapshot sys in
-     ignore
-       (Hive.System.run_until sys
-          ~deadline:(Int64.add (Hive.System.now eng) 2_000_000_000L)
-          (fun () -> false));
-     List.iter
-       (fun v -> vio v.Hive.Invariants.inv v.Hive.Invariants.detail)
-       (Hive.Invariants.check_rpc_drained sys ~snapshot:snap);
      (* The planted containment bug: a hardware grant the kernel never
-        recorded, on a kernel-reserve page cell 0 never exports. The
-        firewall/pfdat agreement checker must flag it. *)
-     if plant = Some Unrecorded_grant && !exempt <> [] then begin
-       let victim = sys.Hive.Types.cells.(List.hd !exempt) in
-       let c0 = sys.Hive.Types.cells.(0) in
-       let pfn = Flash.Addr.first_pfn_of_node mcfg c0.Hive.Types.boss_node + 2 in
-       Flash.Firewall.grant_many
-         (Flash.Machine.firewall sys.Hive.Types.machine)
-         ~by:c0.Hive.Types.boss_node ~pfn victim.Hive.Types.cell_nodes
-     end;
+        recorded, on a kernel-reserve page cell 0 never exports, planted
+        after the RPC drain. The firewall/pfdat agreement checker must
+        flag it. *)
+     let plant_grant () =
+       match (plant, !destroyed) with
+       | Some Unrecorded_grant, cell :: _ ->
+         let victim = sys.Hive.Types.cells.(cell) in
+         let c0 = sys.Hive.Types.cells.(0) in
+         let pfn =
+           Flash.Addr.first_pfn_of_node mcfg c0.Hive.Types.boss_node + 2
+         in
+         Flash.Firewall.grant_many
+           (Flash.Machine.firewall sys.Hive.Types.machine)
+           ~by:c0.Hive.Types.boss_node ~pfn victim.Hive.Types.cell_nodes
+       | _ -> ()
+     in
      List.iter
        (fun v -> vio v.Hive.Invariants.inv v.Hive.Invariants.detail)
-       (Hive.Invariants.check ~exempt:!exempt sys)
+       (Campaign.end_of_run_check ~before_sweep:plant_grant sys
+          ~landed:(List.rev !landed))
    with
   | Sim.Engine.Deadlock msg -> vio "deadlock" msg
   | e -> vio "exception" (Printexc.to_string e));
@@ -535,7 +498,13 @@ let run_plan ?plant ?trace_out ?metrics_out plan =
   {
     r_seed = plan.seed;
     r_plan = describe_plan plan;
-    r_injected = List.rev !injected;
+    r_injected =
+      List.concat_map
+        (fun (f, cells) ->
+          List.map
+            (fun cell -> Printf.sprintf "%s -> cell %d" (fault_desc f) cell)
+            cells)
+        (List.rev !landed);
     r_completed = !completed;
     r_violations = List.rev !violations;
     r_survivors = Hive.System.live_cells sys;
@@ -567,22 +536,6 @@ let round_to grain at =
   let r = Int64.mul (Int64.div (Int64.add at (Int64.div grain 2L)) grain) grain in
   if Int64.compare r grain < 0 then grain else r
 
-let round_fault grain = function
-  | Campaign.Node_failure f ->
-    Campaign.Node_failure { f with at_ns = round_to grain f.at_ns }
-  | Campaign.Node_cascade f ->
-    Campaign.Node_cascade { f with at_ns = round_to grain f.at_ns }
-  | Campaign.Corrupt_map f ->
-    Campaign.Corrupt_map { f with at_ns = round_to grain f.at_ns }
-  | Campaign.Corrupt_cow f ->
-    Campaign.Corrupt_cow { f with at_ns = round_to grain f.at_ns }
-  | Campaign.Link_degrade f ->
-    Campaign.Link_degrade { f with at_ns = round_to grain f.at_ns }
-  | Campaign.Partition f ->
-    Campaign.Partition { f with at_ns = round_to grain f.at_ns }
-  | Campaign.Cpu_dead_mem_alive f ->
-    Campaign.Cpu_dead_mem_alive { f with at_ns = round_to grain f.at_ns }
-
 let shrink ?plant plan =
   let fails p =
     let r = run_plan ?plant p in
@@ -601,7 +554,12 @@ let shrink ?plant plan =
       @ (if p.jitter then [ { p with jitter = false } ] else [])
       @ List.filter_map
           (fun grain ->
-            let fs = List.map (round_fault grain) p.faults in
+            let fs =
+              List.map
+                (fun (f : Campaign.fault) ->
+                  { f with at_ns = round_to grain f.at_ns })
+                p.faults
+            in
             if fs <> p.faults then Some { p with faults = fs } else None)
           [ 100_000_000L; 10_000_000L ]
     in

@@ -25,7 +25,10 @@ type plan = {
   mem_pages_per_node : int;
   workload : workload;
   jitter : bool;
-  faults : Campaign.fault list;  (** sorted by injection time *)
+  faults : Campaign.fault list;
+      (** sorted by injection time, which counts from boot (not from the
+          end of setup, as in {!Campaign.run_test}; see
+          {!Campaign.fault}) *)
   traffic : traffic option;
       (** when set, interactive server traffic replaces the batch
           workload; [faults] still applies mid-traffic. Drawn from its
@@ -65,8 +68,11 @@ type plant =
           sides elect concurrent recovery masters; the latched
           single-master oracle must flag the overlap *)
 
-(** Run one plan to completion and check every invariant, optionally with
-    a [plant]ed bug. [trace_out] writes a Chrome trace_event JSON file of
+(** Run one plan to completion, optionally with a [plant]ed bug: set up
+    and run the workload while the injector lands each fault, wait for
+    recovery to settle, run a small pmake check on a faulted run, then
+    apply {!Campaign.end_of_run_check}, the oracle {!Campaign.run_test}
+    also uses. [trace_out] writes a Chrome trace_event JSON file of
     the run; [metrics_out] writes the end-of-run typed metrics snapshot
     as JSON. *)
 val run_plan :

@@ -118,10 +118,12 @@ let test_raytrace_detects_scene_corruption () =
   in
   Alcotest.(check bool) "corruption detected by verifier" true any_mismatch
 
+let pmake = Workloads.Spec.of_name "pmake"
+
 let test_campaign_node_failure_contained () =
   let o =
-    Faultinj.Campaign.run_test ~seed:9 ~workload:Faultinj.Campaign.Use_pmake
-      (Faultinj.Campaign.Node_failure { node = 2; at_ns = 100_000_000L })
+    Faultinj.Campaign.run_test ~seed:9 ~workload:pmake
+      { at_ns = 100_000_000L; kind = Node_failure { node = 2 } }
   in
   Alcotest.(check bool) "passed" true (Faultinj.Campaign.passed o);
   (match o.Faultinj.Campaign.detection_ms with
@@ -139,10 +141,9 @@ let test_campaign_cascade_contained () =
      fault stays contained, and the master reintegrates both victims. *)
   let sys = Hive.System.boot ~ncells:4 ~wax:true (Sim.Engine.create ()) in
   let o =
-    Faultinj.Campaign.run_test ~seed:21 ~sys
-      ~workload:Faultinj.Campaign.Use_pmake
-      (Faultinj.Campaign.Node_cascade
-         { first_node = 2; second_node = 1; at_ns = 100_000_000L })
+    Faultinj.Campaign.run_test ~seed:21 ~sys ~workload:pmake
+      { at_ns = 100_000_000L;
+        kind = Node_cascade { first_node = 2; second_node = 1 } }
   in
   let counter = Sim.Stats.value sys.Hive.Types.sys_counters in
   Alcotest.(check bool) "no deadlock" true
@@ -169,13 +170,10 @@ let test_campaign_cascade_contained () =
 let test_campaign_cow_corruption_contained () =
   let o =
     Faultinj.Campaign.run_test ~seed:11
-      ~workload:Faultinj.Campaign.Use_raytrace
-      (Faultinj.Campaign.Corrupt_cow
-         {
-           victim_cell = 1;
-           at_ns = 400_000_000L;
-           mode = Hive.System.Random_address;
-         })
+      ~workload:(Workloads.Spec.of_name "raytrace")
+      { at_ns = 400_000_000L;
+        kind =
+          Corrupt_cow { victim_cell = 1; mode = Hive.System.Random_address } }
   in
   Alcotest.(check bool) "passed" true (Faultinj.Campaign.passed o);
   Alcotest.(check (list int)) "victim identified" [ 1 ]
@@ -185,13 +183,10 @@ let test_campaign_cow_corruption_contained () =
    during pmake rather than raytrace. *)
 let test_campaign_cow_corruption_pmake () =
   let o =
-    Faultinj.Campaign.run_test ~workload:Faultinj.Campaign.Use_pmake
-      (Faultinj.Campaign.Corrupt_cow
-         {
-           victim_cell = 1;
-           at_ns = 300_000_000L;
-           mode = Hive.System.Random_address;
-         })
+    Faultinj.Campaign.run_test ~workload:pmake
+      { at_ns = 300_000_000L;
+        kind =
+          Corrupt_cow { victim_cell = 1; mode = Hive.System.Random_address } }
   in
   Alcotest.(check (list int)) "victim injected" [ 1 ]
     o.Faultinj.Campaign.injected_cells;
@@ -199,15 +194,79 @@ let test_campaign_cow_corruption_pmake () =
 
 let test_campaign_map_corruption_contained () =
   let o =
-    Faultinj.Campaign.run_test ~seed:13 ~workload:Faultinj.Campaign.Use_pmake
-      (Faultinj.Campaign.Corrupt_map
-         {
-           victim_cell = 2;
-           at_ns = 200_000_000L;
-           mode = Hive.System.Self_pointer;
-         })
+    Faultinj.Campaign.run_test ~seed:13 ~workload:pmake
+      { at_ns = 200_000_000L;
+        kind =
+          Corrupt_map { victim_cell = 2; mode = Hive.System.Self_pointer } }
   in
   Alcotest.(check bool) "passed" true (Faultinj.Campaign.passed o)
+
+(* One by-name default per workload the CLI's [workload] command and the
+   bench's workload-running rows name; any other name is one error. *)
+let test_spec_by_name () =
+  let open Workloads.Spec in
+  Alcotest.(check bool) "defaults" true
+    (of_name "pmake" = Pmake Workloads.Pmake.default
+    && of_name "ocean" = Ocean Workloads.Ocean.default
+    && of_name "raytrace" = Raytrace Workloads.Raytrace.default);
+  Bench.Scenarios.register ();
+  let bench_names =
+    List.concat_map
+      (fun (sc : Bench.Scenario.t) ->
+        if
+          sc.Bench.Scenario.sc_area = "workloads"
+          || List.mem sc.Bench.Scenario.sc_name
+               [ "table-7.2"; "firewall-latency"; "firewall-pages" ]
+        then
+          List.map
+            (fun (d : Bench.Scenario.dims) -> d.Bench.Scenario.workload)
+            (sc.Bench.Scenario.sc_dims @ sc.Bench.Scenario.sc_quick)
+        else [])
+      (Bench.Scenario.all ())
+  in
+  Alcotest.(check bool) "bench rows name workloads" true (bench_names <> []);
+  List.iter
+    (fun n -> Alcotest.(check string) n n (name (of_name n)))
+    ([ "pmake"; "ocean"; "raytrace" ] @ bench_names);
+  Alcotest.check_raises "unknown name"
+    (Invalid_argument "unknown workload: gnuchess") (fun () ->
+      ignore (of_name "gnuchess"))
+
+(* The invariant sweep exempts only the victims of data corruption; every
+   other victim reboots with zeroed memory and is checked in full. *)
+let exemption_case label kind ~exempt =
+  Alcotest.test_case ("exemption: " ^ label) `Quick (fun () ->
+      let fault = { Faultinj.Campaign.at_ns = 1_000_000L; kind } in
+      Alcotest.(check (list int)) label
+        (if exempt then [ 1 ] else [])
+        (Faultinj.Campaign.exempt_cells [ (fault, [ 1 ]) ]))
+
+let exemption_cases =
+  let mode = Hive.System.Random_address in
+  Faultinj.Campaign.
+    [
+      exemption_case "node failure checked" (Node_failure { node = 1 })
+        ~exempt:false;
+      exemption_case "cascade checked"
+        (Node_cascade { first_node = 1; second_node = 2 })
+        ~exempt:false;
+      exemption_case "corrupt map exempt"
+        (Corrupt_map { victim_cell = 1; mode })
+        ~exempt:true;
+      exemption_case "corrupt COW exempt"
+        (Corrupt_cow { victim_cell = 1; mode })
+        ~exempt:true;
+      exemption_case "link degradation checked"
+        (Link_degrade
+           { deg_from = -1; deg_to = 1; dur_ns = 1_000_000L; drop_pct = 10;
+             dup_pct = 0; delay_pct = 0; max_delay_ns = 0L; salt = 1L })
+        ~exempt:false;
+      exemption_case "partition checked"
+        (Partition { part_cell = 1; dur_ns = 1_000_000L; one_way = false })
+        ~exempt:false;
+      exemption_case "CPU death checked" (Cpu_dead_mem_alive { node = 1 })
+        ~exempt:false;
+    ]
 
 let suite =
   [
@@ -230,4 +289,6 @@ let suite =
       test_campaign_cow_corruption_pmake;
     Alcotest.test_case "campaign: map corruption contained" `Slow
       test_campaign_map_corruption_contained;
+    Alcotest.test_case "spec: by-name defaults" `Quick test_spec_by_name;
   ]
+  @ exemption_cases
