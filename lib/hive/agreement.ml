@@ -24,6 +24,24 @@
    broadcast-vote protocol and an oracle mode for reproducing the paper's
    experimental setup. *)
 
+module Count = struct
+  let confirmed =
+    Sim.Stats.declare ~name:"agreement.confirmed" ~unit:"rounds"
+      ~doc:"agreement rounds that confirmed the suspect dead"
+  let dismissed =
+    Sim.Stats.declare ~name:"agreement.dismissed" ~unit:"rounds"
+      ~doc:"agreement rounds that found the suspect alive"
+  let no_quorum =
+    Sim.Stats.declare ~name:"agreement.no_quorum" ~unit:"rounds"
+      ~doc:"agreement rounds that could not reach a quorum"
+  let rounds =
+    Sim.Stats.declare ~name:"agreement.rounds" ~unit:"rounds"
+      ~doc:"agreement rounds started on a failure hint"
+  let watchdog_reopens =
+    Sim.Stats.declare ~name:"agreement.watchdog_reopens" ~unit:"count"
+      ~doc:"user gates reopened by the agreement watchdog"
+end
+
 type verdict = V_alive | V_dead | V_unreachable
 
 type Types.payload +=
@@ -138,7 +156,7 @@ let run (sys : Types.system) (accuser : Types.cell) ~suspect ~reason =
        consults it to decide whether this round can possibly reach it. *)
     sys.Types.recovery_participants <-
       List.filter (fun id -> id <> suspect) accuser.Types.live_set;
-    Types.sys_bump sys "agreement.rounds";
+    Types.sys_bump sys Count.rounds;
     Types.note_phase sys ~cell:accuser.Types.cell_id "recovery.agreement"
       ?args:(Types.suspect_args sys ~suspect ~reason);
     Gate.close sys accuser;
@@ -193,7 +211,7 @@ let run (sys : Types.system) (accuser : Types.cell) ~suspect ~reason =
         }
     in
     if confirmed then begin
-      Types.sys_bump sys "agreement.confirmed";
+      Types.sys_bump sys Count.confirmed;
       Recovery.initiate ~by:accuser.Types.cell_id sys ~dead:[ suspect ]
     end
     else if
@@ -203,7 +221,7 @@ let run (sys : Types.system) (accuser : Types.cell) ~suspect ~reason =
     then begin
       (* No quorum, and the missing voters are unreachable rather than
          dead: this accuser is on the minority side of a partition. *)
-      Types.sys_bump sys "agreement.no_quorum";
+      Types.sys_bump sys Count.no_quorum;
       Types.note_phase sys ~cell:accuser.Types.cell_id "recovery.standdown";
       if not sys.Types.recovery_round_active then
         sys.Types.recovery_in_progress <- false;
@@ -211,7 +229,7 @@ let run (sys : Types.system) (accuser : Types.cell) ~suspect ~reason =
     end
     else begin
       (* Dismissed: reopen gates everywhere and note the false alert. *)
-      Types.sys_bump sys "agreement.dismissed";
+      Types.sys_bump sys Count.dismissed;
       bump_false_alerts accuser accuser.Types.cell_id;
       accuser.Types.suspected <-
         List.filter (fun s -> s <> suspect) accuser.Types.suspected;
@@ -240,7 +258,7 @@ let watchdog_reopen (sys : Types.system) (cell : Types.cell) =
       if sys.Types.recovery_in_progress || cell.Types.in_recovery then
         Sim.Engine.schedule sys.Types.eng ~after:watchdog_timeout_ns check
       else begin
-        Types.bump cell "agreement.watchdog_reopens";
+        Types.bump cell Count.watchdog_reopens;
         Gate.open_ sys cell
       end
     end

@@ -16,6 +16,15 @@
       pointers.
    5. [careful_off] restores normal panic-on-bus-error behavior. *)
 
+module Count = struct
+  let defended =
+    Sim.Stats.declare ~name:"careful_ref.defended" ~unit:"count"
+      ~doc:"careful references that caught a bad remote structure"
+  let enter =
+    Sim.Stats.declare ~name:"careful_ref.enter" ~unit:"count"
+      ~doc:"careful-reference sections entered"
+end
+
 type failure_reason =
   | Bad_pointer of int (* misaligned or outside the expected cell *)
   | Bad_tag of { addr : int; expected : int64; found : int64 }
@@ -114,7 +123,7 @@ let partitioned (sys : Types.system) (reader : Types.cell) ~target =
 
 let protect (sys : Types.system) (reader : Types.cell) ~target f =
   Sim.Engine.delay Params.careful_on_ns;
-  Types.bump reader "careful_ref.enter";
+  Types.bump reader Count.enter;
   let ctx = { sys; reader; target; hops = 0 } in
   let result =
     match
@@ -126,11 +135,11 @@ let protect (sys : Types.system) (reader : Types.cell) ~target f =
       Sim.Engine.delay Params.careful_check_ns;
       Ok v
     | exception Careful_abort r ->
-      Types.bump reader "careful_ref.defended";
+      Types.bump reader Count.defended;
       Error r
     | exception Flash.Memory.Bus_error { addr; _ } ->
       (* A bus error anywhere in the careful section is defended. *)
-      Types.bump reader "careful_ref.defended";
+      Types.bump reader Count.defended;
       Error (Bus_fault addr)
   in
   Sim.Engine.delay Params.careful_off_ns;

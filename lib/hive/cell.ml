@@ -7,6 +7,12 @@
    serialized kernel structures), grants its own processors write access
    to all of its memory, and starts the RPC dispatch and clock threads. *)
 
+module Count = struct
+  let boots =
+    Sim.Stats.declare ~name:"cell.boots" ~unit:"count"
+      ~doc:"cell kernel boots, reintegrations included"
+end
+
 let kernel_reserved_pages = 64
 
 let make (mcfg : Flash.Config.t) ~id ~nodes : Types.cell =
@@ -20,7 +26,8 @@ let make (mcfg : Flash.Config.t) ~id ~nodes : Types.cell =
     cstatus = Types.Cell_up;
     mem_alive = false;
     live_set = [];
-    page_hash = Hashtbl.create 1024;
+    page_hash = Pfdat.create_table ();
+    page_index = Pfdat.create_index ();
     frames = Hashtbl.create 1024;
     free_frames = [];
     free_frame_count = 0;
@@ -148,15 +155,14 @@ let boot (sys : Types.system) (c : Types.cell) =
                 !burst
             in
             List.iter (fun q -> Share.drop_import c q) orphaned;
-            (try Share.release_many sys c live
-             with Types.Syscall_error _ -> Types.bump c "fs.release_errors");
+            Share.release_all sys c live;
             loop ()
           | None -> ()
         in
         loop ())
   in
   c.Types.kernel_threads <- reaper :: c.Types.kernel_threads;
-  Types.bump c "cell.boots"
+  Types.bump c Count.boots
 
 (* Spawn a kernel thread whose uncaught exceptions panic this cell (a
    kernel bug must crash only its own cell, never the simulation). *)

@@ -12,6 +12,12 @@
    ([clock_hand_targets]), and under local pressure it additionally
    reclaims idle cached file pages. *)
 
+module Count = struct
+  let released =
+    Sim.Stats.declare ~name:"clock_hand.released" ~unit:"pages"
+      ~doc:"idle imports the clock hand released for a pressured home"
+end
+
 let sweep_period_ns = 200_000_000L
 
 (* One sweep; returns the number of frames released. *)
@@ -51,7 +57,7 @@ let sweep (sys : Types.system) (c : Types.cell) =
     released := !released + Page_alloc.reclaim sys c ~want:32;
     released := !released + Swap.swap_out_idle sys c ~want:16
   end;
-  if !released > 0 then Types.bump ~by:!released c "clock_hand.released";
+  if !released > 0 then Types.bump ~by:!released c Count.released;
   !released
 
 let start (sys : Types.system) (c : Types.cell) =

@@ -12,6 +12,15 @@
    observably stopped is exactly how a *nested* failure is detected, and
    escalates into a round restart with the enlarged dead set. *)
 
+module Count = struct
+  let hints =
+    Sim.Stats.declare ~name:"failure.hints" ~unit:"count"
+      ~doc:"failure hints reported"
+  let hints_during_recovery =
+    Sim.Stats.declare ~name:"failure.hints_during_recovery" ~unit:"count"
+      ~doc:"failure hints reported while recovery was running"
+end
+
 let observably_down (sys : Types.system) suspect =
   let c = sys.Types.cells.(suspect) in
   c.Types.cstatus <> Types.Cell_up
@@ -30,7 +39,7 @@ let handle_hint (sys : Types.system) (reporter : Types.cell) ~suspect ~reason =
       List.mem suspect reporter.Types.live_set
       && observably_down sys suspect
     then begin
-      Types.bump reporter "failure.hints_during_recovery";
+      Types.bump reporter Count.hints_during_recovery;
       Sim.Event.instant sys.Types.events ~cell:reporter.Types.cell_id
         ~cat:Sim.Event.Recovery
         ?args:(Types.suspect_args sys ~suspect ~reason)
@@ -44,7 +53,7 @@ let handle_hint (sys : Types.system) (reporter : Types.cell) ~suspect ~reason =
     && not (List.mem suspect reporter.Types.suspected)
   then begin
     reporter.Types.suspected <- suspect :: reporter.Types.suspected;
-    Types.bump reporter "failure.hints";
+    Types.bump reporter Count.hints;
     Types.note_phase sys ~cell:reporter.Types.cell_id "recovery.hint"
       ?args:(Types.suspect_args sys ~suspect ~reason);
     (* Run agreement from a fresh kernel thread: hints fire from fault

@@ -15,6 +15,34 @@
    get EIO; files opened afterwards read whatever is stable on disk
    (Section 4.2, "preemptive discard"). *)
 
+module Count = struct
+  let enospc =
+    Sim.Stats.declare ~name:"fs.enospc" ~unit:"count"
+      ~doc:"file growth refused because it would reach the swap partition"
+  let generation_bumps =
+    Sim.Stats.declare ~name:"fs.generation_bumps" ~unit:"count"
+      ~doc:"file generations bumped by a discarded dirty page"
+  let page_ins =
+    Sim.Stats.declare ~name:"fs.page_ins" ~unit:"pages"
+      ~doc:"file pages read from disk into the data home's memory"
+  let readahead_pages =
+    Sim.Stats.declare ~name:"fs.readahead_pages" ~unit:"pages"
+      ~doc:"pages fetched ahead of a sequential remote fault"
+  let reads =
+    Sim.Stats.declare ~name:"fs.reads" ~unit:"calls" ~doc:"file reads"
+  let remote_locates =
+    Sim.Stats.declare ~name:"fs.remote_locates" ~unit:"calls"
+      ~doc:"locate RPCs sent to a remote data home"
+  let stale_locates =
+    Sim.Stats.declare ~name:"fs.stale_locates" ~unit:"count"
+      ~doc:"locate replies invalidated by a concurrent recovery flush"
+  let writebacks =
+    Sim.Stats.declare ~name:"fs.writebacks" ~unit:"pages"
+      ~doc:"dirty file pages written back to disk"
+  let writes =
+    Sim.Stats.declare ~name:"fs.writes" ~unit:"calls" ~doc:"file writes"
+end
+
 type Types.payload +=
   | P_lookup of { path : string }
   | P_attrs of { ino : int; size : int; generation : int }
@@ -123,7 +151,7 @@ let create_local (sys : Types.system) (home : Types.cell) ~path ~content =
       home.Types.next_disk_block + blocks + 8
       > Flash.Config.swap_base sys.Types.mcfg
     then begin
-      Types.bump home "fs.enospc";
+      Types.bump home Count.enospc;
       raise (Types.Syscall_error Types.ENOSPC)
     end;
     home.Types.next_ino <- home.Types.next_ino + 1;
@@ -183,7 +211,7 @@ let page_in (sys : Types.system) (home : Types.cell) (f : Types.file) page =
     | None ->
       Pfdat.insert home lid pf;
       Hashtbl.replace f.Types.cached_pages page pf;
-      Types.bump home "fs.page_ins";
+      Types.bump home Count.page_ins;
       if Sim.Event.enabled sys.Types.events then
         Sim.Event.instant sys.Types.events ~cell:home.Types.cell_id
           ~args:
@@ -210,7 +238,7 @@ let stage_page (sys : Types.system) (home : Types.cell) (f : Types.file) page
   in
   Bytes.blit data 0 f.Types.disk_content off psize;
   pf.Types.dirty <- false;
-  Types.bump home "fs.writebacks"
+  Types.bump home Count.writebacks
 
 (* Write a cached page back to stable storage. *)
 let writeback (sys : Types.system) (home : Types.cell) (f : Types.file) page
@@ -251,7 +279,7 @@ let note_discard (sys : Types.system) (home : Types.cell) (f : Types.file)
   Hashtbl.remove f.Types.cached_pages page;
   if dirty then begin
     f.Types.generation <- f.Types.generation + 1;
-    Types.bump home "fs.generation_bumps";
+    Types.bump home Count.generation_bumps;
     ignore sys
   end
 
@@ -379,7 +407,7 @@ let rec get_page (sys : Types.system) (c : Types.cell) vnode ~page ~writable
          lone fault still locates one page, so sparse access patterns pay
          nothing extra). *)
       Sim.Engine.delay Params.fault_client_fs_ns;
-      Types.bump c "fs.remote_locates";
+      Types.bump c Count.remote_locates;
       let npages =
         match usage with
         | `Syscall -> locate_batch
@@ -413,7 +441,7 @@ let rec get_page (sys : Types.system) (c : Types.cell) vnode ~page ~writable
            reply's frames (and the export records the home created for
            them) predate the preemptive discard. Wait out the round and
            relocate instead of binding stale frame numbers. *)
-        Types.bump c "fs.stale_locates";
+        Types.bump c Count.stale_locates;
         Gate.pass c;
         get_page sys c vnode ~page ~writable ~opened_gen ~usage
       | Ok (P_located { pages; gen }) -> (
@@ -432,7 +460,7 @@ let rec get_page (sys : Types.system) (c : Types.cell) vnode ~page ~writable
               List.fold_left (fun a (pg, _) -> max a pg) page imported;
             let extra = List.length imported - 1 in
             if extra > 0 then
-              Types.bump ~by:extra c "fs.readahead_pages"
+              Types.bump ~by:extra c Count.readahead_pages
           | None -> ())
         | `Syscall -> ());
         match List.assoc_opt page imported with
@@ -471,7 +499,7 @@ let read (sys : Types.system) (c : Types.cell) vnode ~opened_gen ~pos ~len =
         loop (pos + chunk) (remaining - chunk)
     end
   in
-  Types.bump c "fs.reads";
+  Types.bump c Count.reads;
   loop pos len
 
 (* Write bytes at [pos], extending the file as needed. *)
@@ -512,7 +540,7 @@ let write (sys : Types.system) (c : Types.cell) vnode ~opened_gen ~pos data =
         | exception Flash.Memory.Bus_error _ -> Error Types.EFAULT)
     end
   in
-  Types.bump c "fs.writes";
+  Types.bump c Count.writes;
   let r = loop pos 0 in
   (* The data home owns the file attributes: propagate an extension. *)
   (match (r, vnode) with
@@ -530,18 +558,16 @@ let release_file_imports (sys : Types.system) (c : Types.cell) vnode =
   match vnode with
   | Types.Local_vnode _ -> ()
   | Types.Shadow_vnode { fid; _ } ->
-    let doomed = ref [] in
-    Pfdat.iter_pages c (fun pf ->
-        match (pf.Types.lid, pf.Types.imported_from) with
-        | Some { Types.tag = Types.File_obj f; _ }, Some _
-          when f = fid && pf.Types.refs = 0 && pf.Types.extended
-               && not pf.Types.cached ->
-          doomed := pf :: !doomed
-        | _ -> ());
-    (* One vectored release per data home; a lost batch is counted per
-       page inside release_many, and surfaced (not swallowed) here. *)
-    (try Share.release_many sys c !doomed
-     with Types.Syscall_error _ -> Types.bump c "fs.release_errors")
+    let idle (pf : Types.pfdat) =
+      match (pf.Types.lid, pf.Types.imported_from) with
+      | Some { Types.tag = Types.File_obj f; _ }, Some _ ->
+        f.Types.ino = fid.Types.ino && f.Types.home = fid.Types.home
+        && pf.Types.refs = 0 && not pf.Types.cached
+      | _ -> false
+    in
+    (* One vectored release per data home, in reverse table order: the
+       order close has always released in. *)
+    Share.release_all sys c (List.rev (Pfdat.extended_in_table_order c idle))
 
 let file_size (sys : Types.system) (c : Types.cell) vnode =
   match vnode with

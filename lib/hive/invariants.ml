@@ -304,7 +304,7 @@ let check_refcounts (_sys : Types.system) ~cells =
         end
       in
       Hashtbl.iter (fun _ pf -> check pf) c.Types.frames;
-      Hashtbl.iter (fun _ pf -> check pf) c.Types.page_hash;
+      Pfdat.iter_pages c check;
       (* Mappings must point at live pfdats, not freed generations. *)
       List.iter (fun (pf, _) -> check pf) !counts)
     cells;
@@ -560,6 +560,37 @@ let check_salvage (sys : Types.system) ~cells =
     cells;
   List.rev !bad
 
+(* ---------- page table / import index ---------- *)
+
+(* Close and exit find a client's idle imports through the import index
+   rather than a scan, so the index must list exactly the extended
+   pfdats bound in the page table, in the table's own order. A pfdat
+   bound under a key other than its own logical id (two keys, say) would
+   be visited twice by a scan but once through the index. *)
+let check_page_index (_sys : Types.system) ~cells =
+  let bad = ref [] in
+  List.iter
+    (fun (c : Types.cell) ->
+      let extended = ref [] in
+      Types.Page_hash.iter
+        (fun lid (pf : Types.pfdat) ->
+          if pf.Types.lid <> Some lid then
+            bad :=
+              v "page-index" "cell %d pfn %d: bound under a key other than its own logical id"
+                c.Types.cell_id pf.Types.pfn
+              :: !bad;
+          if pf.Types.extended then extended := pf :: !extended)
+        c.Types.page_hash;
+      let indexed = Pfdat.extended_in_table_order c (fun _ -> true) in
+      if not (List.equal ( == ) (List.rev !extended) indexed) then
+        bad :=
+          v "page-index"
+            "cell %d: the import index lists %d pfdats; the table binds %d extended ones (or in another order)"
+            c.Types.cell_id (List.length indexed) (List.length !extended)
+          :: !bad)
+    cells;
+  List.rev !bad
+
 let check ?(exempt = []) (sys : Types.system) =
   (* The split-brain latch is checked unconditionally: it records
      violations that already happened, so an in-flight recovery is no
@@ -584,5 +615,6 @@ let check ?(exempt = []) (sys : Types.system) =
     @ check_rpc_epochs sys
     @ check_import_cache sys ~cells:scan
     @ check_salvage sys ~cells:scan
+    @ check_page_index sys ~cells:scan
     @ sb
   end

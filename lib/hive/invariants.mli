@@ -72,3 +72,10 @@ val check_single_master : Types.system -> violation list
     Included in {!check}; exposed for targeted tests. *)
 val check_salvage :
   Types.system -> cells:Types.cell list -> violation list
+
+(** Page-table coherence: the import index lists exactly the extended
+    pfdats bound in the cell's page table, in table order, and every
+    pfdat is bound under its own logical id only. Included in {!check};
+    exposed for targeted tests. *)
+val check_page_index :
+  Types.system -> cells:Types.cell list -> violation list

@@ -9,6 +9,12 @@
    kernel use must be local, since the firewall does not defend against
    wild writes by the memory home. *)
 
+module Count = struct
+  let borrows =
+    Sim.Stats.declare ~name:"page_alloc.borrows" ~unit:"calls"
+      ~doc:"frame borrow requests sent to another cell"
+end
+
 type Types.payload +=
   | P_borrow of { count : int }
   | P_borrowed of { pfns : int list }
@@ -37,7 +43,7 @@ let under_pressure (c : Types.cell) ~pct = free_count c < low_water c ~pct
 let reclaim (_sys : Types.system) (c : Types.cell) ~want =
   let reclaimed = ref 0 in
   let victims = ref [] in
-  Hashtbl.iter
+  Types.Page_hash.iter
     (fun lid pf ->
       if
         !reclaimed < want && Pfdat.is_idle pf && (not pf.Types.dirty)
@@ -84,7 +90,7 @@ let loan_frames (sys : Types.system) (home : Types.cell) ~client ~count =
 (* Borrow frames from [home] (RPC); they join the local free pool with
    extended pfdats marked borrowed. Returns the borrowed pfns. *)
 let borrow_from (sys : Types.system) (c : Types.cell) ~home ~count =
-  Types.bump c "page_alloc.borrows";
+  Types.bump c Count.borrows;
   match
     Rpc.call sys ~from:c ~target:home ~op:borrow_op (P_borrow { count })
   with

@@ -6,10 +6,16 @@
    the cell are killed. Peers notice the silence through clock monitoring
    or bus errors and run distributed agreement. *)
 
+module Count = struct
+  let panics =
+    Sim.Stats.declare ~name:"cell.panics" ~unit:"count"
+      ~doc:"cell kernel panics"
+end
+
 let panic (sys : Types.system) (c : Types.cell) reason =
   if c.Types.cstatus <> Types.Cell_down then begin
     c.Types.cstatus <- Types.Cell_down;
-    Types.sys_bump sys "cell.panics";
+    Types.sys_bump sys Count.panics;
     if Sim.Event.enabled sys.Types.events then
       Sim.Event.instant sys.Types.events ~cell:c.Types.cell_id
         ~cat:Sim.Event.Recovery

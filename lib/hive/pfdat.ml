@@ -7,10 +7,12 @@
    or a borrowed remote frame into the local table, letting most of the
    kernel operate on remote pages as if they were local. *)
 
-let make ~pfn ~table_cell : Types.pfdat =
+(* The default pfdat, and the link value of every pfdat outside an
+   import index. Its own fields are never written. *)
+let rec unlinked : Types.pfdat =
   {
-    pfn;
-    table_cell;
+    pfn = -1;
+    table_cell = -1;
     lid = None;
     dirty = false;
     refs = 0;
@@ -25,7 +27,12 @@ let make ~pfn ~table_cell : Types.pfdat =
     park_stamp = 0;
     import_gen = 0;
     salvaged_from = None;
+    slot_stamp = 0;
+    ext_prev = unlinked;
+    ext_next = unlinked;
   }
+
+let make ~pfn ~table_cell : Types.pfdat = { unlinked with pfn; table_cell }
 
 (* Find or create the pfdat for a frame in this cell's table. *)
 let of_frame (c : Types.cell) pfn =
@@ -36,17 +43,129 @@ let of_frame (c : Types.cell) pfn =
     Hashtbl.replace c.Types.frames pfn pf;
     pf
 
-let lookup (c : Types.cell) lid = Hashtbl.find_opt c.Types.page_hash lid
+(* ---------- The page table and its import index ----------
+
+   The order in which [page_hash] yields its pfdats is simulated
+   behaviour: close and exit release a client's idle imports in that
+   order, and it decides which release RPCs and firewall revocations
+   happen first. A [Hashtbl] iterates buckets in ascending index and,
+   inside a bucket, the newest slot first: an insertion prepends, an
+   in-place replace keeps the slot where it is, and a resize keeps the
+   relative order of a bucket's slots. The import index lists the
+   extended pfdats bound in the table and reproduces that order for the
+   few it returns, from a stamp per slot (taken when its key is first
+   added, handed on by an in-place replace) and a mirror of the table's
+   bucket count. *)
+
+let initial_buckets = 1024
+
+let create_table () = Types.Page_hash.create initial_buckets
+
+let create_index () =
+  let head = make ~pfn:(-1) ~table_cell:(-1) in
+  head.Types.ext_prev <- head;
+  head.Types.ext_next <- head;
+  { Types.ext_head = head; buckets = initial_buckets; next_slot_stamp = 0;
+    stamp_floor = 0 }
+
+let linked (pf : Types.pfdat) = pf.Types.ext_next != unlinked
+
+let link (ix : Types.page_index) (pf : Types.pfdat) =
+  if not (linked pf) then begin
+    let head = ix.Types.ext_head in
+    pf.Types.ext_prev <- head;
+    pf.Types.ext_next <- head.Types.ext_next;
+    head.Types.ext_next.Types.ext_prev <- pf;
+    head.Types.ext_next <- pf
+  end
+
+let unlink (pf : Types.pfdat) =
+  if linked pf then begin
+    pf.Types.ext_prev.Types.ext_next <- pf.Types.ext_next;
+    pf.Types.ext_next.Types.ext_prev <- pf.Types.ext_prev;
+    pf.Types.ext_prev <- unlinked;
+    pf.Types.ext_next <- unlinked
+  end
+
+(* [pf] no longer holds a slot in the table. *)
+let vacate (pf : Types.pfdat) =
+  pf.Types.slot_stamp <- 0;
+  unlink pf
+
+let lookup (c : Types.cell) lid = Types.Page_hash.find_opt c.Types.page_hash lid
 
 let insert (c : Types.cell) lid (pf : Types.pfdat) =
   pf.Types.lid <- Some lid;
-  Hashtbl.replace c.Types.page_hash lid pf
+  let t = c.Types.page_hash and ix = c.Types.page_index in
+  (match Types.Page_hash.find_opt t lid with
+  | Some old when old == pf -> ()
+  | Some old ->
+    pf.Types.slot_stamp <- old.Types.slot_stamp;
+    vacate old;
+    Types.Page_hash.replace t lid pf
+  | None ->
+    ix.Types.next_slot_stamp <- ix.Types.next_slot_stamp + 1;
+    pf.Types.slot_stamp <- ix.Types.next_slot_stamp;
+    Types.Page_hash.add t lid pf;
+    if Types.Page_hash.length t > 2 * ix.Types.buckets then
+      ix.Types.buckets <- 2 * ix.Types.buckets);
+  if pf.Types.extended then link ix pf
 
+(* Drops whatever is bound under [pf]'s logical id, as the table always
+   has: normally [pf] itself, but a pfdat displaced by a later insert
+   under the same id still removes its successor. *)
 let remove (c : Types.cell) (pf : Types.pfdat) =
   (match pf.Types.lid with
-  | Some lid -> Hashtbl.remove c.Types.page_hash lid
+  | Some lid ->
+    let t = c.Types.page_hash in
+    if pf.Types.slot_stamp > c.Types.page_index.Types.stamp_floor then vacate pf
+    else Option.iter vacate (Types.Page_hash.find_opt t lid);
+    Types.Page_hash.remove t lid
   | None -> ());
   pf.Types.lid <- None
+
+(* Empty the table (a reboot): the index and its bucket mirror start over
+   with it. *)
+let reset_table (c : Types.cell) =
+  Types.Page_hash.reset c.Types.page_hash;
+  let ix = c.Types.page_index in
+  let head = ix.Types.ext_head in
+  let rec clear (pf : Types.pfdat) =
+    if pf != head then begin
+      let next = pf.Types.ext_next in
+      pf.Types.ext_prev <- unlinked;
+      pf.Types.ext_next <- unlinked;
+      clear next
+    end
+  in
+  clear head.Types.ext_next;
+  head.Types.ext_prev <- head;
+  head.Types.ext_next <- head;
+  ix.Types.buckets <- initial_buckets;
+  ix.Types.stamp_floor <- ix.Types.next_slot_stamp
+
+(* The extended pfdats bound in the table that satisfy [keep], in the
+   order [iter_pages] would visit them: by bucket, then newest slot
+   first. Filtering comes first, so only the survivors are hashed and
+   sorted. *)
+let extended_in_table_order (c : Types.cell) keep =
+  let ix = c.Types.page_index in
+  let head = ix.Types.ext_head and mask = ix.Types.buckets - 1 in
+  let rec collect (pf : Types.pfdat) acc =
+    if pf == head then acc
+    else
+      let acc =
+        match pf.Types.lid with
+        | Some lid when keep pf -> (Hashtbl.hash lid land mask, pf) :: acc
+        | _ -> acc
+      in
+      collect pf.Types.ext_next acc
+  in
+  collect head.Types.ext_next []
+  |> List.sort (fun (b1, (p1 : Types.pfdat)) (b2, (p2 : Types.pfdat)) ->
+         if b1 <> b2 then Int.compare b1 b2
+         else Int.compare p2.Types.slot_stamp p1.Types.slot_stamp)
+  |> List.map snd
 
 (* Allocate an extended pfdat naming a page that lives elsewhere. *)
 let alloc_extended (c : Types.cell) ~pfn =
@@ -66,4 +185,5 @@ let is_idle (pf : Types.pfdat) =
   pf.Types.refs = 0 && pf.Types.pins = 0 && pf.Types.exported_to = []
   && pf.Types.loaned_to = None
 
-let iter_pages (c : Types.cell) f = Hashtbl.iter (fun _ pf -> f pf) c.Types.page_hash
+let iter_pages (c : Types.cell) f =
+  Types.Page_hash.iter (fun _ pf -> f pf) c.Types.page_hash

@@ -9,12 +9,28 @@
 
 val make : pfn:int -> table_cell:Types.cell_id -> Types.pfdat
 val of_frame : Types.cell -> int -> Types.pfdat
-val lookup :
-  Types.cell -> Types.logical_id -> Types.pfdat option
-val insert :
-  Types.cell -> Types.logical_id -> Types.pfdat -> unit
+
+(** An empty page table and import index, as at boot. *)
+val create_table : unit -> Types.pfdat Types.Page_hash.t
+
+val create_index : unit -> Types.page_index
+val lookup : Types.cell -> Types.logical_id -> Types.pfdat option
+val insert : Types.cell -> Types.logical_id -> Types.pfdat -> unit
 val remove : Types.cell -> Types.pfdat -> unit
+
+(** Empty the cell's page table and its import index (a reboot). *)
+val reset_table : Types.cell -> unit
+
+(** The extended pfdats bound in the cell's page table that satisfy the
+    predicate, in {!iter_pages} order, found through the import index:
+    the cost is in the number of extended pfdats, not the table size. *)
+val extended_in_table_order :
+  Types.cell -> (Types.pfdat -> bool) -> Types.pfdat list
+
 val alloc_extended : Types.cell -> pfn:int -> Types.pfdat
 val free_extended : Types.cell -> Types.pfdat -> unit
 val is_idle : Types.pfdat -> bool
+
+(** Every pfdat bound in the cell's page table, in table order. A full
+    scan: cold paths only (swap, recovery, invariants, reclaim). *)
 val iter_pages : Types.cell -> (Types.pfdat -> unit) -> unit

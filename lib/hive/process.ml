@@ -6,6 +6,25 @@
    lands on a different cell, the split leaf crosses the cell boundary and
    the COW tree becomes a distributed data structure. *)
 
+module Count = struct
+  let execs =
+    Sim.Stats.declare ~name:"proc.execs" ~unit:"count" ~doc:"process execs"
+  let forks =
+    Sim.Stats.declare ~name:"proc.forks" ~unit:"count" ~doc:"process forks"
+  let migrations_in =
+    Sim.Stats.declare ~name:"proc.migrations_in" ~unit:"count"
+      ~doc:"processes migrated onto this cell"
+  let migrations_out =
+    Sim.Stats.declare ~name:"proc.migrations_out" ~unit:"count"
+      ~doc:"processes migrated off this cell"
+  let remote_forks =
+    Sim.Stats.declare ~name:"proc.remote_forks" ~unit:"count"
+      ~doc:"forks that placed the child on another cell"
+  let syscall_aborts =
+    Sim.Stats.declare ~name:"proc.syscall_aborts" ~unit:"count"
+      ~doc:"syscalls aborted by a failure of a cell they depended on"
+end
+
 type Types.payload +=
   | P_fork of {
       parent_pid : int;
@@ -87,7 +106,7 @@ let start_thread (sys : Types.system) (c : Types.cell) (p : Types.process)
         match body sys p with
         | () -> p.Types.exit_code <- Some 0
         | exception Types.Syscall_error e ->
-          Types.bump c "proc.syscall_aborts";
+          Types.bump c Count.syscall_aborts;
           p.Types.exit_code <- Some 1;
           if Sim.Event.enabled sys.Types.events then
             Sim.Event.instant sys.Types.events ~cell:c.Types.cell_id
@@ -177,7 +196,7 @@ let fork (sys : Types.system) (parent : Types.process) ?on_cell ~name body =
     match on_cell with Some c -> c | None -> parent.Types.proc_cell
   in
   Sim.Engine.delay Params.fork_local_ns;
-  Types.bump here "proc.forks";
+  Types.bump here Count.forks;
   if target = parent.Types.proc_cell then begin
     let regions = split_anon_regions sys parent here in
     let child =
@@ -190,7 +209,7 @@ let fork (sys : Types.system) (parent : Types.process) ?on_cell ~name body =
   else begin
     (* Remote fork: split leaves across the boundary, then RPC the child
        image to the target cell. *)
-    Types.bump here "proc.remote_forks";
+    Types.bump here Count.remote_forks;
     Sim.Engine.delay Params.fork_remote_extra_ns;
     let regions = split_anon_regions sys parent sys.Types.cells.(target) in
     match
@@ -220,7 +239,7 @@ let exec (sys : Types.system) (p : Types.process) ~path =
   let c = cell_of sys p in
   Gate.pass c;
   Sim.Engine.delay Params.exec_ns;
-  Types.bump c "proc.execs";
+  Types.bump c Count.execs;
   match Fs.open_file sys c ~path with
   | Error e -> Error e
   | Ok (vnode, gen) -> (
@@ -252,8 +271,8 @@ let migrate (sys : Types.system) (p : Types.process) ~to_cell =
     Error Types.EHOSTDOWN
   else begin
     let dest = sys.Types.cells.(to_cell) in
-    Types.bump here "proc.migrations_out";
-    Types.bump dest "proc.migrations_in";
+    Types.bump here Count.migrations_out;
+    Types.bump dest Count.migrations_in;
     (* Flush mappings; imported bindings stay cached on the old cell and
        get released by its reaper when idle. *)
     Hashtbl.iter

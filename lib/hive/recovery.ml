@@ -23,6 +23,33 @@
    pass) reboots and reintegrates the failed cells via the reintegration
    hook installed by [System.boot]. *)
 
+module Count = struct
+  let completed =
+    Sim.Stats.declare ~name:"recovery.completed" ~unit:"rounds"
+      ~doc:"recovery rounds completed"
+  let excised_unreachable =
+    Sim.Stats.declare ~name:"recovery.excised_unreachable" ~unit:"count"
+      ~doc:"unreachable cells excised from the live set"
+  let initiated =
+    Sim.Stats.declare ~name:"recovery.initiated" ~unit:"count"
+      ~doc:"recoveries initiated"
+  let master_standdown =
+    Sim.Stats.declare ~name:"recovery.master_standdown" ~unit:"count"
+      ~doc:"recovery masters that stood down for another"
+  let procs_killed =
+    Sim.Stats.declare ~name:"recovery.procs_killed" ~unit:"count"
+      ~doc:"processes killed because they depended on a failed cell"
+  let reintegrated =
+    Sim.Stats.declare ~name:"recovery.reintegrated" ~unit:"count"
+      ~doc:"cells reintegrated by the recovery master"
+  let round_restarts =
+    Sim.Stats.declare ~name:"recovery.round_restarts" ~unit:"rounds"
+      ~doc:"recovery rounds restarted by a nested failure"
+  let rounds =
+    Sim.Stats.declare ~name:"recovery.rounds" ~unit:"rounds"
+      ~doc:"recovery rounds a cell took part in"
+end
+
 type Types.payload +=
   | P_recovery_start of { dead : Types.cell_id list }
 
@@ -59,7 +86,7 @@ let recovery_sequence (sys : Types.system) (c : Types.cell) =
     let b2 = sys.Types.recovery_barrier2 in
     c.Types.in_recovery <- true;
     Gate.close sys c;
-    Types.bump c "recovery.rounds";
+    Types.bump c Count.rounds;
     c.Types.live_set <-
       List.filter (fun id -> not (List.mem id dead)) c.Types.live_set;
     (* The recovery master (lowest live cell id) stamps the global recovery
@@ -85,7 +112,7 @@ let recovery_sequence (sys : Types.system) (c : Types.cell) =
        a participant. *)
     let restart () =
       if Types.cell_alive c && sys.Types.recovery_round <> round_no then begin
-        Types.bump c "recovery.round_restarts";
+        Types.bump c Count.round_restarts;
         round ()
       end
       else begin
@@ -124,7 +151,7 @@ let recovery_sequence (sys : Types.system) (c : Types.cell) =
             && List.exists (fun d -> List.mem d dead) proc.Types.uses_cells
           then begin
             proc.Types.killed_by_failure <- true;
-            Types.bump c "recovery.procs_killed";
+            Types.bump c Count.procs_killed;
             match proc.Types.thread with
             | Some t -> Sim.Engine.kill eng t
             | None -> ()
@@ -161,7 +188,7 @@ let recovery_sequence (sys : Types.system) (c : Types.cell) =
               p.Params.planted_bug <> Some Params.Quorum_check_off
               && List.length reachable_live * 2 <= List.length c.Types.live_set
             then begin
-              Types.sys_bump sys "recovery.master_standdown";
+              Types.sys_bump sys Count.master_standdown;
               Types.note_phase sys ~cell:c.Types.cell_id
                 "recovery.master_standdown";
               Types.master_end sys c.Types.cell_id;
@@ -186,7 +213,7 @@ let recovery_sequence (sys : Types.system) (c : Types.cell) =
                    let reintegrate_now d =
                      Types.note_phase sys ~cell:c.Types.cell_id
                        "recovery.reintegrate";
-                     Types.sys_bump sys "recovery.reintegrated";
+                     Types.sys_bump sys Count.reintegrated;
                      match sys.Types.reintegrate_fn with
                      | Some f -> f d
                      | None -> ()
@@ -239,7 +266,7 @@ let recovery_sequence (sys : Types.system) (c : Types.cell) =
                 sys.Types.recovery_complete_at <- Sim.Engine.now eng;
                 sys.Types.recovery_round_active <- false;
                 sys.Types.recovery_in_progress <- false;
-                Types.sys_bump sys "recovery.completed";
+                Types.sys_bump sys Count.completed;
                 release_mastership ();
                 match sys.Types.wax_restart with
                 | Some f -> f sys
@@ -291,7 +318,7 @@ let initiate ?by (sys : Types.system) ~dead =
   sys.Types.recovery_dead <- dead;
   sys.Types.recovery_round <- sys.Types.recovery_round + 1;
   sys.Types.recovery_round_active <- true;
-  Types.sys_bump sys "recovery.initiated";
+  Types.sys_bump sys Count.initiated;
   let unreachable_from_initiator target =
     match by with
     | None -> false
@@ -304,7 +331,7 @@ let initiate ?by (sys : Types.system) ~dead =
       let dc = sys.Types.cells.(d) in
       if dc.Types.cstatus <> Types.Cell_down then
         if unreachable_from_initiator d then
-          Types.sys_bump sys "recovery.excised_unreachable"
+          Types.sys_bump sys Count.excised_unreachable
         else Panic.panic sys dc "declared failed by distributed agreement")
     dead;
   let live =
@@ -334,7 +361,7 @@ let cell_died (sys : Types.system) id =
     let eng = sys.Types.eng in
     sys.Types.recovery_dead <- id :: sys.Types.recovery_dead;
     sys.Types.recovery_round <- sys.Types.recovery_round + 1;
-    Types.sys_bump sys "recovery.round_restarts";
+    Types.sys_bump sys Count.round_restarts;
     Types.note_phase sys ~cell:id "recovery.restart"
       ?args:
         (if Sim.Event.enabled sys.Types.events then

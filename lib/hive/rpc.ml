@@ -28,6 +28,47 @@
    requests (those that may block, e.g. for I/O): an initial interrupt-level
    RPC launches the operation and a completion reply returns the result. *)
 
+module Count = struct
+  let calls =
+    Sim.Stats.declare ~name:"rpc.calls" ~unit:"calls" ~doc:"RPCs issued"
+  let deadline_exceeded =
+    Sim.Stats.declare ~name:"rpc.deadline_exceeded" ~unit:"calls"
+      ~doc:"RPCs that ran out of deadline budget"
+  let dup_suppressed =
+    Sim.Stats.declare ~name:"rpc.dup_suppressed" ~unit:"count"
+      ~doc:"duplicate requests suppressed by the reply cache"
+  let expired =
+    Sim.Stats.declare ~name:"rpc.expired" ~unit:"count"
+      ~doc:"queued requests dropped past their deadline"
+  let late_replies =
+    Sim.Stats.declare ~name:"rpc.late_replies" ~unit:"count"
+      ~doc:"replies that arrived after their call gave up"
+  let queued =
+    Sim.Stats.declare ~name:"rpc.queued" ~unit:"count"
+      ~doc:"requests handed to a server process"
+  let retransmits =
+    Sim.Stats.declare ~name:"rpc.retransmits" ~unit:"count"
+      ~doc:"RPC retransmissions"
+  let retransmits_seen =
+    Sim.Stats.declare ~name:"rpc.retransmits_seen" ~unit:"count"
+      ~doc:"retransmitted requests received"
+  let served =
+    Sim.Stats.declare ~name:"rpc.served" ~unit:"count"
+      ~doc:"RPC requests served"
+  let shed =
+    Sim.Stats.declare ~name:"rpc.shed" ~unit:"count"
+      ~doc:"requests shed with EBUSY"
+  let stale_reply_drops =
+    Sim.Stats.declare ~name:"rpc.stale_reply_drops" ~unit:"count"
+      ~doc:"replies from an earlier incarnation dropped"
+  let stale_request_drops =
+    Sim.Stats.declare ~name:"rpc.stale_request_drops" ~unit:"count"
+      ~doc:"requests from an earlier incarnation dropped"
+  let timeouts =
+    Sim.Stats.declare ~name:"rpc.timeouts" ~unit:"count"
+      ~doc:"RPC attempts that timed out"
+end
+
 type Flash.Sips.message +=
   | M_request of {
       call_id : int;
@@ -210,8 +251,8 @@ let service_request (sys : Types.system) (server : Types.cell) env =
   | M_request
       { call_id; src_cell; src_epoch; attempt; op; arg; arg_bytes;
         deadline_ns } -> (
-    Types.bump server "rpc.served";
-    if attempt > 0 then Types.bump server "rpc.retransmits_seen";
+    Types.bump server Count.served;
+    if attempt > 0 then Types.bump server Count.retransmits_seen;
     let cpu = Flash.Machine.cpu sys.Types.machine (Types.boss_proc server) in
     Flash.Cpu.steal sys.Types.eng cpu Params.rpc_server_dispatch_ns;
     if arg_bytes > Flash.Sips.max_payload then
@@ -240,7 +281,7 @@ let service_request (sys : Types.system) (server : Types.cell) env =
       else session_for server ~src_cell ~src_epoch
     in
     let stale = (not (Op.is_idempotent op)) && session = None in
-    if stale then Types.bump server "rpc.stale_request_drops"
+    if stale then Types.bump server Count.stale_request_drops
     else begin
       let cached =
         match session with
@@ -251,11 +292,11 @@ let service_request (sys : Types.system) (server : Types.cell) env =
       match cached with
       | Some (Types.Reply_done outcome) ->
         (* Retransmit of a completed request: resend the cached reply. *)
-        Types.bump server "rpc.dup_suppressed";
+        Types.bump server Count.dup_suppressed;
         send_reply sys server ~src_cell ~src_epoch ~call_id outcome
       | Some Types.Reply_in_progress ->
         (* The original is still executing; its reply will serve both. *)
-        Types.bump server "rpc.dup_suppressed"
+        Types.bump server Count.dup_suppressed
       | None -> (
         (match session with
         | Some s ->
@@ -317,12 +358,12 @@ let service_request (sys : Types.system) (server : Types.cell) env =
                client can redirect on, instead of queue collapse. Going
                through [complete] keeps the reply cache coherent for
                retransmits of the shed call. *)
-            Types.bump server "rpc.shed";
+            Types.bump server Count.shed;
             complete (Error Types.EBUSY)
           | Types.Queued f ->
             (* Longer-latency request: hand off to the server process pool;
                the completion reply is sent from the server process. *)
-            Types.bump server "rpc.queued";
+            Types.bump server Count.queued;
             Flash.Cpu.steal sys.Types.eng cpu Params.rpc_queue_handoff_ns;
             Sim.Mailbox.send sys.Types.eng server.Types.rpc_queue (fun () ->
                 Sim.Engine.delay Params.rpc_context_switch_ns;
@@ -335,7 +376,7 @@ let service_request (sys : Types.system) (server : Types.cell) env =
                      already ran out while this request sat in the queue,
                      so it has provably given up (or soon will) on any
                      reply — drop the work instead of serving a ghost. *)
-                  Types.bump server "rpc.expired";
+                  Types.bump server Count.expired;
                   complete (Error Types.ETIMEDOUT)
                 end
                 else
@@ -360,7 +401,7 @@ let service_reply (sys : Types.system) (client : Types.cell) env =
       dst_epoch <> client.Types.incarnation
       && sys.Types.params.Params.planted_bug <> Some Params.Epoch_check_off
     then
-      Types.bump client "rpc.stale_reply_drops"
+      Types.bump client Count.stale_reply_drops
     else begin
       if dst_epoch <> client.Types.incarnation then
         (* Only reachable with the epoch check disabled: record the
@@ -372,7 +413,7 @@ let service_reply (sys : Types.system) (client : Types.cell) env =
             client.Types.cell_id call_id dst_epoch client.Types.incarnation
           :: sys.Types.rpc_stale_accepts;
       match Hashtbl.find_opt client.Types.pending_calls call_id with
-      | None -> Types.bump client "rpc.late_replies"
+      | None -> Types.bump client Count.late_replies
       | Some pc ->
         Hashtbl.remove client.Types.pending_calls call_id;
         Sim.Ivar.fill sys.Types.eng pc.Types.call_done outcome
@@ -465,7 +506,7 @@ let call (sys : Types.system) ~(from : Types.cell) ~target ~(op : Op.t)
   in
   let eng = sys.Types.eng in
   let op_name = op.Op.name in
-  Types.bump from "rpc.calls";
+  Types.bump from Count.calls;
   let t0 = Sim.Engine.now eng in
   (* End-to-end budget: the absolute instant past which no further
      waiting or retransmission may happen, spanning every attempt and
@@ -561,7 +602,7 @@ let call (sys : Types.system) ~(from : Types.cell) ~target ~(op : Op.t)
       with Flash.Sips.Target_failed _ -> false
     in
     let give_up_deadline () =
-      Types.bump from "rpc.deadline_exceeded";
+      Types.bump from Count.deadline_exceeded;
       give_up Types.ETIMEDOUT
     in
     let rec attempt n =
@@ -595,11 +636,11 @@ let call (sys : Types.system) ~(from : Types.cell) ~target ~(op : Op.t)
           | None ->
             if budget_exhausted () then give_up_deadline ()
             else if n >= Params.rpc_max_retries then begin
-              Types.bump from "rpc.timeouts";
+              Types.bump from Count.timeouts;
               give_up ~hint:"rpc: timeout" Types.EHOSTDOWN
             end
             else begin
-              Types.bump from "rpc.retransmits";
+              Types.bump from Count.retransmits;
               Sim.Engine.delay
                 (cap_to_budget (backoff_ns from.Types.rpc_rng n));
               attempt (n + 1)

@@ -26,6 +26,48 @@
    [release_many], which coalesces them into one vectored
    share.release_batch RPC per data home. *)
 
+module Count = struct
+  let release_errors =
+    Sim.Stats.declare ~name:"fs.release_errors" ~unit:"count"
+      ~doc:"bulk import releases that lost a batch RPC"
+  let cache_evictions =
+    Sim.Stats.declare ~name:"share.cache_evictions" ~unit:"pages"
+      ~doc:"parked imports evicted from the import cache"
+  let cache_hits =
+    Sim.Stats.declare ~name:"share.cache_hits" ~unit:"pages"
+      ~doc:"imports rebound from the import cache without an RPC"
+  let cache_insertions =
+    Sim.Stats.declare ~name:"share.cache_insertions" ~unit:"pages"
+      ~doc:"released imports parked in the import cache"
+  let cache_invalidations =
+    Sim.Stats.declare ~name:"share.cache_invalidations" ~unit:"pages"
+      ~doc:"parked imports dropped by a home's invalidation"
+  let exports =
+    Sim.Stats.declare ~name:"share.exports" ~unit:"pages"
+      ~doc:"pages exported by a data home"
+  let imports =
+    Sim.Stats.declare ~name:"share.imports" ~unit:"pages"
+      ~doc:"remote pages bound into the local pfdat table"
+  let invalidates =
+    Sim.Stats.declare ~name:"share.invalidates" ~unit:"calls"
+      ~doc:"invalidation callbacks sent to clients"
+  let reimports =
+    Sim.Stats.declare ~name:"share.reimports" ~unit:"pages"
+      ~doc:"own loaned frames imported back"
+  let release_import_stalls =
+    Sim.Stats.declare ~name:"share.release_import_stalls" ~unit:"count"
+      ~doc:"imports that waited for a release in flight"
+  let release_lost =
+    Sim.Stats.declare ~name:"share.release_lost" ~unit:"pages"
+      ~doc:"releases whose RPC was lost"
+  let release_races =
+    Sim.Stats.declare ~name:"share.release_races" ~unit:"count"
+      ~doc:"releases of a binding that was already gone"
+  let releases =
+    Sim.Stats.declare ~name:"share.releases" ~unit:"pages"
+      ~doc:"imports released to their data home"
+end
+
 type Types.payload +=
   | P_release of { lid : Types.logical_id }
   | P_release_batch of { lids : Types.logical_id list }
@@ -79,7 +121,7 @@ let invalidate_clients (sys : Types.system) (home : Types.cell) ~clients
         client <> home.Types.cell_id
         && List.mem client home.Types.live_set
       then begin
-        Types.bump home "share.invalidates";
+        Types.bump home Count.invalidates;
         match
           Rpc.call sys ~from:home ~target:client ~op:invalidate_op
             ~arg_bytes:(32 + (24 * List.length lids))
@@ -117,7 +159,7 @@ let export (sys : Types.system) (home : Types.cell) (pf : Types.pfdat)
          ~lids:[ lid ]
      | Some _ | None -> ());
   Sim.Engine.delay Params.fault_export_ns;
-  Types.bump home "share.exports";
+  Types.bump home Count.exports;
   page_event sys home "page.export" pf ~peer:client;
   if writable then Wild_write.grant_for_export sys home pf ~client
 
@@ -145,7 +187,7 @@ let clear_pending (client : Types.cell) (lid : Types.logical_id) =
 
 let await_no_pending (client : Types.cell) (lid : Types.logical_id) =
   while Hashtbl.mem client.Types.pending_releases lid do
-    Types.bump client "share.release_import_stalls";
+    Types.bump client Count.release_import_stalls;
     Sim.Engine.delay Params.fault_import_ns
   done
 
@@ -165,7 +207,7 @@ let note_writable (client : Types.cell) (pf : Types.pfdat) ~writable =
 let cache_hit (client : Types.cell) (pf : Types.pfdat) =
   if pf.Types.cached then begin
     Types.unpark_binding client pf;
-    Types.bump client "share.cache_hits"
+    Types.bump client Count.cache_hits
   end
 
 (* Client side: bind a remote page into the local pfdat table.
@@ -179,7 +221,7 @@ let import (sys : Types.system) (client : Types.cell) ~pfn ~data_home ~lid
     ~gen ~writable =
   await_no_pending client lid;
   Sim.Engine.delay Params.fault_import_ns;
-  Types.bump client "share.imports";
+  Types.bump client Count.imports;
   match Pfdat.lookup client lid with
   | Some pf ->
     (* Raced with another local importer, or rebinding a parked page. *)
@@ -195,7 +237,7 @@ let import (sys : Types.system) (client : Types.cell) ~pfn ~data_home ~lid
       match Hashtbl.find_opt client.Types.frames pfn with
       | Some existing when existing.Types.loaned_to <> None ->
         (* Reimporting one of our own loaned frames. *)
-        Types.bump client "share.reimports";
+        Types.bump client Count.reimports;
         existing
       | Some _ | None ->
         let pf = Pfdat.alloc_extended client ~pfn in
@@ -212,7 +254,7 @@ let import (sys : Types.system) (client : Types.cell) ~pfn ~data_home ~lid
    firewall write grant) forever — a real leak, not a transient. Count
    it and report a failure hint so membership can investigate the home. *)
 let release_failed (sys : Types.system) (client : Types.cell) ~home =
-  Types.bump client "share.release_lost";
+  Types.bump client Count.release_lost;
   Rpc.report_hint sys client home
     "share.release lost: export record may be leaked"
 
@@ -226,7 +268,7 @@ let release_now (sys : Types.system) (client : Types.cell)
     pf.Types.imported_from <- None
   end
   else Pfdat.free_extended client pf;
-  Types.bump client "share.releases";
+  Types.bump client Count.releases;
   page_event sys client "page.release" pf ~peer:home;
   if List.mem home client.Types.live_set then begin
     mark_pending client lid;
@@ -264,14 +306,14 @@ let cacheable (sys : Types.system) (client : Types.cell) (pf : Types.pfdat)
    RPC. *)
 let park (sys : Types.system) (client : Types.cell) (pf : Types.pfdat) =
   Types.park_binding client pf;
-  Types.bump client "share.cache_insertions";
+  Types.bump client Count.cache_insertions;
   let cap = sys.Types.params.Params.import_cache_pages in
   let rec evict () =
     if client.Types.import_cache.Types.live > cap then
       match Types.evict_oldest client with
       | None -> ()
       | Some q ->
-        Types.bump client "share.cache_evictions";
+        Types.bump client Count.cache_evictions;
         (match (q.Types.imported_from, q.Types.lid) with
         | Some home, Some lid -> ignore (release_now sys client q ~home ~lid)
         | _ -> Pfdat.free_extended client q);
@@ -291,7 +333,7 @@ let release (sys : Types.system) (client : Types.cell) (pf : Types.pfdat) =
     | _ ->
       (* The binding may already have been dropped (e.g. by recovery's
          flush while this thread was mid-fault): releasing is idempotent. *)
-      Types.bump client "share.release_races";
+      Types.bump client Count.release_races;
       if pf.Types.extended then Pfdat.free_extended client pf
 
 (* Client side: release a batch of bindings, coalescing the home
@@ -320,13 +362,13 @@ let release_many (sys : Types.system) (client : Types.cell)
           end
           else begin
             Pfdat.free_extended client pf;
-            Types.bump client "share.releases";
+            Types.bump client Count.releases;
             page_event sys client "page.release" pf ~peer:home;
             mark_pending client lid;
             batched := (home, lid) :: !batched
           end
         | _ ->
-          Types.bump client "share.release_races";
+          Types.bump client Count.release_races;
           if pf.Types.extended then Pfdat.free_extended client pf)
     pfs;
   let homes = List.sort_uniq compare (List.map fst !batched) in
@@ -355,6 +397,12 @@ let release_many (sys : Types.system) (client : Types.cell)
             failed := Some e)
         homes);
   match !failed with Some e -> raise (Types.Syscall_error e) | None -> ()
+
+(* [release_many] for the bulk callers (close, the exit reaper): a lost
+   batch is counted per page inside, and once more here. *)
+let release_all (sys : Types.system) (client : Types.cell) pfs =
+  try release_many sys client pfs
+  with Types.Syscall_error _ -> Types.bump client Count.release_errors
 
 (* Drop an import binding without an RPC (used during recovery, when the
    data home is gone or will clean up on its own side of the barrier). *)
@@ -395,7 +443,7 @@ let register_handlers () =
             (fun lid ->
               match Pfdat.lookup cell lid with
               | Some pf when pf.Types.cached ->
-                Types.bump cell "share.cache_invalidations";
+                Types.bump cell Count.cache_invalidations;
                 Pfdat.free_extended cell pf
               | Some _ ->
                 (* Still actively mapped here: the hardware keeps the

@@ -76,10 +76,9 @@ val cache_hit : Types.cell -> Types.pfdat -> unit
 val release : Types.system -> Types.cell -> Types.pfdat -> unit
 
 (** Release a batch of bindings, coalescing home notifications into one
-    vectored share.release_batch RPC per data home. Raises
-    [Types.Syscall_error] after processing the whole batch if any batch
-    RPC was lost. *)
-val release_many : Types.system -> Types.cell -> Types.pfdat list -> unit
+    vectored share.release_batch RPC per data home. Never raises: a lost
+    batch RPC bumps share.release_lost per page and fs.release_errors once. *)
+val release_all : Types.system -> Types.cell -> Types.pfdat list -> unit
 
 val drop_import : Types.cell -> Types.pfdat -> unit
 val registered : bool ref

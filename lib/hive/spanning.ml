@@ -13,6 +13,12 @@
    the wild-write defense applies to it), and the address-space map is
    replicated into each component local process when a thread is added. *)
 
+module Count = struct
+  let threads =
+    Sim.Stats.declare ~name:"spanning.threads" ~unit:"count"
+      ~doc:"threads spawned by spanning tasks"
+end
+
 type t = {
   task_id : int;
   home_cell : Types.cell_id;
@@ -106,7 +112,7 @@ let add_thread (sys : Types.system) (task : t) ~on_cell ~name body =
         body sys p)
   in
   task.components <- p :: task.components;
-  Types.bump c "spanning.threads";
+  Types.bump c Count.threads;
   p
 
 (* Word accessors into the shared segment (page, offset-in-page). *)

@@ -14,6 +14,18 @@
    frames for kernel-critical data, and remote clients simply re-import
    after a swap-in. *)
 
+module Count = struct
+  let ins =
+    Sim.Stats.declare ~name:"swap.ins" ~unit:"pages"
+      ~doc:"anonymous pages swapped in"
+  let outs =
+    Sim.Stats.declare ~name:"swap.outs" ~unit:"pages"
+      ~doc:"anonymous pages swapped out"
+  let partition_full =
+    Sim.Stats.declare ~name:"swap.partition_full" ~unit:"count"
+      ~doc:"swap-outs refused by a full partition"
+end
+
 let swap_base (sys : Types.system) = Flash.Config.swap_base sys.Types.mcfg
 
 let page_size (sys : Types.system) = sys.Types.mcfg.Flash.Config.page_size
@@ -51,7 +63,7 @@ let swap_out_page (sys : Types.system) (c : Types.cell) (pf : Types.pfdat) =
   | Some ({ Types.tag = Types.Anon_obj _; _ } as lid) -> (
     match alloc_swap_block sys c with
     | None ->
-      Types.bump c "swap.partition_full";
+      Types.bump c Count.partition_full;
       false
     | Some block ->
       let psize = page_size sys in
@@ -68,7 +80,7 @@ let swap_out_page (sys : Types.system) (c : Types.cell) (pf : Types.pfdat) =
       Pfdat.remove c pf;
       Hashtbl.remove c.Types.frames pf.Types.pfn;
       Types.push_free c pf.Types.pfn;
-      Types.bump c "swap.outs";
+      Types.bump c Count.outs;
       true)
   | _ -> false
 
@@ -103,7 +115,7 @@ let swap_in (sys : Types.system) (c : Types.cell) lid =
     Hashtbl.remove c.Types.swap_table lid;
     c.Types.swap_free_blocks <- block :: c.Types.swap_free_blocks;
     Pfdat.insert c lid pf;
-    Types.bump c "swap.ins";
+    Types.bump c Count.ins;
     Some pf
 
 (* Swap out every idle anonymous page of one process (the granularity Wax

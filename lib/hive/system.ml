@@ -7,6 +7,24 @@
    comparison point): no remote paths are ever taken, no firewall checks
    are charged. *)
 
+module Count = struct
+  let hw_failures =
+    Sim.Stats.declare ~name:"cell.hw_failures" ~unit:"count"
+      ~doc:"node hardware failures injected"
+  let reintegrations =
+    Sim.Stats.declare ~name:"cell.reintegrations" ~unit:"count"
+      ~doc:"failed cells rebooted and reintegrated"
+  let cow_corruptions =
+    Sim.Stats.declare ~name:"inject.cow_corruptions" ~unit:"count"
+      ~doc:"copy-on-write tree corruptions injected"
+  let map_corruptions =
+    Sim.Stats.declare ~name:"inject.map_corruptions" ~unit:"count"
+      ~doc:"address-map corruptions injected"
+  let salvage_purged =
+    Sim.Stats.declare ~name:"vm.salvage_purged" ~unit:"pages"
+      ~doc:"salvaged pages purged when their home reintegrated"
+end
+
 let register_all_handlers () =
   Wild_write.register_handlers ();
   Page_alloc.register_handlers ();
@@ -67,7 +85,7 @@ let reintegrate (sys : Types.system) cell_id =
                   p.Types.mappings;
                 List.iter (Hashtbl.remove p.Types.mappings) !stale)
               o.Types.processes;
-            Types.bump o "vm.salvage_purged";
+            Types.bump o Count.salvage_purged;
             Page_alloc.free_frame sys o pf)
           doomed
       end)
@@ -76,7 +94,7 @@ let reintegrate (sys : Types.system) cell_id =
   List.iter (Flash.Machine.restore_node sys.Types.machine) c.Types.cell_nodes;
   (* Fresh kernel state; files (and their stable disk contents) survive,
      but the page cache does not. *)
-  Hashtbl.reset c.Types.page_hash;
+  Pfdat.reset_table c;
   Hashtbl.reset c.Types.frames;
   Types.set_free c [];
   c.Types.total_frames <- 0;
@@ -118,7 +136,7 @@ let reintegrate (sys : Types.system) cell_id =
   c.Types.recovery_active <- false;
   c.Types.kernel_threads <- [];
   c.Types.cstatus <- Types.Cell_up;
-  Types.sys_bump sys "cell.reintegrations";
+  Types.sys_bump sys Count.reintegrations;
   (* The other cells learn about the reintegration. *)
   Array.iter
     (fun (o : Types.cell) ->
@@ -241,7 +259,7 @@ let boot ?(mcfg = Flash.Config.default) ?(params = Params.default)
       let c = Types.cell_of_node sys node in
       if c.Types.cstatus <> Types.Cell_down then begin
         c.Types.cstatus <- Types.Cell_down;
-        Types.sys_bump sys "cell.hw_failures";
+        Types.sys_bump sys Count.hw_failures;
         let ts = c.Types.kernel_threads in
         c.Types.kernel_threads <- [];
         List.iter (fun t -> Sim.Engine.kill eng t) ts;
@@ -332,7 +350,7 @@ let corrupt_cow_parent (sys : Types.system) (_c : Types.cell)
   | Random_address | Off_by_one_word | Self_pointer ->
     Bytes.set_int64_le cb 0 (Int64.of_int victim.Types.cell_id));
   Flash.Memory.poke (Flash.Machine.memory sys.Types.machine) pc_addr cb;
-  Types.sys_bump sys "inject.cow_corruptions"
+  Types.sys_bump sys Count.cow_corruptions
 
 (* Corrupt a process's address map: make an anon region's leaf pointer
    garbage, so the owning kernel trips over it on the next fault. *)
@@ -347,7 +365,7 @@ let corrupt_address_map (sys : Types.system) (p : Types.process) mode rng =
     | Types.Anon_region leaf ->
       let c = sys.Types.cells.(p.Types.proc_cell) in
       corrupt_cow_parent sys c leaf mode rng;
-      Types.sys_bump sys "inject.map_corruptions";
+      Types.sys_bump sys Count.map_corruptions;
       true
     | Types.File_region _ -> false)
 

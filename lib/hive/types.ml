@@ -88,6 +88,45 @@ type pfdat = {
       (* client side: a local copy of a clean page rescued from a dead
          cell whose memory outlived its processors; dropped when that
          home reintegrates *)
+  (* page-table slot *)
+  mutable slot_stamp : int;
+      (* when the page_hash slot holding this pfdat was created; an
+         in-place replace hands the slot's stamp to the new binding *)
+  mutable ext_prev : pfdat;
+  mutable ext_next : pfdat;
+      (* links in the cell's import index while this is an extended pfdat
+         bound in page_hash; [Pfdat.unlinked] otherwise *)
+}
+
+(* The pfdat hash table keyed by logical page id. It hashes exactly like
+   the polymorphic [Hashtbl] (same function, same buckets, so the same
+   iteration order) but compares keys with typed equality. *)
+module Page_hash = Hashtbl.Make (struct
+  type t = logical_id
+
+  let equal (a : t) (b : t) =
+    a.page = b.page
+    &&
+    match (a.tag, b.tag) with
+    | File_obj f, File_obj g -> f.home = g.home && f.ino = g.ino
+    | Anon_obj x, Anon_obj y -> x.cow_home = y.cow_home && x.node_id = y.node_id
+    | File_obj _, Anon_obj _ | Anon_obj _, File_obj _ -> false
+
+  let hash = Hashtbl.hash
+end)
+
+(* Index of the extended pfdats bound in [page_hash] (the import
+   bindings), so close and exit visit those instead of the whole table.
+   [Pfdat] keeps it, together with what it needs to reproduce
+   [Page_hash.iter] order: a stamp per slot and a mirror of the table's
+   bucket count. *)
+type page_index = {
+  ext_head : pfdat; (* sentinel of the circular list *)
+  mutable buckets : int; (* page_hash's bucket count *)
+  mutable next_slot_stamp : int;
+  mutable stamp_floor : int;
+      (* stamps up to here predate the table's last reset: a pfdat
+         holding one is not bound in page_hash *)
 }
 
 (* A cell's import cache: parked bindings in park order, oldest first.
@@ -241,7 +280,8 @@ type cell = {
          CXL pooled-memory failure mode (processors dead, memory alive) *)
   mutable live_set : cell_id list; (* cells this cell believes are up *)
   (* pfdat tables *)
-  page_hash : (logical_id, pfdat) Hashtbl.t;
+  page_hash : pfdat Page_hash.t;
+  page_index : page_index;
   frames : (int, pfdat) Hashtbl.t; (* by pfn: own + borrowed frames *)
   mutable free_frames : int list;
   mutable free_frame_count : int;
@@ -505,11 +545,10 @@ let cell_alive (c : cell) = c.cstatus = Cell_up
 
 let page_size (sys : system) = sys.mcfg.Flash.Config.page_size
 
-(* Pages per file page unit: files are paged in units of the machine page. *)
-let bump ?(by = 1) (c : cell) name = Sim.Stats.bump ~by c.counters name
+(* Count an event on a cell's, or the system's, declared counter. *)
+let bump ?by (c : cell) id = Sim.Stats.bump ?by c.counters id
 
-let sys_bump ?(by = 1) (sys : system) name =
-  Sim.Stats.bump ~by sys.sys_counters name
+let sys_bump ?by (sys : system) id = Sim.Stats.bump ?by sys.sys_counters id
 
 let hist_for (tbl : (string, Sim.Stats.histogram) Hashtbl.t) name =
   match Hashtbl.find_opt tbl name with

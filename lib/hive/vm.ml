@@ -9,6 +9,32 @@
    a locate RPC to the data home, which exports the page for the client to
    import. *)
 
+module Count = struct
+  let anon_careful_failures =
+    Sim.Stats.declare ~name:"vm.anon_careful_failures" ~unit:"count"
+      ~doc:"anonymous faults failed by a careful-reference defense"
+  let cow_defended =
+    Sim.Stats.declare ~name:"vm.cow_defended" ~unit:"count"
+      ~doc:"copy-on-write lookups that caught a corrupt tree"
+  let discarded_pages =
+    Sim.Stats.declare ~name:"vm.discarded_pages" ~unit:"pages"
+      ~doc:"pages discarded because a failed cell may have written them"
+  let faults =
+    Sim.Stats.declare ~name:"vm.faults" ~unit:"count" ~doc:"page faults"
+  let refault_retries =
+    Sim.Stats.declare ~name:"vm.refault_retries" ~unit:"count"
+      ~doc:"faults retried after a recovery flush"
+  let salvage_skipped =
+    Sim.Stats.declare ~name:"vm.salvage_skipped" ~unit:"pages"
+      ~doc:"imports from a dead home that failed the salvage filter"
+  let salvaged_pages =
+    Sim.Stats.declare ~name:"vm.salvaged_pages" ~unit:"pages"
+      ~doc:"imports salvaged from a dead home's memory"
+  let stale_locates =
+    Sim.Stats.declare ~name:"vm.stale_locates" ~unit:"count"
+      ~doc:"fault locates invalidated by a concurrent recovery flush"
+end
+
 type Types.payload +=
   | P_anon_locate of { node_id : int; page : int; writable : bool }
   | P_anon_page of { pfn : int }
@@ -131,7 +157,7 @@ let rec anon_get (sys : Types.system) (c : Types.cell) (r : Types.cow_ref)
            (Table 4.1), exactly like [Cow.Defended] in [fault]: report it
            so agreement can run on the owner, instead of silently
            returning EFAULT and leaving a corrupt cell unsuspected. *)
-        Types.bump c "vm.anon_careful_failures";
+        Types.bump c Count.anon_careful_failures;
         (match sys.Types.on_hint with
         | Some f ->
           f c ~suspect:owner ~reason:(Careful_ref.reason_to_string reason)
@@ -150,7 +176,7 @@ let rec anon_get (sys : Types.system) (c : Types.cell) (r : Types.cow_ref)
         (* Recovery flushed this cell while the locate was in flight: the
            reply's frame may already be discarded at the owner. Wait out
            the round and relocate. *)
-        Types.bump c "vm.stale_locates";
+        Types.bump c Count.stale_locates;
         Gate.pass c;
         anon_get sys c r ~page ~writable
       | Ok (P_anon_page { pfn }) ->
@@ -175,7 +201,7 @@ let add_mapping (p : Types.process) ~vpage ~lid (pf : Types.pfdat) ~writable =
 let fault (sys : Types.system) (p : Types.process) ~vpage ~write =
   let c = cell_of sys p in
   Gate.pass c;
-  Types.bump c "vm.faults";
+  Types.bump c Count.faults;
   match region_of p vpage with
   | None -> Error Types.EFAULT
   | Some r when write && not r.Types.reg_writable -> Error Types.EFAULT
@@ -223,7 +249,7 @@ let fault (sys : Types.system) (p : Types.process) ~vpage ~write =
       (* Search up the copy-on-write tree from the process leaf. *)
       match Cow.lookup sys c cref ~page with
       | Cow.Defended reason ->
-        Types.bump c "vm.cow_defended";
+        Types.bump c Count.cow_defended;
         (match sys.Types.on_hint with
         | Some f ->
           f c ~suspect:cref.Types.cow_cell
@@ -325,7 +351,7 @@ let write_word (sys : Types.system) (p : Types.process) ~vpage ~offset v =
            grant but still serves the binding): unbounded recursion here
            is a livelock inside a syscall. *)
         Hashtbl.remove p.Types.mappings vpage;
-        Types.bump c "vm.refault_retries";
+        Types.bump c Count.refault_retries;
         if retries >= Params.max_refault_retries then Error Types.EFAULT
         else go (retries + 1)
       | exception Flash.Memory.Bus_error _ -> Error Types.EFAULT)
@@ -355,13 +381,11 @@ let unmap_all (sys : Types.system) (p : Types.process) =
   (* Release idle imported pages eagerly on exit. Teardown may run outside
      a thread context, so hand the releases (which RPC the data home) to
      the cell's reaper thread. *)
-  Pfdat.iter_pages c (fun pf ->
-      if
-        pf.Types.extended
-        && pf.Types.imported_from <> None
-        && pf.Types.refs = 0
-        && not pf.Types.cached (* parked bindings are already released *)
-      then Sim.Mailbox.send sys.Types.eng c.Types.release_queue pf)
+  Pfdat.extended_in_table_order c (fun pf ->
+      pf.Types.imported_from <> None
+      && pf.Types.refs = 0
+      && not pf.Types.cached (* parked bindings are already released *))
+  |> List.iter (Sim.Mailbox.send sys.Types.eng c.Types.release_queue)
 
 (* CXL-style memory salvage: when a failed cell's processors died but its
    memory banks still answer reads (Cpu_dead_mem_alive), a survivor may
@@ -409,7 +433,7 @@ let try_salvage (sys : Types.system) (c : Types.cell) (pf : Types.pfdat)
         in
         match local_free with
         | None ->
-          Types.bump c "vm.salvage_skipped";
+          Types.bump c Count.salvage_skipped;
           None
         | Some pfn ->
           Types.remove_free c pfn;
@@ -424,7 +448,7 @@ let try_salvage (sys : Types.system) (c : Types.cell) (pf : Types.pfdat)
           npf.Types.import_gen <- pf.Types.import_gen;
           Some (lid, npf))
       | _ ->
-        Types.bump c "vm.salvage_skipped";
+        Types.bump c Count.salvage_skipped;
         None)
     | _ -> None
 
@@ -480,7 +504,7 @@ let flush_remote_bindings ?(dead = []) (sys : Types.system) (c : Types.cell) =
         Pfdat.insert c lid npf;
         (* Index by home so reintegration can purge without a full sweep. *)
         Hashtbl.add c.Types.salvaged_by_home h npf;
-        Types.bump c "vm.salvaged_pages"
+        Types.bump c Count.salvaged_pages
       | _ -> ())
     !imports;
   (* No parked binding may survive recovery: a data home may be dead or
@@ -521,7 +545,7 @@ let preemptive_discard (sys : Types.system) (c : Types.cell) ~dead =
       | None -> ()
       | Some pf ->
         incr discarded;
-        Types.bump c "vm.discarded_pages";
+        Types.bump c Count.discarded_pages;
         (* Notify the file system if a dirty file page is being lost. *)
         (match pf.Types.lid with
         | Some { Types.tag = Types.File_obj fid; page } -> (

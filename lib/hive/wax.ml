@@ -19,6 +19,21 @@
    fails; recovery forks a fresh incarnation that rebuilds its view from
    scratch. *)
 
+module Count = struct
+  let deaths =
+    Sim.Stats.declare ~name:"wax.deaths" ~unit:"count"
+      ~doc:"Wax coordinator threads lost with their cell"
+  let incarnations =
+    Sim.Stats.declare ~name:"wax.incarnations" ~unit:"count"
+      ~doc:"Wax coordinator restarts"
+  let rejected_hints =
+    Sim.Stats.declare ~name:"wax.rejected_hints" ~unit:"count"
+      ~doc:"Wax hints a cell refused as malformed or unsafe"
+  let swap_hints_acted =
+    Sim.Stats.declare ~name:"wax.swap_hints_acted" ~unit:"count"
+      ~doc:"Wax swap hints a cell acted on"
+end
+
 let mem (sys : Types.system) = Flash.Machine.memory sys.Types.machine
 
 (* Kernel-side sanity check before accepting an allocation-preference
@@ -34,7 +49,7 @@ let sanity_check_hint (c : Types.cell) hint =
     true
   end
   else begin
-    Types.bump c "wax.rejected_hints";
+    Types.bump c Count.rejected_hints;
     false
   end
 
@@ -50,7 +65,7 @@ let sanity_check_clock_hint (c : Types.cell) hint =
     true
   end
   else begin
-    Types.bump c "wax.rejected_hints";
+    Types.bump c Count.rejected_hints;
     false
   end
 
@@ -68,10 +83,10 @@ let act_on_swap_hint (sys : Types.system) (c : Types.cell) =
       && want <= max Params.wax_swap_want (c.Types.total_frames / 8)
       && Page_alloc.under_pressure c ~pct:Params.wax_pressure_pct
     then begin
-      Types.bump c "wax.swap_hints_acted";
+      Types.bump c Count.swap_hints_acted;
       ignore (Swap.swap_out_idle sys c ~want)
     end
-    else Types.bump c "wax.rejected_hints"
+    else Types.bump c Count.rejected_hints
   end
 
 let publish_local_state (sys : Types.system) (c : Types.cell) =
@@ -154,7 +169,7 @@ let stop (sys : Types.system) =
 let start (sys : Types.system) =
   sys.Types.wax_incarnation <- sys.Types.wax_incarnation + 1;
   let inc = sys.Types.wax_incarnation in
-  Types.sys_bump sys "wax.incarnations";
+  Types.sys_bump sys Count.incarnations;
   let live =
     Array.to_list sys.Types.cells |> List.filter Types.cell_alive
   in
@@ -182,7 +197,7 @@ let start (sys : Types.system) =
             | Wax_dies | Flash.Memory.Bus_error _ ->
               (* Some cell we depend on failed: the whole process exits;
                  recovery will fork a fresh incarnation. *)
-              Types.sys_bump sys "wax.deaths")
+              Types.sys_bump sys Count.deaths)
       in
       sys.Types.wax_threads <- thr :: sys.Types.wax_threads)
     live

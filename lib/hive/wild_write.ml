@@ -10,6 +10,12 @@
    node, so when the data home has borrowed the frame it must send an RPC
    to the memory home to change firewall state. *)
 
+module Count = struct
+  let changes =
+    Sim.Stats.declare ~name:"firewall.changes" ~unit:"count"
+      ~doc:"firewall permission changes"
+end
+
 type Types.payload +=
   | P_fw of { pfn : int; target_cell : Types.cell_id; grant : bool }
 
@@ -30,7 +36,7 @@ let apply_local (sys : Types.system) (c : Types.cell) ~pfn ~target_cell ~grant =
     (* Revoking write permission requires communication with remote nodes
        to ensure all valid writes have been delivered to memory. *)
     Sim.Engine.delay sys.Types.mcfg.Flash.Config.mem_ns;
-  Types.bump c "firewall.changes";
+  Types.bump c Count.changes;
   if Sim.Event.enabled sys.Types.events then
     Sim.Event.instant sys.Types.events ~cell:c.Types.cell_id
       ~args:

@@ -1,25 +1,40 @@
-type t = { mutable state : int64 }
+(* The state lives unboxed in 8 bytes: a [mutable state : int64] field
+   would allocate a fresh boxed int64 on every draw, and the engine draws
+   one per scheduled event under jitter. *)
+type t = Bytes.t
 
-let create seed = { state = Int64.of_int (seed lxor 0x5851f42d) }
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 
-let of_int64 seed = { state = Int64.logxor seed 0x5851F42D4C957F2DL }
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let of_state s =
+  let t = Bytes.create 8 in
+  set_state t 0 s;
+  t
+
+let create seed = of_state (Int64.of_int (seed lxor 0x5851f42d))
+
+let of_int64 seed = of_state (Int64.logxor seed 0x5851F42D4C957F2DL)
 
 (* splitmix64: tiny, fast, and good enough for workload synthesis. *)
-let next t =
+let[@inline] next t =
   let open Int64 in
-  t.state <- add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
+  let z = add (get_state t 0) 0x9E3779B97F4A7C15L in
+  set_state t 0 z;
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let split t =
-  let seed = Int64.to_int (next t) land max_int in
-  { state = Int64.of_int seed }
+let split t = of_state (Int64.of_int (Int64.to_int (next t) land max_int))
 
+(* A power-of-two bound (the engine's jitter draws [int p 8] per event)
+   takes the low bits directly: the same value as the remainder, without
+   a 64-bit division. *)
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
-  Int64.to_int (Int64.rem (Int64.shift_right_logical (next t) 1) (Int64.of_int bound))
+  let v = Int64.shift_right_logical (next t) 1 in
+  if bound land (bound - 1) = 0 then Int64.to_int v land (bound - 1)
+  else Int64.to_int (Int64.rem v (Int64.of_int bound))
 
 let int64 t bound =
   if Int64.compare bound 0L <= 0 then invalid_arg "Prng.int64";

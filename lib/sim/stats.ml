@@ -1,5 +1,5 @@
 (* Streaming statistics: bounded-reservoir summaries, log-bucket latency
-   histograms, and named counters.
+   histograms, plain counters and declared event counters.
 
    Summaries keep exact count/sum/min/max and a fixed-size reservoir of
    samples for percentile estimation, so memory stays bounded however long
@@ -147,23 +147,56 @@ let get c = c.n
 
 let reset c = c.n <- 0
 
-(* A set of named counters, used by cells and benches for event accounting. *)
-type registry = (string, counter) Hashtbl.t
+(* ---------- Declared counters ----------
 
-let registry () : registry = Hashtbl.create 32
+   Kernel event counters are declared once, at module initialisation,
+   with a name, a unit and a line of documentation; a declaration returns
+   a small integer id. A registry (one per cell, one per system) holds one
+   slot per declared counter, so a bump is an array increment instead of a
+   hash of the counter's name. Only the main domain may declare, and it
+   does so before any simulation starts: the catalogue is never mutated
+   while parallel campaigns run. *)
 
-let find (r : registry) name =
-  match Hashtbl.find_opt r name with
-  | Some c -> c
-  | None ->
-    let c = counter () in
-    Hashtbl.replace r name c;
-    c
+type counter_id = int
 
-let bump ?(by = 1) r name = incr_by (find r name) by
+type declaration = { name : string; unit : string; doc : string }
 
-let value r name = match Hashtbl.find_opt r name with Some c -> c.n | None -> 0
+let catalogue : declaration array ref = ref [||]
 
-let to_list (r : registry) =
-  Hashtbl.fold (fun k c acc -> (k, c.n) :: acc) r []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+let ids : (string, counter_id) Hashtbl.t = Hashtbl.create 128
+
+let declare ~name ~unit ~doc =
+  if not (Domain.is_main_domain ()) then
+    invalid_arg ("Stats.declare: " ^ name ^ " declared off the main domain");
+  if Hashtbl.mem ids name then invalid_arg ("Stats.declare: duplicate " ^ name);
+  let id = Array.length !catalogue in
+  catalogue := Array.append !catalogue [| { name; unit; doc } |];
+  Hashtbl.replace ids name id;
+  id
+
+let declared () =
+  Array.to_list !catalogue |> List.map (fun d -> (d.name, d.unit, d.doc))
+
+(* [touched] marks the counters bumped at least once (a [~by:0] bump
+   included): [to_list] reports exactly those. *)
+type registry = { counts : int array; touched : bool array }
+
+let registry () =
+  let n = Array.length !catalogue in
+  { counts = Array.make n 0; touched = Array.make n false }
+
+let bump ?(by = 1) r id =
+  r.touched.(id) <- true;
+  r.counts.(id) <- r.counts.(id) + by
+
+let value r name =
+  match Hashtbl.find_opt ids name with
+  | Some id -> r.counts.(id)
+  | None -> 0
+
+let to_list r =
+  let out = ref [] in
+  Array.iteri
+    (fun id t -> if t then out := (!catalogue.(id).name, r.counts.(id)) :: !out)
+    r.touched;
+  List.sort (fun (a, _) (b, _) -> compare a b) !out

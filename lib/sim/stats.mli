@@ -1,4 +1,4 @@
-(** Measurement helpers: scalar summaries, counters and named-counter
+(** Measurement helpers: scalar summaries, counters and declared-counter
     registries, shared by the kernel instrumentation and the benches. *)
 
 (** Running summary of a series of observations. *)
@@ -68,15 +68,33 @@ val get : counter -> int
 
 val reset : counter -> unit
 
-(** Named counters for kernel event accounting. *)
+(** {2 Declared counters}
+
+    Kernel event counters. Each is declared once, at module
+    initialisation, in the style of [Rpc.Op.declare]; a bump is then an
+    array increment on a registry. *)
+
+type counter_id
+
+(** Declare a counter. Raises [Invalid_argument] on a duplicate [name] or
+    when called off the main domain. *)
+val declare : name:string -> unit:string -> doc:string -> counter_id
+
+(** Every declaration as [(name, unit, doc)], in declaration order. *)
+val declared : unit -> (string * string * string) list
+
+(** One set of counts (a cell's, or the system's): a slot for every
+    counter declared when it was created. *)
 type registry
 
 val registry : unit -> registry
 
-val find : registry -> string -> counter
+val bump : ?by:int -> registry -> counter_id -> unit
 
-val bump : ?by:int -> registry -> string -> unit
-
+(** The count of the counter named [name]; 0 if it was never bumped or
+    never declared. *)
 val value : registry -> string -> int
 
+(** [(name, count)] for exactly the counters bumped at least once
+    ([~by:0] included), sorted by name. *)
 val to_list : registry -> (string * int) list

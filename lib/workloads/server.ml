@@ -13,6 +13,21 @@
    phases and recorded in [sys.op_ns], so [Metrics.capture] exports
    p50/p95/p99/p99.9 per class and phase. *)
 
+module Count = struct
+  let churn_forks =
+    Sim.Stats.declare ~name:"server.churn_forks" ~unit:"count"
+      ~doc:"processes forked by server churn"
+  let churns =
+    Sim.Stats.declare ~name:"server.churns" ~unit:"count"
+      ~doc:"server churn operations completed"
+  let handler_errors =
+    Sim.Stats.declare ~name:"server.handler_errors" ~unit:"count"
+      ~doc:"server requests whose handler failed"
+  let reads =
+    Sim.Stats.declare ~name:"server.reads" ~unit:"count"
+      ~doc:"server reads served"
+end
+
 type fault = {
   kill_cell : int; (* cell fail-stopped mid-traffic *)
   at_ms : int; (* injection time, relative to traffic start *)
@@ -98,7 +113,7 @@ let guard (c : Hive.Types.cell) f =
   | Hive.Fs.Stale e -> Error e
   | Hive.Types.Syscall_error e -> Error e
   | _ ->
-    Hive.Types.bump c "server.handler_errors";
+    Hive.Types.bump c Count.handler_errors;
     Error Hive.Types.EIO
 
 let read_handler sys (c : Hive.Types.cell) ~src:_ payload =
@@ -128,7 +143,7 @@ let read_handler sys (c : Hive.Types.cell) ~src:_ payload =
                 | Error e -> Error e
                 | Ok b ->
                   Sim.Engine.delay service_ns;
-                  Hive.Types.bump c "server.reads";
+                  Hive.Types.bump c Count.reads;
                   Ok (P_srv_data { bytes = Bytes.length b }))))
   | _ -> Hive.Types.Immediate (Error Hive.Types.EBADF)
 
@@ -153,13 +168,13 @@ let churn_handler sys (c : Hive.Types.cell) ~src:_ payload =
                exit, stressing process create/teardown on the serving
                cell while traffic is in flight. *)
             for k = 1 to forks do
-              Hive.Types.bump c "server.churn_forks";
+              Hive.Types.bump c Count.churn_forks;
               ignore
                 (Hive.Process.spawn sys c
                    ~name:(Printf.sprintf "churn.c%d.%d" c.Hive.Types.cell_id k)
                    (fun sys p -> Hive.Syscall.compute sys p compute_ns))
             done;
-            Hive.Types.bump c "server.churns";
+            Hive.Types.bump c Count.churns;
             Result.map (fun () -> Hive.Types.P_unit) r))
   | _ -> Hive.Types.Immediate (Error Hive.Types.EBADF)
 

@@ -45,8 +45,19 @@ let derive_output ~input ~bytes =
   let b = Bytes.create bytes in
   let n = Bytes.length input in
   let acc = ref 17 in
+  (* [j] walks the input cyclically: [i mod n] without a division per
+     byte. *)
+  let j = ref 0 in
   for i = 0 to bytes - 1 do
-    let src = if n = 0 then 0 else Char.code (Bytes.get input (i mod n)) in
+    let src =
+      if n = 0 then 0
+      else begin
+        let c = Char.code (Bytes.get input !j) in
+        incr j;
+        if !j = n then j := 0;
+        c
+      end
+    in
     acc := (!acc + (src * 31) + i) land 0xff;
     Bytes.set b i (Char.chr !acc)
   done;

@@ -250,7 +250,7 @@ let test_close_releases_imports () =
             ignore (Hive.Syscall.pread sys p ~fd ~pos:0 ~len:8192);
             let c1 = sys.Hive.Types.cells.(1) in
             let imported_before =
-              Hashtbl.fold
+              Hive.Types.Page_hash.fold
                 (fun _ (pf : Hive.Types.pfdat) n ->
                   if pf.Hive.Types.imported_from <> None then n + 1 else n)
                 c1.Hive.Types.page_hash 0
@@ -259,7 +259,7 @@ let test_close_releases_imports () =
             Hive.Syscall.close sys p ~fd;
             (* Close no longer drops read-only bindings on the floor: they
                park in the import cache, still bound but marked cached. *)
-            Hashtbl.iter
+            Hive.Types.Page_hash.iter
               (fun _ (pf : Hive.Types.pfdat) ->
                 if pf.Hive.Types.imported_from <> None then begin
                   assert pf.Hive.Types.cached;

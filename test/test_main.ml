@@ -12,6 +12,7 @@ let () =
       ("careful", Test_careful.suite);
       ("sharing", Test_sharing.suite);
       ("import-cache", Test_import_cache.suite);
+      ("page-table", Test_page_table.suite);
       ("ssi", Test_ssi.suite);
       ("workloads", Test_workloads.suite);
       ("traffic", Test_traffic.suite);

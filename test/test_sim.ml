@@ -430,6 +430,58 @@ let test_prng_deterministic () =
     Alcotest.(check int64) "same stream" (Sim.Prng.next a) (Sim.Prng.next b)
   done
 
+(* The streams are simulated behaviour (every seeded run draws from
+   them): the first outputs of each constructor are pinned to the values
+   the boxed-int64 implementation produced. *)
+let test_prng_streams_pinned () =
+  let first3 t =
+    let a = Sim.Prng.next t in
+    let b = Sim.Prng.next t in
+    let c = Sim.Prng.next t in
+    [ a; b; c ]
+  in
+  let check name expected t =
+    Alcotest.(check (list int64)) name expected (first3 t)
+  in
+  check "create 0"
+    [ -6857991956181131349L; 2390929868299326358L; 8920718928553157194L ]
+    (Sim.Prng.create 0);
+  check "create 42"
+    [ -1573925701903764324L; -3271377768046748664L; -20277184320630975L ]
+    (Sim.Prng.create 42);
+  check "create 7919"
+    [ -6397650582687730092L; 606158266847079201L; 1571280672410950636L ]
+    (Sim.Prng.create 7919);
+  check "create -5"
+    [ -1512607112833208943L; -5647216518346693199L; -1786878403230641106L ]
+    (Sim.Prng.create (-5));
+  check "of_int64 1"
+    [ -4488756827901039165L; -246335909516778964L; -2042161392455975611L ]
+    (Sim.Prng.of_int64 1L);
+  check "of_int64 0x9a4e"
+    [ 5230013876419725034L; -2191988817839084782L; -198781150851036332L ]
+    (Sim.Prng.of_int64 0x9a4eL);
+  check "of_int64 min_int"
+    [ -6909073024852531054L; 4910966739185119955L; 5789609541136190516L ]
+    (Sim.Prng.of_int64 Int64.min_int);
+  let parent = Sim.Prng.create 7919 in
+  let child = Sim.Prng.split parent in
+  check "split child"
+    [ 2434719435155659347L; 6112897566445073666L; -1497379243863638701L ]
+    child;
+  check "parent after split"
+    [ 606158266847079201L; 1571280672410950636L; 6891238216986594283L ]
+    parent;
+  let t = Sim.Prng.create 7 in
+  let a = Sim.Prng.int t 8 in
+  let b = Sim.Prng.int t 1000 in
+  let c = Sim.Prng.int t 3 in
+  let f = Sim.Prng.float t in
+  let g = Sim.Prng.int64 t 1_000_000_000_000L in
+  Alcotest.(check (list int)) "int draws" [ 1; 407; 1 ] [ a; b; c ];
+  Alcotest.(check (float 0.)) "float draw" 0x1.76208461c334ap-1 f;
+  Alcotest.(check int64) "int64 draw" 753350187590L g
+
 let test_condvar () =
   let eng = Sim.Engine.create () in
   let m = Sim.Mutex.create () in
@@ -715,6 +767,24 @@ let qcheck_prng_bounds =
       let x = Sim.Prng.int g bound in
       x >= 0 && x < bound)
 
+(* [int]'s power-of-two shortcut must draw what the remainder does. *)
+let qcheck_prng_int_matches_remainder =
+  QCheck.Test.make ~name:"prng int equals the 64-bit remainder" ~count:500
+    QCheck.(pair int (int_range 0 62))
+    (fun (seed, k) ->
+      let reference g bound =
+        Int64.to_int
+          (Int64.rem
+             (Int64.shift_right_logical (Sim.Prng.next g) 1)
+             (Int64.of_int bound))
+      in
+      List.for_all
+        (fun bound ->
+          bound <= 0
+          || Sim.Prng.int (Sim.Prng.create seed) bound
+             = reference (Sim.Prng.create seed) bound)
+        [ 1 lsl k; (1 lsl k) + 1; (1 lsl k) - 1 ])
+
 let qcheck_mailbox_preserves_messages =
   QCheck.Test.make ~name:"mailbox delivers every message exactly once"
     ~count:100
@@ -867,6 +937,7 @@ let suite =
     Alcotest.test_case "barrier shrinks when a party dies" `Quick
       test_barrier_remove_party;
     Alcotest.test_case "prng determinism" `Quick test_prng_deterministic;
+    Alcotest.test_case "prng streams pinned" `Quick test_prng_streams_pinned;
     Alcotest.test_case "condvar signal" `Quick test_condvar;
     Alcotest.test_case "deadlock report names blocked threads" `Quick
       test_deadlock_names_blocked_threads;
@@ -886,5 +957,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_heap_filter_preserves_order;
     QCheck_alcotest.to_alcotest qcheck_heap_matches_model;
     QCheck_alcotest.to_alcotest qcheck_prng_bounds;
+    QCheck_alcotest.to_alcotest qcheck_prng_int_matches_remainder;
     QCheck_alcotest.to_alcotest qcheck_mailbox_preserves_messages;
   ]

@@ -203,6 +203,42 @@ let test_campaign_map_corruption_contained () =
 
 (* One by-name default per workload the CLI's [workload] command and the
    bench's workload-running rows name; any other name is one error. *)
+(* [derive_output] as it was with a division per byte: the cyclic walk
+   over the input must produce the same bytes. *)
+let derive_output_with_mod ~input ~bytes =
+  let b = Bytes.create bytes in
+  let n = Bytes.length input in
+  let acc = ref 17 in
+  for i = 0 to bytes - 1 do
+    let src = if n = 0 then 0 else Char.code (Bytes.get input (i mod n)) in
+    acc := (!acc + (src * 31) + i) land 0xff;
+    Bytes.set b i (Char.chr !acc)
+  done;
+  b
+
+let qcheck_derive_output =
+  QCheck.Test.make ~count:300
+    ~name:"derive_output matches the per-byte-mod reference"
+    QCheck.(pair (string_of_size Gen.(0 -- 64)) (int_bound 300))
+    (fun (input, bytes) ->
+      let input = Bytes.of_string input in
+      Bytes.equal
+        (Workloads.Workload.derive_output ~input ~bytes)
+        (derive_output_with_mod ~input ~bytes))
+
+let test_derive_output_edges () =
+  let check name input bytes =
+    let input = Bytes.of_string input in
+    Alcotest.(check string) name
+      (Bytes.to_string (derive_output_with_mod ~input ~bytes))
+      (Bytes.to_string (Workloads.Workload.derive_output ~input ~bytes))
+  in
+  check "empty input" "" 40;
+  check "output shorter than input" "abcdefghij" 3;
+  check "output longer than input" "xyz" 1000;
+  check "output a multiple of input" "hive" 64;
+  check "empty output" "abc" 0
+
 let test_spec_by_name () =
   let open Workloads.Spec in
   Alcotest.(check bool) "defaults" true
@@ -290,5 +326,8 @@ let suite =
     Alcotest.test_case "campaign: map corruption contained" `Slow
       test_campaign_map_corruption_contained;
     Alcotest.test_case "spec: by-name defaults" `Quick test_spec_by_name;
+    QCheck_alcotest.to_alcotest qcheck_derive_output;
+    Alcotest.test_case "derive_output edge cases" `Quick
+      test_derive_output_edges;
   ]
   @ exemption_cases
