@@ -20,16 +20,13 @@ let noop_op = Hive.Rpc.Op.declare "bench.noop"
 
 let noop_queued_op = Hive.Rpc.Op.declare "bench.noop_queued"
 
-let bench_registered = ref false
+let () =
+  Hive.Rpc.serve noop_op (fun _sys _cell ~src:_ _arg ->
+      Hive.Types.Immediate (Ok Hive.Types.P_unit))
 
-let register_bench_ops () =
-  if not !bench_registered then begin
-    bench_registered := true;
-    Hive.Rpc.register noop_op (fun _sys _cell ~src:_ _arg ->
-        Hive.Types.Immediate (Ok Hive.Types.P_unit));
-    Hive.Rpc.register noop_queued_op (fun _sys _cell ~src:_ _arg ->
-        Hive.Types.Queued (fun () -> Ok Hive.Types.P_unit))
-  end
+let () =
+  Hive.Rpc.serve noop_queued_op (fun _sys _cell ~src:_ _arg ->
+      Hive.Types.Queued (fun () -> Ok Hive.Types.P_unit))
 
 let avg_rpc_us eng sys ~op ~arg_bytes ~n =
   let c0 = sys.Hive.Types.cells.(0) in

@@ -17,10 +17,6 @@ val noop_op : Hive.Rpc.Op.t
 
 val noop_queued_op : Hive.Rpc.Op.t
 
-(** Register the handlers for {!noop_op} and {!noop_queued_op}
-    (idempotent). *)
-val register_bench_ops : unit -> unit
-
 (** Average client-observed latency of [n] calls of [op], in us. *)
 val avg_rpc_us :
   Sim.Engine.t ->

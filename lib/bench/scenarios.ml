@@ -57,7 +57,6 @@ let client_hist_exn snap op =
 
 let run_rpc ~op ~opname (dims : dims) =
   let eng, sys = boot_dims dims in
-  Harness.register_bench_ops ();
   degrade_link sys dims;
   let n = 400 in
   let ok = ref 0 and gave_up = ref 0 in
@@ -829,7 +828,6 @@ let us_of_ns ns = Int64.to_float ns /. 1e3
    figure is the RPC component of a request with 64 bytes of arguments. *)
 let run_rpc_latency (dims : dims) =
   let eng, sys = boot_dims dims in
-  Harness.register_bench_ops ();
   let avg op arg_bytes = Harness.avg_rpc_us eng sys ~op ~arg_bytes ~n:1000 in
   let null_us = avg Harness.noop_op 0 in
   let arg64_us = avg Harness.noop_op 64 in
@@ -856,7 +854,6 @@ let run_rpc_latency (dims : dims) =
    fetching the same data by RPC. *)
 let run_careful_ref (dims : dims) =
   let eng, sys = boot_dims dims in
-  Harness.register_bench_ops ();
   let c0 = sys.Hive.Types.cells.(0) in
   let n = 1000 in
   let total =
@@ -1263,7 +1260,6 @@ let corrupt_data_visible ~discard =
    walks by careful reference, and preemptive discard on/off. *)
 let run_ablations (dims : dims) =
   let eng, sys = boot_dims dims in
-  Harness.register_bench_ops ();
   let interrupt_us =
     Harness.avg_rpc_us eng sys ~op:Harness.noop_op ~arg_bytes:0 ~n:500
   in

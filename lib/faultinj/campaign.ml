@@ -446,20 +446,14 @@ let corrupt_cow_campaign =
    reset per boot. Results are published under a mutex and handed to
    [on_record] from the calling domain in seed order, so the merged
    output is byte-identical to a serial run regardless of [jobs].
-
-   The caller must ensure one-time global registration (RPC handler
-   tables) has already happened on the calling domain — booting any
-   system does it — before workers race to boot theirs. [run_parallel]
-   boots nothing itself, so it performs that warm-up via
-   [Hive.System.register_all_handlers]. *)
+   Workers only read the RPC handler slots, which each op's module
+   wrote at initialization on the main domain, before any spawn. *)
 let run_parallel (type r) ~jobs ~(seeds : int64 array) ~(run : int64 -> r)
     ~(on_record : int64 -> r -> unit) =
   let n = Array.length seeds in
   if jobs <= 1 || n <= 1 then
     Array.iter (fun s -> on_record s (run s)) seeds
   else begin
-    Hive.System.register_all_handlers ();
-    Workloads.Server.register_ops ();
     let next = Atomic.make 0 in
     let results : (r, exn) result option array = Array.make n None in
     let m = Mutex.create () in

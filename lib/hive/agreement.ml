@@ -265,47 +265,46 @@ let watchdog_reopen (sys : Types.system) (cell : Types.cell) =
   in
   Sim.Engine.schedule sys.Types.eng ~after:watchdog_timeout_ns check
 
-let registered = ref false
+let () =
+  Rpc.serve ping_op (fun _sys _cell ~src:_ _arg ->
+      Types.Immediate (Ok Types.P_unit))
 
-let register_handlers () =
-  if not !registered then begin
-    registered := true;
-    Rpc.register ping_op (fun _sys _cell ~src:_ _arg ->
-        Types.Immediate (Ok Types.P_unit));
-    Rpc.register vote_op (fun sys cell ~src arg ->
-        match arg with
-        | P_vote_req { suspect; accuser } ->
-          Types.Queued
-            (fun () ->
-              (* Suspend user-level processes for the duration of
-                 agreement (and recovery, if confirmed). *)
-              Gate.close sys cell;
-              let verdict =
-                if false_alert_count cell accuser >= 2 then
-                  (* Repeated false accuser: considered corrupt; refuse to
-                     confirm its alerts. *)
-                  V_alive
-                else probe sys cell suspect
-              in
-              ignore src;
-              (match verdict with
-              | V_alive ->
-                (* Reopen optimistically; a confirm will re-close. *)
-                Gate.open_ sys cell
-              | V_dead | V_unreachable ->
-                (* The gate stays closed awaiting the accuser's verdict.
-                   On a degraded interconnect the dismiss RPC can be lost
-                   even after every retransmission, which would leave this
-                   cell's processes suspended forever — a watchdog reopens
-                   the gate if no recovery materializes. *)
-                watchdog_reopen sys cell);
-              Ok (P_vote { verdict }))
-        | _ -> Types.Immediate (Error Types.EFAULT));
-    Rpc.register dismiss_op (fun sys cell ~src:_ arg ->
-        match arg with
-        | P_dismiss { accuser } ->
-          bump_false_alerts cell accuser;
-          Gate.open_ sys cell;
-          Types.Immediate (Ok Types.P_unit)
-        | _ -> Types.Immediate (Error Types.EFAULT))
-  end
+let () =
+  Rpc.serve vote_op (fun sys cell ~src arg ->
+      match arg with
+      | P_vote_req { suspect; accuser } ->
+        Types.Queued
+          (fun () ->
+            (* Suspend user-level processes for the duration of
+               agreement (and recovery, if confirmed). *)
+            Gate.close sys cell;
+            let verdict =
+              if false_alert_count cell accuser >= 2 then
+                (* Repeated false accuser: considered corrupt; refuse to
+                   confirm its alerts. *)
+                V_alive
+              else probe sys cell suspect
+            in
+            ignore src;
+            (match verdict with
+            | V_alive ->
+              (* Reopen optimistically; a confirm will re-close. *)
+              Gate.open_ sys cell
+            | V_dead | V_unreachable ->
+              (* The gate stays closed awaiting the accuser's verdict.
+                 On a degraded interconnect the dismiss RPC can be lost
+                 even after every retransmission, which would leave this
+                 cell's processes suspended forever — a watchdog reopens
+                 the gate if no recovery materializes. *)
+              watchdog_reopen sys cell);
+            Ok (P_vote { verdict }))
+      | _ -> Types.Immediate (Error Types.EFAULT))
+
+let () =
+  Rpc.serve dismiss_op (fun sys cell ~src:_ arg ->
+      match arg with
+      | P_dismiss { accuser } ->
+        bump_false_alerts cell accuser;
+        Gate.open_ sys cell;
+        Types.Immediate (Ok Types.P_unit)
+      | _ -> Types.Immediate (Error Types.EFAULT))

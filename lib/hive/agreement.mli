@@ -61,5 +61,3 @@ val bump_false_alerts : Types.cell -> Types.cell_id -> unit
 val run :
   Types.system ->
   Types.cell -> suspect:Types.cell_id -> reason:string -> unit
-val registered : bool ref
-val register_handlers : unit -> unit

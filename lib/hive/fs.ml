@@ -59,6 +59,7 @@ type Types.payload +=
     }
   | P_create of { path : string; content : Bytes.t }
   | P_created of { ino : int; gen : int }
+  | P_unlink of { path : string }
   | P_dirty of { ino : int; page : int }
   | P_setsize of { ino : int; size : int }
 
@@ -71,6 +72,9 @@ let locate_op = Rpc.Op.declare ~reply_bytes:512 "fs.locate"
 let create_op = Rpc.Op.declare "fs.create"
 
 let setsize_op = Rpc.Op.declare ~arg_bytes:32 "fs.set_size"
+
+(* Not idempotent: a replayed unlink could remove a file re-created since. *)
+let unlink_op = Rpc.Op.declare "fs.unlink"
 
 (* Batch size for locate RPCs issued by the sequential read/write paths
    (read-ahead clustering); faults use the adaptive per-file window in
@@ -581,172 +585,176 @@ let file_size (sys : Types.system) (c : Types.cell) vnode =
     | Ok _ -> Error Types.EFAULT
     | Error e -> Error e)
 
+(* Drop [path] from its home cell's name table; false if it is absent. *)
+let remove_local (c : Types.cell) path =
+  match find_local c path with
+  | Some f ->
+    f.Types.unlinked <- true;
+    Hashtbl.remove c.Types.files path;
+    true
+  | None -> false
+
 let unlink (sys : Types.system) (c : Types.cell) path =
   let home_id = home_of_path sys path in
   if home_id = c.Types.cell_id then
-    match find_local c path with
-    | Some f ->
-      f.Types.unlinked <- true;
-      Hashtbl.remove c.Types.files path;
-      Ok ()
-    | None -> Error Types.ENOENT
+    if remove_local c path then Ok () else Error Types.ENOENT
   else
     match
-      Rpc.call sys ~from:c ~target:home_id ~op:create_op
-        (P_create { path = "\000unlink:" ^ path; content = Bytes.empty })
+      Rpc.call sys ~from:c ~target:home_id ~op:unlink_op (P_unlink { path })
     with
     | Ok _ -> Ok ()
     | Error e -> Error e
 
 (* ---------- RPC handlers (data-home side) ---------- *)
 
-let registered = ref false
-
-let register_handlers () =
-  if not !registered then begin
-    registered := true;
-    Rpc.register lookup_op (fun _sys cell ~src:_ arg ->
-        match arg with
-        | P_lookup { path } -> (
-          match find_local cell path with
-          | Some f when not f.Types.unlinked ->
-            Types.Queued
-              (fun () ->
-                Sim.Engine.delay Params.open_local_ns;
-                Ok
-                  (P_attrs
-                     {
-                       ino = f.Types.fid.Types.ino;
-                       size = f.Types.size;
-                       generation = f.Types.generation;
-                     }))
-          | _ -> Types.Immediate (Error Types.ENOENT))
-        | _ -> Types.Immediate (Error Types.EFAULT));
-    Rpc.register create_op (fun sys cell ~src:_ arg ->
-        match arg with
-        | P_create { path; content = _ }
-          when String.length path > 8 && String.sub path 0 8 = "\000unlink:" ->
-          let real = String.sub path 8 (String.length path - 8) in
-          (match find_local cell real with
-          | Some f ->
-            f.Types.unlinked <- true;
-            Hashtbl.remove cell.Types.files real
-          | None -> ());
-          Types.Immediate (Ok (P_created { ino = 0; gen = 0 }))
-        | P_create { path; content } ->
+let () =
+  Rpc.serve lookup_op (fun _sys cell ~src:_ arg ->
+      match arg with
+      | P_lookup { path } -> (
+        match find_local cell path with
+        | Some f when not f.Types.unlinked ->
           Types.Queued
             (fun () ->
               Sim.Engine.delay Params.open_local_ns;
-              let f = create_local sys cell ~path ~content in
               Ok
-                (P_created
-                   { ino = f.Types.fid.Types.ino; gen = f.Types.generation }))
-        | _ -> Types.Immediate (Error Types.EFAULT));
-    Rpc.register setsize_op (fun _sys cell ~src:_ arg ->
-        match arg with
-        | P_setsize { ino; size } ->
-          (match find_by_ino cell ino with
-          | Some f -> f.Types.size <- max f.Types.size size
-          | None -> ());
-          Types.Immediate (Ok Types.P_unit)
-        | _ -> Types.Immediate (Error Types.EFAULT));
-    Rpc.register locate_op (fun sys cell ~src arg ->
-        match arg with
-        | P_locate { ino; page; npages; writable; gen } -> (
-          match find_by_ino cell ino with
-          | None -> Types.Immediate (Error Types.ENOENT)
-          | Some f ->
-            if f.Types.generation > gen then
-              (* The client's descriptor predates a preemptive discard:
-                 the home enforces the generation check for all remote
-                 accesses (the client-side shadow path never re-checks). *)
-              Types.Immediate (Error Types.EIO)
-            else begin
-              let psize = page_size sys in
-              (* Writable locates pre-allocate the whole requested cluster
-                 (an extending writer will fill it); read locates stop at
-                 EOF. *)
-              let last_page =
-                if writable then page + npages - 1
-                else max page ((max 1 f.Types.size - 1) / psize)
-              in
-              let wanted =
-                List.init
-                  (min npages (last_page - page + 1))
-                  (fun i -> page + i)
-              in
-              let all_cached =
-                List.for_all
-                  (fun pg -> Hashtbl.mem f.Types.cached_pages pg)
-                  wanted
-              in
-              (* A writable export may have to invalidate other clients'
-                 parked bindings — an RPC, so it cannot run at interrupt
-                 level. *)
-              let invalidating =
-                writable
-                && List.exists
-                     (fun pg ->
-                       match Hashtbl.find_opt f.Types.cached_pages pg with
-                       | Some pf -> Share.needs_invalidate pf ~client:src
-                       | None -> false)
-                     wanted
-              in
-              let serve () =
-                Sim.Engine.delay Params.fault_home_vm_ns;
-                (* Page everything in first: the disk reads may block, and
-                   a generation bump landing mid-batch must fail the whole
-                   batch before any page is exported — never export a mix
-                   of pre- and post-discard pages. *)
-                (* Hold each frame for the rest of the batch: later
-                   page_ins block on disk, and an unreferenced,
-                   not-yet-exported frame is fair game for the clock
-                   hand's reclaim sweep. Pins are registered as they are
-                   taken so a mid-batch failure (OOM, kill) still
-                   releases the earlier ones; the guard against pins = 0
-                   covers a frame force-freed (truncate) under the pin. *)
-                let pinned = ref [] in
-                Fun.protect
-                  ~finally:(fun () ->
-                    List.iter
-                      (fun (pf : Types.pfdat) ->
-                        if pf.Types.pins > 0 then
-                          pf.Types.pins <- pf.Types.pins - 1)
-                      !pinned)
-                  (fun () ->
-                    let pfs =
+                (P_attrs
+                   {
+                     ino = f.Types.fid.Types.ino;
+                     size = f.Types.size;
+                     generation = f.Types.generation;
+                   }))
+        | _ -> Types.Immediate (Error Types.ENOENT))
+      | _ -> Types.Immediate (Error Types.EFAULT))
+
+let () =
+  Rpc.serve create_op (fun sys cell ~src:_ arg ->
+      match arg with
+      | P_create { path; content } ->
+        Types.Queued
+          (fun () ->
+            Sim.Engine.delay Params.open_local_ns;
+            let f = create_local sys cell ~path ~content in
+            Ok
+              (P_created
+                 { ino = f.Types.fid.Types.ino; gen = f.Types.generation }))
+      | _ -> Types.Immediate (Error Types.EFAULT))
+
+(* A missing path answers Ok, unlike the local path's ENOENT. *)
+let () =
+  Rpc.serve unlink_op (fun _sys cell ~src:_ arg ->
+      match arg with
+      | P_unlink { path } ->
+        ignore (remove_local cell path);
+        Types.Immediate (Ok Types.P_unit)
+      | _ -> Types.Immediate (Error Types.EFAULT))
+
+let () =
+  Rpc.serve setsize_op (fun _sys cell ~src:_ arg ->
+      match arg with
+      | P_setsize { ino; size } ->
+        (match find_by_ino cell ino with
+        | Some f -> f.Types.size <- max f.Types.size size
+        | None -> ());
+        Types.Immediate (Ok Types.P_unit)
+      | _ -> Types.Immediate (Error Types.EFAULT))
+
+let () =
+  Rpc.serve locate_op (fun sys cell ~src arg ->
+      match arg with
+      | P_locate { ino; page; npages; writable; gen } -> (
+        match find_by_ino cell ino with
+        | None -> Types.Immediate (Error Types.ENOENT)
+        | Some f ->
+          if f.Types.generation > gen then
+            (* The client's descriptor predates a preemptive discard:
+               the home enforces the generation check for all remote
+               accesses (the client-side shadow path never re-checks). *)
+            Types.Immediate (Error Types.EIO)
+          else begin
+            let psize = page_size sys in
+            (* Writable locates pre-allocate the whole requested cluster
+               (an extending writer will fill it); read locates stop at
+               EOF. *)
+            let last_page =
+              if writable then page + npages - 1
+              else max page ((max 1 f.Types.size - 1) / psize)
+            in
+            let wanted =
+              List.init
+                (min npages (last_page - page + 1))
+                (fun i -> page + i)
+            in
+            let all_cached =
+              List.for_all
+                (fun pg -> Hashtbl.mem f.Types.cached_pages pg)
+                wanted
+            in
+            (* A writable export may have to invalidate other clients'
+               parked bindings — an RPC, so it cannot run at interrupt
+               level. *)
+            let invalidating =
+              writable
+              && List.exists
+                   (fun pg ->
+                     match Hashtbl.find_opt f.Types.cached_pages pg with
+                     | Some pf -> Share.needs_invalidate pf ~client:src
+                     | None -> false)
+                   wanted
+            in
+            let serve () =
+              Sim.Engine.delay Params.fault_home_vm_ns;
+              (* Page everything in first: the disk reads may block, and
+                 a generation bump landing mid-batch must fail the whole
+                 batch before any page is exported — never export a mix
+                 of pre- and post-discard pages. *)
+              (* Hold each frame for the rest of the batch: later
+                 page_ins block on disk, and an unreferenced,
+                 not-yet-exported frame is fair game for the clock
+                 hand's reclaim sweep. Pins are registered as they are
+                 taken so a mid-batch failure (OOM, kill) still
+                 releases the earlier ones; the guard against pins = 0
+                 covers a frame force-freed (truncate) under the pin. *)
+              let pinned = ref [] in
+              Fun.protect
+                ~finally:(fun () ->
+                  List.iter
+                    (fun (pf : Types.pfdat) ->
+                      if pf.Types.pins > 0 then
+                        pf.Types.pins <- pf.Types.pins - 1)
+                    !pinned)
+                (fun () ->
+                  let pfs =
+                    List.map
+                      (fun pg ->
+                        (* Block allocation for pages a remote writer
+                           extends. *)
+                        if writable && pg * psize >= f.Types.size then
+                          Sim.Engine.delay
+                            Params.fs_block_alloc_ns;
+                        let pf = page_in sys cell f pg in
+                        pf.Types.pins <- pf.Types.pins + 1;
+                        pinned := pf :: !pinned;
+                        (pg, pf))
+                      wanted
+                  in
+                  if f.Types.generation > gen then Error Types.EIO
+                  else begin
+                    let pages =
                       List.map
-                        (fun pg ->
-                          (* Block allocation for pages a remote writer
-                             extends. *)
-                          if writable && pg * psize >= f.Types.size then
-                            Sim.Engine.delay
-                              Params.fs_block_alloc_ns;
-                          let pf = page_in sys cell f pg in
-                          pf.Types.pins <- pf.Types.pins + 1;
-                          pinned := pf :: !pinned;
-                          (pg, pf))
-                        wanted
+                        (fun (pg, pf) ->
+                          Share.export sys cell pf ~client:src ~writable;
+                          if writable then pf.Types.dirty <- true;
+                          (pg, pf.Types.pfn))
+                        pfs
                     in
-                    if f.Types.generation > gen then Error Types.EIO
-                    else begin
-                      let pages =
-                        List.map
-                          (fun (pg, pf) ->
-                            Share.export sys cell pf ~client:src ~writable;
-                            if writable then pf.Types.dirty <- true;
-                            (pg, pf.Types.pfn))
-                          pfs
-                      in
-                      Ok (P_located { pages; gen = f.Types.generation })
-                    end)
-              in
-              if all_cached && not invalidating then
-                (* Hit in the file cache: serviced entirely at interrupt
-                   level (Section 4.3 explains why no blocking locks are
-                   needed on this path). *)
-                Types.Immediate (serve ())
-              else Types.Queued serve
-            end)
-        | _ -> Types.Immediate (Error Types.EFAULT))
-  end
+                    Ok (P_located { pages; gen = f.Types.generation })
+                  end)
+            in
+            if all_cached && not invalidating then
+              (* Hit in the file cache: serviced entirely at interrupt
+                 level (Section 4.3 explains why no blocking locks are
+                 needed on this path). *)
+              Types.Immediate (serve ())
+            else Types.Queued serve
+          end)
+      | _ -> Types.Immediate (Error Types.EFAULT))

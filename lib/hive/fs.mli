@@ -28,12 +28,14 @@ type Types.payload +=
   | P_located of { pages : (int * int) list; gen : int; }
   | P_create of { path : string; content : Bytes.t; }
   | P_created of { ino : int; gen : int }
+  | P_unlink of { path : string }
   | P_dirty of { ino : int; page : int; }
   | P_setsize of { ino : int; size : int; }
 val lookup_op : Rpc.Op.t
 val locate_op : Rpc.Op.t
 val create_op : Rpc.Op.t
 val setsize_op : Rpc.Op.t
+val unlink_op : Rpc.Op.t
 val locate_batch : int
 val page_size : Types.system -> int
 val home_of_path : Types.system -> string -> int
@@ -102,5 +104,3 @@ val file_size :
 val unlink :
   Types.system ->
   Types.cell -> string -> (unit, Types.errno) result
-val registered : bool ref
-val register_handlers : unit -> unit

@@ -184,30 +184,27 @@ let free_frame (sys : Types.system) (c : Types.cell) (pf : Types.pfdat) =
     Types.push_free c pf.Types.pfn
   end
 
-let registered = ref false
+let () =
+  Rpc.serve borrow_op (fun sys cell ~src arg ->
+      match arg with
+      | P_borrow { count } ->
+        let pfns = loan_frames sys cell ~client:src ~count in
+        Types.Immediate (Ok (P_borrowed { pfns }))
+      | _ -> Types.Immediate (Error Types.EFAULT))
 
-let register_handlers () =
-  if not !registered then begin
-    registered := true;
-    Rpc.register borrow_op (fun sys cell ~src arg ->
-        match arg with
-        | P_borrow { count } ->
-          let pfns = loan_frames sys cell ~client:src ~count in
-          Types.Immediate (Ok (P_borrowed { pfns }))
-        | _ -> Types.Immediate (Error Types.EFAULT));
-    Rpc.register return_op (fun sys cell ~src:_ arg ->
-        match arg with
-        | P_return { pfns } ->
-          List.iter
-            (fun pfn ->
-              (match Hashtbl.find_opt cell.Types.frames pfn with
-              | Some pf -> pf.Types.loaned_to <- None
-              | None -> ());
-              cell.Types.reserved_loans <-
-                List.filter (fun p -> p <> pfn) cell.Types.reserved_loans;
-              Types.push_free cell pfn;
-              ignore sys)
-            pfns;
-          Types.Immediate (Ok Types.P_unit)
-        | _ -> Types.Immediate (Error Types.EFAULT))
-  end
+let () =
+  Rpc.serve return_op (fun sys cell ~src:_ arg ->
+      match arg with
+      | P_return { pfns } ->
+        List.iter
+          (fun pfn ->
+            (match Hashtbl.find_opt cell.Types.frames pfn with
+            | Some pf -> pf.Types.loaned_to <- None
+            | None -> ());
+            cell.Types.reserved_loans <-
+              List.filter (fun p -> p <> pfn) cell.Types.reserved_loans;
+            Types.push_free cell pfn;
+            ignore sys)
+          pfns;
+        Types.Immediate (Ok Types.P_unit)
+      | _ -> Types.Immediate (Error Types.EFAULT))

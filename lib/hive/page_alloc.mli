@@ -39,5 +39,3 @@ val alloc_frame :
   Types.system -> Types.cell -> Types.pfdat
 val free_frame :
   Types.system -> Types.cell -> Types.pfdat -> unit
-val registered : bool ref
-val register_handlers : unit -> unit

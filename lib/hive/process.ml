@@ -312,22 +312,19 @@ let wait (sys : Types.system) (_parent : Types.process) (child : Types.process)
 let wait_all (sys : Types.system) (parent : Types.process) =
   List.map (fun c -> wait sys parent c) parent.Types.children
 
-let registered = ref false
+let () =
+  Rpc.serve migrate_xfer_op (fun _sys _cell ~src:_ _arg ->
+      Types.Immediate (Ok Types.P_unit))
 
-let register_handlers () =
-  if not !registered then begin
-    registered := true;
-    Rpc.register migrate_xfer_op (fun _sys _cell ~src:_ _arg ->
-        Types.Immediate (Ok Types.P_unit));
-    Rpc.register fork_op (fun sys cell ~src:_ arg ->
-        match arg with
-        | P_fork { parent_pid; name; body; regions; fds } ->
-          Types.Queued
-            (fun () ->
-              Sim.Engine.delay Params.fork_local_ns;
-              let child =
-                install_child sys cell ~name ~regions ~fds ~parent_pid body
-              in
-              Ok (P_forked { pid = child.Types.pid }))
-        | _ -> Types.Immediate (Error Types.EFAULT))
-  end
+let () =
+  Rpc.serve fork_op (fun sys cell ~src:_ arg ->
+      match arg with
+      | P_fork { parent_pid; name; body; regions; fds } ->
+        Types.Queued
+          (fun () ->
+            Sim.Engine.delay Params.fork_local_ns;
+            let child =
+              install_child sys cell ~name ~regions ~fds ~parent_pid body
+            in
+            Ok (P_forked { pid = child.Types.pid }))
+      | _ -> Types.Immediate (Error Types.EFAULT))

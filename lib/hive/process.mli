@@ -61,5 +61,3 @@ val migrate :
 val wait :
   Types.system -> Types.process -> Types.process -> int
 val wait_all : Types.system -> Types.process -> int list
-val registered : bool ref
-val register_handlers : unit -> unit

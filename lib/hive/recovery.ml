@@ -390,19 +390,14 @@ let cell_died (sys : Types.system) id =
       live
   end
 
-let registered = ref false
-
-let register_handlers () =
-  if not !registered then begin
-    registered := true;
-    Rpc.register start_op (fun sys cell ~src:_ arg ->
-        match arg with
-        | P_recovery_start { dead } ->
-          (* The confirmed dead set travels in the request; the round state
-             is system-global in the simulation, so just join the round. *)
-          ignore dead;
-          if not cell.Types.recovery_active then
-            start_recovery_thread sys cell;
-          Types.Immediate (Ok Types.P_unit)
-        | _ -> Types.Immediate (Error Types.EFAULT))
-  end
+let () =
+  Rpc.serve start_op (fun sys cell ~src:_ arg ->
+      match arg with
+      | P_recovery_start { dead } ->
+        (* The confirmed dead set travels in the request; the round state
+           is system-global in the simulation, so just join the round. *)
+        ignore dead;
+        if not cell.Types.recovery_active then
+          start_recovery_thread sys cell;
+        Types.Immediate (Ok Types.P_unit)
+      | _ -> Types.Immediate (Error Types.EFAULT))

@@ -48,5 +48,3 @@ val initiate :
     left waiting on the dead participant). *)
 val cell_died : Types.system -> Types.cell_id -> unit
 
-val registered : bool ref
-val register_handlers : unit -> unit

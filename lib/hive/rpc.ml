@@ -69,13 +69,59 @@ module Count = struct
       ~doc:"RPC attempts that timed out"
 end
 
+(* The bugs the at-most-once machinery fixes can be deliberately
+   re-created per system — boot with [Params.planted_bug] set to
+   [Reply_cache_off] or [Epoch_check_off] — so the fuzzer's checkers can
+   demonstrate they would catch a regression. Keeping the switch in the
+   system's params (not global refs) means concurrent campaigns on other
+   domains are unaffected. *)
+
+type handler =
+  Types.system -> Types.cell -> src:Types.cell_id -> Types.payload ->
+  Types.handler_action
+
+(* Typed operation descriptors. Every RPC op is declared once, up front,
+   with its wire-size defaults and timeout, and served once by the module
+   that owns it; a request carries the descriptor itself, so the server
+   reads the handler and the op's properties straight from it. The
+   descriptor name keys the per-op latency histograms and trace spans. *)
+module Op = struct
+  type t = {
+    name : string;
+    arg_bytes : int;
+    reply_bytes : int;
+    timeout_ns : int64 option; (* None = use Params.rpc_timeout_ns *)
+    idempotent : bool; (* read-only: replays are harmless, skip the cache *)
+    sheddable : bool;
+        (* interactive traffic the server may refuse with EBUSY under
+           load; kernel ops are never shed *)
+    mutable handler : handler option; (* set once by [serve] *)
+  }
+
+  (* Names key the histograms, so they must be unique. *)
+  let declared : (string, unit) Hashtbl.t = Hashtbl.create 64
+
+  let declare ?(arg_bytes = 64) ?(reply_bytes = 64) ?timeout_ns
+      ?(idempotent = false) ?(sheddable = false) name =
+    if Hashtbl.mem declared name then
+      invalid_arg ("Rpc.Op.declare: duplicate " ^ name);
+    Hashtbl.replace declared name ();
+    { name; arg_bytes; reply_bytes; timeout_ns; idempotent; sheddable;
+      handler = None }
+end
+
+let serve (op : Op.t) h =
+  match op.Op.handler with
+  | Some _ -> invalid_arg ("Rpc.serve: duplicate " ^ op.Op.name)
+  | None -> op.Op.handler <- Some h
+
 type Flash.Sips.message +=
   | M_request of {
       call_id : int;
       src_cell : int;
       src_epoch : int; (* client incarnation when the call started *)
       attempt : int; (* 0 = original transmission *)
-      op : string;
+      op : Op.t;
       arg : Types.payload;
       arg_bytes : int;
       deadline_ns : int64;
@@ -92,72 +138,6 @@ type Flash.Sips.message +=
       outcome : Types.rpc_outcome;
     }
 
-(* The bugs the at-most-once machinery fixes can be deliberately
-   re-created per system — boot with [Params.planted_bug] set to
-   [Reply_cache_off] or [Epoch_check_off] — so the fuzzer's checkers can
-   demonstrate they would catch a regression. Keeping the switch in the
-   system's params (not global refs) means concurrent campaigns on other
-   domains are unaffected. *)
-
-(* Typed operation descriptors. Every RPC op is declared once, up front,
-   with its wire-size defaults and timeout; [register] and [call] take the
-   descriptor, so an undeclared or misspelled op cannot compile and every
-   call site agrees on payload sizes. The descriptor name also keys the
-   per-op latency histograms. *)
-module Op = struct
-  type t = {
-    name : string;
-    arg_bytes : int;
-    reply_bytes : int;
-    timeout_ns : int64 option; (* None = use Params.rpc_timeout_ns *)
-    idempotent : bool; (* read-only: replays are harmless, skip the cache *)
-    sheddable : bool;
-        (* interactive traffic the server may refuse with EBUSY under
-           load; kernel ops are never shed *)
-  }
-
-  let declared : (string, t) Hashtbl.t = Hashtbl.create 64
-
-  let declare ?(arg_bytes = 64) ?(reply_bytes = 64) ?timeout_ns
-      ?(idempotent = false) ?(sheddable = false) name =
-    if Hashtbl.mem declared name then
-      invalid_arg ("Rpc.Op.declare: duplicate " ^ name);
-    let op =
-      { name; arg_bytes; reply_bytes; timeout_ns; idempotent; sheddable }
-    in
-    Hashtbl.replace declared name op;
-    op
-
-  let name op = op.name
-
-  let is_idempotent name =
-    match Hashtbl.find_opt declared name with
-    | Some op -> op.idempotent
-    | None -> false
-
-  let is_sheddable name =
-    match Hashtbl.find_opt declared name with
-    | Some op -> op.sheddable
-    | None -> false
-
-  let all () =
-    Hashtbl.fold (fun _ op acc -> op :: acc) declared []
-    |> List.sort (fun a b -> compare a.name b.name)
-end
-
-type handler =
-  Types.system -> Types.cell -> src:Types.cell_id -> Types.payload ->
-  Types.handler_action
-
-let handlers : (string, handler) Hashtbl.t = Hashtbl.create 64
-
-let register (op : Op.t) h =
-  if Hashtbl.mem handlers op.Op.name then
-    invalid_arg ("Rpc.register: duplicate " ^ op.Op.name);
-  Hashtbl.replace handlers op.Op.name h
-
-let registered (op : Op.t) = Hashtbl.mem handlers op.Op.name
-
 (* Marshaling cost on one side of a call carrying [bytes] of payload:
    stub execution, plus, beyond one cache line, buffer allocation and a
    copy through shared memory. *)
@@ -173,8 +153,6 @@ let report_hint (sys : Types.system) (from : Types.cell) suspect reason =
   match sys.Types.on_hint with
   | Some f -> f from ~suspect ~reason
   | None -> ()
-
-exception Rpc_failed of Types.cell_id * string
 
 (* Epoch-tagged call ids: the cell id and its incarnation occupy the high
    digits, the per-incarnation sequence the low ones, so ids can never
@@ -268,19 +246,19 @@ let service_request (sys : Types.system) (server : Types.cell) env =
         if Sim.Event.enabled sys.Types.events then
           Sim.Event.span sys.Types.events ~cell:server.Types.cell_id
             ~args:[ ("src", Sim.Event.Int src_cell) ]
-            ~cat:Sim.Event.Rpc ("rpc.serve:" ^ op) f
+            ~cat:Sim.Event.Rpc ("rpc.serve:" ^ op.Op.name) f
         else f ()
       in
       Sim.Stats.hist_add
-        (Types.hist_for sys.Types.rpc_server_ns op)
+        (Types.hist_for sys.Types.rpc_server_ns op.Op.name)
         (Int64.sub (Sim.Engine.now sys.Types.eng) t0);
       result
     in
     let session =
-      if Op.is_idempotent op then None
+      if op.Op.idempotent then None
       else session_for server ~src_cell ~src_epoch
     in
-    let stale = (not (Op.is_idempotent op)) && session = None in
+    let stale = (not op.Op.idempotent) && session = None in
     if stale then Types.bump server Count.stale_request_drops
     else begin
       let cached =
@@ -308,14 +286,14 @@ let service_request (sys : Types.system) (server : Types.cell) env =
            execution of a non-idempotent op body, keyed by this server
            incarnation and the call id. *)
         let record_exec () =
-          if not (Op.is_idempotent op) then begin
+          if not op.Op.idempotent then begin
             let key = (server.Types.cell_id, server.Types.incarnation, call_id) in
             let n =
               match Hashtbl.find_opt sys.Types.rpc_executions key with
               | Some (_, n) -> n
               | None -> 0
             in
-            Hashtbl.replace sys.Types.rpc_executions key (op, n + 1)
+            Hashtbl.replace sys.Types.rpc_executions key (op.Op.name, n + 1)
           end
         in
         let complete outcome =
@@ -326,7 +304,7 @@ let service_request (sys : Types.system) (server : Types.cell) env =
           | None -> ());
           send_reply sys server ~src_cell ~src_epoch ~call_id outcome
         in
-        match Hashtbl.find_opt handlers op with
+        match op.Op.handler with
         | None -> complete (Error Types.EFAULT)
         | Some h -> (
           let t0 = Sim.Engine.now sys.Types.eng in
@@ -338,16 +316,17 @@ let service_request (sys : Types.system) (server : Types.cell) env =
             (* Interrupt-level service: record the handler time and mark it
                as an instant (it never blocks, unlike queued spans). *)
             let dt = Int64.sub (Sim.Engine.now sys.Types.eng) t0 in
-            Sim.Stats.hist_add (Types.hist_for sys.Types.rpc_server_ns op) dt;
+            Sim.Stats.hist_add
+              (Types.hist_for sys.Types.rpc_server_ns op.Op.name) dt;
             if Sim.Event.enabled sys.Types.events then
               Sim.Event.instant sys.Types.events ~cell:server.Types.cell_id
                 ~args:
                   [ ("src", Sim.Event.Int src_cell); ("dur_ns", Sim.Event.I64 dt)
                   ]
-                ~cat:Sim.Event.Rpc ("rpc.serve:" ^ op);
+                ~cat:Sim.Event.Rpc ("rpc.serve:" ^ op.Op.name);
             complete outcome
           | Types.Queued _
-            when Op.is_sheddable op
+            when op.Op.sheddable
                  && (Sim.Mailbox.length server.Types.rpc_queue
                      >= p.Params.rpc_queue_bound
                     || server.Types.cstatus <> Types.Cell_up) ->
@@ -593,7 +572,7 @@ let call (sys : Types.system) ~(from : Types.cell) ~target ~(op : Op.t)
                src_cell = from.Types.cell_id;
                src_epoch;
                attempt;
-               op = op_name;
+               op;
                arg;
                arg_bytes;
                deadline_ns =
@@ -657,13 +636,3 @@ let call (sys : Types.system) ~(from : Types.cell) ~target ~(op : Op.t)
       Hashtbl.remove from.Types.pending_calls call_id;
       raise e
   end
-
-(* Convenience wrapper raising Syscall_error on failure. *)
-let call_exn sys ~from ~target ~op ?arg_bytes ?reply_bytes ?timeout_ns
-    ?deadline_ns arg =
-  match
-    call sys ~from ~target ~op ?arg_bytes ?reply_bytes ?timeout_ns
-      ?deadline_ns arg
-  with
-  | Ok v -> v
-  | Error e -> raise (Types.Syscall_error e)

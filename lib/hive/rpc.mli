@@ -16,25 +16,31 @@
    RPC launches the operation and a completion reply returns the result.
 
    Operations are identified by {!Op.t} descriptors declared once with
-   {!Op.declare}: registration and calls both take the descriptor, so an
-   undeclared or misspelled op name cannot compile, sizes cannot be
-   mismatched between call sites, and the descriptor keys the per-op
+   {!Op.declare} and served once with {!serve}, both at the owning
+   module's initialization. Calls take the descriptor and requests carry
+   it, so an undeclared or misspelled op cannot compile, sizes cannot be
+   mismatched between call sites, the server dispatches straight to the
+   descriptor's handler, and the descriptor's name keys the per-op
    latency histograms. *)
+
+(** Server-side body of an op: runs at interrupt level on the target
+    cell and either answers at once ([Immediate]) or hands a longer
+    (possibly blocking) work function to the server pool ([Queued]). *)
+type handler =
+    Types.system ->
+    Types.cell ->
+    src:Types.cell_id -> Types.payload -> Types.handler_action
 
 (** Typed RPC operation descriptors. *)
 module Op : sig
-  type t = private {
-    name : string;
-    arg_bytes : int; (* default request payload size *)
-    reply_bytes : int; (* default reply payload size *)
-    timeout_ns : int64 option; (* None = Params.rpc_timeout_ns *)
-    idempotent : bool; (* replays harmless: skips the reply cache *)
-    sheddable : bool; (* may be refused with EBUSY under server overload *)
-  }
+  type t
 
   (** Declare an operation; raises [Invalid_argument] on a duplicate name.
-      Call once at module initialization. Declare [~idempotent:true] only
-      for read-only ops whose re-execution is observably harmless.
+      Call once at module initialization. [arg_bytes] and [reply_bytes]
+      (default 64) are the payload sizes a call defaults to; [timeout_ns]
+      the per-attempt timeout (default [Params.rpc_timeout_ns]).
+      Declare [~idempotent:true] only for read-only ops whose
+      re-execution is observably harmless: they skip the reply cache.
       Declare [~sheddable:true] for interactive traffic the server may
       refuse with [EBUSY] when its queued-service backlog reaches
       [Params.rpc_queue_bound] or the cell is still mid-recovery; kernel
@@ -47,22 +53,19 @@ module Op : sig
     ?sheddable:bool ->
     string ->
     t
-
-  val name : t -> string
-
-  (** Whether the named op was declared idempotent (false if unknown). *)
-  val is_idempotent : string -> bool
-
-  (** Whether the named op was declared sheddable (false if unknown). *)
-  val is_sheddable : string -> bool
-
-  (** Every declared op, sorted by name (for metrics export). *)
-  val all : unit -> t list
 end
+
+(** Install [op]'s handler; raises [Invalid_argument] if [op] is already
+    served. Call once, at the top level of the module that declares [op]:
+    top-level code runs on the main domain at program start, before any
+    simulation or [Domain.spawn], and any code able to send [op] links
+    that module. A request for a declared but unserved op is answered
+    [Error EFAULT]. *)
+val serve : Op.t -> handler -> unit
 
 type Flash.Sips.message +=
     M_request of { call_id : int; src_cell : int; src_epoch : int;
-      attempt : int; op : string; arg : Types.payload; arg_bytes : int;
+      attempt : int; op : Op.t; arg : Types.payload; arg_bytes : int;
       deadline_ns : int64;
           (** absolute client deadline propagated with the request,
               0 = none; the server pool drops queued requests whose
@@ -72,26 +75,9 @@ type Flash.Sips.message +=
       outcome : Types.rpc_outcome;
     }
 
-type handler =
-    Types.system ->
-    Types.cell ->
-    src:Types.cell_id -> Types.payload -> Types.handler_action
-val handlers : (string, handler) Hashtbl.t
-val register : Op.t -> handler -> unit
-val registered : Op.t -> bool
-val marshal_cost : Types.system -> int -> int64
 val report_hint :
   Types.system ->
   Types.cell -> Types.cell_id -> string -> unit
-exception Rpc_failed of Types.cell_id * string
-val send_reply :
-  Types.system ->
-  Types.cell ->
-  src_cell:int -> src_epoch:int -> call_id:int -> Types.rpc_outcome -> unit
-val service_request :
-  Types.system -> Types.cell -> Flash.Sips.envelope -> unit
-val service_reply :
-  Types.system -> Types.cell -> Flash.Sips.envelope -> unit
 val start_threads : Types.system -> Types.cell -> unit
 
 (** Call [op] on [target]. Payload sizes and the timeout default from the
@@ -111,12 +97,3 @@ val call :
   ?reply_bytes:int ->
   ?timeout_ns:int64 ->
   ?deadline_ns:int64 -> Types.payload -> Types.rpc_outcome
-val call_exn :
-  Types.system ->
-  from:Types.cell ->
-  target:Types.cell_id ->
-  op:Op.t ->
-  ?arg_bytes:int ->
-  ?reply_bytes:int ->
-  ?timeout_ns:int64 ->
-  ?deadline_ns:int64 -> Types.payload -> Types.payload

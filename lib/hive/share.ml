@@ -413,44 +413,43 @@ let drop_import (client : Types.cell) (pf : Types.pfdat) =
   end
   else Pfdat.free_extended client pf
 
-let registered = ref false
+let () =
+  Rpc.serve release_op (fun sys cell ~src arg ->
+      match arg with
+      | P_release { lid } ->
+        unexport sys cell ~client:src ~lid;
+        Types.Immediate (Ok Types.P_unit)
+      | _ -> Types.Immediate (Error Types.EFAULT))
 
-let register_handlers () =
-  if not !registered then begin
-    registered := true;
-    Rpc.register release_op (fun sys cell ~src arg ->
-        match arg with
-        | P_release { lid } ->
-          unexport sys cell ~client:src ~lid;
-          Types.Immediate (Ok Types.P_unit)
-        | _ -> Types.Immediate (Error Types.EFAULT));
-    (* Queued: unexport may RPC the memory home of a borrowed frame to
-       retire its firewall grant, which an interrupt handler cannot do. *)
-    Rpc.register release_batch_op (fun sys cell ~src arg ->
-        match arg with
-        | P_release_batch { lids } ->
-          Types.Queued
-            (fun () ->
-              List.iter (fun lid -> unexport sys cell ~client:src ~lid) lids;
-              Ok Types.P_unit)
-        | _ -> Types.Immediate (Error Types.EFAULT));
-    (* Immediate: only touches the local import cache, never blocks. *)
-    Rpc.register invalidate_op (fun _sys cell ~src:_ arg ->
-        match arg with
-        | P_invalidate { lids } ->
-          let kept = ref [] in
-          List.iter
-            (fun lid ->
-              match Pfdat.lookup cell lid with
-              | Some pf when pf.Types.cached ->
-                Types.bump cell Count.cache_invalidations;
-                Pfdat.free_extended cell pf
-              | Some _ ->
-                (* Still actively mapped here: the hardware keeps the
-                   mapping coherent, so the export record must stay. *)
-                kept := lid :: !kept
-              | None -> ())
-            lids;
-          Types.Immediate (Ok (P_invalidate_ack { kept = !kept }))
-        | _ -> Types.Immediate (Error Types.EFAULT))
-  end
+(* Queued: unexport may RPC the memory home of a borrowed frame to
+   retire its firewall grant, which an interrupt handler cannot do. *)
+let () =
+  Rpc.serve release_batch_op (fun sys cell ~src arg ->
+      match arg with
+      | P_release_batch { lids } ->
+        Types.Queued
+          (fun () ->
+            List.iter (fun lid -> unexport sys cell ~client:src ~lid) lids;
+            Ok Types.P_unit)
+      | _ -> Types.Immediate (Error Types.EFAULT))
+
+(* Immediate: only touches the local import cache, never blocks. *)
+let () =
+  Rpc.serve invalidate_op (fun _sys cell ~src:_ arg ->
+      match arg with
+      | P_invalidate { lids } ->
+        let kept = ref [] in
+        List.iter
+          (fun lid ->
+            match Pfdat.lookup cell lid with
+            | Some pf when pf.Types.cached ->
+              Types.bump cell Count.cache_invalidations;
+              Pfdat.free_extended cell pf
+            | Some _ ->
+              (* Still actively mapped here: the hardware keeps the
+                 mapping coherent, so the export record must stay. *)
+              kept := lid :: !kept
+            | None -> ())
+          lids;
+        Types.Immediate (Ok (P_invalidate_ack { kept = !kept }))
+      | _ -> Types.Immediate (Error Types.EFAULT))

@@ -81,5 +81,3 @@ val release : Types.system -> Types.cell -> Types.pfdat -> unit
 val release_all : Types.system -> Types.cell -> Types.pfdat list -> unit
 
 val drop_import : Types.cell -> Types.pfdat -> unit
-val registered : bool ref
-val register_handlers : unit -> unit

@@ -134,31 +134,28 @@ let kill_group (sys : Types.system) (from : Types.process) ~pgid signal =
     here.Types.live_set;
   if !errors = 0 then Ok () else Error Types.EHOSTDOWN
 
-let registered = ref false
+let () =
+  Rpc.serve signal_op (fun sys _cell ~src:_ arg ->
+      match arg with
+      | P_signal { pid; signal } -> (
+        match Hashtbl.find_opt sys.Types.proc_table pid with
+        | Some target ->
+          Types.Immediate
+            (deliver_local sys target signal;
+             Ok Types.P_unit)
+        | None -> Types.Immediate (Error Types.ESRCH))
+      | _ -> Types.Immediate (Error Types.EFAULT))
 
-let register_handlers () =
-  if not !registered then begin
-    registered := true;
-    Rpc.register signal_op (fun sys _cell ~src:_ arg ->
-        match arg with
-        | P_signal { pid; signal } -> (
-          match Hashtbl.find_opt sys.Types.proc_table pid with
-          | Some target ->
-            Types.Immediate
-              (deliver_local sys target signal;
-               Ok Types.P_unit)
-          | None -> Types.Immediate (Error Types.ESRCH))
-        | _ -> Types.Immediate (Error Types.EFAULT));
-    Rpc.register signal_group_op (fun sys cell ~src:_ arg ->
-        match arg with
-        | P_signal_group { pgid; signal } ->
-          List.iter
-            (fun (p : Types.process) ->
-              if
-                p.Types.pstate <> Types.Proc_zombie
-                && (state_of p).pgid = pgid
-              then deliver_local sys p signal)
-            cell.Types.processes;
-          Types.Immediate (Ok Types.P_unit)
-        | _ -> Types.Immediate (Error Types.EFAULT))
-  end
+let () =
+  Rpc.serve signal_group_op (fun sys cell ~src:_ arg ->
+      match arg with
+      | P_signal_group { pgid; signal } ->
+        List.iter
+          (fun (p : Types.process) ->
+            if
+              p.Types.pstate <> Types.Proc_zombie
+              && (state_of p).pgid = pgid
+            then deliver_local sys p signal)
+          cell.Types.processes;
+        Types.Immediate (Ok Types.P_unit)
+      | _ -> Types.Immediate (Error Types.EFAULT))

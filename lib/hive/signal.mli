@@ -38,5 +38,3 @@ val kill :
 val kill_group :
   Types.system ->
   Types.process -> pgid:int -> signal -> (unit, Types.errno) result
-val registered : bool ref
-val register_handlers : unit -> unit

@@ -25,17 +25,6 @@ module Count = struct
       ~doc:"salvaged pages purged when their home reintegrated"
 end
 
-let register_all_handlers () =
-  Wild_write.register_handlers ();
-  Page_alloc.register_handlers ();
-  Share.register_handlers ();
-  Fs.register_handlers ();
-  Vm.register_handlers ();
-  Process.register_handlers ();
-  Signal.register_handlers ();
-  Agreement.register_handlers ();
-  Recovery.register_handlers ()
-
 let boot_horizon_ns = 5_000_000L
 
 (* Reboot and reintegrate a failed cell after its nodes are repaired (the
@@ -157,7 +146,6 @@ let boot ?(mcfg = Flash.Config.default) ?(params = Params.default)
     invalid_arg "Hive.boot: bad cell count";
   if mcfg.Flash.Config.nodes mod ncells <> 0 then
     invalid_arg "Hive.boot: cells must divide nodes evenly";
-  register_all_handlers ();
   (* Reset the domain-local id generators and per-pid signal state so a
      campaign's behavior is a function of its plan alone, not of what ran
      earlier on this domain. *)

@@ -601,27 +601,22 @@ let preemptive_discard (sys : Types.system) (c : Types.cell) ~dead =
     !dead_borrows;
   !discarded
 
-let registered = ref false
-
-let register_handlers () =
-  if not !registered then begin
-    registered := true;
-    Rpc.register anon_locate_op (fun sys cell ~src arg ->
-        match arg with
-        | P_anon_locate { node_id; page; writable } -> (
-          let lid =
-            { Types.tag =
-                Types.Anon_obj { cow_home = cell.Types.cell_id; node_id };
-              page }
-          in
-          match Pfdat.lookup cell lid with
-          | Some pf ->
-            (* Export first: the record pins the pfdat, so the service
-               delay below cannot race a reclaim sweep that would drop
-               the still-unreferenced frame. *)
-            Share.export sys cell pf ~client:src ~writable;
-            Sim.Engine.delay Params.fault_home_vm_ns;
-            Types.Immediate (Ok (P_anon_page { pfn = pf.Types.pfn }))
-          | None -> Types.Immediate (Error Types.ENOENT))
-        | _ -> Types.Immediate (Error Types.EFAULT))
-  end
+let () =
+  Rpc.serve anon_locate_op (fun sys cell ~src arg ->
+      match arg with
+      | P_anon_locate { node_id; page; writable } -> (
+        let lid =
+          { Types.tag =
+              Types.Anon_obj { cow_home = cell.Types.cell_id; node_id };
+            page }
+        in
+        match Pfdat.lookup cell lid with
+        | Some pf ->
+          (* Export first: the record pins the pfdat, so the service
+             delay below cannot race a reclaim sweep that would drop
+             the still-unreferenced frame. *)
+          Share.export sys cell pf ~client:src ~writable;
+          Sim.Engine.delay Params.fault_home_vm_ns;
+          Types.Immediate (Ok (P_anon_page { pfn = pf.Types.pfn }))
+        | None -> Types.Immediate (Error Types.ENOENT))
+      | _ -> Types.Immediate (Error Types.EFAULT))

@@ -68,5 +68,3 @@ val flush_remote_bindings :
   ?dead:Types.cell_id list -> Types.system -> Types.cell -> unit
 val preemptive_discard :
   Types.system -> Types.cell -> dead:Types.cell_id list -> int
-val registered : bool ref
-val register_handlers : unit -> unit

@@ -45,19 +45,14 @@ let apply_local (sys : Types.system) (c : Types.cell) ~pfn ~target_cell ~grant =
       ~cat:Sim.Event.Firewall
       (if grant then "firewall.grant" else "firewall.revoke")
 
-let registered = ref false
-
-let register_handlers () =
-  if not !registered then begin
-    registered := true;
-    Rpc.register firewall_rpc_op (fun sys cell ~src:_ arg ->
-        match arg with
-        | P_fw { pfn; target_cell; grant } ->
-          Types.Immediate
-            (apply_local sys cell ~pfn ~target_cell ~grant;
-             Ok Types.P_unit)
-        | _ -> Types.Immediate (Error Types.EFAULT))
-  end
+let () =
+  Rpc.serve firewall_rpc_op (fun sys cell ~src:_ arg ->
+      match arg with
+      | P_fw { pfn; target_cell; grant } ->
+        Types.Immediate
+          (apply_local sys cell ~pfn ~target_cell ~grant;
+           Ok Types.P_unit)
+      | _ -> Types.Immediate (Error Types.EFAULT))
 
 (* Change firewall state for [pfn] on behalf of the cell managing the data
    ([mgr]): direct when the frame's node is local, RPC to the memory home

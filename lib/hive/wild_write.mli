@@ -17,8 +17,6 @@ val apply_local :
   Types.system ->
   Types.cell ->
   pfn:Flash.Addr.pfn -> target_cell:int -> grant:bool -> unit
-val registered : bool ref
-val register_handlers : unit -> unit
 val change :
   Types.system ->
   Types.cell ->

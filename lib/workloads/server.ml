@@ -178,13 +178,11 @@ let churn_handler sys (c : Hive.Types.cell) ~src:_ payload =
             Result.map (fun () -> Hive.Types.P_unit) r))
   | _ -> Hive.Types.Immediate (Error Hive.Types.EBADF)
 
-(* Idempotent: campaign drivers call this once per domain warm-up and
-   every [run] calls it again. *)
-let register_ops () =
-  if not (Hive.Rpc.registered read_op) then
-    Hive.Rpc.register read_op read_handler;
-  if not (Hive.Rpc.registered churn_op) then
-    Hive.Rpc.register churn_op churn_handler
+let () =
+  Hive.Rpc.serve read_op read_handler;
+  Hive.Rpc.serve churn_op churn_handler
+
+let register_ops () = ()
 
 (* ---------- client side ---------- *)
 
@@ -453,7 +451,6 @@ let stats_of st =
 (* ---------- driver ---------- *)
 
 let run ?(cfg = default) (sys : Hive.Types.system) =
-  register_ops ();
   let eng = sys.Hive.Types.eng in
   let t0 = Sim.Engine.now eng in
   let paths = setup cfg sys in

@@ -56,9 +56,8 @@ type Hive.Types.payload +=
 val read_op : Hive.Rpc.Op.t
 val churn_op : Hive.Rpc.Op.t
 
-(** Register the server RPC handlers; idempotent. Parallel campaign
-    drivers must call this before spawning worker domains (the handler
-    table is a shared global). *)
+(** Does nothing. The server's two ops are served when this module is
+    initialized; the function stays for existing callers. *)
 val register_ops : unit -> unit
 
 (** Run the traffic against a booted system, driving the engine until

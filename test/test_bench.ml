@@ -7,7 +7,6 @@ open Bench
    snapshot has non-trivial histograms, counters and a cache hit rate. *)
 let driven_system () =
   let eng, sys = Harness.boot ~ncells:2 () in
-  Harness.register_bench_ops ();
   ignore (Harness.avg_rpc_us eng sys ~op:Harness.noop_op ~arg_bytes:16 ~n:50);
   let npages = 8 in
   let path = Harness.make_warm_file sys ~npages in

@@ -158,6 +158,32 @@ let test_remote_unlink () =
         (Hive.Fs.find_local sys.Hive.Types.cells.(0) "/tmp/gone-remote.txt"
         = None))
 
+(* A path that begins with a NUL byte and "unlink:" is just a file name:
+   a remote creat of it must create that file on its home, not delete
+   the file its suffix names. *)
+let test_remote_creat_of_unlink_like_path () =
+  with_sys (fun _eng sys ->
+      let prefix = "\000unlink:" in
+      let home = Hive.Fs.home_of_path sys in
+      let rec find_victim k =
+        let v = Printf.sprintf "/tmp/victim%d.txt" k in
+        if home v = 0 && home (prefix ^ v) = 0 then v else find_victim (k + 1)
+      in
+      let victim = find_victim 0 in
+      let p =
+        in_proc sys ~on:1 ~name:"t" (fun sys p ->
+            let fd = Hive.Syscall.creat sys p victim in
+            Hive.Syscall.close sys p ~fd;
+            let fd = Hive.Syscall.creat sys p (prefix ^ victim) in
+            Hive.Syscall.close sys p ~fd)
+      in
+      run_to_completion sys p;
+      let c0 = sys.Hive.Types.cells.(0) in
+      Alcotest.(check bool) "victim still on its home" true
+        (Option.is_some (Hive.Fs.find_local c0 victim));
+      Alcotest.(check bool) "created file on its home" true
+        (Option.is_some (Hive.Fs.find_local c0 (prefix ^ victim))))
+
 let test_generation_bump_gives_eio_locally () =
   with_sys (fun _eng sys ->
       let got_eio = ref false in
@@ -359,6 +385,8 @@ let suite =
       test_remote_open_missing_enoent;
     Alcotest.test_case "unlink" `Quick test_unlink;
     Alcotest.test_case "remote unlink" `Quick test_remote_unlink;
+    Alcotest.test_case "remote creat of an unlink-like path" `Quick
+      test_remote_creat_of_unlink_like_path;
     Alcotest.test_case "generation bump -> EIO on old fd only" `Quick
       test_generation_bump_gives_eio_locally;
     Alcotest.test_case "preemptive discard: reopen fresh, old fd EIO" `Quick

@@ -1,6 +1,7 @@
 (* RPC subsystem tests: dispatch, queued service, error paths, costs. *)
 
-(* Op descriptors are declared once per process (module initialization). *)
+(* Op descriptors are declared and served once per process, at module
+   initialization. *)
 let echo_op = Hive.Rpc.Op.declare "test.echo"
 
 let queued_echo_op = Hive.Rpc.Op.declare "test.queued_echo"
@@ -15,34 +16,38 @@ let nonexistent_op = Hive.Rpc.Op.declare "test.nonexistent"
 
 let slow99_op = Hive.Rpc.Op.declare "test.slow99"
 
-let registered = ref false
+let () =
+  Hive.Rpc.serve echo_op (fun _sys _cell ~src:_ arg ->
+      Hive.Types.Immediate (Ok arg))
 
-let register () =
-  if not !registered then begin
-    registered := true;
-    Hive.Rpc.register echo_op (fun _sys _cell ~src:_ arg ->
-        Hive.Types.Immediate (Ok arg));
-    Hive.Rpc.register queued_echo_op (fun _sys _cell ~src:_ arg ->
-        Hive.Types.Queued (fun () -> Ok arg));
-    Hive.Rpc.register fail_op (fun _sys _cell ~src:_ _arg ->
-        Hive.Types.Immediate (Error Hive.Types.EAGAIN));
-    Hive.Rpc.register raise_op (fun _sys _cell ~src:_ _arg ->
-        raise (Hive.Types.Syscall_error Hive.Types.EFAULT));
-    Hive.Rpc.register slow_op (fun sys _cell ~src:_ _arg ->
-        Hive.Types.Queued
-          (fun () ->
-            ignore sys;
-            Sim.Engine.delay 50_000_000L;
-            Ok Hive.Types.P_unit));
-    Hive.Rpc.register slow99_op (fun _sys _cell ~src:_ _arg ->
-        Hive.Types.Queued
-          (fun () ->
-            Sim.Engine.delay 1_200_000_000L;
-            Ok (Hive.Types.P_int 99)))
-  end
+let () =
+  Hive.Rpc.serve queued_echo_op (fun _sys _cell ~src:_ arg ->
+      Hive.Types.Queued (fun () -> Ok arg))
+
+let () =
+  Hive.Rpc.serve fail_op (fun _sys _cell ~src:_ _arg ->
+      Hive.Types.Immediate (Error Hive.Types.EAGAIN))
+
+let () =
+  Hive.Rpc.serve raise_op (fun _sys _cell ~src:_ _arg ->
+      raise (Hive.Types.Syscall_error Hive.Types.EFAULT))
+
+let () =
+  Hive.Rpc.serve slow_op (fun sys _cell ~src:_ _arg ->
+      Hive.Types.Queued
+        (fun () ->
+          ignore sys;
+          Sim.Engine.delay 50_000_000L;
+          Ok Hive.Types.P_unit))
+
+let () =
+  Hive.Rpc.serve slow99_op (fun _sys _cell ~src:_ _arg ->
+      Hive.Types.Queued
+        (fun () ->
+          Sim.Engine.delay 1_200_000_000L;
+          Ok (Hive.Types.P_int 99)))
 
 let with_sys f =
-  register ();
   let eng = Sim.Engine.create () in
   let mcfg =
     { Flash.Config.small with Flash.Config.nodes = 2; mem_pages_per_node = 256 }
@@ -182,7 +187,6 @@ let test_concurrent_calls () =
 
 (* Three cells so a quorum survives killing the client cell. *)
 let with_sys3 ?(params = Hive.Params.default) f =
-  register ();
   let eng = Sim.Engine.create () in
   let mcfg =
     { Flash.Config.small with Flash.Config.nodes = 3; mem_pages_per_node = 256 }
@@ -267,11 +271,11 @@ let test_late_reply_after_timeout () =
       | Ok (Hive.Types.P_int 7), _ -> ()
       | _ -> Alcotest.fail "call after the late reply failed")
 
-let test_duplicate_registration_rejected () =
-  register ();
-  Alcotest.check_raises "duplicate op"
-    (Invalid_argument "Rpc.register: duplicate test.echo") (fun () ->
-      Hive.Rpc.register echo_op (fun _ _ ~src:_ _ ->
+(* [echo_op] was served at module initialization above. *)
+let test_second_serve_raises () =
+  Alcotest.check_raises "second serve"
+    (Invalid_argument "Rpc.serve: duplicate test.echo") (fun () ->
+      Hive.Rpc.serve echo_op (fun _ _ ~src:_ _ ->
           Hive.Types.Immediate (Ok Hive.Types.P_unit)))
 
 (* At-most-once transport over a link into the server cell that drops,
@@ -280,7 +284,6 @@ let test_duplicate_registration_rejected () =
    isolates the transport. *)
 let test_degraded_link_at_most_once () =
   let eng, sys = Bench.Harness.boot ~ncells:2 () in
-  Bench.Harness.register_bench_ops ();
   sys.Hive.Types.on_hint <- None;
   Flash.Sips.degrade
     (Flash.Machine.sips sys.Hive.Types.machine)
@@ -344,8 +347,7 @@ let suite =
       test_epoch_checker_catches_disabled_check;
     Alcotest.test_case "late reply after timeout is dropped" `Quick
       test_late_reply_after_timeout;
-    Alcotest.test_case "duplicate registration rejected" `Quick
-      test_duplicate_registration_rejected;
+    Alcotest.test_case "second serve raises" `Quick test_second_serve_raises;
     Alcotest.test_case "at-most-once over a degraded link" `Quick
       test_degraded_link_at_most_once;
   ]

@@ -52,26 +52,26 @@ let slow_op = Hive.Rpc.Op.declare "traffic.slow"
 let shed_op = Hive.Rpc.Op.declare ~sheddable:true "traffic.shed"
 let solid_op = Hive.Rpc.Op.declare "traffic.solid"
 
-let registered = ref false
+let () =
+  Hive.Rpc.serve echo_op (fun _sys _cell ~src:_ arg ->
+      Hive.Types.Immediate (Ok arg))
 
-let register () =
-  if not !registered then begin
-    registered := true;
-    Hive.Rpc.register echo_op (fun _sys _cell ~src:_ arg ->
-        Hive.Types.Immediate (Ok arg));
-    Hive.Rpc.register slow_op (fun _sys _cell ~src:_ _arg ->
-        Hive.Types.Queued
-          (fun () ->
-            Sim.Engine.delay 100_000_000L;
-            Ok Hive.Types.P_unit));
-    Hive.Rpc.register shed_op (fun _sys _cell ~src:_ arg ->
-        Hive.Types.Queued (fun () -> Ok arg));
-    Hive.Rpc.register solid_op (fun _sys _cell ~src:_ arg ->
-        Hive.Types.Queued (fun () -> Ok arg))
-  end
+let () =
+  Hive.Rpc.serve slow_op (fun _sys _cell ~src:_ _arg ->
+      Hive.Types.Queued
+        (fun () ->
+          Sim.Engine.delay 100_000_000L;
+          Ok Hive.Types.P_unit))
+
+let () =
+  Hive.Rpc.serve shed_op (fun _sys _cell ~src:_ arg ->
+      Hive.Types.Queued (fun () -> Ok arg))
+
+let () =
+  Hive.Rpc.serve solid_op (fun _sys _cell ~src:_ arg ->
+      Hive.Types.Queued (fun () -> Ok arg))
 
 let with_sys ?params f =
-  register ();
   let eng = Sim.Engine.create () in
   let mcfg =
     { Flash.Config.small with Flash.Config.nodes = 2; mem_pages_per_node = 256 }
