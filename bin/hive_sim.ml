@@ -295,9 +295,9 @@ let run_fuzz seeds seed_base replay shrink_flag out plant jobs output =
     | None -> ()
   in
   (* Emission and failure post-mortems always run on the main domain, in
-     seed order; workers only compute records. With [--jobs n] the
-     output (stdout and the JSONL file) is therefore byte-identical to a
-     serial run. *)
+     seed order, between its own campaigns; the other workers only
+     compute records. With [--jobs n] the output (stdout and the JSONL
+     file) is therefore byte-identical to a serial run. *)
   let report ~traced seed r =
     emit r;
     if Faultinj.Fuzz.failed r then begin
@@ -521,9 +521,11 @@ let jobs_arg =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Shard the seed sweep across N domains (work-stealing; each \
-           worker owns a private single-threaded simulation engine). \
-           Output is byte-identical to --jobs 1 for any N.")
+          "Shard the seed sweep across N domains, counting the calling \
+           one, which also prints the records (work-stealing; each \
+           worker owns a private single-threaded simulation engine; at \
+           most one domain per recommended CPU). Output is \
+           byte-identical to --jobs 1 for any N.")
 
 let duration_ms_arg =
   Arg.(

@@ -437,67 +437,92 @@ let corrupt_cow_campaign =
 
 (* ---------- Parallel campaign driver ---------- *)
 
-(* Shard a seed list across OCaml 5 domains. Work-stealing: workers pull
-   the next unclaimed index from a shared cursor, so a slow seed never
-   idles the other domains. Each worker runs [run] with a private
-   simulation engine ([Sim.Engine.create] binds the engine to the
-   creating domain and rejects use from any other), and shares nothing
-   else — every cross-campaign cache in the tree is domain-local and
-   reset per boot. Results are published under a mutex and handed to
-   [on_record] from the calling domain in seed order, so the merged
-   output is byte-identical to a serial run regardless of [jobs].
-   Workers only read the RPC handler slots, which each op's module
-   wrote at initialization on the main domain, before any spawn. *)
+let spawned_domains ~jobs ~seeds ~cpus = max 0 (min jobs (min seeds cpus) - 1)
+
+(* Shard a seed list across OCaml 5 domains. Work-stealing: every domain
+   pulls the next unclaimed index from a shared cursor, so a slow seed
+   never idles the others. The calling domain is worker 0: it claims
+   seeds like the spawned domains, and between its own campaigns it
+   hands the ready prefix of the results to [on_record] in seed order;
+   once no seed is left to claim it waits for the rest. A caller that
+   only waited would still be a domain every stop-the-world collection
+   has to include. Each campaign runs [run] with a private simulation
+   engine ([Sim.Engine.create] binds the engine to the creating domain
+   and rejects use from any other) and shares nothing else: every
+   cross-campaign cache in the tree is domain-local and reset per boot.
+   The merged output is therefore byte-identical to a serial run
+   regardless of [jobs]. Workers only read the RPC handler slots, which
+   each op's module wrote at initialization on the main domain, before
+   any spawn. *)
 let run_parallel (type r) ~jobs ~(seeds : int64 array) ~(run : int64 -> r)
     ~(on_record : int64 -> r -> unit) =
   let n = Array.length seeds in
-  if jobs <= 1 || n <= 1 then
-    Array.iter (fun s -> on_record s (run s)) seeds
+  let spawn =
+    spawned_domains ~jobs ~seeds:n ~cpus:(Domain.recommended_domain_count ())
+  in
+  if spawn = 0 then Array.iter (fun s -> on_record s (run s)) seeds
   else begin
     let next = Atomic.make 0 in
     let results : (r, exn) result option array = Array.make n None in
     let m = Mutex.create () in
     let ready = Condition.create () in
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          let r =
-            match run seeds.(i) with
-            | v -> Ok v
-            | exception e -> Error e
-          in
-          Mutex.lock m;
-          results.(i) <- Some r;
-          Condition.broadcast ready;
-          Mutex.unlock m;
-          loop ()
-        end
-      in
-      loop ()
+    let run_one i =
+      let r = match run seeds.(i) with v -> Ok v | exception e -> Error e in
+      Mutex.lock m;
+      results.(i) <- Some r;
+      Condition.broadcast ready;
+      Mutex.unlock m
     in
-    let domains = List.init (min jobs n) (fun _ -> Domain.spawn worker) in
+    (* The claim loop of every worker; the caller passes [between] to
+       emit records between its own campaigns. *)
+    let rec claim_all between =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        run_one i;
+        between ();
+        claim_all between
+      end
+    in
+    (* Hand the ready prefix to [on_record], outside the lock: it may
+       write files or replay a failing seed. With [~wait], block until
+       every record is out. A failed seed re-raises at its position. *)
     let emitted = ref 0 in
-    Mutex.lock m;
-    (try
-       while !emitted < n do
-         match results.(!emitted) with
-         | Some r ->
-           let i = !emitted in
-           results.(i) <- None;
-           incr emitted;
-           (* Emit outside the lock: [on_record] may write files or
-              replay a failing seed. *)
-           Mutex.unlock m;
-           (match r with Ok v -> on_record seeds.(i) v | Error e -> raise e);
-           Mutex.lock m
-         | None -> Condition.wait ready m
-       done;
-       Mutex.unlock m
-     with e ->
-       (* Unblock and collect the workers before re-raising. *)
-       Atomic.set next n;
-       List.iter Domain.join domains;
-       raise e);
-    List.iter Domain.join domains
+    let rec emit ~wait =
+      Mutex.lock m;
+      let rec take () =
+        if !emitted >= n then None
+        else
+          match results.(!emitted) with
+          | Some r ->
+            let i = !emitted in
+            results.(i) <- None;
+            incr emitted;
+            Some (i, r)
+          | None when wait ->
+            Condition.wait ready m;
+            take ()
+          | None -> None
+      in
+      let taken = take () in
+      Mutex.unlock m;
+      match taken with
+      | None -> ()
+      | Some (i, Ok v) ->
+        on_record seeds.(i) v;
+        emit ~wait
+      | Some (_, Error e) -> raise e
+    in
+    let domains = ref [] in
+    Fun.protect
+      ~finally:(fun () ->
+        (* After a raise (from [on_record], a failed seed or a failed
+           spawn) stop the workers claiming, then collect them. *)
+        Atomic.set next n;
+        List.iter Domain.join !domains)
+      (fun () ->
+        for _ = 1 to spawn do
+          domains := Domain.spawn (fun () -> claim_all ignore) :: !domains
+        done;
+        claim_all (fun () -> emit ~wait:false);
+        emit ~wait:true)
   end

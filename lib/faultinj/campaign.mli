@@ -141,18 +141,27 @@ val corrupt_map_campaign : tests:int -> campaign_row
 val corrupt_cow_campaign : tests:int -> campaign_row
 
 (** [run_parallel ~jobs ~seeds ~run ~on_record] shards [seeds] across
-    [jobs] OCaml 5 domains with work stealing. Each worker executes
+    OCaml 5 domains with work stealing: the calling domain is one of the
+    workers, and it spawns [spawned_domains] more. Each worker executes
     [run seed] with a private, domain-bound simulation engine; results
     are handed to [on_record seed result] on the calling domain in seed
-    order, so the merged output is byte-identical to a serial run for
-    any [jobs]. [jobs <= 1] degenerates to a plain serial loop. A worker
-    exception is re-raised on the calling domain at the position the
-    failing seed holds in the order. [run] must not print or touch
-    shared mutable state — everything it needs must be created inside
-    the call (this is how the fuzzer's [run_plan] already behaves). *)
+    order, between the caller's own campaigns and after them, so the
+    merged output is byte-identical to a serial run for any [jobs]. A
+    single worker ([jobs <= 1], one seed or one CPU) degenerates to a
+    plain serial loop. A worker exception is re-raised on the calling
+    domain at the position the failing seed holds in the order, after
+    the spawned domains are joined; so is an exception from
+    [on_record]. [run] must not print or touch shared mutable
+    state — everything it needs must be created inside the call (this
+    is how the fuzzer's [run_plan] already behaves). *)
 val run_parallel :
   jobs:int ->
   seeds:int64 array ->
   run:(int64 -> 'r) ->
   on_record:(int64 -> 'r -> unit) ->
   unit
+
+(** [spawned_domains ~jobs ~seeds ~cpus] is how many domains
+    [run_parallel] spawns besides the caller for [seeds] seeds on a host
+    recommending [cpus] domains: [min jobs seeds cpus - 1], at least 0. *)
+val spawned_domains : jobs:int -> seeds:int -> cpus:int -> int

@@ -41,28 +41,30 @@ let create cfg =
     wild_writes = Sim.Stats.counter ();
   }
 
-(* Gather [len] bytes starting at node-local offset [off] into a fresh
-   buffer; unallocated pages read as zeros. *)
-let copy_out cfg (nm : node_mem) ~off len =
+(* Gather [len] bytes starting at node-local offset [off] into [dst] at
+   [dst_off]; unallocated pages read as zeros. *)
+let copy_out_into cfg (nm : node_mem) ~off len dst dst_off =
   let psize = cfg.Config.page_size in
-  let dst = Bytes.make len '\000' in
   let pos = ref 0 in
   while !pos < len do
     let o = off + !pos in
     let page = o / psize and inpage = o mod psize in
     let n = min (len - !pos) (psize - inpage) in
     (match nm.pages.(page) with
-    | Some b -> Bytes.blit b inpage dst !pos n
-    | None -> ());
+    | Some b -> Bytes.blit b inpage dst (dst_off + !pos) n
+    | None -> Bytes.fill dst (dst_off + !pos) n '\000');
     pos := !pos + n
-  done;
+  done
+
+let copy_out cfg nm ~off len =
+  let dst = Bytes.create len in
+  copy_out_into cfg nm ~off len dst 0;
   dst
 
-(* Scatter [src] to node-local offset [off], allocating pages on first
-   touch. *)
-let copy_in cfg (nm : node_mem) ~off src =
+(* Scatter [len] bytes of [src] from [src_off] to node-local offset
+   [off], allocating pages on first touch. *)
+let copy_in cfg (nm : node_mem) ~off src src_off len =
   let psize = cfg.Config.page_size in
-  let len = Bytes.length src in
   let pos = ref 0 in
   while !pos < len do
     let o = off + !pos in
@@ -76,7 +78,7 @@ let copy_in cfg (nm : node_mem) ~off src =
         nm.pages.(page) <- Some b;
         b
     in
-    Bytes.blit src !pos b inpage n;
+    Bytes.blit src (src_off + !pos) b inpage n;
     pos := !pos + n
   done
 
@@ -146,9 +148,17 @@ let read_prologue eng t ~by addr len =
   ignore eng;
   (nm, addr - node * Config.mem_bytes_per_node t.cfg)
 
-let read eng t ~by addr len =
+let read_into eng t ~by addr len dst dst_off =
+  if dst_off < 0 || dst_off + len > Bytes.length dst then
+    invalid_arg "Memory.read_into";
   let nm, off = read_prologue eng t ~by addr len in
-  copy_out t.cfg nm ~off len
+  copy_out_into t.cfg nm ~off len dst dst_off
+
+let read eng t ~by addr len =
+  (* A negative [len] is the prologue's [Invalid_address] bus error. *)
+  let dst = Bytes.create (max 0 len) in
+  read_into eng t ~by addr len dst 0;
+  dst
 
 (* Cached read: the line is expected hot in the local cache (kernel
    structures the owner touches constantly); charges L2-hit latency but
@@ -215,9 +225,14 @@ let write_prologue eng t ~by addr len =
   ignore eng;
   (nm, addr - node * Config.mem_bytes_per_node t.cfg)
 
+let write_sub eng t ~by addr src src_off len =
+  if src_off < 0 || src_off + len > Bytes.length src then
+    invalid_arg "Memory.write_sub";
+  let nm, off = write_prologue eng t ~by addr len in
+  copy_in t.cfg nm ~off src src_off len
+
 let write eng t ~by addr bytes =
-  let nm, off = write_prologue eng t ~by addr (Bytes.length bytes) in
-  copy_in t.cfg nm ~off bytes
+  write_sub eng t ~by addr bytes 0 (Bytes.length bytes)
 
 let page_for_write cfg (nm : node_mem) page =
   match nm.pages.(page) with
@@ -241,7 +256,7 @@ let write_i64 eng t ~by addr v =
   else begin
     let b = Bytes.create 8 in
     Bytes.set_int64_le b 0 v;
-    copy_in t.cfg nm ~off b
+    copy_in t.cfg nm ~off b 0 8
   end
 
 (* Out-of-band access used by fault injection and test assertions: no
@@ -266,7 +281,7 @@ let poke t addr bytes =
   let node = Addr.node_of_addr t.cfg addr in
   copy_in t.cfg t.nodes.(node)
     ~off:(addr - node * Config.mem_bytes_per_node t.cfg)
-    bytes
+    bytes 0 (Bytes.length bytes)
 
 let poke_wild t ~by addr bytes =
   let len = Bytes.length bytes in

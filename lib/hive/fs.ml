@@ -197,13 +197,20 @@ let page_in (sys : Types.system) (home : Types.cell) (f : Types.file) page =
         ~bytes:psize
     end;
     (* DMA the stable contents into the frame; fresh frames are already
-       zero, so extension pages skip the fill entirely. *)
+       zero, so extension pages skip the fill entirely. A partial last
+       page is still one page-sized write, zero-padded. *)
     if avail > 0 then begin
-      let buf = Bytes.make psize '\000' in
-      Bytes.blit f.Types.disk_content off buf 0 avail;
-      Flash.Memory.write sys.Types.eng (mem sys) ~by:(Types.boss_proc home)
+      let src, src_off =
+        if avail = psize then (f.Types.disk_content, off)
+        else begin
+          let buf = Bytes.make psize '\000' in
+          Bytes.blit f.Types.disk_content off buf 0 avail;
+          (buf, 0)
+        end
+      in
+      Flash.Memory.write_sub sys.Types.eng (mem sys) ~by:(Types.boss_proc home)
         (frame_addr sys pf.Types.pfn)
-        buf
+        src src_off psize
     end;
     (* The disk read blocked: another thread may have cached the page
        meanwhile. The loser frees its frame and uses the winner's (the
@@ -235,12 +242,14 @@ let stage_page (sys : Types.system) (home : Types.cell) (f : Types.file) page
     Bytes.blit f.Types.disk_content 0 bigger 0 (Bytes.length f.Types.disk_content);
     f.Types.disk_content <- bigger
   end;
-  let data =
-    Flash.Memory.read sys.Types.eng (mem sys) ~by:(Types.boss_proc home)
-      (frame_addr sys pf.Types.pfn)
-      psize
-  in
-  Bytes.blit data 0 f.Types.disk_content off psize;
+  let dst = f.Types.disk_content in
+  Flash.Memory.read_into sys.Types.eng (mem sys) ~by:(Types.boss_proc home)
+    (frame_addr sys pf.Types.pfn)
+    psize dst off;
+  (* The read blocked: if the contents were replaced meanwhile, the page
+     belongs in the new buffer. *)
+  if f.Types.disk_content != dst then
+    Bytes.blit dst off f.Types.disk_content off psize;
   pf.Types.dirty <- false;
   Types.bump home Count.writebacks
 
@@ -492,14 +501,11 @@ let read (sys : Types.system) (c : Types.cell) vnode ~opened_gen ~pos ~len =
       match get_page sys c vnode ~page ~writable:false ~opened_gen ~usage:`Syscall with
       | Error e -> Error e
       | Ok pf ->
-        let data =
-          Flash.Memory.read sys.Types.eng (mem sys) ~by:(Types.boss_proc c)
-            (frame_addr sys pf.Types.pfn + off)
-            chunk
-        in
+        Flash.Memory.read_into sys.Types.eng (mem sys) ~by:(Types.boss_proc c)
+          (frame_addr sys pf.Types.pfn + off)
+          chunk out (len - remaining);
         (* Copy-out to the user buffer. *)
         Sim.Engine.delay (Flash.Config.copy_cost sys.Types.mcfg chunk);
-        Bytes.blit data 0 out (len - remaining) chunk;
         loop (pos + chunk) (remaining - chunk)
     end
   in
@@ -526,9 +532,9 @@ let write (sys : Types.system) (c : Types.cell) vnode ~opened_gen ~pos data =
            checked memory system. *)
         Sim.Engine.delay (Flash.Config.copy_cost sys.Types.mcfg chunk);
         match
-          Flash.Memory.write sys.Types.eng (mem sys) ~by:(Types.boss_proc c)
+          Flash.Memory.write_sub sys.Types.eng (mem sys) ~by:(Types.boss_proc c)
             (frame_addr sys pf.Types.pfn + off)
-            (Bytes.sub data done_ chunk)
+            data done_ chunk
         with
         | () ->
           (* Extending past EOF allocates blocks on the data home (the

@@ -451,6 +451,122 @@ let qcheck_memory_roundtrip =
       Sim.Engine.run eng;
       !ok)
 
+(* Run [body] in a simulation thread of a fresh machine; returns its
+   result and the simulated time it took. *)
+let timed_in_machine body =
+  let eng = Sim.Engine.create () in
+  let m = Flash.Machine.create eng cfg in
+  let out = ref None in
+  ignore
+    (Sim.Engine.spawn eng (fun () ->
+         let t0 = Sim.Engine.now eng in
+         let r = body eng m in
+         out := Some (r, Int64.sub (Sim.Engine.now eng) t0)));
+  Sim.Engine.run eng;
+  Option.get !out
+
+(* Ranges over the first three pages of node 0, so they cross page
+   boundaries and touch pages that were never written. *)
+let gen_range =
+  QCheck.Gen.(pair (int_bound ((3 * page) - 1)) (int_bound (2 * page)))
+
+let qcheck_read_into_matches_read =
+  QCheck.Test.make ~name:"memory read_into equals read" ~count:100
+    QCheck.(
+      make
+        Gen.(
+          triple
+            (list_size (0 -- 3)
+               (pair (int_bound (3 * page)) (string_size (1 -- 300))))
+            gen_range (int_bound 16)))
+    (fun (writes, (addr, len), dst_off) ->
+      let setup m =
+        List.iter
+          (fun (off, s) ->
+            Flash.Memory.poke (Flash.Machine.memory m) off (Bytes.of_string s))
+          writes
+      in
+      let expect, t_read =
+        timed_in_machine (fun eng m ->
+            setup m;
+            Flash.Memory.read eng (Flash.Machine.memory m) ~by:0 addr len)
+      in
+      let dst = Bytes.make (dst_off + len + 16) '\xff' in
+      let (), t_into =
+        timed_in_machine (fun eng m ->
+            setup m;
+            Flash.Memory.read_into eng (Flash.Machine.memory m) ~by:0 addr len
+              dst dst_off)
+      in
+      Bytes.sub dst dst_off len = expect
+      && Bytes.sub dst 0 dst_off = Bytes.make dst_off '\xff'
+      && Bytes.sub dst (dst_off + len) 16 = Bytes.make 16 '\xff'
+      && t_read = t_into)
+
+let qcheck_write_sub_matches_write =
+  QCheck.Test.make ~name:"memory write_sub equals write of Bytes.sub"
+    ~count:100
+    QCheck.(
+      make Gen.(pair gen_range (pair (string_size (0 -- 64)) (int_bound 64))))
+    (fun ((addr, len), (pad, src_off)) ->
+      let src_off = min src_off (String.length pad) in
+      let body = String.init len (fun i -> Char.chr (i land 0xff)) in
+      let src = Bytes.of_string (pad ^ body ^ pad) in
+      let grant m =
+        for pfn = 0 to 4 do
+          Flash.Firewall.grant (Flash.Machine.firewall m) ~by:0 ~pfn ~proc:0
+        done
+      in
+      let store write =
+        timed_in_machine (fun eng m ->
+            grant m;
+            let mem = Flash.Machine.memory m in
+            write eng mem;
+            (Flash.Memory.peek mem 0 (4 * page), Flash.Memory.stats mem))
+      in
+      store (fun eng mem ->
+          Flash.Memory.write_sub eng mem ~by:0 addr src src_off len)
+      = store (fun eng mem ->
+            Flash.Memory.write eng mem ~by:0 addr (Bytes.sub src src_off len)))
+
+(* A write that starts on a granted remote page and runs into an
+   ungranted one must bounce before a single byte lands, exactly like
+   [write]. *)
+let qcheck_write_sub_denied_moves_nothing =
+  QCheck.Test.make
+    ~name:"memory write_sub denied by the firewall moves no byte" ~count:50
+    QCheck.(make Gen.(pair (int_bound (page - 1)) (1 -- page)))
+    (fun (inpage, extra) ->
+      let base = Flash.Addr.addr_of_pfn cfg remote_pfn in
+      let addr = base + inpage and len = page - inpage + extra in
+      let src = Bytes.make (len + 8) 'w' in
+      let attempt write =
+        fst
+          (timed_in_machine (fun eng m ->
+               let mem = Flash.Machine.memory m in
+               Flash.Memory.poke mem base (Bytes.make (2 * page) 'o');
+               Flash.Firewall.grant (Flash.Machine.firewall m) ~by:1
+                 ~pfn:remote_pfn ~proc:0;
+               let raised =
+                 match write eng mem with
+                 | () -> None
+                 | exception Flash.Memory.Bus_error { addr; cause } ->
+                   Some (addr, cause)
+               in
+               ( raised,
+                 Flash.Memory.peek mem base (2 * page),
+                 Flash.Memory.stats mem )))
+      in
+      let raised, after, stats =
+        attempt (fun eng mem ->
+            Flash.Memory.write_sub eng mem ~by:0 addr src 8 len)
+      in
+      raised = Some (addr, Flash.Memory.Firewall_denied)
+      && after = Bytes.make (2 * page) 'o'
+      && (raised, after, stats)
+         = attempt (fun eng mem ->
+               Flash.Memory.write eng mem ~by:0 addr (Bytes.sub src 8 len)))
+
 let suite =
   [
     Alcotest.test_case "address mapping" `Quick test_addr_mapping;
@@ -497,4 +613,7 @@ let suite =
       test_restore_purges_prefailure_envelopes;
     QCheck_alcotest.to_alcotest qcheck_firewall_vector_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_memory_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_read_into_matches_read;
+    QCheck_alcotest.to_alcotest qcheck_write_sub_matches_write;
+    QCheck_alcotest.to_alcotest qcheck_write_sub_denied_moves_nothing;
   ]
