@@ -9,22 +9,24 @@
    threshold; sections runs the paper area's rows and prints each metric
    beside the paper's number. *)
 
+let areas =
+  List.sort_uniq compare
+    (List.map (fun sc -> sc.Bench.Scenario.sc_area) Bench.Scenarios.all)
+
 let usage () =
   prerr_endline
     "usage: main sweep [--quick] [--areas A,B] [--out-dir DIR]\n\
     \       main diff --baseline DIR --fresh DIR [--threshold PCT]\n\
     \       main sections [--quick]";
-  Bench.Scenarios.register ();
-  Printf.eprintf "\nsweep areas: %s\n"
-    (String.concat ", " (Bench.Scenario.areas ()));
+  Printf.eprintf "\nsweep areas: %s\n" (String.concat ", " areas);
   2
 
 let run_sections args =
   match args with
   | [] | [ "--quick" ] ->
-    Bench.Scenarios.register ();
     let reports =
-      Bench.Sweep.run ~areas:[ "paper" ] ~quick:(args <> []) ~verbose:false ()
+      Bench.Sweep.run ~areas:[ "paper" ] ~quick:(args <> []) ~verbose:false
+        Bench.Scenarios.all
     in
     List.iter print_endline (Bench.Sweep.paper_lines reports);
     0
@@ -34,7 +36,7 @@ let run_sections args =
 
 let run_sweep args =
   let quick = ref false in
-  let areas = ref None in
+  let wanted = ref None in
   let out_dir = ref None in
   let rec parse = function
     | [] -> Ok ()
@@ -42,7 +44,7 @@ let run_sweep args =
       quick := true;
       parse rest
     | "--areas" :: v :: rest ->
-      areas := Some (String.split_on_char ',' v);
+      wanted := Some (String.split_on_char ',' v);
       parse rest
     | "--out-dir" :: v :: rest ->
       out_dir := Some v;
@@ -54,21 +56,21 @@ let run_sweep args =
     Printf.eprintf "sweep: unexpected argument %s\n" a;
     2
   | Ok () ->
-    Bench.Scenarios.register ();
-    let known = Bench.Scenario.areas () in
     let bad =
-      match !areas with
+      match !wanted with
       | None -> []
-      | Some l -> List.filter (fun a -> not (List.mem a known)) l
+      | Some l -> List.filter (fun a -> not (List.mem a areas)) l
     in
     if bad <> [] then begin
       Printf.eprintf "sweep: unknown area(s) %s (have: %s)\n"
         (String.concat ", " bad)
-        (String.concat ", " known);
+        (String.concat ", " areas);
       2
     end
     else begin
-      let reports = Bench.Sweep.run ?areas:!areas ~quick:!quick () in
+      let reports =
+        Bench.Sweep.run ?areas:!wanted ~quick:!quick Bench.Scenarios.all
+      in
       (match !out_dir with
       | None -> ()
       | Some dir ->

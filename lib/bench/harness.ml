@@ -5,16 +5,13 @@ let boot ?(ncells = 4) ?(mcfg = Flash.Config.default) ?(wax = false) () =
   let sys = Hive.System.boot ~mcfg ~ncells ~wax eng in
   (eng, sys)
 
-(* Run a simulation-thread body to completion and return simulated ns. *)
-let timed_in_thread eng body =
-  let dt = ref 0L in
-  ignore
-    (Sim.Engine.spawn eng ~name:"bench" (fun () ->
-         let t0 = Sim.Engine.time () in
-         body ();
-         dt := Int64.sub (Sim.Engine.time ()) t0));
+let in_thread eng body =
+  let out = ref None in
+  ignore (Sim.Engine.spawn eng ~name:"bench" (fun () -> out := Some (body ())));
   Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 60_000_000_000L) eng;
-  !dt
+  match !out with
+  | Some v -> v
+  | None -> failwith "Harness.in_thread: bench thread did not finish"
 
 let noop_op = Hive.Rpc.Op.declare "bench.noop"
 
@@ -31,7 +28,8 @@ let () =
 let avg_rpc_us eng sys ~op ~arg_bytes ~n =
   let c0 = sys.Hive.Types.cells.(0) in
   let total =
-    timed_in_thread eng (fun () ->
+    in_thread eng (fun () ->
+        let t0 = Sim.Engine.time () in
         for _ = 1 to n do
           match
             Hive.Rpc.call sys ~from:c0 ~target:1 ~op ~arg_bytes ~reply_bytes:0
@@ -39,7 +37,8 @@ let avg_rpc_us eng sys ~op ~arg_bytes ~n =
           with
           | Ok _ -> ()
           | Error _ -> failwith "bench rpc failed"
-        done)
+        done;
+        Int64.sub (Sim.Engine.time ()) t0)
   in
   Int64.to_float total /. float_of_int n /. 1e3
 

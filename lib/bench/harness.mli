@@ -1,6 +1,6 @@
-(** Shared plumbing for the sweep scenarios: booting a system, timing a
-    simulation-thread body in virtual time, the no-op RPC ops, a warmed
-    data-home file and a timed page-touch pass over it. *)
+(** Shared plumbing for the sweep scenarios: booting a system, running a
+    body in a simulation thread, the no-op RPC ops, a warmed data-home
+    file and a timed page-touch pass over it. *)
 
 val boot :
   ?ncells:int ->
@@ -9,8 +9,10 @@ val boot :
   unit ->
   Sim.Engine.t * Hive.Types.system
 
-(** Run a simulation-thread body to completion and return simulated ns. *)
-val timed_in_thread : Sim.Engine.t -> (unit -> unit) -> int64
+(** [in_thread eng body] runs [body] in a new simulation thread, drives
+    [eng] for 60 simulated seconds and returns [body]'s value. Raises
+    [Failure] if [body] has not finished by then. *)
+val in_thread : Sim.Engine.t -> (unit -> 'a) -> 'a
 
 (** No-op RPC served at interrupt level / via the queued service. *)
 val noop_op : Hive.Rpc.Op.t

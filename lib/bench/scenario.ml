@@ -1,5 +1,4 @@
-(* Scenario descriptors: see the .mli. The registry mirrors Rpc.Op —
-   declare once at module init, look up by name everywhere else. *)
+(* Scenario descriptors: see the .mli. *)
 
 type dims = {
   workload : string;
@@ -60,34 +59,15 @@ type t = {
   sc_run : dims -> metric list;
 }
 
-let registry : (string, t) Hashtbl.t = Hashtbl.create 16
-
-let order : string list ref = ref []
-
-let declare ~name ~area ?(doc = "") ~dims ?quick run =
-  if Hashtbl.mem registry name then
-    invalid_arg ("Scenario.declare: duplicate " ^ name);
-  if dims = [] then invalid_arg ("Scenario.declare: empty grid for " ^ name);
+let make ~name ~area ?(doc = "") ~dims ?quick run =
+  if dims = [] then invalid_arg ("Scenario.make: empty grid for " ^ name);
   let quick = match quick with Some q -> q | None -> [ List.hd dims ] in
   List.iter
     (fun q ->
       if not (List.mem q dims) then
         invalid_arg
-          (Printf.sprintf "Scenario.declare: %s quick point (%s) not in grid"
+          (Printf.sprintf "Scenario.make: %s quick point (%s) not in grid"
              name (dims_label q)))
     quick;
-  let t =
-    { sc_name = name; sc_area = area; sc_doc = doc; sc_dims = dims;
-      sc_quick = quick; sc_run = run }
-  in
-  Hashtbl.replace registry name t;
-  order := name :: !order;
-  t
-
-let all () =
-  List.rev_map (fun name -> Hashtbl.find registry name) !order
-
-let areas () =
-  List.sort_uniq compare (List.map (fun t -> t.sc_area) (all ()))
-
-let find name = Hashtbl.find_opt registry name
+  { sc_name = name; sc_area = area; sc_doc = doc; sc_dims = dims;
+    sc_quick = quick; sc_run = run }

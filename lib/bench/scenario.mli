@@ -1,7 +1,8 @@
-(** Typed benchmark scenario registry, mirroring [Hive.Rpc.Op.declare]:
-    a scenario is declared once with its name, trajectory area, and the
-    dimension grid it covers; {!Sweep} runs each (scenario × dims) point
-    and emits one [BENCH_<area>.json] per area.
+(** Typed benchmark scenarios: a scenario is a name, a trajectory area,
+    the dimension grid it covers and the function that measures one grid
+    point. {!Sweep} runs each (scenario × dims) point of a scenario list
+    (the shipped one is {!Scenarios.all}) and emits one
+    [BENCH_<area>.json] per area.
 
     Every measured value is a function of simulated time and kernel
     counters only — never wall clock — so a sweep over the same grid is
@@ -60,10 +61,10 @@ type t = private {
   sc_run : dims -> metric list;
 }
 
-(** Declare a scenario; raises [Invalid_argument] on a duplicate name or
-    an empty grid. [quick] defaults to the first grid point. Call once at
-    module initialization (see {!Scenarios.register}). *)
-val declare :
+(** Build a scenario; raises [Invalid_argument] on an empty grid or a
+    [quick] point outside the grid. [quick] defaults to the first grid
+    point. *)
+val make :
   name:string ->
   area:string ->
   ?doc:string ->
@@ -71,11 +72,3 @@ val declare :
   ?quick:dims list ->
   (dims -> metric list) ->
   t
-
-(** Every declared scenario, in declaration order. *)
-val all : unit -> t list
-
-(** Distinct areas, sorted. *)
-val areas : unit -> string list
-
-val find : string -> t option

@@ -60,17 +60,16 @@ let run_rpc ~op ~opname (dims : dims) =
   degrade_link sys dims;
   let n = 400 in
   let ok = ref 0 and gave_up = ref 0 in
-  ignore
-    (Harness.timed_in_thread eng (fun () ->
-         for _ = 1 to n do
-           match
-             Hive.Rpc.call sys ~from:sys.Hive.Types.cells.(0) ~target:1 ~op
-               ?timeout_ns:(if dims.link_ms > 0 then Some 2_000_000L else None)
-               Hive.Types.P_unit
-           with
-           | Ok _ -> incr ok
-           | Error _ -> incr gave_up
-         done));
+  Harness.in_thread eng (fun () ->
+      for _ = 1 to n do
+        match
+          Hive.Rpc.call sys ~from:sys.Hive.Types.cells.(0) ~target:1 ~op
+            ?timeout_ns:(if dims.link_ms > 0 then Some 2_000_000L else None)
+            Hive.Types.P_unit
+        with
+        | Ok _ -> incr ok
+        | Error _ -> incr gave_up
+      done);
   let snap = Hive.Metrics.capture sys in
   let h = client_hist_exn snap opname in
   let per = Hive.System.counter_total sys in
@@ -87,28 +86,28 @@ let run_rpc ~op ~opname (dims : dims) =
 
 let rpc_base = { default_dims with workload = "rpc"; cells = 2; nodes = 4 }
 
-let declare_rpc () =
-  ignore
-    (declare ~name:"null-rpc" ~area:"rpc"
-       ~doc:
-         "400 interrupt-level null RPCs cell 0 -> 1; client-side latency \
-          percentiles, optionally through a degraded link."
-       ~dims:
-         [
-           rpc_base;
-           { rpc_base with cells = 4 };
-           { rpc_base with cells = 2; nodes = 2 };
-           { rpc_base with link_ms = 300 };
-           { rpc_base with cells = 4; link_ms = 300 };
-         ]
-       ~quick:[ rpc_base; { rpc_base with link_ms = 300 } ]
-       (run_rpc ~op:Harness.noop_op ~opname:"bench.noop"));
-  ignore
-    (declare ~name:"queued-rpc" ~area:"rpc"
-       ~doc:"400 null RPCs through the queued service and server pool."
-       ~dims:[ rpc_base; { rpc_base with cells = 4 } ]
-       ~quick:[ rpc_base ]
-       (run_rpc ~op:Harness.noop_queued_op ~opname:"bench.noop_queued"))
+let rpc_area =
+  [
+    make ~name:"null-rpc" ~area:"rpc"
+      ~doc:
+        "400 interrupt-level null RPCs cell 0 -> 1; client-side latency \
+         percentiles, optionally through a degraded link."
+      ~dims:
+        [
+          rpc_base;
+          { rpc_base with cells = 4 };
+          { rpc_base with cells = 2; nodes = 2 };
+          { rpc_base with link_ms = 300 };
+          { rpc_base with cells = 4; link_ms = 300 };
+        ]
+      ~quick:[ rpc_base; { rpc_base with link_ms = 300 } ]
+      (run_rpc ~op:Harness.noop_op ~opname:"bench.noop");
+    make ~name:"queued-rpc" ~area:"rpc"
+      ~doc:"400 null RPCs through the queued service and server pool."
+      ~dims:[ rpc_base; { rpc_base with cells = 4 } ]
+      ~quick:[ rpc_base ]
+      (run_rpc ~op:Harness.noop_queued_op ~opname:"bench.noop_queued");
+  ]
 
 (* ---------- area sharing ---------- *)
 
@@ -184,40 +183,40 @@ let read_base =
 let pmake_share_base =
   { default_dims with workload = "pmake"; cells = 4; nodes = 4 }
 
-let declare_sharing () =
-  ignore
-    (declare ~name:"remote-read" ~area:"sharing"
-       ~doc:
-         "Sequential remote read faults against a warm data home; second \
-          pass must hit the import cache when enabled."
-       ~dims:
-         [
-           read_base;
-           { read_base with ws_pages = 256 };
-           { read_base with import_cache = false };
-           { read_base with ws_pages = 256; import_cache = false };
-           { read_base with nodes = 2 };
-         ]
-       ~quick:[ read_base; { read_base with import_cache = false } ]
-       run_remote_read);
-  ignore
-    (declare ~name:"pmake-sharing" ~area:"sharing"
-       ~doc:
-         "Full pmake; sharing RPCs per remotely accessed page with the \
-          import cache on/off, output verified byte-identical."
-       ~dims:
-         [
-           pmake_share_base;
-           { pmake_share_base with import_cache = false };
-           { pmake_share_base with cells = 2 };
-           { pmake_share_base with cells = 2; import_cache = false };
-         ]
-       ~quick:
-         [
-           { pmake_share_base with cells = 2 };
-           { pmake_share_base with cells = 2; import_cache = false };
-         ]
-       run_pmake_sharing)
+let sharing_area =
+  [
+    make ~name:"remote-read" ~area:"sharing"
+      ~doc:
+        "Sequential remote read faults against a warm data home; second \
+         pass must hit the import cache when enabled."
+      ~dims:
+        [
+          read_base;
+          { read_base with ws_pages = 256 };
+          { read_base with import_cache = false };
+          { read_base with ws_pages = 256; import_cache = false };
+          { read_base with nodes = 2 };
+        ]
+      ~quick:[ read_base; { read_base with import_cache = false } ]
+      run_remote_read;
+    make ~name:"pmake-sharing" ~area:"sharing"
+      ~doc:
+        "Full pmake; sharing RPCs per remotely accessed page with the \
+         import cache on/off, output verified byte-identical."
+      ~dims:
+        [
+          pmake_share_base;
+          { pmake_share_base with import_cache = false };
+          { pmake_share_base with cells = 2 };
+          { pmake_share_base with cells = 2; import_cache = false };
+        ]
+      ~quick:
+        [
+          { pmake_share_base with cells = 2 };
+          { pmake_share_base with cells = 2; import_cache = false };
+        ]
+      run_pmake_sharing;
+  ]
 
 (* ---------- area workloads ---------- *)
 
@@ -239,25 +238,26 @@ let run_workload_point (dims : dims) =
       (float_of_int result.Workloads.Workload.procs_killed);
   ]
 
-let declare_workloads () =
+let workloads_area =
   let grid name rows quick =
     let base = { default_dims with workload = name; nodes = 4 } in
     let point (cells, smp) = { base with cells; smp } in
-    ignore
-      (declare ~name ~area:"workloads"
-         ~doc:
-           (name
-          ^ " end-to-end simulated run time across machine shapes (smp = \
-             SMP-OS baseline)")
-         ~dims:(List.map point rows)
-         ~quick:(List.map point quick)
-         run_workload_point)
+    make ~name ~area:"workloads"
+      ~doc:
+        (name
+        ^ " end-to-end simulated run time across machine shapes (smp = \
+           SMP-OS baseline)")
+      ~dims:(List.map point rows)
+      ~quick:(List.map point quick)
+      run_workload_point
   in
-  grid "pmake"
-    [ (1, true); (1, false); (2, false); (4, false) ]
-    [ (2, false) ];
-  grid "ocean" [ (1, true); (1, false); (4, false) ] [ (4, false) ];
-  grid "raytrace" [ (1, false); (4, false) ] [ (4, false) ]
+  [
+    grid "pmake"
+      [ (1, true); (1, false); (2, false); (4, false) ]
+      [ (2, false) ];
+    grid "ocean" [ (1, true); (1, false); (4, false) ] [ (4, false) ];
+    grid "raytrace" [ (1, false); (4, false) ] [ (4, false) ];
+  ]
 
 (* ---------- area fuzz ---------- *)
 
@@ -315,25 +315,25 @@ let run_fuzz_parallel_merge (dims : dims) =
     metric ~dir:Info "records" (float_of_int (Array.length seeds));
   ]
 
-let declare_fuzz () =
+let fuzz_area =
   let base = { default_dims with workload = "fuzz"; cells = 4; nodes = 8 } in
-  ignore
-    (declare ~name:"fuzz_batch" ~area:"fuzz"
-       ~doc:
-         "verdict and event-traffic profile of a fixed seed batch (ws = \
-          seeds); deterministic, so the trajectory gates DES hot-path \
-          changes"
-       ~dims:
-         [ { base with ws_pages = 8 }; { base with ws_pages = 16 } ]
-       ~quick:[ { base with ws_pages = 8 } ]
-       run_fuzz_batch);
-  ignore
-    (declare ~name:"fuzz_parallel" ~area:"fuzz"
-       ~doc:
-         "serial vs two-domain merge identity of the same seed batch \
-          (must be 1)"
-       ~dims:[ { base with ws_pages = 8 } ]
-       run_fuzz_parallel_merge)
+  [
+    make ~name:"fuzz_batch" ~area:"fuzz"
+      ~doc:
+        "verdict and event-traffic profile of a fixed seed batch (ws = \
+         seeds); deterministic, so the trajectory gates DES hot-path \
+         changes"
+      ~dims:
+        [ { base with ws_pages = 8 }; { base with ws_pages = 16 } ]
+      ~quick:[ { base with ws_pages = 8 } ]
+      run_fuzz_batch;
+    make ~name:"fuzz_parallel" ~area:"fuzz"
+      ~doc:
+        "serial vs two-domain merge identity of the same seed batch \
+         (must be 1)"
+      ~dims:[ { base with ws_pages = 8 } ]
+      run_fuzz_parallel_merge;
+  ]
 
 (* ---------- area resilience ---------- *)
 
@@ -344,35 +344,20 @@ let declare_fuzz () =
 
 let settle_ns = 50_000_000L
 
-let run_in_thread eng f =
-  let out = ref None in
-  ignore (Sim.Engine.spawn eng ~name:"bench" (fun () -> out := Some (f ())));
-  Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 30_000_000_000L) eng;
-  match !out with
-  | Some v -> v
-  | None -> failwith "resilience: bench thread did not finish"
-
-let raise_hint sys ~by ~suspect =
-  match sys.Hive.Types.on_hint with
-  | Some f ->
-    f sys.Hive.Types.cells.(by) ~suspect ~reason:"bench fault injection"
-  | None -> failwith "resilience: no hint handler installed"
-
 (* Black out one cell for link_ms, let agreement excise it, and measure
    the path back to a single unified live set after the deterministic
    heal: the victim is still running behind the blackout, so reclamation
    defers, the heal stops it, and reintegration reunifies the machine. *)
 let run_partition_heal (dims : dims) =
-  let eng = Sim.Engine.create () in
-  let mcfg = Flash.Config.with_nodes Flash.Config.default dims.nodes in
-  let sys = Hive.System.boot ~mcfg ~ncells:dims.cells ~wax:false eng in
+  let eng, sys = boot_dims dims in
   Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) settle_ns) eng;
   let victim = dims.cells - 1 in
   let t0 = Sim.Engine.now eng in
   let heal_ns = Int64.add t0 (Int64.of_int (dims.link_ms * 1_000_000)) in
   Faultinj.Campaign.sever_cell sys ~cell:victim ~from_ns:t0 ~until_ns:heal_ns
     ~one_way:false;
-  raise_hint sys ~by:0 ~suspect:victim;
+  Hive.Rpc.report_hint sys sys.Hive.Types.cells.(0) victim
+    "bench fault injection";
   let unified () =
     Array.for_all
       (fun (c : Hive.Types.cell) ->
@@ -452,7 +437,7 @@ let run_salvage_ab (dims : dims) =
     Workloads.Workload.synth_content ~tag:path ~bytes:(npages * psize)
   in
   let vn, gen =
-    run_in_thread eng (fun () ->
+    Harness.in_thread eng (fun () ->
         match Hive.Fs.create_file sys c0 ~path ~content with
         | Error _ -> failwith "resilience: create failed"
         | Ok _ -> (
@@ -462,7 +447,7 @@ let run_salvage_ab (dims : dims) =
           | Error _ -> failwith "resilience: open failed"))
   in
   let imported =
-    run_in_thread eng (fun () ->
+    Harness.in_thread eng (fun () ->
         let n = ref 0 in
         for page = 0 to npages - 1 do
           match
@@ -477,7 +462,7 @@ let run_salvage_ab (dims : dims) =
   List.iter
     (fun node -> Hive.System.inject_cpu_failure sys node)
     sys.Hive.Types.cells.(home).Hive.Types.cell_nodes;
-  raise_hint sys ~by:0 ~suspect:home;
+  Hive.Rpc.report_hint sys c0 home "bench fault injection";
   ignore
     (Hive.System.run_until sys
        ~deadline:(Int64.add (Sim.Engine.now eng) 5_000_000_000L)
@@ -491,7 +476,7 @@ let run_salvage_ab (dims : dims) =
      byte-identical to what the dead home exported; a discarded page is
      lost until the home reboots. *)
   let readable, identical =
-    run_in_thread eng (fun () ->
+    Harness.in_thread eng (fun () ->
         let readable = ref 0 and identical = ref 0 in
         let mem = Flash.Machine.memory sys.Hive.Types.machine in
         for page = 0 to npages - 1 do
@@ -521,46 +506,46 @@ let run_salvage_ab (dims : dims) =
     metric ~dir:Info "imported_pages" (float_of_int imported);
   ]
 
-let declare_resilience () =
+let resilience_area =
   let part_base =
     { default_dims with workload = "partition"; cells = 4; nodes = 4 }
   in
-  ignore
-    (declare ~name:"partition-heal" ~area:"resilience"
-       ~doc:
-         "black out one cell for link_ms, excise it under quorum \
-          agreement, and measure reunification after the deterministic \
-          heal (single-master invariant checked per row)"
-       ~dims:
-         [
-           { part_base with link_ms = 200 };
-           { part_base with link_ms = 800 };
-           { part_base with link_ms = 3000 };
-         ]
-       ~quick:[ { part_base with link_ms = 200 } ]
-       run_partition_heal);
   let salv_base =
     { default_dims with workload = "salvage"; cells = 2; nodes = 4 }
   in
-  ignore
-    (declare ~name:"salvage-ab" ~area:"resilience"
-       ~doc:
-         "memory salvage A/B: clean pages imported from a cpu-dead \
-          mem-alive home that survive recovery locally vs discarded \
-          (cache dimension = salvage knob)"
-       ~dims:
-         [
-           { salv_base with ws_pages = 16 };
-           { salv_base with ws_pages = 16; import_cache = false };
-           { salv_base with ws_pages = 64 };
-           { salv_base with ws_pages = 64; import_cache = false };
-         ]
-       ~quick:
-         [
-           { salv_base with ws_pages = 16 };
-           { salv_base with ws_pages = 16; import_cache = false };
-         ]
-       run_salvage_ab)
+  [
+    make ~name:"partition-heal" ~area:"resilience"
+      ~doc:
+        "black out one cell for link_ms, excise it under quorum \
+         agreement, and measure reunification after the deterministic \
+         heal (single-master invariant checked per row)"
+      ~dims:
+        [
+          { part_base with link_ms = 200 };
+          { part_base with link_ms = 800 };
+          { part_base with link_ms = 3000 };
+        ]
+      ~quick:[ { part_base with link_ms = 200 } ]
+      run_partition_heal;
+    make ~name:"salvage-ab" ~area:"resilience"
+      ~doc:
+        "memory salvage A/B: clean pages imported from a cpu-dead \
+         mem-alive home that survive recovery locally vs discarded \
+         (cache dimension = salvage knob)"
+      ~dims:
+        [
+          { salv_base with ws_pages = 16 };
+          { salv_base with ws_pages = 16; import_cache = false };
+          { salv_base with ws_pages = 64 };
+          { salv_base with ws_pages = 64; import_cache = false };
+        ]
+      ~quick:
+        [
+          { salv_base with ws_pages = 16 };
+          { salv_base with ws_pages = 16; import_cache = false };
+        ]
+      run_salvage_ab;
+  ]
 
 (* ---------- area traffic ---------- *)
 
@@ -641,7 +626,7 @@ let run_traffic (dims : dims) =
     metric ~dir:Info "recovery_ms" recovery_ms;
   ]
 
-let declare_traffic () =
+let traffic_area =
   let base =
     {
       default_dims with
@@ -652,28 +637,29 @@ let declare_traffic () =
       zipf_pct = 110;
     }
   in
-  ignore
-    (declare ~name:"serve-through-failure" ~area:"traffic"
-       ~doc:
-         "interactive Poisson/Zipf traffic with a cell killed mid-run: \
-          surviving-cell served-read p99.9 during death+recovery vs the \
-          pre-failure baseline, and fail-fast latency vs the deadline \
-          budget"
-       ~dims:
-         [
-           base;
-           { base with fault_ms = 2_000 };
-           { base with rate = 160; fault_ms = 2_000 };
-           { base with rate = 40; fault_ms = 2_000 };
-           { base with cells = 2; fault_ms = 2_000 };
-           { base with zipf_pct = 1; fault_ms = 2_000 };
-         ]
-       ~quick:
-         [
-           { base with fault_ms = 2_000 };
-           { base with rate = 160; fault_ms = 2_000 };
-         ]
-       run_traffic)
+  [
+    make ~name:"serve-through-failure" ~area:"traffic"
+      ~doc:
+        "interactive Poisson/Zipf traffic with a cell killed mid-run: \
+         surviving-cell served-read p99.9 during death+recovery vs the \
+         pre-failure baseline, and fail-fast latency vs the deadline \
+         budget"
+      ~dims:
+        [
+          base;
+          { base with fault_ms = 2_000 };
+          { base with rate = 160; fault_ms = 2_000 };
+          { base with rate = 40; fault_ms = 2_000 };
+          { base with cells = 2; fault_ms = 2_000 };
+          { base with zipf_pct = 1; fault_ms = 2_000 };
+        ]
+      ~quick:
+        [
+          { base with fault_ms = 2_000 };
+          { base with rate = 160; fault_ms = 2_000 };
+        ]
+      run_traffic;
+  ]
 
 (* ---------- area scale ---------- *)
 
@@ -786,30 +772,31 @@ let run_scale (dims : dims) =
     metric ~dir:Info "compiles" (float_of_int pcfg.Workloads.Pmake.files);
   ]
 
-let declare_scale () =
+let scale_area =
   let base =
     { default_dims with workload = "scale"; ws_pages = 512 }
   in
-  ignore
-    (declare ~name:"large-machine" ~area:"scale"
-       ~doc:
-         "boot N cells over 2N nodes with Wax hints driving placement, run \
-          a pmake sized to the machine, fail-stop one cell mid-build, and \
-          reunify through recovery + reintegration (ws = pages per node); \
-          gates recovery scaling and hint-validation health"
-       ~dims:
-         [
-           { base with cells = 4; nodes = 8 };
-           { base with cells = 16; nodes = 32 };
-           { base with cells = 32; nodes = 64 };
-           { base with cells = 64; nodes = 128 };
-         ]
-       ~quick:
-         [
-           { base with cells = 4; nodes = 8 };
-           { base with cells = 32; nodes = 64 };
-         ]
-       run_scale)
+  [
+    make ~name:"large-machine" ~area:"scale"
+      ~doc:
+        "boot N cells over 2N nodes with Wax hints driving placement, run \
+         a pmake sized to the machine, fail-stop one cell mid-build, and \
+         reunify through recovery + reintegration (ws = pages per node); \
+         gates recovery scaling and hint-validation health"
+      ~dims:
+        [
+          { base with cells = 4; nodes = 8 };
+          { base with cells = 16; nodes = 32 };
+          { base with cells = 32; nodes = 64 };
+          { base with cells = 64; nodes = 128 };
+        ]
+      ~quick:
+        [
+          { base with cells = 4; nodes = 8 };
+          { base with cells = 32; nodes = 64 };
+        ]
+      run_scale;
+  ]
 
 (* ---------- area paper ---------- *)
 
@@ -857,12 +844,14 @@ let run_careful_ref (dims : dims) =
   let c0 = sys.Hive.Types.cells.(0) in
   let n = 1000 in
   let total =
-    Harness.timed_in_thread eng (fun () ->
+    Harness.in_thread eng (fun () ->
+        let t0 = Sim.Engine.time () in
         for _ = 1 to n do
           match Hive.Clock.read_peer_clock sys c0 ~target:1 with
           | Ok _ -> ()
           | Error _ -> failwith "careful-ref: careful read failed"
-        done)
+        done;
+        Int64.sub (Sim.Engine.time ()) t0)
   in
   let careful_us = Int64.to_float total /. float_of_int n /. 1e3 in
   let rpc_us = Harness.avg_rpc_us eng sys ~op:Harness.noop_op ~arg_bytes:0 ~n in
@@ -1304,10 +1293,12 @@ let run_ablations (dims : dims) =
     Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 1_000_000L) eng;
     let node = Option.get !node in
     let t =
-      Harness.timed_in_thread eng (fun () ->
+      Harness.in_thread eng (fun () ->
+          let t0 = Sim.Engine.time () in
           for _ = 1 to 500 do
             ignore (Hive.Cow.lookup sys sys.Hive.Types.cells.(1) node ~page:3)
-          done)
+          done;
+          Int64.sub (Sim.Engine.time ()) t0)
     in
     Int64.to_float t /. 500. /. 1e3
   in
@@ -1329,54 +1320,43 @@ let run_ablations (dims : dims) =
       metric ~dir:Info "corrupt_visible_discard_off" (flag visible_off);
     ]
 
-let declare_paper () =
+let paper_area =
   let one name ?doc ?quick dims run =
-    ignore (declare ~name ~area:"paper" ?doc ~dims ?quick run)
+    make ~name ~area:"paper" ?doc ~dims ?quick run
   in
-  one "rpc-latency" ~doc:"Section 6: null, 64-byte and queued null RPC"
-    [ paper_dims "rpc" ] run_rpc_latency;
-  one "careful-ref" ~doc:"Section 4.1: careful-reference clock read vs RPC"
-    [ paper_dims "rpc" ] run_careful_ref;
-  one "pagefault-breakdown"
-    ~doc:"Table 5.2: local and remote page faults hitting a page cache"
-    [ paper_dims "read" ] run_pagefault_breakdown;
-  one "pagefault-pmake" ~doc:"Section 5.2: page-cache faults during pmake"
-    [ paper_dims "pmake" ] run_pagefault_pmake;
-  one "firewall-latency"
-    ~doc:"Section 4.2: firewall overhead on remote write misses"
-    [ paper_dims "pmake"; paper_dims "ocean" ] run_firewall_latency;
-  one "firewall-pages" ~doc:"Section 4.2: remotely writable pages per cell"
-    [ paper_dims "pmake"; paper_dims "ocean" ] run_firewall_pages;
-  one "table-7.2" ~doc:"Table 7.2: workload slowdown vs the SMP-OS baseline"
-    [ paper_dims "ocean"; paper_dims "raytrace"; paper_dims "pmake" ]
-    ~quick:[ paper_dims "pmake" ] run_table_7_2;
-  one "table-7.3"
-    ~doc:"Table 7.3: local vs remote kernel operations, 2 CPUs / 2 cells"
-    [ { (paper_dims "read") with cells = 2; nodes = 2 } ] run_table_7_3;
   let campaigns ws = { (paper_dims "faultinj") with ws_pages = ws } in
-  one "table-7.4"
-    ~doc:
-      "Table 7.4: fault-injection campaigns (ws = test-count divisor, 1 = \
-       all 69 tests)"
-    [ campaigns 1; campaigns 5 ] ~quick:[ campaigns 5 ] run_table_7_4;
-  one "wax" ~doc:"Table 3.4: Wax hints, hint validation and restart"
-    [ paper_dims "pmake" ] run_wax;
-  one "ablations" ~doc:"design ablations called out in DESIGN.md"
-    [ paper_dims "rpc" ] run_ablations
+  [
+    one "rpc-latency" ~doc:"Section 6: null, 64-byte and queued null RPC"
+      [ paper_dims "rpc" ] run_rpc_latency;
+    one "careful-ref" ~doc:"Section 4.1: careful-reference clock read vs RPC"
+      [ paper_dims "rpc" ] run_careful_ref;
+    one "pagefault-breakdown"
+      ~doc:"Table 5.2: local and remote page faults hitting a page cache"
+      [ paper_dims "read" ] run_pagefault_breakdown;
+    one "pagefault-pmake" ~doc:"Section 5.2: page-cache faults during pmake"
+      [ paper_dims "pmake" ] run_pagefault_pmake;
+    one "firewall-latency"
+      ~doc:"Section 4.2: firewall overhead on remote write misses"
+      [ paper_dims "pmake"; paper_dims "ocean" ] run_firewall_latency;
+    one "firewall-pages" ~doc:"Section 4.2: remotely writable pages per cell"
+      [ paper_dims "pmake"; paper_dims "ocean" ] run_firewall_pages;
+    one "table-7.2" ~doc:"Table 7.2: workload slowdown vs the SMP-OS baseline"
+      [ paper_dims "ocean"; paper_dims "raytrace"; paper_dims "pmake" ]
+      ~quick:[ paper_dims "pmake" ] run_table_7_2;
+    one "table-7.3"
+      ~doc:"Table 7.3: local vs remote kernel operations, 2 CPUs / 2 cells"
+      [ { (paper_dims "read") with cells = 2; nodes = 2 } ] run_table_7_3;
+    one "table-7.4"
+      ~doc:
+        "Table 7.4: fault-injection campaigns (ws = test-count divisor, 1 = \
+         all 69 tests)"
+      [ campaigns 1; campaigns 5 ] ~quick:[ campaigns 5 ] run_table_7_4;
+    one "wax" ~doc:"Table 3.4: Wax hints, hint validation and restart"
+      [ paper_dims "pmake" ] run_wax;
+    one "ablations" ~doc:"design ablations called out in DESIGN.md"
+      [ paper_dims "rpc" ] run_ablations;
+  ]
 
-(* ---------- registration ---------- *)
-
-let registered = ref false
-
-let register () =
-  if not !registered then begin
-    registered := true;
-    declare_rpc ();
-    declare_sharing ();
-    declare_workloads ();
-    declare_fuzz ();
-    declare_resilience ();
-    declare_traffic ();
-    declare_scale ();
-    declare_paper ()
-  end
+let all =
+  rpc_area @ sharing_area @ workloads_area @ fuzz_area @ resilience_area
+  @ traffic_area @ scale_area @ paper_area

@@ -10,8 +10,7 @@ type row = {
 
 type report = { a_area : string; a_rows : row list }
 
-let run ?areas ?(quick = false) ?(dims_filter = fun _ -> true)
-    ?(verbose = true) () =
+let run ?areas ?(quick = false) ?(verbose = true) scenarios =
   let wanted area =
     match areas with None -> true | Some l -> List.mem area l
   in
@@ -23,35 +22,33 @@ let run ?areas ?(quick = false) ?(dims_filter = fun _ -> true)
         let grid = if quick then sc.Scenario.sc_quick else sc.Scenario.sc_dims in
         List.iter
           (fun dims ->
-            if dims_filter dims then begin
-              if verbose then
-                Printf.printf "sweep: %-16s %s\n%!" sc.Scenario.sc_name
-                  (Scenario.dims_label dims);
-              let metrics = sc.Scenario.sc_run dims in
-              if verbose then
-                List.iter
-                  (fun (m : Scenario.metric) ->
-                    Printf.printf "    %-24s %s\n%!" m.Scenario.m_name
-                      (J.float_repr m.Scenario.m_value))
-                  metrics;
-              let row =
-                { r_scenario = sc.Scenario.sc_name; r_dims = dims;
-                  r_metrics = metrics }
-              in
-              let bucket =
-                match Hashtbl.find_opt by_area sc.Scenario.sc_area with
-                | Some b -> b
-                | None ->
-                  let b = ref [] in
-                  Hashtbl.replace by_area sc.Scenario.sc_area b;
-                  area_order := sc.Scenario.sc_area :: !area_order;
-                  b
-              in
-              bucket := row :: !bucket
-            end)
+            if verbose then
+              Printf.printf "sweep: %-16s %s\n%!" sc.Scenario.sc_name
+                (Scenario.dims_label dims);
+            let metrics = sc.Scenario.sc_run dims in
+            if verbose then
+              List.iter
+                (fun (m : Scenario.metric) ->
+                  Printf.printf "    %-24s %s\n%!" m.Scenario.m_name
+                    (J.float_repr m.Scenario.m_value))
+                metrics;
+            let row =
+              { r_scenario = sc.Scenario.sc_name; r_dims = dims;
+                r_metrics = metrics }
+            in
+            let bucket =
+              match Hashtbl.find_opt by_area sc.Scenario.sc_area with
+              | Some b -> b
+              | None ->
+                let b = ref [] in
+                Hashtbl.replace by_area sc.Scenario.sc_area b;
+                area_order := sc.Scenario.sc_area :: !area_order;
+                b
+            in
+            bucket := row :: !bucket)
           grid
       end)
-    (Scenario.all ());
+    scenarios;
   List.rev !area_order
   |> List.map (fun area ->
          { a_area = area; a_rows = List.rev !(Hashtbl.find by_area area) })

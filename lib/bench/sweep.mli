@@ -1,4 +1,4 @@
-(** The dimensional sweep driver: run every registered scenario over its
+(** The dimensional sweep driver: run every scenario of a list over its
     grid and emit one deterministic [BENCH_<area>.json] per area — the
     machine-readable perf trajectory CI diffs against (see {!Diff}). *)
 
@@ -10,17 +10,15 @@ type row = {
 
 type report = { a_area : string; a_rows : row list }
 
-(** Run the sweep. [areas] restricts to the named areas; [quick] runs each
-    scenario's reduced grid; [dims_filter] drops grid points (both default
-    to everything). [verbose] (default true) prints each row's metrics as
-    it completes. Reports are sorted by area; rows keep scenario
-    declaration order. *)
+(** Run the sweep over [scenarios]. [areas] restricts to the named areas
+    (default: every area); [quick] runs each scenario's reduced grid.
+    [verbose] (default true) prints each row's metrics as it completes.
+    Reports are sorted by area; rows keep the order of [scenarios]. *)
 val run :
   ?areas:string list ->
   ?quick:bool ->
-  ?dims_filter:(Scenario.dims -> bool) ->
   ?verbose:bool ->
-  unit ->
+  Scenario.t list ->
   report list
 
 (** [report_to_json] writes a metric's [paper] key only when the metric

@@ -343,41 +343,25 @@ let passed o =
 (* ---------- The Table 7.4 campaigns ---------- *)
 
 type campaign_row = {
-  label : string;
   tests : int;
   all_contained : bool;
   avg_detect_ms : float;
   max_detect_ms : float;
   avg_recovery_ms : float;
-  failures : string list;
 }
 
-let summarize label outcomes =
+let summarize outcomes =
   let det = List.filter_map (fun o -> o.detection_ms) outcomes in
   let rec_ = List.filter_map (fun o -> o.recovery_ms) outcomes in
   let avg xs =
     if xs = [] then 0. else List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
   in
   {
-    label;
     tests = List.length outcomes;
     all_contained = List.for_all passed outcomes;
     avg_detect_ms = avg det;
     max_detect_ms = List.fold_left max 0. det;
     avg_recovery_ms = avg rec_;
-    failures =
-      List.concat_map
-        (fun o ->
-          if passed o then []
-          else
-            [ Printf.sprintf
-                "%s: contained=%b check=%b corrupt=[%s] injected=[%s] \
-                 violations=[%s]"
-                o.fault_desc o.contained o.check_passed
-                (String.concat ";" o.corrupt_outputs)
-                (String.concat ";" (List.map string_of_int o.injected_cells))
-                (String.concat "; " o.violations) ])
-        outcomes;
   }
 
 let modes =
@@ -386,42 +370,38 @@ let modes =
 
 (* [tests] runs of [workload]; test i is seeded [seed + i] and injects
    [fault i] on victim cell or node [1 + i mod 3]. *)
-let campaign label ~seed ~workload ~tests fault =
+let campaign ~seed ~workload ~tests fault =
   let workload = Workloads.Spec.of_name workload in
   List.init tests (fun i ->
       run_test ~seed:(seed + i) ~workload (fault i (1 + (i mod 3))))
-  |> summarize label
+  |> summarize
 
 let mode i = modes.(i mod Array.length modes)
 
 (* Node failure during process creation (pmake): inject early, while the
    driver is forking compile jobs. *)
 let node_failure_during_creation =
-  campaign "node failure during process creation (pmake)" ~seed:100
-    ~workload:"pmake" (fun i node ->
+  campaign ~seed:100 ~workload:"pmake" (fun i node ->
       { at_ns = Int64.of_int (40_000_000 * (i + 2));
         kind = Node_failure { node } })
 
 (* Node failure during COW search (raytrace): inject while workers fault
    scene pages through the tree. *)
 let node_failure_during_cow =
-  campaign "node failure during copy-on-write search (raytrace)" ~seed:200
-    ~workload:"raytrace" (fun i node ->
+  campaign ~seed:200 ~workload:"raytrace" (fun i node ->
       { at_ns = Int64.of_int (15_000_000 * (i + 1));
         kind = Node_failure { node } })
 
 (* Node failure at a random time during pmake. *)
 let node_failure_random ~tests =
   let rng = Sim.Prng.create 42 in
-  campaign "node failure at random time (pmake)" ~seed:300 ~workload:"pmake"
-    ~tests (fun _ node ->
+  campaign ~seed:300 ~workload:"pmake" ~tests (fun _ node ->
       let at = 50_000_000 + Sim.Prng.int rng 4_000_000_000 in
       { at_ns = Int64.of_int at; kind = Node_failure { node } })
 
 (* Corrupt pointer in a process address map (pmake). *)
 let corrupt_map_campaign =
-  campaign "corrupt pointer in process address map (pmake)" ~seed:400
-    ~workload:"pmake" (fun i victim_cell ->
+  campaign ~seed:400 ~workload:"pmake" (fun i victim_cell ->
       { at_ns = Int64.of_int (120_000_000 * (i + 1));
         kind = Corrupt_map { victim_cell; mode = mode i } })
 
@@ -430,8 +410,7 @@ let corrupt_map_campaign =
    which is why the paper's detection latencies for this campaign are an
    order of magnitude above the clock-monitoring bound. *)
 let corrupt_cow_campaign =
-  campaign "corrupt pointer in copy-on-write tree (raytrace)" ~seed:500
-    ~workload:"raytrace" (fun i victim_cell ->
+  campaign ~seed:500 ~workload:"raytrace" (fun i victim_cell ->
       { at_ns = Int64.of_int (300_000_000 + (180_000_000 * i));
         kind = Corrupt_cow { victim_cell; mode = mode i } })
 

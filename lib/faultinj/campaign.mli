@@ -125,13 +125,11 @@ val run_test :
 (** Contained, injected, check run complete and exact, no violations. *)
 val passed : outcome -> bool
 type campaign_row = {
-  label : string;
   tests : int;
   all_contained : bool;
   avg_detect_ms : float;
   max_detect_ms : float;
   avg_recovery_ms : float;
-  failures : string list;
 }
 val modes : Hive.System.corruption_mode array
 val node_failure_during_creation : tests:int -> campaign_row

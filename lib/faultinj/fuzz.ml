@@ -491,7 +491,6 @@ let run_plan ?plant ?trace_out ?metrics_out plan =
        (Campaign.end_of_run_check ~before_sweep:plant_grant sys
           ~landed:(List.rev !landed))
    with
-  | Sim.Engine.Deadlock msg -> vio "deadlock" msg
   | e -> vio "exception" (Printexc.to_string e));
   close_trace ();
   Option.iter (fun path -> Hive.Metrics.write_file sys path) metrics_out;

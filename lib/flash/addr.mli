@@ -14,8 +14,6 @@ val pfn_of_addr : Config.t -> t -> pfn
 
 val addr_of_pfn : Config.t -> pfn -> t
 
-val offset : Config.t -> t -> int
-
 val node_of_pfn : Config.t -> pfn -> int
 
 val node_of_addr : Config.t -> t -> int
@@ -25,10 +23,6 @@ val first_pfn_of_node : Config.t -> int -> pfn
 (** Index of a page within its node's memory. *)
 val local_index : Config.t -> pfn -> int
 
-val valid_pfn : Config.t -> pfn -> bool
-
 val valid : Config.t -> t -> bool
 
 val aligned : t -> int -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -3,7 +3,6 @@ type t = {
   mem_pages_per_node : int;
   page_size : int;
   cycle_ns : int64;
-  l1_hit_ns : int64;
   l2_hit_ns : int64;
   mem_ns : int64;
   cache_line : int;
@@ -11,7 +10,6 @@ type t = {
   sips_extra_ns : int64;
   firewall_enabled : bool;
   firewall_check_ns : int64;
-  firewall_writeback_check_ns : int64;
   uncached_op_ns : int64;
   disk_avg_access_ns : int64;
   disk_track_ns : int64;
@@ -38,7 +36,6 @@ let default =
     mem_pages_per_node = 8192;
     page_size = 4096;
     cycle_ns = 5L;
-    l1_hit_ns = 5L;
     l2_hit_ns = 50L;
     mem_ns = 700L;
     cache_line = 128;
@@ -46,7 +43,6 @@ let default =
     sips_extra_ns = 300L;
     firewall_enabled = true;
     firewall_check_ns = 40L;
-    firewall_writeback_check_ns = 25L;
     uncached_op_ns = 500L;
     disk_avg_access_ns = 15_000_000L;
     disk_track_ns = 2_000_000L;

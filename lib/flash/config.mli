@@ -11,7 +11,6 @@ type t = {
   mem_pages_per_node : int;
   page_size : int;  (** firewall granularity and OS page size: 4 KB *)
   cycle_ns : int64;  (** 5 ns at 200 MHz *)
-  l1_hit_ns : int64;
   l2_hit_ns : int64;
   mem_ns : int64;  (** average second-level miss latency *)
   cache_line : int;
@@ -20,8 +19,6 @@ type t = {
   firewall_enabled : bool;
   firewall_check_ns : int64;
       (** added by the coherence controller to each ownership request *)
-  firewall_writeback_check_ns : int64;
-      (** added to checked cache-line writebacks *)
   uncached_op_ns : int64;
       (** uncached operation to the coherence controller (firewall update) *)
   disk_avg_access_ns : int64;

@@ -5,8 +5,6 @@ type t = {
   mutex : Sim.Mutex.t;
   mutable halted : bool;
   mutable stolen_ns : int64; (* cumulative interrupt time on this CPU *)
-  mutable busy_ns : int64;
-  mutable idle_since : int64;
 }
 
 let create id =
@@ -15,13 +13,9 @@ let create id =
     mutex = Sim.Mutex.create ();
     halted = false;
     stolen_ns = 0L;
-    busy_ns = 0L;
-    idle_since = 0L;
   }
 
 let id t = t.id
-
-let is_halted t = t.halted
 
 let halt t = t.halted <- true
 
@@ -34,7 +28,6 @@ let check t = if t.halted then raise (Halted t.id)
 let steal eng t ns =
   check t;
   t.stolen_ns <- Int64.add t.stolen_ns ns;
-  t.busy_ns <- Int64.add t.busy_ns ns;
   Sim.Engine.delay ns;
   ignore eng
 
@@ -44,7 +37,6 @@ let use eng t ns =
   check t;
   Sim.Mutex.with_lock eng t.mutex (fun () ->
       check t;
-      t.busy_ns <- Int64.add t.busy_ns ns;
       let stolen0 = ref t.stolen_ns in
       let remaining = ref ns in
       while Int64.compare !remaining 0L > 0 do
@@ -54,5 +46,3 @@ let use eng t ns =
         stolen0 := t.stolen_ns;
         remaining := extra
       done)
-
-let busy_ns t = t.busy_ns

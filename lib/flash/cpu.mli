@@ -12,8 +12,6 @@ val create : int -> t
 
 val id : t -> int
 
-val is_halted : t -> bool
-
 (** Fail-stop this processor: current and future occupants get {!Halted}. *)
 val halt : t -> unit
 
@@ -27,6 +25,3 @@ val steal : Sim.Engine.t -> t -> int64 -> unit
 
 (** Occupy the CPU for [ns] of computation. *)
 val use : Sim.Engine.t -> t -> int64 -> unit
-
-(** Total busy time accumulated (bursts + interrupts). *)
-val busy_ns : t -> int64

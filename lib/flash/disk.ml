@@ -1,16 +1,12 @@
 type t = {
   cfg : Config.t;
-  node : int;
   mutable last_block : int;
-  mutable busy : Sim.Mutex.t;
-  mutable ios : int;
-  mutable bytes : int;
+  busy : Sim.Mutex.t;
 }
 
 let block_size = 4096
 
-let create cfg node =
-  { cfg; node; last_block = -100; busy = Sim.Mutex.create (); ios = 0; bytes = 0 }
+let create cfg = { cfg; last_block = -100; busy = Sim.Mutex.create () }
 
 (* Positioning cost: sequential accesses pay a track-transfer cost only;
    anything else pays the average access (seek + rotation) of an
@@ -31,14 +27,8 @@ let io eng t ~block ~bytes =
   Sim.Mutex.with_lock eng t.busy (fun () ->
       let ns = access_ns t ~block ~bytes in
       t.last_block <- block + ((bytes + block_size - 1) / block_size) - 1;
-      t.ios <- t.ios + 1;
-      t.bytes <- t.bytes + bytes;
       Sim.Engine.delay ns)
 
 let read eng t ~block ~bytes = io eng t ~block ~bytes
 
 let write eng t ~block ~bytes = io eng t ~block ~bytes
-
-let io_count t = t.ios
-
-let bytes_transferred t = t.bytes

@@ -7,14 +7,10 @@ type t
 
 val block_size : int
 
-val create : Config.t -> int -> t
+val create : Config.t -> t
 
 (** Blocking read of [bytes] starting at [block]. *)
 val read : Sim.Engine.t -> t -> block:int -> bytes:int -> unit
 
 (** Blocking write. *)
 val write : Sim.Engine.t -> t -> block:int -> bytes:int -> unit
-
-val io_count : t -> int
-
-val bytes_transferred : t -> int

@@ -16,7 +16,6 @@ type node_perms = {
 type t = {
   cfg : Config.t;
   perms : node_perms array;
-  mutable changes : int; (* count of firewall status updates, for benches *)
   mutable notify :
     (pfn:Addr.pfn -> old_vec:Procset.t -> new_vec:Procset.t -> unit) option;
       (* observer invoked on every real permission-vector change *)
@@ -29,7 +28,6 @@ let create cfg =
     perms =
       Array.init cfg.Config.nodes (fun _ ->
           { dflt = Procset.empty; except = Hashtbl.create 16 });
-    changes = 0;
     notify = None;
   }
 
@@ -62,7 +60,6 @@ let set_vector t ~by ~pfn v =
     match Hashtbl.find_opt np.except i with Some o -> o | None -> np.dflt
   in
   if not (Procset.equal old v) then begin
-    t.changes <- t.changes + 1;
     if Procset.equal v np.dflt then Hashtbl.remove np.except i
     else Hashtbl.replace np.except i v;
     match t.notify with
@@ -79,7 +76,6 @@ let set_node_default t ~by ~node v =
   let np = t.perms.(node) in
   let old = np.dflt in
   if not (Procset.equal old v) || Hashtbl.length np.except > 0 then begin
-    t.changes <- t.changes + 1;
     np.dflt <- v;
     Hashtbl.reset np.except;
     match t.notify with
@@ -100,8 +96,6 @@ let grant_many t ~by ~pfn procs =
 
 let revoke_all_remote t ~by ~pfn =
   set_vector t ~by ~pfn (Procset.singleton by)
-
-let clear t ~by ~pfn = set_vector t ~by ~pfn Procset.empty
 
 let remote_writable_pages t ~node =
   let np = t.perms.(node) in
@@ -147,5 +141,3 @@ let writable_by t ~proc =
       pages_writable_by_mask t ~node ~mask:(Procset.singleton proc) @ !acc
   done;
   !acc
-
-let change_count t = t.changes

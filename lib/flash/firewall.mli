@@ -50,8 +50,6 @@ val grant_many : t -> by:int -> pfn:Addr.pfn -> int list -> unit
 (** Leave only the local processor's bit set. *)
 val revoke_all_remote : t -> by:int -> pfn:Addr.pfn -> unit
 
-val clear : t -> by:int -> pfn:Addr.pfn -> unit
-
 (** Number of this node's pages writable by at least one remote processor
     (the paper's Section 4.2 firewall statistic). Walks only the
     exception table. *)
@@ -67,9 +65,6 @@ val writable_by : t -> proc:int -> Addr.pfn list
     sweep only if the node's default itself matches); used by preemptive
     discard with the combined mask of all dead processors. *)
 val pages_writable_by_mask : t -> node:int -> mask:Procset.t -> Addr.pfn list
-
-(** Total number of firewall status changes so far (performance statistic). *)
-val change_count : t -> int
 
 (** Install an observer invoked whenever a page's permission vector
     actually changes (grants, revokes, recovery mass-revocation); used by

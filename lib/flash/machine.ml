@@ -23,7 +23,7 @@ let create eng cfg =
     sips = Sips.create eng cfg;
     nodes =
       Array.init cfg.Config.nodes (fun i ->
-          { id = i; cpu = Cpu.create i; disk = Disk.create cfg i; alive = true });
+          { id = i; cpu = Cpu.create i; disk = Disk.create cfg; alive = true });
     failure_listeners = [];
   }
 
@@ -86,10 +86,3 @@ let restore_node t i =
    refuses remote memory accesses, preventing the spread of potentially
    corrupt data. *)
 let cutoff_node t i = Memory.cutoff_node t.memory i
-
-let procs_of_nodes nodes = nodes
-
-let pp_summary fmt t =
-  Format.fprintf fmt "FLASH machine: %d nodes, %d pages/node, firewall %s"
-    t.cfg.Config.nodes t.cfg.Config.mem_pages_per_node
-    (if t.cfg.Config.firewall_enabled then "on" else "off")

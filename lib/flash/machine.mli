@@ -49,7 +49,3 @@ val restore_node : t -> int -> unit
 (** Memory cutoff (Table 8.1): stop servicing remote accesses to the
     node's memory. *)
 val cutoff_node : t -> int -> unit
-
-val procs_of_nodes : int list -> int list
-
-val pp_summary : Format.formatter -> t -> unit

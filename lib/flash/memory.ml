@@ -188,13 +188,6 @@ let get_i64 cfg (nm : node_mem) ~off =
     | None -> 0L
   else Bytes.get_int64_le (copy_out cfg nm ~off 8) 0
 
-let read_u8 eng t ~by addr =
-  let nm, off = read_prologue eng t ~by addr 1 in
-  let psize = t.cfg.Config.page_size in
-  match nm.pages.(off / psize) with
-  | Some b -> Char.code (Bytes.get b (off mod psize))
-  | None -> 0
-
 let read_i64 eng t ~by addr =
   let nm, off = read_prologue eng t ~by addr 8 in
   get_i64 t.cfg nm ~off
@@ -241,12 +234,6 @@ let page_for_write cfg (nm : node_mem) page =
     let b = Bytes.make cfg.Config.page_size '\000' in
     nm.pages.(page) <- Some b;
     b
-
-let write_u8 eng t ~by addr v =
-  let nm, off = write_prologue eng t ~by addr 1 in
-  let psize = t.cfg.Config.page_size in
-  Bytes.set (page_for_write t.cfg nm (off / psize)) (off mod psize)
-    (Char.chr (v land 0xff))
 
 let write_i64 eng t ~by addr v =
   let nm, off = write_prologue eng t ~by addr 8 in

@@ -54,8 +54,6 @@ val read_into :
    model. *)
 val read_cached : Sim.Engine.t -> t -> by:int -> Addr.t -> int -> Bytes.t
 
-val read_u8 : Sim.Engine.t -> t -> by:int -> Addr.t -> int
-
 val read_i64 : Sim.Engine.t -> t -> by:int -> Addr.t -> int64
 
 (* Allocation-free cached read of one kernel word (the hot kmem /
@@ -73,8 +71,6 @@ val write : Sim.Engine.t -> t -> by:int -> Addr.t -> Bytes.t -> unit
     does not fit [src]. *)
 val write_sub :
   Sim.Engine.t -> t -> by:int -> Addr.t -> Bytes.t -> int -> int -> unit
-
-val write_u8 : Sim.Engine.t -> t -> by:int -> Addr.t -> int -> unit
 
 val write_i64 : Sim.Engine.t -> t -> by:int -> Addr.t -> int64 -> unit
 

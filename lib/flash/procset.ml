@@ -77,19 +77,6 @@ let intersects (a : t) (b : t) =
 
 let equal (a : t) (b : t) = a = b
 
-let subset (a : t) (b : t) = is_empty (diff a b)
-
-let cardinal (s : t) =
-  let popcount w =
-    let c = ref 0 and w = ref w in
-    while !w <> 0 do
-      w := !w land (!w - 1);
-      incr c
-    done;
-    !c
-  in
-  Array.fold_left (fun acc w -> acc + popcount w) 0 s
-
 let to_list (s : t) =
   let acc = ref [] in
   for w = Array.length s - 1 downto 0 do

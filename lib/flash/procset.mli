@@ -33,10 +33,6 @@ val intersects : t -> t -> bool
 
 val equal : t -> t -> bool
 
-val subset : t -> t -> bool
-
-val cardinal : t -> int
-
 (** Ascending processor numbers. *)
 val to_list : t -> int list
 

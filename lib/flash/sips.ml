@@ -100,8 +100,6 @@ let restore_node t node =
 
 let degrade t ~rng d = t.degradations <- t.degradations @ [ (d, rng) ]
 
-let clear_degradations t = t.degradations <- []
-
 let part_matches p ~from_node ~to_node =
   (p.part_from = -1 || p.part_from = from_node)
   && (p.part_to = -1 || p.part_to = to_node)
@@ -151,8 +149,6 @@ let partition t p =
   let now = Sim.Engine.now t.eng in
   let delay = Int64.max 0L (Int64.sub p.part_until_ns now) in
   Sim.Engine.schedule t.eng ~after:delay (fun () -> heal_purge t p)
-
-let clear_partitions t = t.partitions <- []
 
 (* The first armed window that covers this (link, time) decides the
    message's fate; expired windows are pruned lazily. *)

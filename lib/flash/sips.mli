@@ -75,8 +75,6 @@ val restore_node : t -> int -> unit
     automatically. *)
 val degrade : t -> rng:Sim.Prng.t -> degradation -> unit
 
-val clear_degradations : t -> unit
-
 (** Arm a directed blackout window. Messages whose flight overlaps the
     window are lost (counted, not delivered), and when the window expires
     the destination's receive queues are scrubbed of envelopes that
@@ -85,8 +83,6 @@ val clear_degradations : t -> unit
     blackout. Healing is deterministic: a scheduled event at
     [part_until_ns]. *)
 val partition : t -> partition -> unit
-
-val clear_partitions : t -> unit
 
 (** Is the directed link [from_node] → [to_node] currently outside every
     armed blackout window? This is the interconnect's own ground truth —

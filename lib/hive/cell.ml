@@ -64,11 +64,9 @@ let make (mcfg : Flash.Config.t) ~id ~nodes : Types.cell =
     swap_blocks_used = 0;
     swap_free_blocks = [];
     suspected = [];
-    alert_votes = [];
     false_alerts = [];
     in_recovery = false;
     recovery_active = false;
-    recovery_barrier_joined = (0, 0);
     alloc_preference = [];
     clock_hand_targets = [];
     swap_hint = 0;
@@ -163,18 +161,3 @@ let boot (sys : Types.system) (c : Types.cell) =
   in
   c.Types.kernel_threads <- reaper :: c.Types.kernel_threads;
   Types.bump c Count.boots
-
-(* Spawn a kernel thread whose uncaught exceptions panic this cell (a
-   kernel bug must crash only its own cell, never the simulation). *)
-let spawn_kernel (sys : Types.system) (c : Types.cell) ~name body =
-  let thr =
-    Sim.Engine.spawn sys.Types.eng ~name (fun () ->
-        try body () with
-        | Panic.Kernel_corruption _ -> ()
-        | e ->
-          Panic.panic sys c
-            (Printf.sprintf "kernel thread %s died: %s" name
-               (Printexc.to_string e)))
-  in
-  c.Types.kernel_threads <- thr :: c.Types.kernel_threads;
-  thr

@@ -14,6 +14,3 @@ val make :
 val init_frames : Types.system -> Types.cell -> unit
 val init_firewall : Types.system -> Types.cell -> unit
 val boot : Types.system -> Types.cell -> unit
-val spawn_kernel :
-  Types.system ->
-  Types.cell -> name:string -> (unit -> unit) -> Sim.Engine.thread

@@ -33,8 +33,6 @@ let f_entries = 5
 
 exception Node_full
 
-let node_size capacity = 8 * (f_entries + capacity)
-
 (* Domain-local and reset at [System.boot]: node ids are part of the
    serialized tree state, so a campaign's ids must not depend on how many
    campaigns ran earlier in this domain (parallel workers replay

@@ -23,7 +23,6 @@ val f_nentries : int
 val f_capacity : int
 val f_entries : int
 exception Node_full
-val node_size : int -> int
 (* Reset the domain-local node-id generator (called by [System.boot]). *)
 val reset_ids : unit -> unit
 val alloc_node :

@@ -162,7 +162,6 @@ let create_local (sys : Types.system) (home : Types.cell) ~path ~content =
     let f =
       {
         Types.fid = { home = home.Types.cell_id; ino = home.Types.next_ino };
-        path;
         size = Bytes.length content;
         generation = 0;
         disk_block = home.Types.next_disk_block;

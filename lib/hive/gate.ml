@@ -25,8 +25,6 @@ let open_ (sys : Types.system) (c : Types.cell) =
 
 let pass (c : Types.cell) =
   while not c.Types.user_gate_open do
-    Sim.Engine.suspend ~site:"gate.pass" (fun thr ->
+    Sim.Engine.suspend (fun thr ->
         c.Types.gate_waiters <- thr :: c.Types.gate_waiters)
   done
-
-let is_open (c : Types.cell) = c.Types.user_gate_open

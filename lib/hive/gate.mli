@@ -8,4 +8,3 @@
 val close : Types.system -> Types.cell -> unit
 val open_ : Types.system -> Types.cell -> unit
 val pass : Types.cell -> unit
-val is_open : Types.cell -> bool

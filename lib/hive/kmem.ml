@@ -12,9 +12,6 @@ let header_bytes = 8
 
 exception Out_of_kernel_memory
 
-let create ~base ~limit : Types.kmem =
-  { kmem_base = base; kmem_limit = limit; kmem_next = base; kmem_free = [] }
-
 let proc_of (c : Types.cell) = c.Types.boss_node
 
 let mem (sys : Types.system) = Flash.Machine.memory sys.machine

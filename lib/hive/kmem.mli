@@ -10,7 +10,6 @@
 
 val header_bytes : int
 exception Out_of_kernel_memory
-val create : base:int -> limit:int -> Types.kmem
 val proc_of : Types.cell -> int
 val mem : Types.system -> Flash.Memory.t
 val alloc :

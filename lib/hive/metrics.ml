@@ -66,29 +66,6 @@ module Snapshot = struct
 
   let op_hist t name = List.assoc_opt name t.ops
 
-  (* Estimate an arbitrary quantile from the exported log-scale buckets.
-     Within the bucket holding the target rank we interpolate linearly;
-     the coarse bucket bounds make this an estimate, so the summary
-     percentiles (sample-based) are preferred when one of them matches. *)
-  let hist_quantile (h : hist) q =
-    if h.count = 0 then 0.
-    else if q <= 0. then h.min_ns
-    else if q >= 100. then h.max_ns
-    else begin
-      let target = q /. 100. *. float_of_int h.count in
-      let rec go seen = function
-        | [] -> h.max_ns
-        | (lo, hi, n) :: rest ->
-          let seen' = seen +. float_of_int n in
-          if seen' >= target then
-            let frac = (target -. seen) /. float_of_int n in
-            let lo = Int64.to_float lo and hi = Int64.to_float hi in
-            Float.min h.max_ns (Float.max h.min_ns (lo +. (frac *. (hi -. lo))))
-          else go seen' rest
-      in
-      go 0. h.buckets
-    end
-
   (* ---------- to JSON ---------- *)
 
   let counters_to_json kvs =

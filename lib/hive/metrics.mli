@@ -71,13 +71,6 @@ module Snapshot : sig
   (** End-to-end op histogram by ["class|phase"] key, if recorded. *)
   val op_hist : t -> string -> hist option
 
-  (** [hist_quantile h q] estimates the [q]-th percentile (0..100) from
-      the exported log-scale buckets with linear interpolation inside
-      the target bucket, clamped to [min_ns, max_ns]. The summary fields
-      (sample-based) are more accurate where they exist; this covers
-      arbitrary quantiles of an already-serialized histogram. *)
-  val hist_quantile : hist -> float -> float
-
   val to_json : t -> Sim.Json.t
 
   val of_json : Sim.Json.t -> (t, string) result

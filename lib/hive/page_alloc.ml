@@ -97,7 +97,7 @@ let borrow_from (sys : Types.system) (c : Types.cell) ~home ~count =
   | Ok (P_borrowed { pfns }) ->
     List.iter
       (fun pfn ->
-        let pf = Pfdat.alloc_extended c ~pfn in
+        let pf = Pfdat.alloc_extended ~pfn in
         pf.Types.borrowed_from <- Some home;
         Hashtbl.replace c.Types.frames pfn pf;
         Types.push_free_last c pfn)

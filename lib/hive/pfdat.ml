@@ -12,7 +12,6 @@
 let rec unlinked : Types.pfdat =
   {
     pfn = -1;
-    table_cell = -1;
     lid = None;
     dirty = false;
     refs = 0;
@@ -32,14 +31,14 @@ let rec unlinked : Types.pfdat =
     ext_next = unlinked;
   }
 
-let make ~pfn ~table_cell : Types.pfdat = { unlinked with pfn; table_cell }
+let make ~pfn : Types.pfdat = { unlinked with pfn }
 
 (* Find or create the pfdat for a frame in this cell's table. *)
 let of_frame (c : Types.cell) pfn =
   match Hashtbl.find_opt c.Types.frames pfn with
   | Some pf -> pf
   | None ->
-    let pf = make ~pfn ~table_cell:c.Types.cell_id in
+    let pf = make ~pfn in
     Hashtbl.replace c.Types.frames pfn pf;
     pf
 
@@ -62,7 +61,7 @@ let initial_buckets = 1024
 let create_table () = Types.Page_hash.create initial_buckets
 
 let create_index () =
-  let head = make ~pfn:(-1) ~table_cell:(-1) in
+  let head = make ~pfn:(-1) in
   head.Types.ext_prev <- head;
   head.Types.ext_next <- head;
   { Types.ext_head = head; buckets = initial_buckets; next_slot_stamp = 0;
@@ -168,8 +167,8 @@ let extended_in_table_order (c : Types.cell) keep =
   |> List.map snd
 
 (* Allocate an extended pfdat naming a page that lives elsewhere. *)
-let alloc_extended (c : Types.cell) ~pfn =
-  let pf = make ~pfn ~table_cell:c.Types.cell_id in
+let alloc_extended ~pfn =
+  let pf = make ~pfn in
   pf.Types.extended <- true;
   pf
 

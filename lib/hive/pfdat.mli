@@ -7,7 +7,7 @@
    or a borrowed remote frame into the local table, letting most of the
    kernel operate on remote pages as if they were local. *)
 
-val make : pfn:int -> table_cell:Types.cell_id -> Types.pfdat
+val make : pfn:int -> Types.pfdat
 val of_frame : Types.cell -> int -> Types.pfdat
 
 (** An empty page table and import index, as at boot. *)
@@ -27,7 +27,7 @@ val reset_table : Types.cell -> unit
 val extended_in_table_order :
   Types.cell -> (Types.pfdat -> bool) -> Types.pfdat list
 
-val alloc_extended : Types.cell -> pfn:int -> Types.pfdat
+val alloc_extended : pfn:int -> Types.pfdat
 val free_extended : Types.cell -> Types.pfdat -> unit
 val is_idle : Types.pfdat -> bool
 

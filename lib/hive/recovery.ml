@@ -101,8 +101,7 @@ let recovery_sequence (sys : Types.system) (c : Types.cell) =
     let note ?args phase =
       if is_master then Types.note_phase sys ~cell:c.Types.cell_id ?args phase
     in
-    let await n b =
-      c.Types.recovery_barrier_joined <- (round_no, n);
+    let await b =
       match b with
       | Some b -> Sim.Barrier.await_abortable eng b
       | None -> Sim.Barrier.Released
@@ -126,7 +125,7 @@ let recovery_sequence (sys : Types.system) (c : Types.cell) =
     (* Phase 1: TLB flush + removal of remote mappings and import bindings. *)
     Vm.flush_remote_bindings ~dead sys c;
     Sim.Engine.delay Params.recovery_phase_ns;
-    match await 1 b1 with
+    match await b1 with
     | Sim.Barrier.Aborted -> restart ()
     | Sim.Barrier.Released -> (
       note "recovery.barrier1";
@@ -158,7 +157,7 @@ let recovery_sequence (sys : Types.system) (c : Types.cell) =
           end)
         c.Types.processes;
       Sim.Engine.delay Params.recovery_phase_ns;
-      match await 2 b2 with
+      match await b2 with
       | Sim.Barrier.Aborted -> restart ()
       | Sim.Barrier.Released ->
         if sys.Types.recovery_round <> round_no then

@@ -541,9 +541,7 @@ let call (sys : Types.system) ~(from : Types.cell) ~target ~(op : Op.t)
        stale-drops it) — re-reading [from.incarnation] here would let a
        previous life's call id re-execute under the new epoch. *)
     let src_epoch = from.Types.incarnation in
-    let pc =
-      { Types.call_id; reply = None; call_done = Sim.Ivar.create () }
-    in
+    let pc = { Types.call_id; call_done = Sim.Ivar.create () } in
     Hashtbl.replace from.Types.pending_calls call_id pc;
     let target_cell = sys.Types.cells.(target) in
     let give_up ?hint err =

@@ -240,7 +240,7 @@ let import (sys : Types.system) (client : Types.cell) ~pfn ~data_home ~lid
         Types.bump client Count.reimports;
         existing
       | Some _ | None ->
-        let pf = Pfdat.alloc_extended client ~pfn in
+        let pf = Pfdat.alloc_extended ~pfn in
         Hashtbl.replace client.Types.frames pfn pf;
         pf
     in

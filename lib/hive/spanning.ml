@@ -20,11 +20,9 @@ module Count = struct
 end
 
 type t = {
-  task_id : int;
   home_cell : Types.cell_id;
   shm_path : string;
   shared_npages : int;
-  shared_gen : Types.generation;
   mutable components : Types.process list; (* one local process per thread *)
   mutable next_thread : int;
 }
@@ -61,11 +59,9 @@ let create (sys : Types.system) (creator : Types.process) ~shared_pages =
   | Ok _ -> ()
   | Error e -> raise (Types.Syscall_error e));
   {
-    task_id = id;
     home_cell = creator.Types.proc_cell;
     shm_path;
     shared_npages = shared_pages;
-    shared_gen = 0;
     components = [];
     next_thread = 0;
   }

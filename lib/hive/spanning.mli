@@ -14,11 +14,9 @@
    replicated into each component local process when a thread is added. *)
 
 type t = {
-  task_id : int;
   home_cell : Types.cell_id;
   shm_path : string;
   shared_npages : int;
-  shared_gen : Types.generation;
   mutable components : Types.process list;
   mutable next_thread : int;
 }

@@ -70,7 +70,7 @@ let install_fd (p : Types.process) vnode gen ~writable =
   let n = p.Types.next_fd in
   p.Types.next_fd <- n + 1;
   Hashtbl.replace p.Types.fds n
-    { Types.fd_num = n; vnode; pos = 0; opened_gen = gen; fd_writable = writable };
+    { Types.vnode; pos = 0; opened_gen = gen; fd_writable = writable };
   n
 
 let note_remote_home (p : Types.process) vnode =

@@ -175,7 +175,6 @@ let boot ?(mcfg = Flash.Config.default) ?(params = Params.default)
       proc_table = Hashtbl.create 256;
       next_pid = 0;
       use_agreement_oracle = oracle;
-      multicellular;
       recovery_in_progress = false;
       recovery_events = [];
       recovery_complete_at = 0L;
@@ -194,7 +193,6 @@ let boot ?(mcfg = Flash.Config.default) ?(params = Params.default)
       wax_incarnation = 0;
       on_hint = None;
       sys_counters = Sim.Stats.registry ();
-      trace_faults = false;
       rpc_executions = Hashtbl.create 1024;
       rpc_stale_accepts = [];
       events = Sim.Event.create eng;

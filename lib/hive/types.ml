@@ -57,7 +57,6 @@ type logical_id = { tag : obj_tag; page : int }
    back (the CC-NUMA placement optimization of Section 5.5). *)
 type pfdat = {
   pfn : int;
-  table_cell : cell_id; (* whose pfdat table this entry lives in *)
   mutable lid : logical_id option;
   mutable dirty : bool;
   mutable refs : int;
@@ -145,7 +144,6 @@ type import_cache = {
    home's disk; pages cached in memory live in the pfdat table. *)
 type file = {
   fid : fid;
-  path : string;
   mutable size : int;
   mutable generation : generation;
       (* bumped when a dirty page is preemptively discarded *)
@@ -163,14 +161,9 @@ let vnode_fid = function
   | Local_vnode f -> f.fid
   | Shadow_vnode s -> s.fid
 
-let vnode_path = function
-  | Local_vnode f -> f.path
-  | Shadow_vnode s -> s.path
-
 (* Open file description; [opened_gen] implements the generation-number
    check: accesses through a descriptor opened before a discard get EIO. *)
 type fd = {
-  fd_num : int;
   vnode : vnode;
   mutable pos : int;
   opened_gen : generation;
@@ -247,7 +240,6 @@ type kmem = {
 
 type pending_call = {
   call_id : int;
-  mutable reply : rpc_outcome option;
   call_done : rpc_outcome Sim.Ivar.t;
 }
 
@@ -337,14 +329,12 @@ type cell = {
       (* swap blocks freed by swap-ins, reused before the bump allocator *)
   (* failure detection / recovery *)
   mutable suspected : cell_id list;
-  mutable alert_votes : (cell_id * cell_id) list; (* accuser, suspect *)
   mutable false_alerts : (cell_id * int) list; (* accuser -> vote-downs *)
   mutable in_recovery : bool;
   mutable recovery_active : bool;
       (* a recovery thread for this cell exists (set at spawn, cleared when
          the thread leaves its round loop); lets a nested-failure restart
          know whether to re-spawn or rely on the barrier abort *)
-  mutable recovery_barrier_joined : int * int; (* (round, barrier) joined *)
   (* wax hints *)
   mutable alloc_preference : cell_id list;
   mutable clock_hand_targets : cell_id list; (* cells under memory pressure *)
@@ -379,7 +369,6 @@ type system = {
   proc_table : (pid, process) Hashtbl.t;
   mutable next_pid : int;
   mutable use_agreement_oracle : bool;
-  multicellular : bool; (* false = SMP-OS (IRIX-like) baseline mode *)
   mutable recovery_in_progress : bool;
   mutable recovery_events : (cell_id * int64) list;
       (* (cell, time it entered recovery) for detection-latency measurement *)
@@ -417,7 +406,6 @@ type system = {
   mutable on_hint : (cell -> suspect:cell_id -> reason:string -> unit) option;
       (* installed by the failure-detection module at boot *)
   sys_counters : Sim.Stats.registry;
-  mutable trace_faults : bool;
   (* At-most-once audit trail, read by Invariants: how many times each
      non-idempotent op body actually ran, keyed by the server's identity
      (cell, incarnation) and the call id; plus any stale-epoch message a

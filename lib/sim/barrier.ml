@@ -35,12 +35,12 @@ let await_abortable eng b =
     end
     else begin
       let gen = b.generation in
-      Engine.suspend ~site:"barrier.await" (fun thr ->
+      Engine.suspend (fun thr ->
           b.waiters <- b.waiters @ [ thr ]);
       (* A killed waiter can be resumed spuriously; re-block until the
          generation actually advances or the barrier is torn down. *)
       while b.generation = gen && not b.aborted do
-        Engine.suspend ~site:"barrier.await" (fun thr ->
+        Engine.suspend (fun thr ->
             b.waiters <- b.waiters @ [ thr ])
       done;
       if b.aborted then Aborted else Released

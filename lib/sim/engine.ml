@@ -1,7 +1,5 @@
 exception Killed
 
-exception Deadlock of string
-
 (* [retired] is set once the entry can never run again — popped by the
    run loop or removed by heap compaction — so a late [cancel] on a
    dead timer handle does not skew the engine's cancelled-entry count.
@@ -22,7 +20,6 @@ and thread = {
   mutable cont : (unit, unit) Effect.Deep.continuation option;
   mutable timers : event list;
   mutable on_exit : (unit -> unit) list;
-  mutable site : string;
   wake : unit -> unit;
   running : thread option;
 }
@@ -35,7 +32,6 @@ and t = {
   mutable current : thread option;
   mutable live : int;
   mutable crash_handler : thread -> exn -> unit;
-  threads : (int, thread) Hashtbl.t;
   mutable jitter : Prng.t option;
   mutable cancelled_pending : int;
       (* cancelled, unpopped entries still sitting in the event heap *)
@@ -52,7 +48,7 @@ type timer = event
 type _ Effect.t +=
   | E_now : int64 Effect.t
   | E_delay : int64 -> unit Effect.t
-  | E_suspend : string * (thread -> unit) -> unit Effect.t
+  | E_suspend : (thread -> unit) -> unit Effect.t
   | E_at_exit : (unit -> unit) -> unit Effect.t
 
 let create () =
@@ -64,7 +60,6 @@ let create () =
       current = None;
       live = 0;
       crash_handler = (fun _ _ -> ());
-      threads = Hashtbl.create 64;
       jitter = None;
       cancelled_pending = 0;
       owner = (Domain.self () :> int);
@@ -106,8 +101,6 @@ let assert_owner eng op =
          "Engine.%s: engine owned by domain %d used from domain %d (engines \
           are single-threaded; create one per domain)"
          op eng.owner d)
-
-let owner_domain eng = eng.owner
 
 let set_jitter eng prng = eng.jitter <- prng
 
@@ -200,7 +193,6 @@ let kill eng thr =
 let finish eng thr =
   thr.dead <- true;
   eng.live <- eng.live - 1;
-  Hashtbl.remove eng.threads thr.tid;
   List.iter cancel thr.timers;
   thr.timers <- [];
   List.iter (fun f -> f ()) (List.rev thr.on_exit);
@@ -229,8 +221,6 @@ let exec eng thr body =
           | E_delay d ->
             Some
               (fun (k : (a, unit) continuation) ->
-                (* [yield] is a zero delay and keeps the thread's site. *)
-                if Int64.compare d 0L > 0 then thr.site <- "delay";
                 if thr.dead then discontinue k Killed
                 else begin
                   let t = Int64.add eng.now d in
@@ -266,10 +256,9 @@ let exec eng thr body =
                     thr.timers <- schedule_at eng t thr.wake :: thr.timers
                   end
                 end)
-          | E_suspend (site, register) ->
+          | E_suspend register ->
             Some
               (fun (k : (a, unit) continuation) ->
-                thr.site <- site;
                 if thr.dead then discontinue k Killed
                 else begin
                   thr.cont <- Some k;
@@ -295,7 +284,6 @@ let spawn ?(name = "thread") ?(at = None) eng body =
       cont = None;
       timers = [];
       on_exit = [];
-      site = "spawned";
       wake =
         (fun () ->
           match thr.cont with
@@ -311,7 +299,6 @@ let spawn ?(name = "thread") ?(at = None) eng body =
       running = Some thr }
   in
   eng.live <- eng.live + 1;
-  Hashtbl.replace eng.threads thr.tid thr;
   let start () =
     if thr.dead then
       (* Killed before it ever ran: just account for its exit. *)
@@ -334,10 +321,7 @@ let time () = Effect.perform E_now
 
 let delay ns = if Int64.compare ns 0L > 0 then Effect.perform (E_delay ns)
 
-let yield () = Effect.perform (E_delay 0L)
-
-let suspend ?(site = "suspend") register =
-  Effect.perform (E_suspend (site, register))
+let suspend register = Effect.perform (E_suspend register)
 
 let at_exit_thread f = Effect.perform (E_at_exit f)
 
@@ -373,11 +357,7 @@ let run ?until eng =
   loop ();
   eng.until <- outer
 
-let run_until_quiescent eng = run eng
-
 let live_threads eng = eng.live
-
-let pending_events eng = Heap.length eng.events
 
 (* Virtual time of the earliest pending event (cancelled entries
    included — they still bound how far the clock can silently advance). *)
@@ -391,23 +371,3 @@ let queue_capacity eng = Heap.capacity eng.events
 let events_scheduled eng = eng.seq
 
 let cancelled_pending eng = eng.cancelled_pending
-
-(* Live threads sorted by tid; when the event queue has drained these are
-   exactly the threads parked on a suspend with no waker left. *)
-let blocked_threads eng =
-  Hashtbl.fold (fun _ thr acc -> thr :: acc) eng.threads []
-  |> List.filter (fun thr -> not thr.dead)
-  |> List.sort (fun a b -> compare a.tid b.tid)
-
-let check_deadlock eng =
-  if eng.live > 0 && Heap.is_empty eng.events then begin
-    let blocked = blocked_threads eng in
-    let desc thr =
-      Printf.sprintf "tid %d %S blocked at %s" thr.tid thr.name thr.site
-    in
-    raise
-      (Deadlock
-         (Printf.sprintf "deadlock: %d thread(s) made no progress: %s"
-            (List.length blocked)
-            (String.concat "; " (List.map desc blocked))))
-  end

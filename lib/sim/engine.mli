@@ -8,7 +8,9 @@
 
     Threads block with {!delay} or {!suspend}; synchronization primitives
     ({!Ivar}, {!Mailbox}, {!Mutex}, ...) are built on {!suspend} and
-    {!try_resume}.
+    {!try_resume}. A thread that nothing wakes simply stays parked: once
+    the queue drains, {!run} returns with {!live_threads} still positive,
+    and drivers judge the run by what it failed to produce.
 
     An engine is single-threaded by construction: it may only be driven by
     the OCaml domain that created it. {!run} and event scheduling raise
@@ -20,11 +22,6 @@
     cleanup runs. *)
 exception Killed
 
-(** Raised by {!check_deadlock} when live threads remain but the event queue
-    has drained. The message names every blocked thread: tid, name, and the
-    suspend site recorded by the last {!suspend}/{!delay}. *)
-exception Deadlock of string
-
 (** Cancellable timer handle. *)
 type timer
 
@@ -35,9 +32,6 @@ type thread = {
   mutable cont : (unit, unit) Effect.Deep.continuation option;
   mutable timers : timer list;
   mutable on_exit : (unit -> unit) list;
-  mutable site : string;
-      (** Label of the last blocking point ("barrier.await", "rpc.call",
-          ...); the Deadlock message quotes it for triage. *)
   wake : unit -> unit;  (** Engine-internal: the delay wake-up. *)
   running : thread option;
       (** Engine-internal: [Some] of this thread, built once. *)
@@ -122,12 +116,9 @@ val time : unit -> int64
     as if it had been queued. *)
 val delay : int64 -> unit
 
-val yield : unit -> unit
-
 (** Low-level block: parks the current thread and passes it to [register],
-    which stores it where a future waker can {!resume} it. [site] labels the
-    blocking point for deadlock reports. *)
-val suspend : ?site:string -> (thread -> unit) -> unit
+    which stores it where a future waker can {!resume} it. *)
+val suspend : (thread -> unit) -> unit
 
 (** Register a cleanup to run when the current thread exits (normally,
     by exception, or killed). *)
@@ -138,11 +129,7 @@ val at_exit_thread : (unit -> unit) -> unit
 (** Run until the event queue empties, or until the given virtual time. *)
 val run : ?until:int64 -> t -> unit
 
-val run_until_quiescent : t -> unit
-
 val live_threads : t -> int
-
-val pending_events : t -> int
 
 (** Virtual time of the earliest pending event, if any. Drivers use it to
     skip idle stretches of virtual time in one jump: between events no
@@ -161,17 +148,3 @@ val events_scheduled : t -> int
 (** Cancelled entries still occupying heap slots (drops to 0 after a
     compaction sweep or once they drain through the run loop). *)
 val cancelled_pending : t -> int
-
-(** Id of the domain that created this engine (the only domain allowed to
-    drive it). *)
-val owner_domain : t -> int
-
-(** Live (not yet finished) threads, sorted by tid. After {!run} returns
-    with an empty queue these are exactly the blocked threads. *)
-val blocked_threads : t -> thread list
-
-(** Raise {!Deadlock} — naming every blocked thread — if live threads remain
-    but the event queue is empty, i.e. nothing can ever make progress.
-    Call after {!run} returns; a no-op when the simulation quiesced
-    cleanly or was merely stopped at [until]. *)
-val check_deadlock : t -> unit

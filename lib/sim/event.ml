@@ -88,9 +88,6 @@ let emit bus ?(cell = -1) ?(args = []) ~cat ~phase name =
 let instant bus ?cell ?args ~cat name =
   emit bus ?cell ?args ~cat ~phase:Instant name
 
-let counter bus ?cell ~cat name v =
-  emit bus ?cell ~args:[ ("value", Int v) ] ~cat ~phase:Counter name
-
 (* Run [f] inside a span. The [End] event is emitted even if [f] raises
    (including thread kill during recovery), so span trees stay balanced. *)
 let span bus ?cell ?args ~cat name f =
@@ -243,7 +240,3 @@ let chrome_file path =
     close_out oc
   in
   (sink, close)
-
-let jsonl_file path =
-  let oc = open_out path in
-  (jsonl_sink oc, fun () -> close_out oc)

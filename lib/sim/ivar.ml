@@ -25,7 +25,7 @@ let read ?timeout eng v =
   | Some x -> Some x
   | None ->
     let slot = ref None in
-    Engine.suspend ~site:"ivar.read" (fun thr ->
+    Engine.suspend (fun thr ->
         v.waiters <- { slot; thread = thr } :: v.waiters;
         match timeout with
         | None -> ()

@@ -92,7 +92,7 @@ let receive ?timeout eng m =
     let slot = ref None in
     let mine = ref None in
     (try
-       Engine.suspend ~site:"mailbox.receive" (fun thr ->
+       Engine.suspend (fun thr ->
            let w = { slot; thread = thr; active = true } in
            mine := Some w;
            Queue.push w m.waiters;
@@ -109,8 +109,3 @@ let receive ?timeout eng m =
     | None ->
       retire m !mine;
       None)
-
-let receive_exn eng m =
-  match receive eng m with
-  | Some x -> x
-  | None -> assert false

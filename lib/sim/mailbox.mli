@@ -33,6 +33,3 @@ val reject : 'a t -> ('a -> bool) -> int
 
 (** Blocking receive; [None] on timeout. *)
 val receive : ?timeout:int64 -> Engine.t -> 'a t -> 'a option
-
-(** Blocking receive with no timeout. *)
-val receive_exn : Engine.t -> 'a t -> 'a

@@ -5,8 +5,6 @@ type t = {
 
 let create () = { holder = None; waiters = [] }
 
-let is_locked m = m.holder <> None
-
 let lock eng m =
   let me = Engine.current eng in
   (match m.holder with
@@ -16,7 +14,7 @@ let lock eng m =
     match m.holder with
     | None -> m.holder <- Some me
     | Some _ ->
-      Engine.suspend ~site:"mutex.lock" (fun thr ->
+      Engine.suspend (fun thr ->
           m.waiters <- m.waiters @ [ thr ]);
       wait ()
   in

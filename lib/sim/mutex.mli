@@ -4,8 +4,6 @@ type t
 
 val create : unit -> t
 
-val is_locked : t -> bool
-
 val lock : Engine.t -> t -> unit
 
 val unlock : Engine.t -> t -> unit

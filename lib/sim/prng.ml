@@ -25,8 +25,6 @@ let[@inline] next t =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let split t = of_state (Int64.of_int (Int64.to_int (next t) land max_int))
-
 (* A power-of-two bound (the engine's jitter draws [int p 8] per event)
    takes the low bits directly: the same value as the remainder, without
    a 64-bit division. *)
@@ -49,14 +47,6 @@ let bool t = Int64.logand (next t) 1L = 1L
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Prng.pick: empty array";
   arr.(int t (Array.length arr))
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
 
 (* [float t] is in [0, 1), so [1 - u] is in (0, 1] and the log is finite. *)
 let exponential t ~mean =

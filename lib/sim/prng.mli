@@ -15,9 +15,6 @@ val of_int64 : int64 -> t
 (** Next raw 64-bit value. *)
 val next : t -> int64
 
-(** Derive an independent generator (for per-thread determinism). *)
-val split : t -> t
-
 (** Uniform integer in [\[0, bound)]. *)
 val int : t -> int -> int
 
@@ -31,9 +28,6 @@ val bool : t -> bool
 
 (** Uniform choice from a non-empty array. *)
 val pick : t -> 'a array -> 'a
-
-(** In-place Fisher-Yates shuffle. *)
-val shuffle : t -> 'a array -> unit
 
 (** Exponentially distributed value with the given mean (e.g. Poisson
     inter-arrival gaps). Raises on a non-positive mean. *)

@@ -4,25 +4,16 @@ let create count =
   if count < 0 then invalid_arg "Semaphore.create";
   { count; waiters = [] }
 
-let value s = s.count
-
 let acquire _eng s =
   let rec wait () =
     if s.count > 0 then s.count <- s.count - 1
     else begin
-      Engine.suspend ~site:"semaphore.acquire" (fun thr ->
+      Engine.suspend (fun thr ->
           s.waiters <- s.waiters @ [ thr ]);
       wait ()
     end
   in
   wait ()
-
-let try_acquire s =
-  if s.count > 0 then begin
-    s.count <- s.count - 1;
-    true
-  end
-  else false
 
 let release eng s =
   s.count <- s.count + 1;
@@ -34,7 +25,3 @@ let release eng s =
       if not (Engine.try_resume eng w) then wake ()
   in
   wake ()
-
-let with_acquired eng s f =
-  acquire eng s;
-  Fun.protect ~finally:(fun () -> release eng s) f

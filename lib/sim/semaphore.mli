@@ -4,12 +4,6 @@ type t
 
 val create : int -> t
 
-val value : t -> int
-
 val acquire : Engine.t -> t -> unit
 
-val try_acquire : t -> bool
-
 val release : Engine.t -> t -> unit
-
-val with_acquired : Engine.t -> t -> (unit -> 'a) -> 'a

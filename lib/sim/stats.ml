@@ -145,8 +145,6 @@ let incr_by c k = c.n <- c.n + k
 
 let get c = c.n
 
-let reset c = c.n <- 0
-
 (* ---------- Declared counters ----------
 
    Kernel event counters are declared once, at module initialisation,
@@ -192,7 +190,7 @@ let bump ?(by = 1) r id =
 let value r name =
   match Hashtbl.find_opt ids name with
   | Some id -> r.counts.(id)
-  | None -> 0
+  | None -> invalid_arg ("Stats.value: undeclared counter " ^ name)
 
 let to_list r =
   let out = ref [] in

@@ -66,8 +66,6 @@ val incr_by : counter -> int -> unit
 
 val get : counter -> int
 
-val reset : counter -> unit
-
 (** {2 Declared counters}
 
     Kernel event counters. Each is declared once, at module
@@ -91,8 +89,9 @@ val registry : unit -> registry
 
 val bump : ?by:int -> registry -> counter_id -> unit
 
-(** The count of the counter named [name]; 0 if it was never bumped or
-    never declared. *)
+(** The count of the counter named [name]; 0 if it was never bumped.
+    Raises [Invalid_argument] if no module declared [name], so a renamed
+    counter cannot silently read as 0. *)
 val value : registry -> string -> int
 
 (** [(name, count)] for exactly the counters bumped at least once

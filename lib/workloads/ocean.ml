@@ -178,7 +178,6 @@ let run ?(cfg = default) (sys : Hive.Types.system) =
       Workload.name = "ocean";
       elapsed_ns = elapsed;
       completed = completed && p.Hive.Types.exit_code = Some 0;
-      procs_total = cfg.workers + 1;
       procs_killed = 0;
     },
     p )

@@ -56,9 +56,6 @@ let lib_bytes = 768 * 1024
 
 let inc_path j = Printf.sprintf "/usr/include/sub/dep%d.h" j
 
-let src_content i =
-  Workload.synth_content ~tag:(src_path i) ~bytes:default.src_bytes
-
 (* Reference outputs for verification. *)
 let expected_obj cfg i =
   Workload.derive_output
@@ -273,7 +270,6 @@ let run ?(cfg = default) (sys : Hive.Types.system) =
       Workload.name = "pmake";
       elapsed_ns = elapsed;
       completed = completed && p.Hive.Types.exit_code = Some 0;
-      procs_total = cfg.files + 1;
       procs_killed = 0;
     },
     p )

@@ -32,7 +32,6 @@ val hdr_path : string
 val lib_path : string
 val lib_bytes : int
 val inc_path : int -> string
-val src_content : int -> bytes
 val expected_obj : cfg -> int -> bytes
 val expected_binary : cfg -> bytes
 val binary_path : string

@@ -190,7 +190,6 @@ type rec_ = {
   r_arrival : int64;
   r_latency : int64;
   r_klass : string;
-  r_err_legs : int;
 }
 
 type state = {
@@ -234,11 +233,10 @@ let setup cfg (sys : Hive.Types.system) =
            ~path ~content);
       path)
 
-let record st ~arrival ~klass ~err_legs =
+let record st ~arrival ~klass =
   let lat = Int64.sub (Sim.Engine.time ()) arrival in
   st.recs <-
-    { r_arrival = arrival; r_latency = lat; r_klass = klass;
-      r_err_legs = err_legs }
+    { r_arrival = arrival; r_latency = lat; r_klass = klass }
     :: st.recs
 
 (* Redirect order: the chosen first target, then the data home, then the
@@ -275,7 +273,7 @@ let do_read st cfg (sys : Hive.Types.system) (client : Hive.Types.cell)
   let finish klass =
     if client.Hive.Types.cstatus <> Hive.Types.Cell_up then
       st.client_lost <- st.client_lost + 1
-    else record st ~arrival ~klass ~err_legs:!err_legs
+    else record st ~arrival ~klass
   in
   let leg tgt =
     let remaining = Int64.sub t_deadline (Sim.Engine.now eng) in
@@ -333,7 +331,7 @@ let do_churn st cfg (sys : Hive.Types.system) (client : Hive.Types.cell)
   with
   | Ok _ ->
     st.churn_ok <- st.churn_ok + 1;
-    record st ~arrival ~klass:"server.churn" ~err_legs:0
+    record st ~arrival ~klass:"server.churn"
   | Error _ -> ()
 
 (* Open-loop Poisson frontend, one per cell. Draws happen here, in one
@@ -533,12 +531,10 @@ let run ?(cfg = default) (sys : Hive.Types.system) =
   in
   finalize st sys;
   let s = stats_of st in
-  let procs_total = Hive.System.counter_total sys "server.churn_forks" in
   ( {
       Workload.name = "server";
       elapsed_ns = Int64.sub (Sim.Engine.now eng) t0;
       completed = done_ && s.errors = 0;
-      procs_total;
       procs_killed = 0;
     },
     s )

@@ -9,7 +9,6 @@ type result = {
   name : string;
   elapsed_ns : int64;
   completed : bool;
-  procs_total : int;
   procs_killed : int;
 }
 val ns_to_s : int64 -> float

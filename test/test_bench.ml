@@ -98,12 +98,23 @@ let with_paper =
       ];
   }
 
-(* The cheapest real grid row, used for the determinism and gate tests. *)
+let scenario name =
+  List.find (fun (sc : Scenario.t) -> sc.Scenario.sc_name = name)
+    Scenarios.all
+
+(* The cheapest real grid rows, used for the determinism and gate tests:
+   the rpc area's quick points on a healthy interconnect. *)
 let quick_rpc_reports () =
-  Scenarios.register ();
-  Sweep.run ~areas:[ "rpc" ] ~quick:true
-    ~dims_filter:(fun d -> d.Scenario.link_ms = 0)
-    ~verbose:false ()
+  let healthy (sc : Scenario.t) =
+    let keep = List.filter (fun d -> d.Scenario.link_ms = 0) in
+    Scenario.make ~name:sc.Scenario.sc_name ~area:sc.Scenario.sc_area
+      ~dims:(keep sc.Scenario.sc_dims) ~quick:(keep sc.Scenario.sc_quick)
+      sc.Scenario.sc_run
+  in
+  Scenarios.all
+  |> List.filter (fun (sc : Scenario.t) -> sc.Scenario.sc_area = "rpc")
+  |> List.map healthy
+  |> Sweep.run ~quick:true ~verbose:false
 
 let test_sweep_deterministic () =
   let r1 = quick_rpc_reports () in
@@ -225,14 +236,20 @@ let test_diff_orientation () =
     (List.length v.Diff.regressions);
   Alcotest.(check bool) "uncovered rows are noted" true (v.Diff.notes <> [])
 
-let test_scenario_registry () =
-  Scenarios.register ();
-  Scenarios.register ();
-  (* Idempotent registration, and quick grids are subsets of full grids. *)
-  let scenarios = Scenario.all () in
-  Alcotest.(check bool) "scenarios registered" true (List.length scenarios >= 5);
+(* The shipped list: unique names, non-empty grids, quick points inside
+   their grid, and exactly one committed BENCH_<area>.json per area (a
+   renamed area would otherwise leave its committed file gated by
+   nothing, since Diff only notes a missing area). *)
+let test_scenario_list () =
+  let names =
+    List.map (fun (s : Scenario.t) -> s.Scenario.sc_name) Scenarios.all
+  in
+  Alcotest.(check int) "names are unique" (List.length names)
+    (List.length (List.sort_uniq compare names));
   List.iter
     (fun (s : Scenario.t) ->
+      Alcotest.(check bool) (s.Scenario.sc_name ^ ": grid is non-empty") true
+        (s.Scenario.sc_dims <> []);
       List.iter
         (fun q ->
           Alcotest.(check bool)
@@ -240,13 +257,34 @@ let test_scenario_registry () =
             true
             (List.mem q s.Scenario.sc_dims))
         s.Scenario.sc_quick)
-    scenarios;
-  Alcotest.check_raises "duplicate declaration rejected"
-    (Invalid_argument "Scenario.declare: duplicate null-rpc")
+    Scenarios.all;
+  let areas =
+    List.sort_uniq compare
+      (List.map (fun (s : Scenario.t) -> s.Scenario.sc_area) Scenarios.all)
+  in
+  let committed =
+    Sys.readdir ".." |> Array.to_list
+    |> List.filter_map (fun f ->
+           match Filename.chop_suffix_opt ~suffix:".json" f with
+           | Some stem when String.starts_with ~prefix:"BENCH_" stem ->
+             Some (String.sub stem 6 (String.length stem - 6))
+           | _ -> None)
+    |> List.sort compare
+  in
+  Alcotest.(check (list string)) "one committed BENCH file per area" areas
+    committed;
+  let point = Scenario.default_dims in
+  Alcotest.check_raises "empty grid rejected"
+    (Invalid_argument "Scenario.make: empty grid for x") (fun () ->
+      ignore (Scenario.make ~name:"x" ~area:"rpc" ~dims:[] (fun _ -> [])));
+  Alcotest.check_raises "quick point outside the grid rejected"
+    (Invalid_argument
+       (Printf.sprintf "Scenario.make: x quick point (%s) not in grid"
+          (Scenario.dims_label { point with cells = 8 })))
     (fun () ->
       ignore
-        (Scenario.declare ~name:"null-rpc" ~area:"rpc"
-           ~dims:[ Scenario.default_dims ] (fun _ -> [])))
+        (Scenario.make ~name:"x" ~area:"rpc" ~dims:[ point ]
+           ~quick:[ { point with cells = 8 } ] (fun _ -> [])))
 
 (* The sections renderer prints one paper-vs-measured line per
    referenced metric, on a synthetic report and on a real paper row. *)
@@ -267,8 +305,7 @@ let test_paper_lines () =
     |> List.length
   in
   Alcotest.(check int) "synthetic report" 1 (paper_lines with_paper);
-  Scenarios.register ();
-  let sc = Option.get (Scenario.find "rpc-latency") in
+  let sc = scenario "rpc-latency" in
   let dims = List.hd sc.Scenario.sc_dims in
   let row =
     { Sweep.r_scenario = "rpc-latency"; r_dims = dims;
@@ -308,8 +345,7 @@ let test_sharing_checks () =
   pass ();
   Alcotest.(check int) "warm pass served from the import cache" npages
     (hits () - h0);
-  Scenarios.register ();
-  let sc = Option.get (Scenario.find "pmake-sharing") in
+  let sc = scenario "pmake-sharing" in
   (* The row runner fails unless pmake output is byte-identical. *)
   let run import_cache =
     let dims =
@@ -342,8 +378,7 @@ let suite =
       test_diff_gate;
     Alcotest.test_case "diff respects metric direction" `Quick
       test_diff_orientation;
-    Alcotest.test_case "scenario registry invariants" `Quick
-      test_scenario_registry;
+    Alcotest.test_case "scenario list invariants" `Quick test_scenario_list;
     Alcotest.test_case "sections renderer shows paper references" `Quick
       test_paper_lines;
     Alcotest.test_case "import cache A/B checks" `Quick test_sharing_checks;

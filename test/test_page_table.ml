@@ -66,7 +66,7 @@ let index_matches_hashtbl_order ops =
     Hive.Pfdat.insert c lid pf
   in
   let fresh k ~extended =
-    let pf = Hive.Pfdat.make ~pfn:!nmade ~table_cell:0 in
+    let pf = Hive.Pfdat.make ~pfn:!nmade in
     pf.Hive.Types.extended <- extended;
     if !nmade = Array.length !made then
       made := Array.append !made (Array.make (max 16 !nmade) pf);
@@ -179,7 +179,7 @@ let test_checker_two_keys () =
 
 let test_checker_unindexed () =
   with_shared_sys (fun sys c1 _imp ->
-      let pf = Hive.Pfdat.make ~pfn:12345 ~table_cell:1 in
+      let pf = Hive.Pfdat.make ~pfn:12345 in
       Hive.Pfdat.insert c1 (file_lid ~ino:98 0) pf;
       (* Marked extended behind the index's back. *)
       pf.Hive.Types.extended <- true;
@@ -218,7 +218,9 @@ let test_zero_bump_is_listed () =
     (Sim.Stats.to_list r);
   Sim.Stats.bump r test_counter;
   Alcotest.(check int) "by name" 1 (Sim.Stats.value r test_counter_name);
-  Alcotest.(check int) "unknown name" 0 (Sim.Stats.value r "no.such.counter")
+  Alcotest.check_raises "unknown name"
+    (Invalid_argument "Stats.value: undeclared counter no.such.counter")
+    (fun () -> ignore (Sim.Stats.value r "no.such.counter"))
 
 (* The counter lists of a 4-cell pmake run must equal, name for name, the
    ones the string-keyed registry recorded: [workload-pmake-4.expected]

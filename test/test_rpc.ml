@@ -300,17 +300,16 @@ let test_degraded_link_at_most_once () =
     };
   let n = 400 in
   let ok = ref 0 and gave_up = ref 0 in
-  ignore
-    (Bench.Harness.timed_in_thread eng (fun () ->
-         for _ = 1 to n do
-           match
-             Hive.Rpc.call sys ~from:sys.Hive.Types.cells.(0) ~target:1
-               ~op:Bench.Harness.noop_op ~timeout_ns:2_000_000L
-               Hive.Types.P_unit
-           with
-           | Ok _ -> incr ok
-           | Error _ -> incr gave_up
-         done));
+  Bench.Harness.in_thread eng (fun () ->
+      for _ = 1 to n do
+        match
+          Hive.Rpc.call sys ~from:sys.Hive.Types.cells.(0) ~target:1
+            ~op:Bench.Harness.noop_op ~timeout_ns:2_000_000L
+            Hive.Types.P_unit
+        with
+        | Ok _ -> incr ok
+        | Error _ -> incr gave_up
+      done);
   let count cell name =
     Sim.Stats.value sys.Hive.Types.cells.(cell).Hive.Types.counters name
   in

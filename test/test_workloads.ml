@@ -245,7 +245,6 @@ let test_spec_by_name () =
     (of_name "pmake" = Pmake Workloads.Pmake.default
     && of_name "ocean" = Ocean Workloads.Ocean.default
     && of_name "raytrace" = Raytrace Workloads.Raytrace.default);
-  Bench.Scenarios.register ();
   let bench_names =
     List.concat_map
       (fun (sc : Bench.Scenario.t) ->
@@ -258,7 +257,7 @@ let test_spec_by_name () =
             (fun (d : Bench.Scenario.dims) -> d.Bench.Scenario.workload)
             (sc.Bench.Scenario.sc_dims @ sc.Bench.Scenario.sc_quick)
         else [])
-      (Bench.Scenario.all ())
+      Bench.Scenarios.all
   in
   Alcotest.(check bool) "bench rows name workloads" true (bench_names <> []);
   List.iter
