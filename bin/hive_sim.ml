@@ -23,6 +23,36 @@ type shape = {
 
 type output = { out_trace : string option; out_metrics : string option }
 
+let shape_cells shape = Option.value ~default:4 shape.sh_cells
+
+let shape_nodes shape =
+  Option.value ~default:Flash.Config.default.Flash.Config.nodes shape.sh_nodes
+
+(* A shape or a target the machine does not have is an error in the
+   command line: the term fails before any simulation runs, so cmdliner
+   names the flag on stderr and exits 124, like an unwritable output
+   path below. *)
+let check_shape shape =
+  let nodes = shape_nodes shape and cells = shape_cells shape in
+  if nodes < 1 || nodes > Flash.Config.max_nodes then
+    Error
+      (Printf.sprintf "--nodes %d: the machine has 1 to %d nodes" nodes
+         Flash.Config.max_nodes)
+  else if cells < 1 || nodes mod cells <> 0 then
+    Error
+      (Printf.sprintf "--cells %d: must divide the %d nodes evenly" cells
+         nodes)
+  else Ok shape
+
+let check_index flag what v n =
+  if v >= 0 && v < n then Ok ()
+  else
+    Error
+      (Printf.sprintf "--%s %d: no such %s (the machine has %d %ss)" flag v
+         what n what)
+
+let ( let* ) = Result.bind
+
 let shape_term =
   let cells =
     Arg.(
@@ -54,9 +84,10 @@ let shape_term =
              Useful as the A side of an A/B against the default protocol.")
   in
   Term.(
-    const (fun sh_cells sh_nodes sh_smp sh_no_import_cache ->
-        { sh_cells; sh_nodes; sh_smp; sh_no_import_cache })
-    $ cells $ nodes $ smp $ no_import_cache)
+    term_result'
+      (const (fun sh_cells sh_nodes sh_smp sh_no_import_cache ->
+           check_shape { sh_cells; sh_nodes; sh_smp; sh_no_import_cache })
+      $ cells $ nodes $ smp $ no_import_cache))
 
 (* An output file path, probed at parse time so that an unwritable path
    fails before any simulation runs: cmdliner prints the error naming the
@@ -96,12 +127,10 @@ let output_term =
     $ trace $ metrics)
 
 let boot_shape ?(oracle = false) ?wax shape =
-  let ncells = Option.value ~default:4 shape.sh_cells in
+  let ncells = shape_cells shape in
   let eng = Sim.Engine.create () in
   let mcfg =
-    match shape.sh_nodes with
-    | None -> Flash.Config.default
-    | Some n -> Flash.Config.with_nodes Flash.Config.default n
+    Flash.Config.with_nodes Flash.Config.default (shape_nodes shape)
   in
   let mcfg =
     if shape.sh_smp then { mcfg with Flash.Config.firewall_enabled = false }
@@ -114,8 +143,7 @@ let boot_shape ?(oracle = false) ?wax shape =
     }
   in
   let sys =
-    Hive.System.boot ~mcfg ~params ~ncells ~multicellular:(not shape.sh_smp)
-      ~oracle
+    Hive.System.boot ~mcfg ~params ~ncells ~oracle
       ~wax:(Option.value ~default:(not shape.sh_smp) wax)
       eng
   in
@@ -175,14 +203,19 @@ let run_workload name shape verbose output =
 
 let run_server shape duration_ms rate zipf churn_pct deadline_ms kill_cell
     kill_at_ms seed verbose output =
+  let* () =
+    if rate > 0. then Ok ()
+    else Error (Printf.sprintf "--rate %g: must be positive" rate)
+  in
+  let* () =
+    match kill_cell with
+    | Some c -> check_index "kill-cell" "cell" c (shape_cells shape)
+    | None -> Ok ()
+  in
   let _eng, sys, ncells = boot_shape shape in
   if verbose then
     Sim.Event.attach sys.Hive.Types.events (Sim.Event.jsonl_sink stderr);
   let trace_close = attach_trace sys output.out_trace in
-  (match kill_cell with
-  | Some c when c < 0 || c >= ncells ->
-    failwith (Printf.sprintf "--kill-cell %d: no such cell" c)
-  | _ -> ());
   let cfg =
     {
       Workloads.Server.default with
@@ -208,12 +241,23 @@ let run_server shape duration_ms rate zipf churn_pct deadline_ms kill_cell
     (if result.Workloads.Workload.completed then "" else "  [INCOMPLETE]");
   if verbose then print_counters sys;
   finish_observability sys ~trace_close ~output;
-  if result.Workloads.Workload.completed then 0 else 1
+  Ok (if result.Workloads.Workload.completed then 0 else 1)
 
 (* ---- fault command: a front end over Faultinj.Campaign.run_test ---- *)
 
 let run_fault kind shape node victim at_ms cascade_node oracle link_from
     drop_pct dup_pct delay_pct dur_ms output =
+  let* () =
+    match kind with
+    | `Node | `Link -> check_index "node" "node" node (shape_nodes shape)
+    | `Corrupt_cow | `Corrupt_map ->
+      check_index "victim" "cell" victim (shape_cells shape)
+  in
+  let* () =
+    match cascade_node with
+    | Some n -> check_index "cascade-node" "node" n (shape_nodes shape)
+    | None -> Ok ()
+  in
   let _eng, sys, _ = boot_shape ~oracle ~wax:false shape in
   let trace_close = attach_trace sys output.out_trace in
   let mode = Hive.System.Random_address in
@@ -283,7 +327,7 @@ let run_fault kind shape node victim at_ms cascade_node oracle link_from
   Printf.printf "invariants: %s\n"
     (if o.Faultinj.Campaign.violations = [] then "clean" else "VIOLATED");
   finish_observability sys ~trace_close ~output;
-  if Faultinj.Campaign.passed o then 0 else 1
+  Ok (if Faultinj.Campaign.passed o then 0 else 1)
 
 (* ---- fuzz command ---- *)
 
@@ -458,10 +502,11 @@ let fault_cmd =
     (Cmd.info "fault"
        ~doc:"Inject a fault during pmake and report containment.")
     Term.(
-      const run_fault $ fault_kind $ shape_term $ node_arg $ victim_arg
-      $ at_ms_arg $ cascade_node_arg $ oracle_arg $ link_from_arg
-      $ drop_pct_arg $ dup_pct_arg $ delay_pct_arg $ dur_ms_arg
-      $ output_term)
+      term_result'
+        (const run_fault $ fault_kind $ shape_term $ node_arg $ victim_arg
+        $ at_ms_arg $ cascade_node_arg $ oracle_arg $ link_from_arg
+        $ drop_pct_arg $ dup_pct_arg $ delay_pct_arg $ dur_ms_arg
+        $ output_term))
 
 let seeds_arg =
   Arg.(
@@ -586,9 +631,10 @@ let server_cmd =
           admission control, and per-phase tail latency (before / during \
           / after an optional cell kill).")
     Term.(
-      const run_server $ shape_term $ duration_ms_arg $ rate_arg $ zipf_arg
-      $ churn_pct_arg $ deadline_ms_arg $ kill_cell_arg $ kill_at_ms_arg
-      $ traffic_seed_arg $ verbose_arg $ output_term)
+      term_result'
+        (const run_server $ shape_term $ duration_ms_arg $ rate_arg
+        $ zipf_arg $ churn_pct_arg $ deadline_ms_arg $ kill_cell_arg
+        $ kill_at_ms_arg $ traffic_seed_arg $ verbose_arg $ output_term))
 
 let fuzz_cmd =
   Cmd.v

@@ -44,7 +44,7 @@ let avg_rpc_us eng sys ~op ~arg_bytes ~n =
 
 (* Build a file homed on cell 0 and warm its cache there. *)
 let make_warm_file sys ~npages =
-  let psize = Hive.Types.page_size sys in
+  let psize = Flash.Config.page_size in
   let path = "/tmp/bench.dat" in
   let home = sys.Hive.Types.cells.(0) in
   let p =

@@ -53,13 +53,12 @@ let metric ?(dir = Lower_better) ?paper m_name m_value =
 type t = {
   sc_name : string;
   sc_area : string;
-  sc_doc : string;
   sc_dims : dims list;
   sc_quick : dims list;
   sc_run : dims -> metric list;
 }
 
-let make ~name ~area ?(doc = "") ~dims ?quick run =
+let make ~name ~area ~dims ?quick run =
   if dims = [] then invalid_arg ("Scenario.make: empty grid for " ^ name);
   let quick = match quick with Some q -> q | None -> [ List.hd dims ] in
   List.iter
@@ -69,5 +68,5 @@ let make ~name ~area ?(doc = "") ~dims ?quick run =
           (Printf.sprintf "Scenario.make: %s quick point (%s) not in grid"
              name (dims_label q)))
     quick;
-  { sc_name = name; sc_area = area; sc_doc = doc; sc_dims = dims;
-    sc_quick = quick; sc_run = run }
+  { sc_name = name; sc_area = area; sc_dims = dims; sc_quick = quick;
+    sc_run = run }

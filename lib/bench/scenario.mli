@@ -55,7 +55,6 @@ val metric : ?dir:direction -> ?paper:float -> string -> float -> metric
 type t = private {
   sc_name : string;
   sc_area : string;
-  sc_doc : string;
   sc_dims : dims list;  (** full grid, run order *)
   sc_quick : dims list;  (** reduced grid for CI smoke sweeps *)
   sc_run : dims -> metric list;
@@ -67,7 +66,6 @@ type t = private {
 val make :
   name:string ->
   area:string ->
-  ?doc:string ->
   dims:dims list ->
   ?quick:dims list ->
   (dims -> metric list) ->

@@ -19,8 +19,7 @@ let boot_dims (dims : dims) =
     { Hive.Params.default with enable_import_cache = dims.import_cache }
   in
   let sys =
-    Hive.System.boot ~mcfg ~params ~ncells:dims.cells
-      ~multicellular:(not dims.smp) ~wax:false eng
+    Hive.System.boot ~mcfg ~params ~ncells:dims.cells ~wax:false eng
   in
   (eng, sys)
 
@@ -55,6 +54,8 @@ let client_hist_exn snap op =
 
 (* ---------- area rpc ---------- *)
 
+(* 400 null RPCs of [op] from cell 0 to cell 1, optionally through a
+   degraded link: client-side latency percentiles. *)
 let run_rpc ~op ~opname (dims : dims) =
   let eng, sys = boot_dims dims in
   degrade_link sys dims;
@@ -89,9 +90,6 @@ let rpc_base = { default_dims with workload = "rpc"; cells = 2; nodes = 4 }
 let rpc_area =
   [
     make ~name:"null-rpc" ~area:"rpc"
-      ~doc:
-        "400 interrupt-level null RPCs cell 0 -> 1; client-side latency \
-         percentiles, optionally through a degraded link."
       ~dims:
         [
           rpc_base;
@@ -103,7 +101,6 @@ let rpc_area =
       ~quick:[ rpc_base; { rpc_base with link_ms = 300 } ]
       (run_rpc ~op:Harness.noop_op ~opname:"bench.noop");
     make ~name:"queued-rpc" ~area:"rpc"
-      ~doc:"400 null RPCs through the queued service and server pool."
       ~dims:[ rpc_base; { rpc_base with cells = 4 } ]
       ~quick:[ rpc_base ]
       (run_rpc ~op:Harness.noop_queued_op ~opname:"bench.noop_queued");
@@ -186,9 +183,6 @@ let pmake_share_base =
 let sharing_area =
   [
     make ~name:"remote-read" ~area:"sharing"
-      ~doc:
-        "Sequential remote read faults against a warm data home; second \
-         pass must hit the import cache when enabled."
       ~dims:
         [
           read_base;
@@ -200,9 +194,6 @@ let sharing_area =
       ~quick:[ read_base; { read_base with import_cache = false } ]
       run_remote_read;
     make ~name:"pmake-sharing" ~area:"sharing"
-      ~doc:
-        "Full pmake; sharing RPCs per remotely accessed page with the \
-         import cache on/off, output verified byte-identical."
       ~dims:
         [
           pmake_share_base;
@@ -243,10 +234,6 @@ let workloads_area =
     let base = { default_dims with workload = name; nodes = 4 } in
     let point (cells, smp) = { base with cells; smp } in
     make ~name ~area:"workloads"
-      ~doc:
-        (name
-        ^ " end-to-end simulated run time across machine shapes (smp = \
-           SMP-OS baseline)")
       ~dims:(List.map point rows)
       ~quick:(List.map point quick)
       run_workload_point
@@ -319,18 +306,11 @@ let fuzz_area =
   let base = { default_dims with workload = "fuzz"; cells = 4; nodes = 8 } in
   [
     make ~name:"fuzz_batch" ~area:"fuzz"
-      ~doc:
-        "verdict and event-traffic profile of a fixed seed batch (ws = \
-         seeds); deterministic, so the trajectory gates DES hot-path \
-         changes"
       ~dims:
         [ { base with ws_pages = 8 }; { base with ws_pages = 16 } ]
       ~quick:[ { base with ws_pages = 8 } ]
       run_fuzz_batch;
     make ~name:"fuzz_parallel" ~area:"fuzz"
-      ~doc:
-        "serial vs two-domain merge identity of the same seed batch \
-         (must be 1)"
       ~dims:[ { base with ws_pages = 8 } ]
       run_fuzz_parallel_merge;
   ]
@@ -431,7 +411,7 @@ let run_salvage_ab (dims : dims) =
     in
     go 0
   in
-  let psize = Hive.Types.page_size sys in
+  let psize = Flash.Config.page_size in
   let npages = dims.ws_pages in
   let content =
     Workloads.Workload.synth_content ~tag:path ~bytes:(npages * psize)
@@ -489,7 +469,7 @@ let run_salvage_ab (dims : dims) =
             incr readable;
             let got =
               Flash.Memory.peek mem
-                (Hive.Fs.frame_addr sys pf.Hive.Types.pfn)
+                (Flash.Addr.addr_of_pfn pf.Hive.Types.pfn)
                 psize
             in
             if Bytes.equal got (Bytes.sub content (page * psize) psize) then
@@ -515,10 +495,6 @@ let resilience_area =
   in
   [
     make ~name:"partition-heal" ~area:"resilience"
-      ~doc:
-        "black out one cell for link_ms, excise it under quorum \
-         agreement, and measure reunification after the deterministic \
-         heal (single-master invariant checked per row)"
       ~dims:
         [
           { part_base with link_ms = 200 };
@@ -528,10 +504,6 @@ let resilience_area =
       ~quick:[ { part_base with link_ms = 200 } ]
       run_partition_heal;
     make ~name:"salvage-ab" ~area:"resilience"
-      ~doc:
-        "memory salvage A/B: clean pages imported from a cpu-dead \
-         mem-alive home that survive recovery locally vs discarded \
-         (cache dimension = salvage knob)"
       ~dims:
         [
           { salv_base with ws_pages = 16 };
@@ -639,11 +611,6 @@ let traffic_area =
   in
   [
     make ~name:"serve-through-failure" ~area:"traffic"
-      ~doc:
-        "interactive Poisson/Zipf traffic with a cell killed mid-run: \
-         surviving-cell served-read p99.9 during death+recovery vs the \
-         pre-failure baseline, and fail-fast latency vs the deadline \
-         budget"
       ~dims:
         [
           base;
@@ -778,11 +745,6 @@ let scale_area =
   in
   [
     make ~name:"large-machine" ~area:"scale"
-      ~doc:
-        "boot N cells over 2N nodes with Wax hints driving placement, run \
-         a pmake sized to the machine, fail-stop one cell mid-build, and \
-         reunify through recovery + reintegration (ws = pages per node); \
-         gates recovery scaling and hint-validation health"
       ~dims:
         [
           { base with cells = 4; nodes = 8 };
@@ -1043,7 +1005,7 @@ let run_table_7_2 (dims : dims) =
 (* Table 7.3: local against remote kernel operations on a warm 4 MB file
    homed on cell 0, timed from cell 0 and from cell 1. *)
 let run_table_7_3 (dims : dims) =
-  let psize = Flash.Config.default.Flash.Config.page_size in
+  let psize = Flash.Config.page_size in
   let mb4 = 4 * 1024 * 1024 in
   let npages = mb4 / psize in
   let measure ~cell op =
@@ -1223,8 +1185,7 @@ let corrupt_data_visible ~discard =
                      Flash.Memory.poke_wild
                        (Flash.Machine.memory sys.Hive.Types.machine)
                        ~by:(Hive.Types.boss_proc sys.Hive.Types.cells.(1))
-                       (Flash.Addr.addr_of_pfn sys.Hive.Types.mcfg
-                          pf.Hive.Types.pfn)
+                       (Flash.Addr.addr_of_pfn pf.Hive.Types.pfn)
                        (Bytes.make 64 '\xBB')
                    with Flash.Memory.Bus_error _ -> ())
                  | None -> ())
@@ -1244,9 +1205,10 @@ let corrupt_data_visible ~discard =
        [ victim ]);
   !corrupted_seen
 
-(* Design ablations: interrupt-level vs queued RPC, firewall storage per
-   granularity, clock-monitoring period vs detection latency, COW-node
-   walks by careful reference, and preemptive discard on/off. *)
+(* Design ablations called out in DESIGN.md: interrupt-level vs queued
+   RPC, firewall storage per granularity, clock-monitoring period vs
+   detection latency, COW-node walks by careful reference, and preemptive
+   discard on/off. *)
 let run_ablations (dims : dims) =
   let eng, sys = boot_dims dims in
   let interrupt_us =
@@ -1321,40 +1283,26 @@ let run_ablations (dims : dims) =
     ]
 
 let paper_area =
-  let one name ?doc ?quick dims run =
-    make ~name ~area:"paper" ?doc ~dims ?quick run
-  in
+  let one name ?quick dims run = make ~name ~area:"paper" ~dims ?quick run in
   let campaigns ws = { (paper_dims "faultinj") with ws_pages = ws } in
   [
-    one "rpc-latency" ~doc:"Section 6: null, 64-byte and queued null RPC"
-      [ paper_dims "rpc" ] run_rpc_latency;
-    one "careful-ref" ~doc:"Section 4.1: careful-reference clock read vs RPC"
-      [ paper_dims "rpc" ] run_careful_ref;
-    one "pagefault-breakdown"
-      ~doc:"Table 5.2: local and remote page faults hitting a page cache"
-      [ paper_dims "read" ] run_pagefault_breakdown;
-    one "pagefault-pmake" ~doc:"Section 5.2: page-cache faults during pmake"
-      [ paper_dims "pmake" ] run_pagefault_pmake;
+    one "rpc-latency" [ paper_dims "rpc" ] run_rpc_latency;
+    one "careful-ref" [ paper_dims "rpc" ] run_careful_ref;
+    one "pagefault-breakdown" [ paper_dims "read" ] run_pagefault_breakdown;
+    one "pagefault-pmake" [ paper_dims "pmake" ] run_pagefault_pmake;
     one "firewall-latency"
-      ~doc:"Section 4.2: firewall overhead on remote write misses"
       [ paper_dims "pmake"; paper_dims "ocean" ] run_firewall_latency;
-    one "firewall-pages" ~doc:"Section 4.2: remotely writable pages per cell"
+    one "firewall-pages"
       [ paper_dims "pmake"; paper_dims "ocean" ] run_firewall_pages;
-    one "table-7.2" ~doc:"Table 7.2: workload slowdown vs the SMP-OS baseline"
+    one "table-7.2"
       [ paper_dims "ocean"; paper_dims "raytrace"; paper_dims "pmake" ]
       ~quick:[ paper_dims "pmake" ] run_table_7_2;
     one "table-7.3"
-      ~doc:"Table 7.3: local vs remote kernel operations, 2 CPUs / 2 cells"
       [ { (paper_dims "read") with cells = 2; nodes = 2 } ] run_table_7_3;
     one "table-7.4"
-      ~doc:
-        "Table 7.4: fault-injection campaigns (ws = test-count divisor, 1 = \
-         all 69 tests)"
       [ campaigns 1; campaigns 5 ] ~quick:[ campaigns 5 ] run_table_7_4;
-    one "wax" ~doc:"Table 3.4: Wax hints, hint validation and restart"
-      [ paper_dims "pmake" ] run_wax;
-    one "ablations" ~doc:"design ablations called out in DESIGN.md"
-      [ paper_dims "rpc" ] run_ablations;
+    one "wax" [ paper_dims "pmake" ] run_wax;
+    one "ablations" [ paper_dims "rpc" ] run_ablations;
   ]
 
 let all =

@@ -242,7 +242,6 @@ let cfg_of_plan p =
        from the plan's injector, not from the workload's own knob. *)
     Workloads.Spec.Server
       {
-        Workloads.Server.default with
         Workloads.Server.duration_ms = 1_200;
         rate_rps = float_of_int t.t_rate;
         zipf_s = float_of_int t.t_zipf_pct /. 100.;

@@ -8,11 +8,9 @@ type t = int
 
 type pfn = int
 
-val page_size : Config.t -> int
+val pfn_of_addr : t -> pfn
 
-val pfn_of_addr : Config.t -> t -> pfn
-
-val addr_of_pfn : Config.t -> pfn -> t
+val addr_of_pfn : pfn -> t
 
 val node_of_pfn : Config.t -> pfn -> int
 

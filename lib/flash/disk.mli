@@ -5,9 +5,7 @@
 
 type t
 
-val block_size : int
-
-val create : Config.t -> t
+val create : unit -> t
 
 (** Blocking read of [bytes] starting at [block]. *)
 val read : Sim.Engine.t -> t -> block:int -> bytes:int -> unit

@@ -20,10 +20,10 @@ let create eng cfg =
     cfg;
     eng;
     memory = Memory.create cfg;
-    sips = Sips.create eng cfg;
+    sips = Sips.create eng ~nodes:cfg.Config.nodes;
     nodes =
       Array.init cfg.Config.nodes (fun i ->
-          { id = i; cpu = Cpu.create i; disk = Disk.create cfg; alive = true });
+          { id = i; cpu = Cpu.create i; disk = Disk.create (); alive = true });
     failure_listeners = [];
   }
 

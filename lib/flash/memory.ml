@@ -43,8 +43,8 @@ let create cfg =
 
 (* Gather [len] bytes starting at node-local offset [off] into [dst] at
    [dst_off]; unallocated pages read as zeros. *)
-let copy_out_into cfg (nm : node_mem) ~off len dst dst_off =
-  let psize = cfg.Config.page_size in
+let copy_out_into (nm : node_mem) ~off len dst dst_off =
+  let psize = Config.page_size in
   let pos = ref 0 in
   while !pos < len do
     let o = off + !pos in
@@ -56,15 +56,15 @@ let copy_out_into cfg (nm : node_mem) ~off len dst dst_off =
     pos := !pos + n
   done
 
-let copy_out cfg nm ~off len =
+let copy_out nm ~off len =
   let dst = Bytes.create len in
-  copy_out_into cfg nm ~off len dst 0;
+  copy_out_into nm ~off len dst 0;
   dst
 
 (* Scatter [len] bytes of [src] from [src_off] to node-local offset
    [off], allocating pages on first touch. *)
-let copy_in cfg (nm : node_mem) ~off src src_off len =
-  let psize = cfg.Config.page_size in
+let copy_in (nm : node_mem) ~off src src_off len =
+  let psize = Config.page_size in
   let pos = ref 0 in
   while !pos < len do
     let o = off + !pos in
@@ -103,7 +103,7 @@ let node_accessible t node = t.nodes.(node).accessible
 let bounds_check t addr len =
   if
     len < 0 || addr < 0
-    || addr + len > Config.total_pages t.cfg * t.cfg.Config.page_size
+    || addr + len > Config.total_pages t.cfg * Config.page_size
   then raise (Bus_error { addr; cause = Invalid_address })
 
 let target t ~by addr len =
@@ -118,11 +118,11 @@ let target t ~by addr len =
    touched. Reads and writes share the model; writes to remote pages add
    the firewall ownership-request check. *)
 let access_cost t ~by ~node ~write bytes =
-  let lines = Config.lines_for t.cfg (max 1 bytes) in
-  let base = Int64.mul (Int64.of_int lines) t.cfg.Config.mem_ns in
+  let lines = Config.lines_for (max 1 bytes) in
+  let base = Int64.mul (Int64.of_int lines) Config.mem_ns in
   if write && t.cfg.Config.firewall_enabled then begin
     let check =
-      Int64.mul (Int64.of_int lines) t.cfg.Config.firewall_check_ns
+      Int64.mul (Int64.of_int lines) Config.firewall_check_ns
     in
     let cost = Int64.add base check in
     if node <> by then
@@ -133,7 +133,7 @@ let access_cost t ~by ~node ~write bytes =
   else begin
     if write && node <> by then
       Sim.Stats.add t.remote_write_miss_ns
-        (Int64.to_float t.cfg.Config.mem_ns);
+        (Int64.to_float Config.mem_ns);
     base
   end
 
@@ -152,7 +152,7 @@ let read_into eng t ~by addr len dst dst_off =
   if dst_off < 0 || dst_off + len > Bytes.length dst then
     invalid_arg "Memory.read_into";
   let nm, off = read_prologue eng t ~by addr len in
-  copy_out_into t.cfg nm ~off len dst dst_off
+  copy_out_into nm ~off len dst dst_off
 
 let read eng t ~by addr len =
   (* A negative [len] is the prologue's [Invalid_address] bus error. *)
@@ -166,43 +166,43 @@ let read eng t ~by addr len =
 let cached_prologue eng t ~by addr len =
   let node, nm = target t ~by addr len in
   Sim.Stats.incr t.reads;
-  let lines = Config.lines_for t.cfg (max 1 len) in
-  Sim.Engine.delay (Int64.mul (Int64.of_int lines) t.cfg.Config.l2_hit_ns);
+  let lines = Config.lines_for (max 1 len) in
+  Sim.Engine.delay (Int64.mul (Int64.of_int lines) Config.l2_hit_ns);
   if not nm.accessible then raise (Bus_error { addr; cause = Node_failed });
   ignore eng;
   (nm, addr - node * Config.mem_bytes_per_node t.cfg)
 
 let read_cached eng t ~by addr len =
   let nm, off = cached_prologue eng t ~by addr len in
-  copy_out t.cfg nm ~off len
+  copy_out nm ~off len
 
 (* Word-sized accessors skip the intermediate buffer when the word sits
    inside one page (always, for the aligned kernel words on the hot
    clock-tick / kmem / careful-reference paths); latency and fault model
    are identical to the buffer path. *)
-let get_i64 cfg (nm : node_mem) ~off =
-  let psize = cfg.Config.page_size in
+let get_i64 (nm : node_mem) ~off =
+  let psize = Config.page_size in
   if (off mod psize) + 8 <= psize then
     match nm.pages.(off / psize) with
     | Some b -> Bytes.get_int64_le b (off mod psize)
     | None -> 0L
-  else Bytes.get_int64_le (copy_out cfg nm ~off 8) 0
+  else Bytes.get_int64_le (copy_out nm ~off 8) 0
 
 let read_i64 eng t ~by addr =
   let nm, off = read_prologue eng t ~by addr 8 in
-  get_i64 t.cfg nm ~off
+  get_i64 nm ~off
 
 let read_cached_i64 eng t ~by addr =
   let nm, off = cached_prologue eng t ~by addr 8 in
-  get_i64 t.cfg nm ~off
+  get_i64 nm ~off
 
 (* The coherence controller checks the firewall on each request for
    cache-line ownership; a write to a page whose bit is not set for the
    writing processor fails with a bus error. *)
 let check_firewall t ~by addr len =
   if t.cfg.Config.firewall_enabled then begin
-    let first = Addr.pfn_of_addr t.cfg addr in
-    let last = Addr.pfn_of_addr t.cfg (addr + max 0 (len - 1)) in
+    let first = Addr.pfn_of_addr addr in
+    let last = Addr.pfn_of_addr (addr + max 0 (len - 1)) in
     for pfn = first to last do
       if not (Firewall.allowed t.firewall ~pfn ~proc:by) then
         raise (Bus_error { addr; cause = Firewall_denied })
@@ -222,28 +222,28 @@ let write_sub eng t ~by addr src src_off len =
   if src_off < 0 || src_off + len > Bytes.length src then
     invalid_arg "Memory.write_sub";
   let nm, off = write_prologue eng t ~by addr len in
-  copy_in t.cfg nm ~off src src_off len
+  copy_in nm ~off src src_off len
 
 let write eng t ~by addr bytes =
   write_sub eng t ~by addr bytes 0 (Bytes.length bytes)
 
-let page_for_write cfg (nm : node_mem) page =
+let page_for_write (nm : node_mem) page =
   match nm.pages.(page) with
   | Some b -> b
   | None ->
-    let b = Bytes.make cfg.Config.page_size '\000' in
+    let b = Bytes.make Config.page_size '\000' in
     nm.pages.(page) <- Some b;
     b
 
 let write_i64 eng t ~by addr v =
   let nm, off = write_prologue eng t ~by addr 8 in
-  let psize = t.cfg.Config.page_size in
+  let psize = Config.page_size in
   if (off mod psize) + 8 <= psize then
-    Bytes.set_int64_le (page_for_write t.cfg nm (off / psize)) (off mod psize) v
+    Bytes.set_int64_le (page_for_write nm (off / psize)) (off mod psize) v
   else begin
     let b = Bytes.create 8 in
     Bytes.set_int64_le b 0 v;
-    copy_in t.cfg nm ~off b 0 8
+    copy_in nm ~off b 0 8
   end
 
 (* Out-of-band access used by fault injection and test assertions: no
@@ -253,20 +253,20 @@ let write_i64 eng t ~by addr v =
 let peek t addr len =
   bounds_check t addr len;
   let node = Addr.node_of_addr t.cfg addr in
-  copy_out t.cfg t.nodes.(node)
+  copy_out t.nodes.(node)
     ~off:(addr - node * Config.mem_bytes_per_node t.cfg)
     len
 
 let peek_i64 t addr =
   bounds_check t addr 8;
   let node = Addr.node_of_addr t.cfg addr in
-  get_i64 t.cfg t.nodes.(node)
+  get_i64 t.nodes.(node)
     ~off:(addr - node * Config.mem_bytes_per_node t.cfg)
 
 let poke t addr bytes =
   bounds_check t addr (Bytes.length bytes);
   let node = Addr.node_of_addr t.cfg addr in
-  copy_in t.cfg t.nodes.(node)
+  copy_in t.nodes.(node)
     ~off:(addr - node * Config.mem_bytes_per_node t.cfg)
     bytes 0 (Bytes.length bytes)
 
@@ -274,8 +274,8 @@ let poke_wild t ~by addr bytes =
   let len = Bytes.length bytes in
   bounds_check t addr len;
   if t.cfg.Config.firewall_enabled then begin
-    let first = Addr.pfn_of_addr t.cfg addr in
-    let last = Addr.pfn_of_addr t.cfg (addr + max 0 (len - 1)) in
+    let first = Addr.pfn_of_addr addr in
+    let last = Addr.pfn_of_addr (addr + max 0 (len - 1)) in
     for pfn = first to last do
       if not (Firewall.allowed t.firewall ~pfn ~proc:by) then
         raise (Bus_error { addr; cause = Firewall_denied })

@@ -47,7 +47,6 @@ type partition = {
 }
 
 type t = {
-  cfg : Config.t;
   eng : Sim.Engine.t;
   queues : node_queues array;
   sends : Sim.Stats.counter;
@@ -62,12 +61,11 @@ type t = {
 
 let max_payload = 128
 
-let create eng cfg =
+let create eng ~nodes =
   {
-    cfg;
     eng;
     queues =
-      Array.init cfg.Config.nodes (fun _ ->
+      Array.init nodes (fun _ ->
           {
             requests = Sim.Mailbox.create ();
             replies = Sim.Mailbox.create ();
@@ -178,7 +176,7 @@ let send t ~from_proc ~to_node ~kind ~size msg =
   let q = t.queues.(to_node) in
   if not q.up then raise (Target_failed to_node);
   Sim.Stats.incr t.sends;
-  let base_latency = Int64.add t.cfg.Config.ipi_ns t.cfg.Config.sips_extra_ns in
+  let base_latency = Int64.add Config.ipi_ns Config.sips_extra_ns in
   let env = { src_proc = from_proc; size; msg } in
   let epoch = q.epoch in
   let sent_ns = Sim.Engine.now t.eng in

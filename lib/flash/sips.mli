@@ -58,7 +58,7 @@ type t
 
 val max_payload : int
 
-val create : Sim.Engine.t -> Config.t -> t
+val create : Sim.Engine.t -> nodes:int -> t
 
 (** Mark a node down: sends to it raise {!Target_failed}, and deliveries
     already in flight are discarded (the queue epoch is bumped). *)

@@ -18,7 +18,7 @@ let kernel_reserved_pages = 64
 let make (mcfg : Flash.Config.t) ~id ~nodes : Types.cell =
   let boss = List.hd nodes in
   let kmem_base = boss * Flash.Config.mem_bytes_per_node mcfg in
-  let kmem_limit = kmem_base + (kernel_reserved_pages * mcfg.Flash.Config.page_size) in
+  let kmem_limit = kmem_base + (kernel_reserved_pages * Flash.Config.page_size) in
   {
     Types.cell_id = id;
     cell_nodes = nodes;

@@ -81,8 +81,6 @@ let unlink_op = Rpc.Op.declare "fs.unlink"
    [cell.readahead], capped by Params.fault_readahead_max. *)
 let locate_batch = 8
 
-let page_size (sys : Types.system) = sys.Types.mcfg.Flash.Config.page_size
-
 (* Deterministic path placement: /tmp lives on cell 0 (the paper's pmake
    setup has one cell serving the compiler temporary directory); other
    paths hash over the cells. *)
@@ -100,9 +98,6 @@ let home_of_path (sys : Types.system) path =
   else Hashtbl.hash path mod n
 
 let mem (sys : Types.system) = Flash.Machine.memory sys.Types.machine
-
-let frame_addr (sys : Types.system) pfn =
-  Flash.Addr.addr_of_pfn sys.Types.mcfg pfn
 
 (* ---------- Data-home-side operations ---------- *)
 
@@ -144,7 +139,7 @@ let create_local (sys : Types.system) (home : Types.cell) ~path ~content =
     f.Types.disk_content <- Bytes.copy content;
     f
   | None ->
-    let psize = page_size sys in
+    let psize = Flash.Config.page_size in
     let blocks = max 1 ((Bytes.length content + psize - 1) / psize) in
     (* File blocks grow upward from the front of the disk; the swap area
        owns the top [swap_blocks]. A file that would cross [swap_base]
@@ -153,7 +148,7 @@ let create_local (sys : Types.system) (home : Types.cell) ~path ~content =
        whose file area outgrew it). *)
     if
       home.Types.next_disk_block + blocks + 8
-      > Flash.Config.swap_base sys.Types.mcfg
+      > Flash.Config.swap_base
     then begin
       Types.bump home Count.enospc;
       raise (Types.Syscall_error Types.ENOSPC)
@@ -177,7 +172,7 @@ let create_local (sys : Types.system) (home : Types.cell) ~path ~content =
 
 (* Load one page of a file into the data home's page cache (disk I/O). *)
 let page_in (sys : Types.system) (home : Types.cell) (f : Types.file) page =
-  let psize = page_size sys in
+  let psize = Flash.Config.page_size in
   let lid = { Types.tag = Types.File_obj f.Types.fid; page } in
   match Pfdat.lookup home lid with
   | Some pf -> pf
@@ -208,7 +203,7 @@ let page_in (sys : Types.system) (home : Types.cell) (f : Types.file) page =
         end
       in
       Flash.Memory.write_sub sys.Types.eng (mem sys) ~by:(Types.boss_proc home)
-        (frame_addr sys pf.Types.pfn)
+        (Flash.Addr.addr_of_pfn pf.Types.pfn)
         src src_off psize
     end;
     (* The disk read blocked: another thread may have cached the page
@@ -233,7 +228,7 @@ let page_in (sys : Types.system) (home : Types.cell) (f : Types.file) page =
 (* Copy a cached page into the stable-content buffer (no disk timing). *)
 let stage_page (sys : Types.system) (home : Types.cell) (f : Types.file) page
     (pf : Types.pfdat) =
-  let psize = page_size sys in
+  let psize = Flash.Config.page_size in
   let off = page * psize in
   let needed = off + psize in
   if Bytes.length f.Types.disk_content < needed then begin
@@ -243,7 +238,7 @@ let stage_page (sys : Types.system) (home : Types.cell) (f : Types.file) page
   end;
   let dst = f.Types.disk_content in
   Flash.Memory.read_into sys.Types.eng (mem sys) ~by:(Types.boss_proc home)
-    (frame_addr sys pf.Types.pfn)
+    (Flash.Addr.addr_of_pfn pf.Types.pfn)
     psize dst off;
   (* The read blocked: if the contents were replaced meanwhile, the page
      belongs in the new buffer. *)
@@ -256,7 +251,7 @@ let stage_page (sys : Types.system) (home : Types.cell) (f : Types.file) page
 let writeback (sys : Types.system) (home : Types.cell) (f : Types.file) page
     (pf : Types.pfdat) =
   stage_page sys home f page pf;
-  let psize = page_size sys in
+  let psize = Flash.Config.page_size in
   let disk = Flash.Machine.disk sys.Types.machine (Types.boss_proc home) in
   Flash.Disk.write sys.Types.eng disk
     ~block:(f.Types.disk_block + page)
@@ -265,7 +260,7 @@ let writeback (sys : Types.system) (home : Types.cell) (f : Types.file) page
 (* Clustered writeback: stage every dirty page, then issue one contiguous
    disk write covering their span. *)
 let sync_file (sys : Types.system) (home : Types.cell) (f : Types.file) =
-  let psize = page_size sys in
+  let psize = Flash.Config.page_size in
   let dirty = ref [] in
   Hashtbl.iter
     (fun page pf -> if pf.Types.dirty then dirty := (page, pf) :: !dirty)
@@ -486,7 +481,7 @@ let rec get_page (sys : Types.system) (c : Types.cell) vnode ~page ~writable
    model. *)
 let read (sys : Types.system) (c : Types.cell) vnode ~opened_gen ~pos ~len =
   check_gen sys c vnode opened_gen;
-  let psize = page_size sys in
+  let psize = Flash.Config.page_size in
   (* The loop always produces exactly [len] bytes (reads past EOF return
      zeros from the page cache), so write straight into the user buffer
      rather than growing a Buffer.t chunk by chunk. *)
@@ -501,10 +496,10 @@ let read (sys : Types.system) (c : Types.cell) vnode ~opened_gen ~pos ~len =
       | Error e -> Error e
       | Ok pf ->
         Flash.Memory.read_into sys.Types.eng (mem sys) ~by:(Types.boss_proc c)
-          (frame_addr sys pf.Types.pfn + off)
+          (Flash.Addr.addr_of_pfn pf.Types.pfn + off)
           chunk out (len - remaining);
         (* Copy-out to the user buffer. *)
-        Sim.Engine.delay (Flash.Config.copy_cost sys.Types.mcfg chunk);
+        Sim.Engine.delay (Flash.Config.copy_cost chunk);
         loop (pos + chunk) (remaining - chunk)
     end
   in
@@ -514,7 +509,7 @@ let read (sys : Types.system) (c : Types.cell) vnode ~opened_gen ~pos ~len =
 (* Write bytes at [pos], extending the file as needed. *)
 let write (sys : Types.system) (c : Types.cell) vnode ~opened_gen ~pos data =
   check_gen sys c vnode opened_gen;
-  let psize = page_size sys in
+  let psize = Flash.Config.page_size in
   let len = Bytes.length data in
   let end_pos = ref 0 in
   let rec loop pos done_ =
@@ -529,10 +524,10 @@ let write (sys : Types.system) (c : Types.cell) vnode ~opened_gen ~pos data =
       | Ok pf -> (
         (* Copy-in from the user buffer, then store through the firewall-
            checked memory system. *)
-        Sim.Engine.delay (Flash.Config.copy_cost sys.Types.mcfg chunk);
+        Sim.Engine.delay (Flash.Config.copy_cost chunk);
         match
           Flash.Memory.write_sub sys.Types.eng (mem sys) ~by:(Types.boss_proc c)
-            (frame_addr sys pf.Types.pfn + off)
+            (Flash.Addr.addr_of_pfn pf.Types.pfn + off)
             data done_ chunk
         with
         | () ->
@@ -676,7 +671,7 @@ let () =
                accesses (the client-side shadow path never re-checks). *)
             Types.Immediate (Error Types.EIO)
           else begin
-            let psize = page_size sys in
+            let psize = Flash.Config.page_size in
             (* Writable locates pre-allocate the whole requested cluster
                (an extending writer will fill it); read locates stop at
                EOF. *)

@@ -37,10 +37,8 @@ val create_op : Rpc.Op.t
 val setsize_op : Rpc.Op.t
 val unlink_op : Rpc.Op.t
 val locate_batch : int
-val page_size : Types.system -> int
 val home_of_path : Types.system -> string -> int
 val mem : Types.system -> Flash.Memory.t
-val frame_addr : Types.system -> Flash.Addr.pfn -> Flash.Addr.t
 val find_local : Types.cell -> string -> Types.file option
 val find_by_ino : Types.cell -> int -> Types.file option
 val create_local :

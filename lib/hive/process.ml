@@ -246,7 +246,7 @@ let exec (sys : Types.system) (p : Types.process) ~path =
     match Fs.file_size sys c vnode with
     | Error e -> Error e
     | Ok size ->
-      let psize = Types.page_size sys in
+      let psize = Flash.Config.page_size in
       let npages = max 1 ((size + psize - 1) / psize) in
       let r = Vm.map_file sys p vnode ~opened_gen:gen ~writable:false ~npages in
       let rec load i =

@@ -90,7 +90,6 @@ module Op = struct
     name : string;
     arg_bytes : int;
     reply_bytes : int;
-    timeout_ns : int64 option; (* None = use Params.rpc_timeout_ns *)
     idempotent : bool; (* read-only: replays are harmless, skip the cache *)
     sheddable : bool;
         (* interactive traffic the server may refuse with EBUSY under
@@ -101,13 +100,12 @@ module Op = struct
   (* Names key the histograms, so they must be unique. *)
   let declared : (string, unit) Hashtbl.t = Hashtbl.create 64
 
-  let declare ?(arg_bytes = 64) ?(reply_bytes = 64) ?timeout_ns
-      ?(idempotent = false) ?(sheddable = false) name =
+  let declare ?(arg_bytes = 64) ?(reply_bytes = 64) ?(idempotent = false)
+      ?(sheddable = false) name =
     if Hashtbl.mem declared name then
       invalid_arg ("Rpc.Op.declare: duplicate " ^ name);
     Hashtbl.replace declared name ();
-    { name; arg_bytes; reply_bytes; timeout_ns; idempotent; sheddable;
-      handler = None }
+    { name; arg_bytes; reply_bytes; idempotent; sheddable; handler = None }
 end
 
 let serve (op : Op.t) h =
@@ -141,13 +139,13 @@ type Flash.Sips.message +=
 (* Marshaling cost on one side of a call carrying [bytes] of payload:
    stub execution, plus, beyond one cache line, buffer allocation and a
    copy through shared memory. *)
-let marshal_cost (sys : Types.system) bytes =
+let marshal_cost bytes =
   if bytes <= 0 then 0L
   else if bytes <= Flash.Sips.max_payload then Params.rpc_stub_marshal_ns
   else
     Int64.add
       (Int64.add Params.rpc_stub_marshal_ns Params.rpc_alloc_free_ns)
-      (Flash.Config.copy_cost sys.Types.mcfg bytes)
+      (Flash.Config.copy_cost bytes)
 
 let report_hint (sys : Types.system) (from : Types.cell) suspect reason =
   match sys.Types.on_hint with
@@ -234,7 +232,7 @@ let service_request (sys : Types.system) (server : Types.cell) env =
     let cpu = Flash.Machine.cpu sys.Types.machine (Types.boss_proc server) in
     Flash.Cpu.steal sys.Types.eng cpu Params.rpc_server_dispatch_ns;
     if arg_bytes > Flash.Sips.max_payload then
-      Sim.Engine.delay (marshal_cost sys arg_bytes);
+      Sim.Engine.delay (marshal_cost arg_bytes);
     (* Handler execution time per op: for immediate service that is the
        handler itself; for queued service, the work function in the pool
        process (dispatch cost is negligible and not double-counted). *)
@@ -464,8 +462,9 @@ let backoff_ns rng n =
    after the last timeout or on delivery failure. A failure hint is
    reported only once every attempt is exhausted, so transient link
    degradation does not escalate straight into distributed agreement.
-   Payload sizes and the timeout default from the op descriptor; per-call
-   overrides remain for variable-size payloads. *)
+   Payload sizes default from the op descriptor and the timeout from
+   [Params.rpc_timeout_ns]; per-call overrides remain for variable-size
+   payloads and short probes. *)
 let call (sys : Types.system) ~(from : Types.cell) ~target ~(op : Op.t)
     ?arg_bytes ?reply_bytes ?timeout_ns ?deadline_ns arg =
   let arg_bytes =
@@ -475,10 +474,7 @@ let call (sys : Types.system) ~(from : Types.cell) ~target ~(op : Op.t)
     match reply_bytes with Some b -> b | None -> op.Op.reply_bytes
   in
   let timeout_ns =
-    match (timeout_ns, op.Op.timeout_ns) with
-    | Some t, _ -> t
-    | None, Some t -> t
-    | None, None -> Params.rpc_timeout_ns
+    match timeout_ns with Some t -> t | None -> Params.rpc_timeout_ns
   in
   let deadline_ns =
     match deadline_ns with Some d -> d | None -> Params.rpc_deadline_ns
@@ -533,7 +529,7 @@ let call (sys : Types.system) ~(from : Types.cell) ~target ~(op : Op.t)
     finish (Error Types.EHOSTDOWN)
   else begin
     Sim.Engine.delay Params.rpc_client_send_ns;
-    Sim.Engine.delay (marshal_cost sys arg_bytes);
+    Sim.Engine.delay (marshal_cost arg_bytes);
     let call_id = make_call_id from in
     (* The epoch travels with the call, stamped once when the id is
        minted: a retransmit after the calling cell reboots mid-call must
@@ -554,7 +550,7 @@ let call (sys : Types.system) ~(from : Types.cell) ~target ~(op : Op.t)
     let succeed outcome =
       Sim.Engine.delay Params.rpc_client_recv_ns;
       if reply_bytes > Flash.Sips.max_payload then
-        Sim.Engine.delay (marshal_cost sys reply_bytes);
+        Sim.Engine.delay (marshal_cost reply_bytes);
       finish outcome
     in
     let transmit attempt =

@@ -37,8 +37,7 @@ module Op : sig
 
   (** Declare an operation; raises [Invalid_argument] on a duplicate name.
       Call once at module initialization. [arg_bytes] and [reply_bytes]
-      (default 64) are the payload sizes a call defaults to; [timeout_ns]
-      the per-attempt timeout (default [Params.rpc_timeout_ns]).
+      (default 64) are the payload sizes a call defaults to.
       Declare [~idempotent:true] only for read-only ops whose
       re-execution is observably harmless: they skip the reply cache.
       Declare [~sheddable:true] for interactive traffic the server may
@@ -48,7 +47,6 @@ module Op : sig
   val declare :
     ?arg_bytes:int ->
     ?reply_bytes:int ->
-    ?timeout_ns:int64 ->
     ?idempotent:bool ->
     ?sheddable:bool ->
     string ->
@@ -80,9 +78,9 @@ val report_hint :
   Types.cell -> Types.cell_id -> string -> unit
 val start_threads : Types.system -> Types.cell -> unit
 
-(** Call [op] on [target]. Payload sizes and the timeout default from the
-    descriptor; the optional arguments override them for variable-size
-    payloads. The timeout is per attempt: a call retransmits up to
+(** Call [op] on [target]. Payload sizes default from the descriptor and
+    [timeout_ns] from [Params.rpc_timeout_ns]; the optional arguments
+    override them. The timeout is per attempt: a call retransmits up to
     [Params.rpc_max_retries] times before returning [Error EHOSTDOWN].
     [deadline_ns] is the end-to-end budget spanning every attempt and
     backoff sleep (default [Params.rpc_deadline_ns]; 0 = unlimited):

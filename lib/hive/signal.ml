@@ -95,7 +95,7 @@ let kill (sys : Types.system) (from : Types.process) ~pid signal =
   | Some target ->
     let here = sys.Types.cells.(from.Types.proc_cell) in
     if target.Types.proc_cell = from.Types.proc_cell then begin
-      Sim.Engine.delay (Flash.Config.cycles sys.Types.mcfg 400);
+      Sim.Engine.delay (Flash.Config.cycles 400);
       deliver_local sys target signal;
       Ok ()
     end

@@ -42,7 +42,7 @@ let create (sys : Types.system) (creator : Types.process) ~shared_pages =
   incr next_task_id;
   let id = !next_task_id in
   let c = sys.Types.cells.(creator.Types.proc_cell) in
-  let psize = Types.page_size sys in
+  let psize = Flash.Config.page_size in
   let shm_path = Printf.sprintf "/shm/task%d.cell%d" id creator.Types.proc_cell in
   (* The backing object must be homed locally; /shm paths hash, so probe
      for a name this cell owns. *)

@@ -26,10 +26,6 @@ module Count = struct
       ~doc:"swap-outs refused by a full partition"
 end
 
-let swap_base (sys : Types.system) = Flash.Config.swap_base sys.Types.mcfg
-
-let page_size (sys : Types.system) = sys.Types.mcfg.Flash.Config.page_size
-
 let mem (sys : Types.system) = Flash.Machine.memory sys.Types.machine
 
 let is_swappable (pf : Types.pfdat) =
@@ -43,14 +39,13 @@ let is_swappable (pf : Types.pfdat) =
 
 (* Allocate a block within the swap area: reuse a freed block, else bump.
    None when the partition is full. *)
-let alloc_swap_block (sys : Types.system) (c : Types.cell) =
+let alloc_swap_block (c : Types.cell) =
   match c.Types.swap_free_blocks with
   | b :: rest ->
     c.Types.swap_free_blocks <- rest;
     Some b
   | [] ->
-    if c.Types.swap_blocks_used >= sys.Types.mcfg.Flash.Config.swap_blocks
-    then None
+    if c.Types.swap_blocks_used >= Flash.Config.swap_blocks then None
     else begin
       let b = c.Types.swap_blocks_used in
       c.Types.swap_blocks_used <- c.Types.swap_blocks_used + 1;
@@ -61,20 +56,20 @@ let alloc_swap_block (sys : Types.system) (c : Types.cell) =
 let swap_out_page (sys : Types.system) (c : Types.cell) (pf : Types.pfdat) =
   match pf.Types.lid with
   | Some ({ Types.tag = Types.Anon_obj _; _ } as lid) -> (
-    match alloc_swap_block sys c with
+    match alloc_swap_block c with
     | None ->
       Types.bump c Count.partition_full;
       false
     | Some block ->
-      let psize = page_size sys in
-      let addr = Flash.Addr.addr_of_pfn sys.Types.mcfg pf.Types.pfn in
+      let psize = Flash.Config.page_size in
+      let addr = Flash.Addr.addr_of_pfn pf.Types.pfn in
       let data =
         Flash.Memory.read sys.Types.eng (mem sys) ~by:(Types.boss_proc c) addr
           psize
       in
       let disk = Flash.Machine.disk sys.Types.machine (Types.boss_proc c) in
       Flash.Disk.write sys.Types.eng disk
-        ~block:(swap_base sys + block)
+        ~block:(Flash.Config.swap_base + block)
         ~bytes:psize;
       Hashtbl.replace c.Types.swap_table lid (block, data);
       Pfdat.remove c pf;
@@ -104,13 +99,13 @@ let swap_in (sys : Types.system) (c : Types.cell) lid =
   match Hashtbl.find_opt c.Types.swap_table lid with
   | None -> None
   | Some (block, data) ->
-    let psize = page_size sys in
+    let psize = Flash.Config.page_size in
     let pf = Page_alloc.alloc_frame sys c in
     let disk = Flash.Machine.disk sys.Types.machine (Types.boss_proc c) in
-    Flash.Disk.read sys.Types.eng disk ~block:(swap_base sys + block)
+    Flash.Disk.read sys.Types.eng disk ~block:(Flash.Config.swap_base + block)
       ~bytes:psize;
     Flash.Memory.write sys.Types.eng (mem sys) ~by:(Types.boss_proc c)
-      (Flash.Addr.addr_of_pfn sys.Types.mcfg pf.Types.pfn)
+      (Flash.Addr.addr_of_pfn pf.Types.pfn)
       data;
     Hashtbl.remove c.Types.swap_table lid;
     c.Types.swap_free_blocks <- block :: c.Types.swap_free_blocks;

@@ -13,8 +13,6 @@
    already forbid trusting remote frames for kernel-critical data, and
    remote clients simply re-import after a swap-in. *)
 
-val swap_base : Types.system -> int
-val page_size : Types.system -> int
 val mem : Types.system -> Flash.Memory.t
 val is_swappable : Types.pfdat -> bool
 val swap_out_page :

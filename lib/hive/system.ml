@@ -140,8 +140,8 @@ let reintegrate (sys : Types.system) cell_id =
          match sys.Types.wax_restart with Some f -> f sys | None -> ()))
 
 let boot ?(mcfg = Flash.Config.default) ?(params = Params.default)
-    ?(ncells = mcfg.Flash.Config.nodes) ?(multicellular = true)
-    ?(oracle = false) ?(wax = true) (eng : Sim.Engine.t) =
+    ?(ncells = mcfg.Flash.Config.nodes) ?(oracle = false) ?(wax = true)
+    (eng : Sim.Engine.t) =
   if ncells < 1 || ncells > mcfg.Flash.Config.nodes then
     invalid_arg "Hive.boot: bad cell count";
   if mcfg.Flash.Config.nodes mod ncells <> 0 then
@@ -267,7 +267,7 @@ let boot ?(mcfg = Flash.Config.default) ?(params = Params.default)
     (fun c -> ignore (Sim.Engine.spawn eng ~name:"boot" (fun () -> Cell.boot sys c)))
     cells;
   Sim.Engine.run ~until:boot_horizon_ns eng;
-  if wax && multicellular then Wax.install sys;
+  if wax then Wax.install sys;
   sys
 
 (* ---------- Fault injection (the experiments' entry points) ---------- *)

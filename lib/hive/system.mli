@@ -12,7 +12,6 @@ val boot :
   ?mcfg:Flash.Config.t ->
   ?params:Params.t ->
   ?ncells:int ->
-  ?multicellular:bool ->
   ?oracle:bool -> ?wax:bool -> Sim.Engine.t -> Types.system
 val inject_node_failure : Types.system -> int -> unit
 

@@ -531,8 +531,6 @@ let boss_proc (c : cell) = c.boss_node
 
 let cell_alive (c : cell) = c.cstatus = Cell_up
 
-let page_size (sys : system) = sys.mcfg.Flash.Config.page_size
-
 (* Count an event on a cell's, or the system's, declared counter. *)
 let bump ?by (c : cell) id = Sim.Stats.bump ?by c.counters id
 

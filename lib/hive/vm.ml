@@ -41,12 +41,7 @@ type Types.payload +=
 
 let anon_locate_op = Rpc.Op.declare ~arg_bytes:32 "vm.anon_locate"
 
-let page_size (sys : Types.system) = sys.Types.mcfg.Flash.Config.page_size
-
 let mem (sys : Types.system) = Flash.Machine.memory sys.Types.machine
-
-let frame_addr (sys : Types.system) pfn =
-  Flash.Addr.addr_of_pfn sys.Types.mcfg pfn
 
 let cell_of (sys : Types.system) (p : Types.process) =
   sys.Types.cells.(p.Types.proc_cell)
@@ -275,16 +270,16 @@ let fault (sys : Types.system) (p : Types.process) ~vpage ~write =
           match anon_get sys c owner_ref ~page ~writable:false with
           | Error e -> Error e
           | Ok src_pf ->
-            let psize = page_size sys in
+            let psize = Flash.Config.page_size in
             let data =
               Flash.Memory.read sys.Types.eng (mem sys)
                 ~by:(Types.boss_proc c)
-                (frame_addr sys src_pf.Types.pfn)
+                (Flash.Addr.addr_of_pfn src_pf.Types.pfn)
                 psize
             in
             let dst = anon_create sys c cref ~page in
             Flash.Memory.write sys.Types.eng (mem sys) ~by:(Types.boss_proc c)
-              (frame_addr sys dst.Types.pfn)
+              (Flash.Addr.addr_of_pfn dst.Types.pfn)
               data;
             (* Drop our import binding to the source page if we made one
                (a local source may live in a borrowed frame, which stays). *)
@@ -328,7 +323,7 @@ let fault (sys : Types.system) (p : Types.process) ~vpage ~write =
 let touch (sys : Types.system) (p : Types.process) ~vpage ~write =
   match Hashtbl.find_opt p.Types.mappings vpage with
   | Some m when (not write) || m.Types.map_writable ->
-    Sim.Engine.delay sys.Types.mcfg.Flash.Config.l2_hit_ns;
+    Sim.Engine.delay Flash.Config.l2_hit_ns;
     Ok ()
   | _ -> fault sys p ~vpage ~write
 
@@ -340,7 +335,7 @@ let write_word (sys : Types.system) (p : Types.process) ~vpage ~offset v =
     | Error e -> Error e
     | Ok () -> (
       let m = Hashtbl.find p.Types.mappings vpage in
-      let addr = frame_addr sys m.Types.map_pf.Types.pfn + offset in
+      let addr = Flash.Addr.addr_of_pfn m.Types.map_pf.Types.pfn + offset in
       let c = cell_of sys p in
       match Flash.Memory.write_i64 sys.Types.eng (mem sys) ~by:(Types.boss_proc c) addr v with
       | () -> Ok ()
@@ -363,7 +358,7 @@ let read_word (sys : Types.system) (p : Types.process) ~vpage ~offset =
   | Error e -> Error e
   | Ok () -> (
     let m = Hashtbl.find p.Types.mappings vpage in
-    let addr = frame_addr sys m.Types.map_pf.Types.pfn + offset in
+    let addr = Flash.Addr.addr_of_pfn m.Types.map_pf.Types.pfn + offset in
     let c = cell_of sys p in
     match Flash.Memory.read_i64 sys.Types.eng (mem sys) ~by:(Types.boss_proc c) addr with
     | v -> Ok v
@@ -440,11 +435,11 @@ let try_salvage (sys : Types.system) (c : Types.cell) (pf : Types.pfdat)
           Sim.Engine.delay Params.salvage_copy_ns;
           let data =
             Flash.Memory.peek (mem sys)
-              (frame_addr sys hpf.Types.pfn)
-              (page_size sys)
+              (Flash.Addr.addr_of_pfn hpf.Types.pfn)
+              Flash.Config.page_size
           in
           let npf = Pfdat.of_frame c pfn in
-          Flash.Memory.poke (mem sys) (frame_addr sys pfn) data;
+          Flash.Memory.poke (mem sys) (Flash.Addr.addr_of_pfn pfn) data;
           npf.Types.import_gen <- pf.Types.import_gen;
           Some (lid, npf))
       | _ ->

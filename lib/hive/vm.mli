@@ -13,9 +13,7 @@ type Types.payload +=
     P_anon_locate of { node_id : int; page : int; writable : bool; }
   | P_anon_page of { pfn : int; }
 val anon_locate_op : Rpc.Op.t
-val page_size : Types.system -> int
 val mem : Types.system -> Flash.Memory.t
-val frame_addr : Types.system -> Flash.Addr.pfn -> Flash.Addr.t
 val cell_of : Types.system -> Types.process -> Types.cell
 val note_dependency : Types.process -> Types.cell_id -> unit
 val next_start : Types.process -> int

@@ -27,7 +27,7 @@ let apply_local (sys : Types.system) (c : Types.cell) ~pfn ~target_cell ~grant =
   let node = Flash.Addr.node_of_pfn sys.Types.mcfg pfn in
   if not (List.mem node c.Types.cell_nodes) then invalid_arg "fw: not local";
   (* Uncached operations to the coherence controller. *)
-  Sim.Engine.delay sys.Types.mcfg.Flash.Config.uncached_op_ns;
+  Sim.Engine.delay Flash.Config.uncached_op_ns;
   let procs = sys.Types.cells.(target_cell).Types.cell_nodes in
   if grant then Flash.Firewall.grant_many fw ~by:node ~pfn procs
   else
@@ -35,7 +35,7 @@ let apply_local (sys : Types.system) (c : Types.cell) ~pfn ~target_cell ~grant =
   if not grant then
     (* Revoking write permission requires communication with remote nodes
        to ensure all valid writes have been delivered to memory. *)
-    Sim.Engine.delay sys.Types.mcfg.Flash.Config.mem_ns;
+    Sim.Engine.delay Flash.Config.mem_ns;
   Types.bump c Count.changes;
   if Sim.Event.enabled sys.Types.events then
     Sim.Event.instant sys.Types.events ~cell:c.Types.cell_id

@@ -57,7 +57,7 @@ let expected_output cfg =
     ~bytes:4096
 
 let setup (sys : Hive.Types.system) cfg =
-  let psize = Hive.Types.page_size sys in
+  let psize = Flash.Config.page_size in
   let c0 = sys.Hive.Types.cells.(0) in
   let p =
     Hive.Process.spawn sys c0 ~name:"ocean-setup" (fun sys p ->
@@ -118,7 +118,7 @@ let worker cfg ~w ~barrier ~sums (sys : Hive.Types.system)
     List.iter
       (fun nb ->
         let r = regions.(nb) in
-        let per_page = Hive.Types.page_size sys / 8 in
+        let per_page = Flash.Config.page_size / 8 in
         for pg = 0 to cfg.chunk_pages - 1 do
           Hive.Syscall.write_word sys p
             ~vpage:(r.Hive.Types.start_page + pg)

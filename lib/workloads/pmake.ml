@@ -125,7 +125,7 @@ let compile_job cfg i (sys : Hive.Types.system) (p : Hive.Types.process) =
   let lfd = Hive.Syscall.openf sys p lib_path in
   let lreg =
     Hive.Syscall.mmap_file sys p ~fd:lfd
-      ~npages:(lib_bytes / Hive.Types.page_size sys)
+      ~npages:(lib_bytes / Flash.Config.page_size)
       ~writable:false
   in
   for k = 0 to lreg.Hive.Types.npages - 1 do
@@ -136,7 +136,7 @@ let compile_job cfg i (sys : Hive.Types.system) (p : Hive.Types.process) =
   let hfd = Hive.Syscall.openf sys p hdr_path in
   let hreg =
     Hive.Syscall.mmap_file sys p ~fd:hfd
-      ~npages:(cfg.hdr_bytes / Hive.Types.page_size sys)
+      ~npages:(cfg.hdr_bytes / Flash.Config.page_size)
       ~writable:false
   in
   for k = 0 to hreg.Hive.Types.npages - 1 do

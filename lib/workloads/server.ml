@@ -33,19 +33,26 @@ type fault = {
   at_ms : int; (* injection time, relative to traffic start *)
 }
 
+(* The request shape every run uses. *)
+let file_pages = 4 (* size of each served file *)
+
+let read_pages = 2 (* pages fetched per read request *)
+
+let service_ns = 200_000L (* server-side think time per read *)
+
+let churn_forks = 2 (* fork/exit storm size per churn request *)
+
+let churn_compute_ns = 2_000_000L (* work of each churn process *)
+
+let remote_pct = 10 (* % of reads sent to a non-home cell first *)
+
 type cfg = {
   duration_ms : int;
   rate_rps : float; (* system-wide arrival rate (open loop) *)
   zipf_s : float; (* file popularity skew; 0 = uniform *)
   nfiles : int;
-  file_pages : int;
-  read_pages : int; (* pages fetched per read request *)
-  service_ns : int64; (* server-side think time per read *)
   churn_pct : int; (* % of arrivals that are churn requests *)
-  churn_forks : int; (* fork/exit storm size per churn request *)
-  churn_compute_ns : int64;
   deadline_ms : int; (* end-to-end client budget per request *)
-  remote_pct : int; (* % of reads sent to a non-home cell first *)
   fault : fault option;
   seed : int64;
 }
@@ -56,14 +63,8 @@ let default =
     rate_rps = 80.;
     zipf_s = 1.1;
     nfiles = 64;
-    file_pages = 4;
-    read_pages = 2;
-    service_ns = 200_000L;
     churn_pct = 10;
-    churn_forks = 2;
-    churn_compute_ns = 2_000_000L;
     deadline_ms = 250;
-    remote_pct = 10;
     fault = None;
     seed = 0x5EEDL;
   }
@@ -89,9 +90,9 @@ type stats = {
 }
 
 type Hive.Types.payload +=
-    P_srv_read of { path : string; pages : int; service_ns : int64 }
+    P_srv_read of { path : string }
   | P_srv_data of { bytes : int }
-  | P_srv_churn of { path : string; forks : int; compute_ns : int64 }
+  | P_srv_churn of { path : string }
 
 (* Interactive ops are declared sheddable: unlike kernel RPCs, refusing
    one loses no kernel state — the client redirects or gives the user an
@@ -118,7 +119,7 @@ let guard (c : Hive.Types.cell) f =
 
 let read_handler sys (c : Hive.Types.cell) ~src:_ payload =
   match payload with
-  | P_srv_read { path; pages; service_ns } ->
+  | P_srv_read { path } ->
     Hive.Types.Queued
       (fun () ->
         guard c (fun () ->
@@ -134,7 +135,7 @@ let read_handler sys (c : Hive.Types.cell) ~src:_ payload =
               match Hive.Fs.open_file sys c ~path with
               | Error e -> Error e
               | Ok (vn, gen) ->
-                let len = pages * Hive.Fs.page_size sys in
+                let len = read_pages * Flash.Config.page_size in
                 let r =
                   Hive.Fs.read sys c vn ~opened_gen:gen ~pos:0 ~len
                 in
@@ -149,7 +150,7 @@ let read_handler sys (c : Hive.Types.cell) ~src:_ payload =
 
 let churn_handler sys (c : Hive.Types.cell) ~src:_ payload =
   match payload with
-  | P_srv_churn { path; forks; compute_ns } ->
+  | P_srv_churn { path } ->
     Hive.Types.Queued
       (fun () ->
         guard c (fun () ->
@@ -159,7 +160,7 @@ let churn_handler sys (c : Hive.Types.cell) ~src:_ payload =
               | Ok (vn, gen) ->
                 let r =
                   Hive.Fs.read sys c vn ~opened_gen:gen ~pos:0
-                    ~len:(Hive.Fs.page_size sys)
+                    ~len:Flash.Config.page_size
                 in
                 Hive.Fs.release_file_imports sys c vn;
                 Result.map (fun _ -> ()) r
@@ -167,12 +168,12 @@ let churn_handler sys (c : Hive.Types.cell) ~src:_ payload =
             (* Fork/exit storm: short-lived processes that compute and
                exit, stressing process create/teardown on the serving
                cell while traffic is in flight. *)
-            for k = 1 to forks do
+            for k = 1 to churn_forks do
               Hive.Types.bump c Count.churn_forks;
               ignore
                 (Hive.Process.spawn sys c
                    ~name:(Printf.sprintf "churn.c%d.%d" c.Hive.Types.cell_id k)
-                   (fun sys p -> Hive.Syscall.compute sys p compute_ns))
+                   (fun sys p -> Hive.Syscall.compute sys p churn_compute_ns))
             done;
             Hive.Types.bump c Count.churns;
             Result.map (fun () -> Hive.Types.P_unit) r))
@@ -216,7 +217,7 @@ let ms_ns m = Int64.mul (Int64.of_int m) 1_000_000L
    of the traffic's data. *)
 let setup cfg (sys : Hive.Types.system) =
   let ncells = Array.length sys.Hive.Types.cells in
-  let psize = Hive.Fs.page_size sys in
+  let psize = Flash.Config.page_size in
   Array.init cfg.nfiles (fun i ->
       let want = i mod ncells in
       let rec probe s =
@@ -225,7 +226,7 @@ let setup cfg (sys : Hive.Types.system) =
       in
       let path = probe 0 in
       let content =
-        Workload.synth_content ~tag:path ~bytes:(cfg.file_pages * psize)
+        Workload.synth_content ~tag:path ~bytes:(file_pages * psize)
       in
       ignore
         (Hive.Fs.create_local sys
@@ -266,9 +267,7 @@ let do_read st cfg (sys : Hive.Types.system) (client : Hive.Types.cell)
   let leg_budget =
     Int64.div (ms_ns cfg.deadline_ms) (Int64.of_int (List.length tgts))
   in
-  let payload =
-    P_srv_read { path; pages = cfg.read_pages; service_ns = cfg.service_ns }
-  in
+  let payload = P_srv_read { path } in
   let err_legs = ref 0 in
   let finish klass =
     if client.Hive.Types.cstatus <> Hive.Types.Cell_up then
@@ -317,14 +316,7 @@ let do_read st cfg (sys : Hive.Types.system) (client : Hive.Types.cell)
 
 let do_churn st cfg (sys : Hive.Types.system) (client : Hive.Types.cell)
     ~tgt ~rank ~arrival =
-  let payload =
-    P_srv_churn
-      {
-        path = st.paths.(rank);
-        forks = cfg.churn_forks;
-        compute_ns = cfg.churn_compute_ns;
-      }
-  in
+  let payload = P_srv_churn { path = st.paths.(rank) } in
   match
     Hive.Rpc.call sys ~from:client ~target:tgt ~op:churn_op
       ~deadline_ns:(ms_ns cfg.deadline_ms) payload
@@ -385,7 +377,7 @@ let frontend st cfg (sys : Hive.Types.system) zipfd (c : Hive.Types.cell) =
          else begin
            let rank = Sim.Prng.zipf_draw rng zipfd in
            let alt =
-             if ncells > 1 && Sim.Prng.int rng 100 < cfg.remote_pct then
+             if ncells > 1 && Sim.Prng.int rng 100 < remote_pct then
                1 + Sim.Prng.int rng (ncells - 1)
              else 0
            in
@@ -449,6 +441,10 @@ let stats_of st =
 (* ---------- driver ---------- *)
 
 let run ?(cfg = default) (sys : Hive.Types.system) =
+  (* At rate 0 the mean arrival gap is infinite and no frontend would
+     ever reach the end of the traffic window. *)
+  if not (cfg.rate_rps > 0.) then
+    invalid_arg "Workloads.Server.run: rate_rps must be positive";
   let eng = sys.Hive.Types.eng in
   let t0 = Sim.Engine.now eng in
   let paths = setup cfg sys in

@@ -16,14 +16,8 @@ type cfg = {
   rate_rps : float;  (** system-wide arrival rate (open loop) *)
   zipf_s : float;
   nfiles : int;
-  file_pages : int;
-  read_pages : int;
-  service_ns : int64;
   churn_pct : int;  (** % of arrivals that are churn requests *)
-  churn_forks : int;
-  churn_compute_ns : int64;
   deadline_ms : int;  (** end-to-end client budget per request *)
-  remote_pct : int;  (** % of reads sent to a non-home cell first *)
   fault : fault option;
   seed : int64;
 }
@@ -49,9 +43,9 @@ type stats = {
 }
 
 type Hive.Types.payload +=
-    P_srv_read of { path : string; pages : int; service_ns : int64 }
+    P_srv_read of { path : string }
   | P_srv_data of { bytes : int }
-  | P_srv_churn of { path : string; forks : int; compute_ns : int64 }
+  | P_srv_churn of { path : string }
 
 val read_op : Hive.Rpc.Op.t
 val churn_op : Hive.Rpc.Op.t
@@ -63,7 +57,8 @@ val register_ops : unit -> unit
 (** Run the traffic against a booted system, driving the engine until
     the configured duration elapses and every in-flight request has
     resolved. [result.completed] also requires zero unexpected
-    traffic-thread errors. *)
+    traffic-thread errors. Raises [Invalid_argument] unless
+    [cfg.rate_rps] is positive. *)
 val run :
   ?cfg:cfg -> Hive.Types.system -> Workload.result * stats
 

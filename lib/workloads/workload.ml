@@ -83,7 +83,7 @@ let logical_content (sys : Hive.Types.system) path =
     match Hive.Fs.find_local home path with
     | None -> None
     | Some f ->
-      let psize = Hive.Types.page_size sys in
+      let psize = Flash.Config.page_size in
       let out = Bytes.create f.Hive.Types.size in
       let npages = (f.Hive.Types.size + psize - 1) / psize in
       for pg = 0 to npages - 1 do
@@ -92,7 +92,7 @@ let logical_content (sys : Hive.Types.system) path =
         (match Hashtbl.find_opt f.Hive.Types.cached_pages pg with
         | Some pf ->
           let addr =
-            Flash.Addr.addr_of_pfn sys.Hive.Types.mcfg pf.Hive.Types.pfn
+            Flash.Addr.addr_of_pfn pf.Hive.Types.pfn
           in
           Bytes.blit
             (Flash.Memory.peek

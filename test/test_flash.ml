@@ -11,7 +11,7 @@ let with_machine f =
 
 let in_thread eng body = ignore (Sim.Engine.spawn eng body)
 
-let page = cfg.Flash.Config.page_size
+let page = Flash.Config.page_size
 
 (* A pfn on node 1 (remote from proc 0). *)
 let remote_pfn = cfg.Flash.Config.mem_pages_per_node
@@ -22,7 +22,7 @@ let test_addr_mapping () =
     (Flash.Addr.node_of_pfn cfg remote_pfn);
   Alcotest.(check int) "local index" 0 (Flash.Addr.local_index cfg remote_pfn);
   Alcotest.(check int) "roundtrip" 17
-    (Flash.Addr.pfn_of_addr cfg (Flash.Addr.addr_of_pfn cfg 17))
+    (Flash.Addr.pfn_of_addr (Flash.Addr.addr_of_pfn 17))
 
 let test_firewall_local_only () =
   let fw = Flash.Firewall.create cfg in
@@ -81,13 +81,14 @@ let test_config_large_machines () =
   (match Flash.Firewall.create too_big with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument past max_nodes");
-  (* Geometry validation: the swap area must fit inside the disk. *)
-  (match
-     Flash.Config.validate
-       { cfg with Flash.Config.swap_blocks = cfg.Flash.Config.disk_blocks }
-   with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument for swap covering disk")
+  (* A machine needs nodes and memory on each of them. *)
+  List.iter
+    (fun (what, bad) ->
+      match Flash.Config.validate bad with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "expected Invalid_argument for %s" what)
+    [ ("no nodes", { cfg with Flash.Config.nodes = 0 });
+      ("no memory", { cfg with Flash.Config.mem_pages_per_node = 0 }) ]
 
 let test_firewall_pages_writable_by_mask () =
   let fw = Flash.Firewall.create cfg in
@@ -123,7 +124,7 @@ let test_memory_write_requires_firewall () =
   with_machine (fun eng m ->
       in_thread eng (fun () ->
           let mem = Flash.Machine.memory m in
-          let addr = Flash.Addr.addr_of_pfn cfg remote_pfn in
+          let addr = Flash.Addr.addr_of_pfn remote_pfn in
           (* Proc 0 writing to node 1's memory without permission: denied. *)
           (try
              Flash.Memory.write eng mem ~by:0 addr (Bytes.of_string "hi");
@@ -152,7 +153,7 @@ let test_memory_failed_node_bus_error () =
       in_thread eng (fun () ->
           let mem = Flash.Machine.memory m in
           Flash.Machine.fail_node m 1;
-          let addr = Flash.Addr.addr_of_pfn cfg remote_pfn in
+          let addr = Flash.Addr.addr_of_pfn remote_pfn in
           try
             ignore (Flash.Memory.read eng mem ~by:0 addr 8);
             Alcotest.fail "expected bus error"
@@ -163,7 +164,7 @@ let test_memory_cutoff () =
       in_thread eng (fun () ->
           let mem = Flash.Machine.memory m in
           Flash.Machine.cutoff_node m 1;
-          let addr = Flash.Addr.addr_of_pfn cfg remote_pfn in
+          let addr = Flash.Addr.addr_of_pfn remote_pfn in
           (* Remote access refused... *)
           (try
              ignore (Flash.Memory.read eng mem ~by:0 addr 8);
@@ -197,7 +198,7 @@ let test_wild_write_honours_firewall () =
       in_thread eng (fun () ->
           ignore eng;
           let mem = Flash.Machine.memory m in
-          let addr = Flash.Addr.addr_of_pfn cfg remote_pfn in
+          let addr = Flash.Addr.addr_of_pfn remote_pfn in
           (try
              Flash.Memory.poke_wild mem ~by:0 addr (Bytes.of_string "evil");
              Alcotest.fail "wild write should bounce off firewall"
@@ -317,7 +318,7 @@ let test_restore_node () =
           let mem = Flash.Machine.memory m in
           Flash.Firewall.grant (Flash.Machine.firewall m) ~by:1 ~pfn:remote_pfn
             ~proc:1;
-          let addr = Flash.Addr.addr_of_pfn cfg remote_pfn in
+          let addr = Flash.Addr.addr_of_pfn remote_pfn in
           Flash.Memory.write eng mem ~by:1 addr (Bytes.of_string "z");
           Flash.Machine.fail_node m 1;
           Flash.Machine.restore_node m 1;
@@ -537,7 +538,7 @@ let qcheck_write_sub_denied_moves_nothing =
     ~name:"memory write_sub denied by the firewall moves no byte" ~count:50
     QCheck.(make Gen.(pair (int_bound (page - 1)) (1 -- page)))
     (fun (inpage, extra) ->
-      let base = Flash.Addr.addr_of_pfn cfg remote_pfn in
+      let base = Flash.Addr.addr_of_pfn remote_pfn in
       let addr = base + inpage and len = page - inpage + extra in
       let src = Bytes.make (len + 8) 'w' in
       let attempt write =

@@ -220,7 +220,7 @@ let test_locate_batch_stops_at_eof () =
             Hive.Syscall.close sys p ~fd)
       in
       run_to_completion sys p;
-      let last_page = 10000 / Hive.Types.page_size sys in
+      let last_page = 10000 / Flash.Config.page_size in
       (match Hive.Fs.find_local sys.Hive.Types.cells.(0) "/tmp/eof.dat" with
       | Some f ->
         Hashtbl.iter
@@ -279,7 +279,7 @@ let test_fault_readahead_batches_locates () =
         in_proc sys ~on:1 ~name:"t" (fun sys p ->
             let fd =
               Hive.Syscall.creat sys p
-                ~content:(Bytes.make (npages * Hive.Types.page_size sys) 'r')
+                ~content:(Bytes.make (npages * Flash.Config.page_size) 'r')
                 "/tmp/ra.dat"
             in
             let reg = Hive.Syscall.mmap_file sys p ~fd ~npages ~writable:false in
@@ -311,7 +311,7 @@ let test_cache_off_is_legacy_protocol () =
         in_proc sys ~on:1 ~name:"faults" (fun sys p ->
             let fd =
               Hive.Syscall.creat sys p
-                ~content:(Bytes.make (npages * Hive.Types.page_size sys) 'l')
+                ~content:(Bytes.make (npages * Flash.Config.page_size) 'l')
                 path
             in
             let reg = Hive.Syscall.mmap_file sys p ~fd ~npages ~writable:false in
@@ -325,7 +325,7 @@ let test_cache_off_is_legacy_protocol () =
       run_to_completion sys fault_pass;
       let read_pass =
         in_proc sys ~on:1 ~name:"reads" (fun sys p ->
-            let len = npages * Hive.Types.page_size sys in
+            let len = npages * Flash.Config.page_size in
             let fd = Hive.Syscall.openf sys p path in
             ignore (Hive.Syscall.pread sys p ~fd ~pos:0 ~len);
             Hive.Syscall.close sys p ~fd;

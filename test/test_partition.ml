@@ -366,7 +366,7 @@ let test_salvage_clean_pages_byte_identical () =
         (fun (pf : Hive.Types.pfdat) ->
           let bytes =
             Flash.Memory.peek mem
-              (Hive.Fs.frame_addr sys pf.Hive.Types.pfn)
+              (Flash.Addr.addr_of_pfn pf.Hive.Types.pfn)
               4096
           in
           let page =

@@ -252,6 +252,18 @@ let test_server_through_cell_kill () =
   Alcotest.(check int) "no unexpected client errors" 0
     stats.Workloads.Server.errors
 
+(* At rate 0 the arrival gap is infinite: the run must refuse the config
+   up front instead of never finishing. *)
+let test_server_rejects_zero_rate () =
+  let sys = server_sys () in
+  match
+    Workloads.Server.run
+      ~cfg:{ short_cfg with Workloads.Server.rate_rps = 0. }
+      sys
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "expected Invalid_argument for rate_rps = 0"
+
 (* Per-phase end-to-end op latency lands in the snapshot, p99.9 included,
    and survives a JSON round trip losslessly. *)
 let test_metrics_ops_roundtrip () =
@@ -351,6 +363,8 @@ let suite =
       test_server_workload_deterministic;
     Alcotest.test_case "server traffic rides out a cell kill" `Slow
       test_server_through_cell_kill;
+    Alcotest.test_case "server run rejects a zero rate" `Quick
+      test_server_rejects_zero_rate;
     Alcotest.test_case "per-phase op latency round-trips with p999" `Slow
       test_metrics_ops_roundtrip;
     Alcotest.test_case "traffic-free fuzz plans byte-identical" `Quick

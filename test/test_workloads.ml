@@ -101,8 +101,7 @@ let test_raytrace_detects_scene_corruption () =
                    match m.Hive.Types.map_lid.Hive.Types.tag with
                    | Hive.Types.Anon_obj _ ->
                      let addr =
-                       Flash.Addr.addr_of_pfn sys.Hive.Types.mcfg
-                         m.Hive.Types.map_pf.Hive.Types.pfn
+                       Flash.Addr.addr_of_pfn m.Hive.Types.map_pf.Hive.Types.pfn
                      in
                      Flash.Memory.poke
                        (Flash.Machine.memory sys.Hive.Types.machine)
