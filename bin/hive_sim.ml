@@ -158,13 +158,6 @@ let print_counters sys =
 
 (* Attach a Chrome trace_event sink when --trace-out is given; returns the
    finalizer that terminates the JSON array. *)
-let attach_trace sys = function
-  | None -> fun () -> ()
-  | Some path ->
-    let sink, close = Sim.Event.chrome_file path in
-    Sim.Event.attach sys.Hive.Types.events sink;
-    close
-
 let finish_observability sys ~trace_close ~(output : output) =
   trace_close ();
   (match output.out_metrics with
@@ -178,7 +171,9 @@ let run_workload name shape verbose output =
   let _eng, sys, ncells = boot_shape shape in
   if verbose then
     Sim.Event.attach sys.Hive.Types.events (Sim.Event.jsonl_sink stderr);
-  let trace_close = attach_trace sys output.out_trace in
+  let trace_close =
+    Sim.Event.attach_chrome_file sys.Hive.Types.events output.out_trace
+  in
   let spec = Workloads.Spec.of_name name in
   Workloads.Spec.setup sys spec;
   let result = Workloads.Spec.run sys spec in
@@ -215,7 +210,9 @@ let run_server shape duration_ms rate zipf churn_pct deadline_ms kill_cell
   let _eng, sys, ncells = boot_shape shape in
   if verbose then
     Sim.Event.attach sys.Hive.Types.events (Sim.Event.jsonl_sink stderr);
-  let trace_close = attach_trace sys output.out_trace in
+  let trace_close =
+    Sim.Event.attach_chrome_file sys.Hive.Types.events output.out_trace
+  in
   let cfg =
     {
       Workloads.Server.default with
@@ -258,8 +255,29 @@ let run_fault kind shape node victim at_ms cascade_node oracle link_from
     | Some n -> check_index "cascade-node" "node" n (shape_nodes shape)
     | None -> Ok ()
   in
+  let* () =
+    if link_from >= -1 && link_from < shape_nodes shape then Ok ()
+    else
+      Error
+        (Printf.sprintf
+           "--link-from %d: no such processor (-1 = any, or 0 to %d)"
+           link_from (shape_nodes shape - 1))
+  in
+  let check_pct flag v =
+    if v >= 0 && v <= 100 then Ok ()
+    else Error (Printf.sprintf "--%s %d: must be 0 to 100" flag v)
+  in
+  let* () = check_pct "drop-pct" drop_pct in
+  let* () = check_pct "dup-pct" dup_pct in
+  let* () = check_pct "delay-pct" delay_pct in
+  let* () =
+    if dur_ms > 0 then Ok ()
+    else Error (Printf.sprintf "--dur-ms %d: must be positive" dur_ms)
+  in
   let _eng, sys, _ = boot_shape ~oracle ~wax:false shape in
-  let trace_close = attach_trace sys output.out_trace in
+  let trace_close =
+    Sim.Event.attach_chrome_file sys.Hive.Types.events output.out_trace
+  in
   let mode = Hive.System.Random_address in
   let fault_kind =
     match (kind, cascade_node) with
@@ -304,19 +322,24 @@ let run_fault kind shape node victim at_ms cascade_node oracle link_from
   Printf.printf "cells reintegrated: %d\n" (sys_count "cell.reintegrations");
   Printf.printf "contained: %b\n" o.Faultinj.Campaign.contained;
   Printf.printf "live cells: [%s]\n" (ints o.Faultinj.Campaign.survivors);
-  if kind = `Link then begin
-    let per = Hive.System.counter_total sys in
-    let d = (Hive.Metrics.capture sys).Hive.Metrics.Snapshot.sips in
-    Printf.printf
-      "sips damage: %d dropped, %d duplicated, %d delayed (of %d sends)\n"
-      d.drops d.dups d.delays d.sends;
-    Printf.printf
-      "rpc transport: %d retransmits, %d duplicates suppressed, %d stale \
-       drops, %d late replies\n"
-      (per "rpc.retransmits") (per "rpc.dup_suppressed")
-      (per "rpc.stale_reply_drops" + per "rpc.stale_request_drops")
-      (per "rpc.late_replies")
-  end;
+  (* A link window that damaged no message tested nothing. *)
+  let undamaged =
+    if kind <> `Link then false
+    else
+      let per = Hive.System.counter_total sys in
+      let d = (Hive.Metrics.capture sys).Hive.Metrics.Snapshot.sips in
+      Printf.printf
+        "sips damage: %d dropped, %d duplicated, %d delayed (of %d sends)\n"
+        d.drops d.dups d.delays d.sends;
+      Printf.printf
+        "rpc transport: %d retransmits, %d duplicates suppressed, %d stale \
+         drops, %d late replies\n"
+        (per "rpc.retransmits") (per "rpc.dup_suppressed")
+        (per "rpc.stale_reply_drops" + per "rpc.stale_request_drops")
+        (per "rpc.late_replies");
+      d.drops + d.dups + d.delays = 0
+  in
+  if undamaged then Printf.printf "link window damaged no message\n";
   Printf.printf "check run: %s\n"
     (if o.Faultinj.Campaign.check_passed then "completed" else "INCOMPLETE");
   Printf.printf "corrupt outputs: %d (must be 0)\n"
@@ -327,7 +350,7 @@ let run_fault kind shape node victim at_ms cascade_node oracle link_from
   Printf.printf "invariants: %s\n"
     (if o.Faultinj.Campaign.violations = [] then "clean" else "VIOLATED");
   finish_observability sys ~trace_close ~output;
-  Ok (if Faultinj.Campaign.passed o then 0 else 1)
+  Ok (if Faultinj.Campaign.passed o && not undamaged then 0 else 1)
 
 (* ---- fuzz command ---- *)
 
@@ -464,9 +487,12 @@ let delay_pct_arg =
 
 let dur_ms_arg =
   Arg.(
-    value & opt int 300
+    value & opt int 20_000
     & info [ "dur-ms" ] ~docv:"MS"
-        ~doc:"Link fault: window duration in milliseconds.")
+        ~doc:
+          "Link fault: window duration in milliseconds. The default \
+           covers the whole build, so the window damages messages; a run \
+           whose window damages none exits 1.")
 
 let victim_arg =
   Arg.(

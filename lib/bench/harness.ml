@@ -1,8 +1,8 @@
 (* Shared plumbing for the sweep scenarios. *)
 
-let boot ?(ncells = 4) ?(mcfg = Flash.Config.default) ?(wax = false) () =
+let boot ?(mcfg = Flash.Config.default) ?params ?(wax = false) ~ncells () =
   let eng = Sim.Engine.create () in
-  let sys = Hive.System.boot ~mcfg ~ncells ~wax eng in
+  let sys = Hive.System.boot ~mcfg ?params ~ncells ~wax eng in
   (eng, sys)
 
 let in_thread eng body =

@@ -2,10 +2,13 @@
     body in a simulation thread, the no-op RPC ops, a warmed data-home
     file and a timed page-touch pass over it. *)
 
+(** Boot [ncells] cells on [mcfg] (default {!Flash.Config.default}) with
+    [params] (default {!Hive.Params.default}), Wax off unless [wax]. *)
 val boot :
-  ?ncells:int ->
   ?mcfg:Flash.Config.t ->
+  ?params:Hive.Params.t ->
   ?wax:bool ->
+  ncells:int ->
   unit ->
   Sim.Engine.t * Hive.Types.system
 

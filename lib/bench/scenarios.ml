@@ -7,10 +7,13 @@
 open Scenario
 module Spec = Workloads.Spec
 
+(* The grid point's machine: [dims.nodes] nodes of the default FLASH. *)
+let machine (dims : dims) =
+  Flash.Config.with_nodes Flash.Config.default dims.nodes
+
 (* Boot a system for one grid point. *)
 let boot_dims (dims : dims) =
-  let eng = Sim.Engine.create () in
-  let mcfg = Flash.Config.with_nodes Flash.Config.default dims.nodes in
+  let mcfg = machine dims in
   let mcfg =
     if dims.smp then { mcfg with Flash.Config.firewall_enabled = false }
     else mcfg
@@ -18,10 +21,15 @@ let boot_dims (dims : dims) =
   let params =
     { Hive.Params.default with enable_import_cache = dims.import_cache }
   in
-  let sys =
-    Hive.System.boot ~mcfg ~params ~ncells:dims.cells ~wax:false eng
-  in
-  (eng, sys)
+  Harness.boot ~mcfg ~params ~ncells:dims.cells ()
+
+(* Every cell is up and has all [dims.cells] cells in its live set. *)
+let unified sys (dims : dims) =
+  Array.for_all
+    (fun (c : Hive.Types.cell) ->
+      Hive.Types.cell_alive c
+      && List.length c.Hive.Types.live_set = dims.cells)
+    sys.Hive.Types.cells
 
 (* Arm a deterministic 25% drop/dup/delay window into cell 1's boss node
    for [link_ms] (the Sips.degrade fault model the fuzzer uses). The
@@ -216,17 +224,17 @@ let run_workload_dims (dims : dims) =
   let _eng, sys = boot_dims dims in
   let w = Spec.of_name dims.workload in
   Spec.setup sys w;
-  Spec.run sys w
+  (sys, Spec.run sys w)
 
 let run_workload_point (dims : dims) =
-  let result = run_workload_dims dims in
+  let sys, result = run_workload_dims dims in
   [
     metric "elapsed_ms"
       (Int64.to_float result.Workloads.Workload.elapsed_ns /. 1e6);
     metric ~dir:Higher_better "completed"
       (if result.Workloads.Workload.completed then 1. else 0.);
     metric ~dir:Info "procs_killed"
-      (float_of_int result.Workloads.Workload.procs_killed);
+      (float_of_int (Hive.System.counter_total sys "recovery.procs_killed"));
   ]
 
 let workloads_area =
@@ -338,13 +346,6 @@ let run_partition_heal (dims : dims) =
     ~one_way:false;
   Hive.Rpc.report_hint sys sys.Hive.Types.cells.(0) victim
     "bench fault injection";
-  let unified () =
-    Array.for_all
-      (fun (c : Hive.Types.cell) ->
-        Hive.Types.cell_alive c
-        && List.length c.Hive.Types.live_set = dims.cells)
-      sys.Hive.Types.cells
-  in
   (* Only a unified live set *after* the heal counts: short windows ride
      through on retransmission (the alert is dismissed), long windows
      excise the victim and reunify through reintegration. *)
@@ -352,7 +353,7 @@ let run_partition_heal (dims : dims) =
     Hive.System.run_until sys
       ~deadline:(Int64.add heal_ns 6_000_000_000L)
       (fun () ->
-        Int64.compare (Sim.Engine.now eng) heal_ns >= 0 && unified ())
+        Int64.compare (Sim.Engine.now eng) heal_ns >= 0 && unified sys dims)
   in
   let reunify_ms =
     Int64.to_float (Int64.sub (Sim.Engine.now eng) t0) /. 1e6
@@ -389,8 +390,6 @@ let run_partition_heal (dims : dims) =
    survive recovery locally (salvage on) versus being discarded and lost
    to EIO (salvage off, the [import_cache] dimension reused as the knob). *)
 let run_salvage_ab (dims : dims) =
-  let eng = Sim.Engine.create () in
-  let mcfg = Flash.Config.with_nodes Flash.Config.default dims.nodes in
   (* auto_reintegrate off: the home stays down, so a discarded page is
      genuinely unreadable rather than quietly refetched from the reboot. *)
   let params =
@@ -400,7 +399,9 @@ let run_salvage_ab (dims : dims) =
       auto_reintegrate = false;
     }
   in
-  let sys = Hive.System.boot ~mcfg ~params ~ncells:dims.cells ~wax:false eng in
+  let eng, sys =
+    Harness.boot ~mcfg:(machine dims) ~params ~ncells:dims.cells ()
+  in
   Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) settle_ns) eng;
   let c0 = sys.Hive.Types.cells.(0) in
   let home = 1 in
@@ -641,14 +642,10 @@ let traffic_area =
    clean on every shape. *)
 
 let run_scale (dims : dims) =
-  let eng = Sim.Engine.create () in
   let mcfg =
-    {
-      (Flash.Config.with_nodes Flash.Config.default dims.nodes) with
-      Flash.Config.mem_pages_per_node = dims.ws_pages;
-    }
+    { (machine dims) with Flash.Config.mem_pages_per_node = dims.ws_pages }
   in
-  let sys = Hive.System.boot ~mcfg ~ncells:dims.cells ~wax:true eng in
+  let eng, sys = Harness.boot ~mcfg ~wax:true ~ncells:dims.cells () in
   (* Let Wax publish stats and run a few policy passes before loading. *)
   Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 400_000_000L) eng;
   let pcfg =
@@ -665,14 +662,6 @@ let run_scale (dims : dims) =
      brings it back while the surviving compiles keep going. *)
   let victim = dims.cells - 1 in
   let t_fault = ref 0L in
-  let unified () =
-    (not sys.Hive.Types.recovery_in_progress)
-    && Array.for_all
-         (fun (c : Hive.Types.cell) ->
-           Hive.Types.cell_alive c
-           && List.length c.Hive.Types.live_set = dims.cells)
-         sys.Hive.Types.cells
-  in
   ignore
     (Sim.Engine.spawn eng ~name:"scale-fault" (fun () ->
          Sim.Engine.delay 500_000_000L;
@@ -683,7 +672,8 @@ let run_scale (dims : dims) =
   let reunified =
     Hive.System.run_until sys
       ~deadline:(Int64.add (Sim.Engine.now eng) 30_000_000_000L)
-      unified
+      (fun () ->
+        (not sys.Hive.Types.recovery_in_progress) && unified sys dims)
   in
   (* Recovery ends at the first reintegration on the kernel's recovery
      timeline, not at the end of the build, which usually outlives it. *)
@@ -901,24 +891,15 @@ let run_pagefault_pmake (dims : dims) =
   ]
 
 (* Section 4.2: the firewall check's cost on remote write misses, the
-   workload run with the check on and off. *)
+   workload run with the check on and off ([smp] turns it off). *)
 let run_firewall_latency (dims : dims) =
-  let miss_ns firewall_enabled =
-    let mcfg =
-      {
-        (Flash.Config.with_nodes Flash.Config.default dims.nodes) with
-        Flash.Config.firewall_enabled;
-      }
-    in
-    let _eng, sys = Harness.boot ~ncells:dims.cells ~mcfg () in
-    let w = Spec.of_name dims.workload in
-    Spec.setup sys w;
-    ignore (Spec.run sys w);
+  let miss_ns smp =
+    let sys, _ = run_workload_dims { dims with smp } in
     Flash.Memory.remote_write_miss_avg_ns
       (Flash.Machine.memory sys.Hive.Types.machine)
   in
-  let on = miss_ns true in
-  let off = miss_ns false in
+  let on = miss_ns false in
+  let off = miss_ns true in
   [
     metric
       ~paper:(List.assoc dims.workload [ ("pmake", 6.3); ("ocean", 4.4) ])
@@ -978,7 +959,7 @@ let run_table_7_2 (dims : dims) =
         ("pmake", (5.77, [ 1.; 10.; 11. ]));
       ]
   in
-  let run cells smp = run_workload_dims { dims with cells; smp } in
+  let run cells smp = snd (run_workload_dims { dims with cells; smp }) in
   let seconds (r : Workloads.Workload.result) =
     Workloads.Workload.ns_to_s r.Workloads.Workload.elapsed_ns
   in
@@ -1134,7 +1115,8 @@ let run_wax (dims : dims) =
              ])
   in
   let accepted =
-    Hive.Wax.sanity_check_hint sys.Hive.Types.cells.(1) [ 0; 0; 99 ]
+    Hive.Wax.sanity_check_hint sys.Hive.Types.cells.(1)
+      (Alloc_preference [ 0; 0; 99 ])
   in
   Hive.System.inject_node_failure sys 3;
   let restarted =
@@ -1160,8 +1142,7 @@ let corrupt_data_visible ~discard =
   let params =
     { Hive.Params.default with enable_preemptive_discard = discard }
   in
-  let eng = Sim.Engine.create () in
-  let sys = Hive.System.boot ~params ~ncells:2 ~wax:false eng in
+  let _eng, sys = Harness.boot ~params ~ncells:2 () in
   let path = "/tmp/integrity.dat" in
   let corrupted_seen = ref false in
   let victim =
@@ -1222,8 +1203,7 @@ let run_ablations (dims : dims) =
     let params =
       { Hive.Params.default with tick_ns = Int64.of_int (tick_ms * 1_000_000) }
     in
-    let eng = Sim.Engine.create () in
-    let sys = Hive.System.boot ~params ~ncells:dims.cells ~wax:false eng in
+    let eng, sys = Harness.boot ~params ~ncells:dims.cells () in
     Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 100_000_000L) eng;
     let t0 = Sim.Engine.now eng in
     Hive.System.inject_node_failure sys 1;

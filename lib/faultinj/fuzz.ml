@@ -338,12 +338,7 @@ let run_plan ?plant ?trace_out ?metrics_out plan =
   let params = { Hive.Params.default with planted_bug } in
   let sys = Hive.System.boot ~mcfg ~params ~ncells:plan.ncells ~wax:true eng in
   let close_trace =
-    match trace_out with
-    | None -> fun () -> ()
-    | Some path ->
-      let sink, close = Sim.Event.chrome_file path in
-      Sim.Event.attach sys.Hive.Types.events sink;
-      close
+    Sim.Event.attach_chrome_file sys.Hive.Types.events trace_out
   in
   (* Jitter starts only after boot so every plan boots through the same
      canonical event order; divergence comes from the plan alone. *)

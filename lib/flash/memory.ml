@@ -18,10 +18,10 @@ type t = {
   cfg : Config.t;
   firewall : Firewall.t;
   nodes : node_mem array;
-  reads : Sim.Stats.counter;
-  writes : Sim.Stats.counter;
+  mutable reads : int;
+  mutable writes : int;
   remote_write_miss_ns : Sim.Stats.summary;
-  wild_writes : Sim.Stats.counter;
+  mutable wild_writes : int;
 }
 
 let create cfg =
@@ -35,10 +35,10 @@ let create cfg =
             accessible = true;
             cutoff = false;
           });
-    reads = Sim.Stats.counter ();
-    writes = Sim.Stats.counter ();
+    reads = 0;
+    writes = 0;
     remote_write_miss_ns = Sim.Stats.summary ~keep_samples:false ();
-    wild_writes = Sim.Stats.counter ();
+    wild_writes = 0;
   }
 
 (* Gather [len] bytes starting at node-local offset [off] into [dst] at
@@ -61,6 +61,14 @@ let copy_out nm ~off len =
   copy_out_into nm ~off len dst 0;
   dst
 
+let page_for_write (nm : node_mem) page =
+  match nm.pages.(page) with
+  | Some b -> b
+  | None ->
+    let b = Bytes.make Config.page_size '\000' in
+    nm.pages.(page) <- Some b;
+    b
+
 (* Scatter [len] bytes of [src] from [src_off] to node-local offset
    [off], allocating pages on first touch. *)
 let copy_in (nm : node_mem) ~off src src_off len =
@@ -70,15 +78,7 @@ let copy_in (nm : node_mem) ~off src src_off len =
     let o = off + !pos in
     let page = o / psize and inpage = o mod psize in
     let n = min (len - !pos) (psize - inpage) in
-    let b =
-      match nm.pages.(page) with
-      | Some b -> b
-      | None ->
-        let b = Bytes.make psize '\000' in
-        nm.pages.(page) <- Some b;
-        b
-    in
-    Bytes.blit src (src_off + !pos) b inpage n;
+    Bytes.blit src (src_off + !pos) (page_for_write nm page) inpage n;
     pos := !pos + n
   done
 
@@ -142,7 +142,7 @@ let access_cost t ~by ~node ~write bytes =
    mid-access). Returns the node memory and node-local offset. *)
 let read_prologue eng t ~by addr len =
   let node, nm = target t ~by addr len in
-  Sim.Stats.incr t.reads;
+  t.reads <- t.reads + 1;
   Sim.Engine.delay (access_cost t ~by ~node ~write:false len);
   if not nm.accessible then raise (Bus_error { addr; cause = Node_failed });
   ignore eng;
@@ -165,7 +165,7 @@ let read eng t ~by addr len =
    obeys the same fault model. *)
 let cached_prologue eng t ~by addr len =
   let node, nm = target t ~by addr len in
-  Sim.Stats.incr t.reads;
+  t.reads <- t.reads + 1;
   let lines = Config.lines_for (max 1 len) in
   Sim.Engine.delay (Int64.mul (Int64.of_int lines) Config.l2_hit_ns);
   if not nm.accessible then raise (Bus_error { addr; cause = Node_failed });
@@ -212,7 +212,7 @@ let check_firewall t ~by addr len =
 let write_prologue eng t ~by addr len =
   let node, nm = target t ~by addr len in
   check_firewall t ~by addr len;
-  Sim.Stats.incr t.writes;
+  t.writes <- t.writes + 1;
   Sim.Engine.delay (access_cost t ~by ~node ~write:true len);
   if not nm.accessible then raise (Bus_error { addr; cause = Node_failed });
   ignore eng;
@@ -226,14 +226,6 @@ let write_sub eng t ~by addr src src_off len =
 
 let write eng t ~by addr bytes =
   write_sub eng t ~by addr bytes 0 (Bytes.length bytes)
-
-let page_for_write (nm : node_mem) page =
-  match nm.pages.(page) with
-  | Some b -> b
-  | None ->
-    let b = Bytes.make Config.page_size '\000' in
-    nm.pages.(page) <- Some b;
-    b
 
 let write_i64 eng t ~by addr v =
   let nm, off = write_prologue eng t ~by addr 8 in
@@ -273,20 +265,11 @@ let poke t addr bytes =
 let poke_wild t ~by addr bytes =
   let len = Bytes.length bytes in
   bounds_check t addr len;
-  if t.cfg.Config.firewall_enabled then begin
-    let first = Addr.pfn_of_addr addr in
-    let last = Addr.pfn_of_addr (addr + max 0 (len - 1)) in
-    for pfn = first to last do
-      if not (Firewall.allowed t.firewall ~pfn ~proc:by) then
-        raise (Bus_error { addr; cause = Firewall_denied })
-    done
-  end;
-  Sim.Stats.incr t.wild_writes;
+  check_firewall t ~by addr len;
+  t.wild_writes <- t.wild_writes + 1;
   poke t addr bytes
 
 let stats t =
-  ( Sim.Stats.get t.reads,
-    Sim.Stats.get t.writes,
-    Sim.Stats.get t.wild_writes )
+  (t.reads, t.writes, t.wild_writes)
 
 let remote_write_miss_avg_ns t = Sim.Stats.mean t.remote_write_miss_ns

@@ -49,14 +49,14 @@ type partition = {
 type t = {
   eng : Sim.Engine.t;
   queues : node_queues array;
-  sends : Sim.Stats.counter;
+  mutable sends : int;
   mutable degradations : (degradation * Sim.Prng.t) list;
   mutable partitions : partition list;
-  drops : Sim.Stats.counter;
-  dups : Sim.Stats.counter;
-  delays : Sim.Stats.counter;
-  stale_purged : Sim.Stats.counter;
-  partition_blocked : Sim.Stats.counter;
+  mutable drops : int;
+  mutable dups : int;
+  mutable delays : int;
+  mutable stale_purged : int;
+  mutable partition_blocked : int;
 }
 
 let max_payload = 128
@@ -72,14 +72,14 @@ let create eng ~nodes =
             up = true;
             epoch = 0;
           });
-    sends = Sim.Stats.counter ();
+    sends = 0;
     degradations = [];
     partitions = [];
-    drops = Sim.Stats.counter ();
-    dups = Sim.Stats.counter ();
-    delays = Sim.Stats.counter ();
-    stale_purged = Sim.Stats.counter ();
-    partition_blocked = Sim.Stats.counter ();
+    drops = 0;
+    dups = 0;
+    delays = 0;
+    stale_purged = 0;
+    partition_blocked = 0;
   }
 
 let fail_node t node =
@@ -93,7 +93,7 @@ let fail_node t node =
 let restore_node t node =
   let q = t.queues.(node) in
   let purged = Sim.Mailbox.clear q.requests + Sim.Mailbox.clear q.replies in
-  Sim.Stats.incr_by t.stale_purged purged;
+  t.stale_purged <- t.stale_purged + purged;
   q.up <- true
 
 let degrade t ~rng d = t.degradations <- t.degradations @ [ (d, rng) ]
@@ -136,7 +136,7 @@ let heal_purge t p =
     let purged =
       Sim.Mailbox.reject q.requests stale + Sim.Mailbox.reject q.replies stale
     in
-    Sim.Stats.incr_by t.stale_purged purged
+    t.stale_purged <- t.stale_purged + purged
   in
   if p.part_to = -1 then
     Array.iteri (fun node _ -> purge_node node) t.queues
@@ -175,7 +175,7 @@ let send t ~from_proc ~to_node ~kind ~size msg =
   if size > max_payload then raise (Too_large size);
   let q = t.queues.(to_node) in
   if not q.up then raise (Target_failed to_node);
-  Sim.Stats.incr t.sends;
+  t.sends <- t.sends + 1;
   let base_latency = Int64.add Config.ipi_ns Config.sips_extra_ns in
   let env = { src_proc = from_proc; size; msg } in
   let epoch = q.epoch in
@@ -185,7 +185,7 @@ let send t ~from_proc ~to_node ~kind ~size msg =
         if
           crossed_blackout t ~from_node:from_proc ~to_node ~sent_ns
             ~arrival_ns:(Sim.Engine.now t.eng)
-        then Sim.Stats.incr t.partition_blocked
+        then t.partition_blocked <- t.partition_blocked + 1
         else if q.up && q.epoch = epoch then
           Sim.Mailbox.send t.eng
             (match kind with Request -> q.requests | Reply -> q.replies)
@@ -194,16 +194,16 @@ let send t ~from_proc ~to_node ~kind ~size msg =
   if not (reachable t ~from_node:from_proc ~to_node) then
     (* Severed link: the message is lost on the wire, silently — the
        sender cannot distinguish a partition from a dead peer. *)
-    Sim.Stats.incr t.partition_blocked
+    t.partition_blocked <- t.partition_blocked + 1
   else
     match active_degradation t ~from_proc ~to_node with
     | None -> deliver base_latency
   | Some (d, rng) ->
-    if Sim.Prng.int rng 100 < d.drop_pct then Sim.Stats.incr t.drops
+    if Sim.Prng.int rng 100 < d.drop_pct then t.drops <- t.drops + 1
     else begin
       let latency =
         if Sim.Prng.int rng 100 < d.delay_pct then begin
-          Sim.Stats.incr t.delays;
+          t.delays <- t.delays + 1;
           Int64.add base_latency
             (Sim.Prng.int64 rng (Int64.max 1L d.max_delay_ns))
         end
@@ -211,7 +211,7 @@ let send t ~from_proc ~to_node ~kind ~size msg =
       in
       deliver latency;
       if Sim.Prng.int rng 100 < d.dup_pct then begin
-        Sim.Stats.incr t.dups;
+        t.dups <- t.dups + 1;
         (* The duplicate takes its own (possibly longer) path. *)
         deliver
           (Int64.add latency
@@ -229,14 +229,14 @@ let pending t ~node ~kind =
   let q = t.queues.(node) in
   Sim.Mailbox.length (match kind with Request -> q.requests | Reply -> q.replies)
 
-let send_count t = Sim.Stats.get t.sends
+let send_count t = t.sends
 
-let drop_count t = Sim.Stats.get t.drops
+let drop_count t = t.drops
 
-let dup_count t = Sim.Stats.get t.dups
+let dup_count t = t.dups
 
-let delay_count t = Sim.Stats.get t.delays
+let delay_count t = t.delays
 
-let stale_purged_count t = Sim.Stats.get t.stale_purged
+let stale_purged_count t = t.stale_purged
 
-let partition_blocked_count t = Sim.Stats.get t.partition_blocked
+let partition_blocked_count t = t.partition_blocked

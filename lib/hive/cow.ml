@@ -114,7 +114,13 @@ type lookup_result =
 let lookup (sys : Types.system) (reader : Types.cell) (leaf : Types.cow_ref)
     ~page =
   let max_capacity = 1 lsl 16 in
-  let rec walk (r : Types.cow_ref) depth =
+  (* Follow a node's parent pointer, read as [(pa, pc)]. *)
+  let rec up pa pc depth =
+    if pa < 0 || pc < 0 then Not_present
+    else if pc >= Array.length sys.Types.cells then
+      Defended (Careful_ref.Bad_value "parent cell out of range")
+    else walk { Types.cow_cell = pc; cow_addr = pa } (depth + 1)
+  and walk (r : Types.cow_ref) depth =
     if depth > 64 then Defended Careful_ref.Loop_detected
     else if r.Types.cow_addr < 0 then Not_present
     else if r.Types.cow_cell = reader.Types.cell_id then begin
@@ -136,10 +142,7 @@ let lookup (sys : Types.system) (reader : Types.cell) (leaf : Types.cow_ref)
         let pc =
           Int64.to_int (Kmem.read_field sys cell ~addr ~index:f_parent_cell)
         in
-        if pa < 0 || pc < 0 then Not_present
-        else if pc >= Array.length sys.Types.cells then
-          Defended (Careful_ref.Bad_value "parent cell out of range")
-        else walk { Types.cow_cell = pc; cow_addr = pa } (depth + 1)
+        up pa pc depth
       end
     end
     else begin
@@ -186,11 +189,7 @@ let lookup (sys : Types.system) (reader : Types.cell) (leaf : Types.cow_ref)
         match res with
         | Error reason -> Defended reason
         | Ok (true, _, _) -> Found r
-        | Ok (false, pa, pc) ->
-          if pa < 0 || pc < 0 then Not_present
-          else if pc >= Array.length sys.Types.cells then
-            Defended (Careful_ref.Bad_value "parent cell out of range")
-          else walk { Types.cow_cell = pc; cow_addr = pa } (depth + 1)
+        | Ok (false, pa, pc) -> up pa pc depth
     end
   in
   walk leaf 0

@@ -159,16 +159,23 @@ module Snapshot = struct
       (Ok []) l
     |> Result.map List.rev
 
-  let counters_of_json name j =
+  (* The fields of object [j] (called [name] in errors), each value
+     parsed by [value_of key value]. *)
+  let obj_of_json name value_of j =
     match J.to_obj_opt j with
     | None -> Error (Printf.sprintf "metrics: %s is not an object" name)
     | Some fields ->
       map_result
         (fun (k, v) ->
-          match J.to_int_opt v with
-          | Some n -> Ok (k, n)
-          | None -> Error (Printf.sprintf "metrics: counter %S not an int" k))
+          let* x = value_of k v in
+          Ok (k, x))
         fields
+
+  let counters_of_json name =
+    obj_of_json name (fun k v ->
+        match J.to_int_opt v with
+        | Some n -> Ok n
+        | None -> Error (Printf.sprintf "metrics: counter %S not an int" k))
 
   let hist_of_json j =
     let* count = field "count" J.to_int_opt j in
@@ -193,15 +200,7 @@ module Snapshot = struct
     in
     Ok { count; mean_ns; min_ns; max_ns; p50_ns; p95_ns; p99_ns; p999_ns; buckets }
 
-  let hist_table_of_json name j =
-    match J.to_obj_opt j with
-    | None -> Error (Printf.sprintf "metrics: %s is not an object" name)
-    | Some fields ->
-      map_result
-        (fun (k, v) ->
-          let* h = hist_of_json v in
-          Ok (k, h))
-        fields
+  let hist_table_of_json name = obj_of_json name (fun _ -> hist_of_json)
 
   let cell_of_json j =
     let* id = field "id" J.to_int_opt j in

@@ -12,10 +12,32 @@ module Count = struct
       ~doc:"cell kernel panics"
 end
 
+(* Stop a cell that is up. A panic and a hardware fail-stop both end
+   here: peers see only the silence of a cell whose kernel and user
+   threads are all gone. *)
+let halt (sys : Types.system) (c : Types.cell) count =
+  c.Types.cstatus <- Types.Cell_down;
+  Types.sys_bump sys count;
+  let ts = c.Types.kernel_threads in
+  c.Types.kernel_threads <- [];
+  List.iter (fun t -> Sim.Engine.kill sys.Types.eng t) ts;
+  List.iter
+    (fun (p : Types.process) ->
+      match p.Types.thread with
+      | Some t when p.Types.pstate <> Types.Proc_zombie ->
+        p.Types.killed_by_failure <- true;
+        Sim.Engine.kill sys.Types.eng t
+      | _ -> ())
+    c.Types.processes;
+  (* Tell the failure machinery: if a recovery round is in flight and
+     this cell was a participant, the round must restart rather than
+     deadlock on a barrier party that will never arrive. *)
+  match sys.Types.on_cell_death with
+  | Some f -> f c.Types.cell_id
+  | None -> ()
+
 let panic (sys : Types.system) (c : Types.cell) reason =
   if c.Types.cstatus <> Types.Cell_down then begin
-    c.Types.cstatus <- Types.Cell_down;
-    Types.sys_bump sys Count.panics;
     if Sim.Event.enabled sys.Types.events then
       Sim.Event.instant sys.Types.events ~cell:c.Types.cell_id
         ~cat:Sim.Event.Recovery
@@ -25,25 +47,7 @@ let panic (sys : Types.system) (c : Types.cell) reason =
     List.iter
       (fun node -> Flash.Machine.cutoff_node sys.Types.machine node)
       c.Types.cell_nodes;
-    (* Kill every thread belonging to this kernel. *)
-    let ts = c.Types.kernel_threads in
-    c.Types.kernel_threads <- [];
-    List.iter (fun t -> Sim.Engine.kill sys.Types.eng t) ts;
-    (* And every user process thread running here. *)
-    List.iter
-      (fun (p : Types.process) ->
-        match p.Types.thread with
-        | Some t when p.Types.pstate <> Types.Proc_zombie ->
-          p.Types.killed_by_failure <- true;
-          Sim.Engine.kill sys.Types.eng t
-        | _ -> ())
-      c.Types.processes;
-    (* Tell the failure machinery: if a recovery round is in flight and
-       this cell was a participant, the round must restart rather than
-       deadlock on a barrier party that will never arrive. *)
-    match sys.Types.on_cell_death with
-    | Some f -> f c.Types.cell_id
-    | None -> ()
+    halt sys c Count.panics
   end
 
 exception Kernel_corruption of string

@@ -6,6 +6,12 @@
    the cell are killed. Peers notice the silence through clock monitoring
    or bus errors and run distributed agreement. *)
 
+(** [halt sys c count] stops cell [c], which must be up: it marks the
+    cell down, bumps [count], kills every kernel thread and live process
+    (each marked [killed_by_failure]) and calls [on_cell_death]. A panic
+    and a hardware fail-stop both stop a cell through it. *)
+val halt : Types.system -> Types.cell -> Sim.Stats.counter_id -> unit
+
 val panic : Types.system -> Types.cell -> string -> unit
 exception Kernel_corruption of string
 val kernel_bad_reference :

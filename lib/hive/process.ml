@@ -275,11 +275,7 @@ let migrate (sys : Types.system) (p : Types.process) ~to_cell =
     Types.bump dest Count.migrations_in;
     (* Flush mappings; imported bindings stay cached on the old cell and
        get released by its reaper when idle. *)
-    Hashtbl.iter
-      (fun _ (m : Types.mapping) ->
-        m.Types.map_pf.Types.refs <- max 0 (m.Types.map_pf.Types.refs - 1))
-      p.Types.mappings;
-    Hashtbl.reset p.Types.mappings;
+    Vm.drop_mappings p;
     (* Anonymous regions: the leaf must be local to the process, so split
        it across the boundary exactly as a remote fork would. *)
     let migrated_regions = split_anon_regions sys p dest in

@@ -107,20 +107,19 @@ let kill (sys : Types.system) (from : Types.process) ~pid signal =
       | Ok _ -> Ok ()
       | Error e -> Error e
 
+(* Signal the members of a process group that run on [c]. *)
+let deliver_group (sys : Types.system) (c : Types.cell) ~pgid signal =
+  List.iter
+    (fun (p : Types.process) ->
+      if p.Types.pstate <> Types.Proc_zombie && (state_of p).pgid = pgid then
+        deliver_local sys p signal)
+    c.Types.processes
+
 (* Signal every member of a process group, machine-wide: one RPC per
    remote cell (members are found by each cell locally). *)
 let kill_group (sys : Types.system) (from : Types.process) ~pgid signal =
   let here = sys.Types.cells.(from.Types.proc_cell) in
-  let deliver_on_cell (c : Types.cell) =
-    List.iter
-      (fun (p : Types.process) ->
-        if
-          p.Types.pstate <> Types.Proc_zombie
-          && (state_of p).pgid = pgid
-        then deliver_local sys p signal)
-      c.Types.processes
-  in
-  deliver_on_cell here;
+  deliver_group sys here ~pgid signal;
   let errors = ref 0 in
   List.iter
     (fun cell_id ->
@@ -150,12 +149,6 @@ let () =
   Rpc.serve signal_group_op (fun sys cell ~src:_ arg ->
       match arg with
       | P_signal_group { pgid; signal } ->
-        List.iter
-          (fun (p : Types.process) ->
-            if
-              p.Types.pstate <> Types.Proc_zombie
-              && (state_of p).pgid = pgid
-            then deliver_local sys p signal)
-          cell.Types.processes;
+        deliver_group sys cell ~pgid signal;
         Types.Immediate (Ok Types.P_unit)
       | _ -> Types.Immediate (Error Types.EFAULT))

@@ -243,25 +243,8 @@ let boot ?(mcfg = Flash.Config.default) ?(params = Params.default)
   (* Hardware fault model: a node failure fail-stops its owning cell. *)
   Flash.Machine.on_node_failure machine (fun node ->
       let c = Types.cell_of_node sys node in
-      if c.Types.cstatus <> Types.Cell_down then begin
-        c.Types.cstatus <- Types.Cell_down;
-        Types.sys_bump sys Count.hw_failures;
-        let ts = c.Types.kernel_threads in
-        c.Types.kernel_threads <- [];
-        List.iter (fun t -> Sim.Engine.kill eng t) ts;
-        List.iter
-          (fun (p : Types.process) ->
-            match p.Types.thread with
-            | Some t when p.Types.pstate <> Types.Proc_zombie ->
-              p.Types.killed_by_failure <- true;
-              Sim.Engine.kill eng t
-            | _ -> ())
-          c.Types.processes;
-        (* A participant dying mid-round must restart the recovery round. *)
-        match sys.Types.on_cell_death with
-        | Some f -> f c.Types.cell_id
-        | None -> ()
-      end);
+      if c.Types.cstatus <> Types.Cell_down then
+        Panic.halt sys c Count.hw_failures);
   (* Boot every cell, then let the boot threads run to completion. *)
   Array.iter
     (fun c -> ignore (Sim.Engine.spawn eng ~name:"boot" (fun () -> Cell.boot sys c)))

@@ -328,15 +328,22 @@ let touch (sys : Types.system) (p : Types.process) ~vpage ~write =
   | _ -> fault sys p ~vpage ~write
 
 (* Read/write actual memory words through a virtual page, exercising the
-   hardware firewall on the real frame. *)
+   hardware firewall on the real frame. [word_target] touches the page
+   and returns the cell whose boss processor issues the access, and the
+   word's physical address. *)
+let word_target (sys : Types.system) (p : Types.process) ~vpage ~offset
+    ~write =
+  match touch sys p ~vpage ~write with
+  | Error e -> Error e
+  | Ok () ->
+    let m = Hashtbl.find p.Types.mappings vpage in
+    Ok (cell_of sys p, Flash.Addr.addr_of_pfn m.Types.map_pf.Types.pfn + offset)
+
 let write_word (sys : Types.system) (p : Types.process) ~vpage ~offset v =
   let rec go retries =
-    match touch sys p ~vpage ~write:true with
+    match word_target sys p ~vpage ~offset ~write:true with
     | Error e -> Error e
-    | Ok () -> (
-      let m = Hashtbl.find p.Types.mappings vpage in
-      let addr = Flash.Addr.addr_of_pfn m.Types.map_pf.Types.pfn + offset in
-      let c = cell_of sys p in
+    | Ok (c, addr) -> (
       match Flash.Memory.write_i64 sys.Types.eng (mem sys) ~by:(Types.boss_proc c) addr v with
       | () -> Ok ()
       | exception Flash.Memory.Bus_error { cause = Flash.Memory.Firewall_denied; _ } ->
@@ -354,25 +361,25 @@ let write_word (sys : Types.system) (p : Types.process) ~vpage ~offset v =
   go 0
 
 let read_word (sys : Types.system) (p : Types.process) ~vpage ~offset =
-  match touch sys p ~vpage ~write:false with
+  match word_target sys p ~vpage ~offset ~write:false with
   | Error e -> Error e
-  | Ok () -> (
-    let m = Hashtbl.find p.Types.mappings vpage in
-    let addr = Flash.Addr.addr_of_pfn m.Types.map_pf.Types.pfn + offset in
-    let c = cell_of sys p in
+  | Ok (c, addr) -> (
     match Flash.Memory.read_i64 sys.Types.eng (mem sys) ~by:(Types.boss_proc c) addr with
     | v -> Ok v
     | exception Flash.Memory.Bus_error _ -> Error Types.EFAULT)
 
 (* ---------- Teardown and recovery support ---------- *)
 
-let unmap_all (sys : Types.system) (p : Types.process) =
-  let c = cell_of sys p in
+let drop_mappings (p : Types.process) =
   Hashtbl.iter
     (fun _ (m : Types.mapping) ->
       m.Types.map_pf.Types.refs <- max 0 (m.Types.map_pf.Types.refs - 1))
     p.Types.mappings;
-  Hashtbl.reset p.Types.mappings;
+  Hashtbl.reset p.Types.mappings
+
+let unmap_all (sys : Types.system) (p : Types.process) =
+  let c = cell_of sys p in
+  drop_mappings p;
   (* Release idle imported pages eagerly on exit. Teardown may run outside
      a thread context, so hand the releases (which RPC the data home) to
      the cell's reaper thread. *)

@@ -55,6 +55,13 @@ val read_word :
   Types.system ->
   Types.process ->
   vpage:int -> offset:int -> (int64, Types.errno) result
+
+(** Drop every mapping of the process, releasing its reference on each
+    mapped frame. *)
+val drop_mappings : Types.process -> unit
+
+(** [drop_mappings], then hand the cell's idle imported pages to its
+    reaper for release. *)
 val unmap_all : Types.system -> Types.process -> unit
 
 (** Pre-barrier-1 recovery step. [dead] names the round's confirmed-dead

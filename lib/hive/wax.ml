@@ -36,32 +36,25 @@ end
 
 let mem (sys : Types.system) = Flash.Machine.memory sys.Types.machine
 
-(* Kernel-side sanity check before accepting an allocation-preference
-   hint: every id must be a live, distinct cell (dead, duplicate and
+type hint =
+  | Alloc_preference of Types.cell_id list
+  | Clock_hand_targets of Types.cell_id list
+
+(* Kernel-side sanity check before accepting a hint that names cells:
+   every id must be a live, distinct cell (dead, duplicate and
    out-of-range ids are all caught by the live-set membership test). *)
 let sanity_check_hint (c : Types.cell) hint =
+  let (Alloc_preference ids | Clock_hand_targets ids) = hint in
   let ok =
-    List.for_all (fun id -> List.mem id c.Types.live_set) hint
-    && List.length (List.sort_uniq compare hint) = List.length hint
+    List.for_all (fun id -> List.mem id c.Types.live_set) ids
+    && List.length (List.sort_uniq compare ids) = List.length ids
   in
   if ok then begin
-    c.Types.alloc_preference <- List.filter (fun id -> id <> c.Types.cell_id) hint;
-    true
-  end
-  else begin
-    Types.bump c Count.rejected_hints;
-    false
-  end
-
-(* Same contract for the clock-hand target hint: previously the
-   coordinator stored targets into other cells unchecked. *)
-let sanity_check_clock_hint (c : Types.cell) hint =
-  let ok =
-    List.for_all (fun id -> List.mem id c.Types.live_set) hint
-    && List.length (List.sort_uniq compare hint) = List.length hint
-  in
-  if ok then begin
-    c.Types.clock_hand_targets <- hint;
+    (match hint with
+    | Alloc_preference ids ->
+      c.Types.alloc_preference <-
+        List.filter (fun id -> id <> c.Types.cell_id) ids
+    | Clock_hand_targets ids -> c.Types.clock_hand_targets <- ids);
     true
   end
   else begin
@@ -150,8 +143,8 @@ let policy_pass (sys : Types.system) (home : Types.cell) =
     (fun id ->
       let c = sys.Types.cells.(id) in
       if Types.cell_alive c then begin
-        ignore (sanity_check_hint c pref);
-        ignore (sanity_check_clock_hint c pressured);
+        ignore (sanity_check_hint c (Alloc_preference pref));
+        ignore (sanity_check_hint c (Clock_hand_targets pressured));
         (* Swapper policy: suggest that cells under memory pressure push
            idle anonymous pages to their swap partition. Deposit only —
            the pressured cell's own thread validates and executes. *)

@@ -19,8 +19,17 @@
    incarnation that rebuilds its view from scratch. *)
 
 val mem : Types.system -> Flash.Memory.t
-val sanity_check_hint : Types.cell -> Types.cell_id list -> bool
-val sanity_check_clock_hint : Types.cell -> Types.cell_id list -> bool
+
+(** A hint that names cells: where to allocate memory from, or which
+    cells the VM clock hand should target. *)
+type hint =
+  | Alloc_preference of Types.cell_id list
+  | Clock_hand_targets of Types.cell_id list
+
+(** Install the hint if every id is a live, distinct cell (an allocation
+    preference drops the cell's own id) and return true; otherwise count
+    it in [wax.rejected_hints] and return false. *)
+val sanity_check_hint : Types.cell -> hint -> bool
 
 (** Validate and (if the cell really is under local pressure) execute a
     deposited swap-out hint; always clears the hint slot. Rejections bump

@@ -271,7 +271,7 @@ let exec eng thr body =
                 continue k ())
           | _ -> None) }
 
-let spawn ?(name = "thread") ?(at = None) eng body =
+let spawn ?(name = "thread") ?at eng body =
   eng.next_tid <- eng.next_tid + 1;
   (* The delay wake-up and the [Some thr] the engine installs as current
      are built once here rather than on every delay. A fired wake-up that
@@ -314,8 +314,6 @@ let spawn ?(name = "thread") ?(at = None) eng body =
   | None -> schedule eng ~after:0L start
   | Some time -> ignore (schedule_at eng time start));
   thr
-
-let spawn_at eng ~at ?name body = spawn ?name ~at:(Some at) eng body
 
 let time () = Effect.perform E_now
 

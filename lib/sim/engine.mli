@@ -100,9 +100,7 @@ val wake_after : t -> thread -> int64 -> unit
 val kill : t -> thread -> unit
 
 (** Start a new thread. [at] gives an absolute start time. *)
-val spawn : ?name:string -> ?at:int64 option -> t -> (unit -> unit) -> thread
-
-val spawn_at : t -> at:int64 -> ?name:string -> (unit -> unit) -> thread
+val spawn : ?name:string -> ?at:int64 -> t -> (unit -> unit) -> thread
 
 (** {2 Thread-context operations (must be called from inside a thread)} *)
 

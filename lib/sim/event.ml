@@ -230,13 +230,15 @@ let chrome_sink oc =
   in
   (sink, terminate)
 
-(* Open a Chrome trace file; returns the sink and a close function that
-   terminates the JSON array and closes the file. *)
-let chrome_file path =
-  let oc = open_out path in
-  let sink, terminate = chrome_sink oc in
-  let close () =
-    terminate ();
-    close_out oc
-  in
-  (sink, close)
+(* Attach a Chrome trace file at [path], when one is given, to [t];
+   returns the function that terminates the JSON array and closes the
+   file. *)
+let attach_chrome_file t = function
+  | None -> ignore
+  | Some path ->
+    let oc = open_out path in
+    let sink, terminate = chrome_sink oc in
+    attach t sink;
+    fun () ->
+      terminate ();
+      close_out oc

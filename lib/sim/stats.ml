@@ -1,5 +1,5 @@
 (* Streaming statistics: bounded-reservoir summaries, log-bucket latency
-   histograms, plain counters and declared event counters.
+   histograms and declared event counters.
 
    Summaries keep exact count/sum/min/max and a fixed-size reservoir of
    samples for percentile estimation, so memory stays bounded however long
@@ -134,16 +134,6 @@ let hist_nonempty h =
       out := (lo, hi, h.buckets.(i)) :: !out
   done;
   !out
-
-type counter = { mutable n : int }
-
-let counter () = { n = 0 }
-
-let incr c = c.n <- c.n + 1
-
-let incr_by c k = c.n <- c.n + k
-
-let get c = c.n
 
 (* ---------- Declared counters ----------
 

@@ -1,5 +1,6 @@
-(** Measurement helpers: scalar summaries, counters and declared-counter
-    registries, shared by the kernel instrumentation and the benches. *)
+(** Measurement helpers: scalar summaries, latency histograms and
+    declared-counter registries, shared by the kernel instrumentation and
+    the benches. *)
 
 (** Running summary of a series of observations. *)
 type summary
@@ -55,16 +56,6 @@ val hist_percentile : histogram -> float -> float
 (** Non-empty buckets as [(lo_ns, hi_ns, count)], ascending; bucket
     [i > 0] covers durations in [[2^i, 2^(i+1))] ns. *)
 val hist_nonempty : histogram -> (int64 * int64 * int) list
-
-type counter
-
-val counter : unit -> counter
-
-val incr : counter -> unit
-
-val incr_by : counter -> int -> unit
-
-val get : counter -> int
 
 (** {2 Declared counters}
 

@@ -166,21 +166,8 @@ let driver cfg sums (sys : Hive.Types.system) (p : Hive.Types.process) =
   Hive.Syscall.close sys p ~fd
 
 let run ?(cfg = default) (sys : Hive.Types.system) =
-  let t0 = Sim.Engine.now sys.Hive.Types.eng in
-  let sums = Array.make cfg.workers 0L in
-  let c0 = sys.Hive.Types.cells.(0) in
-  let p = Hive.Process.spawn sys c0 ~name:"ocean" (driver cfg sums) in
-  let completed =
-    Hive.System.run_until_processes_done sys ~deadline:600_000_000_000L [ p ]
-  in
-  let elapsed = Int64.sub (Sim.Engine.now sys.Hive.Types.eng) t0 in
-  ( {
-      Workload.name = "ocean";
-      elapsed_ns = elapsed;
-      completed = completed && p.Hive.Types.exit_code = Some 0;
-      procs_killed = 0;
-    },
-    p )
+  Workload.run_driver sys ~name:"ocean"
+    (driver cfg (Array.make cfg.workers 0L))
 
 let verify ?(cfg = default) (sys : Hive.Types.system) =
   [ (out_path,

@@ -259,20 +259,7 @@ let driver cfg (sys : Hive.Types.system) (p : Hive.Types.process) =
 
 (* Run pmake to completion; returns the result and the driver process. *)
 let run ?(cfg = default) (sys : Hive.Types.system) =
-  let t0 = Sim.Engine.now sys.Hive.Types.eng in
-  let c0 = sys.Hive.Types.cells.(0) in
-  let p = Hive.Process.spawn sys c0 ~name:"pmake" (driver cfg) in
-  let completed =
-    Hive.System.run_until_processes_done sys ~deadline:600_000_000_000L [ p ]
-  in
-  let elapsed = Int64.sub (Sim.Engine.now sys.Hive.Types.eng) t0 in
-  ( {
-      Workload.name = "pmake";
-      elapsed_ns = elapsed;
-      completed = completed && p.Hive.Types.exit_code = Some 0;
-      procs_killed = 0;
-    },
-    p )
+  Workload.run_driver sys ~name:"pmake" (driver cfg)
 
 (* Verify every output object against its reference. *)
 let verify ?(cfg = default) (sys : Hive.Types.system) =

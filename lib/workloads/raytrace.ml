@@ -104,20 +104,7 @@ let driver cfg (sys : Hive.Types.system) (p : Hive.Types.process) =
   List.iter (fun c -> ignore (Hive.Process.wait sys p c)) !children
 
 let run ?(cfg = default) (sys : Hive.Types.system) =
-  let t0 = Sim.Engine.now sys.Hive.Types.eng in
-  let c0 = sys.Hive.Types.cells.(0) in
-  let p = Hive.Process.spawn sys c0 ~name:"raytrace" (driver cfg) in
-  let completed =
-    Hive.System.run_until_processes_done sys ~deadline:600_000_000_000L [ p ]
-  in
-  let elapsed = Int64.sub (Sim.Engine.now sys.Hive.Types.eng) t0 in
-  ( {
-      Workload.name = "raytrace";
-      elapsed_ns = elapsed;
-      completed = completed && p.Hive.Types.exit_code = Some 0;
-      procs_killed = 0;
-    },
-    p )
+  Workload.run_driver sys ~name:"raytrace" (driver cfg)
 
 let verify ?(cfg = default) (sys : Hive.Types.system) =
   List.init cfg.workers (fun w ->

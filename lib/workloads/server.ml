@@ -531,7 +531,6 @@ let run ?(cfg = default) (sys : Hive.Types.system) =
       Workload.name = "server";
       elapsed_ns = Int64.sub (Sim.Engine.now eng) t0;
       completed = done_ && s.errors = 0;
-      procs_killed = 0;
     },
     s )
 

@@ -9,10 +9,24 @@ type result = {
   name : string;
   elapsed_ns : int64;
   completed : bool;
-  procs_killed : int;
 }
 
 let ns_to_s ns = Int64.to_float ns /. 1e9
+
+(* Run [driver] as process [name] on cell 0 until it exits or 600 s of
+   simulated time pass; the run completed if the driver exited with 0. *)
+let run_driver (sys : Hive.Types.system) ~name driver =
+  let t0 = Sim.Engine.now sys.Hive.Types.eng in
+  let p = Hive.Process.spawn sys sys.Hive.Types.cells.(0) ~name driver in
+  let completed =
+    Hive.System.run_until_processes_done sys ~deadline:600_000_000_000L [ p ]
+  in
+  ( {
+      name;
+      elapsed_ns = Int64.sub (Sim.Engine.now sys.Hive.Types.eng) t0;
+      completed = completed && p.Hive.Types.exit_code = Some 0;
+    },
+    p )
 
 (* Deterministic pseudo-content for a named input file. The result is a
    pure function of [(tag, bytes)] and identical across campaigns, so it

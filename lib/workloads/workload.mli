@@ -9,9 +9,18 @@ type result = {
   name : string;
   elapsed_ns : int64;
   completed : bool;
-  procs_killed : int;
 }
 val ns_to_s : int64 -> float
+
+(** [run_driver sys ~name driver] runs [driver] as process [name] on
+    cell 0 until it exits or 600 s of simulated time pass. The run
+    completed if the driver exited with 0. Returns the result and the
+    driver process. *)
+val run_driver :
+  Hive.Types.system ->
+  name:string ->
+  (Hive.Types.system -> Hive.Types.process -> unit) ->
+  result * Hive.Types.process
 val synth_content : tag:string -> bytes:int -> bytes
 val derive_output : input:bytes -> bytes:int -> bytes
 val stable_content : Hive.Types.system -> string -> bytes option

@@ -341,6 +341,62 @@ let test_panic_cuts_off_memory () =
         p.Hive.Types.exit_code;
       ignore eng)
 
+(* A panic and a hardware fail-stop stop a cell the same way: it is
+   down, its kernel threads are gone, every live process on it was killed
+   by the failure and the failure machinery heard of it once. Only the
+   panic also cuts off the cell's memory: a remote read of a fail-stopped
+   node fails because the node is gone, not because of a cutoff. *)
+let check_halt ~panic =
+  with_sys ~ncells:2 ~params:manual (fun eng sys ->
+      let c1 = sys.Hive.Types.cells.(1) in
+      let busy =
+        List.init 2 (fun i ->
+            Hive.Process.spawn sys c1 ~name:(Printf.sprintf "busy%d" i)
+              (fun sys p -> Hive.Process.compute sys p 10_000_000_000L))
+      in
+      settle eng;
+      let deaths = ref [] in
+      let notify = sys.Hive.Types.on_cell_death in
+      sys.Hive.Types.on_cell_death <-
+        Some
+          (fun id ->
+            deaths := id :: !deaths;
+            Option.iter (fun f -> f id) notify);
+      if panic then Hive.Panic.panic sys c1 "test panic"
+      else
+        Hive.System.inject_node_failure sys (List.hd c1.Hive.Types.cell_nodes);
+      Alcotest.(check bool) "cell down" false (Hive.Types.cell_alive c1);
+      Alcotest.(check int) "no kernel threads" 0
+        (List.length c1.Hive.Types.kernel_threads);
+      Alcotest.(check (list bool)) "live processes killed by the failure"
+        [ true; true ]
+        (List.map
+           (fun (p : Hive.Types.process) -> p.Hive.Types.killed_by_failure)
+           busy);
+      Alcotest.(check (list int)) "on_cell_death ran once" [ 1 ] !deaths;
+      let cause = ref None in
+      let prober =
+        Hive.Process.spawn sys sys.Hive.Types.cells.(0) ~name:"prober"
+          (fun sys _ ->
+            match
+              Flash.Memory.read sys.Hive.Types.eng
+                (Flash.Machine.memory sys.Hive.Types.machine)
+                ~by:0 c1.Hive.Types.clock_addr 8
+            with
+            | _ -> ()
+            | exception Flash.Memory.Bus_error { cause = c; _ } ->
+              cause := Some c)
+      in
+      ignore
+        (Hive.System.run_until_processes_done sys ~deadline:5_000_000_000L
+           [ prober ]);
+      Alcotest.(check bool) "memory cut off" panic
+        (!cause = Some Flash.Memory.Cutoff))
+
+let test_panic_halts_cell () = check_halt ~panic:true
+
+let test_failstop_halts_cell () = check_halt ~panic:false
+
 let suite =
   [
     Alcotest.test_case "all survivors enter recovery" `Quick
@@ -365,4 +421,8 @@ let suite =
       test_auto_reintegration;
     Alcotest.test_case "panic cuts off remote memory access" `Quick
       test_panic_cuts_off_memory;
+    Alcotest.test_case "panic halts the cell and cuts off its memory" `Quick
+      test_panic_halts_cell;
+    Alcotest.test_case "fail-stop halts the cell like a panic" `Quick
+      test_failstop_halts_cell;
   ]

@@ -39,7 +39,7 @@ let test_deterministic_order () =
 let test_spawn_at () =
   let t = ref 0L in
   let eng = Sim.Engine.create () in
-  ignore (Sim.Engine.spawn_at eng ~at:500L (fun () -> t := Sim.Engine.time ()));
+  ignore (Sim.Engine.spawn eng ~at:500L (fun () -> t := Sim.Engine.time ()));
   Sim.Engine.run eng;
   check_i64 "starts at 500" 500L !t
 

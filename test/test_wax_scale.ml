@@ -42,21 +42,21 @@ let test_hint_validation_32_cells () =
   let c = sys.Hive.Types.cells.(5) in
   let r0 = counter c "wax.rejected_hints" in
   Alcotest.(check bool) "valid hint accepted" true
-    (Hive.Wax.sanity_check_hint c [ 0; 1; 2; 3 ]);
+    (Hive.Wax.sanity_check_hint c (Alloc_preference [ 0; 1; 2; 3 ]));
   Alcotest.(check (list int)) "preference installed (self filtered)"
     [ 0; 1; 2; 3 ] c.Hive.Types.alloc_preference;
   Alcotest.(check bool) "dead cell rejected" false
-    (Hive.Wax.sanity_check_hint c [ 0; 31 ]);
+    (Hive.Wax.sanity_check_hint c (Alloc_preference [ 0; 31 ]));
   Alcotest.(check bool) "duplicate rejected" false
-    (Hive.Wax.sanity_check_hint c [ 1; 1 ]);
+    (Hive.Wax.sanity_check_hint c (Alloc_preference [ 1; 1 ]));
   Alcotest.(check bool) "out-of-range rejected" false
-    (Hive.Wax.sanity_check_hint c [ 0; 99 ]);
+    (Hive.Wax.sanity_check_hint c (Alloc_preference [ 0; 99 ]));
   Alcotest.(check bool) "negative rejected" false
-    (Hive.Wax.sanity_check_hint c [ -1 ]);
+    (Hive.Wax.sanity_check_hint c (Alloc_preference [ -1 ]));
   Alcotest.(check bool) "clock hint: dead cell rejected" false
-    (Hive.Wax.sanity_check_clock_hint c [ 31 ]);
+    (Hive.Wax.sanity_check_hint c (Clock_hand_targets [ 31 ]));
   Alcotest.(check bool) "clock hint: duplicate rejected" false
-    (Hive.Wax.sanity_check_clock_hint c [ 2; 2 ]);
+    (Hive.Wax.sanity_check_hint c (Clock_hand_targets [ 2; 2 ]));
   Alcotest.(check (list int)) "rejections never clobber the preference"
     [ 0; 1; 2; 3 ] c.Hive.Types.alloc_preference;
   Alcotest.(check int) "every rejection counted" (r0 + 6)
