@@ -638,8 +638,9 @@ let traffic_area =
    the last cell mid-compile, and waits for automatic recovery plus
    reintegration to reunify the live set. Committed rows gate the scaling
    behavior: recovery must grow sub-quadratically in cells, RPCs
-   per compile must stay flat, and the invariant checkers must come back
-   clean on every shape. *)
+   per compile must stay flat, the invariant checkers must come back
+   clean on every shape, and no output outside the killed cell's may be
+   lost. [elapsed_ms] is recorded only for a whole build. *)
 
 let run_scale (dims : dims) =
   let mcfg =
@@ -711,6 +712,19 @@ let run_scale (dims : dims) =
   in
   let spread_pct = if mean > 0. then 100. *. sqrt var /. mean else 0. in
   let invariants_clean = Hive.Invariants.check sys = [] in
+  (* The killed cell may take its own objects and the binary with it;
+     any other output that is not byte-identical is a broken build. *)
+  let may_lose =
+    Workloads.Pmake.binary_path
+    :: List.init 2 (fun k -> Workloads.Pmake.obj_path ((k * dims.cells) + victim))
+  in
+  let lost =
+    List.filter
+      (fun (path, v) ->
+        Workloads.Workload.(v = Corrupt || (v <> Match && not (List.mem path may_lose))))
+      (Workloads.Pmake.verify ~cfg:pcfg sys)
+  in
+  let whole = result.Workloads.Workload.completed && lost = [] in
   [
     metric "recovery_ms" recovery_ms;
     metric "rpcs_per_compile"
@@ -718,16 +732,20 @@ let run_scale (dims : dims) =
     metric ~dir:Higher_better "reunified" (if reunified then 1. else 0.);
     metric ~dir:Higher_better "invariants_clean"
       (if invariants_clean then 1. else 0.);
+    metric ~dir:Higher_better "outputs_ok" (if lost = [] then 1. else 0.);
+    metric ~dir:Info "outputs_lost" (float_of_int (List.length lost));
     metric ~dir:Info "wax_incarnations"
       (float_of_int (sysc "wax.incarnations"));
     metric ~dir:Info "free_spread_pct" spread_pct;
     metric ~dir:Info "swap_hints_acted"
       (float_of_int (per "wax.swap_hints_acted"));
     metric ~dir:Info "rejected_hints" (float_of_int (per "wax.rejected_hints"));
-    metric ~dir:Info "elapsed_ms"
-      (Int64.to_float result.Workloads.Workload.elapsed_ns /. 1e6);
-    metric ~dir:Info "compiles" (float_of_int pcfg.Workloads.Pmake.files);
   ]
+  @ (if whole then
+       [ metric ~dir:Info "elapsed_ms"
+           (Int64.to_float result.Workloads.Workload.elapsed_ns /. 1e6) ]
+     else [])
+  @ [ metric ~dir:Info "compiles" (float_of_int pcfg.Workloads.Pmake.files) ]
 
 let scale_area =
   let base =

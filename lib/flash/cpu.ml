@@ -25,11 +25,10 @@ let check t = if t.halted then raise (Halted t.id)
 
 (* Interrupt handlers "steal" processor time: whoever currently runs a
    burst sees its burst stretched by the stolen amount. *)
-let steal eng t ns =
+let steal t ns =
   check t;
   t.stolen_ns <- Int64.add t.stolen_ns ns;
-  Sim.Engine.delay ns;
-  ignore eng
+  Sim.Engine.delay ns
 
 (* Occupy the CPU for [ns] of computation, queueing FIFO behind other
    occupants and stretching for any interrupt time stolen meanwhile. *)

@@ -21,7 +21,7 @@ val check : t -> unit
 
 (** Run interrupt-level work for [ns] (no queueing; stretches the current
     burst). *)
-val steal : Sim.Engine.t -> t -> int64 -> unit
+val steal : t -> int64 -> unit
 
 (** Occupy the CPU for [ns] of computation. *)
 val use : Sim.Engine.t -> t -> int64 -> unit

@@ -94,8 +94,9 @@ let grant_many t ~by ~pfn procs =
   set_vector t ~by ~pfn
     (Procset.union (vector t ~pfn) (Procset.of_list procs))
 
-let revoke_all_remote t ~by ~pfn =
-  set_vector t ~by ~pfn (Procset.singleton by)
+let reset t ~by ~pfn =
+  set_vector t ~by ~pfn
+    (Procset.add t.perms.(Addr.node_of_pfn t.cfg pfn).dflt by)
 
 let remote_writable_pages t ~node =
   let np = t.perms.(node) in

@@ -47,8 +47,8 @@ val revoke : t -> by:int -> pfn:Addr.pfn -> proc:int -> unit
     firewall-management policy grants per cell, not per processor). *)
 val grant_many : t -> by:int -> pfn:Addr.pfn -> int list -> unit
 
-(** Leave only the local processor's bit set. *)
-val revoke_all_remote : t -> by:int -> pfn:Addr.pfn -> unit
+(** Reset a page to its node's default set plus the local processor. *)
+val reset : t -> by:int -> pfn:Addr.pfn -> unit
 
 (** Number of this node's pages writable by at least one remote processor
     (the paper's Section 4.2 firewall statistic). Walks only the

@@ -137,43 +137,53 @@ let access_cost t ~by ~node ~write bytes =
     base
   end
 
-(* Shared prologue of every timed read: liveness checks, counter, line
-   latency, post-delay liveness re-check (the node may have died
-   mid-access). Returns the node memory and node-local offset. *)
-let read_prologue eng t ~by addr len =
+(* The coherence controller checks the firewall on each request for
+   cache-line ownership; a write to a page whose bit is not set for the
+   writing processor fails with a bus error. *)
+let check_firewall t ~by addr len =
+  if t.cfg.Config.firewall_enabled then begin
+    let first = Addr.pfn_of_addr addr in
+    let last = Addr.pfn_of_addr (addr + max 0 (len - 1)) in
+    for pfn = first to last do
+      if not (Firewall.allowed t.firewall ~pfn ~proc:by) then
+        raise (Bus_error { addr; cause = Firewall_denied })
+    done
+  end
+
+(* Shared prologue of every timed access: liveness checks, the firewall
+   check of a write, counter, latency, post-delay liveness re-check (the
+   node may have died mid-access). A [cached] read finds its lines hot in
+   the local cache (kernel structures the owner touches constantly) and
+   pays L2-hit latency under the same fault model. Returns the node
+   memory and node-local offset. *)
+let prologue ?(cached = false) t ~by ~write addr len =
   let node, nm = target t ~by addr len in
-  t.reads <- t.reads + 1;
-  Sim.Engine.delay (access_cost t ~by ~node ~write:false len);
+  if write then begin
+    check_firewall t ~by addr len;
+    t.writes <- t.writes + 1
+  end
+  else t.reads <- t.reads + 1;
+  Sim.Engine.delay
+    (if cached then
+       Int64.mul (Int64.of_int (Config.lines_for (max 1 len))) Config.l2_hit_ns
+     else access_cost t ~by ~node ~write len);
   if not nm.accessible then raise (Bus_error { addr; cause = Node_failed });
-  ignore eng;
   (nm, addr - node * Config.mem_bytes_per_node t.cfg)
 
-let read_into eng t ~by addr len dst dst_off =
+let read_into t ~by addr len dst dst_off =
   if dst_off < 0 || dst_off + len > Bytes.length dst then
     invalid_arg "Memory.read_into";
-  let nm, off = read_prologue eng t ~by addr len in
+  let nm, off = prologue t ~by ~write:false addr len in
   copy_out_into nm ~off len dst dst_off
 
-let read eng t ~by addr len =
+let read t ~by addr len =
   (* A negative [len] is the prologue's [Invalid_address] bus error. *)
   let dst = Bytes.create (max 0 len) in
-  read_into eng t ~by addr len dst 0;
+  read_into t ~by addr len dst 0;
   dst
 
-(* Cached read: the line is expected hot in the local cache (kernel
-   structures the owner touches constantly); charges L2-hit latency but
-   obeys the same fault model. *)
-let cached_prologue eng t ~by addr len =
-  let node, nm = target t ~by addr len in
-  t.reads <- t.reads + 1;
-  let lines = Config.lines_for (max 1 len) in
-  Sim.Engine.delay (Int64.mul (Int64.of_int lines) Config.l2_hit_ns);
-  if not nm.accessible then raise (Bus_error { addr; cause = Node_failed });
-  ignore eng;
-  (nm, addr - node * Config.mem_bytes_per_node t.cfg)
-
-let read_cached eng t ~by addr len =
-  let nm, off = cached_prologue eng t ~by addr len in
+let read_cached t ~by addr len =
+  let nm, off = prologue ~cached:true t ~by ~write:false addr len in
   copy_out nm ~off len
 
 (* Word-sized accessors skip the intermediate buffer when the word sits
@@ -188,47 +198,24 @@ let get_i64 (nm : node_mem) ~off =
     | None -> 0L
   else Bytes.get_int64_le (copy_out nm ~off 8) 0
 
-let read_i64 eng t ~by addr =
-  let nm, off = read_prologue eng t ~by addr 8 in
+let read_i64 t ~by addr =
+  let nm, off = prologue t ~by ~write:false addr 8 in
   get_i64 nm ~off
 
-let read_cached_i64 eng t ~by addr =
-  let nm, off = cached_prologue eng t ~by addr 8 in
+let read_cached_i64 t ~by addr =
+  let nm, off = prologue ~cached:true t ~by ~write:false addr 8 in
   get_i64 nm ~off
 
-(* The coherence controller checks the firewall on each request for
-   cache-line ownership; a write to a page whose bit is not set for the
-   writing processor fails with a bus error. *)
-let check_firewall t ~by addr len =
-  if t.cfg.Config.firewall_enabled then begin
-    let first = Addr.pfn_of_addr addr in
-    let last = Addr.pfn_of_addr (addr + max 0 (len - 1)) in
-    for pfn = first to last do
-      if not (Firewall.allowed t.firewall ~pfn ~proc:by) then
-        raise (Bus_error { addr; cause = Firewall_denied })
-    done
-  end
-
-let write_prologue eng t ~by addr len =
-  let node, nm = target t ~by addr len in
-  check_firewall t ~by addr len;
-  t.writes <- t.writes + 1;
-  Sim.Engine.delay (access_cost t ~by ~node ~write:true len);
-  if not nm.accessible then raise (Bus_error { addr; cause = Node_failed });
-  ignore eng;
-  (nm, addr - node * Config.mem_bytes_per_node t.cfg)
-
-let write_sub eng t ~by addr src src_off len =
+let write_sub t ~by addr src src_off len =
   if src_off < 0 || src_off + len > Bytes.length src then
     invalid_arg "Memory.write_sub";
-  let nm, off = write_prologue eng t ~by addr len in
+  let nm, off = prologue t ~by ~write:true addr len in
   copy_in nm ~off src src_off len
 
-let write eng t ~by addr bytes =
-  write_sub eng t ~by addr bytes 0 (Bytes.length bytes)
+let write t ~by addr bytes = write_sub t ~by addr bytes 0 (Bytes.length bytes)
 
-let write_i64 eng t ~by addr v =
-  let nm, off = write_prologue eng t ~by addr 8 in
+let write_i64 t ~by addr v =
+  let nm, off = prologue t ~by ~write:true addr 8 in
   let psize = Config.page_size in
   if (off mod psize) + 8 <= psize then
     Bytes.set_int64_le (page_for_write nm (off / psize)) (off mod psize) v

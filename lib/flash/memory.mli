@@ -40,39 +40,37 @@ val node_accessible : t -> int -> bool
 
 (** {2 Timed, checked accesses (call from a simulation thread)} *)
 
-(** [read eng t ~by addr len] performs a cached read by processor [by]. *)
-val read : Sim.Engine.t -> t -> by:int -> Addr.t -> int -> Bytes.t
+(** [read t ~by addr len] performs a cached read by processor [by]. *)
+val read : t -> by:int -> Addr.t -> int -> Bytes.t
 
-(** [read_into eng t ~by addr len dst dst_off] is [read] that lands the
+(** [read_into t ~by addr len dst dst_off] is [read] that lands the
     [len] bytes in [dst] at [dst_off] instead of a fresh buffer: same
     latency, counters and liveness checks. Raises [Invalid_argument] if
     the range does not fit [dst]. *)
-val read_into :
-  Sim.Engine.t -> t -> by:int -> Addr.t -> int -> Bytes.t -> int -> unit
+val read_into : t -> by:int -> Addr.t -> int -> Bytes.t -> int -> unit
 
 (* Cached read of hot local kernel data: L2-hit latency, same fault
    model. *)
-val read_cached : Sim.Engine.t -> t -> by:int -> Addr.t -> int -> Bytes.t
+val read_cached : t -> by:int -> Addr.t -> int -> Bytes.t
 
-val read_i64 : Sim.Engine.t -> t -> by:int -> Addr.t -> int64
+val read_i64 : t -> by:int -> Addr.t -> int64
 
 (* Allocation-free cached read of one kernel word (the hot kmem /
    careful-reference path). *)
-val read_cached_i64 : Sim.Engine.t -> t -> by:int -> Addr.t -> int64
+val read_cached_i64 : t -> by:int -> Addr.t -> int64
 
 (** Writes check the firewall per page and raise
     [Bus_error Firewall_denied] when permission is missing. *)
-val write : Sim.Engine.t -> t -> by:int -> Addr.t -> Bytes.t -> unit
+val write : t -> by:int -> Addr.t -> Bytes.t -> unit
 
-(** [write_sub eng t ~by addr src src_off len] is
-    [write eng t ~by addr (Bytes.sub src src_off len)] without the copy:
+(** [write_sub t ~by addr src src_off len] is
+    [write t ~by addr (Bytes.sub src src_off len)] without the copy:
     same firewall check, latency and counters, and [src] is read only
     once the access completes. Raises [Invalid_argument] if the range
     does not fit [src]. *)
-val write_sub :
-  Sim.Engine.t -> t -> by:int -> Addr.t -> Bytes.t -> int -> int -> unit
+val write_sub : t -> by:int -> Addr.t -> Bytes.t -> int -> int -> unit
 
-val write_i64 : Sim.Engine.t -> t -> by:int -> Addr.t -> int64 -> unit
+val write_i64 : t -> by:int -> Addr.t -> int64 -> unit
 
 (** {2 Out-of-band access (no latency, no checks) — tests and tooling} *)
 

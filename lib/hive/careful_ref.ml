@@ -81,16 +81,14 @@ let fail_value msg = raise (Careful_abort (Bad_value msg))
 let read_i64 ctx addr =
   check_addr ctx addr;
   try
-    Flash.Memory.read_i64 ctx.sys.Types.eng
-      (Flash.Machine.memory ctx.sys.Types.machine)
+    Flash.Memory.read_i64 (Flash.Machine.memory ctx.sys.Types.machine)
       ~by:(Types.boss_proc ctx.reader) addr
   with Flash.Memory.Bus_error { addr; _ } -> raise (Careful_abort (Bus_fault addr))
 
 let read_bytes ctx addr len =
   check_addr ctx ~align:1 addr;
   try
-    Flash.Memory.read ctx.sys.Types.eng
-      (Flash.Machine.memory ctx.sys.Types.machine)
+    Flash.Memory.read (Flash.Machine.memory ctx.sys.Types.machine)
       ~by:(Types.boss_proc ctx.reader) addr len
   with Flash.Memory.Bus_error { addr; _ } -> raise (Careful_abort (Bus_fault addr))
 

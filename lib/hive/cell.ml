@@ -17,6 +17,8 @@ let kernel_reserved_pages = 64
 
 let make (mcfg : Flash.Config.t) ~id ~nodes : Types.cell =
   let boss = List.hd nodes in
+  if nodes <> List.init (List.length nodes) (fun k -> boss + k) then
+    invalid_arg "Cell.make: a cell's nodes must be consecutive";
   let kmem_base = boss * Flash.Config.mem_bytes_per_node mcfg in
   let kmem_limit = kmem_base + (kernel_reserved_pages * Flash.Config.page_size) in
   {
@@ -29,10 +31,9 @@ let make (mcfg : Flash.Config.t) ~id ~nodes : Types.cell =
     page_hash = Pfdat.create_table ();
     page_index = Pfdat.create_index ();
     frames = Hashtbl.create 1024;
-    free_frames = [];
-    free_frame_count = 0;
-    total_frames = 0;
-    reserved_loans = [];
+    pool =
+      { Types.own_lo = 0; own_hi = 0; fresh = 0; own_free = [];
+        held = Hashtbl.create 64; borrowed_free = []; nfree = 0 };
     files = Hashtbl.create 64;
     files_by_ino = Hashtbl.create 64;
     next_ino = 0;
@@ -79,21 +80,14 @@ let make (mcfg : Flash.Config.t) ~id ~nodes : Types.cell =
     remote_fault_ns = Sim.Stats.summary ();
   }
 
-(* Populate the free-frame list: every owned page except the kernel
-   reserve on the boss node. *)
+(* Fill the frame pool: the cell's consecutive nodes less the kernel
+   reserve at the start of the boss node. *)
 let init_frames (sys : Types.system) (c : Types.cell) =
-  let cfg = sys.Types.mcfg in
-  let frames = ref [] in
-  List.iter
-    (fun node ->
-      let first = Flash.Addr.first_pfn_of_node cfg node in
-      let skip = if node = c.Types.boss_node then kernel_reserved_pages else 0 in
-      for pfn = first + skip to first + cfg.Flash.Config.mem_pages_per_node - 1 do
-        frames := pfn :: !frames
-      done)
-    c.Types.cell_nodes;
-  Types.set_free c (List.rev !frames);
-  c.Types.total_frames <- c.Types.free_frame_count
+  let ppn = sys.Types.mcfg.Flash.Config.mem_pages_per_node in
+  Page_alloc.init c
+    ~lo:(Flash.Addr.first_pfn_of_node sys.Types.mcfg c.Types.boss_node
+        + kernel_reserved_pages)
+    ~n:((List.length c.Types.cell_nodes * ppn) - kernel_reserved_pages)
 
 (* Grant this cell's processors write access to all of its own memory;
    remote cells get nothing until an export grants them a page. The vector
@@ -115,11 +109,9 @@ let boot (sys : Types.system) (c : Types.cell) =
   c.Types.live_set <-
     Array.to_list sys.Types.cells |> List.map (fun cl -> cl.Types.cell_id);
   (* Initialize the published clock word and Wax slot. *)
-  Flash.Memory.write_i64 sys.Types.eng
-    (Flash.Machine.memory sys.Types.machine)
+  Flash.Memory.write_i64 (Flash.Machine.memory sys.Types.machine)
     ~by:(Types.boss_proc c) c.Types.clock_addr 0L;
-  Flash.Memory.write_i64 sys.Types.eng
-    (Flash.Machine.memory sys.Types.machine)
+  Flash.Memory.write_i64 (Flash.Machine.memory sys.Types.machine)
     ~by:(Types.boss_proc c) c.Types.wax_slot 0L;
   Rpc.start_threads sys c;
   Clock.start sys c;
@@ -152,7 +144,7 @@ let boot (sys : Types.system) (c : Types.cell) =
                   | None -> false)
                 !burst
             in
-            List.iter (fun q -> Share.drop_import c q) orphaned;
+            List.iter (Pfdat.free_extended c) orphaned;
             Share.release_all sys c live;
             loop ()
           | None -> ()

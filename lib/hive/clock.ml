@@ -65,7 +65,7 @@ let start (sys : Types.system) (c : Types.cell) =
           if Types.cell_alive c then begin
             (* Increment our own published clock word. *)
             let v = clock_value sys c in
-            Flash.Memory.write_i64 eng mem ~by:(Types.boss_proc c)
+            Flash.Memory.write_i64 mem ~by:(Types.boss_proc c)
               c.Types.clock_addr (Int64.add v 1L);
             Sim.Engine.delay Params.clock_check_cost_ns;
             (* Monitor our ring successor. *)

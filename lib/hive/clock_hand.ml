@@ -7,7 +7,7 @@
    clock hand process running on each cell to preferentially free pages
    whose memory home is under memory pressure."
 
-   Implemented exactly so: every sweep the daemon returns idle borrowed
+   Implemented exactly so: every sweep the daemon returns free borrowed
    frames whose memory home appears in the Wax hint list
    ([clock_hand_targets]), and under local pressure it additionally
    reclaims idle cached file pages. *)
@@ -23,30 +23,16 @@ let sweep_period_ns = 200_000_000L
 (* One sweep; returns the number of frames released. *)
 let sweep (sys : Types.system) (c : Types.cell) =
   let released = ref 0 in
-  (* 1. Help pressured memory homes: return their idle loaned frames. *)
+  (* 1. Help pressured memory homes: return their free loaned frames. *)
   let targets = c.Types.clock_hand_targets in
   if targets <> [] then begin
-    let victims = ref [] in
-    Hashtbl.iter
-      (fun _ (pf : Types.pfdat) ->
-        match pf.Types.borrowed_from with
-        | Some home
-          when List.mem home targets
-               && Pfdat.is_idle pf && (not pf.Types.dirty)
-               && pf.Types.imported_from = None ->
-          victims := pf :: !victims
-        | _ -> ())
-      c.Types.frames;
-    List.iter
-      (fun pf ->
-        (* Only frames still sitting in the free pool can be returned. *)
-        if List.mem pf.Types.pfn c.Types.free_frames then begin
-          (try
-             Page_alloc.return_frame sys c pf;
-             incr released
-           with Types.Syscall_error _ -> ())
-        end)
-      !victims
+    let victims =
+      List.filter
+        (fun pfn -> List.mem (Page_alloc.lender sys pfn) targets)
+        c.Types.pool.Types.borrowed_free
+    in
+    if victims <> [] then Page_alloc.return_frames sys c victims;
+    released := List.length victims
   end;
   (* 2. Local pressure (watermark scaled to the frames this cell owns):
      drop idle clean cached pages, then swap. *)

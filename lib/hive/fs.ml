@@ -132,7 +132,7 @@ let create_local (sys : Types.system) (home : Types.cell) ~path ~content =
       by_client;
     Hashtbl.iter
       (fun _pg (pf : Types.pfdat) ->
-        if not pf.Types.extended then Page_alloc.free_frame sys home pf)
+        if not pf.Types.extended then Page_alloc.release sys home pf)
       f.Types.cached_pages;
     Hashtbl.reset f.Types.cached_pages;
     f.Types.size <- Bytes.length content;
@@ -177,7 +177,7 @@ let page_in (sys : Types.system) (home : Types.cell) (f : Types.file) page =
   match Pfdat.lookup home lid with
   | Some pf -> pf
   | None ->
-    let pf = Page_alloc.alloc_frame sys home in
+    let pf = Page_alloc.alloc sys home in
     let off = page * psize in
     let avail = max 0 (min psize (Bytes.length f.Types.disk_content - off)) in
     (* Fresh pages (beyond the stable contents) have nothing to read from
@@ -202,16 +202,15 @@ let page_in (sys : Types.system) (home : Types.cell) (f : Types.file) page =
           (buf, 0)
         end
       in
-      Flash.Memory.write_sub sys.Types.eng (mem sys) ~by:(Types.boss_proc home)
-        (Flash.Addr.addr_of_pfn pf.Types.pfn)
-        src src_off psize
+      Flash.Memory.write_sub (mem sys) ~by:(Types.boss_proc home)
+        (Flash.Addr.addr_of_pfn pf.Types.pfn) src src_off psize
     end;
     (* The disk read blocked: another thread may have cached the page
        meanwhile. The loser frees its frame and uses the winner's (the
        page-lock discipline of a real kernel). *)
     match Pfdat.lookup home lid with
     | Some winner ->
-      Page_alloc.free_frame sys home pf;
+      Page_alloc.release sys home pf;
       winner
     | None ->
       Pfdat.insert home lid pf;
@@ -237,9 +236,8 @@ let stage_page (sys : Types.system) (home : Types.cell) (f : Types.file) page
     f.Types.disk_content <- bigger
   end;
   let dst = f.Types.disk_content in
-  Flash.Memory.read_into sys.Types.eng (mem sys) ~by:(Types.boss_proc home)
-    (Flash.Addr.addr_of_pfn pf.Types.pfn)
-    psize dst off;
+  Flash.Memory.read_into (mem sys) ~by:(Types.boss_proc home)
+    (Flash.Addr.addr_of_pfn pf.Types.pfn) psize dst off;
   (* The read blocked: if the contents were replaced meanwhile, the page
      belongs in the new buffer. *)
   if f.Types.disk_content != dst then
@@ -377,7 +375,7 @@ let rec get_page (sys : Types.system) (c : Types.cell) vnode ~page ~writable
     if pf.Types.cached && pf.Types.import_gen > opened_gen then
       Error Types.EIO
     else if pf.Types.cached && pf.Types.import_gen < opened_gen then begin
-      Share.drop_import c pf;
+      Pfdat.free_extended c pf;
       get_page sys c vnode ~page ~writable ~opened_gen ~usage
     end
     else begin
@@ -390,7 +388,7 @@ let rec get_page (sys : Types.system) (c : Types.cell) vnode ~page ~writable
     end
   | Some pf ->
     (* Imported read-only but write wanted: rebind with write access. *)
-    Share.drop_import c pf;
+    Pfdat.free_extended c pf;
     get_page sys c vnode ~page ~writable ~opened_gen ~usage
   | None -> (
     match vnode with
@@ -495,7 +493,7 @@ let read (sys : Types.system) (c : Types.cell) vnode ~opened_gen ~pos ~len =
       match get_page sys c vnode ~page ~writable:false ~opened_gen ~usage:`Syscall with
       | Error e -> Error e
       | Ok pf ->
-        Flash.Memory.read_into sys.Types.eng (mem sys) ~by:(Types.boss_proc c)
+        Flash.Memory.read_into (mem sys) ~by:(Types.boss_proc c)
           (Flash.Addr.addr_of_pfn pf.Types.pfn + off)
           chunk out (len - remaining);
         (* Copy-out to the user buffer. *)
@@ -526,9 +524,8 @@ let write (sys : Types.system) (c : Types.cell) vnode ~opened_gen ~pos data =
            checked memory system. *)
         Sim.Engine.delay (Flash.Config.copy_cost chunk);
         match
-          Flash.Memory.write_sub sys.Types.eng (mem sys) ~by:(Types.boss_proc c)
-            (Flash.Addr.addr_of_pfn pf.Types.pfn + off)
-            data done_ chunk
+          Flash.Memory.write_sub (mem sys) ~by:(Types.boss_proc c)
+            (Flash.Addr.addr_of_pfn pf.Types.pfn + off) data done_ chunk
         with
         | () ->
           (* Extending past EOF allocates blocks on the data home (the

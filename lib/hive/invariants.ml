@@ -39,14 +39,16 @@ let cells_in_vector (sys : Types.system) vec ~but =
    whose [write_granted_to] records that remote cell — otherwise a cell
    the kernel never granted anything to can wild-write the page. The
    tracking pfdat is normally the owner's; for a loaned frame it is the
-   borrowing data home's (only the data home knows the firewall status).
+   borrowing data home's (only the data home knows the firewall status),
+   and the borrower itself needs no record: the loan granted it.
 
    Direction 2 (bookkeeping -> hardware): every recorded grant must be
    backed by actual permission bits, or a client holding a writable
-   mapping would take surprise bus errors.
+   mapping would take surprise bus errors; and the borrower of a loaned
+   frame must be able to write it.
 
-   Both directions: grants must never name a dead cell at a quiesce
-   point — recovery's preemptive discard is obliged to revoke them. *)
+   Both directions: grants, loans and borrows must never name a dead cell
+   at a quiesce point — recovery is obliged to revoke them. *)
 let check_firewall (sys : Types.system) ~cells =
   let fw = Flash.Machine.firewall sys.Types.machine in
   let bad = ref [] in
@@ -71,23 +73,22 @@ let check_firewall (sys : Types.system) ~cells =
                   (Flash.Procset.inter vec remote_mask)
                   ~but:c.Types.cell_id
               in
-              let tracker =
-                match Hashtbl.find_opt c.Types.frames pfn with
-                | Some pf -> (
-                  match pf.Types.loaned_to with
-                  | Some b when alive b ->
-                    Hashtbl.find_opt sys.Types.cells.(b).Types.frames pfn
-                  | _ -> Some pf)
-                | None -> None
+              let tracker, remotes =
+                match Page_alloc.state c pfn with
+                | Types.Loaned b when alive b ->
+                  ( Hashtbl.find_opt sys.Types.cells.(b).Types.frames pfn,
+                    List.filter (fun r -> r <> b) remotes )
+                | _ -> (Hashtbl.find_opt c.Types.frames pfn, remotes)
               in
               match tracker with
               | None ->
-                note
-                  (v "firewall-grant"
-                     "cell %d pfn %d: remote write permission %s but no \
-                      pfdat tracks the frame"
-                     c.Types.cell_id pfn
-                     (Flash.Procset.to_string vec))
+                if remotes <> [] then
+                  note
+                    (v "firewall-grant"
+                       "cell %d pfn %d: remote write permission %s but no \
+                        pfdat tracks the frame"
+                       c.Types.cell_id pfn
+                       (Flash.Procset.to_string vec))
               | Some pf ->
                 List.iter
                   (fun r ->
@@ -135,26 +136,38 @@ let check_firewall (sys : Types.system) ~cells =
                      "cell %d pfn %d: export record names dead cell %d"
                      c.Types.cell_id pf.Types.pfn e))
             pf.Types.exported_to;
-          (match pf.Types.imported_from with
+          match pf.Types.imported_from with
           | Some h when not (alive h) ->
             note
               (v "firewall-grant"
                  "cell %d pfn %d: import binding names dead cell %d"
                  c.Types.cell_id pf.Types.pfn h)
-          | _ -> ());
-          (match pf.Types.loaned_to with
-          | Some b when not (alive b) ->
-            note
-              (v "firewall-grant" "cell %d pfn %d: loan names dead cell %d"
-                 c.Types.cell_id pf.Types.pfn b)
-          | _ -> ());
-          match pf.Types.borrowed_from with
-          | Some h when not (alive h) ->
-            note
-              (v "firewall-grant" "cell %d pfn %d: borrow names dead cell %d"
-                 c.Types.cell_id pf.Types.pfn h)
           | _ -> ())
-        c.Types.frames)
+        c.Types.frames;
+      (* Loans and borrows, from the frame pool. *)
+      List.iter
+        (fun pfn ->
+          let what, peer =
+            match Page_alloc.state c pfn with
+            | Types.Loaned b -> ("loan", b)
+            | _ -> ("borrow", Page_alloc.lender sys pfn)
+          in
+          if not (alive peer) then
+            note
+              (v "firewall-grant" "cell %d pfn %d: %s names dead cell %d"
+                 c.Types.cell_id pfn what peer)
+          else if
+            what = "loan"
+            && not
+                 (List.for_all
+                    (fun proc -> Flash.Firewall.allowed fw ~pfn ~proc)
+                    sys.Types.cells.(peer).Types.cell_nodes)
+          then
+            note
+              (v "firewall-grant"
+                 "cell %d pfn %d: loaned to cell %d, which cannot write it"
+                 c.Types.cell_id pfn peer))
+        (Page_alloc.held c (fun _ _ -> true)))
     cells;
   List.rev !bad
 

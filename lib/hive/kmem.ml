@@ -19,7 +19,6 @@ let mem (sys : Types.system) = Flash.Machine.memory sys.machine
 (* Allocate [size] payload bytes tagged [tag]; returns the object address
    (which points at the tag word; fields start at [addr + header_bytes]). *)
 let alloc (sys : Types.system) (c : Types.cell) ~tag ~size =
-  let eng = sys.eng in
   let total = size + header_bytes in
   let total = (total + 7) land lnot 7 in
   let km = c.Types.kmem in
@@ -35,34 +34,32 @@ let alloc (sys : Types.system) (c : Types.cell) ~tag ~size =
       km.kmem_next <- km.kmem_next + total;
       a
   in
-  Flash.Memory.write_i64 eng (mem sys) ~by:(proc_of c) addr tag;
+  Flash.Memory.write_i64 (mem sys) ~by:(proc_of c) addr tag;
   addr
 
 let free (sys : Types.system) (c : Types.cell) ~addr ~size =
   let total = (size + header_bytes + 7) land lnot 7 in
   (* Remove the type identifier so stale remote pointers fail the check. *)
-  Flash.Memory.write_i64 sys.eng (mem sys) ~by:(proc_of c) addr 0L;
+  Flash.Memory.write_i64 (mem sys) ~by:(proc_of c) addr 0L;
   c.Types.kmem.kmem_free <- (addr, total) :: c.Types.kmem.kmem_free
 
 (* The owner's own kernel structures are hot in its caches: charge L2
    hits, not memory misses. *)
 let read_field (sys : Types.system) (c : Types.cell) ~addr ~index =
-  Flash.Memory.read_cached_i64 sys.eng (mem sys) ~by:(proc_of c)
+  Flash.Memory.read_cached_i64 (mem sys) ~by:(proc_of c)
     (addr + header_bytes + (8 * index))
 
 (* Read [count] consecutive fields as one block (per-line latency). *)
 let read_fields (sys : Types.system) (c : Types.cell) ~addr ~index ~count =
   let b =
-    Flash.Memory.read_cached sys.eng (mem sys) ~by:(proc_of c)
-      (addr + header_bytes + (8 * index))
-      (8 * count)
+    Flash.Memory.read_cached (mem sys) ~by:(proc_of c)
+      (addr + header_bytes + (8 * index)) (8 * count)
   in
   Array.init count (fun i -> Bytes.get_int64_le b (8 * i))
 
 let write_field (sys : Types.system) (c : Types.cell) ~addr ~index v =
-  Flash.Memory.write_i64 sys.eng (mem sys) ~by:(proc_of c)
-    (addr + header_bytes + (8 * index))
-    v
+  Flash.Memory.write_i64 (mem sys) ~by:(proc_of c)
+    (addr + header_bytes + (8 * index)) v
 
 let read_tag (sys : Types.system) (c : Types.cell) ~addr =
-  Flash.Memory.read_cached_i64 sys.eng (mem sys) ~by:(proc_of c) addr
+  Flash.Memory.read_cached_i64 (mem sys) ~by:(proc_of c) addr

@@ -19,8 +19,6 @@ let rec unlinked : Types.pfdat =
     exported_to = [];
     imported_from = None;
     write_granted_to = [];
-    loaned_to = None;
-    borrowed_from = None;
     extended = false;
     cached = false;
     park_stamp = 0;
@@ -32,15 +30,6 @@ let rec unlinked : Types.pfdat =
   }
 
 let make ~pfn : Types.pfdat = { unlinked with pfn }
-
-(* Find or create the pfdat for a frame in this cell's table. *)
-let of_frame (c : Types.cell) pfn =
-  match Hashtbl.find_opt c.Types.frames pfn with
-  | Some pf -> pf
-  | None ->
-    let pf = make ~pfn in
-    Hashtbl.replace c.Types.frames pfn pf;
-    pf
 
 (* ---------- The page table and its import index ----------
 
@@ -64,8 +53,7 @@ let create_index () =
   let head = make ~pfn:(-1) in
   head.Types.ext_prev <- head;
   head.Types.ext_next <- head;
-  { Types.ext_head = head; buckets = initial_buckets; next_slot_stamp = 0;
-    stamp_floor = 0 }
+  { Types.ext_head = head; buckets = initial_buckets; next_slot_stamp = 0 }
 
 let linked (pf : Types.pfdat) = pf.Types.ext_next != unlinked
 
@@ -110,38 +98,23 @@ let insert (c : Types.cell) lid (pf : Types.pfdat) =
       ix.Types.buckets <- 2 * ix.Types.buckets);
   if pf.Types.extended then link ix pf
 
-(* Drops whatever is bound under [pf]'s logical id, as the table always
-   has: normally [pf] itself, but a pfdat displaced by a later insert
-   under the same id still removes its successor. *)
+(* Drops [pf]'s own binding. A pfdat holds a slot stamp exactly while it
+   is bound, so one displaced by a later insert, or left over from a
+   reset, removes nothing. *)
 let remove (c : Types.cell) (pf : Types.pfdat) =
   (match pf.Types.lid with
-  | Some lid ->
-    let t = c.Types.page_hash in
-    if pf.Types.slot_stamp > c.Types.page_index.Types.stamp_floor then vacate pf
-    else Option.iter vacate (Types.Page_hash.find_opt t lid);
-    Types.Page_hash.remove t lid
-  | None -> ());
+  | Some lid when pf.Types.slot_stamp <> 0 ->
+    vacate pf;
+    Types.Page_hash.remove c.Types.page_hash lid
+  | Some _ | None -> ());
   pf.Types.lid <- None
 
-(* Empty the table (a reboot): the index and its bucket mirror start over
-   with it. *)
+(* Empty the table (a reboot): every binding leaves its slot and the
+   import index, and the bucket mirror starts over. *)
 let reset_table (c : Types.cell) =
+  Types.Page_hash.iter (fun _ pf -> vacate pf) c.Types.page_hash;
   Types.Page_hash.reset c.Types.page_hash;
-  let ix = c.Types.page_index in
-  let head = ix.Types.ext_head in
-  let rec clear (pf : Types.pfdat) =
-    if pf != head then begin
-      let next = pf.Types.ext_next in
-      pf.Types.ext_prev <- unlinked;
-      pf.Types.ext_next <- unlinked;
-      clear next
-    end
-  in
-  clear head.Types.ext_next;
-  head.Types.ext_prev <- head;
-  head.Types.ext_next <- head;
-  ix.Types.buckets <- initial_buckets;
-  ix.Types.stamp_floor <- ix.Types.next_slot_stamp
+  c.Types.page_index.Types.buckets <- initial_buckets
 
 (* The extended pfdats bound in the table that satisfy [keep], in the
    order [iter_pages] would visit them: by bucket, then newest slot
@@ -182,7 +155,6 @@ let free_extended (c : Types.cell) (pf : Types.pfdat) =
 
 let is_idle (pf : Types.pfdat) =
   pf.Types.refs = 0 && pf.Types.pins = 0 && pf.Types.exported_to = []
-  && pf.Types.loaned_to = None
 
 let iter_pages (c : Types.cell) f =
   Types.Page_hash.iter (fun _ pf -> f pf) c.Types.page_hash

@@ -8,7 +8,6 @@
    kernel operate on remote pages as if they were local. *)
 
 val make : pfn:int -> Types.pfdat
-val of_frame : Types.cell -> int -> Types.pfdat
 
 (** An empty page table and import index, as at boot. *)
 val create_table : unit -> Types.pfdat Types.Page_hash.t
@@ -16,6 +15,8 @@ val create_table : unit -> Types.pfdat Types.Page_hash.t
 val create_index : unit -> Types.page_index
 val lookup : Types.cell -> Types.logical_id -> Types.pfdat option
 val insert : Types.cell -> Types.logical_id -> Types.pfdat -> unit
+
+(** Drop the pfdat's own binding; a pfdat bound nowhere removes nothing. *)
 val remove : Types.cell -> Types.pfdat -> unit
 
 (** Empty the cell's page table and its import index (a reboot). *)

@@ -230,7 +230,7 @@ let service_request (sys : Types.system) (server : Types.cell) env =
     Types.bump server Count.served;
     if attempt > 0 then Types.bump server Count.retransmits_seen;
     let cpu = Flash.Machine.cpu sys.Types.machine (Types.boss_proc server) in
-    Flash.Cpu.steal sys.Types.eng cpu Params.rpc_server_dispatch_ns;
+    Flash.Cpu.steal cpu Params.rpc_server_dispatch_ns;
     if arg_bytes > Flash.Sips.max_payload then
       Sim.Engine.delay (marshal_cost arg_bytes);
     (* Handler execution time per op: for immediate service that is the
@@ -341,7 +341,7 @@ let service_request (sys : Types.system) (server : Types.cell) env =
             (* Longer-latency request: hand off to the server process pool;
                the completion reply is sent from the server process. *)
             Types.bump server Count.queued;
-            Flash.Cpu.steal sys.Types.eng cpu Params.rpc_queue_handoff_ns;
+            Flash.Cpu.steal cpu Params.rpc_queue_handoff_ns;
             Sim.Mailbox.send sys.Types.eng server.Types.rpc_queue (fun () ->
                 Sim.Engine.delay Params.rpc_context_switch_ns;
                 if

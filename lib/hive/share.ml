@@ -210,13 +210,10 @@ let cache_hit (client : Types.cell) (pf : Types.pfdat) =
     Types.bump client Count.cache_hits
   end
 
-(* Client side: bind a remote page into the local pfdat table.
-
-   CC-NUMA special case (Section 5.5): when the client is the *memory
-   home* of a frame it loaned out and the data home placed this page in
-   it, the preexisting (loaned) pfdat is reused rather than allocating an
-   extended one — the logical-level and physical-level state machines use
-   separate fields within the pfdat. *)
+(* Client side: bind a remote page into the local pfdat table. A page
+   the data home placed in a frame this cell loaned it (the CC-NUMA case
+   of Section 5.5) is an ordinary import: the loan is the frame pool's
+   state, not the pfdat's. *)
 let import (sys : Types.system) (client : Types.cell) ~pfn ~data_home ~lid
     ~gen ~writable =
   await_no_pending client lid;
@@ -233,17 +230,12 @@ let import (sys : Types.system) (client : Types.cell) ~pfn ~data_home ~lid
       Sim.Event.instant sys.Types.events ~cell:client.Types.cell_id
         ~args:[ ("pfn", Sim.Event.Int pfn); ("peer", Sim.Event.Int data_home) ]
         ~cat:Sim.Event.Page "page.import";
-    let pf =
-      match Hashtbl.find_opt client.Types.frames pfn with
-      | Some existing when existing.Types.loaned_to <> None ->
-        (* Reimporting one of our own loaned frames. *)
-        Types.bump client Count.reimports;
-        existing
-      | Some _ | None ->
-        let pf = Pfdat.alloc_extended ~pfn in
-        Hashtbl.replace client.Types.frames pfn pf;
-        pf
-    in
+    (if Page_alloc.own client pfn then
+       match Page_alloc.state client pfn with
+       | Types.Loaned _ -> Types.bump client Count.reimports
+       | Types.Free | Types.In_use | Types.Not_held -> ());
+    let pf = Pfdat.alloc_extended ~pfn in
+    Hashtbl.replace client.Types.frames pfn pf;
     pf.Types.imported_from <- Some data_home;
     pf.Types.import_gen <- gen;
     note_writable client pf ~writable;
@@ -262,12 +254,7 @@ let release_failed (sys : Types.system) (client : Types.cell) ~home =
    Returns false if the release RPC was lost. *)
 let release_now (sys : Types.system) (client : Types.cell)
     (pf : Types.pfdat) ~home ~lid =
-  if pf.Types.loaned_to <> None then begin
-    (* A reimported loaned frame: drop only the logical-level state. *)
-    Pfdat.remove client pf;
-    pf.Types.imported_from <- None
-  end
-  else Pfdat.free_extended client pf;
+  Pfdat.free_extended client pf;
   Types.bump client Count.releases;
   page_event sys client "page.release" pf ~peer:home;
   if List.mem home client.Types.live_set then begin
@@ -287,13 +274,12 @@ let release_now (sys : Types.system) (client : Types.cell)
   else true
 
 (* Only idle read-only file imports from a live home are parked: anything
-   writable must retire its firewall grant, loaned frames belong to the
-   physical-level machine, and anon pages are freed on their last unmap. *)
+   writable must retire its firewall grant, and anon pages are freed on
+   their last unmap. *)
 let cacheable (sys : Types.system) (client : Types.cell) (pf : Types.pfdat)
     ~home ~(lid : Types.logical_id) =
   sys.Types.params.Params.enable_import_cache
   && pf.Types.extended
-  && pf.Types.loaned_to = None
   && pf.Types.refs = 0
   && (not (List.mem client.Types.cell_id pf.Types.write_granted_to))
   && (match lid.Types.tag with
@@ -338,10 +324,10 @@ let release (sys : Types.system) (client : Types.cell) (pf : Types.pfdat) =
 
 (* Client side: release a batch of bindings, coalescing the home
    notifications into one vectored release_batch RPC per data home.
-   Cacheable bindings are parked; loaned frames and dead homes take the
-   per-page path. Raises [Syscall_error] at the end if any batch RPC was
-   lost (after counting and hinting each lost lid), so bulk callers can
-   surface the error without losing the rest of the batch. *)
+   Cacheable bindings are parked; dead homes take the per-page path.
+   Raises [Syscall_error] at the end if any batch RPC was lost (after
+   counting and hinting each lost lid), so bulk callers can surface the
+   error without losing the rest of the batch. *)
 let release_many (sys : Types.system) (client : Types.cell)
     (pfs : Types.pfdat list) =
   let failed = ref None in
@@ -354,7 +340,6 @@ let release_many (sys : Types.system) (client : Types.cell)
           if cacheable sys client pf ~home ~lid then park sys client pf
           else if
             (not sys.Types.params.Params.enable_import_cache)
-            || pf.Types.loaned_to <> None
             || not (List.mem home client.Types.live_set)
           then begin
             if not (release_now sys client pf ~home ~lid) then
@@ -403,15 +388,6 @@ let release_many (sys : Types.system) (client : Types.cell)
 let release_all (sys : Types.system) (client : Types.cell) pfs =
   try release_many sys client pfs
   with Types.Syscall_error _ -> Types.bump client Count.release_errors
-
-(* Drop an import binding without an RPC (used during recovery, when the
-   data home is gone or will clean up on its own side of the barrier). *)
-let drop_import (client : Types.cell) (pf : Types.pfdat) =
-  if pf.Types.loaned_to <> None then begin
-    Pfdat.remove client pf;
-    pf.Types.imported_from <- None
-  end
-  else Pfdat.free_extended client pf
 
 let () =
   Rpc.serve release_op (fun sys cell ~src arg ->

@@ -79,5 +79,3 @@ val release : Types.system -> Types.cell -> Types.pfdat -> unit
     vectored share.release_batch RPC per data home. Never raises: a lost
     batch RPC bumps share.release_lost per page and fs.release_errors once. *)
 val release_all : Types.system -> Types.cell -> Types.pfdat list -> unit
-
-val drop_import : Types.cell -> Types.pfdat -> unit

@@ -31,7 +31,6 @@ let mem (sys : Types.system) = Flash.Machine.memory sys.Types.machine
 let is_swappable (pf : Types.pfdat) =
   Pfdat.is_idle pf
   && (not pf.Types.extended)
-  && pf.Types.borrowed_from = None
   &&
   match pf.Types.lid with
   | Some { Types.tag = Types.Anon_obj _; _ } -> true
@@ -52,31 +51,38 @@ let alloc_swap_block (c : Types.cell) =
       Some b
     end
 
-(* Swap one anonymous page out to the local swap partition. *)
+(* Swap one anonymous page out to the local swap partition. The page is
+   claimed before the copy blocks, so a racing swap pass skips it, and
+   freed after only if still idle and bound to the same id. *)
 let swap_out_page (sys : Types.system) (c : Types.cell) (pf : Types.pfdat) =
   match pf.Types.lid with
-  | Some ({ Types.tag = Types.Anon_obj _; _ } as lid) -> (
+  | Some ({ Types.tag = Types.Anon_obj _; _ } as lid) when is_swappable pf -> (
     match alloc_swap_block c with
     | None ->
       Types.bump c Count.partition_full;
       false
     | Some block ->
+      Page_alloc.claim sys c pf;
       let psize = Flash.Config.page_size in
       let addr = Flash.Addr.addr_of_pfn pf.Types.pfn in
       let data =
-        Flash.Memory.read sys.Types.eng (mem sys) ~by:(Types.boss_proc c) addr
-          psize
+        Flash.Memory.read (mem sys) ~by:(Types.boss_proc c) addr psize
       in
       let disk = Flash.Machine.disk sys.Types.machine (Types.boss_proc c) in
       Flash.Disk.write sys.Types.eng disk
         ~block:(Flash.Config.swap_base + block)
         ~bytes:psize;
-      Hashtbl.replace c.Types.swap_table lid (block, data);
-      Pfdat.remove c pf;
-      Hashtbl.remove c.Types.frames pf.Types.pfn;
-      Types.push_free c pf.Types.pfn;
-      Types.bump c Count.outs;
-      true)
+      Page_alloc.unclaim pf;
+      if Pfdat.is_idle pf && pf.Types.lid = Some lid then begin
+        Hashtbl.replace c.Types.swap_table lid (block, data);
+        Page_alloc.release sys c pf;
+        Types.bump c Count.outs;
+        true
+      end
+      else begin
+        c.Types.swap_free_blocks <- block :: c.Types.swap_free_blocks;
+        false
+      end)
   | _ -> false
 
 (* Reclaim up to [want] frames by swapping idle anonymous pages out. *)
@@ -100,13 +106,12 @@ let swap_in (sys : Types.system) (c : Types.cell) lid =
   | None -> None
   | Some (block, data) ->
     let psize = Flash.Config.page_size in
-    let pf = Page_alloc.alloc_frame sys c in
+    let pf = Page_alloc.alloc sys c in
     let disk = Flash.Machine.disk sys.Types.machine (Types.boss_proc c) in
     Flash.Disk.read sys.Types.eng disk ~block:(Flash.Config.swap_base + block)
       ~bytes:psize;
-    Flash.Memory.write sys.Types.eng (mem sys) ~by:(Types.boss_proc c)
-      (Flash.Addr.addr_of_pfn pf.Types.pfn)
-      data;
+    Flash.Memory.write (mem sys) ~by:(Types.boss_proc c)
+      (Flash.Addr.addr_of_pfn pf.Types.pfn) data;
     Hashtbl.remove c.Types.swap_table lid;
     c.Types.swap_free_blocks <- block :: c.Types.swap_free_blocks;
     Pfdat.insert c lid pf;
@@ -132,9 +137,7 @@ let swap_out_process (sys : Types.system) (p : Types.process) =
     !anon_vpages;
   List.fold_left
     (fun acc (_, (m : Types.mapping)) ->
-      if is_swappable m.Types.map_pf && swap_out_page sys c m.Types.map_pf
-      then acc + 1
-      else acc)
+      if swap_out_page sys c m.Types.map_pf then acc + 1 else acc)
     0 !anon_vpages
 
 let swapped_pages (c : Types.cell) = Hashtbl.length c.Types.swap_table

@@ -55,10 +55,8 @@ let reintegrate (sys : Types.system) cell_id =
           Hashtbl.find_all o.Types.salvaged_by_home cell_id
           |> List.filter (fun (pf : Types.pfdat) ->
                  pf.Types.salvaged_from = Some cell_id
-                 &&
-                 match Hashtbl.find_opt o.Types.frames pf.Types.pfn with
-                 | Some cur -> cur == pf
-                 | None -> false)
+                 && Page_alloc.state o pf.Types.pfn = Types.In_use
+                 && Hashtbl.find o.Types.frames pf.Types.pfn == pf)
         in
         while Hashtbl.mem o.Types.salvaged_by_home cell_id do
           Hashtbl.remove o.Types.salvaged_by_home cell_id
@@ -67,15 +65,13 @@ let reintegrate (sys : Types.system) cell_id =
           (fun (pf : Types.pfdat) ->
             List.iter
               (fun (p : Types.process) ->
-                let stale = ref [] in
-                Hashtbl.iter
-                  (fun vpage (m : Types.mapping) ->
-                    if m.Types.map_pf == pf then stale := vpage :: !stale)
-                  p.Types.mappings;
-                List.iter (Hashtbl.remove p.Types.mappings) !stale)
+                Hashtbl.filter_map_inplace
+                  (fun _ (m : Types.mapping) ->
+                    if m.Types.map_pf == pf then None else Some m)
+                  p.Types.mappings)
               o.Types.processes;
             Types.bump o Count.salvage_purged;
-            Page_alloc.free_frame sys o pf)
+            Page_alloc.release sys o pf)
           doomed
       end)
     sys.Types.cells;
@@ -84,15 +80,12 @@ let reintegrate (sys : Types.system) cell_id =
   (* Fresh kernel state; files (and their stable disk contents) survive,
      but the page cache does not. *)
   Pfdat.reset_table c;
-  Hashtbl.reset c.Types.frames;
-  Types.set_free c [];
-  c.Types.total_frames <- 0;
+  Page_alloc.init c ~lo:0 ~n:0;
   Hashtbl.reset c.Types.swap_table;
   c.Types.swap_blocks_used <- 0;
   c.Types.swap_free_blocks <- [];
   c.Types.swap_hint <- 0;
   Hashtbl.reset c.Types.salvaged_by_home;
-  c.Types.reserved_loans <- [];
   Types.reset_import_cache c;
   Hashtbl.reset c.Types.readahead;
   Hashtbl.reset c.Types.pending_releases;

@@ -50,11 +50,10 @@ type obj_tag =
 type logical_id = { tag : obj_tag; page : int }
 
 (* Page frame data structure. Every cell has a pfdat for each frame it
-   owns; *extended pfdats* are allocated dynamically to name a remote
-   page (logical-level import) or a borrowed remote frame (physical-level
-   borrow). The logical-level and physical-level state machines use
-   separate fields so a frame can be simultaneously loaned and imported
-   back (the CC-NUMA placement optimization of Section 5.5). *)
+   owns and is using; *extended pfdats* are allocated dynamically to name
+   a remote page (logical-level import) or a borrowed remote frame
+   (physical-level borrow). Whether a frame is free, in use or loaned is
+   the frame pool's state ([frame_pool]), not a pfdat field. *)
 type pfdat = {
   pfn : int;
   mutable lid : logical_id option;
@@ -68,10 +67,7 @@ type pfdat = {
   mutable exported_to : cell_id list; (* data-home side: client cells *)
   mutable imported_from : cell_id option; (* client side: the data home *)
   mutable write_granted_to : cell_id list; (* firewall grants outstanding *)
-  (* physical level *)
-  mutable loaned_to : cell_id option; (* memory-home side *)
-  mutable borrowed_from : cell_id option; (* data-home side *)
-  mutable extended : bool;
+  mutable extended : bool; (* an import, or a frame borrowed from another cell *)
   (* import cache *)
   mutable cached : bool;
       (* client side: a released read-only import parked in the cell's
@@ -89,8 +85,9 @@ type pfdat = {
          home reintegrates *)
   (* page-table slot *)
   mutable slot_stamp : int;
-      (* when the page_hash slot holding this pfdat was created; an
-         in-place replace hands the slot's stamp to the new binding *)
+      (* when the page_hash slot holding this pfdat was created, 0 while
+         it holds none; an in-place replace hands the slot's stamp to
+         the new binding *)
   mutable ext_prev : pfdat;
   mutable ext_next : pfdat;
       (* links in the cell's import index while this is an extended pfdat
@@ -123,9 +120,28 @@ type page_index = {
   ext_head : pfdat; (* sentinel of the circular list *)
   mutable buckets : int; (* page_hash's bucket count *)
   mutable next_slot_stamp : int;
-  mutable stamp_floor : int;
-      (* stamps up to here predate the table's last reset: a pfdat
-         holding one is not bound in page_hash *)
+}
+
+(* What a cell holds of one physical frame: the states of the frame
+   machine in [Page_alloc], whose transitions are the only writers. *)
+type frame_state =
+  | Free (* in the cell's free pool *)
+  | In_use (* allocated: [frames] holds its pfdat *)
+  | Loaned of cell_id (* an own frame lent to that cell's allocator *)
+  | Not_held (* another cell's frame, or the kernel reserve *)
+
+(* A cell's frames. Its own frames are the pfns [own_lo, own_hi); those
+   from [own_lo + fresh] up have been free since boot, and [held] has the
+   state of every other frame the cell owns or borrows. The free pool is
+   [own_free], the fresh frames and [borrowed_free], in that order. *)
+type frame_pool = {
+  mutable own_lo : int;
+  mutable own_hi : int; (* [own_lo] while the cell is down *)
+  mutable fresh : int;
+  mutable own_free : int list;
+  held : (int, frame_state) Hashtbl.t;
+  mutable borrowed_free : int list;
+  mutable nfree : int;
 }
 
 (* A cell's import cache: parked bindings in park order, oldest first.
@@ -274,13 +290,9 @@ type cell = {
   (* pfdat tables *)
   page_hash : pfdat Page_hash.t;
   page_index : page_index;
-  frames : (int, pfdat) Hashtbl.t; (* by pfn: own + borrowed frames *)
-  mutable free_frames : int list;
-  mutable free_frame_count : int;
-      (* maintained alongside [free_frames] so Wax's once-per-period
-         publish (and every pressure check) is O(1), not O(free list) *)
-  mutable total_frames : int; (* frames owned at boot, for pressure pcts *)
-  mutable reserved_loans : int list; (* own frames currently loaned out *)
+  frames : (int, pfdat) Hashtbl.t;
+      (* by pfn: the in-use own and borrowed frames, and the imports *)
+  pool : frame_pool;
   (* fs *)
   files : (string, file) Hashtbl.t; (* files homed on this cell, by path *)
   files_by_ino : (int, file) Hashtbl.t;
@@ -430,44 +442,6 @@ let cell_of_node (sys : system) node =
   if node < 0 || node >= Array.length sys.node_owner then
     invalid_arg "cell_of_node: node not owned by any cell";
   sys.cells.(sys.node_owner.(node))
-
-(* Free-frame pool mutators: every site goes through these so
-   [free_frame_count] can never drift from the list. *)
-
-let push_free (c : cell) pfn =
-  c.free_frames <- pfn :: c.free_frames;
-  c.free_frame_count <- c.free_frame_count + 1
-
-(* Append variant: borrowed frames go to the tail so local frames are
-   preferred by allocation. *)
-let push_free_last (c : cell) pfn =
-  c.free_frames <- c.free_frames @ [ pfn ];
-  c.free_frame_count <- c.free_frame_count + 1
-
-let take_free (c : cell) =
-  match c.free_frames with
-  | pfn :: rest ->
-    c.free_frames <- rest;
-    c.free_frame_count <- c.free_frame_count - 1;
-    Some pfn
-  | [] -> None
-
-let remove_free (c : cell) pfn =
-  let removed = ref 0 in
-  c.free_frames <-
-    List.filter
-      (fun p ->
-        if p = pfn then begin
-          incr removed;
-          false
-        end
-        else true)
-      c.free_frames;
-  c.free_frame_count <- c.free_frame_count - !removed
-
-let set_free (c : cell) pfns =
-  c.free_frames <- pfns;
-  c.free_frame_count <- List.length pfns
 
 (* Import-cache bookkeeping; the policy (what is parked, and what an
    eviction releases) lives in [Share]. *)

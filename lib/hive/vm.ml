@@ -103,7 +103,7 @@ let region_of (p : Types.process) vpage =
 (* Materialize a fresh anonymous page recorded at the process's leaf. *)
 let anon_create (sys : Types.system) (c : Types.cell) (leaf : Types.cow_ref)
     ~page =
-  let pf = Page_alloc.alloc_frame sys c in
+  let pf = Page_alloc.alloc sys c in
   Cow.record_write sys c leaf ~page;
   let node_id = Cow.node_id sys { leaf with Types.cow_cell = leaf.Types.cow_cell } in
   let lid =
@@ -272,15 +272,12 @@ let fault (sys : Types.system) (p : Types.process) ~vpage ~write =
           | Ok src_pf ->
             let psize = Flash.Config.page_size in
             let data =
-              Flash.Memory.read sys.Types.eng (mem sys)
-                ~by:(Types.boss_proc c)
-                (Flash.Addr.addr_of_pfn src_pf.Types.pfn)
-                psize
+              Flash.Memory.read (mem sys) ~by:(Types.boss_proc c)
+                (Flash.Addr.addr_of_pfn src_pf.Types.pfn) psize
             in
             let dst = anon_create sys c cref ~page in
-            Flash.Memory.write sys.Types.eng (mem sys) ~by:(Types.boss_proc c)
-              (Flash.Addr.addr_of_pfn dst.Types.pfn)
-              data;
+            Flash.Memory.write (mem sys) ~by:(Types.boss_proc c)
+              (Flash.Addr.addr_of_pfn dst.Types.pfn) data;
             (* Drop our import binding to the source page if we made one
                (a local source may live in a borrowed frame, which stays). *)
             (if src_pf.Types.imported_from <> None then
@@ -344,7 +341,7 @@ let write_word (sys : Types.system) (p : Types.process) ~vpage ~offset v =
     match word_target sys p ~vpage ~offset ~write:true with
     | Error e -> Error e
     | Ok (c, addr) -> (
-      match Flash.Memory.write_i64 sys.Types.eng (mem sys) ~by:(Types.boss_proc c) addr v with
+      match Flash.Memory.write_i64 (mem sys) ~by:(Types.boss_proc c) addr v with
       | () -> Ok ()
       | exception Flash.Memory.Bus_error { cause = Flash.Memory.Firewall_denied; _ } ->
         (* Permission revoked since mapping (e.g. post-recovery): refault.
@@ -364,7 +361,7 @@ let read_word (sys : Types.system) (p : Types.process) ~vpage ~offset =
   match word_target sys p ~vpage ~offset ~write:false with
   | Error e -> Error e
   | Ok (c, addr) -> (
-    match Flash.Memory.read_i64 sys.Types.eng (mem sys) ~by:(Types.boss_proc c) addr with
+    match Flash.Memory.read_i64 (mem sys) ~by:(Types.boss_proc c) addr with
     | v -> Ok v
     | exception Flash.Memory.Bus_error _ -> Error Types.EFAULT)
 
@@ -408,9 +405,7 @@ let try_salvage (sys : Types.system) (c : Types.cell) (pf : Types.pfdat)
     match pf.Types.lid with
     | Some ({ Types.tag = Types.File_obj fid; page = _ } as lid)
       when fid.Types.home = home
-           && (not pf.Types.dirty)
-           && pf.Types.borrowed_from = None
-           && pf.Types.loaned_to = None -> (
+           && not pf.Types.dirty -> (
       match Pfdat.lookup hc lid with
       | Some hpf
         when hpf.Types.pfn = pf.Types.pfn
@@ -423,30 +418,21 @@ let try_salvage (sys : Types.system) (c : Types.cell) (pf : Types.pfdat)
                  with
                 | Some f -> f.Types.generation <= pf.Types.import_gen
                 | None -> false) -> (
-        (* Take a strictly local free frame; under memory pressure the
-           salvage is skipped rather than evicting anything mid-recovery. *)
-        let local_free =
-          List.find_opt
-            (fun pfn ->
-              List.mem
-                (Flash.Addr.node_of_pfn sys.Types.mcfg pfn)
-                c.Types.cell_nodes)
-            c.Types.free_frames
-        in
-        match local_free with
+        (* Take a free own frame; under memory pressure the salvage is
+           skipped rather than evicting anything mid-recovery. *)
+        match Page_alloc.take_free ~own_only:true sys c with
         | None ->
           Types.bump c Count.salvage_skipped;
           None
-        | Some pfn ->
-          Types.remove_free c pfn;
+        | Some npf ->
           Sim.Engine.delay Params.salvage_copy_ns;
           let data =
             Flash.Memory.peek (mem sys)
               (Flash.Addr.addr_of_pfn hpf.Types.pfn)
               Flash.Config.page_size
           in
-          let npf = Pfdat.of_frame c pfn in
-          Flash.Memory.poke (mem sys) (Flash.Addr.addr_of_pfn pfn) data;
+          Flash.Memory.poke (mem sys) (Flash.Addr.addr_of_pfn npf.Types.pfn)
+            data;
           npf.Types.import_gen <- pf.Types.import_gen;
           Some (lid, npf))
       | _ ->
@@ -499,7 +485,7 @@ let flush_remote_bindings ?(dead = []) (sys : Types.system) (c : Types.cell) =
         | _ -> None
       in
       let home = pf.Types.imported_from in
-      Share.drop_import c pf;
+      Pfdat.free_extended c pf;
       match (salvaged, home) with
       | Some (lid, npf), Some h ->
         npf.Types.salvaged_from <- Some h;
@@ -511,14 +497,15 @@ let flush_remote_bindings ?(dead = []) (sys : Types.system) (c : Types.cell) =
     !imports;
   (* No parked binding may survive recovery: a data home may be dead or
      about to bump generations, and the post-recovery world re-locates
-     everything from scratch. drop_import already unparked each binding;
+     everything from scratch. free_extended already unparked each binding;
      this also resets the cache's FIFO and the read-ahead detectors. *)
   Types.reset_import_cache c;
   Hashtbl.reset c.Types.readahead
 
 (* Post-barrier-1 VM cleanup: revoke grants to dead cells, preemptively
    discard every local page writable by a failed cell, clear export
-   records, reclaim loaned frames. Returns the number of discarded pages. *)
+   records, take back frames loaned to dead cells and forget frames
+   borrowed from them. Returns the number of discarded pages. *)
 let preemptive_discard (sys : Types.system) (c : Types.cell) ~dead =
   let fwall = Flash.Machine.firewall sys.Types.machine in
   let discarded = ref 0 in
@@ -540,12 +527,9 @@ let preemptive_discard (sys : Types.system) (c : Types.cell) ~dead =
   List.iter
     (fun pfn ->
       Sim.Engine.delay Params.recovery_scan_page_ns;
-      (* Revoke all remote permission on this page. *)
-      let node = Flash.Addr.node_of_pfn sys.Types.mcfg pfn in
-      Flash.Firewall.revoke_all_remote fwall ~by:node ~pfn;
-      match Hashtbl.find_opt c.Types.frames pfn with
-      | None -> ()
-      | Some pf ->
+      Page_alloc.reset_firewall sys c pfn;
+      match (Page_alloc.state c pfn, Hashtbl.find_opt c.Types.frames pfn) with
+      | Types.In_use, Some pf ->
         incr discarded;
         Types.bump c Count.discarded_pages;
         (* Notify the file system if a dirty file page is being lost. *)
@@ -557,7 +541,8 @@ let preemptive_discard (sys : Types.system) (c : Types.cell) ~dead =
         | _ -> ());
         pf.Types.exported_to <- [];
         pf.Types.write_granted_to <- [];
-        Page_alloc.free_frame sys c pf)
+        Page_alloc.release sys c pf
+      | _ -> ())
     victim_pfns;
   (* Clear export records (clients dropped their imports pre-barrier). *)
   Pfdat.iter_pages c (fun pf ->
@@ -567,40 +552,7 @@ let preemptive_discard (sys : Types.system) (c : Types.cell) ~dead =
           if List.mem client dead then
             Wild_write.revoke_client sys c pf ~client)
         pf.Types.write_granted_to);
-  (* Reclaim frames loaned to dead cells. *)
-  let reclaimed =
-    List.filter
-      (fun pfn ->
-        match Hashtbl.find_opt c.Types.frames pfn with
-        | Some pf -> (
-          match pf.Types.loaned_to with
-          | Some borrower when List.mem borrower dead ->
-            pf.Types.loaned_to <- None;
-            Pfdat.remove c pf;
-            true
-          | _ -> false)
-        | None -> false)
-      c.Types.reserved_loans
-  in
-  List.iter
-    (fun pfn ->
-      c.Types.reserved_loans <-
-        List.filter (fun q -> q <> pfn) c.Types.reserved_loans;
-      Types.push_free c pfn)
-    reclaimed;
-  (* Drop borrowed frames whose memory home died. *)
-  let dead_borrows = ref [] in
-  Hashtbl.iter
-    (fun _ pf ->
-      match pf.Types.borrowed_from with
-      | Some home when List.mem home dead -> dead_borrows := pf :: !dead_borrows
-      | _ -> ())
-    c.Types.frames;
-  List.iter
-    (fun pf ->
-      Types.remove_free c pf.Types.pfn;
-      Pfdat.free_extended c pf)
-    !dead_borrows;
+  Page_alloc.settle_dead sys c ~dead;
   !discarded
 
 let () =

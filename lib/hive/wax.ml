@@ -73,7 +73,7 @@ let act_on_swap_hint (sys : Types.system) (c : Types.cell) =
     c.Types.swap_hint <- 0;
     if
       want > 0
-      && want <= max Params.wax_swap_want (c.Types.total_frames / 8)
+      && want <= max Params.wax_swap_want (Page_alloc.total_frames c / 8)
       && Page_alloc.under_pressure c ~pct:Params.wax_pressure_pct
     then begin
       Types.bump c Count.swap_hints_acted;
@@ -84,8 +84,7 @@ let act_on_swap_hint (sys : Types.system) (c : Types.cell) =
 
 let publish_local_state (sys : Types.system) (c : Types.cell) =
   (* Free-frame count, written into the shared slot with a plain store. *)
-  Flash.Memory.write_i64 sys.Types.eng (mem sys) ~by:(Types.boss_proc c)
-    c.Types.wax_slot
+  Flash.Memory.write_i64 (mem sys) ~by:(Types.boss_proc c) c.Types.wax_slot
     (Int64.of_int (Page_alloc.free_count c))
 
 exception Wax_dies
@@ -119,7 +118,7 @@ let policy_pass (sys : Types.system) (home : Types.cell) =
         let c = sys.Types.cells.(id) in
         let v =
           try
-            Flash.Memory.read_i64 sys.Types.eng (mem sys)
+            Flash.Memory.read_i64 (mem sys)
               ~by:(Types.boss_proc home) c.Types.wax_slot
           with Flash.Memory.Bus_error _ -> raise Wax_dies
         in
@@ -187,9 +186,10 @@ let start (sys : Types.system) =
                 if Types.cell_alive c then act_on_swap_hint sys c
               done
             with
-            | Wax_dies | Flash.Memory.Bus_error _ ->
-              (* Some cell we depend on failed: the whole process exits;
-                 recovery will fork a fresh incarnation. *)
+            | Wax_dies | Flash.Memory.Bus_error _ | Panic.Kernel_corruption _ ->
+              (* Some cell we depend on failed, or this one panicked: the
+                 whole process exits; recovery will fork a fresh
+                 incarnation. *)
               Types.sys_bump sys Count.deaths)
       in
       sys.Types.wax_threads <- thr :: sys.Types.wax_threads)

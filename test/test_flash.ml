@@ -43,7 +43,7 @@ let test_firewall_grant_revoke () =
     (Flash.Firewall.allowed fw ~pfn:remote_pfn ~proc:1);
   Alcotest.(check int) "counted as remotely writable" 1
     (Flash.Firewall.remote_writable_pages fw ~node:1);
-  Flash.Firewall.revoke_all_remote fw ~by:1 ~pfn:remote_pfn;
+  Flash.Firewall.reset fw ~by:1 ~pfn:remote_pfn;
   Alcotest.(check bool) "proc0 revoked" false
     (Flash.Firewall.allowed fw ~pfn:remote_pfn ~proc:0);
   Alcotest.(check bool) "local kept" true
@@ -127,13 +127,13 @@ let test_memory_write_requires_firewall () =
           let addr = Flash.Addr.addr_of_pfn remote_pfn in
           (* Proc 0 writing to node 1's memory without permission: denied. *)
           (try
-             Flash.Memory.write eng mem ~by:0 addr (Bytes.of_string "hi");
+             Flash.Memory.write mem ~by:0 addr (Bytes.of_string "hi");
              Alcotest.fail "expected firewall bus error"
            with Flash.Memory.Bus_error { cause = Firewall_denied; _ } -> ());
           (* After a grant by the local processor it succeeds. *)
           Flash.Firewall.grant (Flash.Machine.firewall m) ~by:1 ~pfn:remote_pfn
             ~proc:0;
-          Flash.Memory.write eng mem ~by:0 addr (Bytes.of_string "hi");
+          Flash.Memory.write mem ~by:0 addr (Bytes.of_string "hi");
           Alcotest.(check string) "data written" "hi"
             (Bytes.to_string (Flash.Memory.peek mem addr 2))))
 
@@ -144,7 +144,7 @@ let test_memory_local_write_allowed () =
           (* A processor always starts without permission even locally;
              grant to self first (the kernel does this at boot). *)
           Flash.Firewall.grant (Flash.Machine.firewall m) ~by:0 ~pfn:0 ~proc:0;
-          Flash.Memory.write eng mem ~by:0 0 (Bytes.of_string "x");
+          Flash.Memory.write mem ~by:0 0 (Bytes.of_string "x");
           Alcotest.(check string) "local write lands" "x"
             (Bytes.to_string (Flash.Memory.peek mem 0 1))))
 
@@ -155,7 +155,7 @@ let test_memory_failed_node_bus_error () =
           Flash.Machine.fail_node m 1;
           let addr = Flash.Addr.addr_of_pfn remote_pfn in
           try
-            ignore (Flash.Memory.read eng mem ~by:0 addr 8);
+            ignore (Flash.Memory.read mem ~by:0 addr 8);
             Alcotest.fail "expected bus error"
           with Flash.Memory.Bus_error { cause = Node_failed; _ } -> ()))
 
@@ -167,18 +167,18 @@ let test_memory_cutoff () =
           let addr = Flash.Addr.addr_of_pfn remote_pfn in
           (* Remote access refused... *)
           (try
-             ignore (Flash.Memory.read eng mem ~by:0 addr 8);
+             ignore (Flash.Memory.read mem ~by:0 addr 8);
              Alcotest.fail "expected cutoff bus error"
            with Flash.Memory.Bus_error { cause = Cutoff; _ } -> ());
           (* ...but the local processor still reaches its own memory. *)
-          ignore (Flash.Memory.read eng mem ~by:1 addr 8)))
+          ignore (Flash.Memory.read mem ~by:1 addr 8)))
 
 let test_memory_read_latency () =
   with_machine (fun eng m ->
       in_thread eng (fun () ->
           let mem = Flash.Machine.memory m in
           let t0 = Sim.Engine.time () in
-          ignore (Flash.Memory.read eng mem ~by:0 0 8);
+          ignore (Flash.Memory.read mem ~by:0 0 8);
           let dt = Int64.sub (Sim.Engine.time ()) t0 in
           (* One cache line: one 700 ns miss. *)
           Alcotest.(check int64) "one-line read costs one miss" 700L dt))
@@ -189,7 +189,7 @@ let test_memory_write_latency_includes_firewall_check () =
           let mem = Flash.Machine.memory m in
           Flash.Firewall.grant (Flash.Machine.firewall m) ~by:0 ~pfn:0 ~proc:0;
           let t0 = Sim.Engine.time () in
-          Flash.Memory.write eng mem ~by:0 0 (Bytes.make 8 'a');
+          Flash.Memory.write mem ~by:0 0 (Bytes.make 8 'a');
           let dt = Int64.sub (Sim.Engine.time ()) t0 in
           Alcotest.(check int64) "miss + firewall check" 740L dt))
 
@@ -275,7 +275,7 @@ let test_cpu_interrupt_steals () =
           done_at := Sim.Engine.time ());
       in_thread eng (fun () ->
           Sim.Engine.delay 50L;
-          Flash.Cpu.steal eng cpu 30L);
+          Flash.Cpu.steal cpu 30L);
       in_thread eng (fun () ->
           Sim.Engine.delay 1000L;
           Alcotest.(check int64) "burst stretched by interrupt" 130L !done_at))
@@ -319,7 +319,7 @@ let test_restore_node () =
           Flash.Firewall.grant (Flash.Machine.firewall m) ~by:1 ~pfn:remote_pfn
             ~proc:1;
           let addr = Flash.Addr.addr_of_pfn remote_pfn in
-          Flash.Memory.write eng mem ~by:1 addr (Bytes.of_string "z");
+          Flash.Memory.write mem ~by:1 addr (Bytes.of_string "z");
           Flash.Machine.fail_node m 1;
           Flash.Machine.restore_node m 1;
           Alcotest.(check bool) "alive again" true (Flash.Machine.node_alive m 1);
@@ -446,8 +446,8 @@ let qcheck_memory_roundtrip =
              let fw = Flash.Machine.firewall m in
              Flash.Firewall.grant fw ~by:0 ~pfn:0 ~proc:0;
              Flash.Firewall.grant fw ~by:0 ~pfn:1 ~proc:0;
-             Flash.Memory.write eng mem ~by:0 off (Bytes.of_string s);
-             let back = Flash.Memory.read eng mem ~by:0 off (String.length s) in
+             Flash.Memory.write mem ~by:0 off (Bytes.of_string s);
+             let back = Flash.Memory.read mem ~by:0 off (String.length s) in
              ok := Bytes.to_string back = s));
       Sim.Engine.run eng;
       !ok)
@@ -488,15 +488,15 @@ let qcheck_read_into_matches_read =
           writes
       in
       let expect, t_read =
-        timed_in_machine (fun eng m ->
+        timed_in_machine (fun _ m ->
             setup m;
-            Flash.Memory.read eng (Flash.Machine.memory m) ~by:0 addr len)
+            Flash.Memory.read (Flash.Machine.memory m) ~by:0 addr len)
       in
       let dst = Bytes.make (dst_off + len + 16) '\xff' in
       let (), t_into =
-        timed_in_machine (fun eng m ->
+        timed_in_machine (fun _ m ->
             setup m;
-            Flash.Memory.read_into eng (Flash.Machine.memory m) ~by:0 addr len
+            Flash.Memory.read_into (Flash.Machine.memory m) ~by:0 addr len
               dst dst_off)
       in
       Bytes.sub dst dst_off len = expect
@@ -519,16 +519,16 @@ let qcheck_write_sub_matches_write =
         done
       in
       let store write =
-        timed_in_machine (fun eng m ->
+        timed_in_machine (fun _ m ->
             grant m;
             let mem = Flash.Machine.memory m in
-            write eng mem;
+            write mem;
             (Flash.Memory.peek mem 0 (4 * page), Flash.Memory.stats mem))
       in
-      store (fun eng mem ->
-          Flash.Memory.write_sub eng mem ~by:0 addr src src_off len)
-      = store (fun eng mem ->
-            Flash.Memory.write eng mem ~by:0 addr (Bytes.sub src src_off len)))
+      store (fun mem ->
+          Flash.Memory.write_sub mem ~by:0 addr src src_off len)
+      = store (fun mem ->
+            Flash.Memory.write mem ~by:0 addr (Bytes.sub src src_off len)))
 
 (* A write that starts on a granted remote page and runs into an
    ungranted one must bounce before a single byte lands, exactly like
@@ -543,13 +543,13 @@ let qcheck_write_sub_denied_moves_nothing =
       let src = Bytes.make (len + 8) 'w' in
       let attempt write =
         fst
-          (timed_in_machine (fun eng m ->
+          (timed_in_machine (fun _ m ->
                let mem = Flash.Machine.memory m in
                Flash.Memory.poke mem base (Bytes.make (2 * page) 'o');
                Flash.Firewall.grant (Flash.Machine.firewall m) ~by:1
                  ~pfn:remote_pfn ~proc:0;
                let raised =
-                 match write eng mem with
+                 match write mem with
                  | () -> None
                  | exception Flash.Memory.Bus_error { addr; cause } ->
                    Some (addr, cause)
@@ -559,14 +559,14 @@ let qcheck_write_sub_denied_moves_nothing =
                  Flash.Memory.stats mem )))
       in
       let raised, after, stats =
-        attempt (fun eng mem ->
-            Flash.Memory.write_sub eng mem ~by:0 addr src 8 len)
+        attempt (fun mem ->
+            Flash.Memory.write_sub mem ~by:0 addr src 8 len)
       in
       raised = Some (addr, Flash.Memory.Firewall_denied)
       && after = Bytes.make (2 * page) 'o'
       && (raised, after, stats)
-         = attempt (fun eng mem ->
-               Flash.Memory.write eng mem ~by:0 addr (Bytes.sub src 8 len)))
+         = attempt (fun mem ->
+               Flash.Memory.write mem ~by:0 addr (Bytes.sub src 8 len)))
 
 let suite =
   [

@@ -35,7 +35,7 @@ let test_boot () =
         (fun (c : Hive.Types.cell) ->
           Alcotest.(check bool) "cell up" true (Hive.Types.cell_alive c);
           Alcotest.(check bool) "has free frames" true
-            (List.length c.Hive.Types.free_frames > 100))
+            (Hive.Page_alloc.free_count c > 100))
         sys.Hive.Types.cells)
 
 let test_local_file_io () =
@@ -374,7 +374,7 @@ let test_borrow_frames () =
             ignore p;
             let c0 = sys.Hive.Types.cells.(0) in
             let before = Hive.Page_alloc.free_count c0 in
-            let got = Hive.Page_alloc.borrow_from sys c0 ~home:1 ~count:4 in
+            let got = Hive.Page_alloc.borrow sys c0 ~home:1 ~count:4 in
             assert (List.length got = 4);
             assert (Hive.Page_alloc.free_count c0 = before + 4);
             (* All borrowed frames live on cell 1's nodes. *)
@@ -383,8 +383,9 @@ let test_borrow_frames () =
                 assert (Flash.Addr.node_of_pfn sys.Hive.Types.mcfg pfn = 1))
               got;
             (* Return one. *)
-            let pf = Hashtbl.find c0.Hive.Types.frames (List.hd got) in
-            Hive.Page_alloc.return_frame sys c0 pf)
+            Hive.Page_alloc.return_frames sys c0 [ List.hd got ];
+            assert (Hive.Page_alloc.free_count c0 = before + 3);
+            assert (Hive.Page_alloc.state c0 (List.hd got) = Hive.Types.Not_held))
       in
       finish sys [ p ];
       Alcotest.(check int) "borrow/return ok" 0 (exit_code p))

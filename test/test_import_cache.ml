@@ -35,7 +35,7 @@ let file_lid ~ino page =
 let share_page sys ~lid ~client ~writable =
   let c0 = sys.Hive.Types.cells.(0) in
   let cc = sys.Hive.Types.cells.(client) in
-  let pf = Hive.Page_alloc.alloc_frame sys c0 in
+  let pf = Hive.Page_alloc.alloc sys c0 in
   Hive.Pfdat.insert c0 lid pf;
   Hive.Share.export sys c0 pf ~client ~writable;
   let imp =

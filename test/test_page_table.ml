@@ -82,13 +82,20 @@ let index_matches_hashtbl_order ops =
         fresh (k + j) ~extended:(j mod 3 = 0)
       done
     | Remove i when !nmade > 0 ->
+      (* A pfdat drops only its own binding: a displaced one, or one left
+         over from a reset, removes nothing. *)
       let pf = pick i in
-      Option.iter (Hashtbl.remove model) pf.Hive.Types.lid;
+      Option.iter
+        (fun lid ->
+          match Hashtbl.find_opt model lid with
+          | Some q when q == pf -> Hashtbl.remove model lid
+          | Some _ | None -> ())
+        pf.Hive.Types.lid;
       Hive.Pfdat.remove c pf
     | Reinsert i when !nmade > 0 ->
-      (* A pfdat with an id is bound under it or nowhere (displaced,
-         removed by a successor, or left over from a reset): putting it
-         back replaces whatever holds that id in place. *)
+      (* A pfdat with an id is bound under it or nowhere (displaced, or
+         left over from a reset): putting it back replaces whatever holds
+         that id in place. *)
       let pf = pick i in
       insert (Option.value pf.Hive.Types.lid ~default:(lid_of (6001 + i))) pf
     | Remove _ | Reinsert _ -> ()
@@ -152,7 +159,7 @@ let with_shared_sys f =
   let thr =
     Sim.Engine.spawn eng ~name:"t" (fun () ->
         let lid = file_lid ~ino:99 0 in
-        let pf = Hive.Page_alloc.alloc_frame sys c0 in
+        let pf = Hive.Page_alloc.alloc sys c0 in
         Hive.Pfdat.insert c0 lid pf;
         Hive.Share.export sys c0 pf ~client:1 ~writable:false;
         f sys c1

@@ -160,6 +160,35 @@ let test_preemptive_discard_counts () =
       Alcotest.(check bool) "discards counted" true
         (Sim.Stats.value c0.Hive.Types.counters "vm.discarded_pages" > 0))
 
+(* Preemptive discard resets a page the dead cell could write to its
+   node's default: a 2-node survivor keeps writing its own second-node
+   page with its first node's processor. *)
+let test_discard_keeps_own_processors () =
+  let eng = Sim.Engine.create () in
+  let mcfg =
+    { Flash.Config.small with Flash.Config.nodes = 4; mem_pages_per_node = 512 }
+  in
+  let sys = Hive.System.boot ~mcfg ~params:manual ~ncells:2 ~wax:false eng in
+  settle eng;
+  let fw = Flash.Machine.firewall sys.Hive.Types.machine in
+  let pfn = Flash.Addr.first_pfn_of_node mcfg 1 + 7 in
+  Flash.Firewall.grant_many fw ~by:1 ~pfn [ 2; 3 ];
+  Hive.System.inject_node_failure sys 2;
+  Alcotest.(check bool) "recovery completed" true (await_recovery sys);
+  Alcotest.(check bool) "dead cell's grant revoked" false
+    (Flash.Firewall.allowed fw ~pfn ~proc:2);
+  let wrote = ref false in
+  ignore
+    (Sim.Engine.spawn eng ~name:"w" (fun () ->
+         match
+           Flash.Memory.write_i64 (Flash.Machine.memory sys.Hive.Types.machine)
+             ~by:0 (Flash.Addr.addr_of_pfn pfn) 42L
+         with
+         | () -> wrote := true
+         | exception Flash.Memory.Bus_error _ -> ()));
+  settle eng;
+  Alcotest.(check bool) "cell 0 writes its node-1 page" true !wrote
+
 let test_wax_dies_and_restarts () =
   let eng = Sim.Engine.create () in
   let mcfg =
@@ -327,7 +356,7 @@ let test_panic_cuts_off_memory () =
             ignore p;
             let c1 = sys.Hive.Types.cells.(1) in
             match
-              Flash.Memory.read sys.Hive.Types.eng
+              Flash.Memory.read
                 (Flash.Machine.memory sys.Hive.Types.machine)
                 ~by:0 c1.Hive.Types.clock_addr 8
             with
@@ -379,7 +408,7 @@ let check_halt ~panic =
         Hive.Process.spawn sys sys.Hive.Types.cells.(0) ~name:"prober"
           (fun sys _ ->
             match
-              Flash.Memory.read sys.Hive.Types.eng
+              Flash.Memory.read
                 (Flash.Machine.memory sys.Hive.Types.machine)
                 ~by:0 c1.Hive.Types.clock_addr 8
             with
@@ -411,6 +440,8 @@ let suite =
       test_processes_killed_by_dependency;
     Alcotest.test_case "preemptive discard revokes and frees" `Quick
       test_preemptive_discard_counts;
+    Alcotest.test_case "discard keeps a 2-node cell's own processors" `Quick
+      test_discard_keeps_own_processors;
     Alcotest.test_case "wax dies with a cell and restarts" `Quick
       test_wax_dies_and_restarts;
     Alcotest.test_case "reintegration after repair" `Quick test_reintegration;

@@ -1,6 +1,13 @@
 (* Memory-sharing corner cases: the logical/physical interactions of
    Section 5.5 and the Wax-directed clock hand. *)
 
+(* Frames the cell has loaned out. *)
+let loans c =
+  List.length
+    (Hive.Page_alloc.held c (fun _ -> function
+       | Hive.Types.Loaned _ -> true
+       | _ -> false))
+
 let with_sys ?(ncells = 2) f =
   let eng = Sim.Engine.create () in
   let mcfg =
@@ -16,67 +23,127 @@ let in_thread sys body =
   Alcotest.(check bool) "thread done" true thr.Sim.Engine.dead
 
 (* A frame simultaneously loaned out and imported back into its memory
-   home (the CC-NUMA placement optimization): the memory home's pfdat is
-   reused, not shadowed by an extended pfdat. *)
+   home (the CC-NUMA placement optimization): the import is an ordinary
+   one, and the loan stays the frame pool's state throughout. *)
 let test_loaned_and_reimported () =
   with_sys (fun _eng sys ->
       in_thread sys (fun () ->
           let c0 = sys.Hive.Types.cells.(0) in
           let c1 = sys.Hive.Types.cells.(1) in
           (* Cell 0 borrows a frame from cell 1 (cell 1 = memory home). *)
-          let pfns = Hive.Page_alloc.borrow_from sys c0 ~home:1 ~count:1 in
+          let pfns = Hive.Page_alloc.borrow sys c0 ~home:1 ~count:1 in
           let pfn = List.hd pfns in
-          let home_pf = Hashtbl.find c1.Hive.Types.frames pfn in
           Alcotest.(check bool) "loan recorded at memory home" true
-            (home_pf.Hive.Types.loaned_to = Some 0);
+            (Hive.Page_alloc.state c1 pfn = Hive.Types.Loaned 0);
           (* Cell 0 (data home) caches a logical page in the borrowed
-             frame and exports it back to cell 1. *)
+             frame, which it allocates after its own, and exports it back
+             to cell 1. *)
+          let rec alloc_borrowed () =
+            let pf = Hive.Page_alloc.alloc sys c0 in
+            if pf.Hive.Types.pfn = pfn then pf else alloc_borrowed ()
+          in
+          let data_pf = alloc_borrowed () in
+          Alcotest.(check bool) "borrowed frame in use" true
+            (Hive.Page_alloc.state c0 pfn = Hive.Types.In_use);
           let lid =
             { Hive.Types.tag =
                 Hive.Types.File_obj { Hive.Types.home = 0; ino = 777 };
               page = 0 }
           in
-          let data_pf = Hashtbl.find c0.Hive.Types.frames pfn in
           Hive.Pfdat.insert c0 lid data_pf;
           Hive.Share.export sys c0 data_pf ~client:1 ~writable:false;
           (* Cell 1 imports the page that physically lives in its own
-             loaned frame: the preexisting pfdat must be reused. *)
+             loaned frame. *)
           let imp =
             Hive.Share.import sys c1 ~pfn ~data_home:0 ~lid ~gen:0
               ~writable:false
           in
-          Alcotest.(check bool) "reused the loaned pfdat" true (imp == home_pf);
           Alcotest.(check bool) "logical level bound" true
             (imp.Hive.Types.imported_from = Some 0);
           Alcotest.(check bool) "physical level intact" true
-            (imp.Hive.Types.loaned_to = Some 0);
+            (Hive.Page_alloc.state c1 pfn = Hive.Types.Loaned 0);
           Alcotest.(check int) "reimport counted" 1
             (Sim.Stats.value c1.Hive.Types.counters "share.reimports");
-          (* Releasing the import keeps the loan. *)
+          (* Releasing the import parks it like any read-only import,
+             and keeps the loan. *)
           Hive.Share.release sys c1 imp;
-          Alcotest.(check bool) "import dropped" true
-            (imp.Hive.Types.imported_from = None);
+          Alcotest.(check bool) "import released to the cache" true
+            imp.Hive.Types.cached;
           Alcotest.(check bool) "loan survives release" true
-            (imp.Hive.Types.loaned_to = Some 0);
-          Alcotest.(check bool) "frame record survives" true
-            (Hashtbl.mem c1.Hive.Types.frames pfn)))
+            (Hive.Page_alloc.state c1 pfn = Hive.Types.Loaned 0)))
+
+(* A loan grants the borrower's processors write access to the frame;
+   its return resets the frame's vector to the memory home's default. *)
+let test_loan_grants_borrower () =
+  with_sys (fun _eng sys ->
+      in_thread sys (fun () ->
+          let c0 = sys.Hive.Types.cells.(0) in
+          let c1 = sys.Hive.Types.cells.(1) in
+          let fw = Flash.Machine.firewall sys.Hive.Types.machine in
+          let pfn = List.hd (Hive.Page_alloc.borrow sys c0 ~home:1 ~count:1) in
+          let allowed proc = Flash.Firewall.allowed fw ~pfn ~proc in
+          Alcotest.(check bool) "borrower granted" true (allowed 0);
+          Alcotest.(check bool) "home keeps its own" true (allowed 1);
+          Hive.Page_alloc.return_frames sys c0 [ pfn ];
+          Alcotest.(check bool) "loan ended" true
+            (Hive.Page_alloc.state c1 pfn = Hive.Types.Free);
+          Alcotest.(check bool) "return revokes the borrower" false (allowed 0);
+          Alcotest.(check bool) "home still writes" true (allowed 1)))
+
+(* An illegal frame transition panics the cell that attempts it, with a
+   reason naming the time, the cell, the pfn, the state and the
+   transition. [attempt] sets up and returns the pfn and the illegal
+   step. *)
+let check_illegal ~cell ~expect attempt () =
+  with_sys (fun _eng sys ->
+      let got = ref "" and wanted = ref "" and down = ref false in
+      in_thread sys (fun () ->
+          let pfn, step = attempt sys in
+          wanted :=
+            Printf.sprintf "t=%Ldns cell %d pfn %d: illegal %s"
+              (Sim.Engine.time ()) cell pfn expect;
+          match step () with
+          | () -> ()
+          | exception Hive.Panic.Kernel_corruption r ->
+            got := r;
+            down := not (Hive.Types.cell_alive sys.Hive.Types.cells.(cell)));
+      Alcotest.(check string) "panic reason" !wanted !got;
+      Alcotest.(check bool) "cell panicked" true !down)
+
+let double_release sys =
+  let c0 = sys.Hive.Types.cells.(0) in
+  let pf = Hive.Page_alloc.alloc sys c0 in
+  Hive.Page_alloc.release sys c0 pf;
+  (pf.Hive.Types.pfn, fun () -> Hive.Page_alloc.release sys c0 pf)
+
+let release_loaned sys =
+  let c0 = sys.Hive.Types.cells.(0) in
+  let c1 = sys.Hive.Types.cells.(1) in
+  let pfn = List.hd (Hive.Page_alloc.borrow sys c0 ~home:1 ~count:1) in
+  (pfn, fun () -> Hive.Page_alloc.release sys c1 (Hive.Pfdat.make ~pfn))
+
+let unloan_free sys =
+  let c0 = sys.Hive.Types.cells.(0) in
+  let pf = Hive.Page_alloc.alloc sys c0 in
+  Hive.Page_alloc.release sys c0 pf;
+  (pf.Hive.Types.pfn, fun () -> Hive.Page_alloc.unloan sys c0 pf.Hive.Types.pfn)
 
 let test_clock_hand_returns_borrowed_frames () =
   with_sys (fun eng sys ->
       in_thread sys (fun () ->
           let c0 = sys.Hive.Types.cells.(0) in
           let c1 = sys.Hive.Types.cells.(1) in
-          let loans_before = List.length c1.Hive.Types.reserved_loans in
-          ignore (Hive.Page_alloc.borrow_from sys c0 ~home:1 ~count:4);
+          let loans_before = loans c1 in
+          ignore (Hive.Page_alloc.borrow sys c0 ~home:1 ~count:4);
           Alcotest.(check int) "loans outstanding" (loans_before + 4)
-            (List.length c1.Hive.Types.reserved_loans);
+            (loans c1);
           (* Wax marks cell 1 as pressured; the clock hand must return the
              idle borrowed frames on its next sweep. *)
           c0.Hive.Types.clock_hand_targets <- [ 1 ]);
       Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 600_000_000L) eng;
       let c1 = sys.Hive.Types.cells.(1) in
       Alcotest.(check int) "loans returned by the clock hand" 0
-        (List.length c1.Hive.Types.reserved_loans);
+        (loans c1);
       let c0 = sys.Hive.Types.cells.(0) in
       Alcotest.(check bool) "clock hand counted its work" true
         (Sim.Stats.value c0.Hive.Types.counters "clock_hand.released" >= 4))
@@ -85,13 +152,13 @@ let test_borrowed_frames_not_returned_without_hint () =
   with_sys (fun eng sys ->
       in_thread sys (fun () ->
           let c0 = sys.Hive.Types.cells.(0) in
-          ignore (Hive.Page_alloc.borrow_from sys c0 ~home:1 ~count:2));
+          ignore (Hive.Page_alloc.borrow sys c0 ~home:1 ~count:2));
       (* No Wax hint: several sweeps later the loan must still stand
          (the data home keeps its CC-NUMA placement). *)
       Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 600_000_000L) eng;
       let c1 = sys.Hive.Types.cells.(1) in
       Alcotest.(check int) "loans kept without pressure hint" 2
-        (List.length c1.Hive.Types.reserved_loans))
+        (loans c1))
 
 let test_exhaustion_borrows_transparently () =
   (* Allocating far beyond a cell's own memory transparently borrows from
@@ -99,11 +166,11 @@ let test_exhaustion_borrows_transparently () =
   with_sys (fun _eng sys ->
       in_thread sys (fun () ->
           let c0 = sys.Hive.Types.cells.(0) in
-          let own_pages = List.length c0.Hive.Types.free_frames in
+          let own_pages = Hive.Page_alloc.free_count c0 in
           let n = own_pages + 64 in
           let remote = ref 0 in
           for _ = 1 to n do
-            let pf = Hive.Page_alloc.alloc_frame sys c0 in
+            let pf = Hive.Page_alloc.alloc sys c0 in
             if Flash.Addr.node_of_pfn sys.Hive.Types.mcfg pf.Hive.Types.pfn <> 0
             then incr remote
           done;
@@ -130,7 +197,7 @@ let qcheck_firewall_tracks_exports =
             (* Eight pages of a cell-0 file. *)
             let pfs =
               List.init 8 (fun page ->
-                  let pf = Hive.Page_alloc.alloc_frame sys c0 in
+                  let pf = Hive.Page_alloc.alloc sys c0 in
                   let lid =
                     { Hive.Types.tag =
                         Hive.Types.File_obj { Hive.Types.home = 0; ino = 500 };
@@ -169,8 +236,19 @@ let qcheck_firewall_tracks_exports =
 
 let suite =
   [
-    Alcotest.test_case "loaned frame reimported reuses pfdat (S5.5)" `Quick
-      test_loaned_and_reimported;
+    Alcotest.test_case "loaned frame reimported: ordinary import (S5.5)"
+      `Quick test_loaned_and_reimported;
+    Alcotest.test_case "loan grants the borrower, return resets" `Quick
+      test_loan_grants_borrower;
+    Alcotest.test_case "double release panics the cell" `Quick
+      (check_illegal ~cell:0 ~expect:"release of a frame that is free"
+         double_release);
+    Alcotest.test_case "release of a loaned frame panics" `Quick
+      (check_illegal ~cell:1
+         ~expect:"release of a frame that is loaned to cell 0" release_loaned);
+    Alcotest.test_case "unloan of a free frame panics" `Quick
+      (check_illegal ~cell:0 ~expect:"unloan of a frame that is free"
+         unloan_free);
     Alcotest.test_case "clock hand returns loans to pressured homes" `Quick
       test_clock_hand_returns_borrowed_frames;
     Alcotest.test_case "loans kept without pressure hint" `Quick

@@ -230,7 +230,7 @@ let test_write_word_refault_bounded () =
             let pfn = m.Hive.Types.map_pf.Hive.Types.pfn in
             let node = Flash.Addr.node_of_pfn sys.Hive.Types.mcfg pfn in
             let fwall = Flash.Machine.firewall sys.Hive.Types.machine in
-            Flash.Firewall.revoke_all_remote fwall ~by:node ~pfn;
+            Flash.Firewall.reset fwall ~by:node ~pfn;
             (match Hive.Vm.write_word sys p ~vpage:vp ~offset:0 2L with
             | Error Hive.Types.EFAULT -> ()
             | Ok () -> failwith "expected EFAULT"
@@ -329,6 +329,13 @@ let qcheck_cow_model =
            [ p ]);
       !ok && p.Hive.Types.exit_code = Some 0)
 
+(* Frames the cell has loaned out. *)
+let loans c =
+  List.length
+    (Hive.Page_alloc.held c (fun _ -> function
+       | Hive.Types.Loaned _ -> true
+       | _ -> false))
+
 let qcheck_page_alloc_conservation =
   QCheck.Test.make ~name:"page_alloc: borrow/return conserves frames"
     ~count:40
@@ -344,7 +351,7 @@ let qcheck_page_alloc_conservation =
       let total () =
         Hive.Page_alloc.free_count c0
         + Hive.Page_alloc.free_count c1
-        + List.length c1.Hive.Types.reserved_loans
+        + loans c1
       in
       let before = total () in
       let ok = ref true in
@@ -353,19 +360,19 @@ let qcheck_page_alloc_conservation =
             ignore p;
             List.iter
               (fun n ->
-                let got = Hive.Page_alloc.borrow_from sys c0 ~home:1 ~count:(n + 1) in
+                let got = Hive.Page_alloc.borrow sys c0 ~home:1 ~count:(n + 1) in
                 List.iter
                   (fun pfn ->
-                    match Hashtbl.find_opt c0.Hive.Types.frames pfn with
-                    | Some pf -> Hive.Page_alloc.return_frame sys c0 pf
-                    | None -> ok := false)
-                  got)
+                    if Hive.Page_alloc.state c0 pfn <> Hive.Types.Free then
+                      ok := false)
+                  got;
+                Hive.Page_alloc.return_frames sys c0 got)
               counts)
       in
       ignore
         (Hive.System.run_until_processes_done sys ~deadline:60_000_000_000L
            [ p ]);
-      !ok && total () = before && c1.Hive.Types.reserved_loans = [])
+      !ok && total () = before && loans c1 = 0)
 
 let suite =
   [

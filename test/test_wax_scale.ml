@@ -145,15 +145,16 @@ let test_pressure_migrates_allocation_32_cells () =
   ignore
     (Sim.Engine.spawn eng ~name:"drain" (fun () ->
          (* Exhaust the local free list without touching remote cells. *)
-         while Hive.Page_alloc.free_count c0 > 0 do
-           ignore (Hive.Page_alloc.alloc_frame ~kernel_only:true sys c0)
+         while Option.is_some (Hive.Page_alloc.take_free ~own_only:true sys c0) do
+           ()
          done;
          (* The next general allocation must go intercell, steered by
             the preference standing at this moment (the loan itself
             shifts the next published top-k, so snapshot now). *)
          pref_at_alloc := c0.Hive.Types.alloc_preference;
-         let pf = Hive.Page_alloc.alloc_frame sys c0 in
-         borrowed := pf.Hive.Types.borrowed_from;
+         let pf = Hive.Page_alloc.alloc sys c0 in
+         if pf.Hive.Types.extended then
+           borrowed := Some (Hive.Page_alloc.lender sys pf.Hive.Types.pfn);
          finished := true));
   Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 2_000_000_000L) eng;
   Alcotest.(check bool) "drain thread finished" true !finished;

@@ -53,6 +53,32 @@ let test_pmake_completes_and_verifies () =
   Alcotest.(check bool) "completed" true result.Workloads.Workload.completed;
   check_all_match "pmake" (Workloads.Pmake.verify ~cfg:small_pmake sys)
 
+(* The scale area's shape with no fault: 2 nodes per cell, Wax on, two
+   files per cell, at a memory size that forces swapping and borrowing.
+   No frame may be freed twice (a double free panics the cell), every
+   output must match and the invariants must hold. *)
+let check_pressured_pmake ~cells ~pages () =
+  let mcfg =
+    { (Flash.Config.with_nodes Flash.Config.default (2 * cells)) with
+      Flash.Config.mem_pages_per_node = pages }
+  in
+  let eng, sys = Bench.Harness.boot ~mcfg ~wax:true ~ncells:cells () in
+  Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 400_000_000L) eng;
+  let cfg =
+    { Workloads.Pmake.default with
+      Workloads.Pmake.files = 2 * cells; jobs = max 4 cells; anon_pages = 64 }
+  in
+  Workloads.Pmake.setup sys cfg;
+  let result, _ = Workloads.Pmake.run ~cfg sys in
+  Alcotest.(check bool) "borrowed frames" true
+    (Hive.System.counter_total sys "page_alloc.borrows" > 0);
+  Alcotest.(check int) "cells alive" cells
+    (List.length (Hive.System.live_cells sys));
+  Alcotest.(check bool) "completed" true result.Workloads.Workload.completed;
+  check_all_match "pmake" (Workloads.Pmake.verify ~cfg sys);
+  Alcotest.(check (list string)) "invariants clean" []
+    (List.map Hive.Invariants.to_string (Hive.Invariants.check sys))
+
 let test_ocean_completes_and_verifies () =
   let sys = boot () in
   Workloads.Ocean.setup sys small_ocean;
@@ -306,6 +332,10 @@ let suite =
   [
     Alcotest.test_case "pmake completes and verifies" `Slow
       test_pmake_completes_and_verifies;
+    Alcotest.test_case "pmake, 4 cells x 512 pages: no frame freed twice"
+      `Quick (check_pressured_pmake ~cells:4 ~pages:512);
+    Alcotest.test_case "pmake, 16 cells x 1024 pages: loans granted" `Quick
+      (check_pressured_pmake ~cells:16 ~pages:1024);
     Alcotest.test_case "ocean completes and verifies" `Slow
       test_ocean_completes_and_verifies;
     Alcotest.test_case "raytrace completes and verifies" `Slow
