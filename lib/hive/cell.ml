@@ -15,12 +15,22 @@ end
 
 let kernel_reserved_pages = 64
 
+(* A cell as boot (and a reboot) finds it: no processes, no page cache,
+   and a frame pool of the cell's consecutive nodes less the kernel
+   reserve at the start of the boss node, all free. *)
 let make (mcfg : Flash.Config.t) ~id ~nodes : Types.cell =
   let boss = List.hd nodes in
   if nodes <> List.init (List.length nodes) (fun k -> boss + k) then
     invalid_arg "Cell.make: a cell's nodes must be consecutive";
   let kmem_base = boss * Flash.Config.mem_bytes_per_node mcfg in
   let kmem_limit = kmem_base + (kernel_reserved_pages * Flash.Config.page_size) in
+  let own_lo =
+    Flash.Addr.first_pfn_of_node mcfg boss + kernel_reserved_pages
+  in
+  let nframes =
+    (List.length nodes * mcfg.Flash.Config.mem_pages_per_node)
+    - kernel_reserved_pages
+  in
   {
     Types.cell_id = id;
     cell_nodes = nodes;
@@ -32,8 +42,8 @@ let make (mcfg : Flash.Config.t) ~id ~nodes : Types.cell =
     page_index = Pfdat.create_index ();
     frames = Hashtbl.create 1024;
     pool =
-      { Types.own_lo = 0; own_hi = 0; fresh = 0; own_free = [];
-        held = Hashtbl.create 64; borrowed_free = []; nfree = 0 };
+      { Types.own_lo; own_hi = own_lo + nframes; fresh = 0; own_free = [];
+        held = Hashtbl.create 64; borrowed_free = []; nfree = nframes };
     files = Hashtbl.create 64;
     files_by_ino = Hashtbl.create 64;
     next_ino = 0;
@@ -80,15 +90,6 @@ let make (mcfg : Flash.Config.t) ~id ~nodes : Types.cell =
     remote_fault_ns = Sim.Stats.summary ();
   }
 
-(* Fill the frame pool: the cell's consecutive nodes less the kernel
-   reserve at the start of the boss node. *)
-let init_frames (sys : Types.system) (c : Types.cell) =
-  let ppn = sys.Types.mcfg.Flash.Config.mem_pages_per_node in
-  Page_alloc.init c
-    ~lo:(Flash.Addr.first_pfn_of_node sys.Types.mcfg c.Types.boss_node
-        + kernel_reserved_pages)
-    ~n:((List.length c.Types.cell_nodes * ppn) - kernel_reserved_pages)
-
 (* Grant this cell's processors write access to all of its own memory;
    remote cells get nothing until an export grants them a page. The vector
    is overwritten, not OR-ed: on a reboot after a failure the hardware
@@ -104,7 +105,6 @@ let init_firewall (sys : Types.system) (c : Types.cell) =
 
 (* Boot runs inside a simulation thread. *)
 let boot (sys : Types.system) (c : Types.cell) =
-  init_frames sys c;
   init_firewall sys c;
   c.Types.live_set <-
     Array.to_list sys.Types.cells |> List.map (fun cl -> cl.Types.cell_id);

@@ -11,6 +11,5 @@ val kernel_reserved_pages : int
 val make :
   Flash.Config.t ->
   id:Types.cell_id -> nodes:int list -> Types.cell
-val init_frames : Types.system -> Types.cell -> unit
 val init_firewall : Types.system -> Types.cell -> unit
 val boot : Types.system -> Types.cell -> unit

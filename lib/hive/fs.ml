@@ -130,13 +130,20 @@ let create_local (sys : Types.system) (home : Types.cell) ~path ~content =
     Hashtbl.iter
       (fun cl lids -> Share.invalidate_clients sys home ~clients:[ cl ] ~lids)
       by_client;
-    Hashtbl.iter
-      (fun _pg (pf : Types.pfdat) ->
-        if not pf.Types.extended then Page_alloc.release sys home pf)
-      f.Types.cached_pages;
+    (* Releasing a frame borrowed from another cell blocks on its return
+       RPC. Unbind every old page and install the new contents first, so
+       nothing pages the old contents back in meanwhile. A borrowed frame
+       forgotten when its memory home died is no longer ours to release. *)
+    let stale =
+      Hashtbl.to_seq_values f.Types.cached_pages
+      |> Seq.filter (Page_alloc.holds home)
+      |> List.of_seq
+    in
     Hashtbl.reset f.Types.cached_pages;
+    List.iter (Pfdat.remove home) stale;
     f.Types.size <- Bytes.length content;
     f.Types.disk_content <- Bytes.copy content;
+    List.iter (Page_alloc.release sys home) stale;
     f
   | None ->
     let psize = Flash.Config.page_size in
@@ -636,13 +643,13 @@ let () =
                  { ino = f.Types.fid.Types.ino; gen = f.Types.generation }))
       | _ -> Types.Immediate (Error Types.EFAULT))
 
-(* A missing path answers Ok, unlike the local path's ENOENT. *)
 let () =
   Rpc.serve unlink_op (fun _sys cell ~src:_ arg ->
       match arg with
       | P_unlink { path } ->
-        ignore (remove_local cell path);
-        Types.Immediate (Ok Types.P_unit)
+        Types.Immediate
+          (if remove_local cell path then Ok Types.P_unit
+           else Error Types.ENOENT)
       | _ -> Types.Immediate (Error Types.EFAULT))
 
 let () =

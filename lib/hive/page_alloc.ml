@@ -33,6 +33,13 @@ let state (c : Types.cell) pfn =
 
 let set (c : Types.cell) pfn st = Hashtbl.replace c.Types.pool.Types.held pfn st
 
+(* [pf] is the live pfdat of its frame: not released, and not forgotten
+   when its memory home died. *)
+let holds (c : Types.cell) (pf : Types.pfdat) =
+  match Hashtbl.find_opt c.Types.frames pf.Types.pfn with
+  | Some q -> q == pf
+  | None -> false
+
 (* The kernel's frame bookkeeping is corrupt: panic, and unwind the
    thread that found it. *)
 let illegal (sys : Types.system) (c : Types.cell) pfn what =
@@ -71,20 +78,6 @@ let held (c : Types.cell) keep =
 let low_water (c : Types.cell) ~pct = max 8 (total_frames c * pct / 100)
 
 let under_pressure (c : Types.cell) ~pct = free_count c < low_water c ~pct
-
-(* Boot and reboot: forget every frame; the own ones are the pfns
-   [lo, lo + n), all free and fresh. (A rebooting cell's loans and
-   borrows were settled by the other cells' recovery.) *)
-let init (c : Types.cell) ~lo ~n =
-  Hashtbl.reset c.Types.frames;
-  let p = c.Types.pool in
-  Hashtbl.reset p.Types.held;
-  p.Types.own_lo <- lo;
-  p.Types.own_hi <- lo + n;
-  p.Types.fresh <- 0;
-  p.Types.own_free <- [];
-  p.Types.borrowed_free <- [];
-  p.Types.nfree <- n
 
 (* Reset a frame's vector to its node's default, keeping a loaned frame's
    grant to its borrower. Runs on the frame's own processor. *)
@@ -175,9 +168,7 @@ let release (sys : Types.system) (c : Types.cell) (pf : Types.pfdat) =
 (* The swap claim: a pin keeps every other reclaim path off an idle
    in-use frame while the swapper copies it out. *)
 let claim (sys : Types.system) (c : Types.cell) (pf : Types.pfdat) =
-  (match Hashtbl.find_opt c.Types.frames pf.Types.pfn with
-  | Some q when q == pf -> ()
-  | _ -> illegal sys c pf.Types.pfn "swap claim");
+  if not (holds c pf) then illegal sys c pf.Types.pfn "swap claim";
   pf.Types.pins <- pf.Types.pins + 1
 
 let unclaim (pf : Types.pfdat) = pf.Types.pins <- pf.Types.pins - 1

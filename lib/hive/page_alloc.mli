@@ -13,6 +13,10 @@ val state : Types.cell -> int -> Types.frame_state
 (** Is the pfn one of the cell's own frames (outside the kernel reserve)? *)
 val own : Types.cell -> int -> bool
 
+(** The pfdat is its frame's live one: not released, and not forgotten
+    when its memory home died. *)
+val holds : Types.cell -> Types.pfdat -> bool
+
 val lender : Types.system -> int -> Types.cell_id
 val free_count : Types.cell -> int
 val total_frames : Types.cell -> int
@@ -26,10 +30,6 @@ val held : Types.cell -> (int -> Types.frame_state -> bool) -> int list
 val low_water : Types.cell -> pct:int -> int
 
 val under_pressure : Types.cell -> pct:int -> bool
-
-(** Boot and reboot: forget every frame; the own ones are the pfns
-    [lo, lo + n), all free. *)
-val init : Types.cell -> lo:int -> n:int -> unit
 
 val reset_firewall : Types.system -> Types.cell -> int -> unit
 val take_free :

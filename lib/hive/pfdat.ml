@@ -99,8 +99,7 @@ let insert (c : Types.cell) lid (pf : Types.pfdat) =
   if pf.Types.extended then link ix pf
 
 (* Drops [pf]'s own binding. A pfdat holds a slot stamp exactly while it
-   is bound, so one displaced by a later insert, or left over from a
-   reset, removes nothing. *)
+   is bound, so one displaced by a later insert removes nothing. *)
 let remove (c : Types.cell) (pf : Types.pfdat) =
   (match pf.Types.lid with
   | Some lid when pf.Types.slot_stamp <> 0 ->
@@ -108,13 +107,6 @@ let remove (c : Types.cell) (pf : Types.pfdat) =
     Types.Page_hash.remove c.Types.page_hash lid
   | Some _ | None -> ());
   pf.Types.lid <- None
-
-(* Empty the table (a reboot): every binding leaves its slot and the
-   import index, and the bucket mirror starts over. *)
-let reset_table (c : Types.cell) =
-  Types.Page_hash.iter (fun _ pf -> vacate pf) c.Types.page_hash;
-  Types.Page_hash.reset c.Types.page_hash;
-  c.Types.page_index.Types.buckets <- initial_buckets
 
 (* The extended pfdats bound in the table that satisfy [keep], in the
    order [iter_pages] would visit them: by bucket, then newest slot

@@ -19,9 +19,6 @@ val insert : Types.cell -> Types.logical_id -> Types.pfdat -> unit
 (** Drop the pfdat's own binding; a pfdat bound nowhere removes nothing. *)
 val remove : Types.cell -> Types.pfdat -> unit
 
-(** Empty the cell's page table and its import index (a reboot). *)
-val reset_table : Types.cell -> unit
-
 (** The extended pfdats bound in the cell's page table that satisfy the
     predicate, in {!iter_pages} order, found through the import index:
     the cost is in the number of extended pfdats, not the table size. *)

@@ -583,10 +583,12 @@ let call (sys : Types.system) ~(from : Types.cell) ~target ~(op : Op.t)
       match Sim.Ivar.peek pc.Types.call_done with
       | Some outcome -> succeed outcome
       | None ->
-        if from.Types.incarnation <> src_epoch then
+        if (Types.cell sys from.Types.cell_id).Types.incarnation <> src_epoch
+        then
           (* Our own cell died and rebooted while the call was in
-             flight: the id belongs to the previous life, every
-             retransmit would be stale-dropped and any late reply
+             flight (a reboot replaces the cell's record, so this reads
+             the current one): the id belongs to the previous life,
+             every retransmit would be stale-dropped and any late reply
              discarded, so fail the orphaned call instead of burning
              retries. *)
           give_up Types.EHOSTDOWN

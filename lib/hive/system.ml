@@ -29,20 +29,21 @@ let boot_horizon_ns = 5_000_000L
 
 (* Reboot and reintegrate a failed cell after its nodes are repaired (the
    paper left this unimplemented but "straightforward": the recovery
-   master reboots cells whose hardware diagnostics pass). The cell's disk
-   contents survive the reboot; its memory, page cache and kernel state
-   start fresh; the other cells add it back to their live sets. Driven
+   master reboots cells whose hardware diagnostics pass). Reboot is boot:
+   the cell comes back as a fresh [Cell.make] record, and only what a
+   reboot keeps is carried over, each field named once below. The old
+   record stays behind, down, for whatever still holds it. Driven
    automatically by the recovery master when [Params.auto_reintegrate] is
    set, and still callable manually (e.g. for rolling maintenance). *)
 let reintegrate (sys : Types.system) cell_id =
-  let c = sys.Types.cells.(cell_id) in
-  if c.Types.cstatus <> Types.Cell_down then
+  let old = sys.Types.cells.(cell_id) in
+  if old.Types.cstatus <> Types.Cell_down then
     invalid_arg "reintegrate: cell is not down";
   (* Survivors' salvaged copies of this cell's pages become stale the
      moment it reboots (file generations restart from disk): purge them
      and their mappings so the next access re-locates through the fresh
      data home. *)
-  c.Types.mem_alive <- false;
+  old.Types.mem_alive <- false;
   Array.iter
     (fun (o : Types.cell) ->
       if o.Types.cell_id <> cell_id && Types.cell_alive o then begin
@@ -54,9 +55,7 @@ let reintegrate (sys : Types.system) cell_id =
         let doomed =
           Hashtbl.find_all o.Types.salvaged_by_home cell_id
           |> List.filter (fun (pf : Types.pfdat) ->
-                 pf.Types.salvaged_from = Some cell_id
-                 && Page_alloc.state o pf.Types.pfn = Types.In_use
-                 && Hashtbl.find o.Types.frames pf.Types.pfn == pf)
+                 pf.Types.salvaged_from = Some cell_id && Page_alloc.holds o pf)
         in
         while Hashtbl.mem o.Types.salvaged_by_home cell_id do
           Hashtbl.remove o.Types.salvaged_by_home cell_id
@@ -76,48 +75,31 @@ let reintegrate (sys : Types.system) cell_id =
       end)
     sys.Types.cells;
   (* Repair the hardware: memory zeroed, processor restarted. *)
-  List.iter (Flash.Machine.restore_node sys.Types.machine) c.Types.cell_nodes;
-  (* Fresh kernel state; files (and their stable disk contents) survive,
-     but the page cache does not. *)
-  Pfdat.reset_table c;
-  Page_alloc.init c ~lo:0 ~n:0;
-  Hashtbl.reset c.Types.swap_table;
-  c.Types.swap_blocks_used <- 0;
-  c.Types.swap_free_blocks <- [];
-  c.Types.swap_hint <- 0;
-  Hashtbl.reset c.Types.salvaged_by_home;
-  Types.reset_import_cache c;
-  Hashtbl.reset c.Types.readahead;
-  Hashtbl.reset c.Types.pending_releases;
+  List.iter (Flash.Machine.restore_node sys.Types.machine) old.Types.cell_nodes;
+  (* The files and their stable disk contents survive, but the page cache
+     does not. The bumped incarnation keeps the new call ids, and any
+     message still in flight from the old life, from colliding across the
+     reboot. The counters and latency summaries span every incarnation,
+     and the backoff jitter stream continues. The other cells' recovery
+     already settled the old incarnation's loans and borrows. *)
   Hashtbl.iter
     (fun _ (f : Types.file) -> Hashtbl.reset f.Types.cached_pages)
-    c.Types.files;
-  c.Types.kmem.Types.kmem_next <- c.Types.kmem.Types.kmem_base + 128;
-  c.Types.kmem.Types.kmem_free <- [];
-  c.Types.processes <- [];
-  c.Types.user_gate_open <- true;
-  c.Types.gate_waiters <- [];
-  Hashtbl.reset c.Types.pending_calls;
-  (* Work queued in the old incarnation must not leak into the new one:
-     a queued-service closure would run against reset kernel state, and a
-     released import still in the drain queue would be re-parked by the
-     reborn cell's drain thread — a dangling binding whose data home
-     already cleaned up during recovery. *)
-  ignore (Sim.Mailbox.clear c.Types.rpc_queue);
-  ignore (Sim.Mailbox.clear c.Types.release_queue);
-  (* A rebooted kernel starts its call-id sequence from zero again; the
-     bumped incarnation keeps the new ids (and any messages still in
-     flight from the old life) from colliding across the reboot. The
-     reply cache dies with the old incarnation too. *)
-  c.Types.incarnation <- c.Types.incarnation + 1;
-  c.Types.next_call_id <- 0;
-  Hashtbl.reset c.Types.rpc_sessions;
-  c.Types.suspected <- [];
-  c.Types.false_alerts <- [];
-  c.Types.in_recovery <- false;
-  c.Types.recovery_active <- false;
-  c.Types.kernel_threads <- [];
-  c.Types.cstatus <- Types.Cell_up;
+    old.Types.files;
+  let c =
+    {
+      (Cell.make sys.Types.mcfg ~id:cell_id ~nodes:old.Types.cell_nodes) with
+      Types.files = old.Types.files;
+      files_by_ino = old.Types.files_by_ino;
+      next_ino = old.Types.next_ino;
+      next_disk_block = old.Types.next_disk_block;
+      incarnation = old.Types.incarnation + 1;
+      rpc_rng = old.Types.rpc_rng;
+      counters = old.Types.counters;
+      fault_in_cache_ns = old.Types.fault_in_cache_ns;
+      remote_fault_ns = old.Types.remote_fault_ns;
+    }
+  in
+  sys.Types.cells.(cell_id) <- c;
   Types.sys_bump sys Count.reintegrations;
   (* The other cells learn about the reintegration. *)
   Array.iter

@@ -135,8 +135,8 @@ type frame_state =
    state of every other frame the cell owns or borrows. The free pool is
    [own_free], the fresh frames and [borrowed_free], in that order. *)
 type frame_pool = {
-  mutable own_lo : int;
-  mutable own_hi : int; (* [own_lo] while the cell is down *)
+  own_lo : int;
+  own_hi : int;
   mutable fresh : int;
   mutable own_free : int list;
   held : (int, frame_state) Hashtbl.t;
@@ -354,13 +354,13 @@ type cell = {
       (* frames the Wax coordinator suggests this cell push to swap; the
          cell's own Wax thread validates and acts on it (hints-only
          contract: the coordinator never swaps on another cell's behalf) *)
-  mutable salvaged_by_home : (cell_id, pfdat) Hashtbl.t;
+  salvaged_by_home : (cell_id, pfdat) Hashtbl.t;
       (* index of salvaged pages by their dead data home, so reintegration
          purges in O(salvaged from that home) instead of sweeping every
          page of every survivor; entries are validated against [frames]
          at purge time (a reclaimed frame may leave a stale entry) *)
   mutable rr_cpu : int; (* round-robin CPU assignment cursor *)
-  mutable wax_slot : int; (* published word Wax reads/writes *)
+  wax_slot : int; (* published word Wax reads/writes *)
   (* threads owned by this kernel, killed on panic *)
   mutable kernel_threads : Sim.Engine.thread list;
   counters : Sim.Stats.registry;
@@ -484,7 +484,7 @@ let rec evict_oldest (c : cell) =
     end
     else evict_oldest c
 
-(* Forget every entry (recovery flush, reboot) without touching the
+(* Forget every entry (the recovery flush) without touching the
    bindings' [cached] flags. *)
 let reset_import_cache (c : cell) =
   let ic = c.import_cache in

@@ -253,8 +253,9 @@ let targets ncells home alt =
   in
   dedup [] order
 
-let do_read st cfg (sys : Hive.Types.system) (client : Hive.Types.cell)
-    ~rank ~alt ~arrival =
+(* The traffic of one client cell outlives that cell's reboots, so it
+   keeps the cell's id and reads the current record at each step. *)
+let do_read st cfg (sys : Hive.Types.system) ~client ~rank ~alt ~arrival =
   let eng = sys.Hive.Types.eng in
   let ncells = Array.length sys.Hive.Types.cells in
   let path = st.paths.(rank) in
@@ -270,7 +271,7 @@ let do_read st cfg (sys : Hive.Types.system) (client : Hive.Types.cell)
   let payload = P_srv_read { path } in
   let err_legs = ref 0 in
   let finish klass =
-    if client.Hive.Types.cstatus <> Hive.Types.Cell_up then
+    if not (Hive.Types.cell_alive (Hive.Types.cell sys client)) then
       st.client_lost <- st.client_lost + 1
     else record st ~arrival ~klass
   in
@@ -283,8 +284,8 @@ let do_read st cfg (sys : Hive.Types.system) (client : Hive.Types.cell)
         else leg_budget
       in
       match
-        Hive.Rpc.call sys ~from:client ~target:tgt ~op:read_op ~deadline_ns:d
-          payload
+        Hive.Rpc.call sys ~from:(Hive.Types.cell sys client) ~target:tgt
+          ~op:read_op ~deadline_ns:d payload
       with
       | Ok _ -> `Served
       | Error e ->
@@ -314,11 +315,10 @@ let do_read st cfg (sys : Hive.Types.system) (client : Hive.Types.cell)
   in
   pass tgts false
 
-let do_churn st cfg (sys : Hive.Types.system) (client : Hive.Types.cell)
-    ~tgt ~rank ~arrival =
+let do_churn st cfg (sys : Hive.Types.system) ~client ~tgt ~rank ~arrival =
   let payload = P_srv_churn { path = st.paths.(rank) } in
   match
-    Hive.Rpc.call sys ~from:client ~target:tgt ~op:churn_op
+    Hive.Rpc.call sys ~from:(Hive.Types.cell sys client) ~target:tgt ~op:churn_op
       ~deadline_ns:(ms_ns cfg.deadline_ms) payload
   with
   | Ok _ ->
@@ -329,13 +329,13 @@ let do_churn st cfg (sys : Hive.Types.system) (client : Hive.Types.cell)
 (* Open-loop Poisson frontend, one per cell. Draws happen here, in one
    deterministic stream per cell; the request itself runs in its own
    throwaway thread so a slow request never delays the next arrival. *)
-let frontend st cfg (sys : Hive.Types.system) zipfd (c : Hive.Types.cell) =
+let frontend st cfg (sys : Hive.Types.system) zipfd cid =
   let eng = sys.Hive.Types.eng in
   let ncells = Array.length sys.Hive.Types.cells in
   let rng =
     Sim.Prng.of_int64
       (Int64.logxor cfg.seed
-         (Int64.mul (Int64.of_int (c.Hive.Types.cell_id + 1))
+         (Int64.mul (Int64.of_int (cid + 1))
             0x9E3779B97F4A7C15L))
   in
   let mean_gap = 1e9 *. float_of_int ncells /. cfg.rate_rps in
@@ -355,7 +355,7 @@ let frontend st cfg (sys : Hive.Types.system) zipfd (c : Hive.Types.cell) =
     if Int64.compare (Int64.add (Sim.Engine.now eng) gap) st.t_end >= 0 then ()
     else begin
       Sim.Engine.delay gap;
-      (if c.Hive.Types.cstatus <> Hive.Types.Cell_up then
+      (if not (Hive.Types.cell_alive (Hive.Types.cell sys cid)) then
          st.skipped <- st.skipped + 1
        else begin
          st.arrivals <- st.arrivals + 1;
@@ -363,7 +363,7 @@ let frontend st cfg (sys : Hive.Types.system) zipfd (c : Hive.Types.cell) =
          if Sim.Prng.int rng 100 < cfg.churn_pct then begin
            let tgt =
              if ncells = 1 then 0
-             else (c.Hive.Types.cell_id + 1 + Sim.Prng.int rng (ncells - 1))
+             else (cid + 1 + Sim.Prng.int rng (ncells - 1))
                   mod ncells
            in
            (* a file homed on the churn target, so its reads stay local *)
@@ -371,8 +371,8 @@ let frontend st cfg (sys : Hive.Types.system) zipfd (c : Hive.Types.cell) =
            let rank = (k - (k mod ncells) + tgt) mod cfg.nfiles in
            st.churn_sent <- st.churn_sent + 1;
            spawn_traffic
-             (Printf.sprintf "srv.churn.c%d.%d" c.Hive.Types.cell_id i)
-             (fun () -> do_churn st cfg sys c ~tgt ~rank ~arrival)
+             (Printf.sprintf "srv.churn.c%d.%d" cid i)
+             (fun () -> do_churn st cfg sys ~client:cid ~tgt ~rank ~arrival)
          end
          else begin
            let rank = Sim.Prng.zipf_draw rng zipfd in
@@ -382,8 +382,8 @@ let frontend st cfg (sys : Hive.Types.system) zipfd (c : Hive.Types.cell) =
              else 0
            in
            spawn_traffic
-             (Printf.sprintf "srv.req.c%d.%d" c.Hive.Types.cell_id i)
-             (fun () -> do_read st cfg sys c ~rank ~alt ~arrival)
+             (Printf.sprintf "srv.req.c%d.%d" cid i)
+             (fun () -> do_read st cfg sys ~client:cid ~rank ~alt ~arrival)
          end
        end);
       loop (i + 1)
@@ -487,13 +487,13 @@ let run ?(cfg = default) (sys : Hive.Types.system) =
     ignore
       (Sim.Engine.spawn ~name:"srv.monitor" eng (fun () ->
            try
-             let victim = sys.Hive.Types.cells.(f.kill_cell) in
              let rec watch () =
                if Int64.compare (Sim.Engine.now eng) st.t_end >= 0 then ()
                else
                  match st.fault_seen with
                  | Some _
-                   when victim.Hive.Types.cstatus = Hive.Types.Cell_up ->
+                   when Hive.Types.cell_alive (Hive.Types.cell sys f.kill_cell)
+                   ->
                    st.recovered_at <- Some (Sim.Engine.now eng)
                  | _ ->
                    Sim.Engine.delay 1_000_000L;
@@ -504,18 +504,15 @@ let run ?(cfg = default) (sys : Hive.Types.system) =
            | Sim.Engine.Killed as k -> raise k
            | _ -> ())));
   let zipfd = Sim.Prng.zipf ~n:cfg.nfiles ~s:cfg.zipf_s in
-  Array.iter
-    (fun (c : Hive.Types.cell) ->
+  Array.iteri
+    (fun cid _ ->
       st.frontends <- st.frontends + 1;
       ignore
-        (Sim.Engine.spawn
-           ~name:(Printf.sprintf "srv.fe%d" c.Hive.Types.cell_id)
-           eng
-           (fun () ->
+        (Sim.Engine.spawn ~name:(Printf.sprintf "srv.fe%d" cid) eng (fun () ->
              Fun.protect
                ~finally:(fun () -> st.frontends <- st.frontends - 1)
                (fun () ->
-                 try frontend st cfg sys zipfd c with
+                 try frontend st cfg sys zipfd cid with
                  | Sim.Engine.Killed as k -> raise k
                  | _ -> st.errors <- st.errors + 1))))
     sys.Hive.Types.cells;

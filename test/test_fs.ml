@@ -81,6 +81,54 @@ let test_truncate_invalidates_cache () =
       in
       run_to_completion sys p)
 
+(* Re-creating a file releases its old pages even when they sit in
+   frames borrowed from another cell. Cell 0 has used all its own frames,
+   so page 0 of the file lands in a frame loaned by cell 1; after the
+   file is re-created, a page-in must read the new contents. When cell 1
+   then dies, recovery forgets the frame it lent, and a later re-create
+   must not release that frame a second time. *)
+let test_recreate_releases_borrowed_pages () =
+  with_sys (fun eng sys ->
+      let c0 = sys.Hive.Types.cells.(0) in
+      let path =
+        let rec go k =
+          let p = if k = 0 then "/tmp/x" else Printf.sprintf "/tmp/x%d" k in
+          if Hive.Fs.home_of_path sys p = 0 then p else go (k + 1)
+        in
+        go 0
+      in
+      let psize = Flash.Config.page_size in
+      let borrowed = ref false and back = ref "" and after = ref "" in
+      let thr =
+        Sim.Engine.spawn eng ~name:"t" (fun () ->
+            while Hive.Page_alloc.take_free ~own_only:true sys c0 <> None do
+              ()
+            done;
+            let page_in content =
+              let f = Hive.Fs.create_local sys c0 ~path ~content in
+              Hive.Fs.page_in sys c0 f 0
+            in
+            let pf = page_in (Bytes.make psize 'A') in
+            borrowed := not (Hive.Page_alloc.own c0 pf.Hive.Types.pfn);
+            let first4 (pf : Hive.Types.pfdat) =
+              Bytes.to_string
+                (Flash.Memory.peek (Hive.Fs.mem sys)
+                   (Flash.Addr.addr_of_pfn pf.Hive.Types.pfn)
+                   4)
+            in
+            back := first4 (page_in (Bytes.make psize 'B'));
+            Hive.System.inject_node_failure sys 1;
+            Sim.Engine.delay 2_000_000_000L;
+            after := first4 (page_in (Bytes.make psize 'C')))
+      in
+      Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 4_000_000_000L) eng;
+      Alcotest.(check bool) "thread done" true thr.Sim.Engine.dead;
+      Alcotest.(check bool) "first page in a borrowed frame" true !borrowed;
+      Alcotest.(check string) "new contents" "BBBB" !back;
+      Alcotest.(check bool) "cell 0 up" true
+        (Hive.Types.cell_alive sys.Hive.Types.cells.(0));
+      Alcotest.(check string) "after the lender died" "CCCC" !after)
+
 let test_sync_persists_to_disk () =
   with_sys (fun _eng sys ->
       let p =
@@ -147,16 +195,23 @@ let test_unlink () =
 
 let test_remote_unlink () =
   with_sys (fun _eng sys ->
+      let again = ref "" in
       let p =
         in_proc sys ~on:1 ~name:"t" (fun sys p ->
             let fd = Hive.Syscall.creat sys p "/tmp/gone-remote.txt" in
             Hive.Syscall.close sys p ~fd;
-            Hive.Syscall.unlink sys p "/tmp/gone-remote.txt")
+            Hive.Syscall.unlink sys p "/tmp/gone-remote.txt";
+            (* The path is gone now: a remote unlink of a missing path
+               fails as a local one does. *)
+            try Hive.Syscall.unlink sys p "/tmp/gone-remote.txt"
+            with Hive.Types.Syscall_error e ->
+              again := Hive.Types.errno_to_string e)
       in
       run_to_completion sys p;
       Alcotest.(check bool) "removed at home" true
         (Hive.Fs.find_local sys.Hive.Types.cells.(0) "/tmp/gone-remote.txt"
-        = None))
+        = None);
+      Alcotest.(check string) "missing path" "ENOENT" !again)
 
 (* A path that begins with a NUL byte and "unlink:" is just a file name:
    a remote creat of it must create that file on its home, not delete
@@ -377,6 +432,8 @@ let suite =
       test_remote_write_updates_home_size;
     Alcotest.test_case "truncate invalidates cached pages" `Quick
       test_truncate_invalidates_cache;
+    Alcotest.test_case "re-create releases borrowed pages" `Quick
+      test_recreate_releases_borrowed_pages;
     Alcotest.test_case "sync persists to disk" `Quick test_sync_persists_to_disk;
     Alcotest.test_case "write-behind: unsynced data not stable" `Quick
       test_unsynced_data_not_on_disk;

@@ -56,14 +56,14 @@ let arb_ops =
    the index must list the model's extended pfdats in the model's
    iteration order, and the typed table must iterate like the model. *)
 let index_matches_hashtbl_order ops =
-  let c = fresh_cell () in
+  let c = ref (fresh_cell ()) in
   let model : (Hive.Types.logical_id, Hive.Types.pfdat) Hashtbl.t =
     Hashtbl.create 1024
   in
   let made = ref [||] and nmade = ref 0 in
   let insert lid (pf : Hive.Types.pfdat) =
     Hashtbl.replace model lid pf;
-    Hive.Pfdat.insert c lid pf
+    Hive.Pfdat.insert !c lid pf
   in
   let fresh k ~extended =
     let pf = Hive.Pfdat.make ~pfn:!nmade in
@@ -82,8 +82,8 @@ let index_matches_hashtbl_order ops =
         fresh (k + j) ~extended:(j mod 3 = 0)
       done
     | Remove i when !nmade > 0 ->
-      (* A pfdat drops only its own binding: a displaced one, or one left
-         over from a reset, removes nothing. *)
+      (* A pfdat drops only its own binding: a displaced one removes
+         nothing. *)
       let pf = pick i in
       Option.iter
         (fun lid ->
@@ -91,17 +91,19 @@ let index_matches_hashtbl_order ops =
           | Some q when q == pf -> Hashtbl.remove model lid
           | Some _ | None -> ())
         pf.Hive.Types.lid;
-      Hive.Pfdat.remove c pf
+      Hive.Pfdat.remove !c pf
     | Reinsert i when !nmade > 0 ->
-      (* A pfdat with an id is bound under it or nowhere (displaced, or
-         left over from a reset): putting it back replaces whatever holds
-         that id in place. *)
+      (* A pfdat with an id is bound under it or nowhere (displaced):
+         putting it back replaces whatever holds that id in place. *)
       let pf = pick i in
       insert (Option.value pf.Hive.Types.lid ~default:(lid_of (6001 + i))) pf
     | Remove _ | Reinsert _ -> ()
     | Reset ->
+      (* A reboot: a fresh cell, and nothing of the old table survives. *)
       Hashtbl.reset model;
-      Hive.Pfdat.reset_table c
+      made := [||];
+      nmade := 0;
+      c := fresh_cell ()
   in
   let expected keep =
     let acc = ref [] in
@@ -113,7 +115,7 @@ let index_matches_hashtbl_order ops =
   in
   let table_order () =
     let acc = ref [] in
-    Hive.Pfdat.iter_pages c (fun pf -> acc := pf :: !acc);
+    Hive.Pfdat.iter_pages !c (fun pf -> acc := pf :: !acc);
     List.rev !acc
   in
   let model_order () =
@@ -126,9 +128,9 @@ let index_matches_hashtbl_order ops =
     (fun op ->
       apply op;
       List.equal ( == ) (expected (fun _ -> true))
-        (Hive.Pfdat.extended_in_table_order c (fun _ -> true))
+        (Hive.Pfdat.extended_in_table_order !c (fun _ -> true))
       && List.equal ( == ) (expected even)
-           (Hive.Pfdat.extended_in_table_order c even)
+           (Hive.Pfdat.extended_in_table_order !c even)
       && List.equal ( == ) (model_order ()) (table_order ()))
     ops
 

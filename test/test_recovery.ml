@@ -258,6 +258,57 @@ let test_reintegration () =
       Alcotest.(check (option int)) "read after reintegration" (Some 0)
         reader.Hive.Types.exit_code)
 
+(* Reboot is boot: the reintegrated cell is a new record that starts as
+   [Cell.make] builds it, and carries over only the files, the counters
+   and the bumped incarnation. *)
+let test_reboot_starts_fresh () =
+  with_sys ~params:manual (fun eng sys ->
+      settle eng;
+      let old = sys.Hive.Types.cells.(1) in
+      let path =
+        let rec go k =
+          let c = Printf.sprintf "/y/kept.%d" k in
+          if Hive.Fs.home_of_path sys c = 1 then c else go (k + 1)
+        in
+        go 0
+      in
+      ignore
+        (Hive.Fs.create_local sys old ~path ~content:(Bytes.of_string "kept"));
+      old.Hive.Types.alloc_preference <- [ 2; 3 ];
+      old.Hive.Types.clock_hand_targets <- [ 0 ];
+      old.Hive.Types.rr_cpu <- 5;
+      old.Hive.Types.flush_epoch <- 7;
+      old.Hive.Types.swap_hint <- 9;
+      let boots = Sim.Stats.value old.Hive.Types.counters "cell.boots" in
+      Hive.System.inject_node_failure sys 1;
+      ignore (await_recovery sys);
+      Hive.System.reintegrate sys 1;
+      Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 100_000_000L) eng;
+      let c = sys.Hive.Types.cells.(1) in
+      let made =
+        Hive.Cell.make sys.Hive.Types.mcfg ~id:1 ~nodes:old.Hive.Types.cell_nodes
+      in
+      let ids = Alcotest.(list int) in
+      Alcotest.check ids "alloc_preference" made.Hive.Types.alloc_preference
+        c.Hive.Types.alloc_preference;
+      Alcotest.check ids "clock_hand_targets"
+        made.Hive.Types.clock_hand_targets c.Hive.Types.clock_hand_targets;
+      Alcotest.(check int) "rr_cpu" made.Hive.Types.rr_cpu c.Hive.Types.rr_cpu;
+      Alcotest.(check int) "flush_epoch" made.Hive.Types.flush_epoch
+        c.Hive.Types.flush_epoch;
+      Alcotest.(check int) "swap_hint" made.Hive.Types.swap_hint
+        c.Hive.Types.swap_hint;
+      Alcotest.(check bool) "a new record" true (c != old);
+      Alcotest.(check bool) "old record stays down" true
+        (old.Hive.Types.cstatus = Hive.Types.Cell_down);
+      Alcotest.(check bool) "new record up" true (Hive.Types.cell_alive c);
+      Alcotest.(check bool) "files kept" true
+        (Option.is_some (Hive.Fs.find_local c path));
+      Alcotest.(check int) "counters kept" (boots + 1)
+        (Sim.Stats.value c.Hive.Types.counters "cell.boots");
+      Alcotest.(check int) "incarnation bumped"
+        (old.Hive.Types.incarnation + 1) c.Hive.Types.incarnation)
+
 let test_double_failure () =
   with_sys ~params:manual (fun eng sys ->
       settle eng;
@@ -445,6 +496,7 @@ let suite =
     Alcotest.test_case "wax dies with a cell and restarts" `Quick
       test_wax_dies_and_restarts;
     Alcotest.test_case "reintegration after repair" `Quick test_reintegration;
+    Alcotest.test_case "reboot starts fresh" `Quick test_reboot_starts_fresh;
     Alcotest.test_case "two successive failures" `Quick test_double_failure;
     Alcotest.test_case "nested failure restarts the round" `Quick
       test_round_restart_on_nested_failure;
