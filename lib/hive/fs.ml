@@ -573,9 +573,8 @@ let release_file_imports (sys : Types.system) (c : Types.cell) vnode =
         && pf.Types.refs = 0 && not pf.Types.cached
       | _ -> false
     in
-    (* One vectored release per data home, in reverse table order: the
-       order close has always released in. *)
-    Share.release_all sys c (List.rev (Pfdat.extended_in_table_order c idle))
+    (* One vectored release per data home. *)
+    Share.release_all sys c (Pfdat.imports c idle)
 
 let file_size (sys : Types.system) (c : Types.cell) vnode =
   match vnode with

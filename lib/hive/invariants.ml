@@ -577,30 +577,39 @@ let check_salvage (sys : Types.system) ~cells =
 
 (* Close and exit find a client's idle imports through the import index
    rather than a scan, so the index must list exactly the extended
-   pfdats bound in the page table, in the table's own order. A pfdat
-   bound under a key other than its own logical id (two keys, say) would
-   be visited twice by a scan but once through the index. *)
+   pfdats bound in the page table. A pfdat bound under a key other than
+   its own logical id (two keys, say) would be visited twice by a scan
+   but once through the index. Every indexed pfdat must be the one bound
+   under its own id, and the table must bind as many extended pfdats as
+   the index lists: the index holds each pfdat at most once, so the two
+   are then the same set. *)
 let check_page_index (_sys : Types.system) ~cells =
   let bad = ref [] in
+  let note x = bad := x :: !bad in
   List.iter
     (fun (c : Types.cell) ->
-      let extended = ref [] in
+      let in_table = ref 0 in
       Types.Page_hash.iter
         (fun lid (pf : Types.pfdat) ->
           if pf.Types.lid <> Some lid then
-            bad :=
-              v "page-index" "cell %d pfn %d: bound under a key other than its own logical id"
-                c.Types.cell_id pf.Types.pfn
-              :: !bad;
-          if pf.Types.extended then extended := pf :: !extended)
+            note
+              (v "page-index" "cell %d pfn %d: bound under a key other than its own logical id"
+                 c.Types.cell_id pf.Types.pfn);
+          if pf.Types.extended then incr in_table)
         c.Types.page_hash;
-      let indexed = Pfdat.extended_in_table_order c (fun _ -> true) in
-      if not (List.equal ( == ) (List.rev !extended) indexed) then
-        bad :=
-          v "page-index"
-            "cell %d: the import index lists %d pfdats; the table binds %d extended ones (or in another order)"
-            c.Types.cell_id (List.length indexed) (List.length !extended)
-          :: !bad)
+      let indexed = Pfdat.imports c (fun _ -> true) in
+      List.iter
+        (fun (pf : Types.pfdat) ->
+          if not (pf.Types.extended && Pfdat.bound c pf) then
+            note
+              (v "page-index" "cell %d pfn %d: indexed but not an extended pfdat bound under its id"
+                 c.Types.cell_id pf.Types.pfn))
+        indexed;
+      if List.length indexed <> !in_table then
+        note
+          (v "page-index"
+             "cell %d: the import index lists %d pfdats; the table binds %d extended ones"
+             c.Types.cell_id (List.length indexed) !in_table))
     cells;
   List.rev !bad
 

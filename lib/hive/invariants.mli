@@ -67,14 +67,8 @@ val check_import_cache :
     while recovery is in progress. *)
 val check_single_master : Types.system -> violation list
 
-(** Salvaged-page coherence: a binding salvaged from a dead home's
-    still-readable memory must not survive that home's reintegration.
-    Included in {!check}; exposed for targeted tests. *)
-val check_salvage :
-  Types.system -> cells:Types.cell list -> violation list
-
 (** Page-table coherence: the import index lists exactly the extended
-    pfdats bound in the cell's page table, in table order, and every
+    pfdats bound in the cell's page table, in any order, and every
     pfdat is bound under its own logical id only. Included in {!check};
     exposed for targeted tests. *)
 val check_page_index :

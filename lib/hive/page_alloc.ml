@@ -266,12 +266,16 @@ let unloan (sys : Types.system) (home : Types.cell) pfn =
   reset_firewall sys home pfn
 
 (* Recovery: take back the frames loaned to dead cells, and forget those
-   borrowed from them. *)
-let settle_dead (sys : Types.system) (c : Types.cell) ~dead =
+   borrowed from them, handing the pfdat of each in-use one to [lost]
+   first. *)
+let settle_dead (sys : Types.system) (c : Types.cell) ~dead ~lost =
   held c (fun _ st -> match st with Types.Loaned b -> List.mem b dead | _ -> false)
   |> List.iter (unloan sys c);
-  forget c
-    (held c (fun pfn _ -> (not (own c pfn)) && List.mem (lender sys pfn) dead))
+  let gone =
+    held c (fun pfn _ -> (not (own c pfn)) && List.mem (lender sys pfn) dead)
+  in
+  List.iter (fun pfn -> Option.iter lost (Hashtbl.find_opt c.Types.frames pfn)) gone;
+  forget c gone
 
 (* Allocate one frame: a free one, else one freed by reclaiming idle
    cached pages, else one borrowed from another cell in Wax's preference

@@ -45,5 +45,8 @@ val return_frames : Types.system -> Types.cell -> int list -> unit
 val unloan : Types.system -> Types.cell -> int -> unit
 
 (** Recovery: take back the frames loaned to dead cells, and forget
-    those borrowed from them. *)
-val settle_dead : Types.system -> Types.cell -> dead:Types.cell_id list -> unit
+    those borrowed from them, handing the pfdat of each in-use one to
+    [lost] first. *)
+val settle_dead :
+  Types.system -> Types.cell -> dead:Types.cell_id list ->
+  lost:(Types.pfdat -> unit) -> unit

@@ -12,18 +12,21 @@ val make : pfn:int -> Types.pfdat
 (** An empty page table and import index, as at boot. *)
 val create_table : unit -> Types.pfdat Types.Page_hash.t
 
-val create_index : unit -> Types.page_index
+val create_index : unit -> Types.pfdat
 val lookup : Types.cell -> Types.logical_id -> Types.pfdat option
+
+(** The pfdat is the one bound under its own logical id. *)
+val bound : Types.cell -> Types.pfdat -> bool
+
 val insert : Types.cell -> Types.logical_id -> Types.pfdat -> unit
 
 (** Drop the pfdat's own binding; a pfdat bound nowhere removes nothing. *)
 val remove : Types.cell -> Types.pfdat -> unit
 
 (** The extended pfdats bound in the cell's page table that satisfy the
-    predicate, in {!iter_pages} order, found through the import index:
-    the cost is in the number of extended pfdats, not the table size. *)
-val extended_in_table_order :
-  Types.cell -> (Types.pfdat -> bool) -> Types.pfdat list
+    predicate, oldest binding first, found through the import index: the
+    cost is in the number of extended pfdats, not the table size. *)
+val imports : Types.cell -> (Types.pfdat -> bool) -> Types.pfdat list
 
 val alloc_extended : pfn:int -> Types.pfdat
 val free_extended : Types.cell -> Types.pfdat -> unit

@@ -20,21 +20,6 @@
    re-access, and flushed when the home dies. Bulk releases coalesce into
    one vectored share.release_batch RPC per data home. *)
 
-type Types.payload +=
-  | P_release of { lid : Types.logical_id }
-  | P_release_batch of { lids : Types.logical_id list }
-  | P_invalidate of { lids : Types.logical_id list }
-  | P_invalidate_ack of { kept : Types.logical_id list }
-
-val release_op : Rpc.Op.t
-val release_batch_op : Rpc.Op.t
-val invalidate_op : Rpc.Op.t
-
-val unexport :
-  Types.system ->
-  Types.cell ->
-  client:Types.cell_id -> lid:Types.logical_id -> unit
-
 (** Would a writable export to [client] require invalidating another
     cell's binding first (and hence an RPC, forcing the queued path)? *)
 val needs_invalidate : Types.pfdat -> client:Types.cell_id -> bool

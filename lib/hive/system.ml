@@ -79,9 +79,9 @@ let reintegrate (sys : Types.system) cell_id =
   (* The files and their stable disk contents survive, but the page cache
      does not. The bumped incarnation keeps the new call ids, and any
      message still in flight from the old life, from colliding across the
-     reboot. The counters and latency summaries span every incarnation,
-     and the backoff jitter stream continues. The other cells' recovery
-     already settled the old incarnation's loans and borrows. *)
+     reboot. The counters and latency summaries span every incarnation;
+     the backoff jitter stream starts over, as at boot. The other cells'
+     recovery already settled the old incarnation's loans and borrows. *)
   Hashtbl.iter
     (fun _ (f : Types.file) -> Hashtbl.reset f.Types.cached_pages)
     old.Types.files;
@@ -93,7 +93,6 @@ let reintegrate (sys : Types.system) cell_id =
       next_ino = old.Types.next_ino;
       next_disk_block = old.Types.next_disk_block;
       incarnation = old.Types.incarnation + 1;
-      rpc_rng = old.Types.rpc_rng;
       counters = old.Types.counters;
       fault_in_cache_ns = old.Types.fault_in_cache_ns;
       remote_fault_ns = old.Types.remote_fault_ns;

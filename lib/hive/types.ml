@@ -83,11 +83,6 @@ type pfdat = {
       (* client side: a local copy of a clean page rescued from a dead
          cell whose memory outlived its processors; dropped when that
          home reintegrates *)
-  (* page-table slot *)
-  mutable slot_stamp : int;
-      (* when the page_hash slot holding this pfdat was created, 0 while
-         it holds none; an in-place replace hands the slot's stamp to
-         the new binding *)
   mutable ext_prev : pfdat;
   mutable ext_next : pfdat;
       (* links in the cell's import index while this is an extended pfdat
@@ -110,17 +105,6 @@ module Page_hash = Hashtbl.Make (struct
 
   let hash = Hashtbl.hash
 end)
-
-(* Index of the extended pfdats bound in [page_hash] (the import
-   bindings), so close and exit visit those instead of the whole table.
-   [Pfdat] keeps it, together with what it needs to reproduce
-   [Page_hash.iter] order: a stamp per slot and a mirror of the table's
-   bucket count. *)
-type page_index = {
-  ext_head : pfdat; (* sentinel of the circular list *)
-  mutable buckets : int; (* page_hash's bucket count *)
-  mutable next_slot_stamp : int;
-}
 
 (* What a cell holds of one physical frame: the states of the frame
    machine in [Page_alloc], whose transitions are the only writers. *)
@@ -289,7 +273,9 @@ type cell = {
   mutable live_set : cell_id list; (* cells this cell believes are up *)
   (* pfdat tables *)
   page_hash : pfdat Page_hash.t;
-  page_index : page_index;
+  page_index : pfdat;
+      (* sentinel of the import index: the extended pfdats bound in
+         page_hash, on a circular list kept by [Pfdat] *)
   frames : (int, pfdat) Hashtbl.t;
       (* by pfn: the in-use own and borrowed frames, and the imports *)
   pool : frame_pool;

@@ -380,7 +380,7 @@ let unmap_all (sys : Types.system) (p : Types.process) =
   (* Release idle imported pages eagerly on exit. Teardown may run outside
      a thread context, so hand the releases (which RPC the data home) to
      the cell's reaper thread. *)
-  Pfdat.extended_in_table_order c (fun pf ->
+  Pfdat.imports c (fun pf ->
       pf.Types.imported_from <> None
       && pf.Types.refs = 0
       && not pf.Types.cached (* parked bindings are already released *))
@@ -502,6 +502,16 @@ let flush_remote_bindings ?(dead = []) (sys : Types.system) (c : Types.cell) =
   Types.reset_import_cache c;
   Hashtbl.reset c.Types.readahead
 
+(* Notify the file system that [pf]'s page is lost with its frame: it
+   leaves the file's page cache, and a dirty one bumps the generation. *)
+let note_lost sys (c : Types.cell) (pf : Types.pfdat) =
+  match pf.Types.lid with
+  | Some { Types.tag = Types.File_obj fid; page } -> (
+    match Hashtbl.find_opt c.Types.files_by_ino fid.Types.ino with
+    | Some f -> Fs.note_discard sys c f ~page ~dirty:pf.Types.dirty
+    | None -> ())
+  | _ -> ()
+
 (* Post-barrier-1 VM cleanup: revoke grants to dead cells, preemptively
    discard every local page writable by a failed cell, clear export
    records, take back frames loaned to dead cells and forget frames
@@ -532,13 +542,7 @@ let preemptive_discard (sys : Types.system) (c : Types.cell) ~dead =
       | Types.In_use, Some pf ->
         incr discarded;
         Types.bump c Count.discarded_pages;
-        (* Notify the file system if a dirty file page is being lost. *)
-        (match pf.Types.lid with
-        | Some { Types.tag = Types.File_obj fid; page } -> (
-          match Hashtbl.find_opt c.Types.files_by_ino fid.Types.ino with
-          | Some f -> Fs.note_discard sys c f ~page ~dirty:pf.Types.dirty
-          | None -> ())
-        | _ -> ());
+        note_lost sys c pf;
         pf.Types.exported_to <- [];
         pf.Types.write_granted_to <- [];
         Page_alloc.release sys c pf
@@ -552,7 +556,7 @@ let preemptive_discard (sys : Types.system) (c : Types.cell) ~dead =
           if List.mem client dead then
             Wild_write.revoke_client sys c pf ~client)
         pf.Types.write_granted_to);
-  Page_alloc.settle_dead sys c ~dead;
+  Page_alloc.settle_dead sys c ~dead ~lost:(note_lost sys c);
   !discarded
 
 let () =

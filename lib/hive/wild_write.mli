@@ -10,17 +10,6 @@
    node, so when the data home has borrowed the frame it must send an RPC
    to the memory home to change firewall state. *)
 
-type Types.payload +=
-    P_fw of { pfn : int; target_cell : Types.cell_id; grant : bool; }
-val firewall_rpc_op : Rpc.Op.t
-val apply_local :
-  Types.system ->
-  Types.cell ->
-  pfn:Flash.Addr.pfn -> target_cell:int -> grant:bool -> unit
-val change :
-  Types.system ->
-  Types.cell ->
-  pfn:Flash.Addr.pfn -> target_cell:Types.cell_id -> grant:bool -> unit
 val grant_for_export :
   Types.system ->
   Types.cell -> Types.pfdat -> client:Types.cell_id -> unit

@@ -129,6 +129,55 @@ let test_recreate_releases_borrowed_pages () =
         (Hive.Types.cell_alive sys.Hive.Types.cells.(0));
       Alcotest.(check string) "after the lender died" "CCCC" !after)
 
+(* A dirty file page in a frame borrowed from cell 1 is lost when cell 1
+   dies. Recovery forgets the frame, and it must tell the file system:
+   the page leaves the page cache and the generation records the loss,
+   so a later sync never writes the lender's memory to the disk. *)
+let test_lender_death_loses_borrowed_page () =
+  with_sys (fun eng sys ->
+      let c0 = sys.Hive.Types.cells.(0) in
+      let path =
+        let rec go k =
+          let p = Printf.sprintf "/tmp/lost%d" k in
+          if Hive.Fs.home_of_path sys p = 0 then p else go (k + 1)
+        in
+        go 0
+      in
+      let psize = Flash.Config.page_size in
+      let borrowed = ref false and dirty = ref false in
+      let f = ref None in
+      let thr =
+        Sim.Engine.spawn eng ~name:"t" (fun () ->
+            while Hive.Page_alloc.take_free ~own_only:true sys c0 <> None do
+              ()
+            done;
+            let file =
+              Hive.Fs.create_local sys c0 ~path ~content:(Bytes.make psize 'A')
+            in
+            f := Some file;
+            ignore
+              (Hive.Fs.write sys c0 (Hive.Types.Local_vnode file)
+                 ~opened_gen:file.Hive.Types.generation ~pos:0
+                 (Bytes.of_string "DDDD"));
+            (match Hashtbl.find_opt file.Hive.Types.cached_pages 0 with
+            | Some pf ->
+              borrowed := not (Hive.Page_alloc.own c0 pf.Hive.Types.pfn);
+              dirty := pf.Hive.Types.dirty
+            | None -> ());
+            Hive.System.inject_node_failure sys 1;
+            Sim.Engine.delay 2_000_000_000L;
+            Hive.Fs.sync_file sys c0 file)
+      in
+      Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 4_000_000_000L) eng;
+      Alcotest.(check bool) "thread done" true thr.Sim.Engine.dead;
+      Alcotest.(check bool) "page in a borrowed frame" true !borrowed;
+      Alcotest.(check bool) "page dirty" true !dirty;
+      let f = Option.get !f in
+      Alcotest.(check int) "loss recorded in the generation" 1
+        f.Hive.Types.generation;
+      Alcotest.(check string) "disk keeps its last contents" "AAAA"
+        (Bytes.sub_string f.Hive.Types.disk_content 0 4))
+
 let test_sync_persists_to_disk () =
   with_sys (fun _eng sys ->
       let p =
@@ -434,6 +483,8 @@ let suite =
       test_truncate_invalidates_cache;
     Alcotest.test_case "re-create releases borrowed pages" `Quick
       test_recreate_releases_borrowed_pages;
+    Alcotest.test_case "lender death loses a borrowed dirty page" `Quick
+      test_lender_death_loses_borrowed_page;
     Alcotest.test_case "sync persists to disk" `Quick test_sync_persists_to_disk;
     Alcotest.test_case "write-behind: unsynced data not stable" `Quick
       test_unsynced_data_not_on_disk;

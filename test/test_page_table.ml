@@ -1,11 +1,10 @@
 (* The pfdat page table, its import index, and the declared-counter
    registry.
 
-   Close and exit release idle imports in page-table iteration order, so
-   the index that finds them without a scan must reproduce that order
-   exactly; the model test drives one cell's table and a plain
-   polymorphic [Hashtbl] (what the table used to be) through the same
-   operations and compares orders. *)
+   Close and exit find idle imports through the import index, so it must
+   list exactly the extended pfdats bound in the table; the model test
+   drives one cell's table and a plain polymorphic [Hashtbl] through the
+   same operations and compares what they hold. *)
 
 let mcfg = Flash.Config.small
 
@@ -24,7 +23,7 @@ let lid_of k =
 
 type op =
   | Insert of int * bool (* key, extended *)
-  | Fill of int * int (* first key, count: growth past the bucket count *)
+  | Fill of int * int (* first key, count: growth of the table *)
   | Remove of int (* index into the pfdats created so far *)
   | Reinsert of int (* a pfdat back under its own id, or a new one *)
   | Reset
@@ -53,9 +52,9 @@ let arb_ops =
     QCheck.Gen.(list_size (int_range 1 200) gen_op)
 
 (* Replays [ops] on a cell and on the polymorphic model; after every op
-   the index must list the model's extended pfdats in the model's
-   iteration order, and the typed table must iterate like the model. *)
-let index_matches_hashtbl_order ops =
+   the index must list exactly the model's extended pfdats, and the typed
+   table must bind exactly the model's pfdats. *)
+let index_matches_model ops =
   let c = ref (fresh_cell ()) in
   let model : (Hive.Types.logical_id, Hive.Types.pfdat) Hashtbl.t =
     Hashtbl.create 1024
@@ -105,48 +104,38 @@ let index_matches_hashtbl_order ops =
       nmade := 0;
       c := fresh_cell ()
   in
-  let expected keep =
-    let acc = ref [] in
-    Hashtbl.iter
-      (fun _ (pf : Hive.Types.pfdat) ->
-        if pf.Hive.Types.extended && keep pf then acc := pf :: !acc)
-      model;
-    List.rev !acc
+  (* A set of pfdats: pfns are distinct between resets. *)
+  let sorted l =
+    List.sort
+      (fun (a : Hive.Types.pfdat) (b : Hive.Types.pfdat) ->
+        Int.compare a.Hive.Types.pfn b.Hive.Types.pfn)
+      l
   in
-  let table_order () =
+  let same a b = List.equal ( == ) (sorted a) (sorted b) in
+  let expected keep =
+    Hashtbl.fold
+      (fun _ (pf : Hive.Types.pfdat) acc ->
+        if pf.Hive.Types.extended && keep pf then pf :: acc else acc)
+      model []
+  in
+  let table () =
     let acc = ref [] in
     Hive.Pfdat.iter_pages !c (fun pf -> acc := pf :: !acc);
-    List.rev !acc
-  in
-  let model_order () =
-    let acc = ref [] in
-    Hashtbl.iter (fun _ pf -> acc := pf :: !acc) model;
-    List.rev !acc
+    !acc
   in
   let even (pf : Hive.Types.pfdat) = pf.Hive.Types.pfn mod 2 = 0 in
   List.for_all
     (fun op ->
       apply op;
-      List.equal ( == ) (expected (fun _ -> true))
-        (Hive.Pfdat.extended_in_table_order !c (fun _ -> true))
-      && List.equal ( == ) (expected even)
-           (Hive.Pfdat.extended_in_table_order !c even)
-      && List.equal ( == ) (model_order ()) (table_order ()))
+      same (expected (fun _ -> true)) (Hive.Pfdat.imports !c (fun _ -> true))
+      && same (expected even) (Hive.Pfdat.imports !c even)
+      && same (Hashtbl.fold (fun _ pf acc -> pf :: acc) model []) (table ()))
     ops
 
-let qcheck_index_order =
+let qcheck_index_members =
   QCheck.Test.make ~count:25
-    ~name:"import index returns extended pfdats in Hashtbl.iter order"
-    arb_ops index_matches_hashtbl_order
-
-(* Growth is exercised deterministically too: 5,000 keys take the table
-   from 1,024 buckets through two doublings. *)
-let test_index_order_through_growth () =
-  Alcotest.(check bool)
-    "order kept past 2,048 and 4,096 entries" true
-    (index_matches_hashtbl_order
-       [ Fill (0, 2100); Insert (7, true); Remove 3; Fill (3000, 2900);
-         Reinsert 3; Remove 9; Insert (9000, true) ])
+    ~name:"import index returns extended pfdats bound in the table"
+    arb_ops index_matches_model
 
 (* ---------- invariant checker ---------- *)
 
@@ -178,7 +167,7 @@ let index_violations sys c =
 let test_checker_clean () =
   with_shared_sys (fun sys c1 imp ->
       Alcotest.(check bool) "import indexed" true
-        (List.memq imp (Hive.Pfdat.extended_in_table_order c1 (fun _ -> true)));
+        (List.memq imp (Hive.Pfdat.imports c1 (fun _ -> true)));
       Alcotest.(check (list string)) "clean" [] (index_violations sys c1))
 
 let test_checker_two_keys () =
@@ -262,9 +251,7 @@ let test_counters_match_string_registry () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest qcheck_index_order;
-    Alcotest.test_case "index order through table growth" `Quick
-      test_index_order_through_growth;
+    QCheck_alcotest.to_alcotest qcheck_index_members;
     Alcotest.test_case "index checker: clean after an import" `Quick
       test_checker_clean;
     Alcotest.test_case "index checker: pfdat under two keys" `Quick

@@ -176,6 +176,50 @@ let test_exhaustion_borrows_transparently () =
           done;
           Alcotest.(check bool) "borrowed under pressure" true (!remote >= 64)))
 
+(* A revoke drops the grant record in the step that clears the firewall
+   bits, before it waits for the flush: an invariant check taken between
+   the two finds the record and the hardware in agreement. *)
+let test_revoke_mid_flush () =
+  with_sys (fun eng sys ->
+      let c0 = sys.Hive.Types.cells.(0) in
+      let pf = ref (Hive.Pfdat.make ~pfn:(-1)) in
+      in_thread sys (fun () ->
+          pf := Hive.Page_alloc.alloc sys c0;
+          Hive.Pfdat.insert c0
+            { Hive.Types.tag =
+                Hive.Types.File_obj { Hive.Types.home = 0; ino = 600 };
+              page = 0 }
+            !pf;
+          Hive.Share.export sys c0 !pf ~client:1 ~writable:true);
+      let pf = !pf in
+      Alcotest.(check (list int)) "granted" [ 1 ] pf.Hive.Types.write_granted_to;
+      let fw = Flash.Machine.firewall sys.Hive.Types.machine in
+      let allowed () =
+        Flash.Firewall.allowed fw ~pfn:pf.Hive.Types.pfn
+          ~proc:(List.hd sys.Hive.Types.cells.(1).Hive.Types.cell_nodes)
+      in
+      let bits = ref true and grants = ref [] and found = ref [] in
+      ignore
+        (Sim.Engine.spawn eng ~name:"revoke" (fun () ->
+             Hive.Wild_write.revoke_client sys c0 pf ~client:1));
+      ignore
+        (Sim.Engine.spawn eng ~name:"check" (fun () ->
+             (* After the bits change, before the flush ends. *)
+             Sim.Engine.delay
+               (Int64.add Flash.Config.uncached_op_ns
+                  (Int64.div Flash.Config.mem_ns 2L));
+             bits := allowed ();
+             grants := pf.Hive.Types.write_granted_to;
+             found :=
+               Hive.Invariants.check sys
+               |> List.filter (fun (v : Hive.Invariants.violation) ->
+                      v.Hive.Invariants.inv = "firewall-grant")
+               |> List.map Hive.Invariants.to_string));
+      Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 1_000_000_000L) eng;
+      Alcotest.(check (list string)) "no firewall-grant violation" [] !found;
+      Alcotest.(check bool) "bits cleared mid-flush" false !bits;
+      Alcotest.(check (list int)) "record dropped mid-flush" [] !grants)
+
 (* Property: the firewall's remotely-writable page count on the home
    always equals the number of pages with an outstanding writable export,
    through any interleaving of writable/read-only exports and releases. *)
@@ -255,5 +299,7 @@ let suite =
       test_borrowed_frames_not_returned_without_hint;
     Alcotest.test_case "allocation borrows transparently when exhausted"
       `Quick test_exhaustion_borrows_transparently;
+    Alcotest.test_case "revoke drops the grant with the bits" `Quick
+      test_revoke_mid_flush;
     QCheck_alcotest.to_alcotest qcheck_firewall_tracks_exports;
   ]

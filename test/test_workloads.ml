@@ -86,6 +86,24 @@ let test_ocean_completes_and_verifies () =
   Alcotest.(check bool) "completed" true result.Workloads.Workload.completed;
   check_all_match "ocean" (Workloads.Ocean.verify ~cfg:small_ocean sys)
 
+(* perfbench's ocean16-write shape: 16 cells over 16 nodes, one worker
+   per cell, the paper's step parameters and tie-break jitter from the
+   start of the run. Exit releases each worker's imports on its cell's
+   reaper thread, and every firewall revoke among them must leave the
+   grant records and the hardware in agreement when the run ends. *)
+let test_ocean16_invariants_clean () =
+  let ncells = 16 in
+  let mcfg = Flash.Config.with_nodes Flash.Config.default ncells in
+  let eng, sys = Bench.Harness.boot ~ncells ~mcfg () in
+  let cfg = { Workloads.Ocean.default with Workloads.Ocean.workers = ncells } in
+  Workloads.Ocean.setup sys cfg;
+  Sim.Engine.set_jitter eng (Some (Sim.Prng.of_int64 (Int64.logxor 1L 0x0cea1L)));
+  let result, _ = Workloads.Ocean.run ~cfg sys in
+  Alcotest.(check bool) "completed" true result.Workloads.Workload.completed;
+  check_all_match "ocean" (Workloads.Ocean.verify ~cfg sys);
+  Alcotest.(check (list string)) "invariants clean" []
+    (List.map Hive.Invariants.to_string (Hive.Invariants.check sys))
+
 let test_raytrace_completes_and_verifies () =
   let sys = boot () in
   let result, _ = Workloads.Raytrace.run ~cfg:small_ray sys in
@@ -338,6 +356,8 @@ let suite =
       (check_pressured_pmake ~cells:16 ~pages:1024);
     Alcotest.test_case "ocean completes and verifies" `Slow
       test_ocean_completes_and_verifies;
+    Alcotest.test_case "ocean, 16 cells: invariants clean at the end" `Quick
+      test_ocean16_invariants_clean;
     Alcotest.test_case "raytrace completes and verifies" `Slow
       test_raytrace_completes_and_verifies;
     Alcotest.test_case "pmake is deterministic" `Slow test_pmake_deterministic;
