@@ -56,7 +56,7 @@ let make_warm_file sys ~npages =
                  ~bytes:(npages * psize))
             path
         in
-        ignore (Hive.Syscall.read sys p ~fd ~len:(npages * psize));
+        Hive.Syscall.read_discard sys p ~fd ~len:(npages * psize);
         Hive.Syscall.close sys p ~fd)
   in
   ignore

@@ -1026,7 +1026,7 @@ let run_table_7_3 (dims : dims) =
   in
   let read_4mb sys p path =
     let fd = Hive.Syscall.openf sys p path in
-    ignore (Hive.Syscall.read sys p ~fd ~len:mb4);
+    Hive.Syscall.read_discard sys p ~fd ~len:mb4;
     Hive.Syscall.close sys p ~fd
   in
   let write_4mb sys p _path =

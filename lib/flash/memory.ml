@@ -176,6 +176,8 @@ let read_into t ~by addr len dst dst_off =
   let nm, off = prologue t ~by ~write:false addr len in
   copy_out_into nm ~off len dst dst_off
 
+let read_discard t ~by addr len = ignore (prologue t ~by ~write:false addr len)
+
 let read t ~by addr len =
   (* A negative [len] is the prologue's [Invalid_address] bus error. *)
   let dst = Bytes.create (max 0 len) in

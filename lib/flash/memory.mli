@@ -49,6 +49,11 @@ val read : t -> by:int -> Addr.t -> int -> Bytes.t
     the range does not fit [dst]. *)
 val read_into : t -> by:int -> Addr.t -> int -> Bytes.t -> int -> unit
 
+(** [read_discard t ~by addr len] charges exactly what [read] charges —
+    the same counter, latency, liveness and bounds checks — but copies
+    nothing out: for readers that drop the data. *)
+val read_discard : t -> by:int -> Addr.t -> int -> unit
+
 (* Cached read of hot local kernel data: L2-hit latency, same fault
    model. *)
 val read_cached : t -> by:int -> Addr.t -> int -> Bytes.t

@@ -481,35 +481,45 @@ let rec get_page (sys : Types.system) (c : Types.cell) vnode ~page ~writable
       | Ok (Types.P_error e) | Error e -> Error e
       | Ok _ -> Error Types.EFAULT))
 
-(* Read [len] bytes at [pos]. Copies page by page out of the (possibly
-   remote) page cache; every byte movement is charged through the memory
-   model. *)
-let read (sys : Types.system) (c : Types.cell) vnode ~opened_gen ~pos ~len =
+(* The one read loop: walk [len] bytes at [pos] page by page through the
+   (possibly remote) page cache, and hand each chunk to [access mem ~by
+   addr chunk done_], which charges the memory access for [chunk] bytes
+   at [addr] (the read's bytes [done_] onwards); the copy-out to the
+   user buffer is charged here. Reads past EOF see the zeros of the page
+   cache, so every successful read covers exactly [len] bytes. *)
+let read_pages (sys : Types.system) (c : Types.cell) vnode ~opened_gen ~pos
+    ~len access =
   check_gen sys c vnode opened_gen;
+  if len < 0 then invalid_arg "Fs.read";
   let psize = Flash.Config.page_size in
-  (* The loop always produces exactly [len] bytes (reads past EOF return
-     zeros from the page cache), so write straight into the user buffer
-     rather than growing a Buffer.t chunk by chunk. *)
-  let out = Bytes.create len in
-  let rec loop pos remaining =
-    if remaining <= 0 then Ok out
+  let rec loop pos done_ =
+    if done_ >= len then Ok ()
     else begin
       let page = pos / psize in
       let off = pos mod psize in
-      let chunk = min remaining (psize - off) in
+      let chunk = min (len - done_) (psize - off) in
       match get_page sys c vnode ~page ~writable:false ~opened_gen ~usage:`Syscall with
       | Error e -> Error e
       | Ok pf ->
-        Flash.Memory.read_into (mem sys) ~by:(Types.boss_proc c)
+        access (mem sys) ~by:(Types.boss_proc c)
           (Flash.Addr.addr_of_pfn pf.Types.pfn + off)
-          chunk out (len - remaining);
-        (* Copy-out to the user buffer. *)
+          chunk done_;
         Sim.Engine.delay (Flash.Config.copy_cost chunk);
-        loop (pos + chunk) (remaining - chunk)
+        loop (pos + chunk) (done_ + chunk)
     end
   in
   Types.bump c Count.reads;
-  loop pos len
+  loop pos 0
+
+let read sys c vnode ~opened_gen ~pos ~len =
+  let out = Bytes.create (max 0 len) in
+  read_pages sys c vnode ~opened_gen ~pos ~len (fun mem ~by addr chunk done_ ->
+      Flash.Memory.read_into mem ~by addr chunk out done_)
+  |> Result.map (fun () -> out)
+
+let read_discard sys c vnode ~opened_gen ~pos ~len =
+  read_pages sys c vnode ~opened_gen ~pos ~len (fun mem ~by addr chunk _ ->
+      Flash.Memory.read_discard mem ~by addr chunk)
 
 (* Write bytes at [pos], extending the file as needed. *)
 let write (sys : Types.system) (c : Types.cell) vnode ~opened_gen ~pos data =

@@ -88,6 +88,16 @@ val read :
   Types.vnode ->
   opened_gen:Types.generation ->
   pos:int -> len:int -> (bytes, Types.errno) result
+
+(** [read_discard] is {!read} for a reader that drops the bytes: the same
+    page loop, RPCs, counters and simulated time, with no buffer. *)
+val read_discard :
+  Types.system ->
+  Types.cell ->
+  Types.vnode ->
+  opened_gen:Types.generation ->
+  pos:int -> len:int -> (unit, Types.errno) result
+
 val write :
   Types.system ->
   Types.cell ->

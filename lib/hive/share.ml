@@ -147,7 +147,7 @@ let export (sys : Types.system) (home : Types.cell) (pf : Types.pfdat)
      frame in moments ago would otherwise lose it to a sweep during the
      invalidation RPCs or the bookkeeping delay below, and the reply
      would ship a pfn already back on the free list. *)
-  if not (List.mem client pf.Types.exported_to) then
+  if not (List.exists (fun c -> c = client) pf.Types.exported_to) then
     pf.Types.exported_to <- client :: pf.Types.exported_to;
   (if writable && needs_invalidate pf ~client then
      (* Only file pages are ever parked (see [cacheable]), so anon

@@ -98,16 +98,22 @@ let fd_of (p : Types.process) fd =
   | Some f -> f
   | None -> raise (E Types.EBADF)
 
-let read (sys : Types.system) (p : Types.process) ~fd ~len =
+(* A sequential read at the fd's position, which it advances by [len]:
+   [fs_read] is [Fs.read] or [Fs.read_discard]. *)
+let read_at_pos fs_read (sys : Types.system) (p : Types.process) ~fd ~len =
   enter sys p Call.read @@ fun c ->
   let f = fd_of p fd in
-  let data =
+  let r =
     ok
-      (Fs.read sys c f.Types.vnode ~opened_gen:f.Types.opened_gen
+      (fs_read sys c f.Types.vnode ~opened_gen:f.Types.opened_gen
          ~pos:f.Types.pos ~len)
   in
-  f.Types.pos <- f.Types.pos + Bytes.length data;
-  data
+  f.Types.pos <- f.Types.pos + len;
+  r
+
+let read sys p ~fd ~len = read_at_pos Fs.read sys p ~fd ~len
+
+let read_discard sys p ~fd ~len = read_at_pos Fs.read_discard sys p ~fd ~len
 
 let pread (sys : Types.system) (p : Types.process) ~fd ~pos ~len =
   enter sys p Call.pread @@ fun c ->

@@ -19,6 +19,12 @@ val creat :
 val fd_of : Types.process -> int -> Types.fd
 val read :
   Types.system -> Types.process -> fd:int -> len:int -> bytes
+
+(** [read] for a reader that drops the bytes: the same charges and
+    counters, and the position advances by [len], with no buffer. *)
+val read_discard :
+  Types.system -> Types.process -> fd:int -> len:int -> unit
+
 val pread :
   Types.system ->
   Types.process -> fd:int -> pos:int -> len:int -> bytes

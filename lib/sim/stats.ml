@@ -103,11 +103,23 @@ type histogram = { hsummary : summary; buckets : int array }
 let histogram () =
   { hsummary = summary (); buckets = Array.make hist_buckets_n 0 }
 
+(* Bucket [i] holds [2^i <= ns < 2^(i+1)] ([ns <= 1] in bucket 0),
+   capped at the last bucket. Below [2^62] [ns] fits an [int], so the
+   log is taken unboxed; from there up it is 62. *)
 let bucket_of_ns ns =
-  if Int64.compare ns 1L <= 0 then 0
-  else
-    let rec log2 acc v = if Int64.compare v 1L <= 0 then acc else log2 (acc + 1) (Int64.shift_right_logical v 1) in
-    min (hist_buckets_n - 1) (log2 0 ns)
+  let log2 =
+    if Int64.compare ns 1L <= 0 then 0
+    else if Int64.compare ns 0x4000_0000_0000_0000L >= 0 then 62
+    else begin
+      let v = ref (Int64.to_int ns) and log2 = ref 0 in
+      while !v > 1 do
+        v := !v lsr 1;
+        incr log2
+      done;
+      !log2
+    end
+  in
+  min (hist_buckets_n - 1) log2
 
 let hist_add h ns =
   add_ns h.hsummary ns;

@@ -42,6 +42,10 @@ val histogram : unit -> histogram
 
 val hist_add : histogram -> int64 -> unit
 
+(** The bucket [hist_add] files a duration under: [floor (log2 ns)],
+    with [ns <= 1] in bucket 0. *)
+val bucket_of_ns : int64 -> int
+
 val hist_count : histogram -> int
 
 val hist_mean : histogram -> float

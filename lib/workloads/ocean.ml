@@ -75,7 +75,7 @@ let setup (sys : Hive.Types.system) cfg =
         for w = 0 to cfg.workers - 1 do
           let path = chunk_path sys (w mod Array.length sys.Hive.Types.cells) in
           let fd = Hive.Syscall.openf sys p path in
-          ignore (Hive.Syscall.read sys p ~fd ~len:(cfg.chunk_pages * psize));
+          Hive.Syscall.read_discard sys p ~fd ~len:(cfg.chunk_pages * psize);
           Hive.Syscall.close sys p ~fd
         done)
   in

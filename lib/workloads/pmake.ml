@@ -97,7 +97,7 @@ let setup (sys : Hive.Types.system) cfg =
         (* Warm the file cache, as the paper does before every run. *)
         let warm path bytes =
           let fd = Hive.Syscall.openf sys p path in
-          ignore (Hive.Syscall.read sys p ~fd ~len:bytes);
+          Hive.Syscall.read_discard sys p ~fd ~len:bytes;
           Hive.Syscall.close sys p ~fd
         in
         warm cc_path cfg.cc_bytes;

@@ -137,15 +137,15 @@ let read_handler sys (c : Hive.Types.cell) ~src:_ payload =
               | Ok (vn, gen) ->
                 let len = read_pages * Flash.Config.page_size in
                 let r =
-                  Hive.Fs.read sys c vn ~opened_gen:gen ~pos:0 ~len
+                  Hive.Fs.read_discard sys c vn ~opened_gen:gen ~pos:0 ~len
                 in
                 Hive.Fs.release_file_imports sys c vn;
                 (match r with
                 | Error e -> Error e
-                | Ok b ->
+                | Ok () ->
                   Sim.Engine.delay service_ns;
                   Hive.Types.bump c Count.reads;
-                  Ok (P_srv_data { bytes = Bytes.length b }))))
+                  Ok (P_srv_data { bytes = len }))))
   | _ -> Hive.Types.Immediate (Error Hive.Types.EBADF)
 
 let churn_handler sys (c : Hive.Types.cell) ~src:_ payload =
@@ -159,11 +159,11 @@ let churn_handler sys (c : Hive.Types.cell) ~src:_ payload =
               | Error e -> Error e
               | Ok (vn, gen) ->
                 let r =
-                  Hive.Fs.read sys c vn ~opened_gen:gen ~pos:0
+                  Hive.Fs.read_discard sys c vn ~opened_gen:gen ~pos:0
                     ~len:Flash.Config.page_size
                 in
                 Hive.Fs.release_file_imports sys c vn;
-                Result.map (fun _ -> ()) r
+                r
             in
             (* Fork/exit storm: short-lived processes that compute and
                exit, stressing process create/teardown on the serving
@@ -244,14 +244,12 @@ let record st ~arrival ~klass =
    remaining cells ascending. *)
 let targets ncells home alt =
   let primary = (home + alt) mod ncells in
-  let order = primary :: home :: List.init ncells (fun i -> i) in
-  let rec dedup seen = function
-    | [] -> []
-    | t :: rest ->
-      if List.mem t seen then dedup seen rest
-      else t :: dedup (t :: seen) rest
+  let rec rest i =
+    if i >= ncells then []
+    else if i = primary || i = home then rest (i + 1)
+    else i :: rest (i + 1)
   in
-  dedup [] order
+  if primary = home then primary :: rest 0 else primary :: home :: rest 0
 
 (* The traffic of one client cell outlives that cell's reboots, so it
    keeps the cell's id and reads the current record at each step. *)

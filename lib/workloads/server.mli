@@ -50,6 +50,15 @@ type Hive.Types.payload +=
 val read_op : Hive.Rpc.Op.t
 val churn_op : Hive.Rpc.Op.t
 
+(** The serving side of {!read_op}: open [path] on the serving cell,
+    read its first [2] pages and drop them. *)
+val read_handler : Hive.Rpc.handler
+
+(** [targets ncells home alt] is a read's redirect order: the first
+    target [(home + alt) mod ncells], then the data home [home], then the
+    remaining cells ascending. *)
+val targets : int -> int -> int -> int list
+
 (** Does nothing. The server's two ops are served when this module is
     initialized; the function stays for existing callers. *)
 val register_ops : unit -> unit

@@ -55,24 +55,24 @@ let synth_content ~tag ~bytes =
 (* The deterministic "compilation" of a source: what a correct run must
    produce. Any wild write to the data en route changes the output. *)
 let derive_output ~input ~bytes =
-  let b = Bytes.create bytes in
+  (* An empty input mixes in zeros, as a single zero byte does. *)
+  let input = if Bytes.length input = 0 then Bytes.make 1 '\000' else input in
   let n = Bytes.length input in
+  let b = Bytes.create bytes in
   let acc = ref 17 in
-  (* [j] walks the input cyclically: [i mod n] without a division per
-     byte. *)
-  let j = ref 0 in
-  for i = 0 to bytes - 1 do
-    let src =
-      if n = 0 then 0
-      else begin
-        let c = Char.code (Bytes.get input !j) in
-        incr j;
-        if !j = n then j := 0;
-        c
-      end
-    in
-    acc := (!acc + (src * 31) + i) land 0xff;
-    Bytes.set b i (Char.chr !acc)
+  (* Output byte [i] mixes in input byte [i mod n]: walk the input in
+     whole passes, so byte [k] of the pass at [base] is output byte
+     [base + k], with no division and no wrap test per byte. Both
+     indices stay below [n] and [bytes]. *)
+  let base = ref 0 in
+  while !base < bytes do
+    let base0 = !base in
+    for k = 0 to min n (bytes - base0) - 1 do
+      let i = base0 + k in
+      acc := (!acc + (Char.code (Bytes.unsafe_get input k) * 31) + i) land 0xff;
+      Bytes.unsafe_set b i (Char.unsafe_chr !acc)
+    done;
+    base := base0 + n
   done;
   b
 

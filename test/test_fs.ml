@@ -437,6 +437,112 @@ let test_export_pins_page () =
       in
       run_to_completion sys p)
 
+(* ---- discarding reads ---- *)
+
+(* A 3-page file homed on cell 1 whose bytes differ from page to page. *)
+let make_far_file sys =
+  let rec probe i =
+    let p = Printf.sprintf "/data/far%d.dat" i in
+    if Hive.Fs.home_of_path sys p = 1 then p else probe (i + 1)
+  in
+  let path = probe 0 in
+  let content =
+    Bytes.init (3 * Flash.Config.page_size) (fun i -> Char.chr (i mod 251))
+  in
+  ignore
+    (Hive.Fs.create_local sys sys.Hive.Types.cells.(1) ~path ~content);
+  (path, content)
+
+(* On a fresh 2-cell system, cell 0 reads two pages of the far file
+   with [Fs.read] (binding them), optionally fails node 1, then reads
+   two pages at offset 100 through [read]. Returns the outcome, the
+   simulated time the second read took, and the [fs.reads] and memory
+   reads it added. *)
+let second_remote_read ~fail_home read =
+  with_sys (fun eng sys ->
+      let path, _ = make_far_file sys in
+      let c0 = sys.Hive.Types.cells.(0) in
+      let mem = Flash.Machine.memory sys.Hive.Types.machine in
+      let fs_reads () = Sim.Stats.value c0.Hive.Types.counters "fs.reads" in
+      let mem_reads () =
+        let r, _, _ = Flash.Memory.stats mem in
+        r
+      in
+      let result = ref None in
+      let thr =
+        Sim.Engine.spawn eng ~name:"reader" (fun () ->
+            match Hive.Fs.open_file sys c0 ~path with
+            | Error _ -> Alcotest.fail "open of the far file failed"
+            | Ok (vn, gen) ->
+              let len = 2 * Flash.Config.page_size in
+              ignore (Hive.Fs.read sys c0 vn ~opened_gen:gen ~pos:0 ~len);
+              if fail_home then Flash.Machine.fail_node sys.Hive.Types.machine 1;
+              let fr0 = fs_reads () and mr0 = mem_reads () in
+              let t0 = Sim.Engine.now eng in
+              let outcome =
+                match read sys c0 vn ~opened_gen:gen ~pos:100 ~len with
+                | Ok () -> "ok"
+                | Error e -> Printexc.to_string (Hive.Types.Syscall_error e)
+                | exception (Sim.Engine.Killed as k) -> raise k
+                | exception e -> Printexc.to_string e
+              in
+              result :=
+                Some
+                  ( outcome,
+                    Int64.sub (Sim.Engine.now eng) t0,
+                    fs_reads () - fr0,
+                    mem_reads () - mr0 ))
+      in
+      Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 60_000_000_000L) eng;
+      Alcotest.(check bool) "reader finished" true thr.Sim.Engine.dead;
+      match !result with
+      | Some r -> r
+      | None -> Alcotest.fail "reader produced no result")
+
+let check_discard_matches_read ~fail_home =
+  let keep sys c vn ~opened_gen ~pos ~len =
+    Result.map ignore (Hive.Fs.read sys c vn ~opened_gen ~pos ~len)
+  in
+  let o1, t1, f1, m1 = second_remote_read ~fail_home keep in
+  let o2, t2, f2, m2 = second_remote_read ~fail_home Hive.Fs.read_discard in
+  Alcotest.(check string) "same outcome" o1 o2;
+  Alcotest.(check int64) "same simulated time" t1 t2;
+  Alcotest.(check int) "same fs.reads" f1 f2;
+  Alcotest.(check int) "same memory reads" m1 m2;
+  (o1, f1, m1)
+
+let test_read_discard_charges_like_read () =
+  let outcome, fs_reads, mem_reads =
+    check_discard_matches_read ~fail_home:false
+  in
+  Alcotest.(check string) "both succeed" "ok" outcome;
+  Alcotest.(check int) "one fs read" 1 fs_reads;
+  Alcotest.(check bool) "memory was read" true (mem_reads > 0)
+
+let test_read_discard_fails_like_read () =
+  let outcome, _, _ = check_discard_matches_read ~fail_home:true in
+  Alcotest.(check bool)
+    (Printf.sprintf "both fail (%s)" outcome)
+    true (outcome <> "ok")
+
+let test_read_discard_advances_position () =
+  with_sys (fun _eng sys ->
+      let path, content = make_far_file sys in
+      let back = ref Bytes.empty and pos = ref (-1) in
+      let p =
+        in_proc sys ~on:0 ~name:"t" (fun sys p ->
+            let fd = Hive.Syscall.openf sys p path in
+            Hive.Syscall.read_discard sys p ~fd ~len:5000;
+            pos := (Hive.Syscall.fd_of p fd).Hive.Types.pos;
+            back := Hive.Syscall.read sys p ~fd ~len:10;
+            Hive.Syscall.close sys p ~fd)
+      in
+      run_to_completion sys p;
+      Alcotest.(check int) "position advanced by len" 5000 !pos;
+      Alcotest.(check string) "next read continues there"
+        (Bytes.sub_string content 5000 10)
+        (Bytes.to_string !back))
+
 let qcheck_fs_random_io =
   QCheck.Test.make ~name:"fs: random pwrite/pread matches a Bytes model"
     ~count:30
@@ -503,5 +609,11 @@ let suite =
       test_close_releases_imports;
     Alcotest.test_case "exported pages are pinned against reclaim" `Quick
       test_export_pins_page;
+    Alcotest.test_case "discarding read charges like read" `Quick
+      test_read_discard_charges_like_read;
+    Alcotest.test_case "discarding read fails like read" `Quick
+      test_read_discard_fails_like_read;
+    Alcotest.test_case "discarding read advances the position" `Quick
+      test_read_discard_advances_position;
     QCheck_alcotest.to_alcotest qcheck_fs_random_io;
   ]

@@ -732,6 +732,34 @@ let test_foreign_domain_rejected () =
   Sim.Engine.run eng;
   check_i64 "owner unaffected" 1L (Sim.Engine.now eng)
 
+(* The histogram bucket as first written: a boxed halving loop. *)
+let bucket_of_ns_reference ns =
+  if Int64.compare ns 1L <= 0 then 0
+  else
+    let rec log2 acc v =
+      if Int64.compare v 1L <= 0 then acc
+      else log2 (acc + 1) (Int64.shift_right_logical v 1)
+    in
+    min 63 (log2 0 ns)
+
+let qcheck_bucket_of_ns_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          map Int64.of_int (int_range (-3) 1);
+          oneofl [ Int64.min_int; Int64.max_int ];
+          map (fun k -> Int64.shift_left 1L k) (int_range 0 63);
+          map (fun k -> Int64.pred (Int64.shift_left 1L k)) (int_range 1 63);
+          map (fun k -> Int64.succ (Int64.shift_left 1L k)) (int_range 1 62);
+          map (fun x -> Int64.logor x 0x4000_0000_0000_0000L) int64;
+          int64;
+        ])
+  in
+  QCheck.Test.make ~name:"histogram bucket equals the halving loop" ~count:1000
+    (QCheck.make ~print:Int64.to_string gen)
+    (fun ns -> Sim.Stats.bucket_of_ns ns = bucket_of_ns_reference ns)
+
 let qcheck_prng_bounds =
   QCheck.Test.make ~name:"prng int stays in bounds" ~count:500
     QCheck.(pair small_int (int_range 1 10000))
@@ -858,6 +886,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_heap_ordered;
     QCheck_alcotest.to_alcotest qcheck_heap_filter_preserves_order;
     QCheck_alcotest.to_alcotest qcheck_heap_matches_model;
+    QCheck_alcotest.to_alcotest qcheck_bucket_of_ns_matches_reference;
     QCheck_alcotest.to_alcotest qcheck_prng_bounds;
     QCheck_alcotest.to_alcotest qcheck_prng_int_matches_remainder;
     QCheck_alcotest.to_alcotest qcheck_mailbox_preserves_messages;

@@ -210,6 +210,84 @@ let short_cfg =
     seed = 0xBEEFL;
   }
 
+(* The redirect order as first written: a polymorphic dedup of
+   [primary :: home :: 0 .. ncells - 1]. *)
+let targets_reference ncells home alt =
+  let primary = (home + alt) mod ncells in
+  let order = primary :: home :: List.init ncells (fun i -> i) in
+  let rec dedup seen = function
+    | [] -> []
+    | t :: rest ->
+      if List.mem t seen then dedup seen rest else t :: dedup (t :: seen) rest
+  in
+  dedup [] order
+
+let test_targets_match_reference () =
+  for ncells = 1 to 64 do
+    for home = 0 to ncells - 1 do
+      for alt = 0 to ncells - 1 do
+        if
+          Workloads.Server.targets ncells home alt
+          <> targets_reference ncells home alt
+        then
+          Alcotest.failf "targets %d %d %d differs from the reference" ncells
+            home alt
+      done
+    done
+  done
+
+(* Words allocated straight into the major heap (not promoted). *)
+let direct_major_words () =
+  let s = Gc.quick_stat () in
+  s.Gc.major_words -. s.Gc.promoted_words
+
+(* A served read drops its data, so it must not allocate a page-sized
+   buffer per request: a 2-page buffer is 1,025 words, all of it in the
+   major heap. *)
+let test_read_handler_keeps_no_buffer () =
+  let sys = server_sys () in
+  let c = sys.Hive.Types.cells.(0) in
+  let rec probe i =
+    let p = Printf.sprintf "/srv/alloc%d" i in
+    if Hive.Fs.home_of_path sys p = 0 then p else probe (i + 1)
+  in
+  let path = probe 0 in
+  ignore
+    (Hive.Fs.create_local sys c ~path
+       ~content:(Bytes.make (4 * Flash.Config.page_size) 'r'));
+  let serve () =
+    match
+      Workloads.Server.read_handler sys c ~src:0
+        (Workloads.Server.P_srv_read { path })
+    with
+    | Hive.Types.Queued f -> (
+      match f () with
+      | Ok _ -> ()
+      | Error _ -> Alcotest.fail "served read failed")
+    | Hive.Types.Immediate _ -> Alcotest.fail "read was not queued"
+  in
+  let reads = 200 in
+  let per_read = ref nan in
+  let eng = sys.Hive.Types.eng in
+  let thr =
+    Sim.Engine.spawn eng ~name:"reads" (fun () ->
+        (* The warm-up also covers a one-time 29 k-word allocation the
+           system makes near 100 ms of simulated time. *)
+        for _ = 1 to reads do
+          serve ()
+        done;
+        let before = direct_major_words () in
+        for _ = 1 to reads do
+          serve ()
+        done;
+        per_read := (direct_major_words () -. before) /. float_of_int reads)
+  in
+  Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 60_000_000_000L) eng;
+  Alcotest.(check bool) "reader finished" true thr.Sim.Engine.dead;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f direct major words per read < 256" !per_read)
+    true (!per_read < 256.)
+
 let test_server_workload_deterministic () =
   let run () =
     let sys = server_sys () in
@@ -359,6 +437,10 @@ let suite =
       test_expired_request_dropped_at_dequeue;
     Alcotest.test_case "sheddable op refused when saturated" `Quick
       test_sheddable_refused_when_saturated;
+    Alcotest.test_case "redirect order matches the reference" `Quick
+      test_targets_match_reference;
+    Alcotest.test_case "served read allocates no buffer" `Quick
+      test_read_handler_keeps_no_buffer;
     Alcotest.test_case "server workload is deterministic" `Slow
       test_server_workload_deterministic;
     Alcotest.test_case "server traffic rides out a cell kill" `Slow

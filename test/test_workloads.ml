@@ -262,7 +262,10 @@ let derive_output_with_mod ~input ~bytes =
 let qcheck_derive_output =
   QCheck.Test.make ~count:300
     ~name:"derive_output matches the per-byte-mod reference"
-    QCheck.(pair (string_of_size Gen.(0 -- 64)) (int_bound 300))
+    QCheck.(
+      pair
+        (string_of_size Gen.(frequency [ (1, return 0); (9, 0 -- 64) ]))
+        (int_bound 300))
     (fun (input, bytes) ->
       let input = Bytes.of_string input in
       Bytes.equal
