@@ -39,7 +39,7 @@ let make (mcfg : Flash.Config.t) ~id ~nodes : Types.cell =
     mem_alive = false;
     live_set = [];
     page_hash = Pfdat.create_table ();
-    page_index = Pfdat.create_index ();
+    page_index = Pfdat.create_head ();
     frames = Hashtbl.create 1024;
     pool =
       { Types.own_lo; own_hi = own_lo + nframes; fresh = 0; own_free = [];
@@ -67,7 +67,8 @@ let make (mcfg : Flash.Config.t) ~id ~nodes : Types.cell =
     rpc_sessions = Hashtbl.create 8;
     rpc_queue = Sim.Mailbox.create ();
     release_queue = Sim.Mailbox.create ();
-    import_cache = Types.new_import_cache ();
+    park_list = Pfdat.create_head ();
+    nparked = 0;
     readahead = Hashtbl.create 16;
     pending_releases = Hashtbl.create 16;
     flush_epoch = 0;
@@ -139,9 +140,9 @@ let boot (sys : Types.system) (c : Types.cell) =
             let live, orphaned =
               List.partition
                 (fun (q : Types.pfdat) ->
-                  match q.Types.imported_from with
-                  | Some home -> List.mem home c.Types.live_set
-                  | None -> false)
+                  match q.Types.role with
+                  | Types.Import { home; _ } -> List.mem home c.Types.live_set
+                  | Types.Home | Types.Salvaged _ | Types.Dropped -> false)
                 !burst
             in
             List.iter (Pfdat.free_extended c) orphaned;

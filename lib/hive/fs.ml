@@ -231,17 +231,22 @@ let page_in (sys : Types.system) (home : Types.cell) (f : Types.file) page =
           ~cat:Sim.Event.Page "fs.page_in";
       pf
 
+(* Grow the stable-content buffer, zero-filled, to at least [needed]
+   bytes. *)
+let grow_disk_content (f : Types.file) needed =
+  let old = f.Types.disk_content in
+  if Bytes.length old < needed then begin
+    let bigger = Bytes.make needed '\000' in
+    Bytes.blit old 0 bigger 0 (Bytes.length old);
+    f.Types.disk_content <- bigger
+  end
+
 (* Copy a cached page into the stable-content buffer (no disk timing). *)
 let stage_page (sys : Types.system) (home : Types.cell) (f : Types.file) page
     (pf : Types.pfdat) =
   let psize = Flash.Config.page_size in
   let off = page * psize in
-  let needed = off + psize in
-  if Bytes.length f.Types.disk_content < needed then begin
-    let bigger = Bytes.make needed '\000' in
-    Bytes.blit f.Types.disk_content 0 bigger 0 (Bytes.length f.Types.disk_content);
-    f.Types.disk_content <- bigger
-  end;
+  grow_disk_content f (off + psize);
   let dst = f.Types.disk_content in
   Flash.Memory.read_into (mem sys) ~by:(Types.boss_proc home)
     (Flash.Addr.addr_of_pfn pf.Types.pfn) psize dst off;
@@ -273,9 +278,11 @@ let sync_file (sys : Types.system) (home : Types.cell) (f : Types.file) =
   match !dirty with
   | [] -> ()
   | pages ->
-    List.iter (fun (page, pf) -> stage_page sys home f page pf) pages;
     let first = List.fold_left (fun a (p, _) -> min a p) max_int pages in
     let last = List.fold_left (fun a (p, _) -> max a p) 0 pages in
+    (* Grow once, not once per page staged past the end. *)
+    grow_disk_content f ((last + 1) * psize);
+    List.iter (fun (page, pf) -> stage_page sys home f page pf) pages;
     let disk = Flash.Machine.disk sys.Types.machine (Types.boss_proc home) in
     Flash.Disk.write sys.Types.eng disk
       ~block:(f.Types.disk_block + first)
@@ -364,35 +371,35 @@ let rec get_page (sys : Types.system) (c : Types.cell) vnode ~page ~writable
   let fid = Types.vnode_fid vnode in
   let lid = { Types.tag = Types.File_obj fid; page } in
   match Pfdat.lookup c lid with
-  | Some pf when writable && pf.Types.salvaged_from <> None ->
+  | Some { Types.role = Types.Salvaged _; _ } when writable ->
     (* A salvaged copy is read-only: its data home is down, so a write
        must fail exactly as a locate RPC to the dead home would, instead
        of dirtying a local copy that is purged at reintegration. *)
     Error Types.EIO
   | Some pf
     when (not writable)
-         || pf.Types.imported_from = None
-         || List.mem c.Types.cell_id pf.Types.write_granted_to ->
+         || (match pf.Types.role with
+            | Types.Import { writable = w; _ } -> w
+            | Types.Home | Types.Salvaged _ | Types.Dropped -> true) ->
     (* Hit in the local pfdat hash table (possibly a parked import). A
        parked binding imported under a newer generation than this
        descriptor means the descriptor is stale: fail like the local
        path does, instead of serving data the open never saw. A binding
        older than the descriptor (its invalidation was lost) must not be
        served either — drop it and refetch from the data home. *)
-    if pf.Types.cached && pf.Types.import_gen > opened_gen then
+    (match pf.Types.role with
+    | Types.Import { gen; _ } when Pfdat.parked pf && gen > opened_gen ->
       Error Types.EIO
-    else if pf.Types.cached && pf.Types.import_gen < opened_gen then begin
+    | Types.Import { gen; _ } when Pfdat.parked pf && gen < opened_gen ->
       Pfdat.free_extended c pf;
       get_page sys c vnode ~page ~writable ~opened_gen ~usage
-    end
-    else begin
+    | _ ->
       Share.cache_hit c pf;
       (match usage with
       | `Fault -> Sim.Engine.delay Params.fault_local_hit_ns
       | `Syscall -> Sim.Engine.delay Params.read_write_page_overhead_ns);
       if writable then pf.Types.dirty <- true;
-      Ok pf
-    end
+      Ok pf)
   | Some pf ->
     (* Imported read-only but write wanted: rebind with write access. *)
     Pfdat.free_extended c pf;
@@ -577,10 +584,10 @@ let release_file_imports (sys : Types.system) (c : Types.cell) vnode =
   | Types.Local_vnode _ -> ()
   | Types.Shadow_vnode { fid; _ } ->
     let idle (pf : Types.pfdat) =
-      match (pf.Types.lid, pf.Types.imported_from) with
-      | Some { Types.tag = Types.File_obj f; _ }, Some _ ->
+      match (pf.Types.lid, pf.Types.role) with
+      | Some { Types.tag = Types.File_obj f; _ }, Types.Import _ ->
         f.Types.ino = fid.Types.ino && f.Types.home = fid.Types.home
-        && pf.Types.refs = 0 && not pf.Types.cached
+        && pf.Types.refs = 0 && not (Pfdat.parked pf)
       | _ -> false
     in
     (* One vectored release per data home. *)

@@ -106,27 +106,25 @@ let check_firewall (sys : Types.system) ~cells =
         (fun _pfn (pf : Types.pfdat) ->
           List.iter
             (fun g ->
-              if g <> c.Types.cell_id then begin
-                if not (alive g) then
-                  note
-                    (v "firewall-grant"
-                       "cell %d pfn %d: write grant names dead cell %d"
-                       c.Types.cell_id pf.Types.pfn g);
-                let procs = sys.Types.cells.(g).Types.cell_nodes in
-                if
-                  alive g
-                  && not
-                       (List.for_all
-                          (fun proc ->
-                            Flash.Firewall.allowed fw ~pfn:pf.Types.pfn ~proc)
-                          procs)
-                then
-                  note
-                    (v "firewall-grant"
-                       "cell %d pfn %d: grant to cell %d recorded but \
-                        hardware bits are missing"
-                       c.Types.cell_id pf.Types.pfn g)
-              end)
+              if not (alive g) then
+                note
+                  (v "firewall-grant"
+                     "cell %d pfn %d: write grant names dead cell %d"
+                     c.Types.cell_id pf.Types.pfn g);
+              let procs = sys.Types.cells.(g).Types.cell_nodes in
+              if
+                alive g
+                && not
+                     (List.for_all
+                        (fun proc ->
+                          Flash.Firewall.allowed fw ~pfn:pf.Types.pfn ~proc)
+                        procs)
+              then
+                note
+                  (v "firewall-grant"
+                     "cell %d pfn %d: grant to cell %d recorded but \
+                      hardware bits are missing"
+                     c.Types.cell_id pf.Types.pfn g))
             pf.Types.write_granted_to;
           List.iter
             (fun e ->
@@ -136,12 +134,12 @@ let check_firewall (sys : Types.system) ~cells =
                      "cell %d pfn %d: export record names dead cell %d"
                      c.Types.cell_id pf.Types.pfn e))
             pf.Types.exported_to;
-          match pf.Types.imported_from with
-          | Some h when not (alive h) ->
+          match pf.Types.role with
+          | Types.Import { home; _ } when not (alive home) ->
             note
               (v "firewall-grant"
                  "cell %d pfn %d: import binding names dead cell %d"
-                 c.Types.cell_id pf.Types.pfn h)
+                 c.Types.cell_id pf.Types.pfn home)
           | _ -> ())
         c.Types.frames;
       (* Loans and borrows, from the frame pool. *)
@@ -416,54 +414,39 @@ let check_rpc_epochs (sys : Types.system) =
 (* ---------- import cache coherence ---------- *)
 
 (* A parked binding is dormant client state the data home must still be
-   able to reason about: it must be an idle read-only extended file
-   import, its data home must be alive and still hold the page with a
-   matching export record (that record is the invalidation channel), and
-   the home's file generation must not have advanced past the one the
-   binding was imported under — a binding surviving a home failure or a
-   generation bump would serve stale data RPC-free, the exact hazard the
-   invalidation rules exist to prevent. Both directions are checked:
-   every live cache entry is a valid parked binding, and every pfdat
-   marked [cached] has a live entry in its cell's cache. The cache's live
-   count must equal its number of live entries. Linear in the cache and
-   the pfdat table. *)
+   able to reason about: it must be an idle read-only file import, its
+   data home must be alive and still hold the page with a matching export
+   record (that record is the invalidation channel), and the home's file
+   generation must not have advanced past the one the binding was
+   imported under — a binding surviving a home failure or a generation
+   bump would serve stale data RPC-free, the exact hazard the
+   invalidation rules exist to prevent. The cache holds at most its
+   capacity. Linear in the cache. *)
 let check_import_cache (sys : Types.system) ~cells =
   let bad = ref [] in
   let note x = bad := x :: !bad in
   let alive id = Types.cell_alive sys.Types.cells.(id) in
   List.iter
     (fun (c : Types.cell) ->
-      let cap = sys.Types.params.Params.import_cache_pages in
-      let parked = Types.parked_bindings c in
-      let by_stamp = Hashtbl.create 64 in
-      List.iter
-        (fun (pf : Types.pfdat) ->
-          Hashtbl.replace by_stamp pf.Types.park_stamp pf)
-        parked;
-      let n = Hashtbl.length by_stamp in
-      if n > cap then
+      let parked = Pfdat.parked_bindings c in
+      let n = List.length parked in
+      if n > Params.import_cache_pages then
         note
           (v "import-cache" "cell %d: %d parked bindings exceed capacity %d"
-             c.Types.cell_id n cap);
-      if c.Types.import_cache.Types.live <> n then
-        note
-          (v "import-cache" "cell %d: live count %d but %d live entries"
-             c.Types.cell_id c.Types.import_cache.Types.live n);
+             c.Types.cell_id n Params.import_cache_pages);
       List.iter
         (fun (pf : Types.pfdat) ->
           let where =
             Printf.sprintf "cell %d pfn %d" c.Types.cell_id pf.Types.pfn
           in
-          if not pf.Types.cached then
-            note (v "import-cache" "%s: in cache list but not marked cached" where);
           if pf.Types.refs <> 0 then
             note (v "import-cache" "%s: parked binding has refs=%d" where pf.Types.refs);
-          if not pf.Types.extended then
-            note (v "import-cache" "%s: parked binding is not extended" where);
-          if List.mem c.Types.cell_id pf.Types.write_granted_to then
-            note (v "import-cache" "%s: parked binding holds a write grant" where);
-          match (pf.Types.imported_from, pf.Types.lid) with
-          | Some home, Some lid -> (
+          (* [Share.park] parks only imports bound under their id, and
+             [Pfdat.free_extended] unparks a binding before dropping it. *)
+          match (pf.Types.role, pf.Types.lid) with
+          | Types.Import { home; gen; writable }, Some lid -> (
+            if writable then
+              note (v "import-cache" "%s: parked binding holds a write grant" where);
             (match lid.Types.tag with
             | Types.File_obj _ -> ()
             | Types.Anon_obj _ ->
@@ -495,33 +478,17 @@ let check_import_cache (sys : Types.system) ~cells =
               match lid.Types.tag with
               | Types.File_obj fid -> (
                 match Hashtbl.find_opt h.Types.files_by_ino fid.Types.ino with
-                | Some f when f.Types.generation > pf.Types.import_gen ->
+                | Some f when f.Types.generation > gen ->
                   note
                     (v "import-cache"
                        "%s: parked binding (gen %d) survives generation bump \
                         to %d"
-                       where pf.Types.import_gen f.Types.generation)
+                       where gen f.Types.generation)
                 | _ -> ())
               | Types.Anon_obj _ -> ()
             end)
-          | _ ->
-            note
-              (v "import-cache" "%s: parked binding lacks import identity"
-                 where))
-        parked;
-      (* Reverse direction: a cached flag without a live cache entry. *)
-      Pfdat.iter_pages c (fun pf ->
-          let listed =
-            match Hashtbl.find_opt by_stamp pf.Types.park_stamp with
-            | Some q -> q == pf
-            | None -> false
-          in
-          if pf.Types.cached && not listed then
-            note
-              (v "import-cache"
-                 "cell %d pfn %d: marked cached but absent from the cache \
-                  list"
-                 c.Types.cell_id pf.Types.pfn)))
+          | _ -> ())
+        parked)
     cells;
   List.rev !bad
 
@@ -563,8 +530,8 @@ let check_salvage (sys : Types.system) ~cells =
   List.iter
     (fun (c : Types.cell) ->
       Pfdat.iter_pages c (fun pf ->
-          match pf.Types.salvaged_from with
-          | Some h when Types.cell_alive sys.Types.cells.(h) ->
+          match pf.Types.role with
+          | Types.Salvaged { home = h } when Types.cell_alive sys.Types.cells.(h) ->
             bad :=
               v "salvage" "cell %d pfn %d: salvaged from cell %d which is live again"
                 c.Types.cell_id pf.Types.pfn h
@@ -595,12 +562,12 @@ let check_page_index (_sys : Types.system) ~cells =
             note
               (v "page-index" "cell %d pfn %d: bound under a key other than its own logical id"
                  c.Types.cell_id pf.Types.pfn);
-          if pf.Types.extended then incr in_table)
+          if Pfdat.extended c pf then incr in_table)
         c.Types.page_hash;
       let indexed = Pfdat.imports c (fun _ -> true) in
       List.iter
         (fun (pf : Types.pfdat) ->
-          if not (pf.Types.extended && Pfdat.bound c pf) then
+          if not (Pfdat.extended c pf && Pfdat.bound c pf) then
             note
               (v "page-index" "cell %d pfn %d: indexed but not an extended pfdat bound under its id"
                  c.Types.cell_id pf.Types.pfn))

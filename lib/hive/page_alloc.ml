@@ -21,8 +21,7 @@ let return_op = Rpc.Op.declare "page_alloc.return"
 
 exception Out_of_memory
 
-let own (c : Types.cell) pfn =
-  pfn >= c.Types.pool.Types.own_lo && pfn < c.Types.pool.Types.own_hi
+let own (c : Types.cell) pfn = Types.own_frame c.Types.pool pfn
 
 let state (c : Types.cell) pfn =
   let p = c.Types.pool in
@@ -129,7 +128,7 @@ let free_own (c : Types.cell) pfn =
 let take_free ?(own_only = false) (sys : Types.system) (c : Types.cell) =
   Option.map
     (fun pfn ->
-      let pf = if own c pfn then Pfdat.make ~pfn else Pfdat.alloc_extended ~pfn in
+      let pf = Pfdat.make ~pfn in
       Hashtbl.replace c.Types.frames pfn pf;
       pf)
     (take sys c ~own_only Types.In_use)
@@ -182,7 +181,7 @@ let reclaim (sys : Types.system) (c : Types.cell) ~want =
     (fun lid pf ->
       if
         !reclaimed < want && Pfdat.is_idle pf && (not pf.Types.dirty)
-        && not pf.Types.extended
+        && not (Pfdat.extended c pf)
       then begin
         victims := (lid, pf) :: !victims;
         incr reclaimed

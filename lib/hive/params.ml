@@ -37,7 +37,6 @@ type t = {
          fault streams and vectored releases ride on the same switch, so
          false selects the pre-cache sharing protocol (single-page fault
          locates, one release RPC per page) for A/B comparison *)
-  import_cache_pages : int; (* parked bindings per cell before eviction *)
   planted_bug : planted_bug option; (* None outside fault-injection runs *)
   rpc_server_pool : int;
   rpc_queue_bound : int;
@@ -53,11 +52,13 @@ let default =
     auto_reintegrate = true;
     enable_salvage = true;
     enable_import_cache = true;
-    import_cache_pages = 512;
     planted_bug = None;
     rpc_server_pool = 4;
     rpc_queue_bound = 64;
   }
+
+(* Parked bindings per cell before the import cache evicts. *)
+let import_cache_pages = 512
 
 (* Clock and failure detection *)
 let clock_check_cost_ns = 230L

@@ -21,7 +21,6 @@ type t = {
   enable_import_cache : bool;
       (** false = the pre-cache sharing protocol (no import cache,
           single-page fault locates, one release RPC per page) *)
-  import_cache_pages : int;
   planted_bug : planted_bug option;
   rpc_server_pool : int;
   rpc_queue_bound : int;
@@ -29,6 +28,9 @@ type t = {
           refused with EBUSY *)
 }
 val default : t
+
+(** parked bindings per cell before the import cache evicts *)
+val import_cache_pages : int
 
 val clock_check_cost_ns : int64
 val clock_stall_ticks : int

@@ -8,7 +8,7 @@
    kernel operate on remote pages as if they were local. *)
 
 (* The default pfdat, and the link value of every pfdat outside an
-   import index. Its own fields are never written. *)
+   import index or park list. Its own fields are never written. *)
 let rec unlinked : Types.pfdat =
   {
     pfn = -1;
@@ -16,19 +16,24 @@ let rec unlinked : Types.pfdat =
     dirty = false;
     refs = 0;
     pins = 0;
+    role = Home;
     exported_to = [];
-    imported_from = None;
     write_granted_to = [];
-    extended = false;
-    cached = false;
-    park_stamp = 0;
-    import_gen = 0;
-    salvaged_from = None;
     ext_prev = unlinked;
     ext_next = unlinked;
+    park_prev = unlinked;
+    park_next = unlinked;
   }
 
 let make ~pfn : Types.pfdat = { unlinked with pfn }
+
+(* An extended pfdat names a page that lives elsewhere: an import, or a
+   page in a frame borrowed from another cell. *)
+let extended (c : Types.cell) (pf : Types.pfdat) =
+  match pf.Types.role with
+  | Types.Import _ | Types.Dropped -> true
+  | Types.Home | Types.Salvaged _ ->
+    not (Types.own_frame c.Types.pool pf.Types.pfn)
 
 (* ---------- The page table and its import index ----------
 
@@ -37,10 +42,14 @@ let make ~pfn : Types.pfdat = { unlinked with pfn }
 
 let create_table () = Types.Page_hash.create 1024
 
-let create_index () =
+(* The head of an empty import index or park list: a pfdat whose links
+   point at itself. *)
+let create_head () =
   let head = make ~pfn:(-1) in
   head.Types.ext_prev <- head;
   head.Types.ext_next <- head;
+  head.Types.park_prev <- head;
+  head.Types.park_next <- head;
   head
 
 let linked (pf : Types.pfdat) = pf.Types.ext_next != unlinked
@@ -73,7 +82,7 @@ let insert (c : Types.cell) lid (pf : Types.pfdat) =
   (match lookup c lid with Some old when old != pf -> unlink old | _ -> ());
   pf.Types.lid <- Some lid;
   Types.Page_hash.replace c.Types.page_hash lid pf;
-  if pf.Types.extended then link c.Types.page_index pf
+  if extended c pf then link c.Types.page_index pf
 
 (* Drops [pf]'s own binding: one displaced by a later insert removes
    nothing. *)
@@ -94,18 +103,53 @@ let imports (c : Types.cell) keep =
   in
   collect head.Types.ext_next []
 
-(* Allocate an extended pfdat naming a page that lives elsewhere. *)
-let alloc_extended ~pfn =
-  let pf = make ~pfn in
-  pf.Types.extended <- true;
-  pf
+(* ---------- The park list ----------
 
+   The import cache: parked bindings on a circular list through
+   [park_prev]/[park_next], oldest first. A binding is parked exactly
+   while it is on the list; park, unpark and eviction are O(1). *)
+
+let parked (pf : Types.pfdat) = pf.Types.park_next != unlinked
+
+(* Park [pf] as the newest binding. *)
+let park (c : Types.cell) (pf : Types.pfdat) =
+  if not (parked pf) then begin
+    let head = c.Types.park_list in
+    pf.Types.park_next <- head;
+    pf.Types.park_prev <- head.Types.park_prev;
+    head.Types.park_prev.Types.park_next <- pf;
+    head.Types.park_prev <- pf;
+    c.Types.nparked <- c.Types.nparked + 1
+  end
+
+let unpark (c : Types.cell) (pf : Types.pfdat) =
+  if parked pf then begin
+    pf.Types.park_prev.Types.park_next <- pf.Types.park_next;
+    pf.Types.park_next.Types.park_prev <- pf.Types.park_prev;
+    pf.Types.park_prev <- unlinked;
+    pf.Types.park_next <- unlinked;
+    c.Types.nparked <- c.Types.nparked - 1
+  end
+
+(* The least recently parked binding, if any. *)
+let oldest_parked (c : Types.cell) =
+  let head = c.Types.park_list in
+  if head.Types.park_next == head then None else Some head.Types.park_next
+
+(* The parked bindings, most recently parked first. *)
+let parked_bindings (c : Types.cell) =
+  let head = c.Types.park_list in
+  let rec collect (pf : Types.pfdat) acc =
+    if pf == head then acc else collect pf.Types.park_next (pf :: acc)
+  in
+  collect head.Types.park_next []
+
+(* Let a binding go: it leaves the import cache, the page table and the
+   frame table, and is a dropped binding from now on. *)
 let free_extended (c : Types.cell) (pf : Types.pfdat) =
-  (* A parked binding being torn down (recovery flush, invalidation,
-     writable rebind) must leave the import cache with it. *)
-  if pf.Types.cached then Types.unpark_binding c pf;
+  unpark c pf;
   remove c pf;
-  pf.Types.imported_from <- None;
+  pf.Types.role <- Types.Dropped;
   Hashtbl.remove c.Types.frames pf.Types.pfn
 
 let is_idle (pf : Types.pfdat) =

@@ -20,7 +20,8 @@
    record for a parked binding — that record is the channel through which
    the binding is invalidated when another cell later imports the page
    writable (share.invalidate callback). Parked bindings are also flushed
-   on file generation bump (checked against [import_gen] at re-access)
+   on file generation bump (checked against the binding's generation at
+   re-access)
    and dropped wholesale when the data home dies (recovery flush /
    preemptive discard). Bulk release paths hand their doomed bindings to
    [release_many], which coalesces them into one vectored
@@ -194,19 +195,19 @@ let await_no_pending (client : Types.cell) (lid : Types.logical_id) =
 (* Client-side mirror of the home's grant bookkeeping. Kept here (rather
    than ad hoc in callers) so every import path — file fault, syscall
    batch, anon/spanning region — records a writable binding the same way:
-   the refault path and recovery's dirty scan both read these fields. *)
-let note_writable (client : Types.cell) (pf : Types.pfdat) ~writable =
+   the refault path and the release path both read it. *)
+let note_writable (pf : Types.pfdat) ~writable =
   if writable then begin
-    if not (List.mem client.Types.cell_id pf.Types.write_granted_to) then
-      pf.Types.write_granted_to <-
-        client.Types.cell_id :: pf.Types.write_granted_to;
+    (match pf.Types.role with
+    | Types.Import r -> r.writable <- true
+    | Types.Home | Types.Salvaged _ | Types.Dropped -> ());
     pf.Types.dirty <- true
   end
 
 (* Client side: pull a parked binding back into active use. *)
 let cache_hit (client : Types.cell) (pf : Types.pfdat) =
-  if pf.Types.cached then begin
-    Types.unpark_binding client pf;
+  if Pfdat.parked pf then begin
+    Pfdat.unpark client pf;
     Types.bump client Count.cache_hits
   end
 
@@ -223,7 +224,7 @@ let import (sys : Types.system) (client : Types.cell) ~pfn ~data_home ~lid
   | Some pf ->
     (* Raced with another local importer, or rebinding a parked page. *)
     cache_hit client pf;
-    note_writable client pf ~writable;
+    note_writable pf ~writable;
     pf
   | None ->
     if Sim.Event.enabled sys.Types.events then
@@ -234,11 +235,10 @@ let import (sys : Types.system) (client : Types.cell) ~pfn ~data_home ~lid
        match Page_alloc.state client pfn with
        | Types.Loaned _ -> Types.bump client Count.reimports
        | Types.Free | Types.In_use | Types.Not_held -> ());
-    let pf = Pfdat.alloc_extended ~pfn in
+    let pf = Pfdat.make ~pfn in
+    pf.Types.role <- Types.Import { home = data_home; gen; writable = false };
     Hashtbl.replace client.Types.frames pfn pf;
-    pf.Types.imported_from <- Some data_home;
-    pf.Types.import_gen <- gen;
-    note_writable client pf ~writable;
+    note_writable pf ~writable;
     Pfdat.insert client lid pf;
     pf
 
@@ -277,11 +277,10 @@ let release_now (sys : Types.system) (client : Types.cell)
    writable must retire its firewall grant, and anon pages are freed on
    their last unmap. *)
 let cacheable (sys : Types.system) (client : Types.cell) (pf : Types.pfdat)
-    ~home ~(lid : Types.logical_id) =
+    ~home ~writable ~(lid : Types.logical_id) =
   sys.Types.params.Params.enable_import_cache
-  && pf.Types.extended
   && pf.Types.refs = 0
-  && (not (List.mem client.Types.cell_id pf.Types.write_granted_to))
+  && (not writable)
   && (match lid.Types.tag with
      | Types.File_obj _ -> true
      | Types.Anon_obj _ -> false)
@@ -291,36 +290,33 @@ let cacheable (sys : Types.system) (client : Types.cell) (pf : Types.pfdat)
    capacity. An evicted binding takes the legacy path: free + release
    RPC. *)
 let park (sys : Types.system) (client : Types.cell) (pf : Types.pfdat) =
-  Types.park_binding client pf;
+  Pfdat.park client pf;
   Types.bump client Count.cache_insertions;
-  let cap = sys.Types.params.Params.import_cache_pages in
-  let rec evict () =
-    if client.Types.import_cache.Types.live > cap then
-      match Types.evict_oldest client with
-      | None -> ()
-      | Some q ->
+  if client.Types.nparked > Params.import_cache_pages then
+    Option.iter
+      (fun (q : Types.pfdat) ->
+        Pfdat.unpark client q;
         Types.bump client Count.cache_evictions;
-        (match (q.Types.imported_from, q.Types.lid) with
-        | Some home, Some lid -> ignore (release_now sys client q ~home ~lid)
-        | _ -> Pfdat.free_extended client q);
-        evict ()
-  in
-  evict ()
+        match (q.Types.role, q.Types.lid) with
+        | Types.Import { home; _ }, Some lid ->
+          ignore (release_now sys client q ~home ~lid)
+        | _ -> Pfdat.free_extended client q)
+      (Pfdat.oldest_parked client)
 
 (* Client side: drop an imported page binding. Parks it when cacheable;
    otherwise frees it and notifies the data home. Never raises — a lost
    release is counted and hinted in [release_now]. *)
 let release (sys : Types.system) (client : Types.cell) (pf : Types.pfdat) =
-  if not pf.Types.cached then
-    match (pf.Types.imported_from, pf.Types.lid) with
-    | Some home, Some lid ->
-      if cacheable sys client pf ~home ~lid then park sys client pf
+  if not (Pfdat.parked pf) then
+    match (pf.Types.role, pf.Types.lid) with
+    | Types.Import { home; writable; _ }, Some lid ->
+      if cacheable sys client pf ~home ~writable ~lid then park sys client pf
       else ignore (release_now sys client pf ~home ~lid)
     | _ ->
       (* The binding may already have been dropped (e.g. by recovery's
          flush while this thread was mid-fault): releasing is idempotent. *)
       Types.bump client Count.release_races;
-      if pf.Types.extended then Pfdat.free_extended client pf
+      if Pfdat.extended client pf then Pfdat.free_extended client pf
 
 (* Client side: release a batch of bindings, coalescing the home
    notifications into one vectored release_batch RPC per data home.
@@ -334,10 +330,11 @@ let release_many (sys : Types.system) (client : Types.cell)
   let batched = ref [] in
   List.iter
     (fun (pf : Types.pfdat) ->
-      if not pf.Types.cached then
-        match (pf.Types.imported_from, pf.Types.lid) with
-        | Some home, Some lid ->
-          if cacheable sys client pf ~home ~lid then park sys client pf
+      if not (Pfdat.parked pf) then
+        match (pf.Types.role, pf.Types.lid) with
+        | Types.Import { home; writable; _ }, Some lid ->
+          if cacheable sys client pf ~home ~writable ~lid then
+            park sys client pf
           else if
             (not sys.Types.params.Params.enable_import_cache)
             || not (List.mem home client.Types.live_set)
@@ -354,7 +351,7 @@ let release_many (sys : Types.system) (client : Types.cell)
           end
         | _ ->
           Types.bump client Count.release_races;
-          if pf.Types.extended then Pfdat.free_extended client pf)
+          if Pfdat.extended client pf then Pfdat.free_extended client pf)
     pfs;
   let homes = List.sort_uniq compare (List.map fst !batched) in
   Fun.protect
@@ -418,7 +415,7 @@ let () =
         List.iter
           (fun lid ->
             match Pfdat.lookup cell lid with
-            | Some pf when pf.Types.cached ->
+            | Some pf when Pfdat.parked pf ->
               Types.bump cell Count.cache_invalidations;
               Pfdat.free_extended cell pf
             | Some _ ->

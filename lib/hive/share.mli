@@ -41,8 +41,8 @@ val export :
     generation the data home reported alongside the page (pass 0 for
     objects without one); a parked binding is only served again while the
     home's generation still equals it. A writable import records the
-    client-side grant bookkeeping ([write_granted_to], dirty marking)
-    itself. *)
+    client-side grant bookkeeping (the binding's [writable], dirty
+    marking) itself. *)
 val import :
   Types.system ->
   Types.cell ->

@@ -28,9 +28,9 @@ end
 
 let mem (sys : Types.system) = Flash.Machine.memory sys.Types.machine
 
-let is_swappable (pf : Types.pfdat) =
+let is_swappable (c : Types.cell) (pf : Types.pfdat) =
   Pfdat.is_idle pf
-  && (not pf.Types.extended)
+  && (not (Pfdat.extended c pf))
   &&
   match pf.Types.lid with
   | Some { Types.tag = Types.Anon_obj _; _ } -> true
@@ -56,7 +56,7 @@ let alloc_swap_block (c : Types.cell) =
    freed after only if still idle and bound to the same id. *)
 let swap_out_page (sys : Types.system) (c : Types.cell) (pf : Types.pfdat) =
   match pf.Types.lid with
-  | Some ({ Types.tag = Types.Anon_obj _; _ } as lid) when is_swappable pf -> (
+  | Some ({ Types.tag = Types.Anon_obj _; _ } as lid) when is_swappable c pf -> (
     match alloc_swap_block c with
     | None ->
       Types.bump c Count.partition_full;
@@ -90,7 +90,7 @@ let swap_out_idle (sys : Types.system) (c : Types.cell) ~want =
   let victims = ref [] in
   let n = ref 0 in
   Pfdat.iter_pages c (fun pf ->
-      if !n < want && is_swappable pf then begin
+      if !n < want && is_swappable c pf then begin
         victims := pf :: !victims;
         incr n
       end);

@@ -14,7 +14,7 @@
    remote clients simply re-import after a swap-in. *)
 
 val mem : Types.system -> Flash.Memory.t
-val is_swappable : Types.pfdat -> bool
+val is_swappable : Types.cell -> Types.pfdat -> bool
 val swap_out_page :
   Types.system -> Types.cell -> Types.pfdat -> bool
 val swap_out_idle : Types.system -> Types.cell -> want:int -> int

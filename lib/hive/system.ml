@@ -54,8 +54,7 @@ let reintegrate (sys : Types.system) cell_id =
            physical identity before purging. *)
         let doomed =
           Hashtbl.find_all o.Types.salvaged_by_home cell_id
-          |> List.filter (fun (pf : Types.pfdat) ->
-                 pf.Types.salvaged_from = Some cell_id && Page_alloc.holds o pf)
+          |> List.filter (Page_alloc.holds o)
         in
         while Hashtbl.mem o.Types.salvaged_by_home cell_id do
           Hashtbl.remove o.Types.salvaged_by_home cell_id

@@ -49,6 +49,24 @@ type obj_tag =
 
 type logical_id = { tag : obj_tag; page : int }
 
+(* What a pfdat stands for in logical-level sharing (Section 5.1): the
+   data home's record of a page, or an *extended pfdat* naming a page
+   that lives elsewhere. *)
+type role =
+  | Home
+      (* this cell manages the page, in an own or a borrowed frame; the
+         pfdat's [exported_to] and [write_granted_to] are the data home's
+         records *)
+  | Import of { home : cell_id; gen : generation; mutable writable : bool }
+      (* a client binding to a page of [home], imported under file
+         generation [gen]: a parked binding is only valid while the home's
+         generation still equals it *)
+  | Salvaged of { home : cell_id }
+      (* a local copy of a clean page rescued from the dead [home], whose
+         memory outlived its processors; purged when that home
+         reintegrates *)
+  | Dropped (* an import, or a borrowed frame, that this cell let go *)
+
 (* Page frame data structure. Every cell has a pfdat for each frame it
    owns and is using; *extended pfdats* are allocated dynamically to name
    a remote page (logical-level import) or a borrowed remote frame
@@ -63,30 +81,18 @@ type pfdat = {
       (* short-term holds by in-flight kernel operations (e.g. a locate
          batch between page-in and export): keeps the frame out of
          reclaim/swap without counting as a process mapping *)
-  (* logical level *)
-  mutable exported_to : cell_id list; (* data-home side: client cells *)
-  mutable imported_from : cell_id option; (* client side: the data home *)
+  mutable role : role;
+  (* data-home side *)
+  mutable exported_to : cell_id list; (* client cells *)
   mutable write_granted_to : cell_id list; (* firewall grants outstanding *)
-  mutable extended : bool; (* an import, or a frame borrowed from another cell *)
-  (* import cache *)
-  mutable cached : bool;
-      (* client side: a released read-only import parked in the cell's
-         import cache for RPC-free re-access *)
-  mutable park_stamp : int;
-      (* stamp of this binding's live entry in the import cache's FIFO;
-         0 when it has none *)
-  mutable import_gen : generation;
-      (* file generation the data home reported when this binding was
-         imported; a parked binding is only valid while the home's
-         generation still equals it *)
-  mutable salvaged_from : cell_id option;
-      (* client side: a local copy of a clean page rescued from a dead
-         cell whose memory outlived its processors; dropped when that
-         home reintegrates *)
   mutable ext_prev : pfdat;
   mutable ext_next : pfdat;
       (* links in the cell's import index while this is an extended pfdat
          bound in page_hash; [Pfdat.unlinked] otherwise *)
+  mutable park_prev : pfdat;
+  mutable park_next : pfdat;
+      (* links in the cell's park list while this is a parked binding;
+         [Pfdat.unlinked] otherwise *)
 }
 
 (* The pfdat hash table keyed by logical page id. It hashes exactly like
@@ -128,17 +134,8 @@ type frame_pool = {
   mutable nfree : int;
 }
 
-(* A cell's import cache: parked bindings in park order, oldest first.
-   An entry [(stamp, pf)] is live while [pf.park_stamp = stamp]. A hit or
-   a free only zeroes the stamp and decrements [live]; the dead entry is
-   skipped when eviction reaches it, or swept once dead entries outnumber
-   live ones by more than 32. Park, hit, free and evict are O(1),
-   amortized. *)
-type import_cache = {
-  parked : (int * pfdat) Queue.t;
-  mutable live : int;
-  mutable next_stamp : int;
-}
+(* Is [pfn] one of the cell's own frames (outside the kernel reserve)? *)
+let own_frame (pool : frame_pool) pfn = pfn >= pool.own_lo && pfn < pool.own_hi
 
 (* A file homed on some cell. [disk_block] is its start block on the data
    home's disk; pages cached in memory live in the pfdat table. *)
@@ -303,9 +300,11 @@ type cell = {
   rpc_queue : (unit -> unit) Sim.Mailbox.t; (* queued-service requests *)
   release_queue : pfdat Sim.Mailbox.t;
       (* imports released by exiting processes, drained by a kernel thread *)
-  import_cache : import_cache;
-      (* released read-only imports parked for RPC-free re-access;
-         bounded by Params.import_cache_pages *)
+  park_list : pfdat;
+      (* sentinel of the import cache: released read-only imports parked
+         for RPC-free re-access, on a circular list in park order kept by
+         [Pfdat] *)
+  mutable nparked : int; (* bounded by Params.import_cache_pages *)
   readahead : (fid, ra_stream) Hashtbl.t;
       (* per-file sequential fault streams (remote files only) *)
   pending_releases : (logical_id, int) Hashtbl.t;
@@ -428,62 +427,6 @@ let cell_of_node (sys : system) node =
   if node < 0 || node >= Array.length sys.node_owner then
     invalid_arg "cell_of_node: node not owned by any cell";
   sys.cells.(sys.node_owner.(node))
-
-(* Import-cache bookkeeping; the policy (what is parked, and what an
-   eviction releases) lives in [Share]. *)
-
-let new_import_cache () = { parked = Queue.create (); live = 0; next_stamp = 0 }
-
-let is_live_entry (stamp, (pf : pfdat)) = pf.park_stamp = stamp
-
-let sweep_dead_entries ic =
-  let live = Queue.create () in
-  Queue.iter (fun e -> if is_live_entry e then Queue.push e live) ic.parked;
-  Queue.clear ic.parked;
-  Queue.transfer live ic.parked
-
-let park_binding (c : cell) (pf : pfdat) =
-  let ic = c.import_cache in
-  ic.next_stamp <- ic.next_stamp + 1;
-  pf.cached <- true;
-  pf.park_stamp <- ic.next_stamp;
-  Queue.push (ic.next_stamp, pf) ic.parked;
-  ic.live <- ic.live + 1;
-  if Queue.length ic.parked > (2 * ic.live) + 32 then sweep_dead_entries ic
-
-(* Clears [cached]; a binding with a live entry also leaves the count. *)
-let unpark_binding (c : cell) (pf : pfdat) =
-  pf.cached <- false;
-  if pf.park_stamp <> 0 then begin
-    pf.park_stamp <- 0;
-    c.import_cache.live <- c.import_cache.live - 1
-  end
-
-(* Unpark and return the least recently parked live binding, if any. *)
-let rec evict_oldest (c : cell) =
-  match Queue.take_opt c.import_cache.parked with
-  | None -> None
-  | Some ((_, pf) as e) ->
-    if is_live_entry e then begin
-      unpark_binding c pf;
-      Some pf
-    end
-    else evict_oldest c
-
-(* Forget every entry (the recovery flush) without touching the
-   bindings' [cached] flags. *)
-let reset_import_cache (c : cell) =
-  let ic = c.import_cache in
-  Queue.iter (fun ((_, pf) as e) -> if is_live_entry e then pf.park_stamp <- 0)
-    ic.parked;
-  Queue.clear ic.parked;
-  ic.live <- 0
-
-(* Live parked bindings, most recently parked first. *)
-let parked_bindings (c : cell) =
-  Queue.fold
-    (fun acc ((_, pf) as e) -> if is_live_entry e then pf :: acc else acc)
-    [] c.import_cache.parked
 
 let cell sys id = sys.cells.(id)
 

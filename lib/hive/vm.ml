@@ -208,9 +208,9 @@ let fault (sys : Types.system) (p : Types.process) ~vpage ~write =
       note_dependency p
         (Flash.Addr.node_of_pfn sys.Types.mcfg pf.Types.pfn
         |> fun node -> (Types.cell_of_node sys node).Types.cell_id);
-      (match pf.Types.imported_from with
-      | Some home -> note_dependency p home
-      | None -> ());
+      (match pf.Types.role with
+      | Types.Import { home; _ } -> note_dependency p home
+      | Types.Home | Types.Salvaged _ | Types.Dropped -> ());
       let dt = Int64.sub (Sim.Engine.time ()) t0 in
       if remote then Sim.Stats.add_ns c.Types.remote_fault_ns dt
       else Sim.Stats.add_ns c.Types.fault_in_cache_ns dt;
@@ -280,8 +280,9 @@ let fault (sys : Types.system) (p : Types.process) ~vpage ~write =
               (Flash.Addr.addr_of_pfn dst.Types.pfn) data;
             (* Drop our import binding to the source page if we made one
                (a local source may live in a borrowed frame, which stays). *)
-            (if src_pf.Types.imported_from <> None then
-               Share.release sys c src_pf);
+            (match src_pf.Types.role with
+            | Types.Import _ -> Share.release sys c src_pf
+            | Types.Home | Types.Salvaged _ | Types.Dropped -> ());
             let node_id = Cow.node_id sys cref in
             let lid =
               { Types.tag =
@@ -381,9 +382,11 @@ let unmap_all (sys : Types.system) (p : Types.process) =
      a thread context, so hand the releases (which RPC the data home) to
      the cell's reaper thread. *)
   Pfdat.imports c (fun pf ->
-      pf.Types.imported_from <> None
+      (match pf.Types.role with
+      | Types.Import _ -> true
+      | Types.Home | Types.Salvaged _ | Types.Dropped -> false)
       && pf.Types.refs = 0
-      && not pf.Types.cached (* parked bindings are already released *))
+      && not (Pfdat.parked pf) (* parked bindings are already released *))
   |> List.iter (Sim.Mailbox.send sys.Types.eng c.Types.release_queue)
 
 (* CXL-style memory salvage: when a failed cell's processors died but its
@@ -397,7 +400,7 @@ let unmap_all (sys : Types.system) (p : Types.process) =
    generation must not have advanced past the import's. The copy is
    served read-only and purged when the home reintegrates. *)
 let try_salvage (sys : Types.system) (c : Types.cell) (pf : Types.pfdat)
-    ~home =
+    ~home ~gen =
   let par = sys.Types.params in
   let hc = sys.Types.cells.(home) in
   if not (par.Params.enable_salvage && hc.Types.mem_alive) then None
@@ -416,7 +419,7 @@ let try_salvage (sys : Types.system) (c : Types.cell) (pf : Types.pfdat)
              && (match
                    Hashtbl.find_opt hc.Types.files_by_ino fid.Types.ino
                  with
-                | Some f -> f.Types.generation <= pf.Types.import_gen
+                | Some f -> f.Types.generation <= gen
                 | None -> false) -> (
         (* Take a free own frame; under memory pressure the salvage is
            skipped rather than evicting anything mid-recovery. *)
@@ -433,7 +436,6 @@ let try_salvage (sys : Types.system) (c : Types.cell) (pf : Types.pfdat)
           in
           Flash.Memory.poke (mem sys) (Flash.Addr.addr_of_pfn npf.Types.pfn)
             data;
-          npf.Types.import_gen <- pf.Types.import_gen;
           Some (lid, npf))
       | _ ->
         Types.bump c Count.salvage_skipped;
@@ -458,8 +460,10 @@ let flush_remote_bindings ?(dead = []) (sys : Types.system) (c : Types.cell) =
         (fun vpage (m : Types.mapping) ->
           let node = Flash.Addr.node_of_pfn sys.Types.mcfg m.Types.map_pf.Types.pfn in
           let remote_frame = not (List.mem node c.Types.cell_nodes) in
-          if remote_frame || m.Types.map_pf.Types.imported_from <> None then
-            doomed := vpage :: !doomed)
+          match m.Types.map_pf.Types.role with
+          | Types.Import _ -> doomed := vpage :: !doomed
+          | Types.Home | Types.Salvaged _ | Types.Dropped ->
+            if remote_frame then doomed := vpage :: !doomed)
         p.Types.mappings;
       List.iter
         (fun vpage ->
@@ -475,31 +479,29 @@ let flush_remote_bindings ?(dead = []) (sys : Types.system) (c : Types.cell) =
      they pass the salvage filter. *)
   let imports = ref [] in
   Pfdat.iter_pages c (fun pf ->
-      if pf.Types.extended && pf.Types.imported_from <> None then
-        imports := pf :: !imports);
+      match pf.Types.role with
+      | Types.Import { home; gen; _ } -> imports := (pf, home, gen) :: !imports
+      | Types.Home | Types.Salvaged _ | Types.Dropped -> ());
   List.iter
-    (fun (pf : Types.pfdat) ->
+    (fun ((pf : Types.pfdat), home, gen) ->
       let salvaged =
-        match pf.Types.imported_from with
-        | Some home when List.mem home dead -> try_salvage sys c pf ~home
-        | _ -> None
+        if List.mem home dead then try_salvage sys c pf ~home ~gen else None
       in
-      let home = pf.Types.imported_from in
       Pfdat.free_extended c pf;
-      match (salvaged, home) with
-      | Some (lid, npf), Some h ->
-        npf.Types.salvaged_from <- Some h;
+      match salvaged with
+      | Some (lid, npf) ->
+        npf.Types.role <- Types.Salvaged { home };
         Pfdat.insert c lid npf;
         (* Index by home so reintegration can purge without a full sweep. *)
-        Hashtbl.add c.Types.salvaged_by_home h npf;
+        Hashtbl.add c.Types.salvaged_by_home home npf;
         Types.bump c Count.salvaged_pages
-      | _ -> ())
+      | None -> ())
     !imports;
-  (* No parked binding may survive recovery: a data home may be dead or
+  (* No parked binding survives recovery: a data home may be dead or
      about to bump generations, and the post-recovery world re-locates
-     everything from scratch. free_extended already unparked each binding;
-     this also resets the cache's FIFO and the read-ahead detectors. *)
-  Types.reset_import_cache c;
+     everything afresh. Every parked binding is an import bound in
+     the table, so freeing the imports emptied the park list. The
+     read-ahead detectors start over too. *)
   Hashtbl.reset c.Types.readahead
 
 (* Notify the file system that [pf]'s page is lost with its frame: it

@@ -32,8 +32,10 @@ let run_driver (sys : Hive.Types.system) ~name driver =
    pure function of [(tag, bytes)] and identical across campaigns, so it
    is memoized — fuzz drivers re-synthesize the same input tree for
    every seed, and the per-byte generator showed up as one of the
-   hottest leaves in campaign profiles. The cache is domain-local:
-   parallel fuzz workers each build their own, sharing nothing. *)
+   hottest leaves in campaign profiles. The memoized buffer itself is
+   returned, so callers must not mutate it ([Fs.create_local] copies what
+   it stores). The cache is domain-local: parallel fuzz workers each
+   build their own, sharing nothing. *)
 let synth_cache_key :
     (string * int, Bytes.t) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 64)
@@ -41,7 +43,7 @@ let synth_cache_key :
 let synth_content ~tag ~bytes =
   let cache = Domain.DLS.get synth_cache_key in
   match Hashtbl.find_opt cache (tag, bytes) with
-  | Some b -> Bytes.copy b
+  | Some b -> b
   | None ->
     let b = Bytes.create bytes in
     let h = ref (Hashtbl.hash tag land 0xffff) in
@@ -49,7 +51,7 @@ let synth_content ~tag ~bytes =
       h := ((!h * 1103515245) + 12345) land 0x3fffffff;
       Bytes.set b i (Char.chr (!h land 0xff))
     done;
-    Hashtbl.replace cache (tag, bytes) (Bytes.copy b);
+    Hashtbl.replace cache (tag, bytes) b;
     b
 
 (* The deterministic "compilation" of a source: what a correct run must

@@ -21,7 +21,12 @@ val run_driver :
   name:string ->
   (Hive.Types.system -> Hive.Types.process -> unit) ->
   result * Hive.Types.process
+
+(** Deterministic pseudo-content for a named input file, memoized per
+    domain: the shared buffer is returned, and callers must not mutate
+    it. *)
 val synth_content : tag:string -> bytes:int -> bytes
+
 val derive_output : input:bytes -> bytes:int -> bytes
 val stable_content : Hive.Types.system -> string -> bytes option
 val logical_content : Hive.Types.system -> string -> bytes option

@@ -382,7 +382,9 @@ let test_close_releases_imports () =
             let imported_before =
               Hive.Types.Page_hash.fold
                 (fun _ (pf : Hive.Types.pfdat) n ->
-                  if pf.Hive.Types.imported_from <> None then n + 1 else n)
+                  match pf.Hive.Types.role with
+                  | Hive.Types.Import _ -> n + 1
+                  | _ -> n)
                 c1.Hive.Types.page_hash 0
             in
             assert (imported_before > 0);
@@ -391,12 +393,13 @@ let test_close_releases_imports () =
                park in the import cache, still bound but marked cached. *)
             Hive.Types.Page_hash.iter
               (fun _ (pf : Hive.Types.pfdat) ->
-                if pf.Hive.Types.imported_from <> None then begin
-                  assert pf.Hive.Types.cached;
-                  assert (List.memq pf (Hive.Types.parked_bindings c1))
-                end)
+                match pf.Hive.Types.role with
+                | Hive.Types.Import _ ->
+                  assert (Hive.Pfdat.parked pf);
+                  assert (List.memq pf (Hive.Pfdat.parked_bindings c1))
+                | _ -> ())
               c1.Hive.Types.page_hash;
-            assert (List.length (Hive.Types.parked_bindings c1) = imported_before);
+            assert (List.length (Hive.Pfdat.parked_bindings c1) = imported_before);
             (* Re-reading after close+reopen is served from the parked
                bindings: cache hits, no new locate RPCs. *)
             let locates_before =

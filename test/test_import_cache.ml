@@ -30,6 +30,13 @@ let counter (c : Hive.Types.cell) name = Sim.Stats.value c.Hive.Types.counters n
 let file_lid ~ino page =
   { Hive.Types.tag = Hive.Types.File_obj { Hive.Types.home = 0; ino }; page }
 
+let imported (pf : Hive.Types.pfdat) =
+  match pf.Hive.Types.role with Hive.Types.Import _ -> true | _ -> false
+
+(* Let go for good: dropped, and out of the import cache. *)
+let released (pf : Hive.Types.pfdat) =
+  pf.Hive.Types.role = Hive.Types.Dropped && not (Hive.Pfdat.parked pf)
+
 (* Export a page of a cell-0 object to [client] and import it there,
    mirroring the fs/vm import paths. *)
 let share_page sys ~lid ~client ~writable =
@@ -46,9 +53,9 @@ let share_page sys ~lid ~client ~writable =
 
 (* A writable import through the anon/spanning path (which calls
    Share.import directly, not the fs paths) must carry the client-side
-   grant bookkeeping itself: before the fix only the fs.ml call sites set
-   write_granted_to, so an anon writable import left the firewall state
-   and the pfdat inconsistent. *)
+   grant bookkeeping itself: before the fix only the fs.ml call sites
+   recorded the client-side grant, so an anon writable import left the
+   firewall state and the pfdat inconsistent. *)
 let test_writable_anon_import_grants () =
   with_sys (fun _eng sys ->
       in_thread sys (fun () ->
@@ -60,15 +67,16 @@ let test_writable_anon_import_grants () =
           in
           let _pf, imp = share_page sys ~lid ~client:1 ~writable:true in
           Alcotest.(check bool) "client grant recorded on the import" true
-            (List.mem 1 imp.Hive.Types.write_granted_to);
+            (match imp.Hive.Types.role with
+            | Hive.Types.Import { writable; _ } -> writable
+            | _ -> false);
           Alcotest.(check bool) "writable import marked dirty" true
             imp.Hive.Types.dirty;
           Alcotest.(check int) "firewall counts the writable export" 1
             (Hive.Wild_write.remotely_writable_pages sys c0);
           (* A writable import is never parked: release really releases. *)
           Hive.Share.release sys sys.Hive.Types.cells.(1) imp;
-          Alcotest.(check bool) "released, not parked" true
-            (imp.Hive.Types.imported_from = None && not imp.Hive.Types.cached);
+          Alcotest.(check bool) "released, not parked" true (released imp);
           Alcotest.(check int) "firewall grant revoked" 0
             (Hive.Wild_write.remotely_writable_pages sys c0)))
 
@@ -84,8 +92,8 @@ let test_writable_export_invalidates_parked () =
           let pf, imp = share_page sys ~lid ~client:1 ~writable:false in
           Hive.Share.release sys c1 imp;
           Alcotest.(check bool) "binding parked" true
-            (imp.Hive.Types.cached
-            && List.memq imp (Hive.Types.parked_bindings c1));
+            (Hive.Pfdat.parked imp
+            && List.memq imp (Hive.Pfdat.parked_bindings c1));
           Alcotest.(check int) "insertion counted" 1
             (counter c1 "share.cache_insertions");
           (* Cell 2 wants the page writable: cell 1's parked copy must go. *)
@@ -94,7 +102,7 @@ let test_writable_export_invalidates_parked () =
             (Hive.Pfdat.lookup c1 lid = None);
           Alcotest.(check (list int)) "cache emptied" []
             (List.map (fun (p : Hive.Types.pfdat) -> p.Hive.Types.pfn)
-               (Hive.Types.parked_bindings c1));
+               (Hive.Pfdat.parked_bindings c1));
           Alcotest.(check int) "invalidation counted" 1
             (counter c1 "share.cache_invalidations");
           Alcotest.(check bool) "export record retired at the home" true
@@ -102,30 +110,29 @@ let test_writable_export_invalidates_parked () =
           Alcotest.(check bool) "writable client still exported" true
             (List.mem 2 pf.Hive.Types.exported_to)))
 
+let capacity = Hive.Params.import_cache_pages
+
+(* [n] read-only imports by cell 1 of pages of a cell-0 object. *)
+let share_pages sys ~ino n =
+  List.init n (fun page ->
+      snd (share_page sys ~lid:(file_lid ~ino page) ~client:1 ~writable:false))
+
 (* The cache is bounded: parking beyond capacity evicts (and really
    releases) the least-recently-parked binding. *)
 let test_cache_eviction_at_capacity () =
-  let params = { Hive.Params.default with Hive.Params.import_cache_pages = 2 } in
-  with_sys ~params (fun _eng sys ->
+  with_sys (fun _eng sys ->
       in_thread sys (fun () ->
           let c1 = sys.Hive.Types.cells.(1) in
-          let imports =
-            List.map
-              (fun page ->
-                let lid = file_lid ~ino:901 page in
-                let _pf, imp = share_page sys ~lid ~client:1 ~writable:false in
-                imp)
-              [ 0; 1; 2 ]
-          in
+          let imports = share_pages sys ~ino:901 (capacity + 1) in
           List.iter (fun imp -> Hive.Share.release sys c1 imp) imports;
-          Alcotest.(check int) "cache bounded at capacity" 2
-            (List.length (Hive.Types.parked_bindings c1));
+          Alcotest.(check int) "cache bounded at capacity" capacity
+            (List.length (Hive.Pfdat.parked_bindings c1));
           Alcotest.(check int) "eviction counted" 1
             (counter c1 "share.cache_evictions");
-          let oldest = List.nth imports 0 in
           Alcotest.(check bool) "evicted binding fully released" true
-            (oldest.Hive.Types.imported_from = None
-            && not oldest.Hive.Types.cached)))
+            (released (List.hd imports));
+          Alcotest.(check bool) "the rest still parked" true
+            (List.for_all Hive.Pfdat.parked (List.tl imports))))
 
 (* Recovery flush: no parked binding survives flush_remote_bindings (the
    pre-barrier-1 step) — the data home may be dead or about to discard. *)
@@ -136,10 +143,10 @@ let test_recovery_flush_drops_parked () =
           let lid = file_lid ~ino:902 0 in
           let _pf, imp = share_page sys ~lid ~client:1 ~writable:false in
           Hive.Share.release sys c1 imp;
-          Alcotest.(check bool) "binding parked" true imp.Hive.Types.cached;
+          Alcotest.(check bool) "binding parked" true (Hive.Pfdat.parked imp);
           Hive.Vm.flush_remote_bindings sys c1;
           Alcotest.(check int) "import cache flushed" 0
-            (List.length (Hive.Types.parked_bindings c1));
+            (List.length (Hive.Pfdat.parked_bindings c1));
           Alcotest.(check bool) "binding gone" true
             (Hive.Pfdat.lookup c1 lid = None)))
 
@@ -267,7 +274,7 @@ let test_gen_bump_mid_batch_fails_whole_batch () =
       Alcotest.(check bool) "whole batch failed with EIO" true !got_eio;
       let stale = ref 0 in
       Hive.Pfdat.iter_pages sys.Hive.Types.cells.(1) (fun pf ->
-          if pf.Hive.Types.imported_from <> None then incr stale);
+          if imported pf then incr stale);
       Alcotest.(check int) "no stale page imported" 0 !stale)
 
 (* Sequential fault streams grow the adaptive read-ahead window: far
@@ -380,56 +387,52 @@ let test_invariants_hold_after_cache_traffic () =
            (fun v -> v.Hive.Invariants.inv ^ ": " ^ v.Hive.Invariants.detail)
            (Hive.Invariants.check sys)))
 
-(* Eviction drops the least recently *parked* live binding: a hit takes
-   a binding out of the cache, and parking it again makes it the newest,
-   so the binding parked second is the one evicted. *)
+(* Eviction drops the least recently *parked* binding: a hit takes a
+   binding out of the cache, and parking it again makes it the newest,
+   so once the cache is full the binding parked second is the one
+   evicted. *)
 let test_eviction_order_after_hit_and_repark () =
-  let params = { Hive.Params.default with Hive.Params.import_cache_pages = 2 } in
-  with_sys ~params (fun _eng sys ->
+  with_sys (fun _eng sys ->
       in_thread sys (fun () ->
           let c1 = sys.Hive.Types.cells.(1) in
-          let imp page =
-            snd (share_page sys ~lid:(file_lid ~ino:906 page) ~client:1
-                   ~writable:false)
+          let a, b, rest =
+            match share_pages sys ~ino:906 (capacity + 1) with
+            | a :: b :: rest -> (a, b, rest)
+            | _ -> assert false
           in
-          let a = imp 0 and b = imp 1 and c = imp 2 in
           Hive.Share.release sys c1 a;
           Hive.Share.release sys c1 b;
           Hive.Share.cache_hit c1 a;
           Hive.Share.release sys c1 a;
+          let pfns = List.map (fun (p : Hive.Types.pfdat) -> p.Hive.Types.pfn) in
           Alcotest.(check (list int)) "most recently parked first"
-            [ a.Hive.Types.pfn; b.Hive.Types.pfn ]
-            (List.map (fun (p : Hive.Types.pfdat) -> p.Hive.Types.pfn)
-               (Hive.Types.parked_bindings c1));
-          Hive.Share.release sys c1 c;
-          Alcotest.(check bool) "b evicted and released" true
-            ((not b.Hive.Types.cached) && b.Hive.Types.imported_from = None);
-          Alcotest.(check bool) "a and c still parked" true
-            (a.Hive.Types.cached && c.Hive.Types.cached);
-          Alcotest.(check int) "live count" 2
-            c1.Hive.Types.import_cache.Hive.Types.live))
+            (pfns [ a; b ])
+            (pfns (Hive.Pfdat.parked_bindings c1));
+          List.iter (Hive.Share.release sys c1) rest;
+          Alcotest.(check bool) "b evicted and released" true (released b);
+          Alcotest.(check bool) "a and the rest still parked" true
+            (List.for_all Hive.Pfdat.parked (a :: rest));
+          Alcotest.(check int) "parked count" capacity c1.Hive.Types.nparked))
 
-(* The import-cache checker sees the cache's own bookkeeping drift, not
-   just bad bindings: a wrong live count, a live entry whose binding is
-   not marked cached, and a cached binding without a live entry. *)
+(* The import-cache checker sees a parked binding drift from what its
+   data home and its own bookkeeping promise: a lost export record at the
+   home (the invalidation channel), a mapping that still counts, and a
+   binding that became writable. *)
 let test_import_cache_checker_sees_drift () =
   with_sys (fun _eng sys ->
       let c1 = sys.Hive.Types.cells.(1) in
-      let parked = ref [] in
+      let shared = ref [] in
       in_thread sys (fun () ->
-          parked :=
+          shared :=
             List.map
               (fun page ->
-                let _pf, imp =
+                let pf, imp =
                   share_page sys ~lid:(file_lid ~ino:907 page) ~client:1
                     ~writable:false
                 in
                 Hive.Share.release sys c1 imp;
-                imp)
-              [ 0; 1; 2 ];
-          (* a hit and a re-park leave a dead entry behind *)
-          Hive.Share.cache_hit c1 (List.hd !parked);
-          Hive.Share.release sys c1 (List.hd !parked));
+                (pf, imp))
+              [ 0; 1; 2 ]);
       let details () =
         List.map
           (fun v -> v.Hive.Invariants.detail)
@@ -446,24 +449,146 @@ let test_import_cache_checker_sees_drift () =
           (details ())
       in
       Alcotest.(check (list string)) "clean" [] (details ());
-      let ic = c1.Hive.Types.import_cache in
-      ic.Hive.Types.live <- ic.Hive.Types.live + 1;
-      Alcotest.(check bool) "live count drift" true (mentions "live count 4");
-      ic.Hive.Types.live <- ic.Hive.Types.live - 1;
-      let pf = List.nth !parked 1 in
-      pf.Hive.Types.cached <- false;
-      Alcotest.(check bool) "entry not marked cached" true
-        (mentions "in cache list but not marked cached");
-      pf.Hive.Types.cached <- true;
-      let stamp = pf.Hive.Types.park_stamp in
-      pf.Hive.Types.park_stamp <- 0;
-      Alcotest.(check bool) "cached without an entry" true
-        (mentions "marked cached but absent");
-      pf.Hive.Types.park_stamp <- stamp;
+      let home_pf, imp = List.nth !shared 1 in
+      home_pf.Hive.Types.exported_to <- [];
+      Alcotest.(check bool) "export record lost" true
+        (mentions "home 0 holds no export record");
+      home_pf.Hive.Types.exported_to <- [ 1 ];
+      imp.Hive.Types.refs <- 1;
+      Alcotest.(check bool) "parked binding still mapped" true
+        (mentions "parked binding has refs=1");
+      imp.Hive.Types.refs <- 0;
+      (match imp.Hive.Types.role with
+      | Hive.Types.Import r ->
+        r.writable <- true;
+        Alcotest.(check bool) "parked binding writable" true
+          (mentions "parked binding holds a write grant");
+        r.writable <- false
+      | _ -> Alcotest.fail "parked binding is not an import");
       Alcotest.(check (list string)) "clean again" [] (details ()))
+
+(* ---------- park list model ----------
+
+   Random park, hit, free and recovery-flush sequences against a plain
+   list model of the import cache, oldest parked first. Parking past
+   capacity evicts; so that sequences reach it, [Park_run] parks a run of
+   bindings at once. *)
+
+type park_op =
+  | Park of int (* release binding i (re-importing a dropped one first) *)
+  | Park_run of int * int (* Park i, i+1, ..., n of them *)
+  | Hit of int (* rebind a parked binding *)
+  | Free of int (* drop a binding, as an invalidation does *)
+  | Flush (* recovery's flush_remote_bindings *)
+
+let park_op_to_string = function
+  | Park i -> Printf.sprintf "Park %d" i
+  | Park_run (i, n) -> Printf.sprintf "Park_run(%d,%d)" i n
+  | Hit i -> Printf.sprintf "Hit %d" i
+  | Free i -> Printf.sprintf "Free %d" i
+  | Flush -> "Flush"
+
+(* More bindings than the cache holds, fewer than the home's frames. *)
+let model_bindings = capacity + 128
+
+let arb_park_ops =
+  let idx = QCheck.Gen.int_bound (model_bindings - 1) in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map park_op_to_string ops))
+    QCheck.Gen.(
+      list_size (int_range 1 120)
+        (frequency
+           [
+             (30, map (fun i -> Park i) idx);
+             (4, map2 (fun i n -> Park_run (i, n)) idx (int_range 50 300));
+             (15, map (fun i -> Hit i) idx);
+             (10, map (fun i -> Free i) idx);
+             (1, return Flush);
+           ]))
+
+let park_list_matches_model ops =
+  let ok = ref false in
+  let sys =
+    let eng = Sim.Engine.create () in
+    let mcfg =
+      { Flash.Config.small with Flash.Config.nodes = 2; mem_pages_per_node = 768 }
+    in
+    Hive.System.boot ~mcfg ~ncells:2 ~wax:false eng
+  in
+  let c0 = sys.Hive.Types.cells.(0) and c1 = sys.Hive.Types.cells.(1) in
+  let body () =
+    let homes =
+      Array.init model_bindings (fun page ->
+          let pf = Hive.Page_alloc.alloc sys c0 in
+          Hive.Pfdat.insert c0 (file_lid ~ino:908 page) pf;
+          pf)
+    in
+    let import i =
+      Hive.Share.export sys c0 homes.(i) ~client:1 ~writable:false;
+      Hive.Share.import sys c1 ~pfn:homes.(i).Hive.Types.pfn ~data_home:0
+        ~lid:(file_lid ~ino:908 i) ~gen:0 ~writable:false
+    in
+    let bindings = Array.init model_bindings import in
+    (* The model: binding indices, oldest parked first. *)
+    let model = ref [] in
+    let park i =
+      if released bindings.(i) then bindings.(i) <- import i;
+      List.mem i !model
+      || begin
+           Hive.Share.release sys c1 bindings.(i);
+           model := !model @ [ i ];
+           match !model with
+           | oldest :: rest when List.length rest >= capacity ->
+             model := rest;
+             (* The least recently parked binding was let go. *)
+             released bindings.(oldest)
+           | _ -> true
+         end
+    in
+    let apply = function
+      | Park i -> park i
+      | Park_run (i, n) ->
+        List.for_all park (List.init n (fun k -> (i + k) mod model_bindings))
+      | Hit i ->
+        Hive.Share.cache_hit c1 bindings.(i);
+        model := List.filter (( <> ) i) !model;
+        true
+      | Free i ->
+        if not (released bindings.(i)) then
+          Hive.Pfdat.free_extended c1 bindings.(i);
+        model := List.filter (( <> ) i) !model;
+        true
+      | Flush ->
+        Hive.Vm.flush_remote_bindings sys c1;
+        model := [];
+        Hive.Pfdat.parked_bindings c1 = [] && c1.Hive.Types.nparked = 0
+    in
+    let agrees () =
+      List.equal ( == )
+        (Hive.Pfdat.parked_bindings c1)
+        (List.rev_map (fun i -> bindings.(i)) !model)
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun i b -> Hive.Pfdat.parked b = List.mem i !model)
+              bindings)
+      && c1.Hive.Types.nparked = List.length !model
+      && c1.Hive.Types.nparked <= capacity
+    in
+    ok := List.for_all (fun op -> apply op && agrees ()) ops
+  in
+  let eng = sys.Hive.Types.eng in
+  let thr = Sim.Engine.spawn eng ~name:"model" body in
+  Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 600_000_000_000L) eng;
+  thr.Sim.Engine.dead && !ok
+
+let qcheck_park_list =
+  QCheck.Test.make ~count:15
+    ~name:"park list evicts the oldest and matches a list model"
+    arb_park_ops park_list_matches_model
 
 let suite =
   [
+    QCheck_alcotest.to_alcotest qcheck_park_list;
     Alcotest.test_case "writable anon import carries the firewall grant"
       `Quick test_writable_anon_import_grants;
     Alcotest.test_case "writable export invalidates parked bindings" `Quick

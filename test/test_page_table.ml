@@ -8,7 +8,15 @@
 
 let mcfg = Flash.Config.small
 
-let fresh_cell () = Hive.Cell.make mcfg ~id:0 ~nodes:[ 0 ]
+(* Every pfn counts as the cell's own, so a [Home] pfdat is never
+   extended and an [Import] always is. *)
+let fresh_cell () =
+  let c = Hive.Cell.make mcfg ~id:0 ~nodes:[ 0 ] in
+  { c with
+    Hive.Types.pool =
+      { c.Hive.Types.pool with Hive.Types.own_lo = 0; own_hi = max_int } }
+
+let import_role = Hive.Types.Import { home = 1; gen = 0; writable = false }
 
 let file_lid ~ino page =
   { Hive.Types.tag = Hive.Types.File_obj { Hive.Types.home = 0; ino }; page }
@@ -66,7 +74,7 @@ let index_matches_model ops =
   in
   let fresh k ~extended =
     let pf = Hive.Pfdat.make ~pfn:!nmade in
-    pf.Hive.Types.extended <- extended;
+    if extended then pf.Hive.Types.role <- import_role;
     if !nmade = Array.length !made then
       made := Array.append !made (Array.make (max 16 !nmade) pf);
     !made.(!nmade) <- pf;
@@ -115,7 +123,7 @@ let index_matches_model ops =
   let expected keep =
     Hashtbl.fold
       (fun _ (pf : Hive.Types.pfdat) acc ->
-        if pf.Hive.Types.extended && keep pf then pf :: acc else acc)
+        if Hive.Pfdat.extended !c pf && keep pf then pf :: acc else acc)
       model []
   in
   let table () =
@@ -177,10 +185,11 @@ let test_checker_two_keys () =
 
 let test_checker_unindexed () =
   with_shared_sys (fun sys c1 _imp ->
-      let pf = Hive.Pfdat.make ~pfn:12345 in
+      (* An own frame: a [Home] pfdat there is not extended. *)
+      let pf = Hive.Pfdat.make ~pfn:(c1.Hive.Types.pool.Hive.Types.own_hi - 1) in
       Hive.Pfdat.insert c1 (file_lid ~ino:98 0) pf;
-      (* Marked extended behind the index's back. *)
-      pf.Hive.Types.extended <- true;
+      (* Made an import behind the index's back. *)
+      pf.Hive.Types.role <- import_role;
       Alcotest.(check bool) "missing member flagged" true
         (index_violations sys c1 <> []))
 

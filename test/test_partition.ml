@@ -353,7 +353,9 @@ let salvage_scenario ?(params = manual) ~writable f =
 let salvaged_pfdats (c : Hive.Types.cell) =
   let out = ref [] in
   Hive.Pfdat.iter_pages c (fun pf ->
-      if pf.Hive.Types.salvaged_from <> None then out := pf :: !out);
+      match pf.Hive.Types.role with
+      | Hive.Types.Salvaged _ -> out := pf :: !out
+      | _ -> ());
   !out
 
 let test_salvage_clean_pages_byte_identical () =
@@ -385,7 +387,7 @@ let test_salvage_clean_pages_byte_identical () =
             match Hive.Fs.get_page sys c0 vn ~page:0 ~writable:false
                     ~opened_gen:gen ~usage:`Syscall
             with
-            | Ok pf -> pf.Hive.Types.salvaged_from = Some 1
+            | Ok pf -> pf.Hive.Types.role = Hive.Types.Salvaged { home = 1 }
             | Error _ -> false)
       in
       Alcotest.(check bool) "reads served from the salvaged copy" true served)

@@ -59,7 +59,9 @@ let test_loaned_and_reimported () =
               ~writable:false
           in
           Alcotest.(check bool) "logical level bound" true
-            (imp.Hive.Types.imported_from = Some 0);
+            (match imp.Hive.Types.role with
+            | Hive.Types.Import { home; _ } -> home = 0
+            | _ -> false);
           Alcotest.(check bool) "physical level intact" true
             (Hive.Page_alloc.state c1 pfn = Hive.Types.Loaned 0);
           Alcotest.(check int) "reimport counted" 1
@@ -68,7 +70,7 @@ let test_loaned_and_reimported () =
              and keeps the loan. *)
           Hive.Share.release sys c1 imp;
           Alcotest.(check bool) "import released to the cache" true
-            imp.Hive.Types.cached;
+            (Hive.Pfdat.parked imp);
           Alcotest.(check bool) "loan survives release" true
             (Hive.Page_alloc.state c1 pfn = Hive.Types.Loaned 0)))
 

@@ -153,7 +153,7 @@ let test_pressure_migrates_allocation_32_cells () =
             shifts the next published top-k, so snapshot now). *)
          pref_at_alloc := c0.Hive.Types.alloc_preference;
          let pf = Hive.Page_alloc.alloc sys c0 in
-         if pf.Hive.Types.extended then
+         if not (Hive.Page_alloc.own c0 pf.Hive.Types.pfn) then
            borrowed := Some (Hive.Page_alloc.lender sys pf.Hive.Types.pfn);
          finished := true));
   Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 2_000_000_000L) eng;
