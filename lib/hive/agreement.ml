@@ -142,6 +142,10 @@ let standing_recovery_reaches (sys : Types.system) (accuser : Types.cell) =
       && not (Careful_ref.partitioned sys accuser ~target:p))
     sys.Types.recovery_participants
 
+let forget_suspect (accuser : Types.cell) suspect =
+  accuser.Types.suspected <-
+    List.filter (fun s -> s <> suspect) accuser.Types.suspected
+
 (* Run one agreement round from the accusing cell. *)
 let run (sys : Types.system) (accuser : Types.cell) ~suspect ~reason =
   let skip =
@@ -149,7 +153,11 @@ let run (sys : Types.system) (accuser : Types.cell) ~suspect ~reason =
     || sys.Types.recovery_in_progress
        && (accuser.Types.in_recovery || standing_recovery_reaches sys accuser)
   in
-  if skip then ()
+  if skip then
+    (* [Failure.handle_hint] marked the suspect before spawning this
+       round. A round that never runs must unmark it, or this cell never
+       hints against that suspect again. *)
+    forget_suspect accuser suspect
   else begin
     sys.Types.recovery_in_progress <- true;
     (* Publish the round's electorate: a later hint on a partitioned cell
@@ -231,8 +239,7 @@ let run (sys : Types.system) (accuser : Types.cell) ~suspect ~reason =
       (* Dismissed: reopen gates everywhere and note the false alert. *)
       Types.sys_bump sys Count.dismissed;
       bump_false_alerts accuser accuser.Types.cell_id;
-      accuser.Types.suspected <-
-        List.filter (fun s -> s <> suspect) accuser.Types.suspected;
+      forget_suspect accuser suspect;
       List.iter
         (fun voter_id ->
           if voter_id <> accuser.Types.cell_id then

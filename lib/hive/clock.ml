@@ -18,30 +18,14 @@ let read_peer_clock (sys : Types.system) (reader : Types.cell) ~target =
   Careful_ref.protect sys reader ~target (fun ctx ->
       Careful_ref.read_i64 ctx target_cell.Types.clock_addr)
 
-(* The cell this one monitors: its successor in the live-set ring. The
-   live set only changes on failure/recovery, so the tick loop caches the
-   answer keyed on the list's physical identity (the field is replaced,
-   never mutated in place). *)
-let compute_monitored_peer (c : Types.cell) =
+(* The cell this one monitors: its successor in the live-set ring. *)
+let monitored_peer (c : Types.cell) =
   let live = List.sort compare c.Types.live_set in
   let higher = List.filter (fun id -> id > c.Types.cell_id) live in
   match (higher, live) with
   | h :: _, _ -> if h = c.Types.cell_id then None else Some h
   | [], l :: _ when l <> c.Types.cell_id -> Some l
   | _ -> None
-
-let peer_cache_key :
-    (int, int list * int option) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
-
-let monitored_peer (c : Types.cell) =
-    let cache = Domain.DLS.get peer_cache_key in
-    match Hashtbl.find_opt cache c.Types.cell_id with
-    | Some (live, peer) when live == c.Types.live_set -> peer
-    | _ ->
-      let peer = compute_monitored_peer c in
-      Hashtbl.replace cache c.Types.cell_id (c.Types.live_set, peer);
-      peer
 
 let hint (sys : Types.system) (c : Types.cell) suspect reason =
   match sys.Types.on_hint with
@@ -60,6 +44,19 @@ let start (sys : Types.system) (c : Types.cell) =
         let last_peer = ref (-1) in
         let stalls = ref 0 in
         let bus_errors = ref 0 in
+        (* The live set only changes on failure and recovery, and the
+           field is replaced, never mutated in place: the peer is
+           recomputed only when the list is a different one. *)
+        let peer_of = ref ([], None) in
+        let peer () =
+          let live, peer = !peer_of in
+          if live == c.Types.live_set then peer
+          else begin
+            let peer = monitored_peer c in
+            peer_of := (c.Types.live_set, peer);
+            peer
+          end
+        in
         let rec tick () =
           Sim.Engine.delay p.Params.tick_ns;
           if Types.cell_alive c then begin
@@ -69,7 +66,7 @@ let start (sys : Types.system) (c : Types.cell) =
               c.Types.clock_addr (Int64.add v 1L);
             Sim.Engine.delay Params.clock_check_cost_ns;
             (* Monitor our ring successor. *)
-            (match monitored_peer c with
+            (match peer () with
             | None -> ()
             | Some peer ->
               if peer <> !last_peer then begin

@@ -158,15 +158,7 @@ let split_anon_regions (sys : Types.system) (parent : Types.process)
                 && vpage < r.Types.start_page + r.Types.npages
               then doomed := vpage :: !doomed)
             parent.Types.mappings;
-          List.iter
-            (fun vpage ->
-              (match Hashtbl.find_opt parent.Types.mappings vpage with
-              | Some m ->
-                m.Types.map_pf.Types.refs <-
-                  max 0 (m.Types.map_pf.Types.refs - 1)
-              | None -> ());
-              Hashtbl.remove parent.Types.mappings vpage)
-            !doomed;
+          List.iter (Vm.unmap_page parent) !doomed;
           { r with Types.kind = Types.Anon_region child_leaf })
       parent.Types.regions
   in

@@ -185,6 +185,14 @@ let rec anon_get (sys : Types.system) (c : Types.cell) (r : Types.cow_ref)
 
 (* ---------- The page fault path ---------- *)
 
+(* Drop one mapping, giving back its reference on the frame. *)
+let unmap_page (p : Types.process) vpage =
+  match Hashtbl.find_opt p.Types.mappings vpage with
+  | Some m ->
+    m.Types.map_pf.Types.refs <- max 0 (m.Types.map_pf.Types.refs - 1);
+    Hashtbl.remove p.Types.mappings vpage
+  | None -> ()
+
 let add_mapping (p : Types.process) ~vpage ~lid (pf : Types.pfdat) ~writable =
   (match Hashtbl.find_opt p.Types.mappings vpage with
   | Some old -> old.Types.map_pf.Types.refs <- max 0 (old.Types.map_pf.Types.refs - 1)
@@ -349,8 +357,9 @@ let write_word (sys : Types.system) (p : Types.process) ~vpage ~offset v =
            Bounded, because the refault can hand back the same frame
            without restoring write permission (a home that revoked the
            grant but still serves the binding): unbounded recursion here
-           is a livelock inside a syscall. *)
-        Hashtbl.remove p.Types.mappings vpage;
+           is a livelock inside a syscall. The dropped mapping gives back
+           its reference, as every other unmap does. *)
+        unmap_page p vpage;
         Types.bump c Count.refault_retries;
         if retries >= Params.max_refault_retries then Error Types.EFAULT
         else go (retries + 1)
@@ -465,14 +474,7 @@ let flush_remote_bindings ?(dead = []) (sys : Types.system) (c : Types.cell) =
           | Types.Home | Types.Salvaged _ | Types.Dropped ->
             if remote_frame then doomed := vpage :: !doomed)
         p.Types.mappings;
-      List.iter
-        (fun vpage ->
-          (match Hashtbl.find_opt p.Types.mappings vpage with
-          | Some m ->
-            m.Types.map_pf.Types.refs <- max 0 (m.Types.map_pf.Types.refs - 1)
-          | None -> ());
-          Hashtbl.remove p.Types.mappings vpage)
-        !doomed)
+      List.iter (unmap_page p) !doomed)
     c.Types.processes;
   (* Drop every import binding; re-faults go back through the data home.
      Imports from a dead-but-memory-alive home are copied out first when

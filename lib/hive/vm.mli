@@ -56,6 +56,9 @@ val read_word :
   Types.process ->
   vpage:int -> offset:int -> (int64, Types.errno) result
 
+(** Drop one page's mapping, giving back its reference on the frame. *)
+val unmap_page : Types.process -> int -> unit
+
 (** Drop every mapping of the process, releasing its reference on each
     mapped frame. *)
 val drop_mappings : Types.process -> unit

@@ -104,23 +104,34 @@ let assert_owner eng op =
 
 let set_jitter eng prng = eng.jitter <- prng
 
-(* With jitter enabled, perturb the low bits of the tie-break sequence
-   number so that events scheduled for the same virtual instant may pop in
-   a different (but still seed-deterministic) order. Events at different
-   times are never reordered, so causality is preserved; only the
-   interleaving of logically-concurrent events varies across seeds. *)
+(* The one place an event gets its key: every scheduled event and every
+   delay wake-up, inline or queued, consumes one sequence number and,
+   under jitter, one draw. Without jitter the key is the sequence number.
+   With jitter, [seq lxor r] ([r < 8]) perturbs the order of events at
+   the same virtual instant, so logically-concurrent events interleave
+   differently across seeds while each seed replays exactly; events at
+   different times are never reordered. The low 3 bits of [seq] below
+   the perturbed bits make every key unique: [seq land 7] is read off the
+   key's low bits, and the rest of [seq] off [seq lxor r], whose bits
+   above the third [r] cannot touch. Unique keys make the event order
+   total, which is what lets the inline delay wake-up below skip the
+   queue exactly, with or without jitter. *)
+let next_key eng =
+  eng.seq <- eng.seq + 1;
+  let s = eng.seq in
+  match eng.jitter with
+  | None -> s
+  | Some p -> ((s lxor Prng.int p 8) lsl 3) lor (s land 7)
+
+let enqueue eng time key act =
+  let e = { cancelled = false; retired = false; act; eng } in
+  Heap.push eng.events ~time ~seq:key e;
+  e
+
 let schedule_at eng time act =
   assert_owner eng "schedule_at";
   let time = if Int64.compare time eng.now < 0 then eng.now else time in
-  eng.seq <- eng.seq + 1;
-  let seq =
-    match eng.jitter with
-    | None -> eng.seq
-    | Some p -> eng.seq lxor Prng.int p 8
-  in
-  let e = { cancelled = false; retired = false; act; eng } in
-  Heap.push eng.events ~time ~seq e;
-  e
+  enqueue eng time (next_key eng) act
 
 let schedule eng ~after act =
   ignore (schedule_at eng (Int64.add eng.now after) act)
@@ -226,22 +237,23 @@ let exec eng thr body =
                   let t = Int64.add eng.now d in
                   (* an overflowing sum clamps to now, as in [schedule_at] *)
                   let t = if Int64.compare t eng.now < 0 then eng.now else t in
+                  let key = next_key eng in
+                  let h = eng.events in
                   if
-                    (match eng.jitter with None -> true | Some _ -> false)
-                    && eng.inline_depth < max_inline_depth
+                    eng.inline_depth < max_inline_depth
                     && Int64.compare t eng.until <= 0
-                    && (Heap.is_empty eng.events
-                       || Heap.key_of_time t < Heap.top_key eng.events)
+                    && (Heap.is_empty h
+                       ||
+                       let tk = Heap.key_of_time t and top = Heap.top_key h in
+                       tk < top || (tk = top && key < Heap.top_seq h))
                   then begin
-                    (* The wake-up would be the very next event popped, and
-                       nothing runs between this handler returning and that
-                       pop: advance the clock and continue the thread here,
-                       skipping the queue round trip. The sequence number
-                       is still consumed, so every later event keeps the
-                       number (and tie-break) it would have had. Exact only
-                       when sequence numbers are unique; jitter makes them
-                       collide, and then the heap layout decides ties. *)
-                    eng.seq <- eng.seq + 1;
+                    (* The wake-up would be the very next event popped
+                       (keys are unique, so "before the top" is exact),
+                       and nothing runs between this handler returning
+                       and that pop: advance the clock and continue the
+                       thread here, skipping the queue round trip. Its
+                       key is still drawn, so every later event keeps the
+                       key it would have had. *)
                     eng.now <- t;
                     eng.inline_depth <- eng.inline_depth + 1;
                     continue k ();
@@ -253,7 +265,7 @@ let exec eng thr body =
                        (see [wake] in [spawn]). If a competing waker (kill,
                        mailbox send) claims the continuation first, it
                        also cancels this timer. *)
-                    thr.timers <- schedule_at eng t thr.wake :: thr.timers
+                    thr.timers <- enqueue eng t key thr.wake :: thr.timers
                   end
                 end)
           | E_suspend register ->

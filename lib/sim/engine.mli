@@ -56,15 +56,13 @@ val current : t -> thread
     The default re-raises, aborting the simulation loudly. *)
 val set_crash_handler : t -> (thread -> exn -> unit) -> unit
 
-(** Install (or clear) a scheduler-jitter generator. When set, the tie-break
-    sequence number of newly scheduled events is perturbed with bits from
-    the generator, so logically-concurrent events (same virtual time) may
+(** Install (or clear) a scheduler-jitter generator. When set, each newly
+    scheduled event's tie-break key is perturbed with 3 bits from the
+    generator, so logically-concurrent events (same virtual time) may
     interleave differently across seeds while each seed stays exactly
-    replayable. Events at different virtual times are never reordered.
-    Perturbed numbers can collide; colliding events pop in an order fixed
-    by the event heap's layout (see {!Heap}), still a function of the
-    seed. While jitter is set, {!delay} wake-ups always go through the
-    queue. *)
+    replayable. Events at different virtual times are never reordered,
+    and keys stay unique, so the event order is total with or without
+    jitter. *)
 val set_jitter : t -> Prng.t option -> unit
 
 (** Schedule a callback at an absolute virtual time (clamped to now). *)
@@ -106,12 +104,12 @@ val spawn : ?name:string -> ?at:int64 -> t -> (unit -> unit) -> thread
 
 val time : unit -> int64
 
-(** Block for a number of virtual nanoseconds. Without jitter, a wake-up
-    that would be the next event popped (earlier than every queued event
+(** Block for a number of virtual nanoseconds. A wake-up that would be
+    the next event popped (its [(time, key)] before every queued event's,
     and within the running {!run}'s [until]) skips the queue: the clock
-    advances and the thread continues at once. It still consumes a
-    sequence number, so {!events_scheduled} and every later tie-break are
-    as if it had been queued. *)
+    advances and the thread continues at once. It still consumes its key,
+    so {!events_scheduled} and every later tie-break are as if it had
+    been queued. *)
 val delay : int64 -> unit
 
 (** Low-level block: parks the current thread and passes it to [register],

@@ -1,5 +1,5 @@
 (* Entry [i] of the heap is three ints of [keys]: [keys.(3i)] is its time
-   as a key (see [key_of_time]), [keys.(3i+1)] its sequence number and
+   as a key (see [key_of_time]), [keys.(3i+1)] its sequence key and
    [keys.(3i+2)] the slot of [vals] holding its payload. Payloads never
    move while the heap is sifted; only ints do, so a sift neither chases
    pointers nor pays the write barrier, and a node's four children sit in
@@ -55,7 +55,7 @@ let shrink h =
    binary heap, and the four children share cache lines, which matters on
    the pop path (the hottest loop in the engine). Both sifts carry the
    moving entry [(t, s, slot)] in a hole instead of swapping it level by
-   level; the layout they leave is the one repeated swaps would. *)
+   level. *)
 let rec sift_up (keys : int array) i (t : int) (s : int) slot =
   let p = (i - 1) / 4 in
   let pt = Array.unsafe_get keys (3 * p) in
@@ -72,10 +72,7 @@ let rec sift_up (keys : int array) i (t : int) (s : int) slot =
     Array.unsafe_set keys ((3 * i) + 2) slot
   end
 
-(* The entry moves below the first of its children that is strictly
-   smallest, if that child is strictly before it. With equal keys this
-   tie rule decides the layout, and the layout decides which of the equal
-   entries pops first, so it must not change (see [heap.mli]). *)
+(* The entry moves below its smallest child, if that child is before it. *)
 let rec sift_down (keys : int array) size i (t : int) (s : int) slot =
   let first = (4 * i) + 1 in
   let m = ref i and mt = ref t and ms = ref s in
@@ -125,6 +122,10 @@ let top h =
 let top_key h =
   check_nonempty h "top_key";
   h.keys.(0)
+
+let top_seq h =
+  check_nonempty h "top_seq";
+  h.keys.(1)
 
 let top_time h = time_of_key (top_key h)
 

@@ -1,18 +1,14 @@
 (** Min-heap (4-ary, for cache locality on the pop path) keyed by
     [(time, seq)], used as the simulation event queue. The keys sit in
     one flat [int] array and the payloads in a parallel array, so reading
-    the top's payload or {!top_key} allocates nothing.
+    the top's payload, {!top_key} or {!top_seq} allocates nothing.
 
     Ordering contract. The top is always an entry with the smallest
     [(time, seq)] key, so an entry never pops after one with a strictly
-    greater key. When all live keys are distinct (the engine without
-    jitter: sequence numbers are unique), pop order is therefore a pure
-    function of the keys. Keys may repeat (the engine's jittered
-    sequence numbers collide); entries with equal keys pop in an order
-    fixed by the heap's layout, which is in turn a deterministic function
-    of the sequence of {!push}, {!drop_top} and {!filter} calls. That
-    layout, including the tie rule of the sift-down and the grow/shrink
-    policy, must stay as it is: changing it reorders jittered runs. *)
+    greater key. Callers keep every live key distinct (the engine's keys
+    are unique, jittered or not), and pop order is then a pure function
+    of the keys: the layout cannot be observed. Entries with equal keys
+    pop in some order; nothing may depend on which. *)
 
 type 'a t
 
@@ -43,6 +39,9 @@ val top_time : 'a t -> int64
     comparisons that must not allocate. *)
 val top_key : 'a t -> int
 
+(** The [seq] the top was pushed with. *)
+val top_seq : 'a t -> int
+
 (** Remove the smallest entry. Shrinks the backing arrays when they are
     mostly slack, so draining a large campaign releases its peak. *)
 val drop_top : 'a t -> unit
@@ -51,9 +50,8 @@ val drop_top : 'a t -> unit
     restores the heap invariant in O(n). [keep] is called exactly once
     per entry, in heap order, so it may carry side effects such as
     marking the dropped entries. The survivors keep the ordering contract
-    above; survivors with distinct keys pop in the same order as before.
-    Used by the engine to reclaim cancelled timers without waiting for
-    their deadlines to drain through {!drop_top}. *)
+    above. Used by the engine to reclaim cancelled timers without waiting
+    for their deadlines to drain through {!drop_top}. *)
 val filter : 'a t -> ('a -> bool) -> unit
 
 (** [key_of_time t] is [t - 2^62]: an exact, order-preserving map of

@@ -72,6 +72,37 @@ let test_false_alert_dismissed () =
       Alcotest.(check int) "dismissal counted" 1
         (Sim.Stats.value sys.Hive.Types.sys_counters "agreement.dismissed"))
 
+(* Two hints at the same instant: cell 1's agreement runs first and
+   stands as the recovery in progress, so cell 0's round finds it
+   reaching cell 0 and is skipped. The skip must clear cell 0's suspect,
+   or cell 0 never hints against cell 2 again; a later hint then starts
+   its own agreement. *)
+let test_skipped_agreement_clears_suspect () =
+  with_sys (fun eng sys ->
+      settle eng;
+      let hint from suspect =
+        match sys.Hive.Types.on_hint with
+        | Some f -> f sys.Hive.Types.cells.(from) ~suspect ~reason:"test"
+        | None -> Alcotest.fail "no hint handler"
+      in
+      let rounds () =
+        Sim.Stats.value sys.Hive.Types.sys_counters "agreement.rounds"
+      in
+      let c0 = sys.Hive.Types.cells.(0) in
+      hint 1 3;
+      hint 0 2;
+      Alcotest.(check (list int)) "hint marks the suspect" [ 2 ]
+        c0.Hive.Types.suspected;
+      Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 500_000_000L) eng;
+      Alcotest.(check int) "only cell 1's round ran" 1 (rounds ());
+      Alcotest.(check (list int)) "skipped round cleared the suspect" []
+        c0.Hive.Types.suspected;
+      hint 0 2;
+      Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 500_000_000L) eng;
+      Alcotest.(check int) "second hint started an agreement" 2 (rounds ());
+      Alcotest.(check int) "both rounds dismissed" 2
+        (Sim.Stats.value sys.Hive.Types.sys_counters "agreement.dismissed"))
+
 let test_repeated_false_accuser_distrusted () =
   with_sys (fun eng sys ->
       settle eng;
@@ -485,6 +516,8 @@ let suite =
     Alcotest.test_case "agreement oracle mode" `Quick test_oracle_agreement;
     Alcotest.test_case "false alert dismissed, suspect survives" `Quick
       test_false_alert_dismissed;
+    Alcotest.test_case "skipped agreement clears its suspect" `Quick
+      test_skipped_agreement_clears_suspect;
     Alcotest.test_case "repeated false accuser distrusted" `Quick
       test_repeated_false_accuser_distrusted;
     Alcotest.test_case "dependent processes killed, others survive" `Quick

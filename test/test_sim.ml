@@ -520,164 +520,298 @@ let qcheck_heap_filter_preserves_order =
       in
       List.map snd (drain_heap h) = expected)
 
-(* The entry-record heap the flat heap replaced, kept verbatim as a model.
-   Equal keys pop in an order fixed by the layout, and jittered engine
-   runs depend on that order, so the flat heap must go through the same
-   layouts: same 4-ary sifts and tie rule, same grow/shrink policy, same
-   [filter] heapify. *)
-module Model_heap = struct
-  type 'a entry = { time : int64; seq : int; payload : 'a }
-
-  type 'a t = { mutable data : 'a entry array; mutable size : int }
-
-  let create () = { data = [||]; size = 0 }
-
-  let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-  let grow h =
-    let cap = Array.length h.data in
-    if h.size >= cap then begin
-      let ncap = max 16 (2 * cap) in
-      let nd = Array.make ncap h.data.(0) in
-      Array.blit h.data 0 nd 0 h.size;
-      h.data <- nd
-    end
-
-  let shrink h =
-    let cap = Array.length h.data in
-    if cap > 64 && h.size * 4 < cap then begin
-      let ncap = max 16 (2 * h.size) in
-      let nd = Array.make ncap h.data.(0) in
-      Array.blit h.data 0 nd 0 h.size;
-      h.data <- nd
-    end
-
-  let swap h i j =
-    let tmp = h.data.(i) in
-    h.data.(i) <- h.data.(j);
-    h.data.(j) <- tmp
-
-  let rec sift_up h i =
-    if i > 0 then begin
-      let p = (i - 1) / 4 in
-      if before h.data.(i) h.data.(p) then begin
-        swap h i p;
-        sift_up h p
-      end
-    end
-
-  let rec sift_down h i =
-    let first = (4 * i) + 1 in
-    if first < h.size then begin
-      let last = min (first + 3) (h.size - 1) in
-      let m = ref i in
-      for c = first to last do
-        if before h.data.(c) h.data.(!m) then m := c
-      done;
-      if !m <> i then begin
-        swap h i !m;
-        sift_down h !m
-      end
-    end
-
-  let push h ~time ~seq payload =
-    let e = { time; seq; payload } in
-    if h.size = 0 && Array.length h.data = 0 then h.data <- Array.make 16 e;
-    grow h;
-    h.data.(h.size) <- e;
-    h.size <- h.size + 1;
-    sift_up h (h.size - 1)
-
-  let pop h =
-    if h.size = 0 then None
-    else begin
-      let top = h.data.(0) in
-      h.size <- h.size - 1;
-      if h.size > 0 then begin
-        h.data.(0) <- h.data.(h.size);
-        sift_down h 0
-      end;
-      shrink h;
-      Some top
-    end
-
-  let filter h keep =
-    let k = ref 0 in
-    for i = 0 to h.size - 1 do
-      let e = h.data.(i) in
-      if keep e.payload then begin
-        h.data.(!k) <- e;
-        incr k
-      end
-    done;
-    h.size <- !k;
-    for i = (h.size - 2) / 4 downto 0 do
-      sift_down h i
-    done;
-    shrink h
-end
+(* The engine's key for sequence number [s] under jitter draw [r]: the
+   same function [Engine] applies, so the tests below push unique keys
+   that collide in their perturbed bits as often as the engine's do. *)
+let jittered_key s r = ((s lxor r) lsl 3) lor (s land 7)
 
 type heap_op = Push of int * int | Pop | Filter of int
 
-(* Keys are drawn from a tiny space (8 times x 4 seqs) so that equal
-   [(time, seq)] keys are common, as with jittered sequence numbers. *)
+(* Times are drawn from a tiny space (8 instants) so that most pushes
+   land on an instant already queued and the key decides. *)
 let heap_op_gen =
   QCheck.Gen.(
     frequency
-      [ (6, map2 (fun t s -> Push (t, s)) (int_bound 7) (int_bound 3));
+      [ (6, map2 (fun t r -> Push (t, r)) (int_bound 7) (int_bound 7));
         (3, return Pop);
         (1, map (fun m -> Filter m) (int_range 2 5)) ])
 
 let show_heap_op = function
-  | Push (t, s) -> Printf.sprintf "push(%d,%d)" t s
+  | Push (t, r) -> Printf.sprintf "push(%d,%d)" t r
   | Pop -> "pop"
   | Filter m -> Printf.sprintf "filter(mod %d)" m
 
-let qcheck_heap_matches_model =
-  QCheck.Test.make
-    ~name:"heap pops equal keys in the entry-record heap's order"
-    ~count:300
+let qcheck_heap_matches_sorted_list =
+  QCheck.Test.make ~name:"heap matches a sorted list" ~count:300
     (QCheck.make
        ~print:(fun ops -> String.concat " " (List.map show_heap_op ops))
        QCheck.Gen.(list_size (int_range 0 400) heap_op_gen))
     (fun ops ->
-      let h = Sim.Heap.create () and m = Model_heap.create () in
-      let next = ref 0 in
-      let same = ref true in
+      let h = Sim.Heap.create () in
+      (* the model: (time, key, id), sorted; ids are unique payloads *)
+      let model = ref [] in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
       let pop_both () =
-        match Model_heap.pop m with
-        | None -> if not (Sim.Heap.is_empty h) then same := false
-        | Some e ->
-          if Sim.Heap.is_empty h then same := false
-          else begin
-            (* payloads are unique ids, so equal ids mean equal order *)
-            if
-              Sim.Heap.top_time h <> e.Model_heap.time
-              || Sim.Heap.top h <> e.Model_heap.payload
-            then same := false;
-            Sim.Heap.drop_top h
-          end
+        match !model with
+        | [] -> expect (Sim.Heap.is_empty h)
+        | (time, key, id) :: rest ->
+          model := rest;
+          expect
+            ((not (Sim.Heap.is_empty h))
+            && Sim.Heap.top h = id
+            && Sim.Heap.top_time h = Int64.of_int time
+            && Sim.Heap.top_seq h = key);
+          if not (Sim.Heap.is_empty h) then Sim.Heap.drop_top h
       in
-      List.iter
-        (fun op ->
+      List.iteri
+        (fun id op ->
           (match op with
-          | Push (t, s) ->
-            let id = !next in
-            incr next;
-            let time = Int64.of_int (t * 1000) in
-            Sim.Heap.push h ~time ~seq:s id;
-            Model_heap.push m ~time ~seq:s id
+          | Push (t, r) ->
+            let time = t * 1000 and key = jittered_key id r in
+            model := List.merge compare [ (time, key, id) ] !model;
+            Sim.Heap.push h ~time:(Int64.of_int time) ~seq:key id
           | Pop -> pop_both ()
           | Filter md ->
-            Sim.Heap.filter h (fun id -> id mod md <> 0);
-            Model_heap.filter m (fun id -> id mod md <> 0));
-          if Sim.Heap.capacity h <> Array.length m.Model_heap.data then
-            same := false)
+            let keep id = id mod md <> 0 in
+            let seen = ref 0 in
+            Sim.Heap.filter h (fun id ->
+                incr seen;
+                keep id);
+            expect (!seen = List.length !model);
+            model := List.filter (fun (_, _, id) -> keep id) !model);
+          expect (Sim.Heap.length h = List.length !model);
+          expect (Sim.Heap.capacity h >= Sim.Heap.length h))
         ops;
-      while m.Model_heap.size > 0 || not (Sim.Heap.is_empty h) do
+      while !model <> [] do
         pop_both ()
       done;
-      !same)
+      expect (Sim.Heap.is_empty h);
+      !ok)
+
+(* A random thread program for the engine property below. Delays, timer
+   and timeout lengths are multiples of 100 ns from a tiny range, so many
+   events share an instant and their keys decide the order. *)
+type eng_op =
+  | Op_delay of int
+  | Op_timer of int
+  | Op_cancel  (** cancel this thread's latest uncancelled timer *)
+  | Op_send of int  (** to thread [j mod n]'s mailbox *)
+  | Op_recv of int option  (** receive, with an optional timeout *)
+
+let eng_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (4, map (fun d -> Op_delay d) (int_bound 3));
+        (2, map (fun d -> Op_timer d) (int_bound 3));
+        (1, return Op_cancel);
+        (2, map (fun j -> Op_send j) (int_bound 3));
+        (2, map (fun t -> Op_recv t) (opt (int_range 1 3))) ])
+
+let show_eng_op = function
+  | Op_delay d -> Printf.sprintf "delay %d" d
+  | Op_timer d -> Printf.sprintf "timer %d" d
+  | Op_cancel -> "cancel"
+  | Op_send j -> Printf.sprintf "send %d" j
+  | Op_recv None -> "recv"
+  | Op_recv (Some d) -> Printf.sprintf "recv~%d" d
+
+(* Each note is [(time, thread, what)]. *)
+let run_on_engine jitter progs =
+  let eng = Sim.Engine.create () in
+  Option.iter
+    (fun s -> Sim.Engine.set_jitter eng (Some (Sim.Prng.of_int64 s)))
+    jitter;
+  let n = Array.length progs in
+  let boxes = Array.init n (fun _ -> Sim.Mailbox.create ()) in
+  let trace = ref [] in
+  let note i what = trace := (Sim.Engine.now eng, i, what) :: !trace in
+  Array.iteri
+    (fun i prog ->
+      ignore
+        (Sim.Engine.spawn eng (fun () ->
+             let timers = ref [] in
+             List.iteri
+               (fun k op ->
+                 match op with
+                 | Op_delay d ->
+                   Sim.Engine.delay (Int64.of_int (100 * d));
+                   note i "woke"
+                 | Op_timer d ->
+                   timers :=
+                     Sim.Engine.timer eng
+                       ~after:(Int64.of_int (100 * d))
+                       (fun () -> note i (Printf.sprintf "timer %d" k))
+                     :: !timers
+                 | Op_cancel -> (
+                   match !timers with
+                   | tm :: rest ->
+                     Sim.Engine.cancel tm;
+                     timers := rest
+                   | [] -> ())
+                 | Op_send j -> Sim.Mailbox.send eng boxes.(j mod n) (i, k)
+                 | Op_recv timeout -> (
+                   let timeout =
+                     Option.map (fun d -> Int64.of_int (100 * d)) timeout
+                   in
+                   match Sim.Mailbox.receive ?timeout eng boxes.(i) with
+                   | Some (from, k') -> note i (Printf.sprintf "got %d.%d" from k')
+                   | None -> note i "timed out"))
+               prog)))
+    progs;
+  Sim.Engine.run eng;
+  (List.rev !trace, Sim.Engine.events_scheduled eng)
+
+(* The reference: a sorted list of [(time, key)] events, with threads as
+   explicit program counters instead of continuations, and the engine's
+   key rule written out. It checks that each event pops as the unique
+   smallest key queued at that moment. *)
+module Reference = struct
+  type ev = { time : int; key : int; mutable dead : bool; act : unit -> unit }
+
+  type state = Running | Waiting of ev option | Resuming
+
+  type thread = {
+    mutable rest : (int * eng_op) list;
+    mutable state : state;
+    box : (int * int) Queue.t;
+    mutable timers : ev list;
+  }
+
+  let run jitter progs =
+    let prng = Option.map Sim.Prng.of_int64 jitter in
+    let now = ref 0 and seq = ref 0 and queue = ref [] in
+    let keys = Hashtbl.create 64 and ok = ref true in
+    let trace = ref [] in
+    let note i what = trace := (Int64.of_int !now, i, what) :: !trace in
+    let schedule after act =
+      incr seq;
+      let key =
+        match prng with
+        | None -> !seq
+        | Some p -> jittered_key !seq (Sim.Prng.int p 8)
+      in
+      if Hashtbl.mem keys key then ok := false;
+      Hashtbl.replace keys key ();
+      let e = { time = !now + after; key; dead = false; act } in
+      let before a b = (a.time, a.key) < (b.time, b.key) in
+      let rec ins = function
+        | x :: rest when before x e -> x :: ins rest
+        | l -> e :: l
+      in
+      queue := ins !queue;
+      e
+    in
+    let n = Array.length progs in
+    let threads =
+      Array.map
+        (fun prog ->
+          { rest = List.mapi (fun k op -> (k, op)) prog;
+            state = Running;
+            box = Queue.create ();
+            timers = [] })
+        progs
+    in
+    let rec step i =
+      let th = threads.(i) in
+      match th.rest with
+      | [] -> ()
+      | (k, op) :: rest -> (
+        th.rest <- rest;
+        match op with
+        | Op_delay 0 ->
+          note i "woke";
+          step i
+        | Op_delay d ->
+          ignore
+            (schedule (100 * d) (fun () ->
+                 note i "woke";
+                 step i))
+        | Op_timer d ->
+          th.timers <-
+            schedule (100 * d) (fun () -> note i (Printf.sprintf "timer %d" k))
+            :: th.timers;
+          step i
+        | Op_cancel ->
+          (match th.timers with
+          | e :: rest ->
+            e.dead <- true;
+            th.timers <- rest
+          | [] -> ());
+          step i
+        | Op_send j ->
+          let j = j mod n in
+          let dst = threads.(j) in
+          (match dst.state with
+          | Waiting timeout ->
+            Option.iter (fun e -> e.dead <- true) timeout;
+            dst.state <- Resuming;
+            ignore
+              (schedule 0 (fun () ->
+                   dst.state <- Running;
+                   note j (Printf.sprintf "got %d.%d" i k);
+                   step j))
+          | Running | Resuming -> Queue.push (i, k) dst.box);
+          step i
+        | Op_recv timeout -> (
+          match Queue.take_opt th.box with
+          | Some (from, k') ->
+            note i (Printf.sprintf "got %d.%d" from k');
+            step i
+          | None ->
+            let wake () =
+              match th.state with
+              | Waiting _ ->
+                th.state <- Resuming;
+                ignore
+                  (schedule 0 (fun () ->
+                       th.state <- Running;
+                       note i "timed out";
+                       step i))
+              | Running | Resuming -> ()
+            in
+            th.state <-
+              Waiting (Option.map (fun d -> schedule (100 * d) wake) timeout)))
+    in
+    Array.iteri (fun i _ -> ignore (schedule 0 (fun () -> step i))) threads;
+    let rec loop () =
+      match !queue with
+      | [] -> ()
+      | e :: rest ->
+        (match rest with
+        | next :: _ when (next.time, next.key) <= (e.time, e.key) ->
+          ok := false
+        | _ -> ());
+        queue := rest;
+        now := e.time;
+        if not e.dead then e.act ();
+        loop ()
+    in
+    loop ();
+    (List.rev !trace, !seq, !ok)
+end
+
+let qcheck_engine_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (opt ~ratio:0.8 (map Int64.of_int int))
+        (array_size (int_range 1 4) (list_size (int_range 0 30) eng_op_gen)))
+  in
+  let print (jitter, progs) =
+    Printf.sprintf "jitter %s; %s"
+      (match jitter with None -> "off" | Some s -> Int64.to_string s)
+      (String.concat " | "
+         (Array.to_list
+            (Array.map
+               (fun p -> String.concat ", " (List.map show_eng_op p))
+               progs)))
+  in
+  QCheck.Test.make ~name:"engine order matches a reference"
+    ~count:300 (QCheck.make ~print gen) (fun (jitter, progs) ->
+      let trace, events = run_on_engine jitter progs in
+      let ref_trace, ref_events, unique_min = Reference.run jitter progs in
+      unique_min && events = ref_events && trace = ref_trace)
 
 (* Draining a large heap must release its peak allocation: a long-lived
    engine should not pin the backing array of its largest campaign. *)
@@ -806,12 +940,10 @@ let qcheck_mailbox_preserves_messages =
       Sim.Engine.run eng;
       List.rev !got = msgs)
 
-(* With jitter, colliding sequence numbers make pop order depend on the
-   heap's layout, so the engine must keep the event queue's exact history
-   (no inline wake-ups). The trace of this jittered run is pinned: the
-   digest is the one the entry-record heap and always-queued delays
-   produced. Inlining wake-ups here, or changing the heap's tie rule,
-   changes it. *)
+(* A jittered run's order is a function of the seed and the key rule
+   alone, so its trace is pinned: the digest changes only when the key
+   rule, the draws or the primitives' scheduling change. Inline wake-ups
+   and the heap's front slot run here and must not move it. *)
 let test_jittered_engine_order_pinned () =
   let eng = Sim.Engine.create () in
   Sim.Engine.set_jitter eng (Some (Sim.Prng.of_int64 0xeL));
@@ -834,7 +966,7 @@ let test_jittered_engine_order_pinned () =
   done;
   Sim.Engine.run eng;
   Alcotest.(check int) "events" 1016 (Sim.Engine.events_scheduled eng);
-  Alcotest.(check string) "trace digest" "36c96090ddd0bbc41056989f8122d8a6"
+  Alcotest.(check string) "trace digest" "4c10edf7279c4fffbbdad395b8fe910c"
     (Digest.to_hex (Digest.string (Buffer.contents trace)))
 
 let suite =
@@ -885,7 +1017,8 @@ let suite =
       test_foreign_domain_rejected;
     QCheck_alcotest.to_alcotest qcheck_heap_ordered;
     QCheck_alcotest.to_alcotest qcheck_heap_filter_preserves_order;
-    QCheck_alcotest.to_alcotest qcheck_heap_matches_model;
+    QCheck_alcotest.to_alcotest qcheck_heap_matches_sorted_list;
+    QCheck_alcotest.to_alcotest qcheck_engine_matches_reference;
     QCheck_alcotest.to_alcotest qcheck_bucket_of_ns_matches_reference;
     QCheck_alcotest.to_alcotest qcheck_prng_bounds;
     QCheck_alcotest.to_alcotest qcheck_prng_int_matches_remainder;
