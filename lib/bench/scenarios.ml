@@ -448,7 +448,7 @@ let run_salvage_ab (dims : dims) =
     (Hive.System.run_until sys
        ~deadline:(Int64.add (Sim.Engine.now eng) 5_000_000_000L)
        (fun () ->
-         (not sys.Hive.Types.recovery_in_progress)
+         (not (Hive.Types.recovery_in_progress sys))
          && sys.Hive.Types.recovery_events <> []));
   let salvaged =
     Sim.Stats.value c0.Hive.Types.counters "vm.salvaged_pages"
@@ -674,7 +674,7 @@ let run_scale (dims : dims) =
     Hive.System.run_until sys
       ~deadline:(Int64.add (Sim.Engine.now eng) 30_000_000_000L)
       (fun () ->
-        (not sys.Hive.Types.recovery_in_progress) && unified sys dims)
+        (not (Hive.Types.recovery_in_progress sys)) && unified sys dims)
   in
   (* Recovery ends at the first reintegration on the kernel's recovery
      timeline, not at the end of the build, which usually outlives it. *)
@@ -1229,7 +1229,7 @@ let run_ablations (dims : dims) =
       (Hive.System.run_until sys
          ~deadline:(Int64.add t0 10_000_000_000L)
          (fun () ->
-           (not sys.Hive.Types.recovery_in_progress)
+           (not (Hive.Types.recovery_in_progress sys))
            && sys.Hive.Types.recovery_events <> []));
     match Hive.System.detection_latency_ns sys ~t_fault:t0 with
     | Some ns -> Int64.to_float ns /. 1e6

@@ -120,7 +120,7 @@ let sever_cell (sys : Hive.Types.system) ~cell ~from_ns ~until_ns ~one_way =
    through barrier 2 and the master's diagnostics). *)
 let rec await_barrier1 (sys : Hive.Types.system) ~since tries =
   let past_barrier1 =
-    sys.Hive.Types.recovery_round_active
+    Option.is_some sys.Hive.Types.round
     && List.exists
          (fun (phase, t) ->
            phase = "recovery.barrier1" && Int64.compare t since >= 0)
@@ -273,7 +273,7 @@ let run_test ?(seed = 1) ?sys ~workload fault =
     (Hive.System.run_until sys
        ~deadline:(Int64.add (Sim.Engine.now eng) 3_000_000_000L)
        (fun () ->
-         (not sys.Hive.Types.recovery_in_progress)
+         (not (Hive.Types.recovery_in_progress sys))
          && (sys.Hive.Types.recovery_events <> [] || snd !injection = [])));
   let t_inject, injected_cells = !injection in
   let detection_ms =

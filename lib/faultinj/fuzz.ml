@@ -418,7 +418,7 @@ let run_plan ?plant ?trace_out ?metrics_out plan =
      if Int64.compare (Hive.System.now eng) horizon < 0 then
        ignore (Hive.System.run_until sys ~deadline:horizon (fun () -> false));
      let quiesced () =
-       (not sys.Hive.Types.recovery_in_progress)
+       (not (Hive.Types.recovery_in_progress sys))
        && Array.for_all Hive.Types.cell_alive sys.Hive.Types.cells
      in
      let wait_quiesce what =

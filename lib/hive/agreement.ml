@@ -131,46 +131,45 @@ let bump_false_alerts (c : Types.cell) accuser =
   c.Types.false_alerts <-
     (accuser, n + 1) :: List.remove_assoc accuser c.Types.false_alerts
 
-(* Does the recovery already in flight reach this cell? If the accuser is
-   partitioned from every participant, that recovery cannot observe (or
-   excise) anything on this side — the accuser must run its own round
-   rather than silently deferring to a recovery it cannot see. *)
+(* Does the recovery in flight (every running vote's electorate and the
+   active round) reach this cell? If the accuser is partitioned from all
+   of them, it cannot observe (or excise) anything on this side — the
+   accuser must run its own round rather than silently deferring. *)
 let standing_recovery_reaches (sys : Types.system) (accuser : Types.cell) =
+  let reaches p =
+    p <> accuser.Types.cell_id
+    && not (Careful_ref.partitioned sys accuser ~target:p)
+  in
   List.exists
-    (fun p ->
-      p <> accuser.Types.cell_id
-      && not (Careful_ref.partitioned sys accuser ~target:p))
-    sys.Types.recovery_participants
+    (fun (a : Types.agreement) -> List.exists reaches a.Types.electorate)
+    sys.Types.agreements
+  ||
+  match sys.Types.round with
+  | Some r -> List.exists reaches r.Types.participants
+  | None -> false
 
-let forget_suspect (accuser : Types.cell) suspect =
-  accuser.Types.suspected <-
-    List.filter (fun s -> s <> suspect) accuser.Types.suspected
-
-(* Run one agreement round from the accusing cell. *)
-let run (sys : Types.system) (accuser : Types.cell) ~suspect ~reason =
+(* Run the vote of agreement [a] from the accusing cell, in the thread
+   that owns [a]. A vote that is skipped just returns: the thread's exit
+   hook drops [a], so the cell can hint against the suspect again. *)
+let run (sys : Types.system) (accuser : Types.cell) (a : Types.agreement)
+    ~reason =
+  let suspect = a.Types.suspect in
   let skip =
     (not (Types.cell_alive accuser))
-    || sys.Types.recovery_in_progress
-       && (accuser.Types.in_recovery || standing_recovery_reaches sys accuser)
+    || Types.recovery_in_progress sys
+       && (Types.in_recovery sys accuser
+          || standing_recovery_reaches sys accuser)
   in
-  if skip then
-    (* [Failure.handle_hint] marked the suspect before spawning this
-       round. A round that never runs must unmark it, or this cell never
-       hints against that suspect again. *)
-    forget_suspect accuser suspect
-  else begin
-    sys.Types.recovery_in_progress <- true;
-    (* Publish the round's electorate: a later hint on a partitioned cell
-       consults it to decide whether this round can possibly reach it. *)
-    sys.Types.recovery_participants <-
-      List.filter (fun id -> id <> suspect) accuser.Types.live_set;
+  if not skip then begin
+    let voters = List.filter (fun id -> id <> suspect) accuser.Types.live_set in
+    (* Publish the electorate: a later hint on a partitioned cell consults
+       it to decide whether this vote can possibly reach it. *)
+    a.Types.electorate <- voters;
+    Types.sync_in_progress sys;
     Types.sys_bump sys Count.rounds;
     Types.note_phase sys ~cell:accuser.Types.cell_id "recovery.agreement"
       ?args:(Types.suspect_args sys ~suspect ~reason);
     Gate.close sys accuser;
-    let voters =
-      List.filter (fun id -> id <> suspect) accuser.Types.live_set
-    in
     let votes_dead = ref 0 and votes_alive = ref 0 in
     let votes_unreachable = ref 0 in
     (* Voters that never answered, split by what their silence means:
@@ -231,15 +230,12 @@ let run (sys : Types.system) (accuser : Types.cell) ~suspect ~reason =
          dead: this accuser is on the minority side of a partition. *)
       Types.sys_bump sys Count.no_quorum;
       Types.note_phase sys ~cell:accuser.Types.cell_id "recovery.standdown";
-      if not sys.Types.recovery_round_active then
-        sys.Types.recovery_in_progress <- false;
       Panic.panic sys accuser "partition: minority side, standing down"
     end
     else begin
       (* Dismissed: reopen gates everywhere and note the false alert. *)
       Types.sys_bump sys Count.dismissed;
       bump_false_alerts accuser accuser.Types.cell_id;
-      forget_suspect accuser suspect;
       List.iter
         (fun voter_id ->
           if voter_id <> accuser.Types.cell_id then
@@ -247,8 +243,7 @@ let run (sys : Types.system) (accuser : Types.cell) ~suspect ~reason =
               (Rpc.call sys ~from:accuser ~target:voter_id ~op:dismiss_op
                  (P_dismiss { accuser = accuser.Types.cell_id })))
         voters;
-      Gate.open_ sys accuser;
-      sys.Types.recovery_in_progress <- false
+      Gate.open_ sys accuser
     end
   end
 
@@ -262,7 +257,7 @@ let watchdog_timeout_ns = 2_000_000_000L
 let watchdog_reopen (sys : Types.system) (cell : Types.cell) =
   let rec check () =
     if Types.cell_alive cell && not cell.Types.user_gate_open then begin
-      if sys.Types.recovery_in_progress || cell.Types.in_recovery then
+      if Types.recovery_in_progress sys then
         Sim.Engine.schedule sys.Types.eng ~after:watchdog_timeout_ns check
       else begin
         Types.bump cell Count.watchdog_reopens;

@@ -23,18 +23,7 @@
    broadcast-vote protocol and an oracle mode for reproducing the paper's
    experimental setup. *)
 
-type verdict = V_alive | V_dead | V_unreachable
-
-type Types.payload +=
-    P_vote_req of { suspect : Types.cell_id;
-      accuser : Types.cell_id;
-    }
-  | P_vote of { verdict : verdict; }
-  | P_dismiss of { accuser : Types.cell_id; }
-val vote_op : Rpc.Op.t
 val ping_op : Rpc.Op.t
-val dismiss_op : Rpc.Op.t
-val probe_timeout_ns : int64
 
 (** One agreement round's tallies, and the confirmation decision as a
     pure function of them — the exact rule the live protocol applies,
@@ -53,11 +42,12 @@ type tally = {
 }
 
 val quorum_confirms : quorum_check:bool -> tally -> bool
-val oracle_dead : Types.system -> int -> bool
-val probe :
-  Types.system -> Types.cell -> Types.cell_id -> verdict
 val false_alert_count : Types.cell -> Types.cell_id -> int
-val bump_false_alerts : Types.cell -> Types.cell_id -> unit
+
+(** Run the vote of an agreement from its accuser, in the thread that owns
+    it (the thread whose exit hook removes it from [sys.agreements]). The
+    vote is skipped when a standing recovery already reaches the accuser;
+    otherwise it sets the electorate and confirms, dismisses or stands
+    down. *)
 val run :
-  Types.system ->
-  Types.cell -> suspect:Types.cell_id -> reason:string -> unit
+  Types.system -> Types.cell -> Types.agreement -> reason:string -> unit

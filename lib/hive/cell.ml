@@ -75,10 +75,8 @@ let make (mcfg : Flash.Config.t) ~id ~nodes : Types.cell =
     swap_table = Hashtbl.create 64;
     swap_blocks_used = 0;
     swap_free_blocks = [];
-    suspected = [];
     false_alerts = [];
-    in_recovery = false;
-    recovery_active = false;
+    recovery_thread = None;
     alloc_preference = [];
     clock_hand_targets = [];
     swap_hint = 0;

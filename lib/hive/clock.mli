@@ -7,14 +7,9 @@
    This detects hardware failures that halt processors but not entire
    nodes, as well as kernel deadlocks and interrupt losses. *)
 
-val clock_value : Types.system -> Types.cell -> int64
 val read_peer_clock :
   Types.system ->
   Types.cell ->
   target:Types.cell_id ->
   (int64, Careful_ref.failure_reason) result
-val monitored_peer : Types.cell -> Types.cell_id option
-val hint :
-  Types.system ->
-  Types.cell -> Types.cell_id -> string -> unit
 val start : Types.system -> Types.cell -> unit

@@ -30,7 +30,7 @@ let observably_down (sys : Types.system) suspect =
 
 let handle_hint (sys : Types.system) (reporter : Types.cell) ~suspect ~reason =
   if not (Types.cell_alive reporter) || suspect = reporter.Types.cell_id then ()
-  else if sys.Types.recovery_in_progress then begin
+  else if Types.recovery_in_progress sys then begin
     (* Mid-recovery hint: per-phase RPC timeouts and clock monitoring keep
        firing while a round runs. Escalate only when the suspect is a
        participant that has demonstrably stopped; [Recovery.cell_died]
@@ -48,20 +48,27 @@ let handle_hint (sys : Types.system) (reporter : Types.cell) ~suspect ~reason =
     end
   end
   else if
-    (not reporter.Types.in_recovery)
-    && List.mem suspect reporter.Types.live_set
-    && not (List.mem suspect reporter.Types.suspected)
+    List.mem suspect reporter.Types.live_set
+    && not (Types.suspects sys ~accuser:reporter.Types.cell_id ~suspect)
   then begin
-    reporter.Types.suspected <- suspect :: reporter.Types.suspected;
+    let a =
+      { Types.accuser = reporter.Types.cell_id; suspect; electorate = [] }
+    in
+    sys.Types.agreements <- a :: sys.Types.agreements;
     Types.bump reporter Count.hints;
     Types.note_phase sys ~cell:reporter.Types.cell_id "recovery.hint"
       ?args:(Types.suspect_args sys ~suspect ~reason);
     (* Run agreement from a fresh kernel thread: hints fire from fault
-       paths and interrupt handlers that must not block for milliseconds. *)
+       paths and interrupt handlers that must not block for milliseconds.
+       The thread owns the agreement: however it exits, its exit hook
+       removes it. *)
     let thr =
       Sim.Engine.spawn sys.Types.eng
         ~name:(Printf.sprintf "cell%d.agreement" reporter.Types.cell_id)
-        (fun () -> Agreement.run sys reporter ~suspect ~reason)
+        ~on_exit:(fun () ->
+          sys.Types.agreements <- List.filter (( != ) a) sys.Types.agreements;
+          Types.sync_in_progress sys)
+        (fun () -> Agreement.run sys reporter a ~reason)
     in
     reporter.Types.kernel_threads <- thr :: reporter.Types.kernel_threads
   end

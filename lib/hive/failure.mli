@@ -10,11 +10,7 @@
    observably stopped escalate into a round restart ({!Recovery.cell_died})
    instead of running agreement. *)
 
-(** Is the suspect's kernel stopped or its hardware failed? Used to decide
-    whether a mid-recovery hint is a nested failure. *)
-val observably_down : Types.system -> Types.cell_id -> bool
-
-val handle_hint :
-  Types.system ->
-  Types.cell -> suspect:Types.cell_id -> reason:string -> unit
+(** Install the hint handler ([sys.on_hint]): a hint outside recovery
+    adds an agreement to [sys.agreements] and spawns the thread that owns
+    it, and its exit hook removes it. *)
 val install : Types.system -> unit

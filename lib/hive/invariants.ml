@@ -5,8 +5,9 @@
    bookkeeping and never names a dead cell; COW trees reachable from live
    processes are acyclic and well-formed; page reference counts match the
    mappings that exist; every RPC a client started completes with a reply
-   or a dead-peer error; and outside recovery every live cell has its
-   user gate open and its recovery flags clear.
+   or a dead-peer error; outside recovery every live cell has its user
+   gate open and no recovery thread; and recovery in flight is always
+   driven by a live thread.
 
    All checks read simulator state directly ([Flash.Memory.peek], pfdat
    tables, hashtables): they charge no simulated time and can run outside
@@ -326,21 +327,15 @@ let check_refcounts (_sys : Types.system) ~cells =
 let check_gate (sys : Types.system) =
   let bad = ref [] in
   let note x = bad := x :: !bad in
-  if sys.Types.recovery_round_active then
-    note (v "gate-state" "recovery round marked active at quiesce");
   List.iter
     (fun (c : Types.cell) ->
       if not c.Types.user_gate_open then
         note
           (v "gate-state" "cell %d: user gate closed outside recovery"
              c.Types.cell_id);
-      if c.Types.in_recovery then
+      if Option.is_some c.Types.recovery_thread then
         note
-          (v "gate-state" "cell %d: in_recovery set outside recovery"
-             c.Types.cell_id);
-      if c.Types.recovery_active then
-        note
-          (v "gate-state" "cell %d: recovery thread marked active at quiesce"
+          (v "gate-state" "cell %d: recovery thread still running at quiesce"
              c.Types.cell_id);
       (* Live-set agreement: every live cell sees exactly the live cells. *)
       Array.iter
@@ -506,7 +501,7 @@ let check_single_master (sys : Types.system) =
   List.iter
     (fun detail -> bad := { inv = "single-master"; detail } :: !bad)
     sys.Types.master_overlaps;
-  if not sys.Types.recovery_in_progress then
+  if not (Types.recovery_in_progress sys) then
     List.iter
       (fun id ->
         if Types.cell_alive sys.Types.cells.(id) then
@@ -517,6 +512,49 @@ let check_single_master (sys : Types.system) =
             :: !bad)
       sys.Types.masters_active;
   List.rev !bad
+
+(* ---------- recovery liveness ---------- *)
+
+(* Recovery that no live thread drives never ends: an active round needs
+   a live participant running its recovery thread, and a down cell still
+   in a live set needs an agreement against it or a round that has it
+   dead, or nobody will excise it. Checked even while recovery is in
+   progress. *)
+let check_recovery_liveness (sys : Types.system) =
+  let live = live_cells sys in
+  let stalled =
+    match sys.Types.round with
+    | Some _ when not (List.exists (Types.in_recovery sys) live) ->
+      [ v "recovery-liveness"
+          "round %d is active but no live participant runs its recovery"
+          sys.Types.recovery_round ]
+    | Some _ | None -> []
+  in
+  let covered id =
+    List.exists
+      (fun (a : Types.agreement) -> a.Types.suspect = id)
+      sys.Types.agreements
+    ||
+    match sys.Types.round with
+    | Some r -> List.mem id r.Types.dead
+    | None -> false
+  in
+  let in_live_set id =
+    List.find_opt (fun (c : Types.cell) -> List.mem id c.Types.live_set) live
+  in
+  stalled
+  @ List.filter_map
+      (fun (d : Types.cell) ->
+        let id = d.Types.cell_id in
+        match in_live_set id with
+        | Some c when d.Types.cstatus = Types.Cell_down && not (covered id) ->
+          Some
+            (v "recovery-liveness"
+               "cell %d is down and in cell %d's live set, but no agreement \
+                suspects it and no round has it dead"
+               id c.Types.cell_id)
+        | Some _ | None -> None)
+      (Array.to_list sys.Types.cells)
 
 (* ---------- salvage coherence ---------- *)
 
@@ -584,8 +622,8 @@ let check ?(exempt = []) (sys : Types.system) =
   (* The split-brain latch is checked unconditionally: it records
      violations that already happened, so an in-flight recovery is no
      excuse to look away. *)
-  let sb = check_single_master sys in
-  if sys.Types.recovery_in_progress then sb
+  let sb = check_single_master sys @ check_recovery_liveness sys in
+  if Types.recovery_in_progress sys then sb
   else begin
     (* Per-cell checks skip the exempt cells: deliberate corruption of a
        cell's own state is the injected fault, not a containment failure;

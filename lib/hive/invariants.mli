@@ -18,8 +18,9 @@ type violation = {
 
 val to_string : violation -> string
 
-(** Run every instantaneous checker. A no-op (returns []) while recovery is
-    in progress: the properties only hold at quiesce points.
+(** Run every instantaneous checker. While recovery is in progress only
+    {!check_single_master} and {!check_recovery_liveness} run: the other
+    properties only hold at quiesce points.
 
     [exempt] lists cells whose kernel data was deliberately corrupted or
     destroyed (fault-injection victims, cells that failed and were
@@ -66,6 +67,11 @@ val check_import_cache :
     outside any recovery. Checked by {!check} unconditionally — even
     while recovery is in progress. *)
 val check_single_master : Types.system -> violation list
+
+(** An active round has a live participant running its recovery thread,
+    and a down cell in a live cell's live set is the suspect of an
+    agreement or in the round's dead set. {!check} runs it always. *)
+val check_recovery_liveness : Types.system -> violation list
 
 (** Page-table coherence: the import index lists exactly the extended
     pfdats bound in the cell's page table, in any order, and every

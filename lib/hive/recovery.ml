@@ -17,6 +17,7 @@
    the surviving cells restart the round with the enlarged dead set; the
    round counter [sys.recovery_round] names the current attempt, and each
    participant loops until it completes a round that is still current.
+   The round is [sys.round] until the master completes it.
 
    At the end of a round a recovery master is elected from the new live
    set; it runs hardware diagnostics on the failed nodes and (if they
@@ -50,16 +51,47 @@ module Count = struct
       ~doc:"recovery rounds a cell took part in"
 end
 
-type Types.payload +=
-  | P_recovery_start of { dead : Types.cell_id list }
-
-let start_op = Rpc.Op.declare "recovery.start"
-
 let diagnostics_ns = 18_000_000L
 
 (* Poll period while waiting for a partition to heal so an excised
    still-running cell can be stopped and reintegrated. *)
 let reclaim_poll_ns = 50_000_000L
+
+(* The master repairs and reintegrates every failed cell. A confirmed-dead
+   cell still running on the far side of a partition cannot be stopped or
+   rebooted yet: leave it excised and poll until the partition heals,
+   then stop it and reboot it into the new live set — healed halves
+   reconcile into one live set instead of two. [on_defer] and [on_settle]
+   bracket each deferred reclaim. *)
+let reintegrate_dead (sys : Types.system) (c : Types.cell) ~dead ~on_defer
+    ~on_settle =
+  let reintegrate_now d =
+    Types.note_phase sys ~cell:c.Types.cell_id "recovery.reintegrate";
+    Types.sys_bump sys Count.reintegrated;
+    match sys.Types.reintegrate_fn with Some f -> f d | None -> ()
+  in
+  let rec reclaim ~deferred d =
+    let up = sys.Types.cells.(d).Types.cstatus <> Types.Cell_down in
+    if deferred && not (Types.cell_alive c && not (List.mem d c.Types.live_set))
+    then on_settle () (* someone else reclaimed it, or we died *)
+    else if up && Careful_ref.partitioned sys c ~target:d then begin
+      if not deferred then begin
+        Types.note_phase sys ~cell:c.Types.cell_id "recovery.reclaim_deferred";
+        on_defer ()
+      end;
+      Sim.Engine.schedule sys.Types.eng ~after:reclaim_poll_ns (fun () ->
+          reclaim ~deferred:true d)
+    end
+    else begin
+      if up then
+        Panic.panic sys sys.Types.cells.(d)
+          (if deferred then "partition healed: stopped for reintegration"
+           else "declared failed by distributed agreement");
+      reintegrate_now d;
+      if deferred then on_settle ()
+    end
+  in
+  List.iter (reclaim ~deferred:false) (List.sort compare dead)
 
 (* The per-cell recovery algorithm, run in its own kernel thread. It loops
    until it completes a round that is still the current one: any barrier
@@ -80,11 +112,11 @@ let recovery_sequence (sys : Types.system) (c : Types.cell) =
     if !deferred_reclaims = 0 then Types.master_end sys c.Types.cell_id
   in
   let rec round () =
+    (* The round may have ended before this thread joined it. *)
+    match sys.Types.round with None -> () | Some r -> run r
+  and run (r : Types.round) =
     let round_no = sys.Types.recovery_round in
-    let dead = sys.Types.recovery_dead in
-    let b1 = sys.Types.recovery_barrier1 in
-    let b2 = sys.Types.recovery_barrier2 in
-    c.Types.in_recovery <- true;
+    let dead = r.Types.dead in
     Gate.close sys c;
     Types.bump c Count.rounds;
     c.Types.live_set <-
@@ -101,31 +133,18 @@ let recovery_sequence (sys : Types.system) (c : Types.cell) =
     let note ?args phase =
       if is_master then Types.note_phase sys ~cell:c.Types.cell_id ?args phase
     in
-    let await b =
-      match b with
-      | Some b -> Sim.Barrier.await_abortable eng b
-      | None -> Sim.Barrier.Released
-    in
-    (* A barrier abort (or a stale round counter) means the round was
-       restarted: go again with the enlarged dead set if this cell is still
-       a participant. *)
+    (* A barrier abort means the round was restarted: go again with the
+       enlarged dead set if this cell is still a participant. *)
     let restart () =
       if Types.cell_alive c && sys.Types.recovery_round <> round_no then begin
         Types.bump c Count.round_restarts;
         round ()
       end
-      else begin
-        (* Defensive: an abort without a restart (or our own death) must
-           not leave the cell gated forever. *)
-        Types.master_end sys c.Types.cell_id;
-        c.Types.in_recovery <- false;
-        if Types.cell_alive c then Gate.open_ sys c
-      end
     in
     (* Phase 1: TLB flush + removal of remote mappings and import bindings. *)
     Vm.flush_remote_bindings ~dead sys c;
     Sim.Engine.delay Params.recovery_phase_ns;
-    match await b1 with
+    match Sim.Barrier.await_abortable eng r.Types.barrier1 with
     | Sim.Barrier.Aborted -> restart ()
     | Sim.Barrier.Released -> (
       note "recovery.barrier1";
@@ -157,7 +176,7 @@ let recovery_sequence (sys : Types.system) (c : Types.cell) =
           end)
         c.Types.processes;
       Sim.Engine.delay Params.recovery_phase_ns;
-      match await b2 with
+      match Sim.Barrier.await_abortable eng r.Types.barrier2 with
       | Sim.Barrier.Aborted -> restart ()
       | Sim.Barrier.Released ->
         if sys.Types.recovery_round <> round_no then
@@ -166,8 +185,6 @@ let recovery_sequence (sys : Types.system) (c : Types.cell) =
         else begin
           note "recovery.barrier2";
           (* Back to normal operation. *)
-          c.Types.suspected <- [];
-          c.Types.in_recovery <- false;
           Gate.open_ sys c;
           note "recovery.resume";
           (* The recovery master finishes the round. *)
@@ -202,69 +219,16 @@ let recovery_sequence (sys : Types.system) (c : Types.cell) =
                 round ()
               else begin
                 (* Diagnostics passed: repair and reintegrate every failed
-                   cell, then declare the recovery over. A confirmed-dead
-                   cell still running on the far side of a partition cannot
-                   be stopped or rebooted yet: leave it excised and poll
-                   until the partition heals, then stop it and reboot it
-                   into the new live set — healed halves reconcile into one
-                   live set instead of two. *)
-                (if p.Params.auto_reintegrate then begin
-                   let reintegrate_now d =
-                     Types.note_phase sys ~cell:c.Types.cell_id
-                       "recovery.reintegrate";
-                     Types.sys_bump sys Count.reintegrated;
-                     match sys.Types.reintegrate_fn with
-                     | Some f -> f d
-                     | None -> ()
-                   in
-                   let rec reclaim d =
-                     let dc = sys.Types.cells.(d) in
-                     if Types.cell_alive c && not (List.mem d c.Types.live_set)
-                     then begin
-                       if
-                         dc.Types.cstatus <> Types.Cell_down
-                         && Careful_ref.partitioned sys c ~target:d
-                       then
-                         Sim.Engine.schedule eng ~after:reclaim_poll_ns
-                           (fun () -> reclaim d)
-                       else begin
-                         if dc.Types.cstatus <> Types.Cell_down then
-                           Panic.panic sys dc
-                             "partition healed: stopped for reintegration";
-                         reintegrate_now d;
-                         decr deferred_reclaims;
-                         release_mastership ()
-                       end
-                     end
-                     else begin
-                       (* Someone else reclaimed it (or we died): done. *)
-                       decr deferred_reclaims;
-                       release_mastership ()
-                     end
-                   in
-                   List.iter
-                     (fun d ->
-                       let dc = sys.Types.cells.(d) in
-                       if dc.Types.cstatus = Types.Cell_down then
-                         reintegrate_now d
-                       else if not (Careful_ref.partitioned sys c ~target:d)
-                       then begin
-                         Panic.panic sys dc
-                           "declared failed by distributed agreement";
-                         reintegrate_now d
-                       end
-                       else begin
-                         Types.note_phase sys ~cell:c.Types.cell_id
-                           "recovery.reclaim_deferred";
-                         incr deferred_reclaims;
-                         Sim.Engine.schedule eng ~after:reclaim_poll_ns
-                           (fun () -> reclaim d)
-                       end)
-                     (List.sort compare dead)
-                 end);
+                   cell, then declare the recovery over. *)
+                if p.Params.auto_reintegrate then
+                  reintegrate_dead sys c ~dead
+                    ~on_defer:(fun () -> incr deferred_reclaims)
+                    ~on_settle:(fun () ->
+                      decr deferred_reclaims;
+                      release_mastership ());
                 sys.Types.recovery_complete_at <- Sim.Engine.now eng;
-                sys.Types.recovery_round_active <- false;
-                sys.Types.recovery_in_progress <- false;
+                sys.Types.round <- None;
+                Types.sync_in_progress sys;
                 Types.sys_bump sys Count.completed;
                 release_mastership ();
                 match sys.Types.wax_restart with
@@ -280,30 +244,44 @@ let recovery_sequence (sys : Types.system) (c : Types.cell) =
      any still-deferred reclaims (no-op for non-masters; killed threads
      never get here and are handled by the liveness filter in
      [Types.master_begin]). *)
-  release_mastership ();
-  c.Types.recovery_active <- false
+  release_mastership ()
 
+(* The exit hook runs however the thread ends, [Sim.Engine.Killed]
+   included, and releases the cell's [recovery_thread] unless a newer one
+   has taken it. *)
 let start_recovery_thread (sys : Types.system) (c : Types.cell) =
-  c.Types.recovery_active <- true;
+  let on_exit () =
+    match c.Types.recovery_thread with
+    | Some t when t.Sim.Engine.dead -> c.Types.recovery_thread <- None
+    | Some _ | None -> ()
+  in
   let thr =
-    Sim.Engine.spawn sys.Types.eng
+    Sim.Engine.spawn sys.Types.eng ~on_exit
       ~name:(Printf.sprintf "cell%d.recovery" c.Types.cell_id)
       (fun () -> recovery_sequence sys c)
   in
+  c.Types.recovery_thread <- Some thr;
   c.Types.kernel_threads <- thr :: c.Types.kernel_threads
 
-let live_participants (sys : Types.system) =
-  Array.to_list sys.Types.cells
-  |> List.filter_map (fun (c : Types.cell) ->
-         if
+(* Make a round over [dead] the active one, among the live cells outside
+   [dead] that [joins] accepts, and return them. *)
+let start_round (sys : Types.system) ~dead joins =
+  let live =
+    Array.to_list sys.Types.cells
+    |> List.filter (fun (c : Types.cell) ->
            Types.cell_alive c
-           && not (List.mem c.Types.cell_id sys.Types.recovery_dead)
-         then Some c
-         else None)
-
-let make_barriers (sys : Types.system) parties =
-  sys.Types.recovery_barrier1 <- Some (Sim.Barrier.create (max 1 parties));
-  sys.Types.recovery_barrier2 <- Some (Sim.Barrier.create (max 1 parties))
+           && (not (List.mem c.Types.cell_id dead))
+           && joins c)
+  in
+  let parties = max 1 (List.length live) in
+  sys.Types.round <-
+    Some
+      { Types.dead;
+        participants = List.map (fun (c : Types.cell) -> c.Types.cell_id) live;
+        barrier1 = Sim.Barrier.create parties;
+        barrier2 = Sim.Barrier.create parties };
+  Types.sync_in_progress sys;
+  live
 
 (* Kick off a recovery round for the confirmed dead set. Called on the
    accusing cell after agreement (or directly by the failure oracle).
@@ -313,15 +291,19 @@ let make_barriers (sys : Types.system) parties =
    unreachable cannot be stopped from here (it stays running, excised
    from the survivors' live sets until the partition heals). *)
 let initiate ?by (sys : Types.system) ~dead =
-  sys.Types.recovery_in_progress <- true;
-  sys.Types.recovery_dead <- dead;
   sys.Types.recovery_round <- sys.Types.recovery_round + 1;
-  sys.Types.recovery_round_active <- true;
   Types.sys_bump sys Count.initiated;
   let unreachable_from_initiator target =
     match by with
     | None -> false
     | Some b -> Careful_ref.partitioned sys sys.Types.cells.(b) ~target
+  in
+  (* The round starts before the dead cells stop, so their deaths find
+     themselves already in its dead set. *)
+  let live =
+    start_round sys ~dead (fun c ->
+        (match by with None -> true | Some b -> c.Types.cell_id = b)
+        || not (unreachable_from_initiator c.Types.cell_id))
   in
   (* Force any "dead" cell that is in fact still running (erratic kernel)
      to stop: the confirmed consensus supersedes its own opinion. *)
@@ -333,15 +315,6 @@ let initiate ?by (sys : Types.system) ~dead =
           Types.sys_bump sys Count.excised_unreachable
         else Panic.panic sys dc "declared failed by distributed agreement")
     dead;
-  let live =
-    live_participants sys
-    |> List.filter (fun (c : Types.cell) ->
-           (match by with None -> true | Some b -> c.Types.cell_id = b)
-           || not (unreachable_from_initiator c.Types.cell_id))
-  in
-  sys.Types.recovery_participants <-
-    List.map (fun (c : Types.cell) -> c.Types.cell_id) live;
-  make_barriers sys (List.length live);
   List.iter (fun c -> start_recovery_thread sys c) live
 
 (* A cell died. If a double-barrier round is in flight and the dead cell
@@ -353,12 +326,10 @@ let initiate ?by (sys : Types.system) ~dead =
    go again; participants that had already finished (or the master parked
    in diagnostics) are re-spawned or rejoin via the round counter. *)
 let cell_died (sys : Types.system) id =
-  if
-    sys.Types.recovery_round_active
-    && not (List.mem id sys.Types.recovery_dead)
-  then begin
+  match sys.Types.round with
+  | Some r when not (List.mem id r.Types.dead) ->
     let eng = sys.Types.eng in
-    sys.Types.recovery_dead <- id :: sys.Types.recovery_dead;
+    let dead = id :: r.Types.dead in
     sys.Types.recovery_round <- sys.Types.recovery_round + 1;
     Types.sys_bump sys Count.round_restarts;
     Types.note_phase sys ~cell:id "recovery.restart"
@@ -370,33 +341,16 @@ let cell_died (sys : Types.system) id =
        the old participant set (e.g. on the far side of a partition) must
        not be counted into barriers it will never reach. *)
     let live =
-      live_participants sys
-      |> List.filter (fun (c : Types.cell) ->
-             List.mem c.Types.cell_id sys.Types.recovery_participants)
+      start_round sys ~dead (fun c ->
+          List.mem c.Types.cell_id r.Types.participants)
     in
-    sys.Types.recovery_participants <-
-      List.map (fun (c : Types.cell) -> c.Types.cell_id) live;
-    let old1 = sys.Types.recovery_barrier1 in
-    let old2 = sys.Types.recovery_barrier2 in
-    make_barriers sys (List.length live);
-    (match old1 with Some b -> Sim.Barrier.abort eng b | None -> ());
-    (match old2 with Some b -> Sim.Barrier.abort eng b | None -> ());
+    Sim.Barrier.abort eng r.Types.barrier1;
+    Sim.Barrier.abort eng r.Types.barrier2;
     (* Survivors whose recovery thread already exited need a fresh one;
        the rest loop back when their barrier await returns [Aborted]. *)
     List.iter
       (fun (c : Types.cell) ->
-        if not c.Types.recovery_active then start_recovery_thread sys c)
+        if Option.is_none c.Types.recovery_thread then
+          start_recovery_thread sys c)
       live
-  end
-
-let () =
-  Rpc.serve start_op (fun sys cell ~src:_ arg ->
-      match arg with
-      | P_recovery_start { dead } ->
-        (* The confirmed dead set travels in the request; the round state
-           is system-global in the simulation, so just join the round. *)
-        ignore dead;
-        if not cell.Types.recovery_active then
-          start_recovery_thread sys cell;
-        Types.Immediate (Ok Types.P_unit)
-      | _ -> Types.Immediate (Error Types.EFAULT))
+  | Some _ | None -> ()

@@ -19,22 +19,10 @@
    nodes and, when [Params.auto_reintegrate] is set, reboots and
    reintegrates them through the hook installed by [System.boot]. *)
 
-type Types.payload +=
-    P_recovery_start of { dead : Types.cell_id list; }
-val start_op : Rpc.Op.t
-val diagnostics_ns : int64
-
-(** Run the per-cell recovery round loop (in the calling thread) until a
-    round completes that is still the current one. *)
-val recovery_sequence : Types.system -> Types.cell -> unit
-
-(** Spawn [recovery_sequence] in a fresh kernel thread of the cell and mark
-    the cell as an active participant. *)
-val start_recovery_thread : Types.system -> Types.cell -> unit
-
-(** Start a recovery round for the confirmed dead set: force still-running
-    "dead" cells to stop, create the round barriers, and start a recovery
-    thread on every live participant. [by] names the initiating cell;
+(** Start a recovery round ([sys.round]) for the confirmed dead set: force
+    still-running "dead" cells to stop and start a recovery thread on
+    every live participant; the thread's exit hook releases the cell's
+    [recovery_thread] however it ends. [by] names the initiating cell;
     when given, participation is limited to the cells it can reach — a
     "dead" cell that is merely partitioned away stays running (excised
     from the survivors' live sets) and is stopped and reintegrated by the
@@ -42,9 +30,9 @@ val start_recovery_thread : Types.system -> Types.cell -> unit
 val initiate :
   ?by:Types.cell_id -> Types.system -> dead:Types.cell_id list -> unit
 
-(** Notify recovery that a cell has died. A no-op unless a round is in
-    flight and the cell was a participant, in which case the round restarts
-    with the enlarged dead set (abortable barriers guarantee no survivor is
-    left waiting on the dead participant). *)
+(** Notify recovery that a cell has died. A no-op unless a round is active
+    and the cell is not already in its dead set, in which case the round
+    restarts with the enlarged dead set (abortable barriers guarantee no
+    survivor is left waiting on the dead participant). *)
 val cell_died : Types.system -> Types.cell_id -> unit
 

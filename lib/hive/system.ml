@@ -148,15 +148,12 @@ let boot ?(mcfg = Flash.Config.default) ?(params = Params.default)
       proc_table = Hashtbl.create 256;
       next_pid = 0;
       use_agreement_oracle = oracle;
+      agreements = [];
+      round = None;
+      recovery_round = 0;
       recovery_in_progress = false;
       recovery_events = [];
       recovery_complete_at = 0L;
-      recovery_barrier1 = None;
-      recovery_barrier2 = None;
-      recovery_dead = [];
-      recovery_round = 0;
-      recovery_round_active = false;
-      recovery_participants = [];
       masters_active = [];
       master_overlaps = [];
       on_cell_death = None;

@@ -259,6 +259,24 @@ type rpc_session = {
    [ra_window] the number of pages the next sequential miss will ask for. *)
 type ra_stream = { mutable ra_last : int; mutable ra_window : int }
 
+(* A distributed-agreement vote (Section 4.3), owned by the accuser's
+   agreement thread, whose exit hook removes it from [sys.agreements].
+   [electorate] is set when the vote starts: [] while it is pending. *)
+type agreement = {
+  accuser : cell_id;
+  suspect : cell_id;
+  mutable electorate : cell_id list;
+}
+
+(* A double-barrier recovery round. A nested failure replaces it with a
+   round over the enlarged dead set; the master's completion ends it. *)
+type round = {
+  dead : cell_id list;
+  participants : cell_id list;
+  barrier1 : Sim.Barrier.t;
+  barrier2 : Sim.Barrier.t;
+}
+
 type cell = {
   cell_id : cell_id;
   cell_nodes : int list; (* node ids owned throughout execution *)
@@ -325,13 +343,10 @@ type cell = {
   mutable swap_free_blocks : int list;
       (* swap blocks freed by swap-ins, reused before the bump allocator *)
   (* failure detection / recovery *)
-  mutable suspected : cell_id list;
   mutable false_alerts : (cell_id * int) list; (* accuser -> vote-downs *)
-  mutable in_recovery : bool;
-  mutable recovery_active : bool;
-      (* a recovery thread for this cell exists (set at spawn, cleared when
-         the thread leaves its round loop); lets a nested-failure restart
-         know whether to re-spawn or rely on the barrier abort *)
+  mutable recovery_thread : Sim.Engine.thread option;
+      (* cleared by that thread's exit hook; a nested-failure restart
+         re-spawns only where there is none *)
   (* wax hints *)
   mutable alloc_preference : cell_id list;
   mutable clock_hand_targets : cell_id list; (* cells under memory pressure *)
@@ -366,24 +381,16 @@ type system = {
   proc_table : (pid, process) Hashtbl.t;
   mutable next_pid : int;
   mutable use_agreement_oracle : bool;
+  mutable agreements : agreement list; (* newest first *)
+  mutable round : round option; (* [None] between rounds *)
+  mutable recovery_round : int;
+      (* the attempt: bumped by initiation and by nested-failure restarts *)
   mutable recovery_in_progress : bool;
+      (* a copy of [recovery_in_progress sys] for readers that need a
+         field, refreshed by [sync_in_progress] *)
   mutable recovery_events : (cell_id * int64) list;
       (* (cell, time it entered recovery) for detection-latency measurement *)
   mutable recovery_complete_at : int64;
-  mutable recovery_barrier1 : Sim.Barrier.t option;
-  mutable recovery_barrier2 : Sim.Barrier.t option;
-  (* Cascading-failure state: the current round's confirmed dead set, a
-     round counter bumped on initiation and on every nested-failure
-     restart, and whether a double-barrier round is actually in flight
-     (recovery_in_progress also covers the agreement phase before a round
-     and the master's diagnostics after it). *)
-  mutable recovery_dead : cell_id list;
-  mutable recovery_round : int;
-  mutable recovery_round_active : bool;
-  mutable recovery_participants : cell_id list;
-      (* survivors driving the current recovery; a partitioned accuser that
-         cannot reach any of them must run its own agreement round rather
-         than silently deferring to a recovery it cannot observe *)
   (* Split-brain oracle state: which cells currently hold recovery
      mastership, and every instant at which two held it concurrently.
      Latched continuously (at master_begin time, via the event bus), not
@@ -433,6 +440,30 @@ let cell sys id = sys.cells.(id)
 let boss_proc (c : cell) = c.boss_node
 
 let cell_alive (c : cell) = c.cstatus = Cell_up
+
+(* Recovery is in progress while an agreement votes or a round is active;
+   a pending agreement and a deferred reclaim do not count. *)
+let recovery_in_progress (sys : system) =
+  Option.is_some sys.round
+  || List.exists (fun a -> a.electorate <> []) sys.agreements
+
+(* Called after every change to [round], an electorate, or the set of
+   agreements with one. *)
+let sync_in_progress (sys : system) =
+  sys.recovery_in_progress <- recovery_in_progress sys
+
+(* Is [c] in the active round? From the spawn of its recovery thread
+   until the thread leaves the round. *)
+let in_recovery (sys : system) (c : cell) =
+  match (sys.round, c.recovery_thread) with
+  | Some r, Some _ -> List.mem c.cell_id r.participants
+  | _ -> false
+
+(* Does [accuser] own an agreement against [suspect]? *)
+let suspects (sys : system) ~accuser ~suspect =
+  List.exists
+    (fun a -> a.accuser = accuser && a.suspect = suspect)
+    sys.agreements
 
 (* Count an event on a cell's, or the system's, declared counter. *)
 let bump ?by (c : cell) id = Sim.Stats.bump ?by c.counters id

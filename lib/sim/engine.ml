@@ -283,7 +283,7 @@ let exec eng thr body =
                 continue k ())
           | _ -> None) }
 
-let spawn ?(name = "thread") ?at eng body =
+let spawn ?(name = "thread") ?at ?on_exit eng body =
   eng.next_tid <- eng.next_tid + 1;
   (* The delay wake-up and the [Some thr] the engine installs as current
      are built once here rather than on every delay. A fired wake-up that
@@ -295,7 +295,7 @@ let spawn ?(name = "thread") ?at eng body =
       dead = false;
       cont = None;
       timers = [];
-      on_exit = [];
+      on_exit = Option.to_list on_exit;
       wake =
         (fun () ->
           match thr.cont with

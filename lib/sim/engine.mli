@@ -97,8 +97,12 @@ val wake_after : t -> thread -> int64 -> unit
     suspension point. *)
 val kill : t -> thread -> unit
 
-(** Start a new thread. [at] gives an absolute start time. *)
-val spawn : ?name:string -> ?at:int64 -> t -> (unit -> unit) -> thread
+(** Start a new thread. [at] gives an absolute start time. [on_exit] runs
+    when the thread exits, however it ends: by returning, by raising, or
+    killed, even before its first step. *)
+val spawn :
+  ?name:string -> ?at:int64 -> ?on_exit:(unit -> unit) -> t ->
+  (unit -> unit) -> thread
 
 (** {2 Thread-context operations (must be called from inside a thread)} *)
 

@@ -217,7 +217,7 @@ let test_hw_failure_detected_and_recovered () =
       let ok =
         Hive.System.run_until sys ~deadline:(Int64.add t_fault 2_000_000_000L)
           (fun () ->
-            (not sys.Hive.Types.recovery_in_progress)
+            (not (Hive.Types.recovery_in_progress sys))
             && sys.Hive.Types.recovery_events <> [])
       in
       Alcotest.(check bool) "recovery ran" true ok;
@@ -338,7 +338,7 @@ let test_cow_corruption_contained () =
       let _ =
         Hive.System.run_until sys ~deadline:5_000_000_000L (fun () ->
             sys.Hive.Types.recovery_events <> []
-            && not sys.Hive.Types.recovery_in_progress)
+            && not (Hive.Types.recovery_in_progress sys))
       in
       ignore eng;
       Alcotest.(check bool) "cell 1 survived" true

@@ -162,7 +162,7 @@ let await_recovery sys =
   Hive.System.run_until sys
     ~deadline:(Int64.add (Sim.Engine.now sys.Hive.Types.eng) 3_000_000_000L)
     (fun () ->
-      (not sys.Hive.Types.recovery_in_progress)
+      (not (Hive.Types.recovery_in_progress sys))
       && sys.Hive.Types.recovery_events <> [])
 
 (* [phases] must appear in [timeline] in order (other entries may be

@@ -27,7 +27,7 @@ let await_recovery sys =
   Hive.System.run_until sys
     ~deadline:(Int64.add (Sim.Engine.now sys.Hive.Types.eng) 3_000_000_000L)
     (fun () ->
-      (not sys.Hive.Types.recovery_in_progress)
+      (not (Hive.Types.recovery_in_progress sys))
       && sys.Hive.Types.recovery_events <> [])
 
 let hint sys ~by ~suspect =
@@ -560,6 +560,36 @@ let test_demo_split_brain_shrinks () =
   Alcotest.(check bool) "shrunk failure still names single-master" true
     (contains_single_master r'.Faultinj.Fuzz.r_violations)
 
+(* Two agreements vote at once. Cell 3, cut off from the machine, cannot
+   reach the electorate of cell 0's vote, so it runs its own. Cell 0's
+   vote is dismissed first, and recovery stays in progress while cell
+   3's still runs. *)
+let test_dismissal_keeps_other_vote () =
+  with_sys (fun eng sys ->
+      settle eng;
+      let now = Sim.Engine.now eng in
+      sever sys ~cell:3 ~from_ns:now ~until_ns:(Int64.add now 10_000_000_000L)
+        ~inbound_only:false;
+      hint sys ~by:0 ~suspect:2;
+      hint sys ~by:3 ~suspect:1;
+      let accusers () =
+        List.map
+          (fun (a : Hive.Types.agreement) -> a.Hive.Types.accuser)
+          sys.Hive.Types.agreements
+      in
+      Alcotest.(check bool) "cell 0's vote ends first" true
+        (Hive.System.run_until sys ~step:100_000L
+           ~deadline:(Int64.add now 5_000_000_000L)
+           (fun () -> accusers () <> [ 3; 0 ]));
+      Alcotest.(check int) "both votes ran" 2
+        (Sim.Stats.value sys.Hive.Types.sys_counters "agreement.rounds");
+      Alcotest.(check int) "cell 0's vote was dismissed" 1
+        (Sim.Stats.value sys.Hive.Types.sys_counters "agreement.dismissed");
+      Alcotest.(check (list int)) "cell 3's vote still runs" [ 3 ]
+        (accusers ());
+      Alcotest.(check bool) "recovery still in progress" true
+        (Hive.Types.recovery_in_progress sys))
+
 let suite =
   [
     Alcotest.test_case "symmetric split elects one master, heal reconciles"
@@ -590,4 +620,6 @@ let suite =
       test_demo_split_brain_caught;
     Alcotest.test_case "demo split-brain shrinks" `Slow
       test_demo_split_brain_shrinks;
+    Alcotest.test_case "a dismissal leaves another vote in progress" `Quick
+      test_dismissal_keeps_other_vote;
   ]

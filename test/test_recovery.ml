@@ -19,7 +19,7 @@ let await_recovery sys =
   Hive.System.run_until sys
     ~deadline:(Int64.add (Sim.Engine.now sys.Hive.Types.eng) 3_000_000_000L)
     (fun () ->
-      (not sys.Hive.Types.recovery_in_progress)
+      (not (Hive.Types.recovery_in_progress sys))
       && sys.Hive.Types.recovery_events <> [])
 
 let test_all_cells_enter_recovery () =
@@ -88,20 +88,126 @@ let test_skipped_agreement_clears_suspect () =
       let rounds () =
         Sim.Stats.value sys.Hive.Types.sys_counters "agreement.rounds"
       in
-      let c0 = sys.Hive.Types.cells.(0) in
+      let suspects () = Hive.Types.suspects sys ~accuser:0 ~suspect:2 in
       hint 1 3;
       hint 0 2;
-      Alcotest.(check (list int)) "hint marks the suspect" [ 2 ]
-        c0.Hive.Types.suspected;
+      Alcotest.(check bool) "hint starts an agreement against the suspect"
+        true (suspects ());
       Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 500_000_000L) eng;
       Alcotest.(check int) "only cell 1's round ran" 1 (rounds ());
-      Alcotest.(check (list int)) "skipped round cleared the suspect" []
-        c0.Hive.Types.suspected;
+      Alcotest.(check bool) "skipped round released its agreement" false
+        (suspects ());
       hint 0 2;
       Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 500_000_000L) eng;
       Alcotest.(check int) "second hint started an agreement" 2 (rounds ());
       Alcotest.(check int) "both rounds dismissed" 2
         (Sim.Stats.value sys.Hive.Types.sys_counters "agreement.dismissed"))
+
+let hint sys ~by ~suspect =
+  match sys.Hive.Types.on_hint with
+  | Some f -> f sys.Hive.Types.cells.(by) ~suspect ~reason:"test"
+  | None -> Alcotest.fail "no hint handler"
+
+(* Every cell up, with every cell in every live set, and no recovery. *)
+let whole sys =
+  let n = Array.length sys.Hive.Types.cells in
+  (not (Hive.Types.recovery_in_progress sys))
+  && Array.for_all
+       (fun (c : Hive.Types.cell) ->
+         Hive.Types.cell_alive c && List.length c.Hive.Types.live_set = n)
+       sys.Hive.Types.cells
+
+(* The accuser's cell panics while its vote runs, as when a healed
+   partition stops a cell that was declared dead. The panic kills the
+   thread that owns the agreement; its exit hook must release it, or
+   recovery stays in progress forever and every later hint is taken as a
+   mid-recovery hint that nothing acts on. *)
+let test_accuser_panic_releases_agreement () =
+  with_sys (fun eng sys ->
+      settle eng;
+      hint sys ~by:0 ~suspect:2;
+      Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 100_000L) eng;
+      Alcotest.(check bool) "vote running" true
+        (Hive.Types.recovery_in_progress sys);
+      Hive.Panic.panic sys sys.Hive.Types.cells.(0) "test: accuser panics";
+      Alcotest.(check bool) "recovery settles with cell 0 back" true
+        (Hive.System.run_until sys
+           ~deadline:(Int64.add (Sim.Engine.now eng) 5_000_000_000L)
+           (fun () -> whole sys));
+      Alcotest.(check int) "no agreement left" 0
+        (List.length sys.Hive.Types.agreements);
+      let rounds () =
+        Sim.Stats.value sys.Hive.Types.sys_counters "agreement.rounds"
+      in
+      let before = rounds () in
+      hint sys ~by:1 ~suspect:3;
+      Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 500_000_000L) eng;
+      Alcotest.(check int) "a later hint starts an agreement" (before + 1)
+        (rounds ()))
+
+let liveness sys =
+  List.map Hive.Invariants.to_string
+    (Hive.Invariants.check_recovery_liveness sys)
+
+(* An active round that no live participant drives: the planted round
+   names cell 1, which runs no recovery thread. *)
+let test_liveness_round_without_thread () =
+  with_sys (fun eng sys ->
+      settle eng;
+      Alcotest.(check (list string)) "clean at boot" [] (liveness sys);
+      let b () = Sim.Barrier.create 1 in
+      sys.Hive.Types.round <-
+        Some
+          { Hive.Types.dead = [ 2 ]; participants = [ 1 ]; barrier1 = b ();
+            barrier2 = b () };
+      Alcotest.(check (list string)) "planted round is named"
+        [ "[recovery-liveness] round 0 is active but no live participant runs \
+           its recovery" ]
+        (liveness sys);
+      Alcotest.(check bool) "reported while recovery is in progress" true
+        (List.exists
+           (fun (v : Hive.Invariants.violation) ->
+             v.Hive.Invariants.inv = "recovery-liveness")
+           (Hive.Invariants.check sys)))
+
+(* A down cell still in live sets that nobody suspects: planted by
+   marking cell 2 down without the panic that peers would detect. *)
+let test_liveness_undetected_down_cell () =
+  with_sys (fun eng sys ->
+      settle eng;
+      let c2 = sys.Hive.Types.cells.(2) in
+      c2.Hive.Types.cstatus <- Hive.Types.Cell_down;
+      Alcotest.(check (list string)) "down cell nobody suspects is named"
+        [ "[recovery-liveness] cell 2 is down and in cell 0's live set, but \
+           no agreement suspects it and no round has it dead" ]
+        (liveness sys);
+      sys.Hive.Types.agreements <-
+        [ { Hive.Types.accuser = 0; suspect = 2; electorate = [] } ];
+      Alcotest.(check (list string)) "an agreement against it covers it" []
+        (liveness sys))
+
+(* Both liveness clauses hold through a real recovery: mid-round, with
+   the failed cell in the round's dead set, and once it has settled. *)
+let test_liveness_silent_on_recovery () =
+  with_sys (fun eng sys ->
+      settle eng;
+      let t0 = Sim.Engine.now eng in
+      Hive.System.inject_node_failure sys 2;
+      Alcotest.(check bool) "round reaches barrier 1" true
+        (Hive.System.run_until sys ~step:100_000L
+           ~deadline:(Int64.add t0 3_000_000_000L)
+           (fun () ->
+             List.exists
+               (fun (phase, t) ->
+                 phase = "recovery.barrier1" && Int64.compare t t0 >= 0)
+               sys.Hive.Types.recovery_timeline));
+      Alcotest.(check (list string)) "silent mid-round" [] (liveness sys);
+      Alcotest.(check bool) "recovery settles" true
+        (Hive.System.run_until sys
+           ~deadline:(Int64.add (Sim.Engine.now eng) 5_000_000_000L)
+           (fun () -> whole sys));
+      Alcotest.(check (list string)) "silent after recovery" []
+        (List.map Hive.Invariants.to_string (Hive.Invariants.check sys)))
 
 let test_repeated_false_accuser_distrusted () =
   with_sys (fun eng sys ->
@@ -365,7 +471,7 @@ let test_round_restart_on_nested_failure () =
         Hive.System.run_until sys ~step:100_000L
           ~deadline:(Int64.add t0 3_000_000_000L)
           (fun () ->
-            sys.Hive.Types.recovery_round_active
+            Option.is_some sys.Hive.Types.round
             && List.exists
                  (fun (phase, t) ->
                    phase = "recovery.barrier1" && Int64.compare t t0 >= 0)
@@ -518,6 +624,14 @@ let suite =
       test_false_alert_dismissed;
     Alcotest.test_case "skipped agreement clears its suspect" `Quick
       test_skipped_agreement_clears_suspect;
+    Alcotest.test_case "accuser panic mid-vote releases its agreement" `Quick
+      test_accuser_panic_releases_agreement;
+    Alcotest.test_case "liveness: active round with no recovery thread"
+      `Quick test_liveness_round_without_thread;
+    Alcotest.test_case "liveness: down cell nobody suspects" `Quick
+      test_liveness_undetected_down_cell;
+    Alcotest.test_case "liveness clauses silent through a recovery" `Quick
+      test_liveness_silent_on_recovery;
     Alcotest.test_case "repeated false accuser distrusted" `Quick
       test_repeated_false_accuser_distrusted;
     Alcotest.test_case "dependent processes killed, others survive" `Quick

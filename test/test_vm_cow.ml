@@ -274,7 +274,7 @@ let test_anon_get_careful_failure_reports_hint () =
               >= 1);
             assert (
               Sim.Stats.value c0.Hive.Types.counters "failure.hints" >= 1);
-            assert (List.mem 1 c0.Hive.Types.suspected))
+            assert (Hive.Types.suspects sys ~accuser:0 ~suspect:1))
       in
       run_to_completion sys p)
 

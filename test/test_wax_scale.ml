@@ -34,7 +34,7 @@ let test_hint_validation_32_cells () =
     (List.hd sys.Hive.Types.cells.(31).Hive.Types.cell_nodes);
   let excised =
     Hive.System.run_until sys ~deadline:10_000_000_000L (fun () ->
-        (not sys.Hive.Types.recovery_in_progress)
+        (not (Hive.Types.recovery_in_progress sys))
         && not
              (List.mem 31 sys.Hive.Types.cells.(5).Hive.Types.live_set))
   in
@@ -92,7 +92,7 @@ let test_coordinator_failover_64_cells () =
   let restarted =
     Hive.System.run_until sys ~deadline:10_000_000_000L (fun () ->
         sys.Hive.Types.wax_incarnation >= 2
-        && not sys.Hive.Types.recovery_in_progress)
+        && not (Hive.Types.recovery_in_progress sys))
   in
   Alcotest.(check bool) "fresh incarnation after coordinator death" true
     restarted;

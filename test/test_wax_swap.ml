@@ -26,7 +26,7 @@ let test_wax_span_ownership_transfer_across_failure () =
   let restarted =
     Hive.System.run_until sys ~deadline:5_000_000_000L (fun () ->
         sys.Hive.Types.wax_incarnation >= 2
-        && not sys.Hive.Types.recovery_in_progress)
+        && not (Hive.Types.recovery_in_progress sys))
   in
   Alcotest.(check bool) "new incarnation after owner-cell failure" true
     restarted;

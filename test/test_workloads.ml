@@ -191,7 +191,7 @@ let test_campaign_cascade_contained () =
   let counter = Sim.Stats.value sys.Hive.Types.sys_counters in
   Alcotest.(check bool) "no deadlock" true
     (o.Faultinj.Campaign.recovery_ms <> None
-    && not sys.Hive.Types.recovery_in_progress);
+    && not (Hive.Types.recovery_in_progress sys));
   Alcotest.(check bool) "round restarted" true
     (counter "recovery.round_restarts" >= 1);
   Alcotest.(check bool) "contained" true o.Faultinj.Campaign.contained;
