@@ -7,7 +7,10 @@ let boot ?(mcfg = Flash.Config.default) ?params ?(wax = false) ~ncells () =
 
 let in_thread eng body =
   let out = ref None in
-  ignore (Sim.Engine.spawn eng ~name:"bench" (fun () -> out := Some (body ())));
+  ignore
+    (Sim.Engine.spawn eng ~name:"bench"
+       ~on_exit:(fun () -> Sim.Engine.stop eng)
+       (fun () -> out := Some (body ())));
   Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 60_000_000_000L) eng;
   match !out with
   | Some v -> v

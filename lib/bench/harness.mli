@@ -13,8 +13,9 @@ val boot :
   Sim.Engine.t * Hive.Types.system
 
 (** [in_thread eng body] runs [body] in a new simulation thread, drives
-    [eng] for 60 simulated seconds and returns [body]'s value. Raises
-    [Failure] if [body] has not finished by then. *)
+    [eng] until [body] ends, and returns [body]'s value; the clock stops
+    where [body] ended. Raises [Failure] if [body] has not finished
+    within 60 simulated seconds. *)
 val in_thread : Sim.Engine.t -> (unit -> 'a) -> 'a
 
 (** No-op RPC served at interrupt level / via the queued service. *)

@@ -150,19 +150,25 @@ let check_firewall t ~by addr len =
     done
   end
 
-(* Shared prologue of every timed access: liveness checks, the firewall
-   check of a write, counter, latency, post-delay liveness re-check (the
-   node may have died mid-access). A [cached] read finds its lines hot in
-   the local cache (kernel structures the owner touches constantly) and
-   pays L2-hit latency under the same fault model. Returns the node
-   memory and node-local offset. *)
-let prologue ?(cached = false) t ~by ~write addr len =
+(* What every access checks and counts before its data moves: bounds,
+   liveness and cutoff, the firewall check of a write, the counter. *)
+let checks t ~by ~write addr len =
   let node, nm = target t ~by addr len in
   if write then begin
     check_firewall t ~by addr len;
     t.writes <- t.writes + 1
   end
   else t.reads <- t.reads + 1;
+  (node, nm)
+
+(* Shared prologue of every timed access: the checks, latency,
+   post-delay liveness re-check (the node may have died mid-access). A
+   [cached] read finds its lines hot in the local cache (kernel
+   structures the owner touches constantly) and pays L2-hit latency
+   under the same fault model. Returns the node memory and node-local
+   offset. *)
+let prologue ?(cached = false) t ~by ~write addr len =
+  let node, nm = checks t ~by ~write addr len in
   Sim.Engine.delay
     (if cached then
        Int64.mul (Int64.of_int (Config.lines_for (max 1 len))) Config.l2_hit_ns
@@ -216,8 +222,7 @@ let write_sub t ~by addr src src_off len =
 
 let write t ~by addr bytes = write_sub t ~by addr bytes 0 (Bytes.length bytes)
 
-let write_i64 t ~by addr v =
-  let nm, off = prologue t ~by ~write:true addr 8 in
+let set_i64 nm ~off v =
   let psize = Config.page_size in
   if (off mod psize) + 8 <= psize then
     Bytes.set_int64_le (page_for_write nm (off / psize)) (off mod psize) v
@@ -226,6 +231,20 @@ let write_i64 t ~by addr v =
     Bytes.set_int64_le b 0 v;
     copy_in nm ~off b 0 8
   end
+
+let write_i64 t ~by addr v =
+  let nm, off = prologue t ~by ~write:true addr 8 in
+  set_i64 nm ~off v
+
+(* An interrupt handler's word accesses: the checks and counters of the
+   timed accesses, at the instant of the call. *)
+let read_i64_now t ~by addr =
+  let node, nm = checks t ~by ~write:false addr 8 in
+  get_i64 nm ~off:(addr - node * Config.mem_bytes_per_node t.cfg)
+
+let write_i64_now t ~by addr v =
+  let node, nm = checks t ~by ~write:true addr 8 in
+  set_i64 nm ~off:(addr - node * Config.mem_bytes_per_node t.cfg) v
 
 (* Out-of-band access used by fault injection and test assertions: no
    latency, no firewall, no liveness checks. A wild write issued through

@@ -77,6 +77,16 @@ val write_sub : t -> by:int -> Addr.t -> Bytes.t -> int -> int -> unit
 
 val write_i64 : t -> by:int -> Addr.t -> int64 -> unit
 
+(** {2 Interrupt-level access (no latency)} *)
+
+(** [read_i64_now] and [write_i64_now] are {!read_i64} and {!write_i64}
+    at the instant of the call: the same bounds, liveness, cutoff and
+    firewall checks and the same counters, charged to no thread. For
+    interrupt handlers, which run between thread steps. *)
+val read_i64_now : t -> by:int -> Addr.t -> int64
+
+val write_i64_now : t -> by:int -> Addr.t -> int64 -> unit
+
 (** {2 Out-of-band access (no latency, no checks) — tests and tooling} *)
 
 val peek : t -> Addr.t -> int -> Bytes.t

@@ -119,26 +119,40 @@ let partitioned (sys : Types.system) (reader : Types.cell) ~target =
   (not (Flash.Sips.reachable sips ~from_node:rb ~to_node:tb))
   || not (Flash.Sips.reachable sips ~from_node:tb ~to_node:rb)
 
+(* The body of a careful section: a partitioned target or a defended
+   failure in [f] is counted and returned as [Error]. *)
+let section (sys : Types.system) (reader : Types.cell) ~target f =
+  match
+    if partitioned sys reader ~target then
+      raise (Careful_abort (Unreachable target))
+    else f ()
+  with
+  | v -> Ok v
+  | exception Careful_abort r ->
+    Types.bump reader Count.defended;
+    Error r
+  | exception Flash.Memory.Bus_error { addr; _ } ->
+    (* A bus error anywhere in the careful section is defended. *)
+    Types.bump reader Count.defended;
+    Error (Bus_fault addr)
+
 let protect (sys : Types.system) (reader : Types.cell) ~target f =
   Sim.Engine.delay Params.careful_on_ns;
   Types.bump reader Count.enter;
   let ctx = { sys; reader; target; hops = 0 } in
-  let result =
-    match
-      if partitioned sys reader ~target then
-        raise (Careful_abort (Unreachable target))
-      else f ctx
-    with
-    | v ->
-      Sim.Engine.delay Params.careful_check_ns;
-      Ok v
-    | exception Careful_abort r ->
-      Types.bump reader Count.defended;
-      Error r
-    | exception Flash.Memory.Bus_error { addr; _ } ->
-      (* A bus error anywhere in the careful section is defended. *)
-      Types.bump reader Count.defended;
-      Error (Bus_fault addr)
-  in
+  let result = section sys reader ~target (fun () -> f ctx) in
+  if Result.is_ok result then Sim.Engine.delay Params.careful_check_ns;
   Sim.Engine.delay Params.careful_off_ns;
   result
+
+(* The clock interrupt's careful read of one word (Section 4.3): the
+   checks and counters of [protect] around [read_i64], at the instant of
+   the interrupt. An interrupt handler runs in no thread, so the section
+   charges no time to anyone. *)
+let read_i64_now (sys : Types.system) (reader : Types.cell) ~target addr =
+  Types.bump reader Count.enter;
+  section sys reader ~target (fun () ->
+      check_addr { sys; reader; target; hops = 0 } addr;
+      Flash.Memory.read_i64_now
+        (Flash.Machine.memory sys.Types.machine)
+        ~by:(Types.boss_proc reader) addr)

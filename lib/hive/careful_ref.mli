@@ -51,3 +51,14 @@ val protect :
   Types.system ->
   Types.cell ->
   target:Types.cell_id -> (ctx -> 'a) -> ('a, failure_reason) result
+
+(** [read_i64_now sys reader ~target addr] is [protect] around one
+    [read_i64] at the instant of the call, for the clock interrupt: the
+    same partition, address and bus-error defences and the same
+    [careful_ref.enter]/[defended] counts, charged to no thread. *)
+val read_i64_now :
+  Types.system ->
+  Types.cell ->
+  target:Types.cell_id ->
+  Flash.Addr.t ->
+  (int64, failure_reason) result

@@ -5,7 +5,8 @@
    devices as an independent kernel (Figure 3.1). Boot reserves kernel
    pages on the boss node (holding the published clock word, Wax slots and
    serialized kernel structures), grants its own processors write access
-   to all of its memory, and starts the RPC dispatch and clock threads. *)
+   to all of its memory, and starts the RPC dispatch threads and the clock
+   interrupt. *)
 
 module Count = struct
   let boots =
@@ -57,6 +58,7 @@ let make (mcfg : Flash.Config.t) ~id ~nodes : Types.cell =
         kmem_free = [];
       };
     clock_addr = kmem_base;
+    clock_due = -1L;
     processes = [];
     user_gate_open = true;
     gate_waiters = [];

@@ -5,7 +5,8 @@
    devices as an independent kernel (Figure 3.1). Boot reserves kernel
    pages on the boss node (holding the published clock word, Wax slots and
    serialized kernel structures), grants its own processors write access
-   to all of its memory, and starts the RPC dispatch and clock threads. *)
+   to all of its memory, and starts the RPC dispatch threads and the clock
+   interrupt. *)
 
 val kernel_reserved_pages : int
 val make :

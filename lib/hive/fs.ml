@@ -448,6 +448,7 @@ let rec get_page (sys : Types.system) (c : Types.cell) vnode ~page ~writable
           else ra.Types.ra_window <- 1;
           ra.Types.ra_window
       in
+      Gate.pass_recovery sys c;
       let epoch = c.Types.flush_epoch in
       match
         Rpc.call sys ~from:c ~target:data_home ~op:locate_op

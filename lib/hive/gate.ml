@@ -28,3 +28,12 @@ let pass (c : Types.cell) =
     Sim.Engine.suspend (fun thr ->
         c.Types.gate_waiters <- thr :: c.Types.gate_waiters)
   done
+
+(* Imports wait out their cell's recovery round. Between the cell's
+   flush and barrier 1, a new binding's export record at the home would
+   be dropped by the home's preemptive discard, leaving a binding with
+   no invalidation channel. User threads stop at the gate on entry;
+   this also stops a server-pool thread, which never passes the gate,
+   and a syscall that entered before the round began. *)
+let pass_recovery (sys : Types.system) (c : Types.cell) =
+  if Types.in_recovery sys c then pass c

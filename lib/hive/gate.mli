@@ -8,3 +8,7 @@
 val close : Types.system -> Types.cell -> unit
 val open_ : Types.system -> Types.cell -> unit
 val pass : Types.cell -> unit
+
+(** [pass_recovery sys c] blocks while [c]'s recovery round runs; every
+    import calls it before its locate RPC. *)
+val pass_recovery : Types.system -> Types.cell -> unit

@@ -276,6 +276,15 @@ let check_cow (sys : Types.system) ~exempt =
 
 (* ---------- reference counts ---------- *)
 
+(* Pfdats by identity: a freed generation and its successor share a
+   pfn, so the pfn is only the hash. *)
+module Pf_tbl = Hashtbl.Make (struct
+  type t = Types.pfdat
+
+  let equal = ( == )
+  let hash (pf : Types.pfdat) = Hashtbl.hash pf.Types.pfn
+end)
+
 (* [pf.refs] must equal the number of process mappings whose [map_pf] is
    (physically) that pfdat. Counting is by identity: extended pfdats for
    the same pfn can come and go, and only pointer equality ties a mapping
@@ -284,29 +293,26 @@ let check_refcounts (_sys : Types.system) ~cells =
   let bad = ref [] in
   List.iter
     (fun (c : Types.cell) ->
-      let counts : (Types.pfdat * int ref) list ref = ref [] in
-      let count_for pf =
-        match List.find_opt (fun (q, _) -> q == pf) !counts with
-        | Some (_, r) -> r
-        | None ->
-          let r = ref 0 in
-          counts := (pf, r) :: !counts;
-          r
-      in
+      let counts = Pf_tbl.create 256 in
+      let mapped = ref [] in
       List.iter
         (fun (p : Types.process) ->
           Hashtbl.iter
-            (fun _ (m : Types.mapping) -> incr (count_for m.Types.map_pf))
+            (fun _ (m : Types.mapping) ->
+              let pf = m.Types.map_pf in
+              match Pf_tbl.find_opt counts pf with
+              | Some r -> incr r
+              | None ->
+                Pf_tbl.add counts pf (ref 1);
+                mapped := pf :: !mapped)
             p.Types.mappings)
         c.Types.processes;
-      let seen : Types.pfdat list ref = ref [] in
+      let seen = Pf_tbl.create 256 in
       let check pf =
-        if not (List.memq pf !seen) then begin
-          seen := pf :: !seen;
+        if not (Pf_tbl.mem seen pf) then begin
+          Pf_tbl.add seen pf ();
           let expect =
-            match List.find_opt (fun (q, _) -> q == pf) !counts with
-            | Some (_, r) -> !r
-            | None -> 0
+            match Pf_tbl.find_opt counts pf with Some r -> !r | None -> 0
           in
           if pf.Types.refs <> expect then
             bad :=
@@ -318,7 +324,7 @@ let check_refcounts (_sys : Types.system) ~cells =
       Hashtbl.iter (fun _ pf -> check pf) c.Types.frames;
       Pfdat.iter_pages c check;
       (* Mappings must point at live pfdats, not freed generations. *)
-      List.iter (fun (pf, _) -> check pf) !counts)
+      List.iter check !mapped)
     cells;
   List.rev !bad
 

@@ -73,6 +73,12 @@ val check_single_master : Types.system -> violation list
     agreement or in the round's dead set. {!check} runs it always. *)
 val check_recovery_liveness : Types.system -> violation list
 
+(** Every pfdat's [refs] equals the number of process mappings that
+    point at it; a mapping of a pfdat the cell no longer holds counts
+    too. Included in {!check}; exposed for targeted tests. *)
+val check_refcounts :
+  Types.system -> cells:Types.cell list -> violation list
+
 (** Page-table coherence: the import index lists exactly the extended
     pfdats bound in the cell's page table, in any order, and every
     pfdat is bound under its own logical id only. Included in {!check};

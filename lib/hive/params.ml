@@ -61,7 +61,6 @@ let default =
 let import_cache_pages = 512
 
 (* Clock and failure detection *)
-let clock_check_cost_ns = 230L
 let clock_stall_ticks = 2
 let rpc_timeout_ns = 200_000_000L
 

@@ -32,7 +32,6 @@ val default : t
 (** parked bindings per cell before the import cache evicts *)
 val import_cache_pages : int
 
-val clock_check_cost_ns : int64
 val clock_stall_ticks : int
 val rpc_timeout_ns : int64
 val rpc_max_retries : int

@@ -302,6 +302,8 @@ type cell = {
   (* kernel heap in simulated memory *)
   kmem : kmem;
   clock_addr : int; (* published clock word *)
+  mutable clock_due : int64;
+      (* when this cell's next clock interrupt fires; -1 before boot *)
   (* processes *)
   mutable processes : process list;
   mutable user_gate_open : bool;

@@ -162,6 +162,7 @@ let rec anon_get (sys : Types.system) (c : Types.cell) (r : Types.cow_ref)
     match node_id with
     | None -> Error Types.EFAULT
     | Some node_id -> (
+      Gate.pass_recovery sys c;
       let epoch = c.Types.flush_epoch in
       match
         Rpc.call sys ~from:c ~target:owner ~op:anon_locate_op
@@ -336,14 +337,18 @@ let touch (sys : Types.system) (p : Types.process) ~vpage ~write =
 (* Read/write actual memory words through a virtual page, exercising the
    hardware firewall on the real frame. [word_target] touches the page
    and returns the cell whose boss processor issues the access, and the
-   word's physical address. *)
-let word_target (sys : Types.system) (p : Types.process) ~vpage ~offset
+   word's physical address. Swap, unmap and another thread's refault
+   drop mappings, so the one touched may be gone once the touch's
+   latency is charged: then the page faults back in. *)
+let rec word_target (sys : Types.system) (p : Types.process) ~vpage ~offset
     ~write =
   match touch sys p ~vpage ~write with
   | Error e -> Error e
-  | Ok () ->
-    let m = Hashtbl.find p.Types.mappings vpage in
-    Ok (cell_of sys p, Flash.Addr.addr_of_pfn m.Types.map_pf.Types.pfn + offset)
+  | Ok () -> (
+    match Hashtbl.find_opt p.Types.mappings vpage with
+    | Some m ->
+      Ok (cell_of sys p, Flash.Addr.addr_of_pfn m.Types.map_pf.Types.pfn + offset)
+    | None -> word_target sys p ~vpage ~offset ~write)
 
 let write_word (sys : Types.system) (p : Types.process) ~vpage ~offset v =
   let rec go retries =

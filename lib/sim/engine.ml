@@ -41,6 +41,7 @@ and t = {
   mutable inline_depth : int;
       (* wake-ups currently continued inline, nested on the run loop's
          stack (see the [E_delay] handler) *)
+  mutable stopping : bool; (* [stop] was called during the running [run] *)
 }
 
 type timer = event
@@ -64,7 +65,8 @@ let create () =
       cancelled_pending = 0;
       owner = (Domain.self () :> int);
       until = Int64.max_int;
-      inline_depth = 0 }
+      inline_depth = 0;
+      stopping = false }
   in
   eng.crash_handler <-
     (fun thr e ->
@@ -241,6 +243,7 @@ let exec eng thr body =
                   let h = eng.events in
                   if
                     eng.inline_depth < max_inline_depth
+                    && (not eng.stopping)
                     && Int64.compare t eng.until <= 0
                     && (Heap.is_empty h
                        ||
@@ -341,9 +344,10 @@ let run ?until eng =
   let outer = eng.until in
   eng.until <- u;
   eng.inline_depth <- 0;
+  eng.stopping <- false;
   let h = eng.events in
   let rec loop () =
-    if not (Heap.is_empty h) then begin
+    if not (eng.stopping || Heap.is_empty h) then begin
       let e = Heap.top h in
       if e.cancelled then begin
         Heap.drop_top h;
@@ -365,7 +369,10 @@ let run ?until eng =
     end
   in
   loop ();
+  eng.stopping <- false;
   eng.until <- outer
+
+let stop eng = eng.stopping <- true
 
 let live_threads eng = eng.live
 

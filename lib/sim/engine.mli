@@ -129,6 +129,11 @@ val at_exit_thread : (unit -> unit) -> unit
 (** Run until the event queue empties, or until the given virtual time. *)
 val run : ?until:int64 -> t -> unit
 
+(** Make the running {!run} return once the current event is done, with
+    the clock where that event left it; the events still queued stay
+    queued for the next {!run}. *)
+val stop : t -> unit
+
 val live_threads : t -> int
 
 (** Virtual time of the earliest pending event, if any. Drivers use it to

@@ -21,4 +21,5 @@ let () =
       ("wax-scale", Test_wax_scale.suite);
       ("fuzz", Test_fuzz.suite);
       ("bench", Test_bench.suite);
+      ("clock", Test_clock.suite);
     ]

@@ -45,6 +45,122 @@ let test_word_rw () =
       in
       run_to_completion sys p)
 
+(* A word access touches its page, which costs an L2 hit, and only then
+   reads the mapping. A thread that drops the mapping inside that window
+   (swap-out, unmap, a refault elsewhere) must send the access back
+   through the fault path, not raise [Not_found] out of the syscall. *)
+let test_word_mapping_dropped_mid_touch () =
+  with_sys (fun eng sys ->
+      let dropped = ref false in
+      let p =
+        in_proc sys ~on:0 ~name:"t" (fun sys p ->
+            let r = Hive.Syscall.mmap_anon sys p ~npages:1 in
+            let vp = r.Hive.Types.start_page in
+            Hive.Syscall.write_word sys p ~vpage:vp ~offset:8 77L;
+            let unmap_at =
+              Int64.add (Sim.Engine.time ()) (Int64.div Flash.Config.l2_hit_ns 2L)
+            in
+            ignore
+              (Sim.Engine.spawn eng ~at:unmap_at (fun () ->
+                   dropped := Hashtbl.mem p.Hive.Types.mappings vp;
+                   Hive.Vm.unmap_page p vp));
+            match Hive.Vm.read_word sys p ~vpage:vp ~offset:8 with
+            | Ok v -> assert (v = 77L)
+            | Error _ -> failwith "read_word failed")
+      in
+      run_to_completion sys p;
+      Alcotest.(check bool) "mapping dropped inside the touch" true !dropped)
+
+(* The refcount checker against a list model of it (the quadratic
+   original): the same violations, in the same order, on a cell whose
+   counts drifted both ways and which maps a pfdat it no longer holds. *)
+let refcounts_model (c : Hive.Types.cell) =
+  let counts = ref [] in
+  let count_for pf =
+    match List.find_opt (fun (q, _) -> q == pf) !counts with
+    | Some (_, r) -> r
+    | None ->
+      let r = ref 0 in
+      counts := (pf, r) :: !counts;
+      r
+  in
+  List.iter
+    (fun (p : Hive.Types.process) ->
+      Hashtbl.iter
+        (fun _ (m : Hive.Types.mapping) -> incr (count_for m.Hive.Types.map_pf))
+        p.Hive.Types.mappings)
+    c.Hive.Types.processes;
+  let seen = ref [] and bad = ref [] in
+  let check (pf : Hive.Types.pfdat) =
+    if not (List.memq pf !seen) then begin
+      seen := pf :: !seen;
+      let expect =
+        match List.find_opt (fun (q, _) -> q == pf) !counts with
+        | Some (_, r) -> !r
+        | None -> 0
+      in
+      if pf.Hive.Types.refs <> expect then
+        bad :=
+          Printf.sprintf
+            "[refcount] cell %d pfn %d: refs=%d but %d mapping(s) exist"
+            c.Hive.Types.cell_id pf.Hive.Types.pfn pf.Hive.Types.refs expect
+          :: !bad
+    end
+  in
+  Hashtbl.iter (fun _ pf -> check pf) c.Hive.Types.frames;
+  Hive.Pfdat.iter_pages c check;
+  List.iter (fun (pf, _) -> check pf) !counts;
+  List.rev !bad
+
+let test_refcounts_match_model () =
+  with_sys (fun _eng sys ->
+      let c0 = sys.Hive.Types.cells.(0) in
+      let mapped = ref [] in
+      let p =
+        in_proc sys ~on:0 ~name:"t" (fun sys p ->
+            let r = Hive.Syscall.mmap_anon sys p ~npages:8 in
+            for k = 0 to 7 do
+              Hive.Syscall.write_word sys p ~vpage:(r.Hive.Types.start_page + k)
+                ~offset:0 (Int64.of_int k)
+            done;
+            mapped :=
+              Hashtbl.fold
+                (fun _ (m : Hive.Types.mapping) acc -> m.Hive.Types.map_pf :: acc)
+                p.Hive.Types.mappings []
+              |> List.sort (fun (a : Hive.Types.pfdat) b ->
+                     compare a.Hive.Types.pfn b.Hive.Types.pfn);
+            (* Stay alive, mappings intact, while the checks run. *)
+            Sim.Engine.delay 1_000_000_000L)
+      in
+      Sim.Engine.run ~until:500_000_000L sys.Hive.Types.eng;
+      let check () =
+        List.map Hive.Invariants.to_string
+          (Hive.Invariants.check_refcounts sys ~cells:[ c0 ])
+      in
+      Alcotest.(check (list string)) "clean" [] (check ());
+      (match !mapped with
+      | a :: b :: c :: _ ->
+        a.Hive.Types.refs <- a.Hive.Types.refs + 2;
+        b.Hive.Types.refs <- 0;
+        (* Mappings to two pfdats the cell no longer holds. *)
+        List.iter
+          (fun (vpage, refs) ->
+            Hashtbl.replace p.Hive.Types.mappings vpage
+              { Hive.Types.map_lid =
+                  { Hive.Types.tag =
+                      Hive.Types.File_obj { Hive.Types.home = 0; ino = 0 };
+                    page = 0 };
+                map_pf = { c with Hive.Types.refs };
+                map_writable = false })
+          [ (-1, 5); (-2, 7) ]
+      | _ -> Alcotest.fail "expected mapped pages");
+      let got = check () in
+      Alcotest.(check int) "four violations" 4 (List.length got);
+      Alcotest.(check (list string)) "same violations, same order"
+        (refcounts_model c0) got;
+      Hashtbl.remove p.Hive.Types.mappings (-1);
+      Hashtbl.remove p.Hive.Types.mappings (-2))
+
 let test_fault_out_of_region () =
   with_sys (fun _eng sys ->
       let p =
@@ -398,4 +514,8 @@ let suite =
       test_anon_get_careful_failure_reports_hint;
     QCheck_alcotest.to_alcotest qcheck_cow_model;
     QCheck_alcotest.to_alcotest qcheck_page_alloc_conservation;
+    Alcotest.test_case "word access refaults a mapping dropped mid-touch" `Quick
+      test_word_mapping_dropped_mid_touch;
+    Alcotest.test_case "refcount checker matches its list model" `Quick
+      test_refcounts_match_model;
   ]
