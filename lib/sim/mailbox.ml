@@ -23,8 +23,6 @@ let create () = { queue = Queue.create (); waiters = Queue.create (); stale = 0 
 
 let length m = Queue.length m.queue
 
-let is_empty m = Queue.is_empty m.queue
-
 (* Deliver to the first waiter that is still waiting; tombstones and
    losers of a wake race (e.g. timed-out receivers whose wakeup is
    already scheduled) are skipped and dropped. *)

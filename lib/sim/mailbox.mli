@@ -15,8 +15,6 @@ val create : unit -> 'a t
 
 val length : 'a t -> int
 
-val is_empty : 'a t -> bool
-
 (** Enqueue a message, waking the longest-waiting receiver if any. *)
 val send : Engine.t -> 'a t -> 'a -> unit
 
