@@ -34,8 +34,6 @@ val compare_reports :
   unit ->
   verdict
 
-val print_finding : tag:string -> finding -> unit
-
 (** Load both directories, compare, print every finding and a one-line
     summary; returns the exit code (0 clean, 1 regressions, 2 load
     error). *)

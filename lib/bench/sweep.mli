@@ -21,20 +21,16 @@ val run :
   Scenario.t list ->
   report list
 
-(** [report_to_json] writes a metric's [paper] key only when the metric
-    carries a paper reference. *)
+(** Test hook. [report_to_json] writes a metric's [paper] key only when
+    the metric carries a paper reference. *)
 val report_to_json : report -> Sim.Json.t
 
+(** Test hook. *)
 val report_of_json : Sim.Json.t -> (report, string) result
-
-(** ["BENCH_<area>.json"]. *)
-val file_name : area:string -> string
 
 (** Write each report to [dir/BENCH_<area>.json] (pretty-printed, stable);
     returns the paths written. *)
 val write_dir : dir:string -> report list -> string list
-
-val load_file : string -> (report, string) result
 
 (** Load every [BENCH_*.json] in a directory, sorted by area. *)
 val load_dir : string -> (report list, string) result

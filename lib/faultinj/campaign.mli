@@ -96,8 +96,8 @@ val corrupts_cell : fault -> bool
 
 val describe : fault -> string
 
-(** The cells the end-of-run invariant sweep exempts, given each fault
-    that landed and the cells it landed on: only the victims of
+(** Test hook. The cells the end-of-run invariant sweep exempts, given
+    each fault that landed and the cells it landed on: only the victims of
     [Corrupt_map] and [Corrupt_cow], whose damaged structures may stay
     undetected. Fail-stop, cascade, partition and CPU-dead victims reboot
     with zeroed memory at reintegration and are checked in full. *)
@@ -159,7 +159,7 @@ val run_parallel :
   on_record:(int64 -> 'r -> unit) ->
   unit
 
-(** [spawned_domains ~jobs ~seeds ~cpus] is how many domains
+(** Test hook. [spawned_domains ~jobs ~seeds ~cpus] is how many domains
     [run_parallel] spawns besides the caller for [seeds] seeds on a host
     recommending [cpus] domains: [min jobs seeds cpus - 1], at least 0. *)
 val spawned_domains : jobs:int -> seeds:int -> cpus:int -> int

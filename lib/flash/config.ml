@@ -10,7 +10,7 @@ type t = {
    HP-97560-class disk per node. *)
 let page_size = 4096
 
-let cycle_ns = 5L
+let cycle_ns = 5L (* 200 MHz *)
 
 let l2_hit_ns = 50L
 

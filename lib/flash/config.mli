@@ -16,15 +16,10 @@ type t = {
 (** Firewall granularity and OS page size: 4 KB. *)
 val page_size : int
 
-(** 5 ns at 200 MHz. *)
-val cycle_ns : int64
-
 val l2_hit_ns : int64
 
 (** Average second-level miss latency. *)
 val mem_ns : int64
-
-val cache_line : int
 
 val ipi_ns : int64
 
@@ -45,9 +40,6 @@ val disk_bytes_per_ns : float
 
 val dma_setup_ns : int64
 
-(** Per-node disk capacity, in page-size blocks. *)
-val disk_blocks : int
-
 (** Size of the swap partition at the top of each disk; file blocks live
     strictly below {!swap_base}. *)
 val swap_blocks : int
@@ -59,7 +51,7 @@ val max_nodes : int
 (** The paper's four-node machine. *)
 val default : t
 
-(** A two-node machine with little memory, for fast unit tests. *)
+(** Test hook. A two-node machine with little memory, for fast unit tests. *)
 val small : t
 
 val with_nodes : t -> int -> t

@@ -15,8 +15,6 @@ let create id =
     stolen_ns = 0L;
   }
 
-let id t = t.id
-
 let halt t = t.halted <- true
 
 let restore t = t.halted <- false

@@ -10,14 +10,10 @@ type t
 
 val create : int -> t
 
-val id : t -> int
-
 (** Fail-stop this processor: current and future occupants get {!Halted}. *)
 val halt : t -> unit
 
 val restore : t -> unit
-
-val check : t -> unit
 
 (** Run interrupt-level work for [ns] (no queueing; stretches the current
     burst). *)

@@ -32,8 +32,6 @@ val allowed : t -> pfn:Addr.pfn -> proc:int -> bool
 (** All of these raise {!Not_local_processor} unless [by] is the processor
     of the node owning [pfn]. *)
 
-val set_vector : t -> by:int -> pfn:Addr.pfn -> Procset.t -> unit
-
 (** Reset every page of [node] to one permission set: the boot/reboot
     fast path (O(1), clears all per-page exceptions). Reported to the
     notify observer as a single change on the node's first page. *)
@@ -55,8 +53,8 @@ val reset : t -> by:int -> pfn:Addr.pfn -> unit
     exception table. *)
 val remote_writable_pages : t -> node:int -> int
 
-(** Every pfn (machine-wide) writable by [proc]. Costs a scan of every
-    node's exception table; preemptive discard uses
+(** Test hook. Every pfn (machine-wide) writable by [proc]. Costs a scan
+    of every node's exception table; preemptive discard uses
     {!pages_writable_by_mask} instead. *)
 val writable_by : t -> proc:int -> Addr.pfn list
 

@@ -27,17 +27,11 @@ let create eng cfg =
     failure_listeners = [];
   }
 
-let cfg t = t.cfg
-
-let eng t = t.eng
-
 let memory t = t.memory
 
 let firewall t = Memory.firewall t.memory
 
 let sips t = t.sips
-
-let node t i = t.nodes.(i)
 
 let cpu t i = t.nodes.(i).cpu
 

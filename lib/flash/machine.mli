@@ -13,17 +13,11 @@ type t
 
 val create : Sim.Engine.t -> Config.t -> t
 
-val cfg : t -> Config.t
-
-val eng : t -> Sim.Engine.t
-
 val memory : t -> Memory.t
 
 val firewall : t -> Firewall.t
 
 val sips : t -> Sips.t
-
-val node : t -> int -> node
 
 val cpu : t -> int -> Cpu.t
 

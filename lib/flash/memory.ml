@@ -84,8 +84,6 @@ let copy_in (nm : node_mem) ~off src src_off len =
 
 let firewall t = t.firewall
 
-let cfg t = t.cfg
-
 let fail_node t node = t.nodes.(node).accessible <- false
 
 let cutoff_node t node = t.nodes.(node).cutoff <- true

@@ -21,8 +21,6 @@ val create : Config.t -> t
 
 val firewall : t -> Firewall.t
 
-val cfg : t -> Config.t
-
 (** {2 Fault model transitions} *)
 
 (** Fail-stop the node's memory: all accesses get bus errors. *)
@@ -100,7 +98,7 @@ val poke : t -> Addr.t -> Bytes.t -> unit
     the firewall, exactly like erroneous kernel stores on the real machine. *)
 val poke_wild : t -> by:int -> Addr.t -> Bytes.t -> unit
 
-(** (reads, writes, wild_writes) counters. *)
+(** Test hook. (reads, writes, wild_writes) counters. *)
 val stats : t -> int * int * int
 
 (** Average latency of remote write misses observed so far — the statistic

@@ -77,15 +77,6 @@ let intersects (a : t) (b : t) =
 
 let equal (a : t) (b : t) = a = b
 
-let to_list (s : t) =
-  let acc = ref [] in
-  for w = Array.length s - 1 downto 0 do
-    for b = bits_per_word - 1 downto 0 do
-      if s.(w) land (1 lsl b) <> 0 then acc := ((w * bits_per_word) + b) :: !acc
-    done
-  done;
-  !acc
-
 (* Compact rendering for traces: hex words, most significant first. *)
 let to_string (s : t) =
   if is_empty s then "0"

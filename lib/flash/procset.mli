@@ -33,8 +33,5 @@ val intersects : t -> t -> bool
 
 val equal : t -> t -> bool
 
-(** Ascending processor numbers. *)
-val to_list : t -> int list
-
 (** Compact hex rendering for traces and events. *)
 val to_string : t -> string

@@ -102,6 +102,7 @@ val send :
 val receive :
   ?timeout:int64 -> t -> node:int -> kind:kind -> envelope option
 
+(** Test hook. *)
 val pending : t -> node:int -> kind:kind -> int
 
 val send_count : t -> int

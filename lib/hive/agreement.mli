@@ -23,6 +23,7 @@
    broadcast-vote protocol and an oracle mode for reproducing the paper's
    experimental setup. *)
 
+(** Test hook. *)
 val ping_op : Rpc.Op.t
 
 (** One agreement round's tallies, and the confirmation decision as a
@@ -41,7 +42,10 @@ type tally = {
   t_live_set : int;
 }
 
+(** Test hook. *)
 val quorum_confirms : quorum_check:bool -> tally -> bool
+
+(** Test hook. *)
 val false_alert_count : Types.cell -> Types.cell_id -> int
 
 (** Run the vote of an agreement from its accuser, in the thread that owns

@@ -39,9 +39,6 @@ type ctx = {
   mutable hops : int;
 }
 val reason_to_string : failure_reason -> string
-val max_hops : int
-val addr_in_cell : Types.system -> int -> Flash.Addr.t -> bool
-val check_addr : ctx -> ?align:int -> Flash.Addr.t -> unit
 val fail_value : string -> 'a
 val read_i64 : ctx -> Flash.Addr.t -> int64
 val read_bytes : ctx -> Flash.Addr.t -> int -> Bytes.t

@@ -8,9 +8,7 @@
    to all of its memory, and starts the RPC dispatch threads and the clock
    interrupt. *)
 
-val kernel_reserved_pages : int
 val make :
   Flash.Config.t ->
   id:Types.cell_id -> nodes:int list -> Types.cell
-val init_firewall : Types.system -> Types.cell -> unit
 val boot : Types.system -> Types.cell -> unit

@@ -12,6 +12,4 @@
    ([clock_hand_targets]), and under local pressure it additionally
    reclaims idle cached file pages. *)
 
-val sweep_period_ns : int64
-val sweep : Types.system -> Types.cell -> int
 val start : Types.system -> Types.cell -> unit

@@ -15,20 +15,13 @@
    RPC to the owning cell sets up the export/import binding. *)
 
 val cow_tag : int64
-val default_capacity : int
-val f_node_id : int
 val f_parent_addr : int
 val f_parent_cell : int
 val f_nentries : int
 val f_capacity : int
-val f_entries : int
 exception Node_full
 (* Reset the domain-local node-id generator (called by [System.boot]). *)
 val reset_ids : unit -> unit
-val alloc_node :
-  Types.system ->
-  Types.cell ->
-  parent:Types.cow_ref option -> capacity:int -> Types.cow_ref
 val create_root :
   Types.system ->
   Types.cell -> ?capacity:int -> unit -> Types.cow_ref
@@ -42,8 +35,6 @@ val node_id : Types.system -> Types.cow_ref -> int
 val record_write :
   Types.system ->
   Types.cell -> Types.cow_ref -> page:int -> unit
-val local_has_page :
-  Types.system -> Types.cell -> addr:int -> page:int -> bool
 type lookup_result =
     Found of Types.cow_ref
   | Not_present
@@ -51,5 +42,7 @@ type lookup_result =
 val lookup :
   Types.system ->
   Types.cell -> Types.cow_ref -> page:int -> lookup_result
+
+(** Test hook. *)
 val free_node :
   Types.system -> Types.cell -> Types.cow_ref -> unit

@@ -257,16 +257,6 @@ let stage_page (sys : Types.system) (home : Types.cell) (f : Types.file) page
   pf.Types.dirty <- false;
   Types.bump home Count.writebacks
 
-(* Write a cached page back to stable storage. *)
-let writeback (sys : Types.system) (home : Types.cell) (f : Types.file) page
-    (pf : Types.pfdat) =
-  stage_page sys home f page pf;
-  let psize = Flash.Config.page_size in
-  let disk = Flash.Machine.disk sys.Types.machine (Types.boss_proc home) in
-  Flash.Disk.write sys.Types.eng disk
-    ~block:(f.Types.disk_block + page)
-    ~bytes:psize
-
 (* Clustered writeback: stage every dirty page, then issue one contiguous
    disk write covering their span. *)
 let sync_file (sys : Types.system) (home : Types.cell) (f : Types.file) =
@@ -486,7 +476,7 @@ let rec get_page (sys : Types.system) (c : Types.cell) vnode ~page ~writable
         match List.assoc_opt page imported with
         | Some pf -> Ok pf
         | None -> Error Types.EIO)
-      | Ok (Types.P_error e) | Error e -> Error e
+      | Error e -> Error e
       | Ok _ -> Error Types.EFAULT))
 
 (* The one read loop: walk [len] bytes at [pos] page by page through the

@@ -31,28 +31,18 @@ type Types.payload +=
   | P_unlink of { path : string }
   | P_dirty of { ino : int; page : int; }
   | P_setsize of { ino : int; size : int; }
-val lookup_op : Rpc.Op.t
-val locate_op : Rpc.Op.t
-val create_op : Rpc.Op.t
-val setsize_op : Rpc.Op.t
-val unlink_op : Rpc.Op.t
-val locate_batch : int
 val home_of_path : Types.system -> string -> int
-val mem : Types.system -> Flash.Memory.t
 val find_local : Types.cell -> string -> Types.file option
-val find_by_ino : Types.cell -> int -> Types.file option
 val create_local :
   Types.system ->
   Types.cell -> path:string -> content:bytes -> Types.file
+
+(** Test hook. *)
 val page_in :
   Types.system ->
   Types.cell -> Types.file -> int -> Types.pfdat
-val stage_page :
-  Types.system ->
-  Types.cell -> Types.file -> int -> Types.pfdat -> unit
-val writeback :
-  Types.system ->
-  Types.cell -> Types.file -> int -> Types.pfdat -> unit
+
+(** Test hook. *)
 val sync_file :
   Types.system -> Types.cell -> Types.file -> unit
 val sync_cell : Types.system -> Types.cell -> unit
@@ -60,9 +50,6 @@ val note_discard :
   Types.system ->
   Types.cell -> Types.file -> page:int -> dirty:bool -> unit
 exception Stale of Types.errno
-val check_gen :
-  Types.system ->
-  Types.cell -> Types.vnode -> Types.generation -> unit
 val open_file :
   Types.system ->
   Types.cell ->

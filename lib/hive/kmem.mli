@@ -10,8 +10,6 @@
 
 val header_bytes : int
 exception Out_of_kernel_memory
-val proc_of : Types.cell -> int
-val mem : Types.system -> Flash.Memory.t
 val alloc :
   Types.system -> Types.cell -> tag:int64 -> size:int -> int
 val free :

@@ -9,12 +9,10 @@ module J = Sim.Json
 
 let status_to_string = function
   | Types.Cell_up -> "up"
-  | Types.Cell_recovering -> "recovering"
   | Types.Cell_down -> "down"
 
 let status_of_string = function
   | "up" -> Some Types.Cell_up
-  | "recovering" -> Some Types.Cell_recovering
   | "down" -> Some Types.Cell_down
   | _ -> None
 

@@ -71,8 +71,6 @@ module Snapshot : sig
   (** End-to-end op histogram by ["class|phase"] key, if recorded. *)
   val op_hist : t -> string -> hist option
 
-  val to_json : t -> Sim.Json.t
-
   val of_json : Sim.Json.t -> (t, string) result
 
   (** Compact JSON text; [of_string (to_string t) = Ok t]. *)
@@ -84,18 +82,11 @@ end
 (** Freeze a snapshot of a live system. *)
 val capture : Types.system -> Snapshot.t
 
-(** System-wide sharing-protocol totals (imports, cache hits, releases,
-    invalidations, ...) summed over cells. *)
-val sharing_totals : Types.system -> (string * int) list
-
-(** share.cache_hits / (share.cache_hits + fs.remote_locates), [None]
-    when the run made no remote page lookups (avoids a 0/0). *)
+(** Test hook. share.cache_hits / (share.cache_hits + fs.remote_locates),
+    [None] when the run made no remote page lookups (avoids a 0/0). *)
 val cache_hit_rate : Types.system -> float option
 
-(** [capture] rendered as compact JSON text. *)
-val to_json : Types.system -> string
-
-(** Write {!to_json} to [path]. *)
+(** Write the {!capture} snapshot to [path] as compact JSON text. *)
 val write_file : Types.system -> string -> unit
 
 (** Print a human-readable summary of a snapshot (per-op RPC latency

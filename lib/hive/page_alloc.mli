@@ -39,9 +39,13 @@ val release : Types.system -> Types.cell -> Types.pfdat -> unit
 val claim : Types.system -> Types.cell -> Types.pfdat -> unit
 val unclaim : Types.pfdat -> unit
 val reclaim : Types.system -> Types.cell -> want:int -> int
+
+(** Test hook. *)
 val borrow :
   Types.system -> Types.cell -> home:Types.cell_id -> count:int -> int list
 val return_frames : Types.system -> Types.cell -> int list -> unit
+
+(** Test hook. *)
 val unloan : Types.system -> Types.cell -> int -> unit
 
 (** Recovery: take back the frames loaned to dead cells, and forget

@@ -27,7 +27,6 @@ end
 
 type Types.payload +=
   | P_fork of {
-      parent_pid : int;
       name : string;
       body : Types.system -> Types.process -> unit;
       regions : Types.region list;
@@ -76,7 +75,6 @@ let make_process (sys : Types.system) (c : Types.cell) ~name ~pid :
       exit_code = None;
       killed_by_failure = false;
       exit_ivar = Sim.Ivar.create ();
-      children = [];
       uses_cells = [];
     }
   in
@@ -168,15 +166,12 @@ let copy_fds (parent : Types.process) =
   Hashtbl.fold (fun n fd acc -> (n, fd) :: acc) parent.Types.fds []
 
 let install_child (sys : Types.system) (c : Types.cell) ~name ~regions ~fds
-    ~parent_pid body =
+    body =
   let p = make_process sys c ~name ~pid:(alloc_pid sys) in
   p.Types.regions <- regions;
   List.iter (fun (n, fd) -> Hashtbl.replace p.Types.fds n fd) fds;
   p.Types.next_fd <-
     List.fold_left (fun acc (n, _) -> max acc (n + 1)) 3 fds;
-  (match Hashtbl.find_opt sys.Types.proc_table parent_pid with
-  | Some parent -> parent.Types.children <- p :: parent.Types.children
-  | None -> ());
   start_thread sys c p body;
   p
 
@@ -192,8 +187,7 @@ let fork (sys : Types.system) (parent : Types.process) ?on_cell ~name body =
   if target = parent.Types.proc_cell then begin
     let regions = split_anon_regions sys parent here in
     let child =
-      install_child sys here ~name ~regions ~fds:(copy_fds parent)
-        ~parent_pid:parent.Types.pid body
+      install_child sys here ~name ~regions ~fds:(copy_fds parent) body
     in
     Ok child
   end
@@ -208,7 +202,6 @@ let fork (sys : Types.system) (parent : Types.process) ?on_cell ~name body =
       Rpc.call sys ~from:here ~target ~op:fork_op
         (P_fork
            {
-             parent_pid = parent.Types.pid;
              name;
              body;
              regions;
@@ -217,9 +210,7 @@ let fork (sys : Types.system) (parent : Types.process) ?on_cell ~name body =
     with
     | Ok (P_forked { pid }) -> (
       match Hashtbl.find_opt sys.Types.proc_table pid with
-      | Some child ->
-        parent.Types.children <- child :: parent.Types.children;
-        Ok child
+      | Some child -> Ok child
       | None -> Error Types.ESRCH)
     | Ok _ -> Error Types.EFAULT
     | Error e -> Error e
@@ -296,10 +287,6 @@ let wait (sys : Types.system) (_parent : Types.process) (child : Types.process)
     =
   Sim.Ivar.read_exn sys.Types.eng child.Types.exit_ivar
 
-(* Wait for all children. *)
-let wait_all (sys : Types.system) (parent : Types.process) =
-  List.map (fun c -> wait sys parent c) parent.Types.children
-
 let () =
   Rpc.serve migrate_xfer_op (fun _sys _cell ~src:_ _arg ->
       Types.Immediate (Ok Types.P_unit))
@@ -307,12 +294,12 @@ let () =
 let () =
   Rpc.serve fork_op (fun sys cell ~src:_ arg ->
       match arg with
-      | P_fork { parent_pid; name; body; regions; fds } ->
+      | P_fork { name; body; regions; fds } ->
         Types.Queued
           (fun () ->
             Sim.Engine.delay Params.fork_local_ns;
             let child =
-              install_child sys cell ~name ~regions ~fds ~parent_pid body
+              install_child sys cell ~name ~regions ~fds body
             in
             Ok (P_forked { pid = child.Types.pid }))
       | _ -> Types.Immediate (Error Types.EFAULT))

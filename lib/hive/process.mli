@@ -7,42 +7,16 @@
    the COW tree becomes a distributed data structure. *)
 
 type Types.payload +=
-    P_fork of { parent_pid : int; name : string;
+    P_fork of { name : string;
       body : Types.system -> Types.process -> unit;
       regions : Types.region list; fds : (int * Types.fd) list;
     }
   | P_forked of { pid : int; }
-val fork_op : Rpc.Op.t
-val migrate_xfer_op : Rpc.Op.t
-val cell_of : Types.system -> Types.process -> Types.cell
-val cpu_of : Types.system -> Types.process -> Flash.Cpu.t
 val compute : Types.system -> Types.process -> int64 -> unit
-val alloc_pid : Types.system -> int
-val make_process :
-  Types.system ->
-  Types.cell -> name:string -> pid:Types.pid -> Types.process
-val reap : Types.system -> Types.process -> unit
-val start_thread :
-  Types.system ->
-  Types.cell ->
-  Types.process ->
-  (Types.system -> Types.process -> unit) -> unit
 val spawn :
   Types.system ->
   Types.cell ->
   name:string ->
-  (Types.system -> Types.process -> unit) -> Types.process
-val split_anon_regions :
-  Types.system ->
-  Types.process -> Types.cell -> Types.region list
-val copy_fds : Types.process -> (int * Types.fd) list
-val install_child :
-  Types.system ->
-  Types.cell ->
-  name:string ->
-  regions:Types.region list ->
-  fds:(int * Types.fd) list ->
-  parent_pid:Types.pid ->
   (Types.system -> Types.process -> unit) -> Types.process
 val fork :
   Types.system ->
@@ -60,4 +34,3 @@ val migrate :
   to_cell:Types.cell_id -> (unit, Types.errno) result
 val wait :
   Types.system -> Types.process -> Types.process -> int
-val wait_all : Types.system -> Types.process -> int list

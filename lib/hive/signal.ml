@@ -10,12 +10,6 @@
 
 type signal = SIGTERM | SIGKILL | SIGUSR1 | SIGUSR2
 
-let signal_to_string = function
-  | SIGTERM -> "SIGTERM"
-  | SIGKILL -> "SIGKILL"
-  | SIGUSR1 -> "SIGUSR1"
-  | SIGUSR2 -> "SIGUSR2"
-
 type Types.payload +=
   | P_signal of { pid : Types.pid; signal : signal }
   | P_signal_group of { pgid : int; signal : signal }
@@ -57,8 +51,6 @@ let handle (p : Types.process) signal f =
   st.handlers <- (signal, f) :: List.remove_assoc signal st.handlers
 
 let set_pgid (p : Types.process) pgid = (state_of p).pgid <- pgid
-
-let get_pgid (p : Types.process) = (state_of p).pgid
 
 (* Deliver a signal to a local process: run the handler if installed,
    otherwise the default action (terminate). *)

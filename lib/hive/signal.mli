@@ -9,12 +9,9 @@
    runs (no shared mutable structure crosses a cell boundary). *)
 
 type signal = SIGTERM | SIGKILL | SIGUSR1 | SIGUSR2
-val signal_to_string : signal -> string
 type Types.payload +=
     P_signal of { pid : Types.pid; signal : signal; }
   | P_signal_group of { pgid : int; signal : signal; }
-val signal_op : Rpc.Op.t
-val signal_group_op : Rpc.Op.t
 type pstate = {
   mutable handlers : (signal * (Types.process -> unit)) list;
   mutable pending : signal list;
@@ -25,12 +22,9 @@ type pstate = {
    numbered pids of an earlier system on this domain. *)
 val reset : unit -> unit
 
-val state_of : Types.process -> pstate
 val handle :
   Types.process -> signal -> (Types.process -> unit) -> unit
 val set_pgid : Types.process -> int -> unit
-val get_pgid : Types.process -> int
-val deliver_local : Types.system -> Types.process -> signal -> unit
 val kill :
   Types.system ->
   Types.process ->

@@ -23,8 +23,6 @@ type t = {
 (* Reset the domain-local task-id generator (called by [System.boot]). *)
 val reset_ids : unit -> unit
 val create : Types.system -> Types.process -> shared_pages:int -> t
-val shared_base : int
-val map_shared : Types.system -> t -> Types.process -> unit
 val add_thread :
   Types.system ->
   t ->

@@ -13,13 +13,13 @@
    already forbid trusting remote frames for kernel-critical data, and
    remote clients simply re-import after a swap-in. *)
 
-val mem : Types.system -> Flash.Memory.t
-val is_swappable : Types.cell -> Types.pfdat -> bool
-val swap_out_page :
-  Types.system -> Types.cell -> Types.pfdat -> bool
 val swap_out_idle : Types.system -> Types.cell -> want:int -> int
 val swap_in :
   Types.system ->
   Types.cell -> Types.logical_id -> Types.pfdat option
+
+(** Test hook. *)
 val swap_out_process : Types.system -> Types.process -> int
+
+(** Test hook. *)
 val swapped_pages : Types.cell -> int

@@ -223,8 +223,4 @@ let signal_handle (p : Types.process) s f = Signal.handle p s f
 
 let setpgid (p : Types.process) pgid = Signal.set_pgid p pgid
 
-let getpgid (p : Types.process) = Signal.get_pgid p
-
-let wait_all = Process.wait_all
-
 let compute = Process.compute

@@ -4,13 +4,8 @@
    [Types.Syscall_error] on failure. *)
 
 exception E of Types.errno
-val ok : ('a, Types.errno) result -> 'a
-val cell_of : Types.system -> Types.process -> Types.cell
 val getpid : Types.process -> Types.pid
 val getcell : Types.process -> Types.cell_id
-val install_fd :
-  Types.process ->
-  Types.vnode -> Types.generation -> writable:bool -> int
 val openf :
   Types.system -> Types.process -> ?writable:bool -> string -> int
 val creat :
@@ -72,6 +67,4 @@ val signal_handle :
   Types.process ->
   Signal.signal -> (Types.process -> unit) -> unit
 val setpgid : Types.process -> int -> unit
-val getpgid : Types.process -> int
-val wait_all : Types.system -> Types.process -> int list
 val compute : Types.system -> Types.process -> int64 -> unit

@@ -7,7 +7,6 @@
    comparison point): no remote paths are ever taken, no firewall checks
    are charged. *)
 
-val boot_horizon_ns : int64
 val boot :
   ?mcfg:Flash.Config.t ->
   ?params:Params.t ->

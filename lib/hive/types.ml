@@ -191,7 +191,7 @@ type mapping = {
   map_writable : bool;
 }
 
-type proc_state = Proc_running | Proc_suspended | Proc_zombie
+type proc_state = Proc_running | Proc_zombie
 
 type process = {
   pid : pid;
@@ -207,14 +207,13 @@ type process = {
   mutable exit_code : int option;
   mutable killed_by_failure : bool;
   exit_ivar : int Sim.Ivar.t;
-  mutable children : process list;
   mutable uses_cells : cell_id list; (* cells whose resources it depends on *)
 }
 
 (* Universal payload for RPC arguments/results; each subsystem extends it. *)
 type payload = ..
 
-type payload += P_unit | P_int of int | P_error of errno
+type payload += P_unit | P_int of int
 
 type rpc_outcome = (payload, errno) result
 
@@ -223,7 +222,7 @@ type handler_action =
   | Immediate of rpc_outcome (* serviced entirely at interrupt level *)
   | Queued of (unit -> rpc_outcome) (* must block: run in a server process *)
 
-type cell_status = Cell_up | Cell_recovering | Cell_down
+type cell_status = Cell_up | Cell_down
 
 (* Kernel heap for structures published to other cells (serialized into
    simulated physical memory so careful references and corruptions are

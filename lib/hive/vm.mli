@@ -12,11 +12,6 @@
 type Types.payload +=
     P_anon_locate of { node_id : int; page : int; writable : bool; }
   | P_anon_page of { pfn : int; }
-val anon_locate_op : Rpc.Op.t
-val mem : Types.system -> Flash.Memory.t
-val cell_of : Types.system -> Types.process -> Types.cell
-val note_dependency : Types.process -> Types.cell_id -> unit
-val next_start : Types.process -> int
 val map_file :
   Types.system ->
   Types.process ->
@@ -26,23 +21,13 @@ val map_file :
 val map_anon :
   Types.system ->
   Types.process -> Types.cow_ref -> npages:int -> Types.region
-val region_of : Types.process -> int -> Types.region option
-val anon_create :
-  Types.system ->
-  Types.cell -> Types.cow_ref -> page:int -> Types.pfdat
+
+(** Test hook. *)
 val anon_get :
   Types.system ->
   Types.cell ->
   Types.cow_ref ->
   page:int -> writable:bool -> (Types.pfdat, Types.errno) result
-val add_mapping :
-  Types.process ->
-  vpage:int ->
-  lid:Types.logical_id -> Types.pfdat -> writable:bool -> unit
-val fault :
-  Types.system ->
-  Types.process ->
-  vpage:int -> write:bool -> (unit, Types.errno) result
 val touch :
   Types.system ->
   Types.process ->

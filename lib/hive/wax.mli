@@ -18,8 +18,6 @@
    cells, it exits whenever any cell fails; recovery forks a fresh
    incarnation that rebuilds its view from scratch. *)
 
-val mem : Types.system -> Flash.Memory.t
-
 (** A hint that names cells: where to allocate memory from, or which
     cells the VM clock hand should target. *)
 type hint =
@@ -31,15 +29,10 @@ type hint =
     it in [wax.rejected_hints] and return false. *)
 val sanity_check_hint : Types.cell -> hint -> bool
 
-(** Validate and (if the cell really is under local pressure) execute a
-    deposited swap-out hint; always clears the hint slot. Rejections bump
-    [wax.rejected_hints]. *)
+(** Test hook. Validate and (if the cell really is under local pressure)
+    execute a deposited swap-out hint; always clears the hint slot.
+    Rejections bump [wax.rejected_hints]. *)
 val act_on_swap_hint : Types.system -> Types.cell -> unit
 
-val publish_local_state : Types.system -> Types.cell -> unit
 exception Wax_dies
-val policy_pass : Types.system -> Types.cell -> unit
-val stop : Types.system -> unit
-val start : Types.system -> unit
-val restart : Types.system -> unit
 val install : Types.system -> unit

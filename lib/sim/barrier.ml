@@ -14,8 +14,6 @@ let create parties =
 
 let parties b = b.parties
 
-let arrived b = b.arrived
-
 let aborted b = b.aborted
 
 let release eng b =

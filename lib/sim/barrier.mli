@@ -18,9 +18,6 @@ val create : int -> t
 
 val parties : t -> int
 
-(** Threads currently waiting in the present generation. *)
-val arrived : t -> int
-
 (** Has the barrier been aborted? Aborted barriers never block again. *)
 val aborted : t -> bool
 

@@ -90,8 +90,6 @@ val cancel : timer -> unit
     the wake as not delivered). *)
 val try_resume : t -> thread -> bool
 
-val resume : t -> thread -> unit
-
 (** Attach a wake-up timer to a suspended thread (used to implement
     timeouts); cancelled automatically if another waker wins. Call only
     from within a {!suspend} registration. *)
@@ -127,7 +125,7 @@ val time : unit -> int64
 val delay : int64 -> unit
 
 (** Low-level block: parks the current thread and passes it to [register],
-    which stores it where a future waker can {!resume} it. *)
+    which stores it where a future waker can {!try_resume} it. *)
 val suspend : (thread -> unit) -> unit
 
 (** Register a cleanup to run when the current thread exits (normally,
@@ -146,6 +144,7 @@ val run : ?until:int64 -> t -> unit
     queued for the next {!run}. *)
 val stop : t -> unit
 
+(** Test hook. *)
 val live_threads : t -> int
 
 (** Virtual time of the earliest pending event, if any. Drivers use it to
@@ -163,6 +162,6 @@ val queue_capacity : t -> int
     events/s from it). *)
 val events_scheduled : t -> int
 
-(** Cancelled entries still occupying queue slots (drops to 0 after a
-    compaction sweep or once they drain through the run loop). *)
+(** Test hook. Cancelled entries still occupying queue slots (drops to 0
+    after a compaction sweep or once they drain through the run loop). *)
 val cancelled_pending : t -> int

@@ -1,15 +1,3 @@
-(* Typed structured-event bus for the simulation.
-
-   Subsystems emit *spans* (begin/end pairs bracketing an operation) and
-   *instants* (point events) stamped with the virtual clock; each event
-   carries a category, the owning cell, the emitting simulation thread and
-   a list of key/value fields. Events flow to pluggable sinks: an
-   in-memory ring buffer (tests, post-mortem), a JSONL stream, and a
-   Chrome `trace_event` file loadable in chrome://tracing / Perfetto.
-
-   Emission is free when no sink is attached (a single list check), so
-   instrumentation can stay on hot paths unconditionally. *)
-
 type value =
   | Int of int
   | I64 of int64
@@ -67,8 +55,6 @@ let attach bus sink = bus.sinks <- bus.sinks @ [ sink ]
 
 let enabled bus = bus.sinks <> []
 
-let flush bus = List.iter (fun s -> s.flush ()) bus.sinks
-
 let emit bus ?(cell = -1) ?(args = []) ~cat ~phase name =
   if bus.sinks <> [] then begin
     let e =
@@ -88,8 +74,6 @@ let emit bus ?(cell = -1) ?(args = []) ~cat ~phase name =
 let instant bus ?cell ?args ~cat name =
   emit bus ?cell ?args ~cat ~phase:Instant name
 
-(* Run [f] inside a span. The [End] event is emitted even if [f] raises
-   (including thread kill during recovery), so span trees stay balanced. *)
 let span bus ?cell ?args ~cat name f =
   if bus.sinks = [] then f ()
   else begin
@@ -125,7 +109,6 @@ let ring_sink r =
     flush = (fun () -> ());
   }
 
-(* Buffered events, oldest first. *)
 let ring_contents r =
   let cap = Array.length r.rbuf in
   let n = min r.rcount cap in
@@ -230,9 +213,6 @@ let chrome_sink oc =
   in
   (sink, terminate)
 
-(* Attach a Chrome trace file at [path], when one is given, to [t];
-   returns the function that terminates the JSON array and closes the
-   file. *)
 let attach_chrome_file t = function
   | None -> ignore
   | Some path ->

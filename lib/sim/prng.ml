@@ -44,10 +44,6 @@ let float t =
 
 let bool t = Int64.logand (next t) 1L = 1L
 
-let pick t arr =
-  if Array.length arr = 0 then invalid_arg "Prng.pick: empty array";
-  arr.(int t (Array.length arr))
-
 (* [float t] is in [0, 1), so [1 - u] is in (0, 1] and the log is finite. *)
 let exponential t ~mean =
   if mean <= 0. then invalid_arg "Prng.exponential: mean must be positive";

@@ -26,9 +26,6 @@ val float : t -> float
 
 val bool : t -> bool
 
-(** Uniform choice from a non-empty array. *)
-val pick : t -> 'a array -> 'a
-
 (** Exponentially distributed value with the given mean (e.g. Poisson
     inter-arrival gaps). Raises on a non-positive mean. *)
 val exponential : t -> mean:float -> float

@@ -21,8 +21,6 @@ val sum : summary -> float
 
 val mean : summary -> float
 
-val min_value : summary -> float
-
 val max_value : summary -> float
 
 (** [percentile s 50.] is the median, estimated from the reservoir.
@@ -42,8 +40,8 @@ val histogram : unit -> histogram
 
 val hist_add : histogram -> int64 -> unit
 
-(** The bucket [hist_add] files a duration under: [floor (log2 ns)],
-    with [ns <= 1] in bucket 0. *)
+(** Test hook. The bucket [hist_add] files a duration under:
+    [floor (log2 ns)], with [ns <= 1] in bucket 0. *)
 val bucket_of_ns : int64 -> int
 
 val hist_count : histogram -> int
@@ -73,7 +71,8 @@ type counter_id
     when called off the main domain. *)
 val declare : name:string -> unit:string -> doc:string -> counter_id
 
-(** Every declaration as [(name, unit, doc)], in declaration order. *)
+(** Test hook. Every declaration as [(name, unit, doc)], in declaration
+    order. *)
 val declared : unit -> (string * string * string) list
 
 (** One set of counts (a cell's, or the system's): a slot for every

@@ -18,18 +18,7 @@ type cfg = {
   init_compute_ns : int64;
 }
 val default : cfg
-val path_homed : Hive.Types.system -> base:string -> target:int -> string
-val chunk_path : Hive.Types.system -> int -> string
-val out_path : string
-val expected_output : cfg -> bytes
 val setup : Hive.Types.system -> cfg -> unit
-val worker :
-  cfg ->
-  w:int ->
-  barrier:Sim.Barrier.t ->
-  sums:int64 array -> Hive.Types.system -> Hive.Types.process -> unit
-val driver :
-  cfg -> int64 array -> Hive.Types.system -> Hive.Types.process -> unit
 val run :
   ?cfg:cfg ->
   Hive.Types.system -> Workload.result * Hive.Types.process

@@ -25,20 +25,9 @@ type cfg = {
   link_ns : int64;
 }
 val default : cfg
-val src_path : int -> string
 val obj_path : int -> string
-val cc_path : string
-val hdr_path : string
-val lib_path : string
-val lib_bytes : int
-val inc_path : int -> string
-val expected_obj : cfg -> int -> bytes
-val expected_binary : cfg -> bytes
 val binary_path : string
 val setup : Hive.Types.system -> cfg -> unit
-val compile_job :
-  cfg -> int -> Hive.Types.system -> Hive.Types.process -> unit
-val driver : cfg -> Hive.Types.system -> Hive.Types.process -> unit
 val run :
   ?cfg:cfg ->
   Hive.Types.system -> Workload.result * Hive.Types.process

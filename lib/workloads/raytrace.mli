@@ -18,16 +18,6 @@ type cfg = {
   build_ns : int64;
 }
 val default : cfg
-val out_path : int -> string
-val scene_word : int -> int64
-val expected_scene_sum : cfg -> int64
-val expected_output : cfg -> int -> bytes
-val worker :
-  cfg ->
-  w:int ->
-  scene_region:Hive.Types.region ->
-  Hive.Types.system -> Hive.Types.process -> unit
-val driver : cfg -> Hive.Types.system -> Hive.Types.process -> unit
 val run :
   ?cfg:cfg ->
   Hive.Types.system -> Workload.result * Hive.Types.process

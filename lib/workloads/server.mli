@@ -47,14 +47,11 @@ type Hive.Types.payload +=
   | P_srv_data of { bytes : int }
   | P_srv_churn of { path : string }
 
-val read_op : Hive.Rpc.Op.t
-val churn_op : Hive.Rpc.Op.t
-
-(** The serving side of {!read_op}: open [path] on the serving cell,
-    read its first [2] pages and drop them. *)
+(** Test hook. The serving side of the [server.read] op: open [path] on
+    the serving cell, read its first [2] pages and drop them. *)
 val read_handler : Hive.Rpc.handler
 
-(** [targets ncells home alt] is a read's redirect order: the first
+(** Test hook. [targets ncells home alt] is a read's redirect order: the first
     target [(home + alt) mod ncells], then the data home [home], then the
     remaining cells ascending. *)
 val targets : int -> int -> int -> int list

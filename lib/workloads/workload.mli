@@ -28,8 +28,9 @@ val run_driver :
 val synth_content : tag:string -> bytes:int -> bytes
 
 val derive_output : input:bytes -> bytes:int -> bytes
+
+(** Test hook. *)
 val stable_content : Hive.Types.system -> string -> bytes option
-val logical_content : Hive.Types.system -> string -> bytes option
 type verify_outcome = Match | Data_loss | Corrupt | Missing
 val verify_output :
   Hive.Types.system -> path:string -> reference:Bytes.t -> verify_outcome

@@ -58,7 +58,7 @@ let test_hit_rate_nan_guard () =
   let snap = Hive.Metrics.capture sys in
   Alcotest.(check bool) "snapshot hit rate is None" true
     (snap.Hive.Metrics.Snapshot.cache_hit_rate = None);
-  let s = Hive.Metrics.to_json sys in
+  let s = Hive.Metrics.Snapshot.to_string (Hive.Metrics.capture sys) in
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in

@@ -112,7 +112,8 @@ let test_recreate_releases_borrowed_pages () =
             borrowed := not (Hive.Page_alloc.own c0 pf.Hive.Types.pfn);
             let first4 (pf : Hive.Types.pfdat) =
               Bytes.to_string
-                (Flash.Memory.peek (Hive.Fs.mem sys)
+                (Flash.Memory.peek
+                   (Flash.Machine.memory sys.Hive.Types.machine)
                    (Flash.Addr.addr_of_pfn pf.Hive.Types.pfn)
                    4)
             in

@@ -204,7 +204,7 @@ let test_close_counts_lost_batch_release () =
         (counter c1 "fs.release_errors" >= 1);
       Alcotest.(check bool) "lost release counted" true
         (counter c1 "share.release_lost" >= 1);
-      let json = Hive.Metrics.to_json sys in
+      let json = Hive.Metrics.Snapshot.to_string (Hive.Metrics.capture sys) in
       let contains hay needle =
         let nl = String.length needle and hl = String.length hay in
         let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in

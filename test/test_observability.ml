@@ -143,7 +143,7 @@ let test_metrics_json_shape () =
            (Hive.Rpc.call sys ~from:sys.Hive.Types.cells.(0) ~target:1
               ~op:Hive.Agreement.ping_op Hive.Types.P_unit)));
   Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 1_000_000_000L) eng;
-  let json = Hive.Metrics.to_json sys in
+  let json = Hive.Metrics.Snapshot.to_string (Hive.Metrics.capture sys) in
   List.iter
     (fun needle ->
       Alcotest.(check bool) ("metrics JSON has " ^ needle) true
