@@ -5,10 +5,10 @@ let boot ?(mcfg = Flash.Config.default) ?params ?(wax = false) ~ncells () =
   let sys = Hive.System.boot ~mcfg ?params ~ncells ~wax eng in
   (eng, sys)
 
-let in_thread eng body =
+let in_thread ~owner eng body =
   let out = ref None in
   ignore
-    (Sim.Engine.spawn eng ~name:"bench"
+    (Sim.Engine.spawn eng ~name:"bench" ~owner
        ~on_exit:(fun () -> Sim.Engine.stop eng)
        (fun () -> out := Some (body ())));
   Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 60_000_000_000L) eng;
@@ -31,7 +31,7 @@ let () =
 let avg_rpc_us eng sys ~op ~arg_bytes ~n =
   let c0 = sys.Hive.Types.cells.(0) in
   let total =
-    in_thread eng (fun () ->
+    in_thread ~owner:0 eng (fun () ->
         let t0 = Sim.Engine.time () in
         for _ = 1 to n do
           match

@@ -12,11 +12,11 @@ val boot :
   unit ->
   Sim.Engine.t * Hive.Types.system
 
-(** [in_thread eng body] runs [body] in a new simulation thread, drives
-    [eng] until [body] ends, and returns [body]'s value; the clock stops
-    where [body] ended. Raises [Failure] if [body] has not finished
-    within 60 simulated seconds. *)
-val in_thread : Sim.Engine.t -> (unit -> 'a) -> 'a
+(** [in_thread ~owner eng body] runs [body] in a new simulation thread
+    of cell [owner], drives [eng] until [body] ends, and returns [body]'s
+    value; the clock stops where [body] ended. Raises [Failure] if
+    [body] has not finished within 60 simulated seconds. *)
+val in_thread : owner:int -> Sim.Engine.t -> (unit -> 'a) -> 'a
 
 (** No-op RPC served at interrupt level / via the queued service. *)
 val noop_op : Hive.Rpc.Op.t

@@ -110,10 +110,8 @@ let boot (sys : Types.system) (c : Types.cell) =
   c.Types.live_set <-
     Array.to_list sys.Types.cells |> List.map (fun cl -> cl.Types.cell_id);
   (* Initialize the published clock word and Wax slot. *)
-  Flash.Memory.write_i64 (Flash.Machine.memory sys.Types.machine)
-    ~by:(Types.boss_proc c) c.Types.clock_addr 0L;
-  Flash.Memory.write_i64 (Flash.Machine.memory sys.Types.machine)
-    ~by:(Types.boss_proc c) c.Types.wax_slot 0L;
+  Kmem.write_i64 sys c.Types.clock_addr 0L;
+  Kmem.write_i64 sys c.Types.wax_slot 0L;
   Rpc.start_threads sys c;
   Clock.start sys c;
   Clock_hand.start sys c;
@@ -121,36 +119,34 @@ let boot (sys : Types.system) (c : Types.cell) =
      teardown itself runs outside any thread context). The queue is
      drained in bursts so the releases coalesce into one vectored RPC per
      data home instead of one RPC per page. *)
-  let reaper =
-    Sim.Engine.spawn sys.Types.eng
-      ~name:(Printf.sprintf "cell%d.reaper" c.Types.cell_id)
-      (fun () ->
-        let rec loop () =
-          match Sim.Mailbox.receive sys.Types.eng c.Types.release_queue with
-          | Some pf ->
-            let burst = ref [ pf ] in
-            let rec drain () =
-              match Sim.Mailbox.try_receive c.Types.release_queue with
-              | Some q ->
-                burst := q :: !burst;
-                drain ()
-              | None -> ()
-            in
-            drain ();
-            let live, orphaned =
-              List.partition
-                (fun (q : Types.pfdat) ->
-                  match q.Types.role with
-                  | Types.Import { home; _ } -> List.mem home c.Types.live_set
-                  | Types.Home | Types.Salvaged _ | Types.Dropped -> false)
-                !burst
-            in
-            List.iter (Pfdat.free_extended c) orphaned;
-            Share.release_all sys c live;
-            loop ()
-          | None -> ()
-        in
-        loop ())
-  in
-  c.Types.kernel_threads <- reaper :: c.Types.kernel_threads;
+  ignore
+    (Types.spawn_kernel sys c
+       ~name:(Printf.sprintf "cell%d.reaper" c.Types.cell_id)
+       (fun () ->
+         let rec loop () =
+           match Sim.Mailbox.receive sys.Types.eng c.Types.release_queue with
+           | Some pf ->
+             let burst = ref [ pf ] in
+             let rec drain () =
+               match Sim.Mailbox.try_receive c.Types.release_queue with
+               | Some q ->
+                 burst := q :: !burst;
+                 drain ()
+               | None -> ()
+             in
+             drain ();
+             let live, orphaned =
+               List.partition
+                 (fun (q : Types.pfdat) ->
+                   match q.Types.role with
+                   | Types.Import { home; _ } -> List.mem home c.Types.live_set
+                   | Types.Home | Types.Salvaged _ | Types.Dropped -> false)
+                 !burst
+             in
+             List.iter (Pfdat.free_extended c) orphaned;
+             Share.release_all sys c live;
+             loop ()
+           | None -> ()
+         in
+         loop ()));
   Types.bump c Count.boots

@@ -47,13 +47,11 @@ let sweep (sys : Types.system) (c : Types.cell) =
   !released
 
 let start (sys : Types.system) (c : Types.cell) =
-  let thr =
-    Sim.Engine.spawn sys.Types.eng
-      ~name:(Printf.sprintf "cell%d.clockhand" c.Types.cell_id)
-      (fun () ->
-        while Types.cell_alive c do
-          Sim.Engine.delay sweep_period_ns;
-          if Types.cell_alive c then ignore (sweep sys c)
-        done)
-  in
-  c.Types.kernel_threads <- thr :: c.Types.kernel_threads
+  ignore
+    (Types.spawn_kernel sys c
+       ~name:(Printf.sprintf "cell%d.clockhand" c.Types.cell_id)
+       (fun () ->
+         while Types.cell_alive c do
+           Sim.Engine.delay sweep_period_ns;
+           if Types.cell_alive c then ignore (sweep sys c)
+         done))

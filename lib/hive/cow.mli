@@ -25,12 +25,10 @@ val reset_ids : unit -> unit
 val create_root :
   Types.system ->
   Types.cell -> ?capacity:int -> unit -> Types.cow_ref
-val fork :
-  Types.system ->
-  parent_cell:Types.cell ->
-  child_cell:Types.cell ->
-  Types.cow_ref ->
-  ?capacity:int -> unit -> Types.cow_ref * Types.cow_ref
+(* [branch sys cell leaf] allocates a fresh leaf below [leaf] in [cell]'s
+   heap; the running thread must be [cell]'s. A fork branches the leaf
+   once for the parent and once for the child. *)
+val branch : Types.system -> Types.cell -> Types.cow_ref -> Types.cow_ref
 val node_id : Types.system -> Types.cow_ref -> int
 val record_write :
   Types.system ->

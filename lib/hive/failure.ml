@@ -62,15 +62,13 @@ let handle_hint (sys : Types.system) (reporter : Types.cell) ~suspect ~reason =
        paths and interrupt handlers that must not block for milliseconds.
        The thread owns the agreement: however it exits, its exit hook
        removes it. *)
-    let thr =
-      Sim.Engine.spawn sys.Types.eng
-        ~name:(Printf.sprintf "cell%d.agreement" reporter.Types.cell_id)
-        ~on_exit:(fun () ->
-          sys.Types.agreements <- List.filter (( != ) a) sys.Types.agreements;
-          Types.sync_in_progress sys)
-        (fun () -> Agreement.run sys reporter a ~reason)
-    in
-    reporter.Types.kernel_threads <- thr :: reporter.Types.kernel_threads
+    ignore
+      (Types.spawn_kernel sys reporter
+         ~name:(Printf.sprintf "cell%d.agreement" reporter.Types.cell_id)
+         ~on_exit:(fun () ->
+           sys.Types.agreements <- List.filter (( != ) a) sys.Types.agreements;
+           Types.sync_in_progress sys)
+         (fun () -> Agreement.run sys reporter a ~reason))
   end
 
 let install (sys : Types.system) =

@@ -255,13 +255,11 @@ let start_recovery_thread (sys : Types.system) (c : Types.cell) =
     | Some t when t.Sim.Engine.dead -> c.Types.recovery_thread <- None
     | Some _ | None -> ()
   in
-  let thr =
-    Sim.Engine.spawn sys.Types.eng ~on_exit
-      ~name:(Printf.sprintf "cell%d.recovery" c.Types.cell_id)
-      (fun () -> recovery_sequence sys c)
-  in
-  c.Types.recovery_thread <- Some thr;
-  c.Types.kernel_threads <- thr :: c.Types.kernel_threads
+  c.Types.recovery_thread <-
+    Some
+      (Types.spawn_kernel sys c ~on_exit
+         ~name:(Printf.sprintf "cell%d.recovery" c.Types.cell_id)
+         (fun () -> recovery_sequence sys c))
 
 (* Make a round over [dead] the active one, among the live cells outside
    [dead] that [joins] accepts, and return them. *)

@@ -85,7 +85,9 @@ val start_threads : Types.system -> Types.cell -> unit
     [deadline_ns] is the end-to-end budget spanning every attempt and
     backoff sleep (default [Params.rpc_deadline_ns]; 0 = unlimited):
     when it runs out the call stops retransmitting and returns
-    [Error ETIMEDOUT] without raising a failure hint. *)
+    [Error ETIMEDOUT] without raising a failure hint. A call from a cell
+    that is down, or that goes down before a retransmit, returns
+    [Error EHOSTDOWN] without sending. *)
 val call :
   Types.system ->
   from:Types.cell ->

@@ -70,7 +70,7 @@ let deliver_local (sys : Types.system) (target : Types.process) signal =
          simulation purposes run it promptly in a helper thread bound to
          the target. *)
       ignore
-        (Sim.Engine.spawn sys.Types.eng
+        (Sim.Engine.spawn sys.Types.eng ~owner:target.Types.proc_cell
            ~name:(Printf.sprintf "sig.%d" target.Types.pid)
            (fun () ->
              if target.Types.pstate <> Types.Proc_zombie then begin

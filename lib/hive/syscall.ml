@@ -7,9 +7,6 @@ exception E = Types.Syscall_error
 
 let ok = function Ok v -> v | Error e -> raise (E e)
 
-let cell_of (sys : Types.system) (p : Types.process) =
-  sys.Types.cells.(p.Types.proc_cell)
-
 let getpid (p : Types.process) = p.Types.pid
 
 let getcell (p : Types.process) = p.Types.proc_cell
@@ -56,7 +53,7 @@ end
    cell is looked up once and handed to the body, so a call cannot
    accidentally mix gate cell and execution cell. *)
 let enter (sys : Types.system) (p : Types.process) call f =
-  let c = cell_of sys p in
+  let c = Types.cell_of_proc sys p in
   Gate.pass c;
   Types.bump c call.counter;
   if Sim.Event.enabled sys.Types.events then

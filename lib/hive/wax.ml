@@ -34,8 +34,6 @@ module Count = struct
       ~doc:"Wax swap hints a cell acted on"
 end
 
-let mem (sys : Types.system) = Flash.Machine.memory sys.Types.machine
-
 type hint =
   | Alloc_preference of Types.cell_id list
   | Clock_hand_targets of Types.cell_id list
@@ -84,8 +82,7 @@ let act_on_swap_hint (sys : Types.system) (c : Types.cell) =
 
 let publish_local_state (sys : Types.system) (c : Types.cell) =
   (* Free-frame count, written into the shared slot with a plain store. *)
-  Flash.Memory.write_i64 (mem sys) ~by:(Types.boss_proc c) c.Types.wax_slot
-    (Int64.of_int (Page_alloc.free_count c))
+  Kmem.write_i64 sys c.Types.wax_slot (Int64.of_int (Page_alloc.free_count c))
 
 exception Wax_dies
 
@@ -117,9 +114,7 @@ let policy_pass (sys : Types.system) (home : Types.cell) =
       (fun id ->
         let c = sys.Types.cells.(id) in
         let v =
-          try
-            Flash.Memory.read_i64 (mem sys)
-              ~by:(Types.boss_proc home) c.Types.wax_slot
+          try Kmem.read_i64 sys c.Types.wax_slot
           with Flash.Memory.Bus_error _ -> raise Wax_dies
         in
         (id, Int64.to_int v))
@@ -171,7 +166,7 @@ let start (sys : Types.system) =
   List.iter
     (fun (c : Types.cell) ->
       let thr =
-        Sim.Engine.spawn sys.Types.eng
+        Types.spawn_kernel sys c
           ~name:(Printf.sprintf "wax%d.cell%d" inc c.Types.cell_id)
           (fun () ->
             try

@@ -49,19 +49,6 @@ let exponential t ~mean =
   if mean <= 0. then invalid_arg "Prng.exponential: mean must be positive";
   -.mean *. log (1. -. float t)
 
-(* Knuth's product-of-uniforms method; exp (-lambda) underflows to 0 well
-   past 700, and interactive arrival batches are tiny, so the bound is not
-   a practical restriction. *)
-let poisson t lambda =
-  if lambda <= 0. || lambda > 700. then
-    invalid_arg "Prng.poisson: lambda must be in (0, 700]";
-  let l = Stdlib.exp (-.lambda) in
-  let rec go k p =
-    let p = p *. float t in
-    if p > l then go (k + 1) p else k
-  in
-  go 0 1.0
-
 (* Zipf popularity over ranks 0..n-1: rank i has weight 1/(i+1)^s. The
    normalized CDF is precomputed once so each draw is one uniform plus a
    binary search. *)

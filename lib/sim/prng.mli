@@ -30,10 +30,6 @@ val bool : t -> bool
     inter-arrival gaps). Raises on a non-positive mean. *)
 val exponential : t -> mean:float -> float
 
-(** Poisson-distributed count with mean [lambda] (Knuth's product-of-
-    uniforms method). Raises unless [0 < lambda <= 700]. *)
-val poisson : t -> float -> int
-
 (** Zipf popularity distribution over ranks [0..n-1]: rank [i] has weight
     [1/(i+1)^s] ([s = 0] is uniform). The CDF is precomputed at [zipf]
     time so each {!zipf_draw} is one uniform plus a binary search. *)

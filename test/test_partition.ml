@@ -81,12 +81,12 @@ let no_dual_master sys =
   Alcotest.(check (list string)) "no concurrent recovery masters" []
     sys.Hive.Types.master_overlaps
 
-(* Run [f] on a fresh engine thread and drive the engine until it
-   finishes (kernel-level test work that needs an execution context for
-   RPCs and delays). *)
-let in_thread eng f =
+(* Run [f] on a fresh engine thread of cell [owner] and drive the engine
+   until it finishes (kernel-level test work that needs an execution
+   context for RPCs and delays). *)
+let in_thread ?(owner = 0) eng f =
   let out = ref None in
-  ignore (Sim.Engine.spawn eng (fun () -> out := Some (f ())));
+  ignore (Sim.Engine.spawn eng ~owner (fun () -> out := Some (f ())));
   Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 5_000_000_000L) eng;
   match !out with
   | Some v -> v
@@ -325,13 +325,14 @@ let salvage_scenario ?(params = manual) ~writable f =
         in_thread eng (fun () ->
             match Hive.Fs.create_file sys c0 ~path ~content with
             | Ok _ -> (
-              (* Make the home copy durable and clean. *)
-              Hive.Fs.sync_cell sys sys.Hive.Types.cells.(1);
               match Hive.Fs.open_file sys c0 ~path with
               | Ok (vn, gen) -> (vn, gen)
               | Error _ -> Alcotest.fail "open failed")
             | Error _ -> Alcotest.fail "create failed")
       in
+      (* Make the home copy durable and clean. *)
+      in_thread ~owner:1 eng (fun () ->
+          Hive.Fs.sync_cell sys sys.Hive.Types.cells.(1));
       let imported =
         in_thread eng (fun () ->
             List.for_all

@@ -55,6 +55,36 @@ let with_sys f =
   let sys = Hive.System.boot ~mcfg ~ncells:2 ~wax:false eng in
   f eng sys
 
+(* A client cell whose processors die with a request in flight sends
+   nothing more: no retransmit of that request leaves its node. The
+   client thread is a plain engine thread of cell 1, like the server
+   workload's traffic threads, which a halt does not kill. *)
+let test_dead_client_sends_no_request () =
+  let eng = Sim.Engine.create () in
+  let mcfg =
+    { Flash.Config.small with Flash.Config.nodes = 2; mem_pages_per_node = 256 }
+  in
+  let params = { Hive.Params.default with Hive.Params.auto_reintegrate = false } in
+  let sys = Hive.System.boot ~mcfg ~params ~ncells:2 ~wax:false eng in
+  let c0 = sys.Hive.Types.cells.(0) in
+  let served () = Sim.Stats.value c0.Hive.Types.counters "rpc.served" in
+  let served0 = served () in
+  let out = ref None in
+  ignore
+    (Sim.Engine.spawn eng ~name:"client" ~owner:1 (fun () ->
+         out :=
+           Some
+             (Hive.Rpc.call sys ~from:sys.Hive.Types.cells.(1) ~target:0
+                ~op:slow99_op Hive.Types.P_unit)));
+  Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 50_000_000L) eng;
+  Alcotest.(check int) "the request reached cell 0" (served0 + 1) (served ());
+  Hive.System.inject_cpu_failure sys 1;
+  Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 2_000_000_000L) eng;
+  Alcotest.(check int) "no request after the client's processors died"
+    (served0 + 1) (served ());
+  Alcotest.(check bool) "the call fails EHOSTDOWN" true
+    (!out = Some (Error Hive.Types.EHOSTDOWN))
+
 (* Returns (outcome, simulated call duration). *)
 let call_from_thread eng sys ~op ?timeout_ns ?arg_bytes arg =
   let out = ref (Error Hive.Types.EFAULT) in
@@ -300,7 +330,7 @@ let test_degraded_link_at_most_once () =
     };
   let n = 400 in
   let ok = ref 0 and gave_up = ref 0 in
-  Bench.Harness.in_thread eng (fun () ->
+  Bench.Harness.in_thread ~owner:0 eng (fun () ->
       for _ = 1 to n do
         match
           Hive.Rpc.call sys ~from:sys.Hive.Types.cells.(0) ~target:1
@@ -347,6 +377,8 @@ let suite =
     Alcotest.test_case "late reply after timeout is dropped" `Quick
       test_late_reply_after_timeout;
     Alcotest.test_case "second serve raises" `Quick test_second_serve_raises;
+    Alcotest.test_case "dead client sends no request" `Quick
+      test_dead_client_sends_no_request;
     Alcotest.test_case "at-most-once over a degraded link" `Quick
       test_degraded_link_at_most_once;
   ]
