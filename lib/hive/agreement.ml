@@ -106,7 +106,7 @@ let probe (sys : Types.system) (voter : Types.cell) suspect =
   if sys.Types.use_agreement_oracle then
     if oracle_dead sys suspect then V_dead else V_alive
   else begin
-    match Clock.read_peer_clock sys voter ~target:suspect with
+    match Clock.read_peer_clock sys ~target:suspect with
     | Error (Careful_ref.Unreachable _) -> V_unreachable
     | Error _ -> V_dead
     | Ok _ -> (
@@ -116,7 +116,7 @@ let probe (sys : Types.system) (voter : Types.cell) suspect =
       with
       | Ok _ -> V_alive
       | Error _ -> (
-        match Clock.read_peer_clock sys voter ~target:suspect with
+        match Clock.read_peer_clock sys ~target:suspect with
         | Error (Careful_ref.Unreachable _) -> V_unreachable
         | Ok _ | Error _ -> V_dead))
   end
@@ -197,7 +197,7 @@ let run (sys : Types.system) (accuser : Types.cell) (a : Types.agreement)
           with
           | Ok (P_vote { verdict }) -> count verdict
           | Ok _ | Error _ -> (
-            match Clock.read_peer_clock sys accuser ~target:voter_id with
+            match Clock.read_peer_clock sys ~target:voter_id with
             | Error (Careful_ref.Unreachable _) -> incr silent_unreachable
             | Ok _ | Error _ -> incr silent_dead))
       voters;

@@ -32,21 +32,17 @@ exception Careful_abort of failure_reason
     the reader and the target (remote reads need the request to travel one
     way and the data the other). *)
 val partitioned : Types.system -> Types.cell -> target:Types.cell_id -> bool
-type ctx = {
-  sys : Types.system;
-  reader : Types.cell;
-  target : Types.cell_id;
-  mutable hops : int;
-}
+type ctx
 val reason_to_string : failure_reason -> string
 val fail_value : string -> 'a
 val read_i64 : ctx -> Flash.Addr.t -> int64
 val read_bytes : ctx -> Flash.Addr.t -> int -> Bytes.t
 val check_tag : ctx -> addr:Flash.Addr.t -> expected:int64 -> unit
 val read_field : ctx -> addr:int -> index:int -> int64
+
+(** [f] as a careful section of the running thread's cell on [target]. *)
 val protect :
   Types.system ->
-  Types.cell ->
   target:Types.cell_id -> (ctx -> 'a) -> ('a, failure_reason) result
 
 (** [read_i64_now sys reader ~target addr] is [protect] around one

@@ -13,9 +13,9 @@
 
 (* One careful-reference read of a peer's clock word, timed: the
    thread-level read agreement votes with. *)
-let read_peer_clock (sys : Types.system) (reader : Types.cell) ~target =
+let read_peer_clock (sys : Types.system) ~target =
   let target_cell = sys.Types.cells.(target) in
-  Careful_ref.protect sys reader ~target (fun ctx ->
+  Careful_ref.protect sys ~target (fun ctx ->
       Careful_ref.read_i64 ctx target_cell.Types.clock_addr)
 
 (* The cell this one monitors: its successor in the live-set ring. *)
@@ -31,7 +31,7 @@ let start (sys : Types.system) (c : Types.cell) =
   let eng = sys.Types.eng in
   let tick_ns = sys.Types.params.Params.tick_ns in
   let mem = Flash.Machine.memory sys.Types.machine in
-  let by = Types.boss_proc c in
+  let by = c.Types.boss_node in
   let hint suspect reason =
     match sys.Types.on_hint with
     | Some f -> f c ~suspect ~reason

@@ -11,11 +11,10 @@
    timer per cell fires every [tick_ns], does the tick's work at that
    instant and charges no simulated time to any thread. *)
 
-(** One timed careful-reference read of [target]'s clock word, from a
-    thread (agreement's votes and probes). *)
+(** One timed careful-reference read of [target]'s clock word by the
+    running thread's cell (agreement's votes and probes). *)
 val read_peer_clock :
   Types.system ->
-  Types.cell ->
   target:Types.cell_id ->
   (int64, Careful_ref.failure_reason) result
 

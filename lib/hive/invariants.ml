@@ -185,7 +185,7 @@ let check_mappings (sys : Types.system) ~cells =
                 m.Types.map_writable
                 && not
                      (Flash.Firewall.allowed fw ~pfn:m.Types.map_pf.Types.pfn
-                        ~proc:(Types.boss_proc c))
+                        ~proc:c.Types.boss_node)
               then
                 bad :=
                   v "mapping-grant"
