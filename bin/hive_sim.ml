@@ -126,7 +126,7 @@ let output_term =
     const (fun out_trace out_metrics -> { out_trace; out_metrics })
     $ trace $ metrics)
 
-let boot_shape ?(oracle = false) ?wax shape =
+let boot_shape ?wax shape =
   let ncells = shape_cells shape in
   let eng = Sim.Engine.create () in
   let mcfg =
@@ -143,7 +143,7 @@ let boot_shape ?(oracle = false) ?wax shape =
     }
   in
   let sys =
-    Hive.System.boot ~mcfg ~params ~ncells ~oracle
+    Hive.System.boot ~mcfg ~params ~ncells
       ~wax:(Option.value ~default:(not shape.sh_smp) wax)
       eng
   in
@@ -242,7 +242,7 @@ let run_server shape duration_ms rate zipf churn_pct deadline_ms kill_cell
 
 (* ---- fault command: a front end over Faultinj.Campaign.run_test ---- *)
 
-let run_fault kind shape node victim at_ms cascade_node oracle link_from
+let run_fault kind shape node victim at_ms cascade_node link_from
     drop_pct dup_pct delay_pct dur_ms output =
   let* () =
     match kind with
@@ -274,7 +274,7 @@ let run_fault kind shape node victim at_ms cascade_node oracle link_from
     if dur_ms > 0 then Ok ()
     else Error (Printf.sprintf "--dur-ms %d: must be positive" dur_ms)
   in
-  let _eng, sys, _ = boot_shape ~oracle ~wax:false shape in
+  let _eng, sys, _ = boot_shape ~wax:false shape in
   let trace_close =
     Sim.Event.attach_chrome_file sys.Hive.Types.events output.out_trace
   in
@@ -517,12 +517,6 @@ let cascade_node_arg =
            failure's recovery round is in flight, forcing a round restart \
            with the enlarged dead set.")
 
-let oracle_arg =
-  Arg.(
-    value & flag
-    & info [ "oracle" ]
-        ~doc:"Use the failure oracle instead of distributed agreement.")
-
 let fault_cmd =
   Cmd.v
     (Cmd.info "fault"
@@ -530,7 +524,7 @@ let fault_cmd =
     Term.(
       term_result'
         (const run_fault $ fault_kind $ shape_term $ node_arg $ victim_arg
-        $ at_ms_arg $ cascade_node_arg $ oracle_arg $ link_from_arg
+        $ at_ms_arg $ cascade_node_arg $ link_from_arg
         $ drop_pct_arg $ dup_pct_arg $ delay_pct_arg $ dur_ms_arg
         $ output_term))
 

@@ -29,13 +29,12 @@ let () =
       Hive.Types.Queued (fun () -> Ok Hive.Types.P_unit))
 
 let avg_rpc_us eng sys ~op ~arg_bytes ~n =
-  let c0 = sys.Hive.Types.cells.(0) in
   let total =
     in_thread ~owner:0 eng (fun () ->
         let t0 = Sim.Engine.time () in
         for _ = 1 to n do
           match
-            Hive.Rpc.call sys ~from:c0 ~target:1 ~op ~arg_bytes ~reply_bytes:0
+            Hive.Rpc.call sys ~target:1 ~op ~arg_bytes ~reply_bytes:0
               Hive.Types.P_unit
           with
           | Ok _ -> ()

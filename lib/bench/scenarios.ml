@@ -72,7 +72,7 @@ let run_rpc ~op ~opname (dims : dims) =
   Harness.in_thread ~owner:0 eng (fun () ->
       for _ = 1 to n do
         match
-          Hive.Rpc.call sys ~from:sys.Hive.Types.cells.(0) ~target:1 ~op
+          Hive.Rpc.call sys ~target:1 ~op
             ?timeout_ns:(if dims.link_ms > 0 then Some 2_000_000L else None)
             Hive.Types.P_unit
         with
@@ -1247,13 +1247,13 @@ let run_ablations (dims : dims) =
     let eng, sys = boot_dims dims in
     let node =
       Harness.in_thread ~owner:0 eng (fun () ->
-          Hive.Cow.create_root sys sys.Hive.Types.cells.(0) ())
+          Hive.Cow.create_root sys ())
     in
     let t =
       Harness.in_thread ~owner:1 eng (fun () ->
           let t0 = Sim.Engine.time () in
           for _ = 1 to 500 do
-            ignore (Hive.Cow.lookup sys sys.Hive.Types.cells.(1) node ~page:3)
+            ignore (Hive.Cow.lookup sys node ~page:3)
           done;
           Int64.sub (Sim.Engine.time ()) t0)
     in

@@ -19,10 +19,9 @@
    master concurrently with the majority's, so it stands down (panics)
    instead — safety over liveness, exactly the Hive bias.
 
-   The paper simulated this protocol with an oracle (the group-membership
-   algorithm was not yet implemented); we provide both the real
-   broadcast-vote protocol and an oracle mode for reproducing the paper's
-   experimental setup. *)
+   The paper simulated this protocol with a failure oracle (the
+   group-membership algorithm was not yet implemented); we run the real
+   broadcast-vote protocol only. *)
 
 module Count = struct
   let confirmed =
@@ -86,40 +85,27 @@ let quorum_confirms ~quorum_check (t : tally) =
        both sides confirm and elect concurrent masters. *)
     t.t_dead + t.t_unreachable > t.t_alive
 
-(* Ground truth used in oracle mode, mirroring the SimOS machine model's
-   failure oracle. *)
-let oracle_dead (sys : Types.system) suspect =
-  let c = sys.Types.cells.(suspect) in
-  c.Types.cstatus = Types.Cell_down
-  || List.exists
-       (fun n -> not (Flash.Machine.node_alive sys.Types.machine n))
-       c.Types.cell_nodes
-
 (* Probe a suspect: careful read of its clock word plus a ping RPC. The
    careful section distinguishes a partitioned peer (times out:
    [Unreachable]) from dead hardware (bus error). A readable clock with a
    silent kernel means the processors are dead while the memory lives on
    (the Cpu_dead_mem_alive fault) — unless a partition armed between the
    two reads, which the clock re-read detects. *)
-let probe (sys : Types.system) (voter : Types.cell) suspect =
+let probe (sys : Types.system) suspect =
   Sim.Engine.delay Params.agreement_vote_ns;
-  if sys.Types.use_agreement_oracle then
-    if oracle_dead sys suspect then V_dead else V_alive
-  else begin
-    match Clock.read_peer_clock sys ~target:suspect with
-    | Error (Careful_ref.Unreachable _) -> V_unreachable
-    | Error _ -> V_dead
-    | Ok _ -> (
-      match
-        Rpc.call sys ~from:voter ~target:suspect ~op:ping_op
-          ~timeout_ns:probe_timeout_ns Types.P_unit
-      with
-      | Ok _ -> V_alive
-      | Error _ -> (
-        match Clock.read_peer_clock sys ~target:suspect with
-        | Error (Careful_ref.Unreachable _) -> V_unreachable
-        | Ok _ | Error _ -> V_dead))
-  end
+  match Clock.read_peer_clock sys ~target:suspect with
+  | Error (Careful_ref.Unreachable _) -> V_unreachable
+  | Error _ -> V_dead
+  | Ok _ -> (
+    match
+      Rpc.call sys ~target:suspect ~op:ping_op ~timeout_ns:probe_timeout_ns
+        Types.P_unit
+    with
+    | Ok _ -> V_alive
+    | Error _ -> (
+      match Clock.read_peer_clock sys ~target:suspect with
+      | Error (Careful_ref.Unreachable _) -> V_unreachable
+      | Ok _ | Error _ -> V_dead))
 
 let false_alert_count (c : Types.cell) accuser =
   match List.assoc_opt accuser c.Types.false_alerts with
@@ -186,13 +172,13 @@ let run (sys : Types.system) (accuser : Types.cell) (a : Types.agreement)
     List.iter
       (fun voter_id ->
         if voter_id = accuser.Types.cell_id then begin
-          let v = probe sys accuser suspect in
+          let v = probe sys suspect in
           my_verdict := v;
           count v
         end
         else
           match
-            Rpc.call sys ~from:accuser ~target:voter_id ~op:vote_op
+            Rpc.call sys ~target:voter_id ~op:vote_op
               (P_vote_req { suspect; accuser = accuser.Types.cell_id })
           with
           | Ok (P_vote { verdict }) -> count verdict
@@ -240,7 +226,7 @@ let run (sys : Types.system) (accuser : Types.cell) (a : Types.agreement)
         (fun voter_id ->
           if voter_id <> accuser.Types.cell_id then
             ignore
-              (Rpc.call sys ~from:accuser ~target:voter_id ~op:dismiss_op
+              (Rpc.call sys ~target:voter_id ~op:dismiss_op
                  (P_dismiss { accuser = accuser.Types.cell_id })))
         voters;
       Gate.open_ sys accuser
@@ -285,7 +271,7 @@ let () =
                 (* Repeated false accuser: considered corrupt; refuse to
                    confirm its alerts. *)
                 V_alive
-              else probe sys cell suspect
+              else probe sys suspect
             in
             ignore src;
             (match verdict with

@@ -18,10 +18,10 @@
    minority side of a partition and stands down (panics) instead of
    confirming — the single-recovery-master invariant.
 
-   The paper simulated this protocol with an oracle (the group-membership
-   algorithm was not yet implemented); we provide both the real
-   broadcast-vote protocol and an oracle mode for reproducing the paper's
-   experimental setup. *)
+   The paper simulated this protocol with a failure oracle (the
+   group-membership algorithm was not yet implemented). This is the
+   real broadcast-vote protocol, and the only one: every fault run,
+   test and bench row agrees through it. *)
 
 (** Test hook. *)
 val ping_op : Rpc.Op.t

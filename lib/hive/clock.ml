@@ -40,7 +40,7 @@ let start (sys : Types.system) (c : Types.cell) =
   let last_seen = ref (-1L) in
   let last_peer = ref (-1) in
   let stalls = ref 0 in
-  let bus_errors = ref 0 in
+  let failed_reads = ref 0 in
   (* The live set only changes on failure and recovery, and the field is
      replaced, never mutated in place: the peer is recomputed only when
      the list is a different one. *)
@@ -85,7 +85,7 @@ let start (sys : Types.system) (c : Types.cell) =
             if Types.cell_alive pc && pc.Types.clock_due = now then Int64.succ v
             else v
           in
-          bus_errors := 0;
+          failed_reads := 0;
           if v = !last_seen then begin
             incr stalls;
             if !stalls >= Params.clock_stall_ticks then begin
@@ -97,13 +97,17 @@ let start (sys : Types.system) (c : Types.cell) =
             last_seen := v;
             stalls := 0
           end
-        | Error _ ->
-          (* Tolerate one transient bus error; a second consecutive one
-             on the next tick is a failure hint. *)
-          incr bus_errors;
-          if !bus_errors >= 2 then begin
-            bus_errors := 0;
-            hint peer "clock: bus error"
+        | Error reason ->
+          (* Tolerate one transient failed read; a second consecutive
+             one on the next tick is a failure hint that names its
+             cause: a partition, or dead memory. *)
+          incr failed_reads;
+          if !failed_reads >= 2 then begin
+            failed_reads := 0;
+            hint peer
+              (match reason with
+              | Careful_ref.Unreachable _ -> "clock: unreachable"
+              | _ -> "clock: bus error")
           end))
     end
   and arm () =

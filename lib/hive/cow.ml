@@ -42,15 +42,14 @@ let next_node_id_key : int ref Domain.DLS.key =
 
 let reset_ids () = Domain.DLS.get next_node_id_key := 0
 
-(* Allocate a fresh tree node in [cell]'s kernel memory, below [parent]
-   if any. *)
-let alloc_node (sys : Types.system) (cell : Types.cell)
-    ?(capacity = default_capacity) parent =
+(* Allocate a fresh tree node in the running cell's kernel memory, below
+   [parent] if any. *)
+let alloc_node (sys : Types.system) ?(capacity = default_capacity) parent =
   let next_node_id = Domain.DLS.get next_node_id_key in
   incr next_node_id;
   let id = !next_node_id in
   let addr =
-    Kmem.alloc sys cell ~tag:cow_tag ~size:(8 * (f_entries + capacity))
+    Kmem.alloc sys ~tag:cow_tag ~size:(8 * (f_entries + capacity))
   in
   Kmem.write_field sys ~addr ~index:f_node_id (Int64.of_int id);
   let pa, pc =
@@ -62,24 +61,21 @@ let alloc_node (sys : Types.system) (cell : Types.cell)
   Kmem.write_field sys ~addr ~index:f_parent_cell (Int64.of_int pc);
   Kmem.write_field sys ~addr ~index:f_nentries 0L;
   Kmem.write_field sys ~addr ~index:f_capacity (Int64.of_int capacity);
-  { Types.cow_cell = cell.Types.cell_id; cow_addr = addr }
+  { Types.cow_cell = (Kmem.owner_cell sys).Types.cell_id; cow_addr = addr }
 
-let create_root sys cell ?capacity () = alloc_node sys cell ?capacity None
+let create_root sys ?capacity () = alloc_node sys ?capacity None
 
 (* Fork splits the leaf: the old leaf becomes an interior node, and the
    parent and the child each continue on a fresh leaf below it, each
    allocated by its own cell. *)
-let branch sys cell leaf = alloc_node sys cell (Some leaf)
+let branch sys leaf = alloc_node sys (Some leaf)
 
 let node_id (sys : Types.system) (r : Types.cow_ref) =
   Int64.to_int (Kmem.read_field sys ~addr:r.Types.cow_addr ~index:f_node_id)
 
-(* Record that the process wrote anonymous page [page] at its leaf (always
-   local to the process). *)
-let record_write (sys : Types.system) (cell : Types.cell)
-    (leaf : Types.cow_ref) ~page =
-  if leaf.Types.cow_cell <> cell.Types.cell_id then
-    invalid_arg "Cow.record_write: leaf must be local";
+(* Record that the process wrote anonymous page [page] at its leaf, which
+   is local: [Kmem] refuses a write into another cell's heap. *)
+let record_write (sys : Types.system) (leaf : Types.cow_ref) ~page =
   let addr = leaf.Types.cow_addr in
   let n = Int64.to_int (Kmem.read_field sys ~addr ~index:f_nentries) in
   let cap = Int64.to_int (Kmem.read_field sys ~addr ~index:f_capacity) in
@@ -101,10 +97,10 @@ type lookup_result =
   | Defended of Careful_ref.failure_reason
 
 (* Search up the tree from [leaf] for the nearest ancestor (or the leaf
-   itself) recording [page]. Remote nodes are read under the careful
-   reference protocol. *)
-let lookup (sys : Types.system) (reader : Types.cell) (leaf : Types.cow_ref)
-    ~page =
+   itself) recording [page], as the running cell. Remote nodes are read
+   under the careful reference protocol. *)
+let lookup (sys : Types.system) (leaf : Types.cow_ref) ~page =
+  let reader = Kmem.owner_cell sys in
   let max_capacity = 1 lsl 16 in
   (* Follow a node's parent pointer, read as [(pa, pc)]. *)
   let rec up pa pc depth =
@@ -185,11 +181,11 @@ let lookup (sys : Types.system) (reader : Types.cell) (leaf : Types.cow_ref)
   in
   walk leaf 0
 
-let free_node (sys : Types.system) (cell : Types.cell) (r : Types.cow_ref) =
-  if r.Types.cow_cell = cell.Types.cell_id then begin
+let free_node (sys : Types.system) (r : Types.cow_ref) =
+  if r.Types.cow_cell = (Kmem.owner_cell sys).Types.cell_id then begin
     let cap =
       Int64.to_int
         (Kmem.read_field sys ~addr:r.Types.cow_addr ~index:f_capacity)
     in
-    Kmem.free sys cell ~addr:r.Types.cow_addr ~size:(8 * (f_entries + cap))
+    Kmem.free sys ~addr:r.Types.cow_addr ~size:(8 * (f_entries + cap))
   end

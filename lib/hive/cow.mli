@@ -22,25 +22,19 @@ val f_capacity : int
 exception Node_full
 (* Reset the domain-local node-id generator (called by [System.boot]). *)
 val reset_ids : unit -> unit
-val create_root :
-  Types.system ->
-  Types.cell -> ?capacity:int -> unit -> Types.cow_ref
-(* [branch sys cell leaf] allocates a fresh leaf below [leaf] in [cell]'s
-   heap; the running thread must be [cell]'s. A fork branches the leaf
-   once for the parent and once for the child. *)
-val branch : Types.system -> Types.cell -> Types.cow_ref -> Types.cow_ref
+(* The tree functions act as the running thread's cell: new nodes go
+   into its heap, [record_write] writes only its leaves, and [lookup]
+   reads other cells' nodes carefully. A fork branches the leaf on the
+   parent's cell and on the child's. *)
+val create_root : Types.system -> ?capacity:int -> unit -> Types.cow_ref
+val branch : Types.system -> Types.cow_ref -> Types.cow_ref
 val node_id : Types.system -> Types.cow_ref -> int
-val record_write :
-  Types.system ->
-  Types.cell -> Types.cow_ref -> page:int -> unit
+val record_write : Types.system -> Types.cow_ref -> page:int -> unit
 type lookup_result =
     Found of Types.cow_ref
   | Not_present
   | Defended of Careful_ref.failure_reason
-val lookup :
-  Types.system ->
-  Types.cell -> Types.cow_ref -> page:int -> lookup_result
+val lookup : Types.system -> Types.cow_ref -> page:int -> lookup_result
 
 (** Test hook. *)
-val free_node :
-  Types.system -> Types.cell -> Types.cow_ref -> unit
+val free_node : Types.system -> Types.cow_ref -> unit

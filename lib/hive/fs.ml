@@ -316,9 +316,7 @@ let open_file (sys : Types.system) (c : Types.cell) ~path =
     (* Remote open: path lookup RPC to the data home plus shadow vnode
        setup. *)
     Sim.Engine.delay Params.open_remote_extra_ns;
-    match
-      Rpc.call sys ~from:c ~target:home_id ~op:lookup_op (P_lookup { path })
-    with
+    match Rpc.call sys ~target:home_id ~op:lookup_op (P_lookup { path }) with
     | Ok (P_attrs { ino; size = _; generation }) ->
       Ok
         ( Types.Shadow_vnode
@@ -337,7 +335,7 @@ let create_file (sys : Types.system) (c : Types.cell) ~path ~content =
   end
   else
     match
-      Rpc.call sys ~from:c ~target:home_id ~op:create_op
+      Rpc.call sys ~target:home_id ~op:create_op
         ~arg_bytes:(64 + Bytes.length content)
         (P_create { path; content })
     with
@@ -437,7 +435,7 @@ let rec get_page (sys : Types.system) (c : Types.cell) vnode ~page ~writable
       Gate.pass_recovery sys c;
       let epoch = c.Types.flush_epoch in
       match
-        Rpc.call sys ~from:c ~target:data_home ~op:locate_op
+        Rpc.call sys ~target:data_home ~op:locate_op
           (P_locate
              { ino = sfid.Types.ino; page; npages; writable;
                gen = opened_gen })
@@ -556,7 +554,7 @@ let write (sys : Types.system) (c : Types.cell) vnode ~opened_gen ~pos data =
   (match (r, vnode) with
   | Ok _, Types.Shadow_vnode { fid; data_home; _ } ->
     ignore
-      (Rpc.call sys ~from:c ~target:data_home ~op:setsize_op
+      (Rpc.call sys ~target:data_home ~op:setsize_op
          (P_setsize { ino = fid.Types.ino; size = !end_pos }))
   | _ -> ());
   r
@@ -578,14 +576,11 @@ let release_file_imports (sys : Types.system) (c : Types.cell) vnode =
     (* One vectored release per data home. *)
     Share.release_all sys c (Pfdat.imports c idle)
 
-let file_size (sys : Types.system) (c : Types.cell) vnode =
+let file_size (sys : Types.system) vnode =
   match vnode with
   | Types.Local_vnode f -> Ok f.Types.size
   | Types.Shadow_vnode { data_home; path; _ } -> (
-    match
-      Rpc.call sys ~from:c ~target:data_home ~op:lookup_op
-        (P_lookup { path })
-    with
+    match Rpc.call sys ~target:data_home ~op:lookup_op (P_lookup { path }) with
     | Ok (P_attrs { size; _ }) -> Ok size
     | Ok _ -> Error Types.EFAULT
     | Error e -> Error e)
@@ -604,9 +599,7 @@ let unlink (sys : Types.system) (c : Types.cell) path =
   if home_id = c.Types.cell_id then
     if remove_local c path then Ok () else Error Types.ENOENT
   else
-    match
-      Rpc.call sys ~from:c ~target:home_id ~op:unlink_op (P_unlink { path })
-    with
+    match Rpc.call sys ~target:home_id ~op:unlink_op (P_unlink { path }) with
     | Ok _ -> Ok ()
     | Error e -> Error e
 

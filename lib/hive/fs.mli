@@ -93,9 +93,7 @@ val write :
   pos:int -> bytes -> (int, Types.errno) result
 val release_file_imports :
   Types.system -> Types.cell -> Types.vnode -> unit
-val file_size :
-  Types.system ->
-  Types.cell -> Types.vnode -> (int, Types.errno) result
+val file_size : Types.system -> Types.vnode -> (int, Types.errno) result
 val unlink :
   Types.system ->
   Types.cell -> string -> (unit, Types.errno) result

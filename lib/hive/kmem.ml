@@ -21,20 +21,25 @@ let is_bug = function
   | Failure msg -> String.starts_with ~prefix:"simulator bug" msg
   | _ -> false
 
-(* The cell whose processors run the current thread. A killed thread of
-   a dead cell still gets its cell: the access unwinds it at the latency
-   wait, as any other blocking call would. *)
-let acting_cell (sys : Types.system) =
+(* The cell that owns the running thread: a kernel acts with its own
+   cell's authority alone, taken from here, never from an argument. *)
+let owner_cell (sys : Types.system) =
   match Sim.Engine.current sys.eng with
-  | exception Invalid_argument _ -> bug "timed memory access outside a thread"
+  | exception Invalid_argument _ -> bug "kernel call outside a thread"
   | thr ->
     if thr.owner < 0 then
-      bug "thread %s, which no cell owns, accessed memory" thr.name;
-    let c = sys.cells.(thr.owner) in
-    if c.cstatus = Types.Cell_down && not thr.dead then
-      bug "thread %s accessed memory after its cell %d went down" thr.name
-        c.cell_id;
-    c
+      bug "thread %s, which no cell owns, acted as a cell" thr.name;
+    sys.cells.(thr.owner)
+
+(* The cell whose processors make a timed access. A killed thread of a
+   dead cell still gets its cell: the access unwinds it at the latency
+   wait, as any other blocking call would. *)
+let acting_cell (sys : Types.system) =
+  let c = owner_cell sys in
+  if c.cstatus = Types.Cell_down && not (Sim.Engine.current sys.eng).dead then
+    bug "thread %s accessed memory after its cell %d went down"
+      (Sim.Engine.current sys.eng).name c.cell_id;
+  c
 
 let reader sys = (acting_cell sys).boss_node
 
@@ -68,13 +73,13 @@ let write_sub sys addr src src_off len =
 let write_i64 sys addr v =
   Flash.Memory.write_i64 (mem sys) ~by:(writer sys addr) addr v
 
-(* Allocate [size] payload bytes tagged [tag] in [c]'s heap; returns the
-   object address (which points at the tag word; fields start at
-   [addr + header_bytes]). *)
-let alloc (sys : Types.system) (c : Types.cell) ~tag ~size =
+(* Allocate [size] payload bytes tagged [tag] in the acting cell's heap;
+   returns the object address (which points at the tag word; fields
+   start at [addr + header_bytes]). *)
+let alloc (sys : Types.system) ~tag ~size =
   let total = size + header_bytes in
   let total = (total + 7) land lnot 7 in
-  let km = c.kmem in
+  let km = (acting_cell sys).kmem in
   let addr =
     match List.find_opt (fun (_, sz) -> sz >= total) km.kmem_free with
     | Some ((a, sz) as blk) ->
@@ -90,11 +95,12 @@ let alloc (sys : Types.system) (c : Types.cell) ~tag ~size =
   write_i64 sys addr tag;
   addr
 
-let free (sys : Types.system) (c : Types.cell) ~addr ~size =
+let free (sys : Types.system) ~addr ~size =
   let total = (size + header_bytes + 7) land lnot 7 in
   (* Remove the type identifier so stale remote pointers fail the check. *)
   write_i64 sys addr 0L;
-  c.kmem.kmem_free <- (addr, total) :: c.kmem.kmem_free
+  let km = (acting_cell sys).kmem in
+  km.kmem_free <- (addr, total) :: km.kmem_free
 
 (* The owner's own kernel structures are hot in its caches: charge L2
    hits, not memory misses. *)

@@ -134,11 +134,11 @@ let take_free ?(own_only = false) (sys : Types.system) (c : Types.cell) =
     (take sys c ~own_only Types.In_use)
 
 (* Borrower side: tell the memory homes their frames came back. *)
-let send_return (sys : Types.system) (c : Types.cell) pfns =
+let send_return (sys : Types.system) pfns =
   List.iter
     (fun pfn ->
       ignore
-        (Rpc.call sys ~from:c ~target:(lender sys pfn) ~op:return_op
+        (Rpc.call sys ~target:(lender sys pfn) ~op:return_op
            (P_return { pfns = [ pfn ] })))
     pfns
 
@@ -161,7 +161,7 @@ let release (sys : Types.system) (c : Types.cell) (pf : Types.pfdat) =
   else begin
     Pfdat.free_extended c pf;
     Hashtbl.remove c.Types.pool.Types.held pfn;
-    send_return sys c [ pfn ]
+    send_return sys [ pfn ]
   end
 
 (* The swap claim: a pin keeps every other reclaim path off an idle
@@ -203,9 +203,7 @@ let reclaim (sys : Types.system) (c : Types.cell) ~want =
    back of the free pool. Returns their pfns. *)
 let borrow (sys : Types.system) (c : Types.cell) ~home ~count =
   Types.bump c Count.borrows;
-  match
-    Rpc.call sys ~from:c ~target:home ~op:borrow_op (P_borrow { count })
-  with
+  match Rpc.call sys ~target:home ~op:borrow_op (P_borrow { count }) with
   | Ok (P_borrowed { pfns }) ->
     let p = c.Types.pool in
     List.iter
@@ -238,7 +236,7 @@ let return_frames (sys : Types.system) (c : Types.cell) pfns =
       if own c pfn || state c pfn <> Types.Free then illegal sys c pfn "return")
     pfns;
   forget c pfns;
-  send_return sys c pfns
+  send_return sys pfns
 
 (* Memory-home side, Free -> Loaned: lend up to [count] own frames to
    [client], granting its processors write access. *)

@@ -129,16 +129,16 @@ let spawn (sys : Types.system) (c : Types.cell) ~name body =
   start_thread sys c p body;
   p
 
-(* Give each anonymous region a fresh COW leaf of [c]'s below its
-   current one, which becomes an interior node (Section 5.3). Run by the
-   cell that will own the leaves. *)
-let branch_regions (sys : Types.system) (c : Types.cell) regions =
+(* Give each anonymous region a fresh COW leaf of the running cell's
+   below its current one, which becomes an interior node (Section 5.3).
+   Run by the cell that will own the leaves. *)
+let branch_regions (sys : Types.system) regions =
   List.map
     (fun (r : Types.region) ->
       match r.Types.kind with
       | Types.File_region _ -> r
       | Types.Anon_region leaf ->
-        { r with Types.kind = Types.Anon_region (Cow.branch sys c leaf) })
+        { r with Types.kind = Types.Anon_region (Cow.branch sys leaf) })
     regions
 
 (* The parent's side of a fork's split: it continues on fresh leaves, and
@@ -146,8 +146,7 @@ let branch_regions (sys : Types.system) (c : Types.cell) regions =
    Returns the regions as they were, for the child's side. *)
 let split_parent (sys : Types.system) (parent : Types.process) =
   let old = parent.Types.regions in
-  let here = Types.cell_of_proc sys parent in
-  parent.Types.regions <- branch_regions sys here old;
+  parent.Types.regions <- branch_regions sys old;
   List.iter
     (fun (r : Types.region) ->
       match r.Types.kind with
@@ -182,7 +181,7 @@ let fork (sys : Types.system) (parent : Types.process) ?on_cell ~name body =
   Sim.Engine.delay Params.fork_local_ns;
   Types.bump here Count.forks;
   if target = parent.Types.proc_cell then begin
-    let regions = branch_regions sys here (split_parent sys parent) in
+    let regions = branch_regions sys (split_parent sys parent) in
     let child =
       install_child sys here ~name ~regions ~fds:(copy_fds parent) body
     in
@@ -197,7 +196,7 @@ let fork (sys : Types.system) (parent : Types.process) ?on_cell ~name body =
     Sim.Engine.delay Params.fork_remote_extra_ns;
     let regions = split_parent sys parent in
     match
-      Rpc.call sys ~from:here ~target ~op:fork_op
+      Rpc.call sys ~target ~op:fork_op
         (P_fork
            {
              name;
@@ -224,7 +223,7 @@ let exec (sys : Types.system) (p : Types.process) ~path =
   match Fs.open_file sys c ~path with
   | Error e -> Error e
   | Ok (vnode, gen) -> (
-    match Fs.file_size sys c vnode with
+    match Fs.file_size sys vnode with
     | Error e -> Error e
     | Ok size ->
       let psize = Flash.Config.page_size in
@@ -260,7 +259,7 @@ let migrate (sys : Types.system) (p : Types.process) ~to_cell =
        destination branches each one in its own memory, as it does for a
        remote child. The old leaves stay, frozen, as interior nodes. *)
     match
-      Rpc.call sys ~from:here ~target:to_cell ~op:migrate_xfer_op
+      Rpc.call sys ~target:to_cell ~op:migrate_xfer_op
         (P_regions p.Types.regions)
     with
     | Ok (P_regions regions) ->
@@ -286,10 +285,10 @@ let wait (sys : Types.system) (_parent : Types.process) (child : Types.process)
   Sim.Ivar.read_exn sys.Types.eng child.Types.exit_ivar
 
 let () =
-  Rpc.serve migrate_xfer_op (fun sys cell ~src:_ arg ->
+  Rpc.serve migrate_xfer_op (fun sys _cell ~src:_ arg ->
       match arg with
       | P_regions regions ->
-        Types.Queued (fun () -> Ok (P_regions (branch_regions sys cell regions)))
+        Types.Queued (fun () -> Ok (P_regions (branch_regions sys regions)))
       | _ -> Types.Immediate (Error Types.EFAULT))
 
 let () =
@@ -299,7 +298,7 @@ let () =
         Types.Queued
           (fun () ->
             Sim.Engine.delay Params.fork_local_ns;
-            let regions = branch_regions sys cell regions in
+            let regions = branch_regions sys regions in
             let child = install_child sys cell ~name ~regions ~fds body in
             Ok (P_forked { pid = child.Types.pid }))
       | _ -> Types.Immediate (Error Types.EFAULT))

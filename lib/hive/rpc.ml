@@ -462,8 +462,10 @@ let backoff_ns rng n =
    Payload sizes default from the op descriptor and the timeout from
    [Params.rpc_timeout_ns]; per-call overrides remain for variable-size
    payloads and short probes. *)
-let call (sys : Types.system) ~(from : Types.cell) ~target ~(op : Op.t)
-    ?arg_bytes ?reply_bytes ?timeout_ns ?deadline_ns arg =
+let call (sys : Types.system) ~target ~(op : Op.t) ?arg_bytes ?reply_bytes
+    ?timeout_ns ?deadline_ns arg =
+  (* A live thread of a down cell gets [EHOSTDOWN] below, no bug. *)
+  let from = Kmem.owner_cell sys in
   let arg_bytes =
     match arg_bytes with Some b -> b | None -> op.Op.arg_bytes
   in

@@ -78,8 +78,9 @@ val report_hint :
   Types.cell -> Types.cell_id -> string -> unit
 val start_threads : Types.system -> Types.cell -> unit
 
-(** Call [op] on [target]. Payload sizes default from the descriptor and
-    [timeout_ns] from [Params.rpc_timeout_ns]; the optional arguments
+(** Call [op] on [target] as {!Kmem.owner_cell}, which raises its bug,
+    sending nothing, for a thread no cell owns. Payload sizes default
+    from the descriptor and [timeout_ns] from [Params.rpc_timeout_ns]; the optional arguments
     override them. The timeout is per attempt: a call retransmits up to
     [Params.rpc_max_retries] times before returning [Error EHOSTDOWN].
     [deadline_ns] is the end-to-end budget spanning every attempt and
@@ -90,7 +91,6 @@ val start_threads : Types.system -> Types.cell -> unit
     [Error EHOSTDOWN] without sending. *)
 val call :
   Types.system ->
-  from:Types.cell ->
   target:Types.cell_id ->
   op:Op.t ->
   ?arg_bytes:int ->

@@ -124,7 +124,7 @@ let invalidate_clients (sys : Types.system) (home : Types.cell) ~clients
       then begin
         Types.bump home Count.invalidates;
         match
-          Rpc.call sys ~from:home ~target:client ~op:invalidate_op
+          Rpc.call sys ~target:client ~op:invalidate_op
             ~arg_bytes:(32 + (24 * List.length lids))
             (P_invalidate { lids })
         with
@@ -262,10 +262,7 @@ let release_now (sys : Types.system) (client : Types.cell)
     Fun.protect
       ~finally:(fun () -> clear_pending client lid)
       (fun () ->
-        match
-          Rpc.call sys ~from:client ~target:home ~op:release_op
-            (P_release { lid })
-        with
+        match Rpc.call sys ~target:home ~op:release_op (P_release { lid }) with
         | Ok _ -> true
         | Error _ ->
           release_failed sys client ~home;
@@ -369,7 +366,7 @@ let release_many (sys : Types.system) (client : Types.cell)
               !batched
           in
           match
-            Rpc.call sys ~from:client ~target:home ~op:release_batch_op
+            Rpc.call sys ~target:home ~op:release_batch_op
               ~arg_bytes:(32 + (24 * List.length lids))
               (P_release_batch { lids })
           with

@@ -85,7 +85,6 @@ let kill (sys : Types.system) (from : Types.process) ~pid signal =
   match Hashtbl.find_opt sys.Types.proc_table pid with
   | None -> Error Types.ESRCH
   | Some target ->
-    let here = sys.Types.cells.(from.Types.proc_cell) in
     if target.Types.proc_cell = from.Types.proc_cell then begin
       Sim.Engine.delay (Flash.Config.cycles 400);
       deliver_local sys target signal;
@@ -93,7 +92,7 @@ let kill (sys : Types.system) (from : Types.process) ~pid signal =
     end
     else
       match
-        Rpc.call sys ~from:here ~target:target.Types.proc_cell ~op:signal_op
+        Rpc.call sys ~target:target.Types.proc_cell ~op:signal_op
           (P_signal { pid; signal })
       with
       | Ok _ -> Ok ()
@@ -117,7 +116,7 @@ let kill_group (sys : Types.system) (from : Types.process) ~pgid signal =
     (fun cell_id ->
       if cell_id <> here.Types.cell_id then
         match
-          Rpc.call sys ~from:here ~target:cell_id ~op:signal_group_op
+          Rpc.call sys ~target:cell_id ~op:signal_group_op
             (P_signal_group { pgid; signal })
         with
         | Ok _ -> ()

@@ -163,7 +163,7 @@ let close (sys : Types.system) (p : Types.process) ~fd =
     Fs.release_file_imports sys c f.Types.vnode
 
 let fsize (sys : Types.system) (p : Types.process) ~fd =
-  enter sys p Call.fsize @@ fun c -> ok (Fs.file_size sys c (fd_of p fd).Types.vnode)
+  enter sys p Call.fsize @@ fun _c -> ok (Fs.file_size sys (fd_of p fd).Types.vnode)
 
 let unlink (sys : Types.system) (p : Types.process) path =
   enter sys p Call.unlink @@ fun c -> ok (Fs.unlink sys c path)
@@ -181,8 +181,8 @@ let mmap_file (sys : Types.system) (p : Types.process) ~fd ~npages ~writable =
     ~npages
 
 let mmap_anon (sys : Types.system) (p : Types.process) ~npages =
-  enter sys p Call.mmap_anon @@ fun c ->
-  let leaf = Cow.create_root sys c () in
+  enter sys p Call.mmap_anon @@ fun _c ->
+  let leaf = Cow.create_root sys () in
   Vm.map_anon sys p leaf ~npages
 
 let touch (sys : Types.system) (p : Types.process) ~vpage ~write =

@@ -113,7 +113,7 @@ let reintegrate (sys : Types.system) cell_id =
          match sys.Types.wax_restart with Some f -> f sys | None -> ()))
 
 let boot ?(mcfg = Flash.Config.default) ?(params = Params.default)
-    ?(ncells = mcfg.Flash.Config.nodes) ?(oracle = false) ?(wax = true)
+    ?(ncells = mcfg.Flash.Config.nodes) ?(wax = true)
     (eng : Sim.Engine.t) =
   if ncells < 1 || ncells > mcfg.Flash.Config.nodes then
     invalid_arg "Hive.boot: bad cell count";
@@ -147,7 +147,6 @@ let boot ?(mcfg = Flash.Config.default) ?(params = Params.default)
         Array.init mcfg.Flash.Config.nodes (fun n -> n / nodes_per_cell);
       proc_table = Hashtbl.create 256;
       next_pid = 0;
-      use_agreement_oracle = oracle;
       agreements = [];
       round = None;
       recovery_round = 0;

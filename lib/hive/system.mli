@@ -11,7 +11,7 @@ val boot :
   ?mcfg:Flash.Config.t ->
   ?params:Params.t ->
   ?ncells:int ->
-  ?oracle:bool -> ?wax:bool -> Sim.Engine.t -> Types.system
+  ?wax:bool -> Sim.Engine.t -> Types.system
 val inject_node_failure : Types.system -> int -> unit
 
 (** CXL-style processor failure: halts the node's CPU (fail-stopping its

@@ -381,7 +381,6 @@ type system = {
          of a scan over every cell's node list *)
   proc_table : (pid, process) Hashtbl.t;
   mutable next_pid : int;
-  mutable use_agreement_oracle : bool;
   mutable agreements : agreement list; (* newest first *)
   mutable round : round option; (* [None] between rounds *)
   mutable recovery_round : int;

@@ -101,8 +101,8 @@ let region_of (p : Types.process) vpage =
 let anon_create (sys : Types.system) (c : Types.cell) (leaf : Types.cow_ref)
     ~page =
   let pf = Page_alloc.alloc sys c in
-  Cow.record_write sys c leaf ~page;
-  let node_id = Cow.node_id sys { leaf with Types.cow_cell = leaf.Types.cow_cell } in
+  Cow.record_write sys leaf ~page;
+  let node_id = Cow.node_id sys leaf in
   let lid =
     {
       Types.tag = Types.Anon_obj { cow_home = c.Types.cell_id; node_id };
@@ -162,7 +162,7 @@ let rec anon_get (sys : Types.system) (c : Types.cell) (r : Types.cow_ref)
       Gate.pass_recovery sys c;
       let epoch = c.Types.flush_epoch in
       match
-        Rpc.call sys ~from:c ~target:owner ~op:anon_locate_op
+        Rpc.call sys ~target:owner ~op:anon_locate_op
           (P_anon_locate { node_id; page; writable })
       with
       | Ok (P_anon_page { pfn = _ }) when c.Types.flush_epoch <> epoch ->
@@ -248,7 +248,7 @@ let fault (sys : Types.system) (p : Types.process) ~vpage ~write =
     | Types.Anon_region cref -> (
       let page = vpage - r.Types.start_page in
       (* Search up the copy-on-write tree from the process leaf. *)
-      match Cow.lookup sys c cref ~page with
+      match Cow.lookup sys cref ~page with
       | Cow.Defended reason ->
         Types.bump c Count.cow_defended;
         (match sys.Types.on_hint with

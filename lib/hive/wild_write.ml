@@ -71,7 +71,7 @@ let change (sys : Types.system) (mgr : Types.cell) ~pfn ~target_cell ~grant
   else begin
     let home = Types.cell_of_node sys node in
     match
-      Rpc.call sys ~from:mgr ~target:home.Types.cell_id ~op:firewall_rpc_op
+      Rpc.call sys ~target:home.Types.cell_id ~op:firewall_rpc_op
         (P_fw { pfn; target_cell; grant })
     with
     | Ok _ -> on_change ()

@@ -288,8 +288,7 @@ let do_read st cfg (sys : Hive.Types.system) ~client ~rank ~alt ~arrival =
         else leg_budget
       in
       match
-        Hive.Rpc.call sys ~from:(Hive.Types.cell sys client) ~target:tgt
-          ~op:read_op ~deadline_ns:d payload
+        Hive.Rpc.call sys ~target:tgt ~op:read_op ~deadline_ns:d payload
       with
       | Ok _ -> `Served
       | Error e ->
@@ -319,10 +318,10 @@ let do_read st cfg (sys : Hive.Types.system) ~client ~rank ~alt ~arrival =
   in
   pass tgts false
 
-let do_churn st cfg (sys : Hive.Types.system) ~client ~tgt ~rank ~arrival =
+let do_churn st cfg (sys : Hive.Types.system) ~tgt ~rank ~arrival =
   let payload = P_srv_churn { path = st.paths.(rank) } in
   match
-    Hive.Rpc.call sys ~from:(Hive.Types.cell sys client) ~target:tgt ~op:churn_op
+    Hive.Rpc.call sys ~target:tgt ~op:churn_op
       ~deadline_ns:(ms_ns cfg.deadline_ms) payload
   with
   | Ok _ ->
@@ -373,7 +372,7 @@ let frontend st cfg (sys : Hive.Types.system) zipfd cid =
            st.churn_sent <- st.churn_sent + 1;
            spawn_traffic
              (Printf.sprintf "srv.churn.c%d.%d" cid i)
-             (fun () -> do_churn st cfg sys ~client:cid ~tgt ~rank ~arrival)
+             (fun () -> do_churn st cfg sys ~tgt ~rank ~arrival)
          end
          else begin
            let rank = Sim.Prng.zipf_draw rng zipfd in

@@ -83,7 +83,7 @@ let test_bad_tag_defended () =
   with_sys (fun _eng sys ->
       let addr = ref 0 in
       in_thread ~owner:1 sys (fun () ->
-          addr := Hive.Kmem.alloc sys sys.Hive.Types.cells.(1) ~tag:0xDEADL ~size:16);
+          addr := Hive.Kmem.alloc sys ~tag:0xDEADL ~size:16);
       in_thread sys (fun () ->
           let addr = !addr in
           match

@@ -12,7 +12,7 @@ let boot ?jitter ?(params = Hive.Params.default) ~ncells () =
   let mcfg =
     { Flash.Config.small with Flash.Config.nodes = ncells; mem_pages_per_node = 512 }
   in
-  let sys = Hive.System.boot ~mcfg ~params ~ncells ~oracle:false ~wax:false eng in
+  let sys = Hive.System.boot ~mcfg ~params ~ncells ~wax:false eng in
   (eng, sys)
 
 let manual = { Hive.Params.default with Hive.Params.auto_reintegrate = false }
@@ -117,8 +117,8 @@ let test_partitioned_peer_hinted () =
         Alcotest.check hint_t
           (Printf.sprintf "partitioned cell %d" victim)
           (List.sort compare
-             [ (7, (pred, (victim, "clock: bus error")));
-               (7, (victim, (succ, "clock: bus error"))) ])
+             [ (7, (pred, (victim, "clock: unreachable")));
+               (7, (victim, (succ, "clock: unreachable"))) ])
           (flat (clock_hints ?jitter ~victim `Partition))
       done)
     [ None; Some 7919 ]

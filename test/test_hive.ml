@@ -6,13 +6,13 @@ let small_params = Hive.Params.default
 and () = ()
 
 (* Boot a fresh system for each test. *)
-let with_sys ?(ncells = 2) ?(nodes = 2) ?(oracle = false) ?(wax = false)
+let with_sys ?(ncells = 2) ?(nodes = 2) ?(wax = false)
     ?(params = Hive.Params.default) f =
   let eng = Sim.Engine.create () in
   let mcfg =
     { Flash.Config.small with Flash.Config.nodes; mem_pages_per_node = 512 }
   in
-  let sys = Hive.System.boot ~mcfg ~params ~ncells ~oracle ~wax eng in
+  let sys = Hive.System.boot ~mcfg ~params ~ncells ~wax eng in
   f eng sys
 
 let run_proc sys ~on ~name body =
@@ -219,10 +219,10 @@ let test_remote_fork_onto_failed_node () =
    a fault the kernel could defend. *)
 let test_foreign_heap_write_is_a_bug () =
   with_sys ~ncells:2 ~nodes:2 (fun _eng sys ->
+      let heap1 = sys.Hive.Types.cells.(1).Hive.Types.kmem.Hive.Types.kmem_base in
       let p =
         run_proc sys ~on:0 ~name:"deputy" (fun sys _ ->
-            ignore
-              (Hive.Kmem.alloc sys sys.Hive.Types.cells.(1) ~tag:0xDEADL ~size:16))
+            Hive.Kmem.write_i64 sys heap1 0xDEADL)
       in
       match finish sys [ p ] with
       | () -> Alcotest.fail "cell 0 wrote cell 1's kernel heap"
@@ -268,9 +268,8 @@ let test_rpc_timeout_reports_hint () =
         run_proc sys ~on:0 ~name:"caller" (fun sys p ->
             ignore p;
             Hive.Panic.panic sys sys.Hive.Types.cells.(1) "test";
-            let c0 = sys.Hive.Types.cells.(0) in
             match
-              Hive.Rpc.call sys ~from:c0 ~target:1 ~op:Hive.Agreement.ping_op
+              Hive.Rpc.call sys ~target:1 ~op:Hive.Agreement.ping_op
                 ~timeout_ns:1_000_000L Hive.Types.P_unit
             with
             | Ok _ -> failwith "expected failure"
@@ -429,7 +428,7 @@ let test_careful_ref_defends_remote_corruption () =
       let node = ref None in
       let builder =
         run_proc sys ~on:0 ~name:"builder" (fun sys _ ->
-            let n = Hive.Cow.create_root sys sys.Hive.Types.cells.(0) () in
+            let n = Hive.Cow.create_root sys () in
             Flash.Memory.poke
               (Flash.Machine.memory sys.Hive.Types.machine)
               n.Hive.Types.cow_addr (Bytes.make 8 '\x00');
@@ -439,8 +438,7 @@ let test_careful_ref_defends_remote_corruption () =
       let p =
         run_proc sys ~on:1 ~name:"walker" (fun sys _ ->
             match
-              Hive.Cow.lookup sys sys.Hive.Types.cells.(1) (Option.get !node)
-                ~page:0
+              Hive.Cow.lookup sys (Option.get !node) ~page:0
             with
             | Hive.Cow.Defended _ -> defended := true
             | _ -> ())

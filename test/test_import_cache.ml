@@ -9,9 +9,10 @@ let with_sys ?(ncells = 2) ?(params = Hive.Params.default) f =
   let sys = Hive.System.boot ~mcfg ~params ~ncells ~wax:false eng in
   f eng sys
 
-let in_thread sys body =
+(* Run [body] in a thread of cell [owner], which it acts as. *)
+let in_thread ?(owner = 0) sys body =
   let eng = sys.Hive.Types.eng in
-  let thr = Sim.Engine.spawn eng ~name:"t" body in
+  let thr = Sim.Engine.spawn eng ~name:"t" ~owner body in
   Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 60_000_000_000L) eng;
   Alcotest.(check bool) "thread done" true thr.Sim.Engine.dead
 
@@ -58,7 +59,7 @@ let share_page sys ~lid ~client ~writable =
    firewall state and the pfdat inconsistent. *)
 let test_writable_anon_import_grants () =
   with_sys (fun _eng sys ->
-      in_thread sys (fun () ->
+      in_thread ~owner:1 sys (fun () ->
           let c0 = sys.Hive.Types.cells.(0) in
           let lid =
             { Hive.Types.tag =
@@ -121,7 +122,7 @@ let share_pages sys ~ino n =
    releases) the least-recently-parked binding. *)
 let test_cache_eviction_at_capacity () =
   with_sys (fun _eng sys ->
-      in_thread sys (fun () ->
+      in_thread ~owner:1 sys (fun () ->
           let c1 = sys.Hive.Types.cells.(1) in
           let imports = share_pages sys ~ino:901 (capacity + 1) in
           List.iter (fun imp -> Hive.Share.release sys c1 imp) imports;
@@ -138,7 +139,7 @@ let test_cache_eviction_at_capacity () =
    pre-barrier-1 step) — the data home may be dead or about to discard. *)
 let test_recovery_flush_drops_parked () =
   with_sys (fun _eng sys ->
-      in_thread sys (fun () ->
+      in_thread ~owner:1 sys (fun () ->
           let c1 = sys.Hive.Types.cells.(1) in
           let lid = file_lid ~ino:902 0 in
           let _pf, imp = share_page sys ~lid ~client:1 ~writable:false in
@@ -174,7 +175,7 @@ let test_lost_release_counted_and_hinted () =
       let hints = ref [] in
       sys.Hive.Types.on_hint <-
         Some (fun _c ~suspect ~reason -> hints := (suspect, reason) :: !hints);
-      in_thread sys (fun () ->
+      in_thread ~owner:1 sys (fun () ->
           let c1 = sys.Hive.Types.cells.(1) in
           (* Writable, so release takes the RPC path rather than parking. *)
           let lid = file_lid ~ino:903 0 in
@@ -393,7 +394,7 @@ let test_invariants_hold_after_cache_traffic () =
    evicted. *)
 let test_eviction_order_after_hit_and_repark () =
   with_sys (fun _eng sys ->
-      in_thread sys (fun () ->
+      in_thread ~owner:1 sys (fun () ->
           let c1 = sys.Hive.Types.cells.(1) in
           let a, b, rest =
             match share_pages sys ~ino:906 (capacity + 1) with
@@ -422,7 +423,7 @@ let test_import_cache_checker_sees_drift () =
   with_sys (fun _eng sys ->
       let c1 = sys.Hive.Types.cells.(1) in
       let shared = ref [] in
-      in_thread sys (fun () ->
+      in_thread ~owner:1 sys (fun () ->
           shared :=
             List.map
               (fun page ->
@@ -577,7 +578,7 @@ let park_list_matches_model ops =
     ok := List.for_all (fun op -> apply op && agrees ()) ops
   in
   let eng = sys.Hive.Types.eng in
-  let thr = Sim.Engine.spawn eng ~name:"model" body in
+  let thr = Sim.Engine.spawn eng ~name:"model" ~owner:1 body in
   Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 600_000_000_000L) eng;
   thr.Sim.Engine.dead && !ok
 

@@ -138,9 +138,9 @@ let test_metrics_json_shape () =
   let eng, sys = boot_sys () in
   (* Drive one real RPC so the per-op histograms are non-empty. *)
   ignore
-    (Sim.Engine.spawn eng (fun () ->
+    (Sim.Engine.spawn eng ~owner:0 (fun () ->
          ignore
-           (Hive.Rpc.call sys ~from:sys.Hive.Types.cells.(0) ~target:1
+           (Hive.Rpc.call sys ~target:1
               ~op:Hive.Agreement.ping_op Hive.Types.P_unit)));
   Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 1_000_000_000L) eng;
   let json = Hive.Metrics.Snapshot.to_string (Hive.Metrics.capture sys) in

@@ -13,7 +13,7 @@ let with_sys ?(ncells = 4) ?(params = Hive.Params.default) f =
   let mcfg =
     { Flash.Config.small with Flash.Config.nodes = ncells; mem_pages_per_node = 512 }
   in
-  let sys = Hive.System.boot ~mcfg ~params ~ncells ~oracle:false ~wax:false eng in
+  let sys = Hive.System.boot ~mcfg ~params ~ncells ~wax:false eng in
   f eng sys
 
 let manual = { Hive.Params.default with Hive.Params.auto_reintegrate = false }

@@ -1,11 +1,11 @@
 (* Failure detection, agreement, recovery and reintegration tests. *)
 
-let with_sys ?(ncells = 4) ?(oracle = false) ?(params = Hive.Params.default) f =
+let with_sys ?(ncells = 4) ?(params = Hive.Params.default) f =
   let eng = Sim.Engine.create () in
   let mcfg =
     { Flash.Config.small with Flash.Config.nodes = ncells; mem_pages_per_node = 512 }
   in
-  let sys = Hive.System.boot ~mcfg ~params ~ncells ~oracle ~wax:false eng in
+  let sys = Hive.System.boot ~mcfg ~params ~ncells ~wax:false eng in
   f eng sys
 
 (* Several tests below inspect the post-recovery "cell stays down" state,
@@ -44,12 +44,6 @@ let test_live_sets_updated () =
               false
               (List.mem 1 c.Hive.Types.live_set))
         sys.Hive.Types.cells)
-
-let test_oracle_agreement () =
-  with_sys ~oracle:true (fun eng sys ->
-      settle eng;
-      Hive.System.inject_node_failure sys 3;
-      Alcotest.(check bool) "recovery with oracle" true (await_recovery sys))
 
 let test_false_alert_dismissed () =
   with_sys (fun eng sys ->
@@ -619,7 +613,6 @@ let suite =
     Alcotest.test_case "all survivors enter recovery" `Quick
       test_all_cells_enter_recovery;
     Alcotest.test_case "live sets updated" `Quick test_live_sets_updated;
-    Alcotest.test_case "agreement oracle mode" `Quick test_oracle_agreement;
     Alcotest.test_case "false alert dismissed, suspect survives" `Quick
       test_false_alert_dismissed;
     Alcotest.test_case "skipped agreement clears its suspect" `Quick

@@ -74,7 +74,7 @@ let test_dead_client_sends_no_request () =
     (Sim.Engine.spawn eng ~name:"client" ~owner:1 (fun () ->
          out :=
            Some
-             (Hive.Rpc.call sys ~from:sys.Hive.Types.cells.(1) ~target:0
+             (Hive.Rpc.call sys ~target:0
                 ~op:slow99_op Hive.Types.P_unit)));
   Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 50_000_000L) eng;
   Alcotest.(check int) "the request reached cell 0" (served0 + 1) (served ());
@@ -85,15 +85,35 @@ let test_dead_client_sends_no_request () =
   Alcotest.(check bool) "the call fails EHOSTDOWN" true
     (!out = Some (Error Hive.Types.EHOSTDOWN))
 
+(* A caller acts as its thread's cell, so a thread that no cell owns has
+   no authority to call: the call is a simulator bug, and nothing is
+   sent. *)
+let test_unowned_caller_is_a_bug () =
+  with_sys (fun eng sys ->
+      let c1 = sys.Hive.Types.cells.(1) in
+      let served () = Sim.Stats.value c1.Hive.Types.counters "rpc.served" in
+      let served0 = served () in
+      ignore
+        (Sim.Engine.spawn eng ~name:"unowned" (fun () ->
+             ignore (Hive.Rpc.call sys ~target:1 ~op:echo_op Hive.Types.P_unit)));
+      (match
+         Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 50_000_000L) eng
+       with
+      | () -> Alcotest.fail "a call from an unowned thread went through"
+      | exception Failure msg ->
+        Alcotest.(check bool) msg true
+          (String.starts_with ~prefix:"simulator bug" msg));
+      Alcotest.(check int) "nothing served" served0 (served ()))
+
 (* Returns (outcome, simulated call duration). *)
 let call_from_thread eng sys ~op ?timeout_ns ?arg_bytes arg =
   let out = ref (Error Hive.Types.EFAULT) in
   let dur = ref 0L in
   ignore
-    (Sim.Engine.spawn eng ~name:"caller" (fun () ->
+    (Sim.Engine.spawn eng ~name:"caller" ~owner:0 (fun () ->
          let t0 = Sim.Engine.time () in
          out :=
-           Hive.Rpc.call sys ~from:sys.Hive.Types.cells.(0) ~target:1 ~op
+           Hive.Rpc.call sys ~target:1 ~op
              ?timeout_ns ?arg_bytes arg;
          dur := Int64.sub (Sim.Engine.time ()) t0));
   Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 30_000_000_000L) eng;
@@ -203,9 +223,9 @@ let test_concurrent_calls () =
       let done_count = ref 0 in
       for _ = 1 to 20 do
         ignore
-          (Sim.Engine.spawn eng (fun () ->
+          (Sim.Engine.spawn eng ~owner:0 (fun () ->
                match
-                 Hive.Rpc.call sys ~from:sys.Hive.Types.cells.(0) ~target:1
+                 Hive.Rpc.call sys ~target:1
                    ~op:queued_echo_op Hive.Types.P_unit
                with
                | Ok _ -> incr done_count
@@ -231,9 +251,9 @@ let with_sys3 ?(params = Hive.Params.default) f =
 let test_reboot_drops_stale_reply () =
   with_sys3 (fun eng sys ->
       ignore
-        (Sim.Engine.spawn eng ~name:"pre-reboot-caller" (fun () ->
+        (Sim.Engine.spawn eng ~name:"pre-reboot-caller" ~owner:0 (fun () ->
              ignore
-               (Hive.Rpc.call sys ~from:sys.Hive.Types.cells.(0) ~target:1
+               (Hive.Rpc.call sys ~target:1
                   ~op:slow99_op ~timeout_ns:3_000_000_000L Hive.Types.P_unit)));
       ignore
         (Sim.Engine.spawn eng (fun () ->
@@ -268,9 +288,9 @@ let test_epoch_checker_catches_disabled_check () =
       }
     (fun eng sys ->
       ignore
-        (Sim.Engine.spawn eng (fun () ->
+        (Sim.Engine.spawn eng ~owner:0 (fun () ->
              ignore
-               (Hive.Rpc.call sys ~from:sys.Hive.Types.cells.(0) ~target:1
+               (Hive.Rpc.call sys ~target:1
                   ~op:slow99_op ~timeout_ns:3_000_000_000L Hive.Types.P_unit)));
       ignore
         (Sim.Engine.spawn eng (fun () ->
@@ -333,7 +353,7 @@ let test_degraded_link_at_most_once () =
   Bench.Harness.in_thread ~owner:0 eng (fun () ->
       for _ = 1 to n do
         match
-          Hive.Rpc.call sys ~from:sys.Hive.Types.cells.(0) ~target:1
+          Hive.Rpc.call sys ~target:1
             ~op:Bench.Harness.noop_op ~timeout_ns:2_000_000L
             Hive.Types.P_unit
         with
@@ -377,6 +397,8 @@ let suite =
     Alcotest.test_case "late reply after timeout is dropped" `Quick
       test_late_reply_after_timeout;
     Alcotest.test_case "second serve raises" `Quick test_second_serve_raises;
+    Alcotest.test_case "a call from a thread no cell owns is a simulator bug"
+      `Quick test_unowned_caller_is_a_bug;
     Alcotest.test_case "dead client sends no request" `Quick
       test_dead_client_sends_no_request;
     Alcotest.test_case "at-most-once over a degraded link" `Quick

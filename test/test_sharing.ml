@@ -16,9 +16,10 @@ let with_sys ?(ncells = 2) f =
   let sys = Hive.System.boot ~mcfg ~ncells ~wax:false eng in
   f eng sys
 
+(* Run [body] in a thread of cell 0, which it acts as. *)
 let in_thread sys body =
   let eng = sys.Hive.Types.eng in
-  let thr = Sim.Engine.spawn eng ~name:"t" body in
+  let thr = Sim.Engine.spawn eng ~name:"t" ~owner:0 body in
   Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 60_000_000_000L) eng;
   Alcotest.(check bool) "thread done" true thr.Sim.Engine.dead
 
@@ -202,7 +203,7 @@ let test_revoke_mid_flush () =
       in
       let bits = ref true and grants = ref [] and found = ref [] in
       ignore
-        (Sim.Engine.spawn eng ~name:"revoke" (fun () ->
+        (Sim.Engine.spawn eng ~name:"revoke" ~owner:0 (fun () ->
              Hive.Wild_write.revoke_client sys c0 pf ~client:1));
       ignore
         (Sim.Engine.spawn eng ~name:"check" (fun () ->
@@ -222,6 +223,17 @@ let test_revoke_mid_flush () =
       Alcotest.(check bool) "bits cleared mid-flush" false !bits;
       Alcotest.(check (list int)) "record dropped mid-flush" [] !grants)
 
+(* From a thread, run [f] in a thread of cell [owner] and wait for it: a
+   thread acts as one cell, so another cell's step gets its own. *)
+let as_cell sys owner f =
+  let eng = sys.Hive.Types.eng in
+  let iv = Sim.Ivar.create () in
+  ignore
+    (Sim.Engine.spawn eng ~name:"step" ~owner (fun () ->
+         f ();
+         Sim.Ivar.fill eng iv ()));
+  Sim.Ivar.read_exn eng iv
+
 (* Property: the firewall's remotely-writable page count on the home
    always equals the number of pages with an outstanding writable export,
    through any interleaving of writable/read-only exports and releases. *)
@@ -237,7 +249,7 @@ let qcheck_firewall_tracks_exports =
       let sys = Hive.System.boot ~mcfg ~ncells:2 ~wax:false eng in
       let ok = ref true in
       let thr =
-        Sim.Engine.spawn eng ~name:"q" (fun () ->
+        Sim.Engine.spawn eng ~name:"q" ~owner:0 (fun () ->
             let c0 = sys.Hive.Types.cells.(0) in
             let c1 = sys.Hive.Types.cells.(1) in
             (* Eight pages of a cell-0 file. *)
@@ -259,7 +271,8 @@ let qcheck_firewall_tracks_exports =
                 if Hashtbl.mem writable_exports page then begin
                   (* Release from the client side. *)
                   (match Hive.Pfdat.lookup c1 lid with
-                  | Some imp -> Hive.Share.release sys c1 imp
+                  | Some imp ->
+                    as_cell sys 1 (fun () -> Hive.Share.release sys c1 imp)
                   | None -> ());
                   Hashtbl.remove writable_exports page
                 end

@@ -67,10 +67,10 @@ let call_from_thread eng sys ~op ?timeout_ns ?deadline_ns arg =
   let out = ref (Error Hive.Types.EFAULT) in
   let dur = ref 0L in
   ignore
-    (Sim.Engine.spawn eng ~name:"caller" (fun () ->
+    (Sim.Engine.spawn eng ~name:"caller" ~owner:0 (fun () ->
          let t0 = Sim.Engine.time () in
          out :=
-           Hive.Rpc.call sys ~from:sys.Hive.Types.cells.(0) ~target:1 ~op
+           Hive.Rpc.call sys ~target:1 ~op
              ?timeout_ns ?deadline_ns arg;
          dur := Int64.sub (Sim.Engine.time ()) t0));
   Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 30_000_000_000L) eng;
@@ -136,19 +136,19 @@ let test_expired_request_dropped_at_dequeue () =
     (fun eng sys ->
       sys.Hive.Types.on_hint <- None;
       ignore
-        (Sim.Engine.spawn eng ~name:"occupier" (fun () ->
+        (Sim.Engine.spawn eng ~name:"occupier" ~owner:0 (fun () ->
              ignore
-               (Hive.Rpc.call sys ~from:sys.Hive.Types.cells.(0) ~target:1
+               (Hive.Rpc.call sys ~target:1
                   ~op:slow_op Hive.Types.P_unit)));
       let late = ref (Error Hive.Types.EFAULT) in
       ignore
-        (Sim.Engine.spawn eng ~name:"late-caller" (fun () ->
+        (Sim.Engine.spawn eng ~name:"late-caller" ~owner:0 (fun () ->
              Sim.Engine.delay 5_000_000L;
              let deadline =
                Int64.add (Sim.Engine.time ()) 30_000_000L
              in
              late :=
-               Hive.Rpc.call sys ~from:sys.Hive.Types.cells.(0) ~target:1
+               Hive.Rpc.call sys ~target:1
                  ~op:solid_op ~deadline_ns:deadline Hive.Types.P_unit));
       Sim.Engine.run ~until:(Int64.add (Sim.Engine.now eng) 5_000_000_000L) eng;
       (match !late with

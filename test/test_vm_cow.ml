@@ -269,12 +269,11 @@ let test_cow_node_full () =
       let p =
         in_proc sys ~on:0 ~name:"t" (fun sys p ->
             ignore p;
-            let c0 = sys.Hive.Types.cells.(0) in
-            let leaf = Hive.Cow.create_root sys c0 ~capacity:4 () in
+            let leaf = Hive.Cow.create_root sys ~capacity:4 () in
             for k = 0 to 3 do
-              Hive.Cow.record_write sys c0 leaf ~page:k
+              Hive.Cow.record_write sys leaf ~page:k
             done;
-            match Hive.Cow.record_write sys c0 leaf ~page:4 with
+            match Hive.Cow.record_write sys leaf ~page:4 with
             | () -> failwith "expected Node_full"
             | exception Hive.Cow.Node_full -> ())
       in
@@ -285,17 +284,15 @@ let test_cow_free_clears_tag () =
       let leaf = ref None in
       let p0 =
         in_proc sys ~on:0 ~name:"t" (fun sys _ ->
-            let c0 = sys.Hive.Types.cells.(0) in
-            let l = Hive.Cow.create_root sys c0 () in
-            Hive.Cow.free_node sys c0 l;
+            let l = Hive.Cow.create_root sys () in
+            Hive.Cow.free_node sys l;
             leaf := Some l)
       in
       run_to_completion sys p0;
       let p1 =
         in_proc sys ~on:1 ~name:"u" (fun sys _ ->
-            let c1 = sys.Hive.Types.cells.(1) in
             (* A remote careful walk must now reject the stale pointer. *)
-            match Hive.Cow.lookup sys c1 (Option.get !leaf) ~page:0 with
+            match Hive.Cow.lookup sys (Option.get !leaf) ~page:0 with
             | Hive.Cow.Defended (Hive.Careful_ref.Bad_tag _) -> ()
             | _ -> failwith "expected tag defense after free")
       in
@@ -308,22 +305,20 @@ let test_cow_lookup_cross_cell () =
       let root = ref None in
       let p0 =
         in_proc sys ~on:0 ~name:"t" (fun sys _ ->
-            let c0 = sys.Hive.Types.cells.(0) in
-            let r = Hive.Cow.create_root sys c0 () in
-            Hive.Cow.record_write sys c0 r ~page:9;
-            ignore (Hive.Cow.branch sys c0 r);
+            let r = Hive.Cow.create_root sys () in
+            Hive.Cow.record_write sys r ~page:9;
+            ignore (Hive.Cow.branch sys r);
             root := Some r)
       in
       run_to_completion sys p0;
       let p1 =
         in_proc sys ~on:1 ~name:"u" (fun sys _ ->
-            let c1 = sys.Hive.Types.cells.(1) in
-            let cl = Hive.Cow.branch sys c1 (Option.get !root) in
+            let cl = Hive.Cow.branch sys (Option.get !root) in
             (* Cell 1 walks from its leaf up to the root on cell 0. *)
-            (match Hive.Cow.lookup sys c1 cl ~page:9 with
+            (match Hive.Cow.lookup sys cl ~page:9 with
             | Hive.Cow.Found r -> assert (r.Hive.Types.cow_cell = 0)
             | _ -> failwith "expected Found in remote root");
-            match Hive.Cow.lookup sys c1 cl ~page:10 with
+            match Hive.Cow.lookup sys cl ~page:10 with
             | Hive.Cow.Not_present -> ()
             | _ -> failwith "expected Not_present")
       in

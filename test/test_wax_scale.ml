@@ -143,7 +143,7 @@ let test_pressure_migrates_allocation_32_cells () =
   let pref_at_alloc = ref [] in
   let finished = ref false in
   ignore
-    (Sim.Engine.spawn eng ~name:"drain" (fun () ->
+    (Sim.Engine.spawn eng ~name:"drain" ~owner:0 (fun () ->
          (* Exhaust the local free list without touching remote cells. *)
          while Option.is_some (Hive.Page_alloc.take_free ~own_only:true sys c0) do
            ()
